@@ -40,24 +40,26 @@
 // remote store. At exit every bus subscription prints a delivery
 // summary (delivered / dropped / retries / quarantines).
 //
-// The legacy -log PATH and -stream ADDR flags remain as shorthands for
-// jsonl: and tcp: sinks.
-//
 // With -shards N the cells (the -cell preset plus every -fuse-cell) are
 // partitioned across N supervised shards (internal/shard): each shard
 // owns its own history partition, bus publisher, and — in multi-cell
 // runs — its own fusion aggregator, and is restarted on stall or panic
 // with its partition intact. The cross-shard rollup is served under
 // /shards on the -metrics mux and summarized at exit.
+//
+// Whatever the flags, a run is one path (see deployment): every cell's
+// captures, simulated or replayed, go through one core.DecodePool.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"log"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"time"
@@ -83,270 +85,549 @@ func (s *stringList) Set(v string) error {
 	return nil
 }
 
-func main() {
-	var sinks, fuseCells stringList
-	var (
-		cellName = flag.String("cell", "amarisoft", "cell preset: srsran|mosolab|amarisoft|tmobile1|tmobile2")
-		ues      = flag.Int("ues", 2, "number of simulated UEs")
-		duration = flag.Duration("duration", 5*time.Second, "capture duration")
-		threads  = flag.Int("threads", 1, "DCI decoding threads")
-		decodeTh = flag.Int("decode-threads", 0, "decode-pool workers for standalone runs: slot blind-decode moves off the capture loop onto a shared worker pool, cells decoding concurrently (0 = decode inline)")
-		seed     = flag.Int64("seed", 1, "random seed")
-		logPath  = flag.String("log", "", "telemetry JSONL output file (shorthand for -sink jsonl:PATH)")
-		stream   = flag.String("stream", "", "TCP address to serve live telemetry on (shorthand for -sink tcp:ADDR)")
-		rotateMB = flag.Int64("sink-rotate-mb", 0, "rotate jsonl sinks after this many MiB (0 = never)")
-		noVerify = flag.Bool("skip-msg4-verify", false, "skip RRC Setup PDSCH verification of new UEs (paper's shortcut)")
-		record   = flag.String("record", "", "save the raw capture stream to this file")
-		replay   = flag.String("replay", "", "process a recorded capture file instead of live slots")
-		metrics  = flag.String("metrics", "", "serve Prometheus /metrics, /debug/vars, /debug/pprof and the /events SSE feed on this address (e.g. 127.0.0.1:9090)")
+// config is what the flags decide.
+type config struct {
+	cells    []string // -cell followed by every -fuse-cell
+	ues      int
+	duration time.Duration
+	seed     int64
+	threads  int
+	noVerify bool
+	record   string
+	replay   string
+	sinks    stringList
+	rotateMB int64
+	metrics  string
+	shards   int
+	history  bool           // keep the shared store: -history, or implied by -lake
+	histCfg  history.Config // the shared store's; each shard partition's but for MaxUEs
+	lakeDir  string
+	lakeCfg  lake.Config
+}
 
-		shards      = flag.Int("shards", 0, "partition the monitored cells across N supervised shards (0 = unsharded); composes with -fuse-cell, -history and -sink")
-		hist        = flag.Bool("history", false, "keep a queryable session-history store (served under /history on the -metrics mux)")
-		histBin     = flag.Duration("history-bin", 100*time.Millisecond, "history aggregation bin width")
-		histDepth   = flag.Int("history-depth", 600, "bins of history retained per UE and per cell")
-		histMaxUEs  = flag.Int("history-max-ues", 10000, "UE series cap in the history store (LRU eviction beyond it)")
-		idleHorizon = flag.Duration("idle-horizon", 0, "evict UEs idle longer than this from the scope and the history store (0 = slot-count default)")
+func parseFlags() config {
+	var c config
+	var fuse stringList
+	cell := flag.String("cell", "amarisoft", "cell preset: srsran|mosolab|amarisoft|tmobile1|tmobile2")
+	flag.Var(&fuse, "fuse-cell", "additional cell preset to monitor and fuse with -cell (repeatable; enables the multi-cell aggregator)")
+	flag.IntVar(&c.ues, "ues", 2, "number of simulated UEs")
+	flag.DurationVar(&c.duration, "duration", 5*time.Second, "capture duration")
+	flag.Int64Var(&c.seed, "seed", 1, "random seed")
+	flag.IntVar(&c.threads, "threads", 1, "DCI decoding threads")
+	flag.BoolVar(&c.noVerify, "skip-msg4-verify", false, "skip RRC Setup PDSCH verification of new UEs (paper's shortcut)")
+	flag.StringVar(&c.record, "record", "", "save the raw capture stream to this file")
+	flag.StringVar(&c.replay, "replay", "", "process a recorded capture file instead of live slots")
+	flag.Var(&c.sinks, "sink", "telemetry sink (repeatable): jsonl:PATH | tcp:ADDR | sse | promrw:URL | influx:URL | otlp:URL")
+	flag.Int64Var(&c.rotateMB, "sink-rotate-mb", 0, "rotate jsonl sinks after this many MiB (0 = never)")
+	flag.StringVar(&c.metrics, "metrics", "", "serve Prometheus /metrics, /debug/vars, /debug/pprof and the /events SSE feed on this address (e.g. 127.0.0.1:9090)")
 
-		lakeDir       = flag.String("lake", "", "spill history bins evicted from RAM into columnar segments under this directory (implies -history; queries answer across RAM + disk)")
-		lakeSegMB     = flag.Int64("lake-segment-mb", 8, "seal lake segments at this many MiB")
-		lakeRetention = flag.Duration("lake-retention", 0, "drop lake segments wholly older than this horizon (0 = keep everything)")
-	)
-	flag.Var(&sinks, "sink", "telemetry sink (repeatable): jsonl:PATH | tcp:ADDR | sse")
-	flag.Var(&fuseCells, "fuse-cell", "additional cell preset to monitor and fuse with -cell (repeatable; enables the multi-cell aggregator)")
+	flag.IntVar(&c.shards, "shards", 0, "partition the monitored cells across N supervised shards (0 = unsharded); composes with -fuse-cell, -history and -sink")
+	flag.BoolVar(&c.history, "history", false, "keep a queryable session-history store (served under /history on the -metrics mux)")
+	flag.DurationVar(&c.histCfg.BinWidth, "history-bin", 100*time.Millisecond, "history aggregation bin width")
+	flag.IntVar(&c.histCfg.Depth, "history-depth", 600, "bins of history retained per UE and per cell")
+	flag.IntVar(&c.histCfg.MaxUEs, "history-max-ues", 10000, "UE series cap in the history store (LRU eviction beyond it)")
+	flag.DurationVar(&c.histCfg.IdleHorizon, "idle-horizon", 0, "evict UEs idle longer than this from the scope and the history store (0 = slot-count default)")
+
+	flag.StringVar(&c.lakeDir, "lake", "", "spill history bins evicted from RAM into columnar segments under this directory (implies -history; queries answer across RAM + disk)")
+	lakeSegMB := flag.Int64("lake-segment-mb", 8, "seal lake segments at this many MiB")
+	flag.DurationVar(&c.lakeCfg.Retention, "lake-retention", 0, "drop lake segments wholly older than this horizon (0 = keep everything)")
 	flag.Parse()
 
-	var metricsSrv *obs.Server
-	if *metrics != "" {
-		obs.PublishExpvar()
-		srv, err := obs.Serve(*metrics)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer srv.Close()
-		metricsSrv = srv
-		fmt.Fprintf(os.Stderr, "nrscope: observability on http://%s/metrics\n", srv.Addr())
-	}
+	c.cells = append([]string{*cell}, fuse...)
+	c.history = c.history || c.lakeDir != ""
+	c.lakeCfg.SegmentBytes = *lakeSegMB << 20
+	c.lakeCfg.BinWidth = c.histCfg.BinWidth
+	return c
+}
 
-	// Legacy shorthands feed the same bus as explicit -sink flags.
-	if *logPath != "" {
-		sinks = append(sinks, "jsonl:"+*logPath)
-	}
-	if *stream != "" {
-		sinks = append(sinks, "tcp:"+*stream)
-	}
-	b, closeBus, err := setupSinks(sinks, *rotateMB, metricsSrv)
-	if err != nil {
+func main() {
+	if err := new(deployment).run(parseFlags()); err != nil {
 		log.Fatal(err)
 	}
+}
 
-	// Sharded mode replaces the single shared store with per-shard
-	// partitions owned by the supervisor, so it branches off before the
-	// store is built. The -history* flags configure the partitions.
-	lakeCfg := lake.Config{
-		SegmentBytes: *lakeSegMB << 20,
-		Retention:    *lakeRetention,
-		BinWidth:     *histBin,
-	}
-	if *shards > 0 {
-		if *record != "" || *replay != "" {
-			log.Fatal("nrscope: -shards cannot be combined with -record or -replay")
-		}
-		histCfg := history.Config{
-			BinWidth: *histBin, Depth: *histDepth,
-			MaxUEs:      maxUEsPerShard(*histMaxUEs, *shards),
-			IdleHorizon: *idleHorizon,
-		}
-		runSharded(append([]string{*cellName}, fuseCells...), *shards, *ues, *duration, *seed,
-			buildOpts(*threads, *noVerify, *idleHorizon), b, metricsSrv, histCfg, *lakeDir, lakeCfg)
-		closeBus()
-		return
-	}
+// cell is one monitored cell: a capture source and the scope that
+// decodes it. The capfile header is the cell's identity whether the
+// source is a simulated testbed or a recorded file.
+type cell struct {
+	hdr   capfile.Header
+	scope *nrscope.Scope
+	next  func() (*nrscope.Capture, error) // io.EOF ends the cell's run
 
-	// The history store is a Block (lossless) bus subscriber, so turning
-	// it on creates a bus even when no -sink flags asked for one. -lake
-	// spills the store's evicted bins to disk, so it implies the store.
-	var store *history.Store
-	var lk *lake.Lake
-	if *hist || *lakeDir != "" {
-		if b == nil {
-			nb := bus.New()
-			b = nb
-			closeBus = func() {
-				if err := nb.Close(); err != nil {
+	// submitted belongs to the run loop; the rest is written only by the
+	// cell's pool handler, which the pool serializes per cell, and read
+	// once the pool has closed.
+	submitted, decoded, lastSlot int
+	records, newUEs              int
+	elapsed                      time.Duration
+}
+
+// historyView is what the end-of-run history summary reads: the shared
+// store, or the supervisor's cross-shard rollup.
+type historyView interface {
+	Snapshot() history.Snapshot
+	TopK(metric string, window time.Duration, k int) ([]history.UERank, error)
+	Anomalies() []history.Anomaly
+}
+
+// deployment is one run of the tool. Every mode — one cell, -fuse-cell,
+// -shards, -replay — is the same steps: build, decode, close (which
+// summarises). The modes differ only in what build wires behind consume.
+type deployment struct {
+	cells []*cell
+	// consume routes one decoded slot: to the shared store (a lone scope
+	// publishes its records on the bus itself), to the fusion aggregator,
+	// or to the shard supervisor. It runs on pool workers, concurrently
+	// across cells.
+	consume func(c *cell, res *nrscope.SlotResult)
+	history historyView // nil without -history in an unsharded run
+	report  func()      // the mode's own summary lines, if any
+
+	metricsSrv *obs.Server
+	bus        *bus.Bus
+	closeBus   func()
+	store      *history.Store // the unsharded store; shards own partitions
+	sup        *shard.Supervisor
+	lakes      []*lake.Lake
+	recorder   *capfile.Writer
+	recordFile *os.File
+	replayFile *os.File
+}
+
+// run executes the deployment. Nothing below it exits the process, so a
+// failure anywhere — a bad flag, a refused capture, a full disk under
+// -record — still drains the sinks and syncs the lake on the way out.
+func (d *deployment) run(cfg config) error {
+	err := d.build(cfg)
+	if err == nil {
+		err = d.decode()
+	}
+	if cerr := d.close(err == nil); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+func (d *deployment) build(cfg config) (err error) {
+	if (cfg.record != "" || cfg.replay != "") && len(cfg.cells) > 1 {
+		return errors.New("nrscope: -record and -replay take a single cell; they cannot be combined with -fuse-cell")
+	}
+	if cfg.metrics != "" {
+		obs.PublishExpvar()
+		if d.metricsSrv, err = obs.Serve(cfg.metrics); err != nil {
+			return err
+		}
+		fmt.Fprintf(os.Stderr, "nrscope: observability on http://%s/metrics\n", d.metricsSrv.Addr())
+	}
+	if d.bus, d.closeBus, err = setupSinks(cfg.sinks, cfg.rotateMB, d.metricsSrv); err != nil {
+		return err
+	}
+	sharded := cfg.shards > 0
+	fused := !sharded && len(cfg.cells) > 1
+
+	// Sharded runs replace the shared store with per-shard partitions
+	// owned by the supervisor. Otherwise the store is a Block (lossless)
+	// bus subscriber, so turning it on creates a bus even when no -sink
+	// asked for one.
+	if cfg.history && !sharded {
+		if d.bus == nil {
+			d.bus = bus.New()
+			d.closeBus = func() {
+				if err := d.bus.Close(); err != nil {
 					fmt.Fprintf(os.Stderr, "nrscope: history drain: %v\n", err)
 				}
 			}
 		}
-		store = history.New(history.Config{
-			BinWidth: *histBin, Depth: *histDepth, MaxUEs: *histMaxUEs,
-			IdleHorizon: *idleHorizon,
-		})
-		if *lakeDir != "" {
-			var lerr error
-			lk, lerr = lake.Open(*lakeDir, lakeCfg)
-			if lerr != nil {
-				log.Fatal(lerr)
+		d.store = history.New(cfg.histCfg)
+		d.history = d.store
+		if cfg.lakeDir != "" {
+			lk, err := lake.Open(cfg.lakeDir, cfg.lakeCfg)
+			if err != nil {
+				return err
 			}
-			store.AttachLake(lk)
-			fmt.Fprintf(os.Stderr, "nrscope: telemetry lake at %s\n", *lakeDir)
+			d.lakes = append(d.lakes, lk)
+			d.store.AttachLake(lk)
+			fmt.Fprintf(os.Stderr, "nrscope: telemetry lake at %s\n", cfg.lakeDir)
 		}
-		if metricsSrv != nil {
-			store.Mount(metricsSrv)
-			fmt.Fprintf(os.Stderr, "nrscope: history API on http://%s/history/ues\n", metricsSrv.Addr())
-		}
-	}
-	defer closeBus()
-
-	opts := buildOpts(*threads, *noVerify, *idleHorizon)
-	if len(fuseCells) > 0 {
-		if *record != "" || *replay != "" {
-			log.Fatal("nrscope: -fuse-cell cannot be combined with -record or -replay")
-		}
-		// Multi-cell mode: the scopes do not publish to the bus
-		// themselves — the fusion aggregator mirrors the fused stream
-		// onto it, and feeds the (shared) history store directly.
-		runMultiCell(append([]string{*cellName}, fuseCells...), *ues, *duration, *seed, opts, b, store, *idleHorizon, *decodeTh)
-		closeBus()
-		if store != nil {
-			printHistorySummary(store)
-		}
-		closeLake(lk)
-		return
-	}
-	if b != nil {
-		opts = append(opts, nrscope.WithBus(b))
-	}
-	if *replay != "" {
-		runReplay(*replay, opts, b, store)
-		closeBus() // drain Block subscribers before reading the store
-		if store != nil {
-			printHistorySummary(store)
-		}
-		closeLake(lk)
-		return
-	}
-
-	preset, err := presetByName(*cellName)
-	if err != nil {
-		log.Fatal(err)
-	}
-	tb, err := nrscope.NewTestbed(preset, *seed, opts...)
-	if err != nil {
-		log.Fatal(err)
-	}
-	for i := 0; i < *ues; i++ {
-		tb.AttachUE(nrscope.UEProfile{})
-	}
-	cellID := tb.GNB.Config().CellID
-	if store != nil {
-		if err := store.AddCell(cellID, tb.TTI()); err != nil {
-			log.Fatal(err)
-		}
-		if _, err := store.SubscribeTo(b, cellID); err != nil {
-			log.Fatal(err)
+		if d.metricsSrv != nil {
+			d.store.Mount(d.metricsSrv)
+			fmt.Fprintf(os.Stderr, "nrscope: history API on http://%s/history/ues\n", d.metricsSrv.Addr())
 		}
 	}
 
-	var recorder *capfile.Writer
-	if *record != "" {
-		f, err := os.Create(*record)
+	opts := []nrscope.Option{
+		nrscope.WithDCIThreads(cfg.threads),
+		nrscope.WithVerifyMSG4(!cfg.noVerify),
+		nrscope.WithIdleHorizon(cfg.histCfg.IdleHorizon), // 0 keeps the slot-count default
+	}
+	// A lone unsharded scope publishes its records on the bus itself;
+	// under fusion or sharding the aggregator / the shard workers publish
+	// the stream they have folded.
+	if !sharded && !fused {
+		opts = append(opts, nrscope.WithBus(d.bus)) // nil without sinks or -history
+	}
+	if err := d.openCells(cfg, opts); err != nil {
+		return err
+	}
+	switch {
+	case sharded:
+		return d.wireShards(cfg)
+	case fused:
+		return d.wireFusion(cfg)
+	}
+	d.consume = d.ingestSpare
+	if d.store == nil {
+		return nil
+	}
+	c := d.cells[0]
+	if err := d.store.AddCell(c.hdr.CellID, c.hdr.Mu.SlotDuration()); err != nil {
+		return err
+	}
+	_, err = d.store.SubscribeTo(d.bus, c.hdr.CellID)
+	return err
+}
+
+// ingestSpare hands a slot's spare-capacity split to the shared store:
+// it is per TTI, not per record, so it does not ride the bus.
+func (d *deployment) ingestSpare(c *cell, res *nrscope.SlotResult) {
+	if d.store != nil && res.Spare != nil {
+		d.store.IngestSpare(c.hdr.CellID, res.SlotIdx, res.Spare)
+	}
+}
+
+// openCells creates the capture sources and their scopes: the recorded
+// file under -replay (§4's on-demand mode, §7's post-processing), else
+// one simulated testbed per cell preset.
+func (d *deployment) openCells(cfg config, opts []nrscope.Option) (err error) {
+	if cfg.replay != "" {
+		if d.replayFile, err = os.Open(cfg.replay); err != nil {
+			return err
+		}
+		r, err := capfile.NewReader(d.replayFile)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		defer f.Close()
-		cfg := tb.GNB.Config()
-		recorder, err = capfile.NewWriter(f, capfile.Header{
-			CellID: cfg.CellID, Mu: cfg.Mu, NumPRB: cfg.CarrierPRBs,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer recorder.Close()
-	}
-
-	var records, newUEs int
-	var elapsed time.Duration
-	var processed int
-	handle := func(res *nrscope.SlotResult) {
-		if res.MIBAcquired {
-			fmt.Fprintf(os.Stderr, "nrscope: MIB acquired at slot %d\n", res.SlotIdx)
-		}
-		if res.SIB1Acquired {
-			fmt.Fprintf(os.Stderr, "nrscope: SIB1 acquired at slot %d\n", res.SlotIdx)
-		}
-		newUEs += len(res.NewUEs)
-		for _, rnti := range res.NewUEs {
-			fmt.Fprintf(os.Stderr, "nrscope: new UE c-rnti=0x%04x at slot %d\n", rnti, res.SlotIdx)
-		}
-		records += len(res.Records)
-		elapsed += res.Elapsed
-		processed++
-		if store != nil && res.Spare != nil {
-			store.IngestSpare(cellID, res.SlotIdx, res.Spare)
-		}
-	}
-	slots := int(*duration / tb.TTI())
-	if *decodeTh > 0 {
-		// Capture synthesis and blind decode overlap through the pool;
-		// per-cell slot order stays strict. The handler runs on a worker
-		// goroutine, so the run counters take a lock.
-		pool := nrscope.NewDecodePool(*decodeTh, 256)
-		var mu sync.Mutex
-		if err := pool.AddCell(cellID, tb.Scope, func(res *nrscope.SlotResult) {
-			mu.Lock()
-			handle(res)
-			mu.Unlock()
-		}); err != nil {
-			log.Fatal(err)
-		}
-		if err := pool.Start(); err != nil {
-			log.Fatal(err)
-		}
-		for i := 0; i < slots; i++ {
-			cap := tb.StepRaw()
-			if recorder != nil {
-				if err := recorder.Append(cap); err != nil {
-					log.Fatal(err)
-				}
-			}
-			pool.Submit(cellID, cap)
-		}
-		pool.Close()
+		hdr := r.Header()
+		fmt.Fprintf(os.Stderr, "nrscope: replaying cell %d (%v, %d PRBs) from %s\n",
+			hdr.CellID, hdr.Mu, hdr.NumPRB, cfg.replay)
+		d.cells = []*cell{{hdr: hdr, scope: nrscope.New(hdr.CellID, opts...), next: r.Next}}
 	} else {
-		for i := 0; i < slots; i++ {
-			cap, res := tb.StepCapture()
-			if recorder != nil {
-				if err := recorder.Append(cap); err != nil {
-					log.Fatal(err)
-				}
+		for i, name := range cfg.cells {
+			preset, err := presetByName(name)
+			if err != nil {
+				return err
 			}
-			handle(res)
+			tb, err := nrscope.NewTestbed(preset, cfg.seed+int64(i), opts...)
+			if err != nil {
+				return err
+			}
+			for u := 0; u < cfg.ues; u++ {
+				tb.AttachUE(nrscope.UEProfile{})
+			}
+			gc := tb.GNB.Config()
+			fmt.Fprintf(os.Stderr, "nrscope: cell %d (%s, %v, %d PRBs)\n", gc.CellID, name, gc.Mu, gc.CarrierPRBs)
+			left := int(cfg.duration / tb.TTI())
+			d.cells = append(d.cells, &cell{
+				hdr:   capfile.Header{CellID: gc.CellID, Mu: gc.Mu, NumPRB: gc.CarrierPRBs},
+				scope: tb.Scope,
+				next: func() (*nrscope.Capture, error) {
+					if left == 0 {
+						return nil, io.EOF
+					}
+					left--
+					return tb.StepRaw(), nil
+				},
+			})
 		}
 	}
-	if recorder != nil {
-		fmt.Fprintf(os.Stderr, "nrscope: recorded %d slots to %s\n", recorder.Slots(), *record)
+	if cfg.record != "" {
+		if d.recordFile, err = os.Create(cfg.record); err != nil {
+			return err
+		}
+		d.recorder, err = capfile.NewWriter(d.recordFile, d.cells[0].hdr)
 	}
+	return err
+}
 
-	fmt.Fprintf(os.Stderr, "nrscope: %d records, %d UEs discovered, mean processing %.1f us/slot\n",
-		records, newUEs, float64(elapsed.Microseconds())/float64(processed))
-	for _, rnti := range tb.Scope.KnownUEs() {
-		dl := tb.Scope.Bitrate(rnti, true, tb.GNB.SlotIdx())
-		ul := tb.Scope.Bitrate(rnti, false, tb.GNB.SlotIdx())
-		fmt.Fprintf(os.Stderr, "  ue 0x%04x: DL %.2f Mbps, UL %.2f Mbps\n", rnti, dl/1e6, ul/1e6)
+// wireFusion routes every cell's records through the §7 aggregator.
+// With -history the aggregator folds into the store already serving the
+// query API (one bounded copy of the bins backs both); without it the
+// aggregator owns a private store at the 10 ms correlation bin. Either
+// way memory stays flat for arbitrarily long runs. The scopes do not
+// publish to the bus themselves — the aggregator mirrors the fused
+// stream onto it.
+func (d *deployment) wireFusion(cfg config) error {
+	agg := fusion.NewWithStore(d.store)
+	if cfg.histCfg.IdleHorizon > 0 {
+		agg.IdleHorizon = cfg.histCfg.IdleHorizon
 	}
-	closeBus() // drain Block subscribers before reading the store
-	if store != nil {
-		printHistorySummary(store)
+	if d.bus != nil {
+		agg.PublishTo(d.bus)
 	}
-	closeLake(lk)
+	for _, c := range d.cells {
+		if err := agg.AddCell(c.hdr.CellID, c.hdr.Mu); err != nil {
+			return fmt.Errorf("nrscope: fusing cell %d: %w", c.hdr.CellID, err)
+		}
+	}
+	var mu sync.Mutex // one aggregator, many pool workers
+	d.consume = func(c *cell, res *nrscope.SlotResult) {
+		mu.Lock()
+		defer mu.Unlock()
+		for _, rec := range res.Records {
+			_ = agg.Ingest(c.hdr.CellID, rec) // fails only for a cell not added above
+		}
+		d.ingestSpare(c, res)
+	}
+	d.report = func() {
+		fmt.Fprintf(os.Stderr, "nrscope: fused %d cells; merged view holds %d bins\n", len(d.cells), len(agg.Merged()))
+		for _, c := range d.cells {
+			load, _ := agg.CellLoad(c.hdr.CellID)
+			total, recent, _ := agg.ActiveUEs(c.hdr.CellID, cfg.duration, time.Second)
+			fmt.Fprintf(os.Stderr, "nrscope: cell %d: mean load %.2f Mbps, %d UE sessions retained (%d recent)\n",
+				c.hdr.CellID, load/1e6, total, recent)
+		}
+		printFusion(agg.Handovers(), agg.CarrierAggregation(0.7))
+	}
+	return nil
+}
+
+// wireShards partitions the cells across the supervisor's shards: each
+// shard folds its cells' records into its own history partition (and,
+// in multi-cell runs, its own fusion aggregator) and publishes them to
+// the bus. Decode stays on the pool; the shards consume records. The
+// queues are Block so that, behind the pool's blocking Submit, a run
+// loses nothing from capture to partition; a restart window still
+// degrades to counted drops rather than stalling the decode.
+func (d *deployment) wireShards(cfg config) error {
+	if cfg.shards > len(d.cells) {
+		fmt.Fprintf(os.Stderr, "nrscope: %d shards for %d cells; %d shards will idle\n",
+			cfg.shards, len(d.cells), cfg.shards-len(d.cells))
+	}
+	histCfg := cfg.histCfg
+	// Each partition enforces its own LRU cap: divide the global one.
+	histCfg.MaxUEs = max(histCfg.MaxUEs/cfg.shards, 1)
+	sup := shard.New(shard.Config{
+		Shards:  cfg.shards,
+		Policy:  shard.Block,
+		History: histCfg,
+		Fusion:  len(d.cells) > 1,
+		Bus:     d.bus,
+	})
+	d.sup, d.history = sup, sup
+	// One lake partition per shard: a shard's evicted bins spill under
+	// its own subdirectory, and the rollup layer's fan-in sees RAM +
+	// disk through each partition's queries.
+	if cfg.lakeDir != "" {
+		if err := sup.AttachLakes(func(i int) (history.Lake, error) {
+			l, err := lake.Open(filepath.Join(cfg.lakeDir, fmt.Sprintf("shard-%d", i)), cfg.lakeCfg)
+			if err == nil {
+				d.lakes = append(d.lakes, l)
+			}
+			return l, err
+		}); err != nil {
+			return err
+		}
+		fmt.Fprintf(os.Stderr, "nrscope: telemetry lake at %s (%d shard partitions)\n", cfg.lakeDir, cfg.shards)
+	}
+	for _, c := range d.cells {
+		idx, err := sup.AddCell(c.hdr.CellID, c.hdr.Mu)
+		if err != nil {
+			return fmt.Errorf("nrscope: sharding cell %d: %w", c.hdr.CellID, err)
+		}
+		fmt.Fprintf(os.Stderr, "nrscope: cell %d on shard %d\n", c.hdr.CellID, idx)
+	}
+	if err := sup.Start(); err != nil {
+		return err
+	}
+	if d.metricsSrv != nil {
+		sup.Mount(d.metricsSrv)
+		fmt.Fprintf(os.Stderr, "nrscope: shard rollup API on http://%s/shards\n", d.metricsSrv.Addr())
+	}
+	d.consume = func(c *cell, res *nrscope.SlotResult) {
+		// Ingest refuses only an unknown cell or a closed supervisor:
+		// every cell was added above, and close stops the pool first.
+		for _, rec := range res.Records {
+			_ = sup.Ingest(c.hdr.CellID, rec)
+		}
+		_ = sup.IngestSpare(c.hdr.CellID, res.SlotIdx, res.Spare)
+	}
+	d.report = func() {
+		for _, ps := range sup.Health().PerShard {
+			fmt.Fprintf(os.Stderr, "nrscope: shard %d (up=%t dead=%t): %d cells, %d ingested, %d applied, %d dropped, %d restarts, %d UEs\n",
+				ps.Shard, ps.Up, ps.Dead, ps.Cells, ps.Ingested, ps.Applied, ps.Dropped, ps.Restarts, ps.TrackedUEs)
+		}
+		if len(d.cells) > 1 {
+			printFusion(sup.Handovers(), sup.CarrierAggregation(0.7))
+		}
+	}
+	return nil
+}
+
+func printFusion(hos []fusion.Handover, cas []fusion.CACandidate) {
+	for _, ho := range hos {
+		fmt.Fprintf(os.Stderr, "nrscope: %s\n", ho)
+	}
+	if len(hos) == 0 {
+		fmt.Fprintln(os.Stderr, "nrscope: no handover candidates detected")
+	}
+	for _, ca := range cas {
+		fmt.Fprintf(os.Stderr, "nrscope: %s\n", ca)
+	}
+}
+
+// decode is the run loop: every cell's captures go through one
+// DecodePool, cells decoding concurrently, each cell's slots strictly in
+// order, capture synthesis (or file reading) overlapping the decode. The
+// worker count is what the machine and the deployment allow, not a knob.
+//
+// Captures are pulled round-robin in 50 ms steps of cell time, so the
+// cells' clocks advance together, until every source is exhausted.
+// Submit blocks on a full cell queue: the sources are paced by the
+// decode, so nothing is shed.
+func (d *deployment) decode() error {
+	pool := nrscope.NewDecodePool(min(len(d.cells), runtime.GOMAXPROCS(0)), 256)
+	for _, c := range d.cells {
+		if err := pool.AddCell(c.hdr.CellID, c.scope, func(res *nrscope.SlotResult) { d.handle(c, res) }); err != nil {
+			return err
+		}
+	}
+	if err := pool.Start(); err != nil {
+		return err
+	}
+	// Even a failed run drains: what was captured is decoded and
+	// delivered before the sinks close.
+	defer pool.Close()
+	const step = 50 * time.Millisecond
+	for live := len(d.cells); live > 0; {
+		for _, c := range d.cells {
+			for i := int(step / c.hdr.Mu.SlotDuration()); c.next != nil && i > 0; i-- {
+				cap, err := c.next()
+				if err == io.EOF {
+					c.next = nil
+					live--
+					break
+				}
+				if err != nil {
+					return fmt.Errorf("nrscope: cell %d: %w", c.hdr.CellID, err)
+				}
+				if d.recorder != nil {
+					if err := d.recorder.Append(cap); err != nil {
+						return fmt.Errorf("nrscope: -record: %w", err)
+					}
+				}
+				if !pool.Submit(c.hdr.CellID, cap) {
+					return fmt.Errorf("nrscope: decode pool refused cell %d slot %d", c.hdr.CellID, cap.SlotIdx)
+				}
+				c.submitted++
+			}
+		}
+	}
+	return nil
+}
+
+// handle is every cell's pool handler.
+func (d *deployment) handle(c *cell, res *nrscope.SlotResult) {
+	id := c.hdr.CellID
+	c.decoded++
+	c.lastSlot = res.SlotIdx
+	c.records += len(res.Records)
+	c.newUEs += len(res.NewUEs)
+	c.elapsed += res.Elapsed
+	if res.MIBAcquired {
+		fmt.Fprintf(os.Stderr, "nrscope: cell %d: MIB acquired at slot %d\n", id, res.SlotIdx)
+	}
+	if res.SIB1Acquired {
+		fmt.Fprintf(os.Stderr, "nrscope: cell %d: SIB1 acquired at slot %d\n", id, res.SlotIdx)
+	}
+	for _, rnti := range res.NewUEs {
+		fmt.Fprintf(os.Stderr, "nrscope: cell %d: new UE c-rnti=0x%04x at slot %d\n", id, rnti, res.SlotIdx)
+	}
+	d.consume(c, res)
+}
+
+// close stops the producers before the consumers — the shard workers
+// drain into the bus, the bus drains its Block sinks (the history store
+// among them) — then, everything decoded having reached its store,
+// summarises a run that succeeded, and releases the rest. The error is
+// the one that loses data: the recording not reaching the disk.
+func (d *deployment) close(ok bool) (err error) {
+	if d.sup != nil {
+		_ = d.sup.Close() // always nil
+	}
+	if d.closeBus != nil {
+		d.closeBus()
+	}
+	if ok {
+		d.summarise()
+	}
+	for _, lk := range d.lakes {
+		closeLake(lk)
+	}
+	if d.recorder != nil {
+		err = errors.Join(d.recorder.Close(), d.recordFile.Close())
+	}
+	_ = d.replayFile.Close() // only read; a nil *os.File refuses politely
+	if d.metricsSrv != nil {
+		_ = d.metricsSrv.Close()
+	}
+	return err
+}
+
+func (d *deployment) summarise() {
+	var submitted, decoded, records, newUEs int
+	var elapsed time.Duration
+	for _, c := range d.cells {
+		submitted += c.submitted
+		decoded += c.decoded
+		records += c.records
+		newUEs += c.newUEs
+		elapsed += c.elapsed
+	}
+	var mean float64
+	if decoded > 0 { // a run shorter than one TTI decodes nothing
+		mean = float64(elapsed.Microseconds()) / float64(decoded)
+	}
+	// decoded < submitted means slots were lost to decode panics
+	// (nrscope_decode_pool_slot_panics_total).
+	fmt.Fprintf(os.Stderr, "nrscope: decoded %d of %d slots on %d cells: %d records, %d UEs discovered, mean processing %.1f us/slot\n",
+		decoded, submitted, len(d.cells), records, newUEs, mean)
+	if d.recorder != nil {
+		fmt.Fprintf(os.Stderr, "nrscope: recorded %d slots to %s\n", d.recorder.Slots(), d.recordFile.Name())
+	}
+	for _, c := range d.cells {
+		for _, rnti := range c.scope.KnownUEs() {
+			fmt.Fprintf(os.Stderr, "  cell %d ue 0x%04x: DL %.2f Mbps, UL %.2f Mbps\n", c.hdr.CellID, rnti,
+				c.scope.Bitrate(rnti, true, c.lastSlot)/1e6, c.scope.Bitrate(rnti, false, c.lastSlot)/1e6)
+		}
+	}
+	if d.report != nil {
+		d.report()
+	}
+	if d.history == nil {
+		return
+	}
+	// The retained per-cell totals, the busiest UEs, and any anomalies.
+	snap := d.history.Snapshot()
+	for _, c := range snap.Cells {
+		fmt.Fprintf(os.Stderr, "nrscope: history cell %d: %d UEs, DL %d bits, UL %d bits, %d grants, %d retx in the last %d bins\n",
+			c.Cell, c.UEs, c.DLBits, c.ULBits, c.Grants, c.Retx, snap.Depth)
+	}
+	window := time.Duration(snap.BinMs*float64(snap.Depth)) * time.Millisecond
+	if ranks, err := d.history.TopK("bits", window, 5); err == nil && len(ranks) > 0 {
+		fmt.Fprintf(os.Stderr, "nrscope: history top UEs by bits:\n")
+		for _, r := range ranks {
+			fmt.Fprintf(os.Stderr, "  cell %d ue 0x%04x: %.0f bits\n", r.Cell, r.RNTI, r.Value)
+		}
+	}
+	if anoms := d.history.Anomalies(); len(anoms) > 0 {
+		fmt.Fprintf(os.Stderr, "nrscope: history flagged %d anomalies (last: %s)\n",
+			len(anoms), anoms[len(anoms)-1].String())
+	}
 }
 
 // closeLake drains the lake's spill queue to disk, reports its totals,
 // and releases it.
 func closeLake(lk *lake.Lake) {
-	if lk == nil {
-		return
-	}
 	_ = lk.Sync()
 	st := lk.Stats()
 	if err := lk.Close(); err != nil {
@@ -359,296 +640,11 @@ func closeLake(lk *lake.Lake) {
 	}
 }
 
-// buildOpts translates the scope-tuning flags into testbed options.
-func buildOpts(threads int, noVerify bool, idleHorizon time.Duration) []nrscope.Option {
-	opts := []nrscope.Option{nrscope.WithDCIThreads(threads)}
-	if noVerify {
-		opts = append(opts, nrscope.WithVerifyMSG4(false))
-	}
-	if idleHorizon > 0 {
-		opts = append(opts, nrscope.WithIdleHorizon(idleHorizon))
-	}
-	return opts
-}
-
-// maxUEsPerShard divides the global -history-max-ues cap across the
-// shard partitions (each partition enforces its own LRU cap).
-func maxUEsPerShard(maxUEs, shards int) int {
-	per := maxUEs / shards
-	if per < 1 {
-		per = 1
-	}
-	return per
-}
-
-// runSharded drives one testbed per cell preset through the sharded
-// supervisor: cells are partitioned across the shards, each shard folds
-// its cells' records into its own history partition (and, in multi-cell
-// runs, its own fusion aggregator) and publishes to the bus. The
-// cross-shard rollup is served under /shards on the -metrics mux and
-// printed at exit.
-func runSharded(cellNames []string, shards, ues int, duration time.Duration, seed int64,
-	opts []nrscope.Option, b *bus.Bus, metricsSrv *obs.Server, histCfg history.Config,
-	lakeDir string, lakeCfg lake.Config) {
-	if shards > len(cellNames) {
-		fmt.Fprintf(os.Stderr, "nrscope: %d shards for %d cells; %d shards will idle\n",
-			shards, len(cellNames), shards-len(cellNames))
-	}
-	sup := shard.New(shard.Config{
-		Shards:  shards,
-		History: histCfg,
-		Fusion:  len(cellNames) > 1,
-		Bus:     b,
-	})
-	// One lake partition per shard: a shard's evicted bins spill under
-	// its own subdirectory, and the rollup layer's fan-in sees RAM +
-	// disk through each partition's queries.
-	var lakes []*lake.Lake
-	if lakeDir != "" {
-		if err := sup.AttachLakes(func(i int) (history.Lake, error) {
-			l, err := lake.Open(filepath.Join(lakeDir, fmt.Sprintf("shard-%d", i)), lakeCfg)
-			if err == nil {
-				lakes = append(lakes, l)
-			}
-			return l, err
-		}); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "nrscope: telemetry lake at %s (%d shard partitions)\n", lakeDir, shards)
-	}
-	type cellRun struct {
-		tb *nrscope.Testbed
-		id uint16
-	}
-	cells := make([]cellRun, 0, len(cellNames))
-	for i, name := range cellNames {
-		preset, err := presetByName(name)
-		if err != nil {
-			log.Fatal(err)
-		}
-		tb, err := nrscope.NewTestbed(preset, seed+int64(i), opts...)
-		if err != nil {
-			log.Fatal(err)
-		}
-		cfg := tb.GNB.Config()
-		idx, err := sup.AddCell(cfg.CellID, cfg.Mu)
-		if err != nil {
-			log.Fatalf("nrscope: sharding %q: %v", name, err)
-		}
-		// Decode-in-shard: the shard worker owning this cell runs the
-		// blind decode itself, so the capture loop below only steps the
-		// simulators and queues raw slots.
-		if err := sup.AttachScope(cfg.CellID, tb.Scope); err != nil {
-			log.Fatalf("nrscope: sharding %q: %v", name, err)
-		}
-		for u := 0; u < ues; u++ {
-			tb.AttachUE(nrscope.UEProfile{})
-		}
-		cells = append(cells, cellRun{tb, cfg.CellID})
-		fmt.Fprintf(os.Stderr, "nrscope: cell %d (%s, %v) on shard %d\n", cfg.CellID, name, cfg.Mu, idx)
-	}
-	if err := sup.Start(); err != nil {
-		log.Fatal(err)
-	}
-	if metricsSrv != nil {
-		sup.Mount(metricsSrv)
-		fmt.Fprintf(os.Stderr, "nrscope: shard rollup API on http://%s/shards\n", metricsSrv.Addr())
-	}
-
-	step := 50 * time.Millisecond
-	for t := time.Duration(0); t < duration; t += step {
-		for _, c := range cells {
-			perStep := int(step / c.tb.TTI())
-			for i := 0; i < perStep; i++ {
-				if err := sup.SubmitCapture(c.id, c.tb.StepRaw()); err != nil {
-					log.Fatal(err)
-				}
-			}
-		}
-	}
-	sup.Flush()
-
-	h := sup.Health()
-	fmt.Fprintf(os.Stderr, "nrscope: decoded %d slots across %d cells on %d shards (%d UEs tracked)\n",
-		h.DecodedSlots, h.Cells, h.Shards, h.TrackedUEs)
-	for _, ps := range h.PerShard {
-		state := "up"
-		if ps.Dead {
-			state = "dead"
-		} else if !ps.Up {
-			state = "down"
-		}
-		fmt.Fprintf(os.Stderr, "nrscope: shard %d (%s): %d cells, %d decoded, %d applied, %d dropped, %d restarts, %d UEs\n",
-			ps.Shard, state, ps.Cells, ps.DecodedSlots, ps.Applied, ps.Dropped, ps.Restarts, ps.TrackedUEs)
-	}
-	window := time.Duration(histCfg.BinWidth.Milliseconds()*int64(histCfg.Depth)) * time.Millisecond
-	if window <= 0 {
-		window = time.Minute
-	}
-	if ranks, err := sup.TopK("bits", window, 5); err == nil && len(ranks) > 0 {
-		fmt.Fprintf(os.Stderr, "nrscope: fused top UEs by bits:\n")
-		for _, r := range ranks {
-			fmt.Fprintf(os.Stderr, "  cell %d ue 0x%04x: %.0f bits\n", r.Cell, r.RNTI, r.Value)
-		}
-	}
-	if len(cellNames) > 1 {
-		hos := sup.Handovers()
-		for _, ho := range hos {
-			fmt.Fprintf(os.Stderr, "nrscope: %s\n", ho)
-		}
-		if len(hos) == 0 {
-			fmt.Fprintln(os.Stderr, "nrscope: no handover candidates detected")
-		}
-	}
-	if anoms := sup.Anomalies(); len(anoms) > 0 {
-		fmt.Fprintf(os.Stderr, "nrscope: shards flagged %d anomalies (last: %s)\n",
-			len(anoms), anoms[len(anoms)-1].String())
-	}
-	if err := sup.Close(); err != nil {
-		log.Fatal(err)
-	}
-	for _, lk := range lakes {
-		closeLake(lk)
-	}
-}
-
-// runMultiCell drives one testbed per cell preset and fuses every
-// cell's records through the §7 aggregator. With -history the
-// aggregator publishes into the store already serving the query API
-// (one bounded copy of the bins backs both); without it the aggregator
-// owns a private store at the 10 ms correlation bin. Either way memory
-// stays flat for arbitrarily long runs.
-func runMultiCell(cellNames []string, ues int, duration time.Duration, seed int64, opts []nrscope.Option, b *bus.Bus, store *history.Store, idleHorizon time.Duration, decodeThreads int) {
-	agg := fusion.NewWithStore(store)
-	if idleHorizon > 0 {
-		agg.IdleHorizon = idleHorizon
-	}
-	if b != nil {
-		agg.PublishTo(b)
-	}
-	type cellRun struct {
-		tb *nrscope.Testbed
-		id uint16
-	}
-	cells := make([]cellRun, 0, len(cellNames))
-	for i, name := range cellNames {
-		preset, err := presetByName(name)
-		if err != nil {
-			log.Fatal(err)
-		}
-		tb, err := nrscope.NewTestbed(preset, seed+int64(i), opts...)
-		if err != nil {
-			log.Fatal(err)
-		}
-		cfg := tb.GNB.Config()
-		if err := agg.AddCell(cfg.CellID, cfg.Mu); err != nil {
-			log.Fatalf("nrscope: fusing %q: %v", name, err)
-		}
-		for u := 0; u < ues; u++ {
-			tb.AttachUE(nrscope.UEProfile{})
-		}
-		cells = append(cells, cellRun{tb, cfg.CellID})
-		fmt.Fprintf(os.Stderr, "nrscope: fusing cell %d (%s, %v)\n", cfg.CellID, name, cfg.Mu)
-	}
-
-	var records int
-	step := 50 * time.Millisecond
-	if decodeThreads > 0 {
-		// Shared decode pool: every cell's blind decode runs on the
-		// worker set, cells in parallel, slots per cell in order. The
-		// handlers feed the (single) aggregator under a lock.
-		pool := nrscope.NewDecodePool(decodeThreads, 256)
-		var mu sync.Mutex
-		for _, c := range cells {
-			id := c.id
-			if err := pool.AddCell(id, c.tb.Scope, func(res *nrscope.SlotResult) {
-				mu.Lock()
-				for _, rec := range res.Records {
-					_ = agg.Ingest(id, rec)
-				}
-				if store != nil && res.Spare != nil {
-					store.IngestSpare(id, res.SlotIdx, res.Spare)
-				}
-				records += len(res.Records)
-				mu.Unlock()
-			}); err != nil {
-				log.Fatal(err)
-			}
-		}
-		if err := pool.Start(); err != nil {
-			log.Fatal(err)
-		}
-		for t := time.Duration(0); t < duration; t += step {
-			for _, c := range cells {
-				perStep := int(step / c.tb.TTI())
-				for i := 0; i < perStep; i++ {
-					pool.Submit(c.id, c.tb.StepRaw())
-				}
-			}
-		}
-		pool.Close()
-	} else {
-		for t := time.Duration(0); t < duration; t += step {
-			for _, c := range cells {
-				id := c.id
-				c.tb.RunFor(step, func(res *nrscope.SlotResult) {
-					for _, rec := range res.Records {
-						_ = agg.Ingest(id, rec)
-					}
-					if store != nil && res.Spare != nil {
-						store.IngestSpare(id, res.SlotIdx, res.Spare)
-					}
-					records += len(res.Records)
-				})
-			}
-		}
-	}
-
-	fmt.Fprintf(os.Stderr, "nrscope: fused %d records across %d cells; merged view holds %d bins\n",
-		records, len(cells), len(agg.Merged()))
-	for _, c := range cells {
-		load, _ := agg.CellLoad(c.id)
-		total, recent, _ := agg.ActiveUEs(c.id, duration, time.Second)
-		fmt.Fprintf(os.Stderr, "nrscope: cell %d: mean load %.2f Mbps, %d UE sessions retained (%d recent)\n",
-			c.id, load/1e6, total, recent)
-	}
-	hos := agg.Handovers()
-	for _, h := range hos {
-		fmt.Fprintf(os.Stderr, "nrscope: %s\n", h)
-	}
-	if len(hos) == 0 {
-		fmt.Fprintln(os.Stderr, "nrscope: no handover candidates detected")
-	}
-	for _, ca := range agg.CarrierAggregation(0.7) {
-		fmt.Fprintf(os.Stderr, "nrscope: %s\n", ca)
-	}
-}
-
-// printHistorySummary rolls up the history store at the end of a run:
-// the per-cell retained totals, the busiest UEs, and any anomalies.
-func printHistorySummary(store *history.Store) {
-	snap := store.Snapshot()
-	for _, c := range snap.Cells {
-		fmt.Fprintf(os.Stderr, "nrscope: history cell %d: %d UEs, DL %d bits, UL %d bits, %d grants, %d retx in the last %d bins\n",
-			c.Cell, c.UEs, c.DLBits, c.ULBits, c.Grants, c.Retx, snap.Depth)
-	}
-	window := time.Duration(snap.BinMs*float64(snap.Depth)) * time.Millisecond
-	if ranks, err := store.TopK("bits", window, 5); err == nil && len(ranks) > 0 {
-		fmt.Fprintf(os.Stderr, "nrscope: history top UEs by bits:\n")
-		for _, r := range ranks {
-			fmt.Fprintf(os.Stderr, "  ue 0x%04x: %.0f bits\n", r.RNTI, r.Value)
-		}
-	}
-	if anoms := store.Anomalies(); len(anoms) > 0 {
-		fmt.Fprintf(os.Stderr, "nrscope: history flagged %d anomalies (last: %s)\n",
-			len(anoms), anoms[len(anoms)-1].String())
-	}
-}
-
 // setupSinks builds the telemetry bus from the -sink specs. Returns a
 // nil bus when no sinks are requested. The returned closer drains the
 // bus (Block sinks lose zero records), prints each subscription's
-// delivery summary, and then shuts the TCP servers.
+// delivery summary, and then shuts the TCP servers; on error it is
+// returned too, for the sinks set up before the bad spec.
 func setupSinks(specs []string, rotateMB int64, metricsSrv *obs.Server) (*bus.Bus, func(), error) {
 	if len(specs) == 0 {
 		return nil, func() {}, nil
@@ -671,10 +667,7 @@ func setupSinks(specs []string, rotateMB int64, metricsSrv *obs.Server) (*bus.Bu
 			_ = srv.Close()
 		}
 	}
-	fail := func(err error) (*bus.Bus, func(), error) {
-		closer()
-		return nil, func() {}, err
-	}
+	fail := func(err error) (*bus.Bus, func(), error) { return b, closer, err }
 	for _, spec := range specs {
 		kind, arg, _ := strings.Cut(spec, ":")
 		switch kind {
@@ -761,56 +754,6 @@ func formatSinkSummary(stats []bus.SubStats) []string {
 		lines = append(lines, line)
 	}
 	return lines
-}
-
-// runReplay post-processes a recorded capture file offline (§4: the
-// worker pool's on-demand mode; §7: the post-processing library). The
-// scope publishes through the same bus/sink set as a live run.
-func runReplay(path string, opts []nrscope.Option, b *bus.Bus, store *history.Store) {
-	f, err := os.Open(path)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer f.Close()
-	r, err := capfile.NewReader(f)
-	if err != nil {
-		log.Fatal(err)
-	}
-	hdr := r.Header()
-	fmt.Fprintf(os.Stderr, "nrscope: replaying cell %d (%v, %d PRBs) from %s\n",
-		hdr.CellID, hdr.Mu, hdr.NumPRB, path)
-	if store != nil {
-		if err := store.AddCell(hdr.CellID, hdr.Mu.SlotDuration()); err != nil {
-			log.Fatal(err)
-		}
-		if _, err := store.SubscribeTo(b, hdr.CellID); err != nil {
-			log.Fatal(err)
-		}
-	}
-	scope := nrscope.New(hdr.CellID, opts...)
-
-	records, slots, lastSlot := 0, 0, 0
-	for {
-		cap, err := r.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			log.Fatal(err)
-		}
-		res := scope.ProcessSlot(cap)
-		slots++
-		lastSlot = res.SlotIdx
-		records += len(res.Records)
-		if store != nil && res.Spare != nil {
-			store.IngestSpare(hdr.CellID, res.SlotIdx, res.Spare)
-		}
-	}
-	fmt.Fprintf(os.Stderr, "nrscope: replayed %d slots, %d records, %d UEs tracked\n",
-		slots, records, len(scope.KnownUEs()))
-	for _, rnti := range scope.KnownUEs() {
-		fmt.Fprintf(os.Stderr, "  ue 0x%04x: DL %.2f Mbps\n", rnti, scope.Bitrate(rnti, true, lastSlot)/1e6)
-	}
 }
 
 func presetByName(name string) (nrscope.Preset, error) {

@@ -25,6 +25,7 @@ var met = struct {
 	poolSubmitted *obs.Counter
 	poolDecoded   *obs.Counter
 	poolSteals    *obs.Counter
+	poolPanics    *obs.Counter
 
 	// Scope decode path.
 	decodeLatency  *obs.Histogram
@@ -70,6 +71,8 @@ var met = struct {
 		"captures decoded by pool workers"),
 	poolSteals: obs.Default.Counter("nrscope_decode_pool_steals_total",
 		"cell claims taken by a worker outside its home set"),
+	poolPanics: obs.Default.Counter("nrscope_decode_pool_slot_panics_total",
+		"slots dropped because the cell's decode or result handler panicked"),
 
 	decodeLatency: obs.Default.Histogram("nrscope_scope_decode_latency_seconds",
 		"per-slot signal-processing + DCI-decoding time (Fig. 12)", obs.LatencyBuckets),

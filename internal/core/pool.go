@@ -26,7 +26,8 @@ import (
 // ring buffers are fixed at Start and captures are handed over by
 // pointer. Results are delivered to the cell's handler on the worker
 // goroutine, serialized per cell by the claim but concurrent across
-// cells.
+// cells. A panic while decoding or handling a slot costs that slot only
+// (see process).
 type DecodePool struct {
 	workers int
 	queue   int // per-cell ring size, fixed at construction
@@ -212,7 +213,7 @@ func (p *DecodePool) run(self int) {
 
 // drain claims a cell and decodes up to poolMaxClaim queued slots in
 // order, delivering each result to the cell's handler. Returns whether
-// any slot was decoded.
+// any slot was taken off the queue.
 func (p *DecodePool) drain(c *poolCell, stolen bool) bool {
 	if !c.busy.CompareAndSwap(false, true) {
 		return false
@@ -231,16 +232,31 @@ func (p *DecodePool) drain(c *poolCell, stolen bool) bool {
 		c.n--
 		c.notFull.Signal()
 		c.mu.Unlock()
-		res := c.scope.ProcessSlot(cap)
-		if c.handler != nil {
-			c.handler(res)
-		}
-		p.pending.Add(-1)
-		met.poolDecoded.Inc()
+		p.process(c, cap)
 		if stolen && !worked {
 			met.poolSteals.Inc()
 		}
 		worked = true
 	}
 	return worked
+}
+
+// process decodes one slot and hands the result to the cell's handler.
+// A panic in either is contained to that slot: it is counted and the
+// slot dropped, but pending still falls and drain's claim is released
+// on its way out, so Flush and Close cannot hang and the cell's later
+// slots keep decoding in order.
+func (p *DecodePool) process(c *poolCell, cap *radio.Capture) {
+	defer func() {
+		if recover() != nil {
+			met.poolPanics.Inc()
+		} else {
+			met.poolDecoded.Inc()
+		}
+		p.pending.Add(-1)
+	}()
+	res := c.scope.ProcessSlot(cap)
+	if c.handler != nil {
+		c.handler(res)
+	}
 }

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"nrscope/internal/raceflag"
 	"nrscope/internal/radio"
@@ -224,5 +225,76 @@ func TestDecodePoolSteadyStateAllocs(t *testing.T) {
 	if pooled > serial+1 {
 		t.Fatalf("pool path allocates %.1f/slot vs %.1f/slot serial — pool overhead must be allocation-free",
 			pooled, serial)
+	}
+}
+
+// TestDecodePoolRecoversFromPanic: a slot whose decode panics (a nil
+// capture faults inside ProcessSlot) and a slot whose handler panics
+// each cost exactly that slot. The cell's later slots are still
+// delivered in order, both panics are counted, pending closes so Flush
+// returns, and Close does not hang on a leaked claim.
+func TestDecodePoolRecoversFromPanic(t *testing.T) {
+	cfg := amari()
+	tb := newTestbed(t, cfg, 25)
+	tb.gnb.AddUE(bulk(cfg), -1)
+	const (
+		slots        = 120
+		decodeFault  = 40 // submitted as a nil capture
+		handlerFault = 80 // handler panics on this slot's result
+	)
+	pool := NewDecodePool(2, 8)
+	var got []int
+	if err := pool.AddCell(cfg.CellID, tb.scope, func(res *SlotResult) {
+		if res.SlotIdx == handlerFault {
+			panic("injected handler fault")
+		}
+		got = append(got, res.SlotIdx)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := pool.Start(); err != nil {
+		t.Fatal(err)
+	}
+	panicsBefore := met.poolPanics.Value()
+	for i := 0; i < slots; i++ {
+		cap := tb.stepRaw()
+		if cap.SlotIdx != i {
+			t.Fatalf("testbed slot %d at step %d", cap.SlotIdx, i)
+		}
+		if i == decodeFault {
+			cap = nil
+		}
+		if !pool.Submit(cfg.CellID, cap) {
+			t.Fatalf("Submit rejected at slot %d", i)
+		}
+	}
+	pool.Flush()
+	closed := make(chan struct{})
+	go func() {
+		pool.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close hung after a recovered panic")
+	}
+
+	if n := met.poolPanics.Value() - panicsBefore; n != 2 {
+		t.Fatalf("panic counter rose by %d, want 2", n)
+	}
+	var want []int
+	for i := 0; i < slots; i++ {
+		if i != decodeFault && i != handlerFault {
+			want = append(want, i)
+		}
+	}
+	if len(got) != len(want) {
+		t.Fatalf("delivered %d slots, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("delivery %d is slot %d, want %d (order broken after panic)", i, got[i], want[i])
+		}
 	}
 }

@@ -10,9 +10,14 @@ import (
 	"testing"
 	"time"
 
+	"nrscope/internal/channel"
+	"nrscope/internal/core"
 	"nrscope/internal/history"
 	"nrscope/internal/phy"
+	"nrscope/internal/radio"
+	"nrscope/internal/ran"
 	"nrscope/internal/telemetry"
+	"nrscope/internal/traffic"
 )
 
 // The "metro capture" scenario: the ROADMAP's metro-scale target of one
@@ -148,6 +153,145 @@ func BenchmarkMetroCapture(b *testing.B) {
 			}
 			if got, want := h.Applied, h.Ingested; got != want {
 				b.Fatalf("applied %d records, ingested %d", got, want)
+			}
+		})
+	}
+}
+
+// decodeTB is one simulated cell of the metro decode scenario: its own
+// gNB, receiver, and telemetry engine.
+type decodeTB struct {
+	cfg ran.CellConfig
+	gnb *ran.GNB
+	rx  *radio.Receiver
+	sc  *core.Scope
+}
+
+func newDecodeTB(tb testing.TB, cellID uint16, seed int64) *decodeTB {
+	tb.Helper()
+	cfg := ran.AmarisoftCell()
+	cfg.CellID = cellID
+	cfg.Seed = seed
+	gnb, err := ran.NewGNB(cfg, 1<<20)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	d := &decodeTB{
+		cfg: cfg,
+		gnb: gnb,
+		rx:  radio.NewReceiver(channel.Normal, 25, cfg.Seed^0xACE),
+		sc:  core.New(cfg.CellID),
+	}
+	gnb.AddUE(func(rnti uint16, seed int64) (traffic.Generator, traffic.Generator, *channel.Channel) {
+		return traffic.NewBulk(4000), traffic.NewCBR(200e3, cfg.TTI()),
+			channel.New(channel.Normal, cfg.BaseSNRdB, seed)
+	}, -1)
+	return d
+}
+
+func (d *decodeTB) stepRaw() *radio.Capture {
+	out := d.gnb.Step()
+	return d.rx.Capture(out.SlotIdx, out.Ref, out.Grid)
+}
+
+// The "metro decode" scenario: unlike BenchmarkMetroCapture (which
+// replays pre-decoded records and measures ingest/apply), this one
+// measures the deployment's whole slot path — raw captures blind-decoded
+// on the shared core.DecodePool, its handlers feeding the decoded
+// records to a Block-policy supervisor, exactly as cmd/nrscope -shards
+// wires them. CI runs it at 1 and 4 pool workers and gates the 4-worker
+// run sustaining >= 2x the 1-worker decode throughput.
+var metroDecodeCellsFlag = flag.Int("metro.decodecells", 8, "cells in the metro decode scenario")
+
+func BenchmarkMetroDecode(b *testing.B) {
+	cells := *metroDecodeCellsFlag
+	for _, workers := range []int{1, 4} {
+		b.Run(fmt.Sprintf("workers=%d/cells=%d", workers, cells), func(b *testing.B) {
+			sup := New(Config{
+				Shards:       4,
+				QueueSize:    4096,
+				Policy:       Block,
+				History:      history.Config{BinWidth: 50 * time.Millisecond, Depth: 8},
+				StallTimeout: -1,
+			})
+			pool := core.NewDecodePool(workers, 64)
+			// Warm each scope through acquisition before the pool takes
+			// over, then pre-generate a steady-state capture stream per
+			// cell so the timed region measures decode, not RAN synthesis.
+			const streamLen = 64
+			ids := make([]uint16, cells)
+			streams := make([][]*radio.Capture, cells)
+			for i := range streams {
+				d := newDecodeTB(b, uint16(200+i), int64(31+i))
+				id := d.cfg.CellID
+				ids[i] = id
+				if _, err := sup.AddCell(id, d.cfg.Mu); err != nil {
+					b.Fatal(err)
+				}
+				for s := 0; s < 600; s++ {
+					d.sc.ProcessSlot(d.stepRaw())
+				}
+				if !d.sc.CellAcquired() {
+					b.Fatalf("cell %d failed acquisition during warm-up", id)
+				}
+				streams[i] = make([]*radio.Capture, streamLen)
+				for s := range streams[i] {
+					streams[i][s] = d.stepRaw()
+				}
+				if err := pool.AddCell(id, d.sc, func(res *core.SlotResult) {
+					for _, rec := range res.Records {
+						if err := sup.Ingest(id, rec); err != nil {
+							b.Error(err)
+						}
+					}
+					if err := sup.IngestSpare(id, res.SlotIdx, res.Spare); err != nil {
+						b.Error(err)
+					}
+				}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if err := sup.Start(); err != nil {
+				b.Fatal(err)
+			}
+			defer sup.Close()
+			if err := pool.Start(); err != nil {
+				b.Fatal(err)
+			}
+			defer pool.Close()
+
+			b.ReportAllocs()
+			b.ResetTimer()
+			var wg sync.WaitGroup
+			share := b.N / cells
+			for i, id := range ids {
+				n := share
+				if i == 0 {
+					n = b.N - share*(cells-1)
+				}
+				wg.Add(1)
+				go func(id uint16, stream []*radio.Capture, n int) {
+					defer wg.Done()
+					for s := 0; s < n; s++ {
+						if !pool.Submit(id, stream[s%len(stream)]) {
+							b.Errorf("cell %d: Submit refused", id)
+							return
+						}
+					}
+				}(id, streams[i], n)
+			}
+			wg.Wait()
+			pool.Flush()
+			sup.Flush()
+			b.StopTimer()
+
+			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "slots/s")
+			h := sup.Health()
+			if h.Dropped != 0 {
+				b.Fatalf("Block policy benchmark dropped %d records", h.Dropped)
+			}
+			if h.Applied != h.Ingested {
+				b.Fatalf("applied %d of %d ingested records", h.Applied, h.Ingested)
 			}
 		})
 	}

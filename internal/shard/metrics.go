@@ -40,7 +40,6 @@ type shardMetrics struct {
 	restarts *obs.Counter
 	stalls   *obs.Counter
 	ues      *obs.Gauge
-	decoded  *obs.Counter
 }
 
 var (
@@ -76,8 +75,6 @@ func metricsFor(idx int) *shardMetrics {
 			"times shard "+i+"'s worker was declared stalled and superseded"),
 		ues: obs.Default.Gauge(p+"ues_tracked",
 			"UE series tracked by shard "+i+"'s history partition"),
-		decoded: obs.Default.Counter(p+"slots_decoded_total",
-			"slot captures blind-decoded inside shard "+i+"'s worker"),
 	}
 	shardMetricsCache[idx] = m
 	return m

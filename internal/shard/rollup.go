@@ -31,7 +31,6 @@ type ShardHealth struct {
 	Applied       int64    `json:"applied_total"`
 	Dropped       int64    `json:"dropped_total"`
 	Rejected      int64    `json:"rejected_total"`
-	DecodedSlots  int64    `json:"decoded_slots_total"`
 	Restarts      int64    `json:"restarts_total"`
 	Stalls        int64    `json:"stalls_total"`
 	TrackedUEs    int      `json:"tracked_ues"`
@@ -43,15 +42,14 @@ type ShardHealth struct {
 // Rollup is the deployment-wide health roll-up: global gauges plus the
 // per-shard reports they sum over.
 type Rollup struct {
-	Shards       int           `json:"shards"`
-	Cells        int           `json:"cells"`
-	TrackedUEs   int           `json:"tracked_ues"`
-	Ingested     int64         `json:"ingested_total"`
-	Applied      int64         `json:"applied_total"`
-	Dropped      int64         `json:"dropped_total"`
-	DecodedSlots int64         `json:"decoded_slots_total"`
-	Restarts     int64         `json:"restarts_total"`
-	PerShard     []ShardHealth `json:"per_shard"`
+	Shards     int           `json:"shards"`
+	Cells      int           `json:"cells"`
+	TrackedUEs int           `json:"tracked_ues"`
+	Ingested   int64         `json:"ingested_total"`
+	Applied    int64         `json:"applied_total"`
+	Dropped    int64         `json:"dropped_total"`
+	Restarts   int64         `json:"restarts_total"`
+	PerShard   []ShardHealth `json:"per_shard"`
 }
 
 // Health reports every shard's state from its local accounting (not the
@@ -71,7 +69,6 @@ func (s *Supervisor) Health() Rollup {
 			Applied:       sh.applied.Load(),
 			Dropped:       sh.dropped.Load(),
 			Rejected:      sh.rejected.Load(),
-			DecodedSlots:  sh.decoded.Load(),
 			Restarts:      sh.restarts.Load(),
 			Stalls:        sh.stalls.Load(),
 			TrackedUEs:    sh.store.TrackedUEs(),
@@ -83,7 +80,6 @@ func (s *Supervisor) Health() Rollup {
 		r.Ingested += h.Ingested
 		r.Applied += h.Applied
 		r.Dropped += h.Dropped
-		r.DecodedSlots += h.DecodedSlots
 		r.Restarts += h.Restarts
 		r.PerShard = append(r.PerShard, h)
 	}

@@ -31,11 +31,9 @@ import (
 	"time"
 
 	"nrscope/internal/bus"
-	"nrscope/internal/core"
 	"nrscope/internal/fusion"
 	"nrscope/internal/history"
 	"nrscope/internal/phy"
-	"nrscope/internal/radio"
 	"nrscope/internal/telemetry"
 )
 
@@ -99,11 +97,6 @@ type Config struct {
 	// injection in tests (a panicking or blocking hook exercises the
 	// restart and stall paths); leave nil in production.
 	ApplyHook func(shard int, cell uint16, rec *telemetry.Record)
-	// DecodeHook, if set, is invoked for every queued capture just
-	// before the shard worker blind-decodes it, outside the apply lock.
-	// Fault injection for the decode-in-shard path; leave nil in
-	// production.
-	DecodeHook func(shard int, cell uint16, cap *radio.Capture)
 }
 
 func (c Config) withDefaults() Config {
@@ -128,15 +121,13 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// item is one queued unit of shard work: a telemetry record, a
-// spare-capacity split (spare != nil), or a raw slot capture to
-// blind-decode inside the shard worker (cap != nil).
+// item is one queued unit of shard work: a telemetry record, or a
+// spare-capacity split (spare != nil).
 type item struct {
 	cell    uint16
 	slotIdx int
 	rec     telemetry.Record
 	spare   *telemetry.SpareCapacity
-	cap     *radio.Capture
 }
 
 // Supervisor partitions cells across shards and supervises the shard
@@ -216,33 +207,6 @@ func (s *Supervisor) AttachLakes(open func(shard int) (history.Lake, error)) err
 // Store returns shard i's history partition (for tests and partition-
 // local queries; cross-shard queries go through the rollup layer).
 func (s *Supervisor) Store(i int) *history.Store { return s.shards[i].store }
-
-// AttachScope hands a cell's telemetry engine to the shard owning the
-// cell, enabling SubmitCapture: the shard worker blind-decodes the
-// cell's captures itself instead of the driver, folding the decoded
-// records and spare-capacity splits straight into its partition. The
-// scope must not be driven concurrently by anyone else. Must be called
-// after AddCell and before Start.
-func (s *Supervisor) AttachScope(cellID uint16, sc *core.Scope) error {
-	if s.started {
-		return errors.New("shard: AttachScope after Start")
-	}
-	if sc == nil {
-		return fmt.Errorf("shard: nil scope for cell %d", cellID)
-	}
-	sh, ok := s.route[cellID]
-	if !ok {
-		return fmt.Errorf("shard: AttachScope for unregistered cell %d", cellID)
-	}
-	if sh.scopes == nil {
-		sh.scopes = make(map[uint16]*core.Scope)
-	}
-	if _, dup := sh.scopes[cellID]; dup {
-		return fmt.Errorf("shard: cell %d already has a scope", cellID)
-	}
-	sh.scopes[cellID] = sc
-	return nil
-}
 
 // Partition reports which shard owns a cell.
 func (s *Supervisor) Partition(cellID uint16) (int, bool) {
@@ -329,27 +293,6 @@ func (s *Supervisor) IngestSpare(cellID uint16, slotIdx int, sp *telemetry.Spare
 		return fmt.Errorf("shard: unknown cell %d", cellID)
 	}
 	sh.push(item{cell: cellID, slotIdx: slotIdx, spare: sp})
-	return nil
-}
-
-// SubmitCapture routes one raw slot capture to the shard owning its
-// cell; the shard worker blind-decodes it with the cell's attached
-// scope (AttachScope) and folds the results into its partition.
-// Captures ride the same bounded queue as records, under the same
-// backpressure and restart accounting. Per-cell submissions must be in
-// slot order (the decode state is sequential across slots).
-func (s *Supervisor) SubmitCapture(cellID uint16, cap *radio.Capture) error {
-	if s.closed.Load() {
-		return ErrClosed
-	}
-	sh, ok := s.route[cellID]
-	if !ok {
-		return fmt.Errorf("shard: unknown cell %d", cellID)
-	}
-	if sh.scopes[cellID] == nil {
-		return fmt.Errorf("shard: cell %d has no attached scope", cellID)
-	}
-	sh.push(item{cell: cellID, slotIdx: cap.SlotIdx, cap: cap})
 	return nil
 }
 
@@ -494,11 +437,6 @@ type shardState struct {
 	cells   int
 	cellIDs []uint16
 
-	// scopes holds the per-cell telemetry engines attached before Start
-	// (AttachScope); read-only afterwards, so workers touch it without
-	// the queue lock.
-	scopes map[uint16]*core.Scope
-
 	mu      sync.Mutex
 	notFull *sync.Cond
 	buf     []item
@@ -523,7 +461,6 @@ type shardState struct {
 	applied  atomic.Int64 // records folded into the partition
 	dropped  atomic.Int64 // queue evictions + close-time discards
 	rejected atomic.Int64 // pushes refused by a closed queue
-	decoded  atomic.Int64 // slot captures blind-decoded in the worker
 	restarts atomic.Int64
 	stalls   atomic.Int64
 }
@@ -658,35 +595,25 @@ func (sh *shardState) collect(batch []item, gen int64) []item {
 	}
 }
 
-// apply folds one batch into the shard's partition. The hooks (fault
-// injection) run outside applyMu so a blocked hook can be superseded
+// apply folds one batch into the shard's partition. The hook (fault
+// injection) runs outside applyMu so a blocked hook can be superseded
 // by a takeover worker; the partition folds run under applyMu so a
 // superseded worker's in-flight batch cannot interleave with its
 // successor's.
 func (sh *shardState) apply(batch []item) {
 	if hook := sh.sup.cfg.ApplyHook; hook != nil {
 		for i := range batch {
-			if batch[i].spare == nil && batch[i].cap == nil {
+			if batch[i].spare == nil {
 				hook(sh.idx, batch[i].cell, &batch[i].rec)
 			}
 		}
 	}
-	if hook := sh.sup.cfg.DecodeHook; hook != nil {
-		for i := range batch {
-			if batch[i].cap != nil {
-				hook(sh.idx, batch[i].cell, batch[i].cap)
-			}
-		}
-	}
-	pubs := sh.applyBatch(batch)
+	sh.applyBatch(batch)
 	if b := sh.sup.cfg.Bus; b != nil {
 		for i := range batch {
-			if batch[i].spare == nil && batch[i].cap == nil {
+			if batch[i].spare == nil {
 				_ = b.Publish(batch[i].rec)
 			}
-		}
-		for i := range pubs {
-			_ = b.Publish(pubs[i])
 		}
 	}
 	sh.applied.Add(int64(len(batch)))
@@ -695,49 +622,21 @@ func (sh *shardState) apply(batch []item) {
 
 // applyBatch holds applyMu across the batch fold; the deferred unlock
 // keeps the lock released even when a fold panics (the worker's recover
-// then reports the crash with the partition lock free). Capture items
-// are blind-decoded here — under applyMu, so a superseded worker's
-// in-flight decode cannot interleave with its successor on the same
-// scope — and the decoded records fold like ingested ones. The records
-// produced from captures are returned for bus publication outside the
-// lock (nil when no bus is attached).
-func (sh *shardState) applyBatch(batch []item) []telemetry.Record {
+// then reports the crash with the partition lock free).
+func (sh *shardState) applyBatch(batch []item) {
 	sh.applyMu.Lock()
 	defer sh.applyMu.Unlock()
-	var pubs []telemetry.Record
-	wantPubs := sh.sup.cfg.Bus != nil
 	for i := range batch {
 		it := &batch[i]
-		switch {
-		case it.cap != nil:
-			res := sh.scopes[it.cell].ProcessSlot(it.cap)
-			sh.decoded.Add(1)
-			sh.met.decoded.Inc()
-			for _, rec := range res.Records {
-				sh.fold(it.cell, rec)
-			}
-			if res.Spare != nil {
-				sh.store.IngestSpare(it.cell, res.SlotIdx, res.Spare)
-			}
-			if wantPubs {
-				pubs = append(pubs, res.Records...)
-			}
-		case it.spare != nil:
+		if it.spare != nil {
 			sh.store.IngestSpare(it.cell, it.slotIdx, it.spare)
-		default:
-			sh.fold(it.cell, it.rec)
+			continue
 		}
-	}
-	return pubs
-}
-
-// fold applies one record to the shard's partition, through the fusion
-// aggregator when one is attached (it folds into the partition store
-// itself). Caller holds applyMu.
-func (sh *shardState) fold(cell uint16, rec telemetry.Record) {
-	if sh.agg != nil {
-		_ = sh.agg.Ingest(cell, rec)
-	} else {
-		sh.store.Ingest(cell, rec)
+		if sh.agg != nil {
+			// The aggregator folds into the partition store itself.
+			_ = sh.agg.Ingest(it.cell, it.rec)
+		} else {
+			sh.store.Ingest(it.cell, it.rec)
+		}
 	}
 }

@@ -4,146 +4,32 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
-	"sync"
-	"time"
 )
 
-// Server streams telemetry records to TCP subscribers as JSON lines —
-// the paper's §6 feedback path: NR-Scope runs as a service and pushes
-// RAN capacity to application servers faster than half an RTT, without
-// involving the (bottleneck) RAN.
-//
-// Server is the pre-bus direct sink; bus.TCPServer is its bus-managed
-// successor, where each subscriber consumes from its own bounded queue
-// instead of being written to inside Publish.
-type Server struct {
-	ln net.Listener
+// The consumer side of the JSONL wire format. The producers are bus
+// sinks (bus.JSONLSink writes the log file of the paper's Fig. 4,
+// bus.TCPServer serves the §6 feedback path); what they emit is one
+// JSON-encoded Record per line, which is all ReadAll and Client assume.
 
-	mu           sync.Mutex
-	subs         map[net.Conn]*bufio.Writer
-	closed       bool
-	writeTimeout time.Duration
-	wg           sync.WaitGroup
-}
-
-// NewServer listens on addr (e.g. "127.0.0.1:0").
-func NewServer(addr string) (*Server, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("telemetry: %w", err)
-	}
-	s := &Server{
-		ln:           ln,
-		subs:         make(map[net.Conn]*bufio.Writer),
-		writeTimeout: 5 * time.Second,
-	}
-	s.wg.Add(1)
-	go s.accept()
-	return s, nil
-}
-
-// SetWriteTimeout bounds each subscriber write during Publish (default
-// 5 s). A subscriber that stops reading — its socket buffers full — is
-// disconnected after at most this long instead of stalling Publish
-// forever.
-func (s *Server) SetWriteTimeout(d time.Duration) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if d > 0 {
-		s.writeTimeout = d
-	}
-}
-
-// Addr returns the listening address.
-func (s *Server) Addr() string { return s.ln.Addr().String() }
-
-func (s *Server) accept() {
-	defer s.wg.Done()
+// ReadAll parses a JSONL telemetry stream back into records.
+func ReadAll(r io.Reader) ([]Record, error) {
+	dec := json.NewDecoder(r)
+	var out []Record
 	for {
-		conn, err := s.ln.Accept()
-		if err != nil {
-			return // listener closed
+		var rec Record
+		if err := dec.Decode(&rec); err == io.EOF {
+			return out, nil
+		} else if err != nil {
+			return out, fmt.Errorf("telemetry: %w", err)
 		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			_ = conn.Close()
-			return
-		}
-		s.subs[conn] = bufio.NewWriter(conn)
-		// Inc/Dec (not Set) keeps the process-wide gauge honest when
-		// several Servers coexist: a Set from one would erase the others'
-		// contribution and leak a stale count.
-		met.subscribers.Inc()
-		s.mu.Unlock()
+		out = append(out, rec)
 	}
 }
 
-// Publish sends a record to every subscriber, dropping subscribers whose
-// connections fail (slow consumers do not stall the pipeline).
-func (s *Server) Publish(rec Record) {
-	data, err := json.Marshal(rec)
-	if err != nil {
-		return
-	}
-	data = append(data, '\n')
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	drop := func(conn net.Conn) {
-		_ = conn.Close()
-		delete(s.subs, conn)
-		met.subscribersDrop.Inc()
-		met.subscribers.Dec()
-	}
-	var backlog int64
-	for conn, bw := range s.subs {
-		// A subscriber that stopped reading fills its socket buffers and
-		// would block this write forever; the deadline converts the stall
-		// into a drop.
-		if s.writeTimeout > 0 {
-			_ = conn.SetWriteDeadline(time.Now().Add(s.writeTimeout))
-		}
-		if _, err := bw.Write(data); err != nil {
-			drop(conn)
-			continue
-		}
-		// Buffered bytes before the flush are the stream's momentary
-		// backlog: how far this publish got ahead of the sockets.
-		backlog += int64(bw.Buffered())
-		if err := bw.Flush(); err != nil {
-			drop(conn)
-			continue
-		}
-		met.recordsPublished.Inc()
-	}
-	met.backlogBytes.Set(backlog)
-}
-
-// Subscribers reports the current subscriber count.
-func (s *Server) Subscribers() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.subs)
-}
-
-// Close stops the server and disconnects subscribers. The gauge gives
-// back exactly this server's live count, never its siblings'.
-func (s *Server) Close() error {
-	s.mu.Lock()
-	s.closed = true
-	for conn := range s.subs {
-		_ = conn.Close()
-	}
-	met.subscribers.Add(-int64(len(s.subs)))
-	s.subs = map[net.Conn]*bufio.Writer{}
-	s.mu.Unlock()
-	err := s.ln.Close()
-	s.wg.Wait()
-	return err
-}
-
-// Client subscribes to a telemetry server and decodes its stream.
+// Client subscribes to a telemetry TCP stream (bus.TCPServer) and
+// decodes it.
 type Client struct {
 	conn net.Conn
 	dec  *json.Decoder

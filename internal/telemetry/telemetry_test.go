@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"bytes"
 	"math"
 	"testing"
 	"time"
@@ -202,87 +201,4 @@ func containsStr(s, sub string) bool {
 		}
 	}
 	return false
-}
-
-func TestWriterReadAllRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	for i := 0; i < 10; i++ {
-		if err := w.Write(rec(i, uint16(i), 1000*i, i%2 == 0)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if w.Count() != 10 {
-		t.Errorf("Count = %d", w.Count())
-	}
-	back, err := ReadAll(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back) != 10 {
-		t.Fatalf("read %d records", len(back))
-	}
-	for i, r := range back {
-		if r.SlotIdx != i || r.TBS != 1000*i {
-			t.Errorf("record %d mismatch: %+v", i, r)
-		}
-	}
-}
-
-func TestServerClientStreaming(t *testing.T) {
-	s, err := NewServer("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	c, err := Dial(s.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	// Wait for the subscription to register.
-	deadline := time.Now().Add(2 * time.Second)
-	for s.Subscribers() == 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if s.Subscribers() != 1 {
-		t.Fatal("subscriber never registered")
-	}
-	want := rec(42, 0x4601, 12345, false)
-	s.Publish(want)
-	got, err := c.Next()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.SlotIdx != 42 || got.RNTI != 0x4601 || got.TBS != 12345 {
-		t.Errorf("streamed record mismatch: %+v", got)
-	}
-}
-
-func TestServerDropsDeadSubscribers(t *testing.T) {
-	s, err := NewServer("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	c, err := Dial(s.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for s.Subscribers() == 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	_ = c.Close()
-	// Publishing into the closed connection must eventually drop it.
-	for i := 0; i < 100 && s.Subscribers() > 0; i++ {
-		s.Publish(rec(i, 1, 100, false))
-		time.Sleep(time.Millisecond)
-	}
-	if s.Subscribers() != 0 {
-		t.Error("dead subscriber never dropped")
-	}
 }

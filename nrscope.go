@@ -242,9 +242,9 @@ func (tb *Testbed) StepCapture() (*Capture, *SlotResult) {
 }
 
 // StepRaw advances one TTI and returns the radio capture WITHOUT
-// running the scope — for feeding a DecodePool or a shard supervisor
-// that decodes elsewhere. It disables the receiver's capture-buffer
-// recycling: queued captures must own their grids.
+// running the scope — for feeding a DecodePool, which decodes it on a
+// worker. It disables the receiver's capture-buffer recycling: queued
+// captures must own their grids.
 func (tb *Testbed) StepRaw() *Capture {
 	tb.RX.Reuse(false)
 	out := tb.GNB.Step()
