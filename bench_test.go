@@ -145,8 +145,10 @@ func BenchmarkAblationRRCSetupSkip(b *testing.B) {
 	b.Run("skip", func(b *testing.B) { benchSlotLoop(b, 8, core.WithVerifyMSG4(false)) })
 }
 
-// BenchmarkAblationUEListSharding measures the §4 DCI-thread sharding.
-func BenchmarkAblationUEListSharding(b *testing.B) {
+// BenchmarkAblationPositionStriping measures the DCI threads: what is
+// left for them to spread is the per-position candidate decode (the
+// paper's §4 threads shard the UE list, which has no work left here).
+func BenchmarkAblationPositionStriping(b *testing.B) {
 	for _, threads := range []int{1, 2, 4} {
 		b.Run(map[int]string{1: "1thread", 2: "2threads", 4: "4threads"}[threads], func(b *testing.B) {
 			benchSlotLoop(b, 64, core.WithDCIThreads(threads))

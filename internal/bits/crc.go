@@ -1,5 +1,7 @@
 package bits
 
+import "encoding/binary"
+
 // CRC generator polynomials from TS 38.212 §5.1. The polynomials are
 // written with the leading (degree) term implicit, low coefficients in the
 // low bits: e.g. CRC24A g(D) = D^24 + D^23 + D^18 + D^17 + D^14 + D^11 +
@@ -75,7 +77,6 @@ func CRC(k CRCKind, data []uint8) []uint8 {
 	n := k.Len()
 	poly := k.poly()
 	var reg uint32
-	top := uint32(1) << uint(n-1)
 	mask := (uint32(1) << uint(n)) - 1
 	for _, b := range data {
 		fb := (reg>>uint(n-1))&1 ^ uint32(b&1)
@@ -84,7 +85,6 @@ func CRC(k CRCKind, data []uint8) []uint8 {
 			reg ^= poly & mask
 		}
 	}
-	_ = top
 	return FromUint(uint64(reg), n)
 }
 
@@ -128,19 +128,60 @@ func CheckCRC(k CRCKind, block []uint8) (payload []uint8, ok bool) {
 	return payload, true
 }
 
-// dciCRCOnes is the number of 1-bits prepended to a DCI payload before CRC
-// computation (TS 38.212 §7.3.2). The ones are not transmitted; they only
-// seed the CRC so that all-zero payloads still produce a non-trivial CRC.
-const dciCRCOnes = 24
-
-// dciCRCPrefix computes CRC24C over 24 ones followed by the payload.
-func dciCRCPrefix(payload []uint8) []uint8 {
-	buf := make([]uint8, dciCRCOnes+len(payload))
-	for i := 0; i < dciCRCOnes; i++ {
-		buf[i] = 1
+// crc24cTab[b] is the CRC24C register after shifting the byte b, MSB
+// first, through a zero register.
+var crc24cTab = func() (tab [256]uint32) {
+	for b := range tab {
+		reg := uint32(b) << 16
+		for i := 0; i < 8; i++ {
+			reg <<= 1
+			if reg&(1<<24) != 0 {
+				reg ^= 1<<24 | polyCRC24C
+			}
+		}
+		tab[b] = reg
 	}
-	copy(buf[dciCRCOnes:], payload)
-	return CRC(CRC24C, buf)
+	return tab
+}()
+
+// dciCRCInit is the CRC24C register after the 24 one-bits TS 38.212
+// §7.3.2 prepends to a DCI payload before CRC computation. The ones are
+// not transmitted; they only seed the CRC so that all-zero payloads still
+// produce a non-trivial CRC.
+const dciCRCInit = 0x32E241
+
+// dciCRC returns CRC24C over 24 ones followed by the payload (unpacked
+// hard bits), the register's MSB being the first CRC bit. It is the one
+// DCI CRC kernel: eight payload bits are gathered into a byte with one
+// multiply and advance the register by one table step.
+func dciCRC(payload []uint8) uint32 {
+	reg := uint32(dciCRCInit)
+	for ; len(payload) >= 8; payload = payload[8:] {
+		// Byte i of the little-endian word holds bit i; the multiplier
+		// moves it to bit 63-i without carries between the eight terms.
+		b := (binary.LittleEndian.Uint64(payload) & 0x0101010101010101) * 0x8040201008040201 >> 56
+		reg = reg<<8&0xFFFFFF ^ crc24cTab[byte(reg>>16)^byte(b)]
+	}
+	for _, b := range payload {
+		reg <<= 1
+		if (reg>>24^uint32(b))&1 != 0 {
+			reg ^= polyCRC24C
+		}
+		reg &= 0xFFFFFF
+	}
+	return reg
+}
+
+// splitDCIBlock separates block (payload || scrambled CRC24) into the
+// payload, aliasing block, and the XOR of the received CRC with the one
+// recomputed from the payload: zero in the 8 high bits when the block
+// decoded correctly, the scrambling RNTI in the low 16.
+func splitDCIBlock(block []uint8) (payload []uint8, diff uint32, ok bool) {
+	if len(block) < 24 {
+		return nil, 0, false
+	}
+	payload = block[:len(block)-24]
+	return payload, uint32(ToUint(block[len(block)-24:])) ^ dciCRC(payload), true
 }
 
 // AttachDCICRC attaches the PDCCH CRC to a DCI payload: CRC24C is computed
@@ -148,84 +189,27 @@ func dciCRCPrefix(payload []uint8) []uint8 {
 // XOR-scrambled with the 16-bit RNTI (TS 38.212 §7.3.2). The returned
 // slice is payload || scrambledCRC24.
 func AttachDCICRC(payload []uint8, rnti uint16) []uint8 {
-	crc := dciCRCPrefix(payload)
-	rntiBits := FromUint(uint64(rnti), 16)
-	for i := 0; i < 16; i++ {
-		crc[8+i] ^= rntiBits[i]
-	}
 	out := make([]uint8, 0, len(payload)+24)
 	out = append(out, payload...)
-	out = append(out, crc...)
-	return out
+	return append(out, FromUint(uint64(dciCRC(payload)^uint32(rnti)), 24)...)
 }
 
 // CheckDCICRC verifies a received DCI block (payload || scrambled CRC24)
-// against a hypothesised RNTI. It returns the payload and whether the CRC
-// matched under that RNTI.
+// against a hypothesised RNTI. It returns the payload (aliasing block) and
+// whether the CRC matched under that RNTI.
 func CheckDCICRC(block []uint8, rnti uint16) (payload []uint8, ok bool) {
-	if len(block) < 24 {
-		return nil, false
-	}
-	payload = block[:len(block)-24]
-	want := dciCRCPrefix(payload)
-	got := block[len(block)-24:]
-	rntiBits := FromUint(uint64(rnti), 16)
-	for i := 0; i < 8; i++ {
-		if want[i] != got[i] {
-			return payload, false
-		}
-	}
-	for i := 0; i < 16; i++ {
-		if want[8+i]^rntiBits[i] != got[8+i] {
-			return payload, false
-		}
-	}
-	return payload, true
+	payload, diff, ok := splitDCIBlock(block)
+	return payload, ok && diff == uint32(rnti)
 }
 
-// MatchDCICRC reports whether block (payload || scrambled CRC24) passes
-// the DCI CRC under the hypothesised RNTI. It is CheckDCICRC without the
-// payload return and without any allocation: the blind decoder runs one
-// CRC hypothesis per tracked UE per candidate position per TTI, so this
-// is the single hottest per-UE operation of the whole scope.
+// MatchDCICRC is CheckDCICRC without the payload return: one RNTI
+// hypothesis against one block. The blind decoder does not test
+// hypotheses — it recovers the RNTI once per decoded position
+// (RecoverRNTI) and looks it up — so this is for callers that hold a
+// single RNTI.
 func MatchDCICRC(block []uint8, rnti uint16) bool {
-	if len(block) < 24 {
-		return false
-	}
-	const n = 24
-	const mask = uint32(1)<<n - 1
-	var reg uint32
-	// CRC24C over 24 prepended ones plus the payload, registers at zero
-	// (same recurrence as CRC, inlined to keep the buffers off the heap).
-	for i := 0; i < dciCRCOnes; i++ {
-		fb := (reg>>(n-1))&1 ^ 1
-		reg = (reg << 1) & mask
-		if fb != 0 {
-			reg ^= polyCRC24C & mask
-		}
-	}
-	for _, b := range block[:len(block)-24] {
-		fb := (reg>>(n-1))&1 ^ uint32(b&1)
-		reg = (reg << 1) & mask
-		if fb != 0 {
-			reg ^= polyCRC24C & mask
-		}
-	}
-	got := block[len(block)-24:]
-	// The upper 8 CRC bits are transmitted in the clear; the lower 16 are
-	// XOR-scrambled with the RNTI (MSB-first).
-	for i := 0; i < 8; i++ {
-		if uint8(reg>>uint(n-1-i))&1 != got[i]&1 {
-			return false
-		}
-	}
-	for i := 0; i < 16; i++ {
-		want := uint8(reg>>uint(15-i))&1 ^ uint8(rnti>>uint(15-i))&1
-		if want != got[8+i]&1 {
-			return false
-		}
-	}
-	return true
+	_, ok := CheckDCICRC(block, rnti)
+	return ok
 }
 
 // RecoverRNTI implements the sniffer trick the paper inherits from 4G
@@ -235,20 +219,9 @@ func MatchDCICRC(block []uint8, rnti uint16) bool {
 // bits (which the RNTI does not touch) match — that is the verification —
 // and the XOR of the lower 16 bits *is* the RNTI.
 func RecoverRNTI(block []uint8) (payload []uint8, rnti uint16, ok bool) {
-	if len(block) < 24 {
-		return nil, 0, false
+	payload, diff, ok := splitDCIBlock(block)
+	if !ok || diff>>16 != 0 {
+		return payload, 0, false
 	}
-	payload = block[:len(block)-24]
-	want := dciCRCPrefix(payload)
-	got := block[len(block)-24:]
-	for i := 0; i < 8; i++ {
-		if want[i] != got[i] {
-			return payload, 0, false
-		}
-	}
-	var r uint16
-	for i := 0; i < 16; i++ {
-		r = r<<1 | uint16(want[8+i]^got[8+i])
-	}
-	return payload, r, true
+	return payload, uint16(diff), true
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sync"
 	"time"
 
@@ -27,10 +28,28 @@ type snapshot struct {
 	commonCfg  dci.Config
 	dataCfg    dci.Config
 	link       dci.LinkConfig
-	rntis      []uint16
+	ues        *ueIndex
 	threads    int
 	verifyMSG4 bool
 	dmrsGate   bool
+}
+
+// ueIndex is the tracked-UE set as a decode pass sees it: the C-RNTIs in
+// discovery order (the order a slot's records are emitted in) and the
+// reverse map recovered RNTIs are looked up in. It is immutable — merge
+// builds a new one when a UE is added or purged — so every snapshot
+// shares the current one instead of copying the list.
+type ueIndex struct {
+	rntis []uint16
+	order map[uint16]int // C-RNTI -> index into rntis
+}
+
+func newUEIndex(rntis []uint16) *ueIndex {
+	ix := &ueIndex{rntis: rntis, order: make(map[uint16]int, len(rntis))}
+	for i, rnti := range rntis {
+		ix.order[rnti] = i
+	}
+	return ix
 }
 
 // foundDCI is one successfully decoded and translated DCI.
@@ -66,9 +85,11 @@ type decodeResult struct {
 
 // slotScratch is the reusable working memory of one decodeSlot pass:
 // occupancy/claim masks for both CORESETs, the common-search-space
-// candidate list, and the position arena. Pooled on the Scope so
-// concurrent pipeline workers never share one, and steady-state slots
-// allocate nothing for any of it.
+// candidate list, the position arena, and the buffers of the UE
+// confirmation step. Pooled on the Scope so concurrent pipeline workers
+// never share one, and steady-state slots allocate nothing for any of
+// it. Nothing in a decodeResult may point into it: the scratch goes back
+// to the pool before merge reads the result.
 type slotScratch struct {
 	occupied   []bool
 	claimed    []bool
@@ -78,6 +99,9 @@ type slotScratch struct {
 	cssBlock   []uint8
 	pdschBuf   []byte // SIB1/MSG4 transport-block bytes (pdsch.DecodeInto)
 	arena      posArena
+	hits       []int           // tracked-UE indices named by a position's CRC
+	cands      []phy.Candidate // one hit UE's hashed candidates
+	mine       []phy.Candidate // candidates already decoded for that UE
 }
 
 func (s *Scope) getSlotScratch() *slotScratch {
@@ -85,19 +109,6 @@ func (s *Scope) getSlotScratch() *slotScratch {
 		return sc
 	}
 	return &slotScratch{}
-}
-
-// ueScratch is one worker's buffers for the per-UE candidate sweep.
-type ueScratch struct {
-	cands []phy.Candidate
-	mine  []phy.Candidate
-}
-
-func (s *Scope) getUEScratch() *ueScratch {
-	if us, _ := s.uePool.Get().(*ueScratch); us != nil {
-		return us
-	}
-	return &ueScratch{}
 }
 
 // boolMask resizes buf to n entries, filled with fill.
@@ -160,11 +171,10 @@ func (s *Scope) decodeSlot(snap *snapshot, cap *radio.Capture) *decodeResult {
 	// CSS pass: SIB decoding and RACH/new-UE tracking.
 	s.decodeCommon(snap, cap, res, sc)
 
-	// USS pass: DCI extraction for every known UE, sharded over the DCI
-	// threads (§4: "UE list is sharded among threads"). It needs both
-	// SIB1 (the active-BWP DCI sizes) and an RRC Setup (the UE search
-	// space) — the paper's step 1 before step 2.
-	if snap.sib1 != nil && snap.setup != nil && len(snap.rntis) > 0 {
+	// USS pass: DCI extraction for every known UE. It needs both SIB1
+	// (the active-BWP DCI sizes) and an RRC Setup (the UE search space) —
+	// the paper's step 1 before step 2.
+	if snap.sib1 != nil && snap.setup != nil && len(snap.ues.rntis) > 0 {
 		s.decodeUESpace(snap, cap, res, sc)
 	}
 	return res
@@ -252,17 +262,19 @@ func (s *Scope) decodeCommon(snap *snapshot, cap *radio.Capture, res *decodeResu
 	}
 }
 
-// decodeUESpace blind-decodes every known UE's search-space candidates.
+// decodeUESpace blind-decodes the UE search space for every known UE.
 //
-// The heavy half of a candidate decode — demapping, descrambling and the
-// polar SC pass — does not depend on the RNTI: PDCCH payload scrambling
-// uses the cell id (TS 38.211 §7.3.2.3 without a configured UE
-// scrambling id), and the RNTI only appears in the CRC mask. So each
-// AL-aligned candidate position is decoded once per slot (at most
-// sum(NumCCE/AL) positions, independent of the UE count) and the per-UE
-// sweep reduces to hash-position lookups and CRC checks. Both halves are
-// sharded over the DCI threads (§4): the position pass stripes the
-// position list, the per-UE sweep stripes the UE list.
+// Nothing in a candidate decode depends on the RNTI until the very end:
+// PDCCH payload scrambling uses the cell id (TS 38.211 §7.3.2.3 without a
+// configured UE scrambling id), and the RNTI is only XORed onto the low
+// 16 CRC bits. So the pass runs per position, not per UE: each occupied
+// AL-aligned position is decoded once (at most sum(NumCCE/AL) of them,
+// whatever the UE count, striped over the DCI threads), its CRC is
+// computed once, and the RNTI it was addressed to falls out of the XOR
+// (§3.1.2, bits.RecoverRNTI) to be looked up in the tracked set. Only
+// the UEs some position names then have their hashed candidates (TS
+// 38.213 §10.1) enumerated, to confirm the position is one the gNB could
+// have used for that UE and to apply the same-UE overlap rule.
 func (s *Scope) decodeUESpace(snap *snapshot, cap *radio.Capture, res *decodeResult, sc *slotScratch) {
 	sizeClass := dci.Fallback
 	cfg := snap.dataCfg
@@ -290,39 +302,27 @@ func (s *Scope) decodeUESpace(snap *snapshot, cap *radio.Capture, res *decodeRes
 	ar := &sc.arena
 	s.decodePositions(snap, cap, payloadBits, ueOccupied, ueClaimed, ar)
 
-	workers := snap.threads
-	if workers > len(snap.rntis) {
-		workers = len(snap.rntis)
-	}
-	if workers <= 1 {
-		us := s.getUEScratch()
-		var out []foundDCI
-		for _, rnti := range snap.rntis {
-			out = s.decodeOneUE(snap, cap, rnti, sizeClass, cfg, ar, us, out)
+	sc.hits = sc.hits[:0]
+	for _, idx := range ar.work {
+		if r := ar.rnti[idx]; r >= 0 {
+			if i, tracked := snap.ues.order[uint16(r)]; tracked {
+				sc.hits = append(sc.hits, i)
+			}
 		}
-		s.uePool.Put(us)
-		res.data = out
+	}
+	if len(sc.hits) == 0 {
 		return
 	}
-	found := make([][]foundDCI, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			us := s.getUEScratch()
-			var out []foundDCI
-			for i := w; i < len(snap.rntis); i += workers {
-				rnti := snap.rntis[i]
-				out = s.decodeOneUE(snap, cap, rnti, sizeClass, cfg, ar, us, out)
-			}
-			s.uePool.Put(us)
-			found[w] = out
-		}(w)
-	}
-	wg.Wait()
-	for _, out := range found {
-		res.data = append(res.data, out...)
+	// Emit in tracked-UE order, then candidate order, as a sweep over the
+	// UE list would. Every found DCI is one of the hit positions, so the
+	// result is allocated once at that bound.
+	slices.Sort(sc.hits)
+	res.data = make([]foundDCI, 0, len(sc.hits))
+	for k, i := range sc.hits {
+		if k > 0 && i == sc.hits[k-1] {
+			continue
+		}
+		res.data = confirmUE(snap, cap, snap.ues.rntis[i], sizeClass, cfg, sc, res.data)
 	}
 }
 
@@ -332,16 +332,21 @@ func (s *Scope) decodeUESpace(snap *snapshot, cap *radio.Capture, res *decodeRes
 // CCE). It replaces a map[posKey][]uint8 rebuilt every slot; the backing
 // arrays persist in the slot scratch, so steady-state slots reuse them
 // without allocating, and parallel position workers write disjoint
-// entries without coordination.
+// entries without coordination. Beside each block sits the RNTI its CRC
+// names, recovered once by the worker that decoded it.
 type posArena struct {
 	blockLen int
 	counts   [len(phy.AggregationLevels)]int // positions per AL index
 	base     [len(phy.AggregationLevels)]int // first entry per AL index
 	n        int
 	blocks   []uint8 // n * blockLen hard-decision bits
-	state    []uint8 // 1 = decoded successfully
+	rnti     []int32 // RNTI recovered from the entry's CRC, or noRNTI
 	work     []int32 // entry indices scheduled for decoding this slot
 }
+
+// noRNTI marks an arena entry that was not decoded this slot, or whose 8
+// unscrambled CRC bits did not check.
+const noRNTI = -1
 
 // reset shapes the arena for a search space, CORESET size and block
 // length, recycling the backing arrays.
@@ -362,12 +367,12 @@ func (a *posArena) reset(ss phy.SearchSpace, nCCE, blockLen int) {
 		a.blocks = make([]uint8, n*blockLen)
 	}
 	a.blocks = a.blocks[:n*blockLen]
-	if cap(a.state) < n {
-		a.state = make([]uint8, n)
+	if cap(a.rnti) < n {
+		a.rnti = make([]int32, n)
 	}
-	a.state = a.state[:n]
-	for i := range a.state {
-		a.state[i] = 0
+	a.rnti = a.rnti[:n]
+	for i := range a.rnti {
+		a.rnti[i] = noRNTI
 	}
 	a.work = a.work[:0]
 }
@@ -389,27 +394,23 @@ func (a *posArena) writeBlock(idx int) []uint8 {
 	return a.blocks[idx*a.blockLen : idx*a.blockLen : (idx+1)*a.blockLen]
 }
 
-// lookup returns the decoded block at (al, cce), if that position was
-// decoded successfully this slot.
-func (a *posArena) lookup(al, cce int) ([]uint8, bool) {
+// find returns the entry index of position (al, cce), or -1 when the
+// search space has no such position.
+func (a *posArena) find(al, cce int) int {
 	i := phy.ALIndex(al)
 	if i < 0 || a.counts[i] == 0 || cce%al != 0 {
-		return nil, false
+		return -1
 	}
 	k := cce / al
 	if k < 0 || k >= a.counts[i] {
-		return nil, false
+		return -1
 	}
-	idx := a.base[i] + k
-	if a.state[idx] != 1 {
-		return nil, false
-	}
-	return a.blocks[idx*a.blockLen : (idx+1)*a.blockLen], true
+	return a.base[i] + k
 }
 
-// decodePositions runs the RNTI-independent half of the blind decode for
-// every occupied, unclaimed candidate position of the UE search space,
-// sharding the position list across the DCI threads. Positions whose
+// decodePositions decodes every occupied, unclaimed candidate position of
+// the UE search space and recovers the RNTI each one's CRC names,
+// striping the position list across the DCI threads. Positions whose
 // aggregation level cannot carry the payload at all are counted as empty
 // (nothing can be transmitted there), not as decode failures.
 func (s *Scope) decodePositions(snap *snapshot, cap *radio.Capture, payloadBits int, occupied, claimed []bool, ar *posArena) {
@@ -432,10 +433,9 @@ func (s *Scope) decodePositions(snap *snapshot, cap *radio.Capture, payloadBits 
 		}
 	}
 
-	workers := snap.threads
-	if workers > len(ar.work) {
-		workers = len(ar.work)
-	}
+	// min, not a reassigned variable: the goroutines below then capture
+	// workers by value and a single-threaded slot allocates nothing here.
+	workers := min(snap.threads, len(ar.work))
 	if workers <= 1 {
 		for _, idx := range ar.work {
 			s.decodePosition(snap, cap, payloadBits, ar, int(idx))
@@ -455,41 +455,42 @@ func (s *Scope) decodePositions(snap *snapshot, cap *radio.Capture, payloadBits 
 	wg.Wait()
 }
 
-// decodePosition decodes one candidate position into its arena entry.
-// Entries are disjoint, so parallel workers need no locking; the codec's
-// own scratch is pooled per call.
+// decodePosition decodes one candidate position into its arena entry and
+// evaluates its CRC — the only CRC run over that block, whatever the UE
+// count. Entries are disjoint, so parallel workers need no locking; the
+// codec's own scratch is pooled per call.
 func (s *Scope) decodePosition(snap *snapshot, cap *radio.Capture, payloadBits int, ar *posArena, idx int) {
 	al, cce := ar.posAt(idx)
 	cand := phy.Candidate{AggLevel: al, StartCCE: cce}
 	met.positions.Inc()
-	if _, err := s.codec.DecodeCandidateInto(ar.writeBlock(idx), cap.Grid, snap.ueCoreset, cand, cap.Ref.Slot, payloadBits, cap.N0); err != nil {
+	block, err := s.codec.DecodeCandidateInto(ar.writeBlock(idx), cap.Grid, snap.ueCoreset, cand, cap.Ref.Slot, payloadBits, cap.N0)
+	if err != nil {
 		met.decodeFailed.Inc()
 		return
 	}
-	ar.state[idx] = 1
+	met.candAttempted.Inc()
+	if _, rnti, ok := bits.RecoverRNTI(block); ok {
+		ar.rnti[idx] = int32(rnti)
+	}
 }
 
-// decodeOneUE sweeps one UE's candidates against the position arena. A
-// UE can legitimately receive several DCIs in one TTI (a retransmission
-// plus new data, or a downlink assignment plus an uplink grant), so
-// every CRC-passing candidate is kept; candidates whose CCEs were
-// already explained by a previous hit of this UE are skipped.
-func (s *Scope) decodeOneUE(snap *snapshot, cap *radio.Capture, rnti uint16, sizeClass dci.SizeClass, cfg dci.Config, ar *posArena, us *ueScratch, out []foundDCI) []foundDCI {
-	us.cands = phy.AppendSlotCandidates(us.cands[:0], snap.ueSS, snap.ueCoreset, rnti, cap.Ref.Slot)
-	us.mine = us.mine[:0] // candidates already decoded for this UE
-	for _, cand := range us.cands {
-		block, ok := ar.lookup(cand.AggLevel, cand.StartCCE)
-		if !ok {
+// confirmUE walks one UE's hashed candidates, in candidate order, over
+// the positions whose CRC named it. A UE can legitimately receive several
+// DCIs in one TTI (a retransmission plus new data, or a downlink
+// assignment plus an uplink grant), so every one is kept; candidates
+// whose CCEs were already explained by a previous hit of this UE are
+// skipped. A position naming the UE that is none of its candidates is a
+// chance CRC pass on someone else's (or no one's) block, and is dropped.
+func confirmUE(snap *snapshot, cap *radio.Capture, rnti uint16, sizeClass dci.SizeClass, cfg dci.Config, sc *slotScratch, out []foundDCI) []foundDCI {
+	ar := &sc.arena
+	sc.cands = phy.AppendSlotCandidates(sc.cands[:0], snap.ueSS, snap.ueCoreset, rnti, cap.Ref.Slot)
+	sc.mine = sc.mine[:0]
+	for _, cand := range sc.cands {
+		idx := ar.find(cand.AggLevel, cand.StartCCE)
+		if idx < 0 || ar.rnti[idx] != int32(rnti) || overlapsAny(sc.mine, cand) {
 			continue
 		}
-		if overlapsAny(us.mine, cand) {
-			continue
-		}
-		met.candAttempted.Inc()
-		if !bits.MatchDCICRC(block, rnti) {
-			continue // expected: most candidates belong to other UEs
-		}
-		d, err := dci.Unpack(block[:len(block)-24], sizeClass, cfg)
+		d, err := dci.Unpack(ar.writeBlock(idx)[:ar.blockLen-24], sizeClass, cfg)
 		if err != nil {
 			met.decodeFailed.Inc()
 			continue
@@ -500,7 +501,7 @@ func (s *Scope) decodeOneUE(snap *snapshot, cap *radio.Capture, rnti uint16, siz
 			continue
 		}
 		met.candMatched.Inc()
-		us.mine = append(us.mine, cand)
+		sc.mine = append(sc.mine, cand)
 		out = append(out, foundDCI{rnti: rnti, d: d, grant: grant, cand: cand})
 	}
 	return out

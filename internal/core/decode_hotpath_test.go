@@ -8,6 +8,7 @@ import (
 	"nrscope/internal/harq"
 	"nrscope/internal/pdcch"
 	"nrscope/internal/phy"
+	"nrscope/internal/raceflag"
 	"nrscope/internal/radio"
 	"nrscope/internal/ran"
 	"nrscope/internal/rrc"
@@ -16,8 +17,9 @@ import (
 // mismatchScope builds a scope whose UE CORESET covers a different
 // control region than CORESET 0 — a configuration the gNB simulator
 // never produces (it reuses CORESET 0's span), so the state is
-// assembled by hand. Returns the scope and the dedicated UE CORESET.
-func mismatchScope(t *testing.T, cfg ran.CellConfig, rnti uint16) (*Scope, phy.CORESET) {
+// assembled by hand, tracking rntis. Returns the scope and the dedicated
+// UE CORESET.
+func mismatchScope(t *testing.T, cfg ran.CellConfig, rntis ...uint16) (*Scope, phy.CORESET) {
 	t.Helper()
 	ueCS := phy.CORESET{ID: 1, StartPRB: 6, NumPRB: 24, Duration: 1, StartSym: 2}
 	if ueCS.SameRegion(cfg.Coreset0) {
@@ -36,8 +38,10 @@ func mismatchScope(t *testing.T, cfg ran.CellConfig, rnti uint16) (*Scope, phy.C
 	s.ueCoreset = ueCS
 	s.ueSS = phy.SearchSpace{ID: ueCS.ID, Type: phy.UESearchSpace, Candidates: setup.UECandidates}
 	s.link = setup.LinkConfig()
-	s.ues[rnti] = &UETrack{RNTI: rnti, DL: harq.NewTracker(), UL: harq.NewTracker()}
-	s.rntis = []uint16{rnti}
+	for _, rnti := range rntis {
+		s.ues[rnti] = &UETrack{RNTI: rnti, DL: harq.NewTracker(), UL: harq.NewTracker()}
+	}
+	s.tracked = newUEIndex(rntis)
 	return s, ueCS
 }
 
@@ -135,16 +139,18 @@ func TestInfeasiblePositionsCountEmptyNotFailed(t *testing.T) {
 	if got := met.positions.Value() - decodedBefore; got != 7 {
 		t.Errorf("positions decoded delta = %d, want 7", got)
 	}
-	if _, ok := ar.lookup(1, 0); ok {
-		t.Error("infeasible AL1 position reported as decoded")
+	if len(ar.work) != 7 {
+		t.Fatalf("%d positions scheduled, want 7", len(ar.work))
 	}
-	if _, ok := ar.lookup(2, 0); !ok {
-		t.Error("feasible AL2 position not decoded")
+	for _, idx := range ar.work {
+		if al, _ := ar.posAt(int(idx)); al == 1 {
+			t.Error("infeasible AL1 position scheduled for decoding")
+		}
 	}
 }
 
 // TestPosArenaIndexing pins the flat arena's arithmetic addressing:
-// posAt and lookup must agree, blocks must be disjoint and capacity
+// posAt and find must agree, blocks must be disjoint and capacity
 // capped, and reset must recycle the backing arrays.
 func TestPosArenaIndexing(t *testing.T) {
 	ss := phy.SearchSpace{Candidates: phy.DefaultUECandidates()}
@@ -159,27 +165,26 @@ func TestPosArenaIndexing(t *testing.T) {
 		if al == 0 || cce%al != 0 {
 			t.Fatalf("posAt(%d) = (%d, %d)", idx, al, cce)
 		}
-		if _, ok := a.lookup(al, cce); ok {
-			t.Fatalf("undecoded position (%d, %d) reported decoded", al, cce)
+		if a.rnti[idx] != noRNTI {
+			t.Fatalf("undecoded position (%d, %d) names RNTI %#x", al, cce, a.rnti[idx])
 		}
 		blk := a.writeBlock(idx)
-		if cap(blk) != blockLen {
-			t.Fatalf("writeBlock(%d) cap = %d, want %d (no spill into neighbours)", idx, cap(blk), blockLen)
+		if cap(blk) != blockLen || &blk[:1][0] != &a.blocks[idx*blockLen] {
+			t.Fatalf("writeBlock(%d) cap = %d, want %d at entry %d (no spill into neighbours)", idx, cap(blk), blockLen, idx)
 		}
-		a.state[idx] = 1
-		got, ok := a.lookup(al, cce)
-		if !ok || len(got) != blockLen || &got[0] != &a.blocks[idx*blockLen] {
-			t.Fatalf("lookup(%d, %d) does not address entry %d", al, cce, idx)
+		if got := a.find(al, cce); got != idx {
+			t.Fatalf("find(%d, %d) = %d, want entry %d", al, cce, got, idx)
 		}
+		a.rnti[idx] = int32(idx)
 	}
-	if _, ok := a.lookup(4, 2); ok {
+	if a.find(4, 2) >= 0 {
 		t.Error("unaligned CCE accepted")
 	}
-	if _, ok := a.lookup(3, 0); ok {
+	if a.find(3, 0) >= 0 {
 		t.Error("invalid aggregation level accepted")
 	}
-	if _, ok := a.lookup(16, 0); ok {
-		t.Error("level without positions accepted")
+	if a.find(16, 0) >= 0 || a.find(8, 8) >= 0 {
+		t.Error("position outside the CORESET accepted")
 	}
 	prev := &a.blocks[0]
 	a.reset(ss, 8, blockLen)
@@ -187,8 +192,8 @@ func TestPosArenaIndexing(t *testing.T) {
 		t.Error("reset reallocated the block arena")
 	}
 	for idx := 0; idx < a.n; idx++ {
-		if a.state[idx] != 0 {
-			t.Fatal("reset did not clear decode state")
+		if a.rnti[idx] != noRNTI {
+			t.Fatal("reset did not clear the recovered RNTIs")
 		}
 	}
 }
@@ -233,6 +238,46 @@ func TestDecodeSlotConcurrencyAcrossAcquisition(t *testing.T) {
 	}
 	if got[1] == 0 {
 		t.Error("no data DCIs decoded under concurrency")
+	}
+}
+
+// TestProcessSlotSteadyStateAllocs pins the allocations of a steady-state
+// slot: the snapshot, the decode result and its found-DCI slice, the
+// SlotResult with its pre-sized records, and the spare-capacity report
+// with its per-UE map — nothing that scales with slots decoded before,
+// and nothing for the masks, the arena, the candidate lists or the
+// spare-capacity link-state map.
+func TestProcessSlotSteadyStateAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("race instrumentation allocates")
+	}
+	cfg := amari()
+	tb := newTestbed(t, cfg, 22)
+	for i := 0; i < 16; i++ {
+		tb.gnb.AddUE(bulk(cfg), -1)
+	}
+	for i := 0; i < 600; i++ {
+		tb.step()
+	}
+	if got := len(tb.scope.KnownUEs()); got != 16 {
+		t.Fatalf("scope tracks %d of 16 UEs after warm-up", got)
+	}
+	caps := make([]*radio.Capture, 100) // a multiple of the TDD period
+	for i := range caps {
+		caps[i] = tb.stepRaw()
+	}
+	next := 0
+	replay := func() {
+		c := caps[next%len(caps)]
+		tb.scope.ProcessSlot(c)
+		c.SlotIdx += len(caps) // keep slot indices advancing across laps
+		next++
+	}
+	for i := 0; i < 2*len(caps); i++ {
+		replay()
+	}
+	if got := testing.AllocsPerRun(3*len(caps), replay); got > 8 {
+		t.Errorf("ProcessSlot allocates %.0f times per steady-state slot, want <= 8", got)
 	}
 }
 

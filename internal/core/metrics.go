@@ -83,7 +83,7 @@ var met = struct {
 	positionsEmpty: obs.Default.Counter("nrscope_scope_blind_positions_empty_total",
 		"candidate positions skipped because no transmission is possible there (payload exceeds the aggregation level's capacity)"),
 	candAttempted: obs.Default.Counter("nrscope_scope_blind_candidates_attempted_total",
-		"blind-decode candidates attempted (CSS decodes + per-UE CRC checks)"),
+		"CRC evaluations of the blind decode (CSS candidate decodes + one per decoded UE-search-space position)"),
 	candMatched: obs.Default.Counter("nrscope_scope_blind_candidates_matched_total",
 		"candidates that CRC-checked and translated into grants"),
 	decodeFailed: obs.Default.Counter("nrscope_scope_decode_failures_total",

@@ -14,6 +14,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -31,8 +32,10 @@ import (
 // Option configures a Scope.
 type Option func(*Scope)
 
-// WithDCIThreads sets how many goroutines shard the UE list during DCI
-// extraction (the paper's "DCI threads", §4). Default 1.
+// WithDCIThreads sets how many goroutines a slot's UE-search-space
+// candidate positions are striped over. The paper's "DCI threads" (§4)
+// shard the UE list; here the per-UE work is one lookup per decoded
+// position, so only the position decodes are spread. Default 1.
 func WithDCIThreads(n int) Option {
 	return func(s *Scope) {
 		if n > 0 {
@@ -177,16 +180,16 @@ type Scope struct {
 	link      dci.LinkConfig
 
 	ues       map[uint16]*UETrack
-	rntis     []uint16 // stable order for sharding
+	tracked   *ueIndex                         // the keys of ues in discovery order; replaced, never mutated
+	active    map[uint16]telemetry.UELinkState // spareCapacity's per-slot input, reused
 	estimator *telemetry.WindowEstimator
 	departed  []UEActivity
 	lastPurge int
 
-	// Decode-path scratch pools: per-slot working memory (masks, the
-	// position arena) and per-worker UE-sweep buffers. Pooled rather
-	// than owned so concurrent pipeline workers never contend on them.
+	// Per-slot decode working memory (masks, the position arena).
+	// Pooled rather than owned so concurrent pipeline workers never
+	// contend on it.
 	slotPool sync.Pool // *slotScratch
-	uePool   sync.Pool // *ueScratch
 
 	bus *bus.Bus // optional telemetry distribution bus
 }
@@ -204,6 +207,8 @@ func New(cellID uint16, opts ...Option) *Scope {
 		inactivitySlots: 20000,
 		window:          100 * time.Millisecond,
 		ues:             make(map[uint16]*UETrack),
+		tracked:         newUEIndex(nil),
+		active:          make(map[uint16]telemetry.UELinkState),
 	}
 	for _, o := range opts {
 		o(s)
@@ -239,9 +244,7 @@ func (s *Scope) SIB1() *rrc.SIB1 { return s.sib1 }
 
 // KnownUEs returns the currently tracked C-RNTIs.
 func (s *Scope) KnownUEs() []uint16 {
-	out := make([]uint16, len(s.rntis))
-	copy(out, s.rntis)
-	return out
+	return slices.Clone(s.tracked.rntis)
 }
 
 // Track returns a UE's tracking state (nil if unknown).
@@ -275,7 +278,7 @@ func (s *Scope) ProcessSlot(cap *radio.Capture) *SlotResult {
 // pool hands snapshots to workers exactly as the paper's scheduler
 // copies its state (known UE list, cell configuration) to idle workers.
 func (s *Scope) snapshot() *snapshot {
-	snap := &snapshot{
+	return &snapshot{
 		mib:        s.mib,
 		sib1:       s.sib1,
 		setup:      s.setup,
@@ -286,18 +289,19 @@ func (s *Scope) snapshot() *snapshot {
 		commonCfg:  s.commonCfg,
 		dataCfg:    s.dataCfg,
 		link:       s.link,
+		ues:        s.tracked,
 		threads:    s.dciThreads,
 		verifyMSG4: s.verifyMSG4,
 		dmrsGate:   s.dmrsGate,
 	}
-	snap.rntis = make([]uint16, len(s.rntis))
-	copy(snap.rntis, s.rntis)
-	return snap
 }
 
 // merge applies a decode result to the scope state, in slot order.
 func (s *Scope) merge(res *decodeResult) *SlotResult {
 	out := &SlotResult{SlotIdx: res.slotIdx, Ref: res.ref, Elapsed: res.elapsed}
+	if n := len(res.newUEs) + len(res.common) + len(res.data); n > 0 {
+		out.Records = make([]telemetry.Record, 0, n)
+	}
 
 	if res.mib != nil && s.mib == nil {
 		s.mib = res.mib
@@ -332,7 +336,7 @@ func (s *Scope) merge(res *decodeResult) *SlotResult {
 			RNTI: nu.rnti, FirstSeen: res.slotIdx, LastSeen: res.slotIdx,
 			DL: harq.NewTracker(), UL: harq.NewTracker(),
 		}
-		s.rntis = append(s.rntis, nu.rnti)
+		s.tracked = newUEIndex(append(slices.Clip(s.tracked.rntis), nu.rnti))
 		out.NewUEs = append(out.NewUEs, nu.rnti)
 		rec := telemetry.FromGrant(res.slotIdx, res.ref, nu.grant, false)
 		rec.NewUE = true
@@ -414,14 +418,14 @@ func (s *Scope) spareCapacity(slotIdx, usedREs int) *telemetry.SpareCapacity {
 	// and its PDSCH share were accounted as used by their own grants).
 	dataSymbols := phy.DefaultTimeAllocTable[0].NumSymbols
 	total := s.sib1.CarrierPRBs * phy.SubcarriersPerPRB * dataSymbols
-	active := make(map[uint16]telemetry.UELinkState)
+	clear(s.active) // ComputeSpare does not retain it
 	for rnti, track := range s.ues {
 		if !track.haveMCS || slotIdx-track.LastSeen > s.estimatorWindowSlots() {
 			continue
 		}
-		active[rnti] = telemetry.UELinkState{Entry: track.lastMCS, Layers: track.lastLayers}
+		s.active[rnti] = telemetry.UELinkState{Entry: track.lastMCS, Layers: track.lastLayers}
 	}
-	sc := telemetry.ComputeSpare(total, usedREs, active)
+	sc := telemetry.ComputeSpare(total, usedREs, s.active)
 	return &sc
 }
 
@@ -442,8 +446,8 @@ func (s *Scope) purgeInactive(slotIdx int) {
 		return
 	}
 	s.lastPurge = slotIdx
-	kept := s.rntis[:0]
-	for _, rnti := range s.rntis {
+	kept := make([]uint16, 0, len(s.tracked.rntis))
+	for _, rnti := range s.tracked.rntis {
 		track := s.ues[rnti]
 		if slotIdx-track.LastSeen > s.inactivitySlots {
 			s.departed = append(s.departed, UEActivity{RNTI: rnti, FirstSeen: track.FirstSeen, LastSeen: track.LastSeen})
@@ -457,7 +461,9 @@ func (s *Scope) purgeInactive(slotIdx int) {
 		}
 		kept = append(kept, rnti)
 	}
-	s.rntis = kept
+	if len(kept) != len(s.tracked.rntis) {
+		s.tracked = newUEIndex(kept)
+	}
 }
 
 // String summarises scope state.

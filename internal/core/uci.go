@@ -31,10 +31,10 @@ func (s *Scope) ProcessUplinkSlot(cap *radio.Capture) *UplinkResult {
 	start := time.Now()
 	res := &UplinkResult{SlotIdx: cap.SlotIdx}
 	defer func() { res.Elapsed = time.Since(start) }()
-	if cap.Grid == nil || len(s.rntis) == 0 {
+	if cap.Grid == nil || len(s.tracked.rntis) == 0 {
 		return res
 	}
-	for _, rnti := range s.rntis {
+	for _, rnti := range s.tracked.rntis {
 		if uci, ok := pucch.Decode(cap.Grid, rnti, s.cellID, cap.N0); ok {
 			res.Reports = append(res.Reports, UCIReport{SlotIdx: cap.SlotIdx, RNTI: rnti, UCI: uci})
 		}

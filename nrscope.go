@@ -65,7 +65,8 @@ type (
 
 // Engine options, re-exported from the core package.
 var (
-	// WithDCIThreads shards the UE list over n decoding goroutines.
+	// WithDCIThreads stripes a slot's candidate-position decodes over n
+	// goroutines.
 	WithDCIThreads = core.WithDCIThreads
 	// WithVerifyMSG4 toggles RRC-Setup PDSCH verification of new UEs.
 	WithVerifyMSG4 = core.WithVerifyMSG4
