@@ -31,6 +31,12 @@ var outputTable [numStates][2]uint8
 // nextState[state][input] is the successor trellis state.
 var nextState [numStates][2]uint8
 
+// butterflyOut[j] is the output of the transition 2j --0--> j. Every
+// generator taps both ends of the register, so flipping the input bit or
+// the oldest state bit complements all three outputs: 2j+1 --0--> j and
+// 2j --1--> j+32 emit butterflyOut[j]^7, 2j+1 --1--> j+32 emits it as is.
+var butterflyOut [numStates / 2]uint8
+
 func init() {
 	for s := 0; s < numStates; s++ {
 		for in := 0; in < 2; in++ {
@@ -43,6 +49,9 @@ func init() {
 			outputTable[s][in] = out
 			nextState[s][in] = uint8(reg >> 1)
 		}
+	}
+	for j := range butterflyOut {
+		butterflyOut[j] = outputTable[2*j][0]
 	}
 }
 
@@ -105,31 +114,45 @@ func RateMatch(coded []uint8, e int) ([]uint8, error) {
 // RateRecover expands e channel LLRs back to the coded length n:
 // repeated positions accumulate, punctured positions stay at zero LLR.
 func RateRecover(llr []float64, n int) []float64 {
-	e := len(llr)
-	out := make([]float64, n)
-	if e >= n {
-		for i, v := range llr {
-			out[i%n] += v
-		}
-		return out
-	}
-	for i := 0; i < e; i++ {
-		out[i*n/e] += llr[i]
-	}
-	return out
+	return rateRecoverInto(make([]float64, n), llr)
 }
 
-// Workspace holds the Viterbi decoder's trellis scratch (path metrics,
-// survivor history, rate-recovery buffer, traceback output) so repeated
-// decodes allocate nothing once the buffers have grown to the largest
-// block seen. A Workspace is not safe for concurrent use; per-slot decode
-// paths keep one in their pooled scratch.
+// rateRecoverInto is RateRecover into rec, whose length is the coded
+// length; it overwrites and returns rec.
+func rateRecoverInto(rec, llr []float64) []float64 {
+	clear(rec)
+	n := len(rec)
+	if e := len(llr); e >= n {
+		// LLR i lands on i%n: add one period of n at a time.
+		for n > 0 && len(llr) > 0 {
+			chunk := llr[:min(n, len(llr))]
+			for i, v := range chunk {
+				rec[i] += v
+			}
+			llr = llr[len(chunk):]
+		}
+	} else if e > 0 {
+		// LLR i lands on i*n/e, stepped as a quotient and remainder.
+		q, r, dq, dr := 0, 0, n/e, n%e
+		for _, v := range llr {
+			rec[q] += v
+			q, r = q+dq, r+dr
+			if r >= e {
+				q, r = q+1, r-e
+			}
+		}
+	}
+	return rec
+}
+
+// Workspace holds the Viterbi decoder's scratch (rate-recovery buffer,
+// one packed decision word per trellis step, traceback output) so
+// repeated decodes allocate nothing once the buffers have grown to the
+// largest block seen. A Workspace is not safe for concurrent use;
+// per-slot decode paths keep one in their pooled scratch.
 type Workspace struct {
 	recovered []float64
-	metric    [numStates]float64
-	next      [numStates]float64
-	survivors [][numStates]uint8
-	prevOf    [][numStates]uint8
+	dec       []uint64
 	out       []uint8
 }
 
@@ -138,29 +161,31 @@ type Workspace struct {
 // original info length k, which the caller supplies. It returns the k
 // decoded information bits. The returned slice aliases the workspace and
 // is only valid until the next Decode/RecoverAndDecode call.
+//
+// The LLRs must be finite and vanish next to the 1e300 start sentinel
+// (unreachable states then keep exactly -1e300); every production LLR
+// is saturated into ±modulation.MaxLLR with NaN mapped to 0. Within that
+// contract the hard decisions are bit-identical to the scalar decoder
+// kept as the test oracle.
 func (w *Workspace) Decode(llr []float64, k int) []uint8 {
 	steps := k + memory
 	if len(llr) != steps*rateInv {
 		panic(fmt.Sprintf("convcode: got %d LLRs for k = %d (want %d)", len(llr), k, steps*rateInv))
 	}
-	const inf = 1e300
-	if cap(w.survivors) < steps {
-		w.survivors = make([][numStates]uint8, steps)
-		w.prevOf = make([][numStates]uint8, steps)
+	if cap(w.dec) < steps {
+		w.dec = make([]uint64, steps)
+		w.out = make([]uint8, steps)
 	}
-	// survivors[t][s] is the input bit that led into state s at step t.
-	survivors := w.survivors[:steps]
-	prevOf := w.prevOf[:steps]
-	metric, next := &w.metric, &w.next
-	metric[0] = 0
+	// Bit s of dec[t] is set when state s at step t was entered from its
+	// odd predecessor.
+	dec := w.dec[:steps]
+	var a, b [numStates]float64
+	metric, next := &a, &b
 	for s := 1; s < numStates; s++ {
-		metric[s] = -inf // trellis starts in state 0
+		metric[s] = -1e300 // trellis starts in state 0
 	}
 
-	for t := 0; t < steps; t++ {
-		for s := range next {
-			next[s] = -inf
-		}
+	for t := range dec {
 		l0 := llr[t*rateInv]
 		l1 := llr[t*rateInv+1]
 		l2 := llr[t*rateInv+2]
@@ -176,36 +201,39 @@ func (w *Workspace) Decode(llr []float64, k int) []uint8 {
 		bm[0b101] = -l0 + l1 - l2
 		bm[0b110] = -l0 - l1 + l2
 		bm[0b111] = -l0 - l1 - l2
-		surv := &survivors[t]
-		prev := &prevOf[t]
-		for s := 0; s < numStates; s++ {
-			if metric[s] == -inf {
-				continue
-			}
-			for in := uint8(0); in < 2; in++ {
-				m := metric[s] + bm[outputTable[s][in]]
-				ns := nextState[s][in]
-				if m > next[ns] {
-					next[ns] = m
-					surv[ns] = in
-					prev[ns] = uint8(s)
-				}
-			}
+		// Butterfly j: states 2j and 2j+1 feed j (input 0) and j+32
+		// (input 1). The select is branch-free, and a tie keeps the even
+		// predecessor.
+		var d uint64
+		for j := 0; j < numStates/2; j++ {
+			m0, m1 := metric[2*j], metric[2*j+1]
+			o := butterflyOut[j] & 7 // the mask drops the bm bounds checks
+			a0, b0 := m0+bm[o], m1+bm[o^7]
+			a1, b1 := m0+bm[o^7], m1+bm[o]
+			next[j], next[j+numStates/2] = max(a0, b0), max(a1, b1)
+			d |= greater(b0, a0)<<j | greater(b1, a1)<<(j+numStates/2)
 		}
+		dec[t] = d
 		metric, next = next, metric
 	}
 
-	// Trace back from state 0 (zero-tailed).
-	if cap(w.out) < steps {
-		w.out = make([]uint8, steps)
-	}
+	// Trace back from state 0 (zero-tailed): the input bit is the new
+	// state's top bit, the predecessor its low bits plus the decision.
 	out := w.out[:steps]
-	state := uint8(0)
+	state := uint64(0)
 	for t := steps - 1; t >= 0; t-- {
-		out[t] = survivors[t][state]
-		state = prevOf[t][state]
+		out[t] = uint8(state >> (memory - 1))
+		state = state<<1&(numStates-1) | dec[t]>>state&1
 	}
 	return out[:k]
+}
+
+// greater is x > y as 0 or 1, compiled to a flag set rather than a branch.
+func greater(x, y float64) uint64 {
+	if x > y {
+		return 1
+	}
+	return 0
 }
 
 // RecoverAndDecode rate-recovers e channel LLRs for an original info
@@ -216,21 +244,7 @@ func (w *Workspace) RecoverAndDecode(llr []float64, k int) []uint8 {
 	if cap(w.recovered) < n {
 		w.recovered = make([]float64, n)
 	}
-	rec := w.recovered[:n]
-	for i := range rec {
-		rec[i] = 0
-	}
-	e := len(llr)
-	if e >= n {
-		for i, v := range llr {
-			rec[i%n] += v
-		}
-	} else {
-		for i := 0; i < e; i++ {
-			rec[i*n/e] += llr[i]
-		}
-	}
-	return w.Decode(rec, k)
+	return w.Decode(rateRecoverInto(w.recovered[:n], llr), k)
 }
 
 // Decode runs soft-decision Viterbi decoding over coded-bit LLRs with a

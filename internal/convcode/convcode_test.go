@@ -1,6 +1,7 @@
 package convcode
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -164,14 +165,50 @@ func TestTrellisTables(t *testing.T) {
 			t.Errorf("state %d has %d predecessors, want 2", s, preds[uint8(s)])
 		}
 	}
+	// The butterfly kernel's wiring: 2j and 2j+1 feed j and j+32, with
+	// outputs butterflyOut[j] and its complement.
+	for j, o := range butterflyOut {
+		want := [2][2]uint8{{o, o ^ 7}, {o ^ 7, o}} // [input][odd]
+		for in := 0; in < 2; in++ {
+			for odd := 0; odd < 2; odd++ {
+				s := 2*j + odd
+				if ns := int(nextState[s][in]); ns != j+in*numStates/2 {
+					t.Errorf("state %d input %d -> %d, want %d", s, in, ns, j+in*numStates/2)
+				}
+				if got := outputTable[s][in]; got != want[in][odd] {
+					t.Errorf("state %d input %d emits %03b, want %03b", s, in, got, want[in][odd])
+				}
+			}
+		}
+	}
 }
 
-func BenchmarkViterbiDecode500(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	info := randomBits(rng, 500)
-	llr := noiselessLLR(Encode(info))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		Decode(llr, len(info))
+// BenchmarkViterbi times a reused Workspace at the two block shapes the
+// scope decodes — a UCI report and a control-PDSCH transport block, the
+// bench probe's convcode.decode_short / decode_long — on noisy LLRs, so
+// the add-compare-select sees data-dependent decisions.
+func BenchmarkViterbi(b *testing.B) {
+	for _, sh := range []struct{ k, e int }{{22, 96}, {256, 1920}} {
+		b.Run(fmt.Sprintf("k=%d/e=%d", sh.k, sh.e), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(int64(sh.k)<<20 | int64(sh.e)))
+			llrs := make([][]float64, 16)
+			for i := range llrs {
+				ch, err := EncodeAndMatch(randomBits(rng, sh.k), sh.e)
+				if err != nil {
+					b.Fatal(err)
+				}
+				llrs[i] = make([]float64, sh.e)
+				for j, bit := range ch {
+					llrs[i][j] = 4*(1-2*float64(bit)) + rng.NormFloat64()
+				}
+			}
+			var w Workspace
+			w.RecoverAndDecode(llrs[0], sh.k)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				w.RecoverAndDecode(llrs[i%len(llrs)], sh.k)
+			}
+		})
 	}
 }
