@@ -35,11 +35,11 @@ func main() {
 
 	// Telemetry leaves the scope through the bus; the TCP server gives
 	// every subscriber its own queue (live feedback wants freshness, so
-	// the per-connection policy is DropOldest with a small batch delay).
+	// the per-connection policy is DropOldest, and a record is written
+	// as soon as the connection's previous write is done).
 	feed := nrscope.NewBus()
 	defer feed.Close()
-	server, err := bus.NewTCPServer(feed, "127.0.0.1:0",
-		bus.WithConnOptions(bus.WithBatch(16, time.Millisecond)))
+	server, err := bus.NewTCPServer(feed, "127.0.0.1:0")
 	if err != nil {
 		panic(err)
 	}

@@ -9,12 +9,13 @@
 // Each subscriber owns a bounded ring queue and a backpressure policy:
 // DropOldest for live feedback consumers (freshness over completeness)
 // and Block for lossless log/eval consumers (completeness over
-// publisher latency). A managed runner per subscriber forms batches
-// under a max-batch/max-delay flush rule and delivers them to the Sink
-// with retry (exponential backoff + jitter) and failure quarantine, so
-// a flapping sink degrades to counted drops instead of stalling its
-// siblings. Close drains: every record already queued to a Block
-// subscriber is delivered before Close returns.
+// publisher latency). A managed runner per subscriber forms batches —
+// at most maxBatch records, lingering up to maxDelay for more (64 / 5 ms
+// by default; the live TCP and SSE subscribers do not linger) — and
+// delivers them to the Sink with retry (exponential backoff + jitter)
+// and failure quarantine, so a flapping sink degrades to counted drops
+// instead of stalling its siblings. Close drains: every record already
+// queued to a Block subscriber is delivered before Close returns.
 package bus
 
 import (
@@ -111,13 +112,14 @@ func WithQueueSize(n int) SubOption {
 
 // WithBatch sets the flush rule: a batch is delivered when it reaches
 // maxBatch records or maxDelay after its first record, whichever comes
-// first (default 64 records / 5 ms).
+// first (default 64 records / 5 ms). maxDelay 0 means no linger: the
+// runner delivers what is queued as soon as it is free; < 0 keeps 5 ms.
 func WithBatch(maxBatch int, maxDelay time.Duration) SubOption {
 	return func(c *subConfig) {
 		if maxBatch > 0 {
 			c.maxBatch = maxBatch
 		}
-		if maxDelay > 0 {
+		if maxDelay >= 0 {
 			c.maxDelay = maxDelay
 		}
 	}
@@ -429,9 +431,10 @@ func (s *Subscription) takeLocked(batch []telemetry.Record) []telemetry.Record {
 }
 
 // collect blocks until at least one record is queued, then gathers a
-// batch: full at maxBatch, or flushed maxDelay after the first record.
-// Returns an empty batch only when the subscription is closed and the
-// queue fully drained.
+// batch: full at maxBatch, flushed maxDelay after the first record, or,
+// with a zero maxDelay, whatever the first take found. Returns an empty
+// batch only when the subscription is closed and the queue fully
+// drained.
 func (s *Subscription) collect(batch []telemetry.Record) []telemetry.Record {
 	s.mu.Lock()
 	for s.n == 0 {
@@ -447,7 +450,7 @@ func (s *Subscription) collect(batch []telemetry.Record) []telemetry.Record {
 	full := len(batch) >= s.cfg.maxBatch
 	closing := s.closed
 	s.mu.Unlock()
-	if full || closing {
+	if full || closing || s.cfg.maxDelay == 0 {
 		return batch
 	}
 	timer := time.NewTimer(s.cfg.maxDelay)

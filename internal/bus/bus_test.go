@@ -23,7 +23,7 @@ func rec(slot int) telemetry.Record {
 type collectSink struct {
 	mu      sync.Mutex
 	recs    []telemetry.Record
-	batches int
+	sizes   []int // delivered batch sizes, in order
 	calls   atomic.Int64
 	gate    chan struct{} // non-nil: WriteBatch blocks until a receive
 	failing atomic.Bool   // WriteBatch errors while set
@@ -41,8 +41,14 @@ func (c *collectSink) WriteBatch(recs []telemetry.Record) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.recs = append(c.recs, recs...)
-	c.batches++
+	c.sizes = append(c.sizes, len(recs))
 	return nil
+}
+
+func (c *collectSink) batchSizes() []int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return append([]int(nil), c.sizes...)
 }
 
 func (c *collectSink) Close() error {

@@ -1,8 +1,8 @@
 package bus
 
 import (
+	"bytes"
 	"encoding/json"
-	"fmt"
 	"net/http"
 
 	"nrscope/internal/telemetry"
@@ -13,7 +13,8 @@ import (
 // cmd/nrscope -metrics) it gives browsers and curl a zero-dependency
 // live telemetry feed next to /metrics. Every client is its own
 // DropOldest subscription — a stalled browser tab drops its own
-// records, never its siblings'.
+// records, never its siblings' — and, like a TCP connection, batches
+// without lingering.
 func SSEHandler(b *Bus) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		fl, ok := w.(http.Flusher)
@@ -28,7 +29,7 @@ func SSEHandler(b *Bus) http.Handler {
 		fl.Flush()
 
 		sink := &sseSink{w: w, fl: fl}
-		sub, err := b.Subscribe("sse", DropOldest, sink, WithFailFast())
+		sub, err := b.Subscribe("sse", DropOldest, sink, WithFailFast(), WithBatch(64, 0))
 		if err != nil { // bus already closed
 			return
 		}
@@ -44,20 +45,28 @@ func SSEHandler(b *Bus) http.Handler {
 // the subscription's runner goroutine; the handler goroutine only waits,
 // so the ResponseWriter has a single writer.
 type sseSink struct {
-	w  http.ResponseWriter
-	fl http.Flusher
+	w   http.ResponseWriter
+	fl  http.Flusher
+	buf bytes.Buffer
+	enc *json.Encoder
 }
 
-// WriteBatch implements Sink.
+// WriteBatch implements Sink, one write per batch encoded into a reused
+// buffer.
 func (s *sseSink) WriteBatch(recs []telemetry.Record) error {
-	for _, rec := range recs {
-		line, err := json.Marshal(rec)
-		if err != nil {
+	if s.enc == nil {
+		s.enc = json.NewEncoder(&s.buf)
+	}
+	s.buf.Reset()
+	for i := range recs {
+		s.buf.WriteString("data: ")
+		if err := s.enc.Encode(&recs[i]); err != nil {
 			return err
 		}
-		if _, err := fmt.Fprintf(s.w, "data: %s\n\n", line); err != nil {
-			return err
-		}
+		s.buf.WriteByte('\n')
+	}
+	if _, err := s.w.Write(s.buf.Bytes()); err != nil {
+		return err
 	}
 	s.fl.Flush()
 	return nil

@@ -1,6 +1,7 @@
 package bus
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net"
@@ -16,7 +17,8 @@ import (
 // matching client. Each accepted connection becomes its own DropOldest
 // subscription, so a slow subscriber fills (then recycles) its own ring
 // queue instead of stalling Publish or its sibling connections; a
-// connection whose write fails or times out is dropped fail-fast.
+// connection whose write fails or times out is dropped fail-fast. No
+// linger: each write carries what queued during the previous one.
 type TCPServer struct {
 	bus          *Bus
 	ln           net.Listener
@@ -44,7 +46,7 @@ func WithWriteTimeout(d time.Duration) TCPOption {
 }
 
 // WithConnOptions forwards subscription options (queue size, batch
-// rule) to every accepted connection's subscription.
+// rule) to every accepted connection, over the no-linger default.
 func WithConnOptions(opts ...SubOption) TCPOption {
 	return func(s *TCPServer) { s.subOpts = append(s.subOpts, opts...) }
 }
@@ -86,7 +88,7 @@ func (s *TCPServer) accept() {
 			return
 		}
 		sink := &connSink{conn: conn, timeout: s.writeTimeout}
-		opts := append([]SubOption{WithFailFast(), WithOnClose(func() {
+		opts := append([]SubOption{WithFailFast(), WithBatch(64, 0), WithOnClose(func() {
 			s.mu.Lock()
 			delete(s.conns, conn)
 			s.mu.Unlock()
@@ -137,26 +139,29 @@ func (s *TCPServer) Close() error {
 type connSink struct {
 	conn    net.Conn
 	timeout time.Duration
+	buf     bytes.Buffer
+	enc     *json.Encoder
 }
 
-// WriteBatch implements Sink. Any error (including a write deadline
-// hit) is terminal for the connection via the fail-fast policy.
+// WriteBatch implements Sink, one socket write per batch encoded into a
+// reused buffer. Any error (including a write deadline hit) is terminal
+// for the connection via the fail-fast policy.
 func (c *connSink) WriteBatch(recs []telemetry.Record) error {
-	buf := make([]byte, 0, 256*len(recs))
-	for _, rec := range recs {
-		line, err := json.Marshal(rec)
-		if err != nil {
+	if c.enc == nil {
+		c.enc = json.NewEncoder(&c.buf)
+	}
+	c.buf.Reset()
+	for i := range recs {
+		if err := c.enc.Encode(&recs[i]); err != nil {
 			return err
 		}
-		buf = append(buf, line...)
-		buf = append(buf, '\n')
 	}
 	if c.timeout > 0 {
 		if err := c.conn.SetWriteDeadline(time.Now().Add(c.timeout)); err != nil {
 			return err
 		}
 	}
-	_, err := c.conn.Write(buf)
+	_, err := c.conn.Write(c.buf.Bytes())
 	return err
 }
 
