@@ -97,9 +97,6 @@ func benchSlotLoop(b *testing.B, nUEs int, opts ...core.Option) {
 func BenchmarkSlotLoop4UEs(b *testing.B)  { benchSlotLoop(b, 4) }
 func BenchmarkSlotLoop16UEs(b *testing.B) { benchSlotLoop(b, 16) }
 func BenchmarkSlotLoop64UEs(b *testing.B) { benchSlotLoop(b, 64) }
-func BenchmarkSlotLoop64UEs4Threads(b *testing.B) {
-	benchSlotLoop(b, 64, core.WithDCIThreads(4))
-}
 
 // BenchmarkUplinkSlotLoop16UEs measures steady-state uplink UCI
 // processing — one pucch.Decode energy gate (and, for active resources,
@@ -145,17 +142,6 @@ func BenchmarkAblationRRCSetupSkip(b *testing.B) {
 	b.Run("skip", func(b *testing.B) { benchSlotLoop(b, 8, core.WithVerifyMSG4(false)) })
 }
 
-// BenchmarkAblationPositionStriping measures the DCI threads: what is
-// left for them to spread is the per-position candidate decode (the
-// paper's §4 threads shard the UE list, which has no work left here).
-func BenchmarkAblationPositionStriping(b *testing.B) {
-	for _, threads := range []int{1, 2, 4} {
-		b.Run(map[int]string{1: "1thread", 2: "2threads", 4: "4threads"}[threads], func(b *testing.B) {
-			benchSlotLoop(b, 64, core.WithDCIThreads(threads))
-		})
-	}
-}
-
 // BenchmarkAblationDMRSGate measures the DMRS-correlation occupancy gate
 // against brute-force decoding of every candidate.
 func BenchmarkAblationDMRSGate(b *testing.B) {
@@ -163,10 +149,13 @@ func BenchmarkAblationDMRSGate(b *testing.B) {
 	b.Run("bruteforce", func(b *testing.B) { benchSlotLoop(b, 16, core.WithDMRSGate(false)) })
 }
 
-// BenchmarkAblationWorkerPool compares the synchronous slot loop with
-// the Fig.-4 asynchronous worker pool at several widths.
+// BenchmarkAblationWorkerPool compares the two ways a slot is run:
+// inline, ProcessSlot in the producer loop, and through a one-worker
+// DecodePool, which overlaps one cell's decode with the producer (here
+// the gNB simulator and radio model). One cell's slots stay serial
+// either way; cross-cell scaling is BenchmarkMetroDecode.
 func BenchmarkAblationWorkerPool(b *testing.B) {
-	run := func(b *testing.B, workers int) {
+	run := func(b *testing.B, pooled bool) {
 		cfg := ran.AmarisoftCell()
 		cfg.Seed = 78
 		gnb, err := ran.NewGNB(cfg, 1<<21)
@@ -176,27 +165,37 @@ func BenchmarkAblationWorkerPool(b *testing.B) {
 		for i := 0; i < 8; i++ {
 			gnb.AddUE(nil, -1)
 		}
-		// No buffer reuse: the pipeline queues captures.
+		// No buffer reuse: the pool queues captures.
 		rx := radio.NewReceiver(channel.Normal, 22, 5)
 		scope := core.New(cfg.CellID)
-		pipe := core.NewPipeline(scope, workers, 64)
-		done := make(chan struct{})
-		go func() {
-			for range pipe.Results() {
+		var pool *core.DecodePool
+		if pooled {
+			pool = core.NewDecodePool(1, 64)
+			if err := pool.AddCell(cfg.CellID, scope, nil); err != nil {
+				b.Fatal(err)
 			}
-			close(done)
-		}()
+			if err := pool.Start(); err != nil {
+				b.Fatal(err)
+			}
+			defer pool.Close()
+		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			out := gnb.Step()
-			pipe.Submit(rx.Capture(out.SlotIdx, out.Ref, out.Grid))
+			c := rx.Capture(out.SlotIdx, out.Ref, out.Grid)
+			if pool == nil {
+				scope.ProcessSlot(c)
+			} else {
+				pool.Submit(cfg.CellID, c)
+			}
 		}
-		pipe.Close()
-		<-done
+		if pool != nil {
+			pool.Flush()
+		}
 	}
-	b.Run("1worker", func(b *testing.B) { run(b, 1) })
-	b.Run("4workers", func(b *testing.B) { run(b, 4) })
+	b.Run("inline", func(b *testing.B) { run(b, false) })
+	b.Run("pool", func(b *testing.B) { run(b, true) })
 }
 
 // BenchmarkEndToEndTestbed measures the full facade path (the number a

@@ -36,7 +36,7 @@ var figures = []struct {
 	{"fig9c", eval.Fig9c, "throughput error CCDF, T-Mobile"},
 	{"fig10", eval.Fig10, "UE active time CCDF, T-Mobile"},
 	{"fig11", eval.Fig11, "active UEs per second/minute CDF"},
-	{"fig12", eval.Fig12, "processing time vs UEs, 1 vs 4 threads"},
+	{"fig12", eval.Fig12, "processing time vs UEs, 20 vs 10 MHz cell"},
 	{"fig13", eval.Fig13, "DCI miss rate across the floor"},
 	{"fig14", eval.Fig14, "spare capacity estimation, 2 UEs"},
 	{"fig15", eval.Fig15, "MCS and retransmission by channel"},

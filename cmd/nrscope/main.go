@@ -7,7 +7,7 @@
 //
 // Usage:
 //
-//	nrscope -cell amarisoft -ues 4 -duration 10s -threads 4 \
+//	nrscope -cell amarisoft -ues 4 -duration 10s \
 //	        -sink jsonl:telemetry.jsonl -sink tcp:127.0.0.1:9900
 //	nrscope -metrics 127.0.0.1:9090 -sink sse ...   # SSE feed on /events
 //	nrscope -record capture.nrsc -duration 10s      # save the air capture
@@ -91,7 +91,6 @@ type config struct {
 	ues      int
 	duration time.Duration
 	seed     int64
-	threads  int
 	noVerify bool
 	record   string
 	replay   string
@@ -113,7 +112,6 @@ func parseFlags() config {
 	flag.IntVar(&c.ues, "ues", 2, "number of simulated UEs")
 	flag.DurationVar(&c.duration, "duration", 5*time.Second, "capture duration")
 	flag.Int64Var(&c.seed, "seed", 1, "random seed")
-	flag.IntVar(&c.threads, "threads", 1, "DCI decoding threads")
 	flag.BoolVar(&c.noVerify, "skip-msg4-verify", false, "skip RRC Setup PDSCH verification of new UEs (paper's shortcut)")
 	flag.StringVar(&c.record, "record", "", "save the raw capture stream to this file")
 	flag.StringVar(&c.replay, "replay", "", "process a recorded capture file instead of live slots")
@@ -256,7 +254,6 @@ func (d *deployment) build(cfg config) (err error) {
 	}
 
 	opts := []nrscope.Option{
-		nrscope.WithDCIThreads(cfg.threads),
 		nrscope.WithVerifyMSG4(!cfg.noVerify),
 		nrscope.WithIdleHorizon(cfg.histCfg.IdleHorizon), // 0 keeps the slot-count default
 	}

@@ -79,7 +79,7 @@ func TestSetupSinksErrors(t *testing.T) {
 
 // testConfig is the flag defaults a test run needs, on a short capture.
 func testConfig(cells ...string) config {
-	return config{cells: cells, ues: 2, duration: 400 * time.Millisecond, seed: 5, threads: 1}
+	return config{cells: cells, ues: 2, duration: 400 * time.Millisecond, seed: 5}
 }
 
 // serialRecords is the reference the one run path is held to: the same
@@ -93,7 +93,7 @@ func serialRecords(t *testing.T, cfg config) (slots, records []int) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tb, err := nrscope.NewTestbed(preset, cfg.seed+int64(i), nrscope.WithDCIThreads(cfg.threads))
+		tb, err := nrscope.NewTestbed(preset, cfg.seed+int64(i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -218,7 +218,7 @@ func TestRunRecordReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	replay := new(deployment)
-	if err := replay.run(config{replay: cfg.record, cells: []string{"ignored"}, threads: 1}); err != nil {
+	if err := replay.run(config{replay: cfg.record, cells: []string{"ignored"}}); err != nil {
 		t.Fatal(err)
 	}
 	for _, d := range []*deployment{live, replay} {
@@ -253,7 +253,7 @@ func TestRunFailureStillDrainsSinks(t *testing.T) {
 	}
 	jsonl := filepath.Join(dir, "t.jsonl")
 	d := new(deployment)
-	err = d.run(config{replay: cfg.record, cells: []string{"ignored"}, threads: 1, sinks: stringList{"jsonl:" + jsonl}})
+	err = d.run(config{replay: cfg.record, cells: []string{"ignored"}, sinks: stringList{"jsonl:" + jsonl}})
 	if err == nil || !strings.Contains(err.Error(), "truncated") {
 		t.Fatalf("run on a truncated capture returned %v, want a truncation error", err)
 	}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"slices"
-	"sync"
 	"time"
 
 	"nrscope/internal/bits"
@@ -29,7 +28,6 @@ type snapshot struct {
 	dataCfg    dci.Config
 	link       dci.LinkConfig
 	ues        *ueIndex
-	threads    int
 	verifyMSG4 bool
 	dmrsGate   bool
 }
@@ -86,10 +84,9 @@ type decodeResult struct {
 // slotScratch is the reusable working memory of one decodeSlot pass:
 // occupancy/claim masks for both CORESETs, the common-search-space
 // candidate list, the position arena, and the buffers of the UE
-// confirmation step. Pooled on the Scope so concurrent pipeline workers
-// never share one, and steady-state slots allocate nothing for any of
-// it. Nothing in a decodeResult may point into it: the scratch goes back
-// to the pool before merge reads the result.
+// confirmation step. The Scope owns one, so steady-state slots allocate
+// nothing for any of it. Nothing in a decodeResult may point into it:
+// the next slot's decode overwrites it.
 type slotScratch struct {
 	occupied   []bool
 	claimed    []bool
@@ -102,13 +99,6 @@ type slotScratch struct {
 	hits       []int           // tracked-UE indices named by a position's CRC
 	cands      []phy.Candidate // one hit UE's hashed candidates
 	mine       []phy.Candidate // candidates already decoded for that UE
-}
-
-func (s *Scope) getSlotScratch() *slotScratch {
-	if sc, _ := s.slotPool.Get().(*slotScratch); sc != nil {
-		return sc
-	}
-	return &slotScratch{}
 }
 
 // boolMask resizes buf to n entries, filled with fill.
@@ -154,8 +144,7 @@ func (s *Scope) decodeSlot(snap *snapshot, cap *radio.Capture) *decodeResult {
 		return res
 	}
 
-	sc := s.getSlotScratch()
-	defer s.slotPool.Put(sc)
+	sc := &s.scratch
 
 	// One DMRS-correlation sweep over the CORESET feeds both passes —
 	// this plus the demapping is the "signal processing" term of the
@@ -269,8 +258,8 @@ func (s *Scope) decodeCommon(snap *snapshot, cap *radio.Capture, res *decodeResu
 // configured UE scrambling id), and the RNTI is only XORed onto the low
 // 16 CRC bits. So the pass runs per position, not per UE: each occupied
 // AL-aligned position is decoded once (at most sum(NumCCE/AL) of them,
-// whatever the UE count, striped over the DCI threads), its CRC is
-// computed once, and the RNTI it was addressed to falls out of the XOR
+// whatever the UE count, in one serial pass), its CRC is computed once,
+// and the RNTI it was addressed to falls out of the XOR
 // (§3.1.2, bits.RecoverRNTI) to be looked up in the tracked set. Only
 // the UEs some position names then have their hashed candidates (TS
 // 38.213 §10.1) enumerated, to confirm the position is one the gNB could
@@ -331,9 +320,8 @@ func (s *Scope) decodeUESpace(snap *snapshot, cap *radio.Capture, res *decodeRes
 // search space, addressed arithmetically by (aggregation level, start
 // CCE). It replaces a map[posKey][]uint8 rebuilt every slot; the backing
 // arrays persist in the slot scratch, so steady-state slots reuse them
-// without allocating, and parallel position workers write disjoint
-// entries without coordination. Beside each block sits the RNTI its CRC
-// names, recovered once by the worker that decoded it.
+// without allocating. Beside each block sits the RNTI its CRC names,
+// recovered once when the block is decoded.
 type posArena struct {
 	blockLen int
 	counts   [len(phy.AggregationLevels)]int // positions per AL index
@@ -409,10 +397,10 @@ func (a *posArena) find(al, cce int) int {
 }
 
 // decodePositions decodes every occupied, unclaimed candidate position of
-// the UE search space and recovers the RNTI each one's CRC names,
-// striping the position list across the DCI threads. Positions whose
-// aggregation level cannot carry the payload at all are counted as empty
-// (nothing can be transmitted there), not as decode failures.
+// the UE search space and recovers the RNTI each one's CRC names.
+// Positions whose aggregation level cannot carry the payload at all are
+// counted as empty (nothing can be transmitted there), not as decode
+// failures.
 func (s *Scope) decodePositions(snap *snapshot, cap *radio.Capture, payloadBits int, occupied, claimed []bool, ar *posArena) {
 	nCCE := snap.ueCoreset.NumCCE()
 	ar.reset(snap.ueSS, nCCE, payloadBits+24)
@@ -432,33 +420,14 @@ func (s *Scope) decodePositions(snap *snapshot, cap *radio.Capture, payloadBits 
 			ar.work = append(ar.work, int32(ar.base[i]+cce/al))
 		}
 	}
-
-	// min, not a reassigned variable: the goroutines below then capture
-	// workers by value and a single-threaded slot allocates nothing here.
-	workers := min(snap.threads, len(ar.work))
-	if workers <= 1 {
-		for _, idx := range ar.work {
-			s.decodePosition(snap, cap, payloadBits, ar, int(idx))
-		}
-		return
+	for _, idx := range ar.work {
+		s.decodePosition(snap, cap, payloadBits, ar, int(idx))
 	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := w; i < len(ar.work); i += workers {
-				s.decodePosition(snap, cap, payloadBits, ar, int(ar.work[i]))
-			}
-		}(w)
-	}
-	wg.Wait()
 }
 
 // decodePosition decodes one candidate position into its arena entry and
 // evaluates its CRC — the only CRC run over that block, whatever the UE
-// count. Entries are disjoint, so parallel workers need no locking; the
-// codec's own scratch is pooled per call.
+// count.
 func (s *Scope) decodePosition(snap *snapshot, cap *radio.Capture, payloadBits int, ar *posArena, idx int) {
 	al, cce := ar.posAt(idx)
 	cand := phy.Candidate{AggLevel: al, StartCCE: cce}

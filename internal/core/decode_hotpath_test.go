@@ -3,7 +3,6 @@ package core
 import (
 	"testing"
 
-	"nrscope/internal/channel"
 	"nrscope/internal/dci"
 	"nrscope/internal/harq"
 	"nrscope/internal/pdcch"
@@ -31,7 +30,7 @@ func mismatchScope(t *testing.T, cfg ran.CellConfig, rntis ...uint16) (*Scope, p
 		Coreset0NumPRB:   cfg.Coreset0.NumPRB,
 		Coreset0Duration: cfg.Coreset0.Duration,
 	}
-	s := New(cfg.CellID, WithManualCellInfo(mib, cfg.SIB1()), WithDCIThreads(2))
+	s := New(cfg.CellID, WithManualCellInfo(mib, cfg.SIB1()))
 	setup := cfg.Setup
 	setup.CORESET = ueCS
 	s.setup = &setup
@@ -111,7 +110,6 @@ func TestInfeasiblePositionsCountEmptyNotFailed(t *testing.T) {
 	snap := &snapshot{
 		ueCoreset: cs,
 		ueSS:      phy.SearchSpace{ID: 1, Type: phy.UESearchSpace, Candidates: phy.DefaultUECandidates()},
-		threads:   2,
 	}
 	capt := &radio.Capture{Ref: phy.SlotRef{}, Grid: phy.NewGrid(51), N0: 1e-2}
 	occupied := boolMask(nil, cs.NumCCE(), true)
@@ -195,49 +193,6 @@ func TestPosArenaIndexing(t *testing.T) {
 		if a.rnti[idx] != noRNTI {
 			t.Fatal("reset did not clear the recovered RNTIs")
 		}
-	}
-}
-
-// TestDecodeSlotConcurrencyAcrossAcquisition drives the full pipeline —
-// concurrent workers, each running the position-parallel USS pass with
-// multiple DCI threads — through the MIB/SIB1/Setup transitions. Kept
-// -short-friendly so the race CI exercises it.
-func TestDecodeSlotConcurrencyAcrossAcquisition(t *testing.T) {
-	cfg := amari()
-	gnb, err := ran.NewGNB(cfg, 1<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		gnb.AddUE(bulk(cfg), -1)
-	}
-	rx := radio.NewReceiver(channel.Normal, 25, cfg.Seed^0xACE)
-	scope := New(cfg.CellID, WithDCIThreads(4))
-	p := NewPipeline(scope, 3, 32)
-	done := make(chan [2]int)
-	go func() {
-		ues, records := 0, 0
-		for res := range p.Results() {
-			ues += len(res.NewUEs)
-			for _, rec := range res.Records {
-				if !rec.Common {
-					records++
-				}
-			}
-		}
-		done <- [2]int{ues, records}
-	}()
-	for i := 0; i < 700; i++ {
-		out := gnb.Step()
-		p.Submit(rx.Capture(out.SlotIdx, out.Ref, out.Grid))
-	}
-	p.Close()
-	got := <-done
-	if got[0] == 0 {
-		t.Error("no UEs discovered across acquisition under concurrency")
-	}
-	if got[1] == 0 {
-		t.Error("no data DCIs decoded under concurrency")
 	}
 }
 

@@ -3,24 +3,12 @@ package core
 import "nrscope/internal/obs"
 
 // met is the core package's instrument set, resolved once from the
-// Default registry: the pipeline and scope record with single atomic
+// Default registry: the decode pool and scope record with single atomic
 // ops on the hot path. Metrics follow process-wide Prometheus
-// semantics — they aggregate across every Scope/Pipeline in the
+// semantics — they aggregate across every Scope/DecodePool in the
 // process (gauges reflect the most recent writer).
 var met = struct {
-	// Pipeline (Fig. 4 worker pool).
-	queueDepth     *obs.Gauge
-	queueCapacity  *obs.Gauge
-	reorderPending *obs.Gauge
-	submitted      *obs.Counter
-	merged         *obs.Counter
-	dropped        *obs.Counter
-	syncSlots      *obs.Counter
-	asyncFlips     *obs.Counter
-	workerBusyNs   *obs.Counter
-	workerIdleNs   *obs.Counter
-
-	// Shared multi-cell decode pool.
+	// Shared multi-cell decode pool (Fig. 4 worker pool).
 	poolWorkers   *obs.Gauge
 	poolSubmitted *obs.Counter
 	poolDecoded   *obs.Counter
@@ -39,30 +27,8 @@ var met = struct {
 	msg4Hits       *obs.Counter
 	mibAcquired    *obs.Counter
 	sib1Acquired   *obs.Counter
-	mergeDropped   *obs.Counter
 	uesTracked     *obs.Gauge
 }{
-	queueDepth: obs.Default.Gauge("nrscope_pipeline_queue_depth",
-		"captures waiting in the pipeline input queue"),
-	queueCapacity: obs.Default.Gauge("nrscope_pipeline_queue_capacity",
-		"input queue capacity of the most recently created pipeline"),
-	reorderPending: obs.Default.Gauge("nrscope_pipeline_reorder_pending",
-		"decoded slots held in the scheduler's reordering buffer"),
-	submitted: obs.Default.Counter("nrscope_pipeline_slots_submitted_total",
-		"captures accepted into the asynchronous pipeline"),
-	merged: obs.Default.Counter("nrscope_pipeline_slots_merged_total",
-		"slots merged back into scope state in order"),
-	dropped: obs.Default.Counter("nrscope_pipeline_slots_dropped_total",
-		"captures rejected because the pipeline was closed"),
-	syncSlots: obs.Default.Counter("nrscope_pipeline_sync_slots_total",
-		"slots processed synchronously before cell acquisition"),
-	asyncFlips: obs.Default.Counter("nrscope_pipeline_async_transitions_total",
-		"sync-to-async transitions after cell acquisition"),
-	workerBusyNs: obs.Default.Counter("nrscope_pipeline_worker_busy_ns_total",
-		"nanoseconds workers spent decoding slots"),
-	workerIdleNs: obs.Default.Counter("nrscope_pipeline_worker_idle_ns_total",
-		"nanoseconds workers spent waiting for input"),
-
 	poolWorkers: obs.Default.Gauge("nrscope_decode_pool_workers",
 		"workers in the most recently started decode pool"),
 	poolSubmitted: obs.Default.Counter("nrscope_decode_pool_slots_submitted_total",
@@ -96,8 +62,6 @@ var met = struct {
 		"MIB acquisitions merged into scope state"),
 	sib1Acquired: obs.Default.Counter("nrscope_scope_sib1_acquired_total",
 		"SIB1 acquisitions merged into scope state"),
-	mergeDropped: obs.Default.Counter("nrscope_scope_merge_dropped_total",
-		"decoded DCIs dropped at merge (UE aged out between decode and merge)"),
 	uesTracked: obs.Default.Gauge("nrscope_scope_ues_tracked",
 		"C-RNTIs currently tracked by the scope"),
 }

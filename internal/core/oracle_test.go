@@ -94,10 +94,10 @@ func stepAgainstOracle(t *testing.T, s *Scope, capt *radio.Capture) int {
 
 // TestDecodeSlotMatchesNaiveOracle is the slot-level guard of the
 // per-position blind decode: over random cell configurations, receiver
-// SNRs on both sides of the Fig. 13 coverage cliff, enough UEs that
-// hashed candidates of different UEs collide, and one or four DCI
-// threads, decodeSlot must find exactly what the paper's per-UE ×
-// per-candidate algorithm finds, slot for slot.
+// SNRs on both sides of the Fig. 13 coverage cliff, and enough UEs that
+// hashed candidates of different UEs collide, decodeSlot must find
+// exactly what the paper's per-UE × per-candidate algorithm finds, slot
+// for slot.
 func TestDecodeSlotMatchesNaiveOracle(t *testing.T) {
 	type oracleCase struct {
 		name  string
@@ -123,40 +123,38 @@ func TestDecodeSlotMatchesNaiveOracle(t *testing.T) {
 		}
 	}
 	for _, tc := range cases {
-		for _, threads := range []int{1, 4} {
-			t.Run(fmt.Sprintf("%s/threads%d", tc.name, threads), func(t *testing.T) {
-				gnb, err := ran.NewGNB(tc.cfg, 1<<20)
-				if err != nil {
-					t.Fatal(err)
+		t.Run(tc.name, func(t *testing.T) {
+			gnb, err := ran.NewGNB(tc.cfg, 1<<20)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < tc.ues; i++ {
+				gnb.AddUE(bulk(tc.cfg), -1)
+			}
+			s := New(tc.cfg.CellID)
+			attach := radio.NewReceiver(channel.Normal, 25, tc.cfg.Seed^0xACE)
+			steady := radio.NewReceiver(channel.Normal, tc.snrDB, tc.cfg.Seed^0xBEE)
+			found, sent := 0, 0 // UE DCIs decoded / transmitted once every UE is tracked
+			for i := 0; i < tc.slots; i++ {
+				out := gnb.Step()
+				if len(s.KnownUEs()) < tc.ues {
+					stepAgainstOracle(t, s, attach.Capture(out.SlotIdx, out.Ref, out.Grid))
+					continue
 				}
-				for i := 0; i < tc.ues; i++ {
-					gnb.AddUE(bulk(tc.cfg), -1)
-				}
-				s := New(tc.cfg.CellID, WithDCIThreads(threads))
-				attach := radio.NewReceiver(channel.Normal, 25, tc.cfg.Seed^0xACE)
-				steady := radio.NewReceiver(channel.Normal, tc.snrDB, tc.cfg.Seed^0xBEE)
-				found, sent := 0, 0 // UE DCIs decoded / transmitted once every UE is tracked
-				for i := 0; i < tc.slots; i++ {
-					out := gnb.Step()
-					if len(s.KnownUEs()) < tc.ues {
-						stepAgainstOracle(t, s, attach.Capture(out.SlotIdx, out.Ref, out.Grid))
-						continue
-					}
-					found += stepAgainstOracle(t, s, steady.Capture(out.SlotIdx, out.Ref, out.Grid))
-					for _, gt := range out.GT {
-						if !gt.Common {
-							sent++
-						}
+				found += stepAgainstOracle(t, s, steady.Capture(out.SlotIdx, out.Ref, out.Grid))
+				for _, gt := range out.GT {
+					if !gt.Common {
+						sent++
 					}
 				}
-				if found == 0 {
-					t.Fatalf("nothing compared at %.0f dB (%d UEs tracked of %d)", tc.snrDB, len(s.KnownUEs()), tc.ues)
-				}
-				if tc.snrDB < 5 && float64(found) > 0.97*float64(sent) {
-					t.Errorf("%.0f dB: %d of %d DCIs found — not beyond the coverage cliff", tc.snrDB, found, sent)
-				}
-			})
-		}
+			}
+			if found == 0 {
+				t.Fatalf("nothing compared at %.0f dB (%d UEs tracked of %d)", tc.snrDB, len(s.KnownUEs()), tc.ues)
+			}
+			if tc.snrDB < 5 && float64(found) > 0.97*float64(sent) {
+				t.Errorf("%.0f dB: %d of %d DCIs found — not beyond the coverage cliff", tc.snrDB, found, sent)
+			}
+		})
 	}
 }
 
@@ -171,48 +169,45 @@ func TestDecodeSlotMatchesNaiveOracleDisjointCoreset(t *testing.T) {
 	if testing.Short() {
 		slots = 40
 	}
-	for _, threads := range []int{1, 4} {
-		for _, snrDB := range []float64{25, 4} {
-			rntis := make([]uint16, 64)
-			for i := range rntis {
-				rntis[i] = 0x4601 + uint16(i)
-			}
-			s, ueCS := mismatchScope(t, cfg, rntis...)
-			s.dciThreads = threads
-			rng := rand.New(rand.NewSource(int64(snrDB) + 17))
-			rx := radio.NewReceiver(channel.Normal, snrDB, 5)
-			enc := pdcch.New(cfg.CellID)
-			riv, err := phy.EncodeRIV(cfg.CarrierPRBs, 0, 8)
-			if err != nil {
-				t.Fatal(err)
-			}
-			found := 0
-			for i := 0; i < slots; i++ {
-				ref := phy.SlotRef{SFN: i / cfg.Mu.SlotsPerFrame(), Slot: i % cfg.Mu.SlotsPerFrame()}
-				g := phy.NewGrid(cfg.CarrierPRBs)
-				var placed []phy.Candidate
-				for k := 0; k < 4; k++ {
-					rnti := rntis[rng.Intn(len(rntis))]
-					cands := phy.SlotCandidates(s.ueSS, ueCS, rnti, ref.Slot)
-					cand := cands[rng.Intn(len(cands))]
-					d := dci.DCI{Format: dci.Format11, FreqAlloc: riv, MCS: rng.Intn(28), NDI: uint8(rng.Intn(2)), HARQID: rng.Intn(16), DAI: 1, TPC: 1}
-					payload, err := dci.Pack(d, s.dataCfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if overlapsAny(placed, cand) || !pdcch.PayloadFits(len(payload), cand.AggLevel) {
-						continue
-					}
-					if err := enc.Encode(g, ueCS, cand, ref.Slot, payload, rnti); err != nil {
-						t.Fatal(err)
-					}
-					placed = append(placed, cand)
+	for _, snrDB := range []float64{25, 4} {
+		rntis := make([]uint16, 64)
+		for i := range rntis {
+			rntis[i] = 0x4601 + uint16(i)
+		}
+		s, ueCS := mismatchScope(t, cfg, rntis...)
+		rng := rand.New(rand.NewSource(int64(snrDB) + 17))
+		rx := radio.NewReceiver(channel.Normal, snrDB, 5)
+		enc := pdcch.New(cfg.CellID)
+		riv, err := phy.EncodeRIV(cfg.CarrierPRBs, 0, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		found := 0
+		for i := 0; i < slots; i++ {
+			ref := phy.SlotRef{SFN: i / cfg.Mu.SlotsPerFrame(), Slot: i % cfg.Mu.SlotsPerFrame()}
+			g := phy.NewGrid(cfg.CarrierPRBs)
+			var placed []phy.Candidate
+			for k := 0; k < 4; k++ {
+				rnti := rntis[rng.Intn(len(rntis))]
+				cands := phy.SlotCandidates(s.ueSS, ueCS, rnti, ref.Slot)
+				cand := cands[rng.Intn(len(cands))]
+				d := dci.DCI{Format: dci.Format11, FreqAlloc: riv, MCS: rng.Intn(28), NDI: uint8(rng.Intn(2)), HARQID: rng.Intn(16), DAI: 1, TPC: 1}
+				payload, err := dci.Pack(d, s.dataCfg)
+				if err != nil {
+					t.Fatal(err)
 				}
-				found += stepAgainstOracle(t, s, rx.Capture(100+i, ref, g))
+				if overlapsAny(placed, cand) || !pdcch.PayloadFits(len(payload), cand.AggLevel) {
+					continue
+				}
+				if err := enc.Encode(g, ueCS, cand, ref.Slot, payload, rnti); err != nil {
+					t.Fatal(err)
+				}
+				placed = append(placed, cand)
 			}
-			if found == 0 {
-				t.Fatalf("threads %d, %.0f dB: no DCI found in the dedicated CORESET", threads, snrDB)
-			}
+			found += stepAgainstOracle(t, s, rx.Capture(100+i, ref, g))
+		}
+		if found == 0 {
+			t.Fatalf("%.0f dB: no DCI found in the dedicated CORESET", snrDB)
 		}
 	}
 }

@@ -11,23 +11,22 @@ import (
 )
 
 // DecodePool spreads per-cell slot decode across a shared set of
-// workers — the multi-cell counterpart of Pipeline. Where Pipeline
-// parallelizes one cell's slots through snapshot/decode/merge,
-// DecodePool keeps each cell's ProcessSlot strictly serial (slot n+1's
-// blind decode depends on state merged from slot n: MIB, SIB1, MSG4
-// one-shots) and gets its parallelism across cells: each registered
-// cell owns a bounded capture FIFO, and every worker scans the cell
-// list from its own offset, claiming whole cells with a CAS. A worker
-// whose home cells are idle steals from any other cell with queued
-// work, so a burst on one cell is absorbed by the whole pool.
+// workers — the paper's Fig. 4 worker pool, and the only slot executor
+// besides calling ProcessSlot inline. It keeps each cell's ProcessSlot
+// strictly serial (slot n+1's blind decode depends on state merged from
+// slot n: MIB, SIB1, MSG4 one-shots) and gets its parallelism across
+// cells: each registered cell owns a bounded capture FIFO, and every
+// worker scans the cell list from its own offset, claiming whole cells
+// with a CAS. A worker whose home cells are idle steals from any other
+// cell with queued work, so a burst on one cell is absorbed by the
+// whole pool.
 //
-// Submit blocks when the cell's queue is full (radio back-pressure,
-// like Pipeline.Submit), keeping the steady state allocation-free: the
-// ring buffers are fixed at Start and captures are handed over by
-// pointer. Results are delivered to the cell's handler on the worker
-// goroutine, serialized per cell by the claim but concurrent across
-// cells. A panic while decoding or handling a slot costs that slot only
-// (see process).
+// Submit blocks when the cell's queue is full (radio back-pressure),
+// keeping the steady state allocation-free: the ring buffers are fixed
+// at Start and captures are handed over by pointer. Results are
+// delivered to the cell's handler on the worker goroutine, serialized
+// per cell by the claim but concurrent across cells. A panic while
+// decoding or handling a slot costs that slot only (see process).
 type DecodePool struct {
 	workers int
 	queue   int // per-cell ring size, fixed at construction

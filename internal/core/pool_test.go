@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -174,6 +175,75 @@ func TestDecodePoolSubmitAfterClose(t *testing.T) {
 		t.Fatal("Submit accepted after Close")
 	}
 	pool.Close() // idempotent
+}
+
+// TestDecodePoolSubmitBlocksWhenFull: with one slot parked in its
+// handler and the cell's ring full, the next Submit must wait until the
+// handler is released (radio back-pressure), and every slot is then
+// decoded in submission order.
+func TestDecodePoolSubmitBlocksWhenFull(t *testing.T) {
+	const depth = 2
+	pool := NewDecodePool(1, depth)
+	entered, release := make(chan struct{}), make(chan struct{})
+	var got []int
+	if err := pool.AddCell(1, New(1), func(res *SlotResult) {
+		if res.SlotIdx == 0 {
+			entered <- struct{}{}
+			<-release
+		}
+		got = append(got, res.SlotIdx)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := pool.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+	var released atomic.Bool
+	releaseHandler := sync.OnceFunc(func() {
+		released.Store(true)
+		close(release)
+	})
+	defer releaseHandler() // before Close, so a failed check cannot hang it
+
+	// A nil grid decodes to an empty result at once.
+	pool.Submit(1, &radio.Capture{SlotIdx: 0})
+	<-entered // slot 0 is in flight, the ring is empty
+	for i := 1; i <= depth; i++ {
+		pool.Submit(1, &radio.Capture{SlotIdx: i})
+	}
+
+	started, returned := make(chan struct{}), make(chan bool)
+	go func() {
+		close(started)
+		pool.Submit(1, &radio.Capture{SlotIdx: depth + 1})
+		returned <- released.Load()
+	}()
+	<-started
+	// Yield rather than sleep: a Submit that does not block returns
+	// within these yields, and one that does can never fail here.
+	for i := 0; i < 100; i++ {
+		select {
+		case <-returned:
+			t.Fatal("Submit returned while the ring was full and the handler parked")
+		default:
+			runtime.Gosched()
+		}
+	}
+	releaseHandler()
+	if !<-returned {
+		t.Fatal("Submit returned before the handler was released")
+	}
+	pool.Flush()
+
+	if len(got) != depth+2 {
+		t.Fatalf("decoded slots %v, want 0..%d", got, depth+1)
+	}
+	for i, idx := range got {
+		if idx != i {
+			t.Fatalf("decoded slots %v, want 0..%d in order", got, depth+1)
+		}
+	}
 }
 
 // TestDecodePoolSteadyStateAllocs: the pool machinery (ring, claim,

@@ -6,16 +6,17 @@
 // known UE in every TTI, translating DCIs into grants, transport block
 // sizes, throughput, HARQ retransmissions and spare-capacity telemetry.
 //
-// The processing pipeline mirrors the paper's Fig. 4: a synchronous
-// ProcessSlot for exact in-order evaluation, and a Pipeline (see
-// pipeline.go) with a scheduler, a worker pool, and per-worker SIB/RACH/
-// DCI tasks for asynchronous, multi-core operation.
+// A Scope decodes exactly one slot at a time: ProcessSlot runs the
+// paper's Fig. 4 SIB, RACH and DCI tasks against a snapshot of the state
+// and merges the findings in slot order. One cell's slots are serial by
+// design (slot n+1's decode depends on the MIB, SIB1 and MSG4 state
+// merged from slot n); DecodePool (pool.go) is the worker pool, running
+// many cells' scopes concurrently.
 package core
 
 import (
 	"fmt"
 	"slices"
-	"sync"
 	"time"
 
 	"nrscope/internal/bus"
@@ -31,18 +32,6 @@ import (
 
 // Option configures a Scope.
 type Option func(*Scope)
-
-// WithDCIThreads sets how many goroutines a slot's UE-search-space
-// candidate positions are striped over. The paper's "DCI threads" (§4)
-// shard the UE list; here the per-UE work is one lookup per decoded
-// position, so only the position decodes are spread. Default 1.
-func WithDCIThreads(n int) Option {
-	return func(s *Scope) {
-		if n > 0 {
-			s.dciThreads = n
-		}
-	}
-}
 
 // WithVerifyMSG4 controls whether a new-UE candidate's RRC Setup PDSCH
 // is decoded and CRC-verified before admitting the UE. The paper's
@@ -89,9 +78,9 @@ func WithDMRSGate(on bool) Option {
 }
 
 // WithBus attaches a telemetry distribution bus: every record the scope
-// emits (through ProcessSlot or the async Pipeline — both converge on
-// merge) is also published onto b, fanning out to the bus's sinks under
-// their own queues and backpressure policies.
+// emits (inline or on a DecodePool worker, both through ProcessSlot) is
+// also published onto b, fanning out to the bus's sinks under their own
+// queues and backpressure policies.
 func WithBus(b *bus.Bus) Option {
 	return func(s *Scope) { s.bus = b }
 }
@@ -160,7 +149,6 @@ type Scope struct {
 	cellID uint16
 	codec  *pdcch.Codec
 
-	dciThreads      int
 	verifyMSG4      bool
 	dmrsGate        bool
 	inactivitySlots int
@@ -186,10 +174,9 @@ type Scope struct {
 	departed  []UEActivity
 	lastPurge int
 
-	// Per-slot decode working memory (masks, the position arena).
-	// Pooled rather than owned so concurrent pipeline workers never
-	// contend on it.
-	slotPool sync.Pool // *slotScratch
+	// Per-slot decode working memory (masks, the position arena), owned
+	// because a Scope decodes one slot at a time.
+	scratch slotScratch
 
 	bus *bus.Bus // optional telemetry distribution bus
 }
@@ -201,7 +188,6 @@ func New(cellID uint16, opts ...Option) *Scope {
 	s := &Scope{
 		cellID:          cellID,
 		codec:           pdcch.New(cellID),
-		dciThreads:      1,
 		verifyMSG4:      true,
 		dmrsGate:        true,
 		inactivitySlots: 20000,
@@ -274,9 +260,9 @@ func (s *Scope) ProcessSlot(cap *radio.Capture) *SlotResult {
 	return s.merge(res)
 }
 
-// snapshot captures the read-only state a decode pass needs; the worker
-// pool hands snapshots to workers exactly as the paper's scheduler
-// copies its state (known UE list, cell configuration) to idle workers.
+// snapshot captures the read-only state a decode pass needs, as the
+// paper's scheduler copies its state (known UE list, cell configuration)
+// to a worker.
 func (s *Scope) snapshot() *snapshot {
 	return &snapshot{
 		mib:        s.mib,
@@ -290,7 +276,6 @@ func (s *Scope) snapshot() *snapshot {
 		dataCfg:    s.dataCfg,
 		link:       s.link,
 		ues:        s.tracked,
-		threads:    s.dciThreads,
 		verifyMSG4: s.verifyMSG4,
 		dmrsGate:   s.dmrsGate,
 	}
@@ -362,11 +347,9 @@ func (s *Scope) merge(res *decodeResult) *SlotResult {
 		usedREs += nu.grant.NRE
 	}
 	for _, f := range res.data {
+		// Tracked: the decode ran against this state, and only purge,
+		// below, removes UEs.
 		track := s.ues[f.rnti]
-		if track == nil {
-			met.mergeDropped.Inc()
-			continue // aged out between decode and merge
-		}
 		track.LastSeen = res.slotIdx
 		tracker := track.UL
 		if f.grant.Downlink {

@@ -1,9 +1,9 @@
-// Package obs is the pipeline observability layer: a dependency-free
+// Package obs is the process's observability layer: a dependency-free
 // metrics subsystem (atomic counters, gauges, fixed-bucket histograms,
 // and a named registry) with Prometheus-text-format exposition and an
 // opt-in HTTP listener that also wires expvar and pprof.
 //
-// The hot decode path (core.Pipeline, core.Scope) records into
+// The hot decode path (core.Scope, core.DecodePool) records into
 // package-level metrics resolved from the Default registry at init
 // time, so instrumentation costs one atomic op per event and zero
 // allocations. Snapshot() returns a flat name→value map so tests and

@@ -5,7 +5,7 @@ import "fmt"
 // Grid is one slot's resource grid: SymbolsPerSlot OFDM symbols by
 // 12·NumPRB subcarriers of complex modulation symbols. It is the unit of
 // data the simulated radio hands to NR-Scope (one "slot data" block in
-// the paper's Fig. 4 pipeline).
+// the paper's Fig. 4).
 type Grid struct {
 	NumPRB int
 	re     []complex128 // row-major: symbol * width + subcarrier

@@ -57,7 +57,7 @@ type Receiver struct {
 // between two grid buffers, so each returned Capture stays valid only
 // until the second-following Capture. Use it for synchronous,
 // process-immediately loops (the eval sessions); leave it off when
-// captures are queued (the async pipeline).
+// captures are queued (a core.DecodePool).
 func (r *Receiver) Reuse(on bool) *Receiver {
 	r.reuse = on
 	return r

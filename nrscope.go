@@ -37,7 +37,7 @@ import (
 )
 
 // Re-exported engine types. Scope is the paper's telemetry engine;
-// Pipeline its asynchronous Fig.-4 worker-pool form.
+// DecodePool its Fig.-4 worker pool, shared by many cells.
 type (
 	// Scope is the NR-Scope telemetry engine (one per monitored cell).
 	Scope = core.Scope
@@ -45,8 +45,6 @@ type (
 	SlotResult = core.SlotResult
 	// Option configures the engine.
 	Option = core.Option
-	// Pipeline is the asynchronous worker-pool front of the engine.
-	Pipeline = core.Pipeline
 	// DecodePool is the shared multi-cell decode worker pool: per-cell
 	// slot order stays strict while cells decode concurrently, with
 	// work-stealing across the registered cells.
@@ -65,9 +63,6 @@ type (
 
 // Engine options, re-exported from the core package.
 var (
-	// WithDCIThreads stripes a slot's candidate-position decodes over n
-	// goroutines.
-	WithDCIThreads = core.WithDCIThreads
 	// WithVerifyMSG4 toggles RRC-Setup PDSCH verification of new UEs.
 	WithVerifyMSG4 = core.WithVerifyMSG4
 	// WithInactivityTimeout ages out silent UEs after n slots.
@@ -91,11 +86,6 @@ func NewBus() *Bus { return bus.New() }
 // New creates a telemetry engine for the cell with the given physical
 // cell id.
 func New(cellID uint16, opts ...Option) *Scope { return core.New(cellID, opts...) }
-
-// NewPipeline wraps a scope in the asynchronous worker-pool pipeline.
-func NewPipeline(s *Scope, workers, queueDepth int) *Pipeline {
-	return core.NewPipeline(s, workers, queueDepth)
-}
 
 // NewDecodePool creates a shared decode pool; register each cell's
 // scope with AddCell, then Start, then feed it captures (for example
