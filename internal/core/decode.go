@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"slices"
 	"time"
 
@@ -96,9 +97,9 @@ type slotScratch struct {
 	cssBlock   []uint8
 	pdschBuf   []byte // SIB1/MSG4 transport-block bytes (pdsch.DecodeInto)
 	arena      posArena
-	hits       []int           // tracked-UE indices named by a position's CRC
+	hits       []int           // tracked-UE indices named by one level's CRCs
 	cands      []phy.Candidate // one hit UE's hashed candidates
-	mine       []phy.Candidate // candidates already decoded for that UE
+	found      []ueFind        // confirmed UE DCIs, in confirmation order
 }
 
 // boolMask resizes buf to n entries, filled with fill.
@@ -157,20 +158,26 @@ func (s *Scope) decodeSlot(snap *snapshot, cap *radio.Capture) *decodeResult {
 	}
 	sc.claimed = boolMask(sc.claimed, len(sc.occupied), false)
 
-	// CSS pass: SIB decoding and RACH/new-UE tracking.
-	s.decodeCommon(snap, cap, res, sc)
-
 	// USS pass: DCI extraction for every known UE. It needs both SIB1
 	// (the active-BWP DCI sizes) and an RRC Setup (the UE search space) —
-	// the paper's step 1 before step 2.
+	// the paper's step 1 before step 2, which orders merged state, not
+	// the passes within a slot. The USS pass reads only the snapshot,
+	// never this slot's CSS result, so it runs first: its confirmed DCIs
+	// claim their CCEs, and the CSS pass skips them.
 	if snap.sib1 != nil && snap.setup != nil && len(snap.ues.rntis) > 0 {
 		s.decodeUESpace(snap, cap, res, sc)
 	}
+
+	// CSS pass: SIB decoding and RACH/new-UE tracking.
+	s.decodeCommon(snap, cap, res, sc)
 	return res
 }
 
-// decodeCommon scans the common search space, filling sc.claimed with
-// the CCE-claim mask so the USS pass skips already-explained CCEs.
+// decodeCommon scans the common search space. It runs after the USS
+// pass, so sc.claimed already holds the CCEs of confirmed UE DCIs when
+// both share one control region (a CCE carries one PDCCH, so a CSS
+// candidate over them could only pass its CRC by chance); its own finds
+// claim their CCEs for the CSS candidates after them.
 func (s *Scope) decodeCommon(snap *snapshot, cap *radio.Capture, res *decodeResult, sc *slotScratch) {
 	occupied, claimed := sc.occupied, sc.claimed
 	fallbackSize := dci.ClassSize(dci.Fallback, snap.commonCfg)
@@ -180,12 +187,12 @@ func (s *Scope) decodeCommon(snap *snapshot, cap *radio.Capture, res *decodeResu
 		if !spanTrue(occupied, cand.StartCCE, cand.AggLevel) || anyTrue(claimed, cand.StartCCE, cand.AggLevel) {
 			continue
 		}
-		met.candAttempted.Inc()
 		block, err := s.codec.DecodeCandidateInto(sc.cssBlock, cap.Grid, snap.coreset, cand, cap.Ref.Slot, fallbackSize, cap.N0)
 		if err != nil {
 			met.decodeFailed.Inc()
 			continue
 		}
+		met.candAttempted.Inc()
 		sc.cssBlock = block[:0]
 		payload, rnti, ok := bits.RecoverRNTI(block)
 		if !ok {
@@ -204,8 +211,8 @@ func (s *Scope) decodeCommon(snap *snapshot, cap *radio.Capture, res *decodeResu
 			continue
 		}
 		// CCEs are claimed only for accepted finds: a RecoverRNTI false
-		// positive on top of somebody's data DCI (the 8 visible CRC bits
-		// pass by chance 1 in 256) must not shadow the USS pass.
+		// positive (the 8 visible CRC bits pass by chance 1 in 256) must
+		// not shadow a later CSS candidate.
 
 		switch {
 		case rnti == dci.SIRNTI:
@@ -257,26 +264,24 @@ func (s *Scope) decodeCommon(snap *snapshot, cap *radio.Capture, res *decodeResu
 // PDCCH payload scrambling uses the cell id (TS 38.211 §7.3.2.3 without a
 // configured UE scrambling id), and the RNTI is only XORed onto the low
 // 16 CRC bits. So the pass runs per position, not per UE: each occupied
-// AL-aligned position is decoded once (at most sum(NumCCE/AL) of them,
-// whatever the UE count, in one serial pass), its CRC is computed once,
-// and the RNTI it was addressed to falls out of the XOR
-// (§3.1.2, bits.RecoverRNTI) to be looked up in the tracked set. Only
-// the UEs some position names then have their hashed candidates (TS
-// 38.213 §10.1) enumerated, to confirm the position is one the gNB could
-// have used for that UE and to apply the same-UE overlap rule.
+// AL-aligned position is decoded at most once, whatever the UE count,
+// its CRC is computed once, and the RNTI it was addressed to falls out
+// of the XOR (§3.1.2, bits.RecoverRNTI) to be looked up in the tracked
+// set. Positions are decoded one aggregation level at a time, lowest
+// first, and each level's confirmed DCIs claim their CCEs before the
+// next (decodePositions). The pass runs before the CSS pass, whose
+// candidates then skip those CCEs too.
 func (s *Scope) decodeUESpace(snap *snapshot, cap *radio.Capture, res *decodeResult, sc *slotScratch) {
 	sizeClass := dci.Fallback
-	cfg := snap.dataCfg
 	if snap.setup.NonFallback {
 		sizeClass = dci.NonFallback
 	}
-	payloadBits := dci.ClassSize(sizeClass, cfg)
 
 	// The occupancy mask was swept over CORESET 0, whose CCE indexing is
 	// only valid for the UE CORESET when both cover the same control
-	// region. A dedicated UE CORESET elsewhere gets its own sweep, and
-	// the CSS claim mask (which addresses CORESET-0 CCEs) does not carry
-	// over.
+	// region. A dedicated UE CORESET elsewhere gets its own sweep and its
+	// own claim mask, which the CSS pass (addressing CORESET-0 CCEs)
+	// never sees.
 	ueOccupied, ueClaimed := sc.occupied, sc.claimed
 	if !snap.ueCoreset.SameRegion(snap.coreset) {
 		if snap.dmrsGate {
@@ -288,31 +293,25 @@ func (s *Scope) decodeUESpace(snap *snapshot, cap *radio.Capture, res *decodeRes
 		ueOccupied, ueClaimed = sc.ueOccupied, sc.ueClaimed
 	}
 
-	ar := &sc.arena
-	s.decodePositions(snap, cap, payloadBits, ueOccupied, ueClaimed, ar)
-
-	sc.hits = sc.hits[:0]
-	for _, idx := range ar.work {
-		if r := ar.rnti[idx]; r >= 0 {
-			if i, tracked := snap.ues.order[uint16(r)]; tracked {
-				sc.hits = append(sc.hits, i)
-			}
-		}
-	}
-	if len(sc.hits) == 0 {
+	s.decodePositions(snap, cap, sizeClass, dci.ClassSize(sizeClass, snap.dataCfg), ueOccupied, ueClaimed, sc)
+	if len(sc.found) == 0 {
 		return
 	}
 	// Emit in tracked-UE order, then candidate order, as a sweep over the
-	// UE list would. Every found DCI is one of the hit positions, so the
-	// result is allocated once at that bound.
-	slices.Sort(sc.hits)
-	res.data = make([]foundDCI, 0, len(sc.hits))
-	for k, i := range sc.hits {
-		if k > 0 && i == sc.hits[k-1] {
-			continue
-		}
-		res.data = confirmUE(snap, cap, snap.ues.rntis[i], sizeClass, cfg, sc, res.data)
+	// UE list would.
+	slices.SortFunc(sc.found, func(a, b ueFind) int { return cmp.Or(a.ue-b.ue, a.k-b.k) })
+	res.data = make([]foundDCI, len(sc.found))
+	for j := range sc.found {
+		res.data[j] = sc.found[j].f
 	}
+}
+
+// ueFind is a confirmed UE DCI with its emission key: the UE's index in
+// the tracked set and the candidate's index in phy.AppendSlotCandidates
+// order.
+type ueFind struct {
+	ue, k int
+	f     foundDCI
 }
 
 // posArena is the flat, indexed store of the per-slot position cache:
@@ -329,7 +328,6 @@ type posArena struct {
 	n        int
 	blocks   []uint8 // n * blockLen hard-decision bits
 	rnti     []int32 // RNTI recovered from the entry's CRC, or noRNTI
-	work     []int32 // entry indices scheduled for decoding this slot
 }
 
 // noRNTI marks an arena entry that was not decoded this slot, or whose 8
@@ -362,18 +360,6 @@ func (a *posArena) reset(ss phy.SearchSpace, nCCE, blockLen int) {
 	for i := range a.rnti {
 		a.rnti[i] = noRNTI
 	}
-	a.work = a.work[:0]
-}
-
-// posAt recovers the (aggregation level, start CCE) of entry idx.
-func (a *posArena) posAt(idx int) (al, cce int) {
-	for i := range a.base {
-		if a.counts[i] > 0 && idx >= a.base[i] && idx < a.base[i]+a.counts[i] {
-			al = phy.AggregationLevels[i]
-			return al, (idx - a.base[i]) * al
-		}
-	}
-	return 0, 0
 }
 
 // writeBlock returns entry idx's block storage, capacity-capped so a
@@ -396,19 +382,25 @@ func (a *posArena) find(al, cce int) int {
 	return a.base[i] + k
 }
 
-// decodePositions decodes every occupied, unclaimed candidate position of
-// the UE search space and recovers the RNTI each one's CRC names.
-// Positions whose aggregation level cannot carry the payload at all are
-// counted as empty (nothing can be transmitted there), not as decode
-// failures.
-func (s *Scope) decodePositions(snap *snapshot, cap *radio.Capture, payloadBits int, occupied, claimed []bool, ar *posArena) {
+// decodePositions decodes the UE search space one aggregation level at
+// a time, lowest first. A level's occupied, unclaimed positions are
+// decoded and the RNTI each one's CRC names is recovered; the tracked
+// UEs named are confirmed (confirmUE), and every confirmed DCI claims
+// its CCEs in claimed. A CCE carries one PDCCH, so the higher levels
+// never decode a block laid over a DCI already found. Positions whose
+// aggregation level cannot carry the payload at all are counted as
+// empty (nothing can be transmitted there), not as decode failures.
+func (s *Scope) decodePositions(snap *snapshot, cap *radio.Capture, sizeClass dci.SizeClass, payloadBits int, occupied, claimed []bool, sc *slotScratch) {
 	nCCE := snap.ueCoreset.NumCCE()
+	ar := &sc.arena
 	ar.reset(snap.ueSS, nCCE, payloadBits+24)
+	sc.found = sc.found[:0]
 	for i, al := range phy.AggregationLevels {
 		if ar.counts[i] == 0 {
 			continue
 		}
 		fits := pdcch.PayloadFits(payloadBits, al)
+		sc.hits = sc.hits[:0]
 		for cce := 0; cce+al <= nCCE; cce += al {
 			if !spanTrue(occupied, cce, al) || anyTrue(claimed, cce, al) {
 				continue
@@ -417,20 +409,25 @@ func (s *Scope) decodePositions(snap *snapshot, cap *radio.Capture, payloadBits 
 				met.positionsEmpty.Inc()
 				continue
 			}
-			ar.work = append(ar.work, int32(ar.base[i]+cce/al))
+			idx := ar.base[i] + cce/al
+			s.decodePosition(snap, cap, payloadBits, ar, idx, phy.Candidate{AggLevel: al, StartCCE: cce})
+			if r := ar.rnti[idx]; r >= 0 {
+				if ue, tracked := snap.ues.order[uint16(r)]; tracked {
+					sc.hits = append(sc.hits, ue)
+				}
+			}
 		}
-	}
-	for _, idx := range ar.work {
-		s.decodePosition(snap, cap, payloadBits, ar, int(idx))
+		slices.Sort(sc.hits)
+		for _, ue := range slices.Compact(sc.hits) {
+			confirmUE(snap, cap, ue, al, sizeClass, claimed, sc)
+		}
 	}
 }
 
-// decodePosition decodes one candidate position into its arena entry and
-// evaluates its CRC — the only CRC run over that block, whatever the UE
-// count.
-func (s *Scope) decodePosition(snap *snapshot, cap *radio.Capture, payloadBits int, ar *posArena, idx int) {
-	al, cce := ar.posAt(idx)
-	cand := phy.Candidate{AggLevel: al, StartCCE: cce}
+// decodePosition decodes one candidate position into its arena entry idx
+// and evaluates its CRC — the only CRC run over that block, whatever the
+// UE count.
+func (s *Scope) decodePosition(snap *snapshot, cap *radio.Capture, payloadBits int, ar *posArena, idx int, cand phy.Candidate) {
 	met.positions.Inc()
 	block, err := s.codec.DecodeCandidateInto(ar.writeBlock(idx), cap.Grid, snap.ueCoreset, cand, cap.Ref.Slot, payloadBits, cap.N0)
 	if err != nil {
@@ -443,47 +440,41 @@ func (s *Scope) decodePosition(snap *snapshot, cap *radio.Capture, payloadBits i
 	}
 }
 
-// confirmUE walks one UE's hashed candidates, in candidate order, over
-// the positions whose CRC named it. A UE can legitimately receive several
-// DCIs in one TTI (a retransmission plus new data, or a downlink
-// assignment plus an uplink grant), so every one is kept; candidates
-// whose CCEs were already explained by a previous hit of this UE are
-// skipped. A position naming the UE that is none of its candidates is a
-// chance CRC pass on someone else's (or no one's) block, and is dropped.
-func confirmUE(snap *snapshot, cap *radio.Capture, rnti uint16, sizeClass dci.SizeClass, cfg dci.Config, sc *slotScratch, out []foundDCI) []foundDCI {
+// confirmUE walks tracked UE ue's hashed candidates at aggregation level
+// al, in candidate order, over the positions whose CRC named it, and
+// claims the CCEs of each DCI it confirms. A UE can legitimately receive
+// several DCIs in one TTI (a retransmission plus new data, or a downlink
+// assignment plus an uplink grant), so every one is kept. The claim mask
+// also applies the same-UE overlap rule: a candidate over CCEs an
+// earlier hit already explained is skipped. A position naming the UE
+// that is none of its candidates is a chance CRC pass on someone else's
+// (or no one's) block; it is dropped and claims nothing.
+func confirmUE(snap *snapshot, cap *radio.Capture, ue, al int, sizeClass dci.SizeClass, claimed []bool, sc *slotScratch) {
 	ar := &sc.arena
+	rnti := snap.ues.rntis[ue]
 	sc.cands = phy.AppendSlotCandidates(sc.cands[:0], snap.ueSS, snap.ueCoreset, rnti, cap.Ref.Slot)
-	sc.mine = sc.mine[:0]
-	for _, cand := range sc.cands {
-		idx := ar.find(cand.AggLevel, cand.StartCCE)
-		if idx < 0 || ar.rnti[idx] != int32(rnti) || overlapsAny(sc.mine, cand) {
+	for k, cand := range sc.cands {
+		if cand.AggLevel != al {
 			continue
 		}
-		d, err := dci.Unpack(ar.writeBlock(idx)[:ar.blockLen-24], sizeClass, cfg)
+		idx := ar.find(al, cand.StartCCE)
+		if idx < 0 || ar.rnti[idx] != int32(rnti) || anyTrue(claimed, cand.StartCCE, al) {
+			continue
+		}
+		d, err := dci.Unpack(ar.writeBlock(idx)[:ar.blockLen-24], sizeClass, snap.dataCfg)
 		if err != nil {
 			met.decodeFailed.Inc()
 			continue
 		}
-		grant, err := dci.ToGrant(d, rnti, cfg, snap.link)
+		grant, err := dci.ToGrant(d, rnti, snap.dataCfg, snap.link)
 		if err != nil {
 			met.decodeFailed.Inc()
 			continue
 		}
 		met.candMatched.Inc()
-		sc.mine = append(sc.mine, cand)
-		out = append(out, foundDCI{rnti: rnti, d: d, grant: grant, cand: cand})
+		markTrue(claimed, cand.StartCCE, al)
+		sc.found = append(sc.found, ueFind{ue: ue, k: k, f: foundDCI{rnti: rnti, d: d, grant: grant, cand: cand}})
 	}
-	return out
-}
-
-// overlapsAny reports whether cand shares CCEs with any prior hit.
-func overlapsAny(prev []phy.Candidate, cand phy.Candidate) bool {
-	for _, p := range prev {
-		if cand.StartCCE < p.StartCCE+p.AggLevel && p.StartCCE < cand.StartCCE+cand.AggLevel {
-			return true
-		}
-	}
-	return false
 }
 
 // controlLink mirrors the fallback-format link parameters (single

@@ -24,6 +24,13 @@ func mismatchScope(t *testing.T, cfg ran.CellConfig, rntis ...uint16) (*Scope, p
 	if ueCS.SameRegion(cfg.Coreset0) {
 		t.Fatal("test CORESET accidentally matches CORESET 0")
 	}
+	return handScope(cfg, ueCS, rntis...), ueCS
+}
+
+// handScope builds a scope past cell acquisition and RRC Setup, with UE
+// CORESET ueCS, tracking rntis — the state a live cell reaches after
+// attach, assembled by hand so DCIs can be placed on a grid directly.
+func handScope(cfg ran.CellConfig, ueCS phy.CORESET, rntis ...uint16) *Scope {
 	mib := rrc.MIB{
 		Mu: cfg.Mu, CellID: cfg.CellID,
 		Coreset0StartPRB: cfg.Coreset0.StartPRB,
@@ -41,7 +48,69 @@ func mismatchScope(t *testing.T, cfg ran.CellConfig, rntis ...uint16) (*Scope, p
 		s.ues[rnti] = &UETrack{RNTI: rnti, DL: harq.NewTracker(), UL: harq.NewTracker()}
 	}
 	s.tracked = newUEIndex(rntis)
-	return s, ueCS
+	return s
+}
+
+// placeUEDCI encodes a DCI 1_1 for rnti on cand of the scope's UE
+// CORESET and returns it.
+func placeUEDCI(t testing.TB, s *Scope, g *phy.Grid, ref phy.SlotRef, cand phy.Candidate, rnti uint16, harqID int) dci.DCI {
+	t.Helper()
+	riv, err := phy.EncodeRIV(s.sib1.CarrierPRBs, 0, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := dci.DCI{Format: dci.Format11, FreqAlloc: riv, MCS: 10, NDI: 1, HARQID: harqID, DAI: 1, TPC: 1}
+	payload, err := dci.Pack(d, s.dataCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pdcch.New(s.cellID).Encode(g, s.ueCoreset, cand, ref.Slot, payload, rnti); err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+// packedAL1Slot places k AL-1 DCIs on CCEs 0..k-1 of a same-region UE
+// CORESET, each addressed to a different tracked UE whose AL-1
+// candidates hash to that CCE, and returns the capture.
+func packedAL1Slot(t testing.TB, s *Scope, rntis []uint16, k int) *radio.Capture {
+	t.Helper()
+	ref := phy.SlotRef{SFN: 0, Slot: 1}
+	g := phy.NewGrid(s.sib1.CarrierPRBs)
+	used := map[uint16]bool{}
+	for cce := 0; cce < k; cce++ {
+		placed := false
+		for _, rnti := range rntis {
+			if cand, ok := candAt(s, rnti, ref.Slot, 1, cce); ok && !used[rnti] {
+				placeUEDCI(t, s, g, ref, cand, rnti, cce)
+				used[rnti], placed = true, true
+				break
+			}
+		}
+		if !placed {
+			t.Fatalf("no tracked UE has an AL-1 candidate at CCE %d", cce)
+		}
+	}
+	return &radio.Capture{SlotIdx: 41, Ref: ref, Grid: g, N0: 1e-4}
+}
+
+// candAt returns rnti's first hashed candidate at (al, cce) in slot.
+func candAt(s *Scope, rnti uint16, slot, al, cce int) (phy.Candidate, bool) {
+	for _, cand := range phy.SlotCandidates(s.ueSS, s.ueCoreset, rnti, slot) {
+		if cand.AggLevel == al && cand.StartCCE == cce {
+			return cand, true
+		}
+	}
+	return phy.Candidate{}, false
+}
+
+// trackedRNTIs returns n consecutive C-RNTIs.
+func trackedRNTIs(n int) []uint16 {
+	rntis := make([]uint16, n)
+	for i := range rntis {
+		rntis[i] = 0x4601 + uint16(i)
+	}
+	return rntis
 }
 
 // TestUECoresetDistinctRegionDecodes is the regression test for the
@@ -110,6 +179,7 @@ func TestInfeasiblePositionsCountEmptyNotFailed(t *testing.T) {
 	snap := &snapshot{
 		ueCoreset: cs,
 		ueSS:      phy.SearchSpace{ID: 1, Type: phy.UESearchSpace, Candidates: phy.DefaultUECandidates()},
+		ues:       newUEIndex(nil),
 	}
 	capt := &radio.Capture{Ref: phy.SlotRef{}, Grid: phy.NewGrid(51), N0: 1e-2}
 	occupied := boolMask(nil, cs.NumCCE(), true)
@@ -123,8 +193,8 @@ func TestInfeasiblePositionsCountEmptyNotFailed(t *testing.T) {
 	failedBefore := met.decodeFailed.Value()
 	decodedBefore := met.positions.Value()
 
-	var ar posArena
-	s.decodePositions(snap, capt, 100, occupied, claimed, &ar)
+	var sc slotScratch
+	s.decodePositions(snap, capt, dci.Fallback, 100, occupied, claimed, &sc)
 
 	// 8 CCEs: 8 AL1 positions are infeasible; 4 AL2 + 2 AL4 + 1 AL8
 	// decode (a silent grid still polar-decodes, to garbage).
@@ -137,19 +207,12 @@ func TestInfeasiblePositionsCountEmptyNotFailed(t *testing.T) {
 	if got := met.positions.Value() - decodedBefore; got != 7 {
 		t.Errorf("positions decoded delta = %d, want 7", got)
 	}
-	if len(ar.work) != 7 {
-		t.Fatalf("%d positions scheduled, want 7", len(ar.work))
-	}
-	for _, idx := range ar.work {
-		if al, _ := ar.posAt(int(idx)); al == 1 {
-			t.Error("infeasible AL1 position scheduled for decoding")
-		}
-	}
 }
 
 // TestPosArenaIndexing pins the flat arena's arithmetic addressing:
-// posAt and find must agree, blocks must be disjoint and capacity
-// capped, and reset must recycle the backing arrays.
+// entries run level by level, lowest first, in CCE order; find must
+// agree with that layout, blocks must be disjoint and capacity capped,
+// and reset must recycle the backing arrays.
 func TestPosArenaIndexing(t *testing.T) {
 	ss := phy.SearchSpace{Candidates: phy.DefaultUECandidates()}
 	const blockLen = 67
@@ -158,22 +221,25 @@ func TestPosArenaIndexing(t *testing.T) {
 	if a.n != 8+4+2+1 {
 		t.Fatalf("arena entries = %d, want 15", a.n)
 	}
-	for idx := 0; idx < a.n; idx++ {
-		al, cce := a.posAt(idx)
-		if al == 0 || cce%al != 0 {
-			t.Fatalf("posAt(%d) = (%d, %d)", idx, al, cce)
+	idx := 0
+	for _, al := range phy.AggregationLevels {
+		for cce := 0; cce+al <= 8; cce += al {
+			if a.rnti[idx] != noRNTI {
+				t.Fatalf("undecoded position (%d, %d) names RNTI %#x", al, cce, a.rnti[idx])
+			}
+			blk := a.writeBlock(idx)
+			if cap(blk) != blockLen || &blk[:1][0] != &a.blocks[idx*blockLen] {
+				t.Fatalf("writeBlock(%d) cap = %d, want %d at entry %d (no spill into neighbours)", idx, cap(blk), blockLen, idx)
+			}
+			if got := a.find(al, cce); got != idx {
+				t.Fatalf("find(%d, %d) = %d, want entry %d", al, cce, got, idx)
+			}
+			a.rnti[idx] = int32(idx)
+			idx++
 		}
-		if a.rnti[idx] != noRNTI {
-			t.Fatalf("undecoded position (%d, %d) names RNTI %#x", al, cce, a.rnti[idx])
-		}
-		blk := a.writeBlock(idx)
-		if cap(blk) != blockLen || &blk[:1][0] != &a.blocks[idx*blockLen] {
-			t.Fatalf("writeBlock(%d) cap = %d, want %d at entry %d (no spill into neighbours)", idx, cap(blk), blockLen, idx)
-		}
-		if got := a.find(al, cce); got != idx {
-			t.Fatalf("find(%d, %d) = %d, want entry %d", al, cce, got, idx)
-		}
-		a.rnti[idx] = int32(idx)
+	}
+	if idx != a.n {
+		t.Fatalf("walked %d entries, arena has %d", idx, a.n)
 	}
 	if a.find(4, 2) >= 0 {
 		t.Error("unaligned CCE accepted")
@@ -193,6 +259,59 @@ func TestPosArenaIndexing(t *testing.T) {
 		if a.rnti[idx] != noRNTI {
 			t.Fatal("reset did not clear the recovered RNTIs")
 		}
+	}
+}
+
+// TestConfirmedDCIsClaimTheirCCEs pins the work CCE exclusivity saves.
+// A CCE carries one PDCCH: once the AL-1 level confirms k packed DCIs,
+// no higher-level UE position and no common-search-space candidate over
+// their CCEs is decoded — exactly k positions, k CRC evaluations, and
+// none in the CSS pass. A lone AL-8 DCI is still found: the lower
+// levels decode inside it, confirm nothing, and so claim nothing.
+func TestConfirmedDCIsClaimTheirCCEs(t *testing.T) {
+	cfg := amari()
+	rntis := trackedRNTIs(64)
+	for _, k := range []int{3, 8} {
+		s := handScope(cfg, cfg.Setup.CORESET, rntis...)
+		capt := packedAL1Slot(t, s, rntis, k)
+		posBefore, attBefore, matchBefore := met.positions.Value(), met.candAttempted.Value(), met.candMatched.Value()
+		res := s.decodeSlot(s.snapshot(), capt)
+		if len(res.data) != k || len(res.common) != 0 || len(res.newUEs) != 0 {
+			t.Fatalf("k=%d: %d UE DCIs, %d common, %d new UEs; want %d, 0, 0", k, len(res.data), len(res.common), len(res.newUEs), k)
+		}
+		for _, f := range res.data {
+			if f.cand.AggLevel != 1 {
+				t.Errorf("k=%d: found %+v, want only AL-1 DCIs", k, f.cand)
+			}
+		}
+		if got := met.positions.Value() - posBefore; got != int64(k) {
+			t.Errorf("k=%d: %d positions decoded, want %d", k, got, k)
+		}
+		if got := met.candAttempted.Value() - attBefore; got != int64(k) {
+			t.Errorf("k=%d: %d CRC evaluations, want %d (none in the CSS pass)", k, got, k)
+		}
+		if got := met.candMatched.Value() - matchBefore; got != int64(k) {
+			t.Errorf("k=%d: %d candidates matched, want %d", k, got, k)
+		}
+	}
+
+	s := handScope(cfg, cfg.Setup.CORESET, rntis...)
+	ref := phy.SlotRef{SFN: 0, Slot: 1}
+	g := phy.NewGrid(cfg.CarrierPRBs)
+	var cand phy.Candidate
+	for _, c := range phy.SlotCandidates(s.ueSS, s.ueCoreset, rntis[0], ref.Slot) {
+		if c.AggLevel == 8 {
+			cand = c // the first in candidate order, if two share CCEs
+			break
+		}
+	}
+	if cand.AggLevel != 8 {
+		t.Fatal("no AL-8 candidate")
+	}
+	d := placeUEDCI(t, s, g, ref, cand, rntis[0], 5)
+	res := s.decodeSlot(s.snapshot(), &radio.Capture{SlotIdx: 41, Ref: ref, Grid: g, N0: 1e-4})
+	if len(res.data) != 1 || res.data[0].rnti != rntis[0] || res.data[0].cand != cand || res.data[0].d != d {
+		t.Fatalf("AL-8 DCI: found %+v, want %#x at %+v", res.data, rntis[0], cand)
 	}
 }
 
@@ -237,36 +356,25 @@ func TestProcessSlotSteadyStateAllocs(t *testing.T) {
 }
 
 // BenchmarkDecodePositions measures the RNTI-independent half of the
-// blind decode alone: one polar decode per occupied AL-aligned position
-// of the UE search space (all positions forced occupied here).
+// blind decode on a slot packed with eight AL-1 DCIs of tracked UEs: the
+// AL-1 level decodes and confirms them, and their claims leave nothing
+// for the higher levels. positions/op reports the decodes per slot.
 func BenchmarkDecodePositions(b *testing.B) {
 	cfg := amari()
-	tb := newTestbed(b, cfg, 25)
-	tb.gnb.AddUE(bulk(cfg), -1)
-	var capt *radio.Capture
-	for i := 0; i < 600; i++ {
-		out := tb.gnb.Step()
-		c := tb.rx.Capture(out.SlotIdx, out.Ref, out.Grid)
-		tb.scope.ProcessSlot(c)
-		if tb.scope.SetupKnown() && c.Grid != nil {
-			capt = c
-		}
-	}
-	if capt == nil || !tb.scope.SetupKnown() {
-		b.Fatal("testbed never reached steady state")
-	}
-	snap := tb.scope.snapshot()
-	sizeClass := dci.Fallback
-	if snap.setup.NonFallback {
-		sizeClass = dci.NonFallback
-	}
-	payloadBits := dci.ClassSize(sizeClass, snap.dataCfg)
-	occupied := boolMask(nil, snap.ueCoreset.NumCCE(), true)
-	claimed := boolMask(nil, snap.ueCoreset.NumCCE(), false)
-	var ar posArena
+	rntis := trackedRNTIs(64)
+	s := handScope(cfg, cfg.Setup.CORESET, rntis...)
+	capt := packedAL1Slot(b, s, rntis, 8)
+	snap := s.snapshot()
+	payloadBits := dci.ClassSize(dci.NonFallback, snap.dataCfg)
+	occupied := s.codec.OccupiedCCEs(capt.Grid, snap.ueCoreset, capt.Ref.Slot)
+	claimed := make([]bool, len(occupied))
+	var sc slotScratch
+	before := met.positions.Value()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tb.scope.decodePositions(snap, capt, payloadBits, occupied, claimed, &ar)
+		clear(claimed)
+		s.decodePositions(snap, capt, dci.NonFallback, payloadBits, occupied, claimed, &sc)
 	}
+	b.ReportMetric(float64(met.positions.Value()-before)/float64(b.N), "positions/op")
 }
