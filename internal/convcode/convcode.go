@@ -162,6 +162,11 @@ type Workspace struct {
 // decoded information bits. The returned slice aliases the workspace and
 // is only valid until the next Decode/RecoverAndDecode call.
 //
+// The trellis is trimmed at both ends: the first six steps touch only
+// the states reachable from the zero start, and the six flush steps only
+// the states that can still reach the zero tail. That is 37 % fewer adds
+// and compares for a 22-bit UCI block and 4 % for a 256-bit one.
+//
 // The LLRs must be finite and vanish next to the 1e300 start sentinel
 // (unreachable states then keep exactly -1e300); every production LLR
 // is saturated into ±modulation.MaxLLR with NaN mapped to 0. Within that
@@ -180,10 +185,13 @@ func (w *Workspace) Decode(llr []float64, k int) []uint8 {
 	// odd predecessor.
 	dec := w.dec[:steps]
 	var a, b [numStates]float64
-	metric, next := &a, &b
 	for s := 1; s < numStates; s++ {
-		metric[s] = -1e300 // trellis starts in state 0
+		// The trellis starts in state 0. Both buffers hold the sentinel:
+		// a block shorter than the memory enters its tail before every
+		// state has been reached.
+		a[s], b[s] = -1e300, -1e300
 	}
+	metric, next := &a, &b
 
 	for t := range dec {
 		l0 := llr[t*rateInv]
@@ -205,13 +213,38 @@ func (w *Workspace) Decode(llr []float64, k int) []uint8 {
 		// (input 1). The select is branch-free, and a tie keeps the even
 		// predecessor.
 		var d uint64
-		for j := 0; j < numStates/2; j++ {
-			m0, m1 := metric[2*j], metric[2*j+1]
-			o := butterflyOut[j] & 7 // the mask drops the bm bounds checks
-			a0, b0 := m0+bm[o], m1+bm[o^7]
-			a1, b1 := m0+bm[o^7], m1+bm[o]
-			next[j], next[j+numStates/2] = max(a0, b0), max(a1, b1)
-			d |= greater(b0, a0)<<j | greater(b1, a1)<<(j+numStates/2)
+		switch {
+		case t >= k:
+			// Zero tail: the input is 0, and with r = steps-1-t flush
+			// steps left after this one only the states below 2^r can
+			// still reach state 0, so only the input-0 halves of the
+			// first 2^r butterflies run. Traceback reads no other state.
+			for j := 0; j < 1<<(steps-1-t); j++ {
+				m0, m1 := metric[2*j], metric[2*j+1]
+				o := butterflyOut[j] & 7
+				a0, b0 := m0+bm[o], m1+bm[o^7]
+				next[j] = max(a0, b0)
+				d |= greater(b0, a0) << j
+			}
+		case t < memory:
+			// Start-up: t steps from state 0 reach only the multiples of
+			// 2^(memory-t). Each odd predecessor still holds the
+			// sentinel, so the even one wins outright and every decision
+			// bit stays 0; the unreached states keep the sentinel.
+			for j := 0; j < numStates/2; j += numStates / 2 >> t {
+				m0 := metric[2*j]
+				o := butterflyOut[j] & 7
+				next[j], next[j+numStates/2] = m0+bm[o], m0+bm[o^7]
+			}
+		default:
+			for j := 0; j < numStates/2; j++ {
+				m0, m1 := metric[2*j], metric[2*j+1]
+				o := butterflyOut[j] & 7 // the mask drops the bm bounds checks
+				a0, b0 := m0+bm[o], m1+bm[o^7]
+				a1, b1 := m0+bm[o^7], m1+bm[o]
+				next[j], next[j+numStates/2] = max(a0, b0), max(a1, b1)
+				d |= greater(b0, a0)<<j | greater(b1, a1)<<(j+numStates/2)
+			}
 		}
 		dec[t] = d
 		metric, next = next, metric

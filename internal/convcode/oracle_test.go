@@ -14,7 +14,9 @@ import (
 // oracle's hard decisions bit for bit — punctured and repeated, clean to
 // hopeless channels, amplitudes up to MaxLLR, integer LLRs full of ties,
 // all-zero and ±MaxLLR-saturated input — through one Workspace reused
-// across growing and shrinking blocks.
+// across growing and shrinking blocks. Every k up to 2·memory is run, so
+// blocks whose start-up and flush steps overlap, abut or are apart by
+// one step all meet the trimmed trellis.
 func TestDecodeMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
 	ks := make([]int, 24)
@@ -23,9 +25,12 @@ func TestDecodeMatchesOracle(t *testing.T) {
 	}
 	ks[0], ks[1] = 1, 300
 	ks = append(ks[:8], append([]int{6000}, ks[8:]...)...)
-	ks = append(ks, 4000, 8000, 2)
+	ks = append(ks, 4000, 8000)
 	if testing.Short() {
 		ks = append(ks[:6], 4000, 17)
+	}
+	for k := 2; k <= 2*memory; k++ {
+		ks = append(ks, k)
 	}
 	amps := []float64{0, 1, 4, 30, modulation.MaxLLR}
 	sigmas := []float64{0, 0.5, 2, 5, 20}
@@ -77,6 +82,8 @@ func FuzzDecodeMatchesOracle(f *testing.F) {
 	f.Add([]byte{100, 255, 255, 3, 9, 8, 7, 6, 5, 4, 3, 2, 1})      // k=101 e=947, tiny LLRs
 	f.Add([]byte{60, 70, 0, 0, 1, 255, 1, 255, 0, 0, 1, 1, 255})    // k=61 e=70 < n/2
 	f.Add([]byte{21, 0, 0, 0, 7})                                   // e=0: no LLRs at all
+	f.Add([]byte{4, 33, 0, 1, 200, 7, 90, 255, 3})                  // k=5 e=33: start-up meets the flush
+	f.Add([]byte{5, 54, 0, 0, 9, 247, 1, 128, 60})                  // k=6 e=54: start-up abuts the flush
 	var w Workspace
 	var o oracleWorkspace
 	f.Fuzz(func(t *testing.T, data []byte) {
