@@ -1,35 +1,17 @@
-// Chunked, branch-free soft-demap kernels.
+// Closed-form, branch-free soft-demap kernels.
 //
-// DemapInto splits the symbol stream into fixed-width chunks, deinterleaves
-// each chunk into flat I/Q float64 lanes, and hands the lanes to a
-// per-constellation kernel. The kernels replace the generic level-scan
-// (demapAxis) with closed-form per-axis max-log expressions: for each bit
-// of a Gray-coded PAM axis, the nearest label-0 and label-1 levels are
-// selected through a min-tree over the per-level squared distances — the
-// nested |y|-folding structure of the 38.211 Gray mapping collapses each
-// class to a handful of candidates — so the inner loops are straight-line
-// FMA-shaped code with no per-symbol branching and no [][]uint8 label
-// lookups. Because the kernels compute the very same squared distances the
-// level-scan computes (same level values from the same table, same
-// subtraction/multiplication/division order), their LLRs are bit-identical
-// to the reference scan; the equivalence is enforced by the property tests
-// in kernels_test.go.
-//
-// The kernel table is the backend seam: a future assembly/intrinsics
-// implementation replaces entries at init time (behind a build tag) as
-// long as it stays bit-identical to the reference.
+// The QAM kernels evaluate max-log LLRs per PAM axis in closed form: for
+// each bit of a Gray-coded axis, the nearest label-0 and label-1 levels
+// are selected through a min-tree over the per-level squared distances —
+// the nested |y|-folding structure of the 38.211 Gray mapping collapses
+// each class to a handful of candidates — so the inner loops are
+// straight-line code with no per-symbol branching and no label lookups.
+// They compute the very same squared distances a scan over every level
+// computes (same level values, same subtraction/multiplication/division
+// order), so their LLRs are bit-identical to that scan, which lives in
+// kernels_test.go as their oracle.
+
 package modulation
-
-import (
-	"math"
-	"sync"
-)
-
-// ChunkWidth is the number of symbols a demap kernel processes per chunk.
-// Callers that size reusable symbol/LLR scratch can round capacities up to
-// a multiple of ChunkWidth so buffer reuse stays stable across differently
-// sized candidates (see internal/pdcch).
-const ChunkWidth = 64
 
 // MinN0 is the noise-variance floor DemapInto clamps to. The previous
 // 1e-12 floor made the QPSK LLR scale ~4e12, which overflowed downstream
@@ -50,75 +32,25 @@ func saturate(v float64) float64 {
 	return min(MaxLLR, max(-MaxLLR, v))
 }
 
-// demapKernel processes one chunk: re and im are the flat I/Q lanes of
-// len(re) symbols, dst has len(re)*Qm entries, and LLRs are written
-// I-axis bits at even in-symbol offsets, Q-axis at odd (the 38.211
-// interleave). n0 is the pre-clamped noise variance.
-type demapKernel func(dst []float64, re, im []float64, n0 float64)
-
-// demapKernels maps pamBits (1..4) to the active chunk kernel. This
-// indirection is the pluggable backend seam described above.
-var demapKernels = [5]demapKernel{
-	1: demapChunkQPSK,
-	2: demapChunk16,
-	3: demapChunk64,
-	4: demapChunk256,
-}
-
-// chunkLanes is the flat I/Q lane pair one chunk is deinterleaved into.
-// Pooled because the lanes cross the demapKernel indirection (escape
-// analysis cannot keep them on the stack through a function value), and
-// DemapInto must stay allocation free on the blind-decode hot path.
-type chunkLanes struct{ re, im [ChunkWidth]float64 }
-
-var lanePool = sync.Pool{New: func() any { return new(chunkLanes) }}
-
-// Positive per-axis PAM amplitudes in ascending order, taken verbatim
-// from pamTables (initKernels) so the kernels use bit-identical level
-// values to the reference scan: lv16 = {d, 3d}, lv64 = {d..7d},
-// lv256 = {d..15d} with d the per-scheme normalisation.
+// Positive per-axis PAM amplitudes in ascending order: lv16 = {d, 3d},
+// lv64 = {d..7d}, lv256 = {d..15d} with d the per-scheme normalisation.
+// k·d is bit-identical to Map's grayPAM(bits)·d, because grayPAM
+// returns the exact small integer k.
 var (
 	lv16  [2]float64
 	lv64  [4]float64
 	lv256 [8]float64
 )
 
-// initKernels extracts the positive level ladders from the freshly built
-// pamTables. Called from the package init in modulation.go, after the
-// tables exist (file-order init would run this file's init first).
-func initKernels() {
-	fill := func(s Scheme, out []float64) {
-		levels, _ := pamTable(s)
-		n := 0
-		for _, lv := range levels {
-			if lv > 0 {
-				out[n] = lv
-				n++
-			}
-		}
-		if n != len(out) {
-			panic("modulation: PAM table has unexpected level count")
-		}
-		// ascending: insertion sort over <= 8 entries
-		for i := 1; i < n; i++ {
-			for j := i; j > 0 && out[j] < out[j-1]; j-- {
-				out[j], out[j-1] = out[j-1], out[j]
-			}
+func init() {
+	fill := func(lv []float64, s Scheme) {
+		for i := range lv {
+			lv[i] = float64(2*i+1) * s.norm()
 		}
 	}
-	fill(QAM16, lv16[:])
-	fill(QAM64, lv64[:])
-	fill(QAM256, lv256[:])
-}
-
-// demapChunkQPSK is the PR-5 closed-form QPSK fast path in lane form: one
-// level per sign, so the max-log LLR collapses to 4·a·y/n0.
-func demapChunkQPSK(dst []float64, re, im []float64, n0 float64) {
-	scale := 4 * qpskAmp / n0
-	for i, y := range re {
-		dst[2*i] = saturate(scale * y)
-		dst[2*i+1] = saturate(scale * im[i])
-	}
+	fill(lv16[:], QAM16)
+	fill(lv64[:], QAM64)
+	fill(lv256[:], QAM256)
 }
 
 // demapAxis16 writes the two LLRs of one 16QAM axis at o[off], o[off+2].
@@ -138,14 +70,6 @@ func demapAxis16(o []float64, off int, y, n0 float64) {
 	w3 := e3 * e3
 	o[off] = saturate((min(w1, w3) - min(m1, m3)) / n0)
 	o[off+2] = saturate((min(m3, w3) - min(m1, w1)) / n0)
-}
-
-func demapChunk16(dst []float64, re, im []float64, n0 float64) {
-	for i, y := range re {
-		o := dst[4*i : 4*i+4 : 4*i+4]
-		demapAxis16(o, 0, y, n0)
-		demapAxis16(o, 1, im[i], n0)
-	}
 }
 
 // demapAxis64 writes the three LLRs of one 64QAM axis at o[off], o[off+2],
@@ -181,14 +105,6 @@ func demapAxis64(o []float64, off int, y, n0 float64) {
 	o[off] = saturate((neg - pos) / n0)
 	o[off+2] = saturate((min(s5, s7) - min(s1, s3)) / n0)
 	o[off+4] = saturate((min(s1, s7) - min(s3, s5)) / n0)
-}
-
-func demapChunk64(dst []float64, re, im []float64, n0 float64) {
-	for i, y := range re {
-		o := dst[6*i : 6*i+6 : 6*i+6]
-		demapAxis64(o, 0, y, n0)
-		demapAxis64(o, 1, im[i], n0)
-	}
 }
 
 // demapAxis256 writes the four LLRs of one 256QAM axis at o[off],
@@ -248,51 +164,3 @@ func demapAxis256(o []float64, off int, y, n0 float64) {
 	o[off+4] = saturate((min(min(s01, s03), min(s13, s15)) - min(min(s05, s07), min(s09, s11))) / n0)
 	o[off+6] = saturate((min(min(s01, s07), min(s09, s15)) - min(min(s03, s05), min(s11, s13))) / n0)
 }
-
-func demapChunk256(dst []float64, re, im []float64, n0 float64) {
-	for i, y := range re {
-		o := dst[8*i : 8*i+8 : 8*i+8]
-		demapAxis256(o, 0, y, n0)
-		demapAxis256(o, 1, im[i], n0)
-	}
-}
-
-// demapReference is the pre-kernel implementation of DemapInto, retained
-// verbatim as the golden reference for the chunked kernels: the QPSK
-// closed form plus the demapAxis level-scan for the QAM schemes, under the
-// same n0 floor and LLR saturation policy. The chunked kernels must match
-// it bit for bit on every input (kernels_test.go); it also serves as the
-// baseline arm of the BenchmarkDemap family that CI's demap gate checks
-// the kernels against.
-func demapReference(dst []float64, s Scheme, symbols []complex128, n0 float64) []float64 {
-	if !(n0 >= MinN0) { // the negated form also catches NaN
-		n0 = MinN0
-	}
-	qm := s.BitsPerSymbol()
-	if cap(dst) < len(symbols)*qm {
-		dst = make([]float64, len(symbols)*qm)
-	}
-	dst = dst[:len(symbols)*qm]
-	if s == QPSK {
-		scale := 4 * qpskAmp / n0
-		for k, sym := range symbols {
-			dst[2*k] = saturate(scale * real(sym))
-			dst[2*k+1] = saturate(scale * imag(sym))
-		}
-		return dst
-	}
-	half := s.pamBits()
-	levels, labels := pamTable(s)
-	for k, sym := range symbols {
-		demapAxis(real(sym), levels, labels, half, n0, dst[k*qm:], 0)
-		demapAxis(imag(sym), levels, labels, half, n0, dst[k*qm:], 1)
-	}
-	for i, v := range dst {
-		dst[i] = saturate(v)
-	}
-	return dst
-}
-
-// isFinite reports whether v is a finite float64 (used by tests and the
-// saturation contract).
-func isFinite(v float64) bool { return !math.IsInf(v, 0) && !math.IsNaN(v) }

@@ -58,10 +58,8 @@ func FromQm(qm int) (Scheme, error) {
 	}
 }
 
-// pamLevels returns the per-dimension Gray-mapped PAM amplitudes for
-// sqrt(M)-PAM and the normalisation factor, following the TS 38.211 §5.1
-// constructions where each axis is a Gray-coded PAM driven by half the
-// bits of the symbol.
+// pamBits returns the bits per axis: TS 38.211 §5.1 builds each axis as
+// a Gray-coded sqrt(M)-PAM driven by half the bits of the symbol.
 func (s Scheme) pamBits() int { return int(s) / 2 }
 
 // norm returns the amplitude normalisation so E[|x|^2] = 1.
@@ -135,12 +133,12 @@ func Demap(s Scheme, symbols []complex128, n0 float64) []float64 {
 // len(symbols)·Qm, so per-candidate demapping on the blind-decode hot
 // path is allocation free). It returns the LLR slice.
 //
-// Symbols are processed in fixed-width chunks through flat I/Q lanes by
-// the per-constellation kernels in kernels.go, whose LLRs are
-// bit-identical to the retained reference level-scan. n0 is clamped to
-// MinN0 (NaN included) and every LLR is saturated into [-MaxLLR, MaxLLR]
-// with non-finite values mapped to 0, so downstream branch-metric sums
-// stay finite for any input.
+// QPSK is the closed form 4·a·y/n0; the QAM schemes run the per-axis
+// closed-form kernels in kernels.go. n0 is clamped to MinN0 (NaN
+// included) and every LLR is saturated into [-MaxLLR, MaxLLR] with
+// non-finite values mapped to 0, so every output is finite and bounded
+// whatever the input symbols: downstream branch-metric sums and the
+// polar decoder's input contract rely on that.
 func DemapInto(dst []float64, s Scheme, symbols []complex128, n0 float64) []float64 {
 	if !(n0 >= MinN0) { // the negated form also catches NaN
 		n0 = MinN0
@@ -150,94 +148,40 @@ func DemapInto(dst []float64, s Scheme, symbols []complex128, n0 float64) []floa
 		dst = make([]float64, len(symbols)*qm)
 	}
 	dst = dst[:len(symbols)*qm]
-	if s == QPSK {
-		// One level per sign: the max-log LLR collapses to 4·a·y/n0, one
-		// multiply per bit, so a lane deinterleave would only add copies.
-		// This scalar closed form is the prototype the QAM lane kernels
-		// generalise; it is bit-identical to the reference by definition.
+	switch s {
+	case QPSK:
+		// One level per sign: the max-log LLR collapses to 4·a·y/n0.
 		scale := 4 * qpskAmp / n0
 		for k, sym := range symbols {
 			dst[2*k] = saturate(scale * real(sym))
 			dst[2*k+1] = saturate(scale * imag(sym))
 		}
-		return dst
-	}
-	kern := demapKernels[s.pamBits()]
-	lanes := lanePool.Get().(*chunkLanes)
-	for base := 0; base < len(symbols); base += ChunkWidth {
-		n := len(symbols) - base
-		if n > ChunkWidth {
-			n = ChunkWidth
+	case QAM16:
+		for k, sym := range symbols {
+			o := dst[4*k : 4*k+4 : 4*k+4]
+			demapAxis16(o, 0, real(sym), n0)
+			demapAxis16(o, 1, imag(sym), n0)
 		}
-		for i, sym := range symbols[base : base+n] {
-			lanes.re[i] = real(sym)
-			lanes.im[i] = imag(sym)
+	case QAM64:
+		for k, sym := range symbols {
+			o := dst[6*k : 6*k+6 : 6*k+6]
+			demapAxis64(o, 0, real(sym), n0)
+			demapAxis64(o, 1, imag(sym), n0)
 		}
-		kern(dst[base*qm:(base+n)*qm], lanes.re[:n], lanes.im[:n], n0)
+	case QAM256:
+		for k, sym := range symbols {
+			o := dst[8*k : 8*k+8 : 8*k+8]
+			demapAxis256(o, 0, real(sym), n0)
+			demapAxis256(o, 1, imag(sym), n0)
+		}
+	default:
+		panic("modulation: unknown scheme")
 	}
-	lanePool.Put(lanes)
 	return dst
-}
-
-// demapAxis writes the LLRs of one axis into out at positions
-// offset, offset+2, offset+4, ... (matching the I/Q bit interleave).
-func demapAxis(y float64, levels []float64, labels [][]uint8, half int, n0 float64, out []float64, offset int) {
-	for b := 0; b < half; b++ {
-		best0 := math.Inf(1)
-		best1 := math.Inf(1)
-		for li, lv := range levels {
-			d := y - lv
-			m := d * d
-			if labels[li][b] == 0 {
-				if m < best0 {
-					best0 = m
-				}
-			} else if m < best1 {
-				best1 = m
-			}
-		}
-		out[offset+2*b] = (best1 - best0) / n0
-	}
 }
 
 // qpskAmp is the per-axis QPSK amplitude (1/√2 under unit energy).
 var qpskAmp = QPSK.norm()
-
-// pamTables caches the per-axis level/label enumeration of every scheme:
-// Demap used to rebuild it per call, which dominated its allocation
-// profile. Index is pamBits (1, 2, 3, 4).
-var pamTables [5]struct {
-	levels []float64
-	labels [][]uint8
-}
-
-func init() {
-	for _, s := range []Scheme{QPSK, QAM16, QAM64, QAM256} {
-		half := s.pamBits()
-		n := 1 << uint(half)
-		norm := s.norm()
-		levels := make([]float64, n)
-		labels := make([][]uint8, n)
-		for v := 0; v < n; v++ {
-			bits := make([]uint8, half)
-			for j := 0; j < half; j++ {
-				bits[j] = uint8(v>>uint(half-1-j)) & 1
-			}
-			levels[v] = grayPAM(bits) * norm
-			labels[v] = bits
-		}
-		pamTables[half].levels = levels
-		pamTables[half].labels = labels
-	}
-	initKernels() // the kernels' level ladders come from the tables above
-}
-
-// pamTable returns the cached normalised PAM levels of one axis together
-// with their bit labels.
-func pamTable(s Scheme) (levels []float64, labels [][]uint8) {
-	t := pamTables[s.pamBits()]
-	return t.levels, t.labels
-}
 
 // HardDecision slices LLRs to bits: negative LLR -> 1.
 func HardDecision(llr []float64) []uint8 {

@@ -322,11 +322,7 @@ func (c *Codec) DecodeCandidateInto(dst []uint8, g *phy.Grid, cs phy.CORESET, ca
 		sc = &decodeScratch{}
 	}
 	if cap(sc.syms) < len(lay.data) {
-		// Round the scratch up to whole demap chunks so capacities stay
-		// stable across aggregation levels (a level-16 candidate reuses
-		// the same buffers a level-4 one grew).
-		n := (len(lay.data) + modulation.ChunkWidth - 1) &^ (modulation.ChunkWidth - 1)
-		sc.syms = make([]complex128, n)
+		sc.syms = make([]complex128, len(lay.data))
 	}
 	syms := sc.syms[:len(lay.data)]
 	for i, re := range lay.data {

@@ -34,22 +34,16 @@ type decodeScratch struct {
 
 var scratchPool = sync.Pool{New: func() any { return new(decodeScratch) }}
 
-// roundChunk rounds n up to a multiple of the demap chunk width so the
-// scratch capacities stay stable across differently sized grants.
-func roundChunk(n int) int {
-	return (n + modulation.ChunkWidth - 1) &^ (modulation.ChunkWidth - 1)
-}
-
 func (sc *decodeScratch) symbols(n int) []complex128 {
 	if cap(sc.syms) < n {
-		sc.syms = make([]complex128, roundChunk(n))
+		sc.syms = make([]complex128, n)
 	}
 	return sc.syms[:n]
 }
 
 func (sc *decodeScratch) sequence(n int) []uint8 {
 	if cap(sc.seq) < n {
-		sc.seq = make([]uint8, roundChunk(n))
+		sc.seq = make([]uint8, n)
 	}
 	return sc.seq[:n]
 }

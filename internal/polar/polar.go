@@ -32,7 +32,8 @@ const MaxN = 512
 // Code is a polar code instance for a fixed (K, E) pair: K information
 // bits (including any CRC the caller attached) rate-matched to E channel
 // bits. A Code is immutable after construction and safe for concurrent
-// use; per-call scratch buffers are allocated by Encode/Decode.
+// use: Encode allocates its buffers per call, and Decode/DecodeInto take
+// their working memory from a per-Code pool.
 type Code struct {
 	K int // information bits in
 	E int // rate-matched bits out
@@ -47,13 +48,6 @@ type Code struct {
 	// the decode hot path is an iterative sweep over it instead of a
 	// recursive tree walk.
 	schedule []nodeOp
-
-	// degenThresh is the magnitude (as raw exponent/mantissa bits) at or
-	// above which a channel LLR voids the fast path's no-overflow
-	// guarantee: below it, no g cascade over at most N operands can
-	// produce an infinity or NaN mid-tree, so the schedule executor may
-	// skip all NaN guards. prepare screens against it once per decode.
-	degenThresh uint64
 
 	scratch sync.Pool // *scScratch, reused across Decode calls
 }
@@ -161,16 +155,12 @@ func (c *Code) construct() {
 		c.infoPos = append(c.infoPos, pw.pos)
 	}
 	sort.Ints(c.infoPos)
-	frozenCount := 0
 	for i := range c.isFrozen {
 		c.isFrozen[i] = true
-		frozenCount++
 	}
 	for _, p := range c.infoPos {
 		c.isFrozen[p] = false
-		frozenCount--
 	}
-	_ = frozenCount
 	// Prefix sums over the frozen mask (O(1) all-frozen tests) and the
 	// fast-SSC node schedule both derive from the mask alone.
 	c.finish()
@@ -244,7 +234,7 @@ func (c *Code) newScratch() *scScratch {
 // (positive LLR means bit 0 more likely) and returns the K decoded
 // information bits. It panics if len(llr) != E. It delegates to
 // DecodeInto with the pooled scratch, so its only allocation is the
-// K-bit result slice itself.
+// K-bit result slice itself. The input contract is DecodeInto's.
 func (c *Code) Decode(llr []float64) []uint8 {
 	return c.DecodeInto(nil, llr)
 }
@@ -253,32 +243,25 @@ func (c *Code) Decode(llr []float64) []uint8 {
 // when its capacity suffices, so steady-state decoding is allocation
 // free). It returns the K-bit result slice.
 //
-// The hot path is the iterative fast-SSC sweep (schedule.go): terminal
+// The decode is the iterative fast-SSC sweep (schedule.go): terminal
 // nodes write their partial sums and recover their own input bits with
 // a local polar transform (the transform is its own inverse over
-// GF(2)), replacing the per-leaf u writes of the recursive reference.
+// GF(2)), replacing the per-leaf u writes of recursive SC.
+//
+// Contract: every LLR is finite with magnitude at most 1e6
+// (modulation.MaxLLR). modulation.DemapInto saturates every LLR it
+// produces into that range (NaN to 0), and descrambling only flips
+// signs, so the PDCCH chain always meets it. Under the contract a
+// recovered LLR sums ⌈E/N⌉ inputs (at most 4 for PDCCH, E ≤ 1728) and a
+// g cascade at most N of those, so every intermediate stays below
+// ~2·10⁹, and the hard decisions are exactly those of float min-sum SC.
+// Outside it DecodeInto still returns K bits, but which ones is
+// unspecified.
 func (c *Code) DecodeInto(dst []uint8, llr []float64) []uint8 {
 	s := c.getScratch()
 	defer c.scratch.Put(s)
-	if c.prepare(s, llr) {
-		// Degenerate LLRs (NaN/Inf/overflow-capable): the fast path's
-		// no-NaN invariant does not hold, so run the reference, which
-		// defines the bit-exact behaviour for these inputs.
-		c.scDecode(s, s.chLLR, s.sums, 0, 0)
-	} else {
-		c.runSchedule(s)
-	}
-	return c.extract(dst, s)
-}
-
-// decodeReferenceInto mirrors DecodeInto through the retained recursive
-// reference decoder. The fast-SSC equivalence property tests and the CI
-// bench gate (BenchmarkPolarSC impl=reference) measure against it.
-func (c *Code) decodeReferenceInto(dst []uint8, llr []float64) []uint8 {
-	s := c.getScratch()
-	defer c.scratch.Put(s)
 	c.prepare(s, llr)
-	c.scDecode(s, s.chLLR, s.sums, 0, 0)
+	c.runSchedule(s)
 	return c.extract(dst, s)
 }
 
@@ -293,11 +276,8 @@ func (c *Code) getScratch() *scScratch {
 // prepare rate-recovers E channel LLRs into s.chLLR: punctured
 // positions get LLR 0 (erasure); repeated positions accumulate. The
 // first wrap assigns and later wraps add in whole runs, so the hot loop
-// carries no per-bit modulo. It reports whether any recovered LLR is
-// degenerate (NaN, Inf, or large enough that the g cascade could
-// overflow) — in which case the caller must use the recursive
-// reference, whose NaN/Inf handling is the ground truth.
-func (c *Code) prepare(s *scScratch, llr []float64) bool {
+// carries no per-bit modulo.
+func (c *Code) prepare(s *scScratch, llr []float64) {
 	if len(llr) != c.E {
 		panic(fmt.Sprintf("polar: Decode got %d LLRs, code has E = %d", len(llr), c.E))
 	}
@@ -324,14 +304,6 @@ func (c *Code) prepare(s *scScratch, llr []float64) bool {
 			dst[i] += src[i]
 		}
 	}
-	const signMask = 1 << 63
-	degenerate := false
-	for _, x := range s.chLLR {
-		if math.Float64bits(x)&^uint64(signMask) >= c.degenThresh {
-			degenerate = true
-		}
-	}
-	return degenerate
 }
 
 // extract copies the decided information bits out of s.u into dst.
@@ -346,12 +318,14 @@ func (c *Code) extract(dst []uint8, s *scScratch) []uint8 {
 	return dst
 }
 
-// scDecode is the retained recursive reference decoder: it processes
-// the subtree whose LLRs are llr (length N>>depth) and whose leftmost
-// leaf is input index base, writing the subtree's partial sums into
-// out. The fast-SSC executor (schedule.go) must stay bit-identical to
-// it on every input; it is also called directly as the fallback for
-// guarded rate-1 nodes and by decodeReferenceInto.
+// scDecode is recursive float min-sum SC: it processes the subtree
+// whose LLRs are llr (length N>>depth) and whose leftmost leaf is input
+// index base, writing the subtree's partial sums into out. The fast-SSC
+// executor (schedule.go) calls it for a rate-1 node, or the rate-1 half
+// of an SPC node, that holds an exact-zero LLR. In-contract inputs do
+// produce those: a NaN symbol demaps to 0, a punctured position
+// recovers to 0, and g computes b − a = 0 whenever b = a. The test
+// oracle runs it over the whole tree.
 func (c *Code) scDecode(s *scScratch, llr []float64, out []uint8, base, depth int) {
 	n := len(llr)
 	if n == 1 {

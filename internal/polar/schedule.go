@@ -25,33 +25,32 @@ import (
 // scScratch buffers, executed iteratively — no call overhead, and the
 // inner loops are flat slices the compiler can keep in registers.
 //
-// The contract is strict bit-identity with the retained recursive
-// reference (scDecode) on every input, enforced by property tests over
-// random frozen masks and adversarial LLRs. Two specializations are
-// guarded because plain shortcuts diverge from float min-sum SC on
-// degenerate inputs:
+// The executor's hard decisions are bit-identical to recursive float
+// min-sum SC (scDecode over the whole tree, the test oracle) on every
+// input within DecodeInto's contract, enforced by property and fuzz
+// tests over random frozen masks and adversarial LLRs. Two
+// specializations are guarded because plain shortcuts diverge from
+// float min-sum SC on exact ties:
 //
 //   - rate-1 hard decisions equal the SC result only when every node
 //     LLR is nonzero (an exact zero can flip sign under the f/g
 //     recursion: f(0,-5) = -0 decodes to 0, while the hard decision of
 //     the later g output may differ). The executor scans for zeros and
-//     falls back to the recursive reference for just that subtree.
+//     falls back to scDecode for just that subtree.
 //   - SPC is not decoded with the textbook min-|LLR| parity flip (whose
 //     tie-breaking and rounding differ from chained f/g floats); it
 //     replays the recursion's exact arithmetic level by level, so each
-//     intermediate equals the reference value operation for operation.
+//     intermediate equals scDecode's value operation for operation.
 //
 // Repetition nodes need no guard: the in-place butterfly sum performs
 // the identical additions in the identical order as the g-with-zero
-// cascade of the reference.
+// cascade of scDecode.
 //
-// NaN and infinity handling lives one level up: prepare screens the
-// recovered channel LLRs once, and DecodeInto routes any input that
-// could produce a non-finite intermediate (NaN, Inf, or magnitudes
-// large enough to overflow a g cascade) to the recursive reference
-// wholesale. The executor therefore assumes every LLR it touches is
-// finite — which is what lets the g step use a sign-flip add and the
-// rate-1/repetition shortcuts skip NaN ordering concerns.
+// There is no NaN or infinity handling: DecodeInto's contract (finite
+// channel LLRs of magnitude at most 1e6) keeps every intermediate far
+// below overflow, so every LLR the executor touches is finite. That is
+// what lets the g step use a sign-flip add and the rate-1/repetition
+// shortcuts skip NaN ordering concerns.
 
 // nodeOp kinds. opF/opG/opG0/opCombine are the generic tree ops; the
 // rest decode a whole constituent node.
@@ -90,12 +89,6 @@ func (c *Code) finish() {
 	}
 	c.schedule = c.schedule[:0]
 	c.emit(0, c.N, 0)
-	// Any channel LLR of magnitude >= 2^(1022 - log2 N) is "degenerate":
-	// a sum of N such values could overflow to Inf (and Inf - Inf to
-	// NaN) somewhere in the g cascade. Everything below keeps every
-	// intermediate strictly finite, because each intermediate is bounded
-	// by the sum of at most N channel-LLR magnitudes < 2^1023.
-	c.degenThresh = uint64(0x7FE-intLog2(c.N)) << 52
 }
 
 // classify maps a subtree to its constituent-node kind, or opBranch
@@ -160,8 +153,7 @@ func asBits(v []float64) []uint64 {
 // fBits is fLLR over raw IEEE-754 words: the sign of the output is the
 // XOR of the operand signs, the magnitude the smaller operand
 // magnitude (magnitudes of non-NaN doubles order correctly as unsigned
-// integers, and the reference's NaN ordering is this same integer
-// compare).
+// integers, and fLLR's NaN ordering is this same integer compare).
 func fBits(x, y uint64) uint64 {
 	const signMask = 1 << 63
 	sign := (x ^ y) & signMask
@@ -175,14 +167,13 @@ func fBits(x, y uint64) uint64 {
 
 // gSelect is the g step b ± a with the branch on the decoded bit u
 // replaced by XORing u into a's sign bit and always adding. u is
-// effectively random during decode, so the reference's data-dependent
+// effectively random during decode, so gLLR's data-dependent
 // branch mispredicts half the time; the sign-flip form is branch-free.
 // b + (-a) is bit-exact with b - a for every zero, denormal, finite
 // and infinite a (IEEE subtraction IS addition of the negated
 // operand). A NaN a would NOT be equivalent — the flipped sign changes
-// the payload the hardware propagates — but prepare's degeneracy
-// screen guarantees the fast path never sees a NaN, nor magnitudes
-// that could overflow into one mid-tree.
+// the payload the hardware propagates — but DecodeInto's contract
+// keeps every operand finite.
 func gSelect(a, b float64, u uint8) float64 {
 	return b + math.Float64frombits(math.Float64bits(a)^(uint64(u)<<63))
 }
@@ -299,7 +290,7 @@ func (c *Code) runSchedule(s *scScratch) {
 			c.rate1(s, c.nodeLLR(s, depth, n)[:n], base, n, depth)
 		case opRep:
 			// In-place butterfly halving performs the same additions in
-			// the same order as the reference's g-with-zero cascade
+			// the same order as scDecode's g-with-zero cascade
 			// (clobbering the node's LLR buffer is safe: it is dead once
 			// the node completes).
 			v := c.nodeLLR(s, depth, n)[:n]
@@ -339,13 +330,12 @@ func (c *Code) runSchedule(s *scScratch) {
 // (induction: f and g of same-sign operands preserve the product sign
 // structure, so every leaf decision reduces to the sign of its own
 // channel LLR); an exact zero anywhere voids that proof, so the node
-// falls back to the retained recursive reference. NaNs would void it
-// too, but prepare's degeneracy screen keeps them out of every buffer
-// rate1 can see.
+// falls back to scDecode. NaNs would void it too, but DecodeInto's
+// contract keeps them out of every buffer rate1 can see.
 func (c *Code) rate1(s *scScratch, v []float64, base, n, depth int) {
 	if n == 1 {
 		// The leaf rule verbatim: bit = 1 iff llr < 0 (so -0 and NaN
-		// decode to 0, exactly like the reference).
+		// decode to 0, exactly like scDecode's leaf).
 		var bit uint8
 		if v[0] < 0 {
 			bit = 1
@@ -355,9 +345,7 @@ func (c *Code) rate1(s *scScratch, v []float64, base, n, depth int) {
 		return
 	}
 	// Zero detection: w<<1 == 0 exactly when the raw bits encode ±0.
-	// NaNs need no check — prepare's degeneracy screen keeps them out
-	// of every buffer rate1 can see (runSchedule and spc run only on
-	// screened LLRs).
+	// NaNs need no check: under DecodeInto's contract none can arise.
 	out := s.sums[base : base+n]
 	switch n {
 	case 2:
@@ -396,9 +384,9 @@ func (c *Code) rate1(s *scScratch, v []float64, base, n, depth int) {
 			out[i] = uint8(w >> 63)
 		}
 		if zero {
-			// The recursive reference recomputes the node from its LLRs
-			// (the partial decisions above are fully overwritten) and
-			// writes the leaf u bits itself.
+			// scDecode recomputes the node from its LLRs (the partial
+			// decisions above are fully overwritten) and writes the leaf
+			// u bits itself.
 			c.scDecode(s, v, out, base, depth)
 			return
 		}
@@ -410,9 +398,9 @@ func (c *Code) rate1(s *scScratch, v []float64, base, n, depth int) {
 }
 
 // spc decodes a single-parity-check node (frozen only at base) by
-// replaying the reference recursion's operation sequence: an f-cascade
-// down to the size-2 repetition node, then per-level g, rate-1 hard
-// decision, and combine on the way back up. Every float op matches the
+// replaying scDecode's operation sequence: an f-cascade down to the
+// size-2 repetition node, then per-level g, rate-1 hard decision, and
+// combine on the way back up. Every float op matches the
 // recursion's op on the same operands in the same buffers, so the
 // result is bit-identical — including the rounding and tie cases a
 // direct Wagner (min-|LLR| parity flip) decode would get wrong.
@@ -431,8 +419,8 @@ func (c *Code) spc(s *scScratch, buf []float64, base, n, depth int) {
 		w0 := math.Float64bits(gSelect(buf[0], buf[2], bit))
 		w1 := math.Float64bits(gSelect(buf[1], buf[3], bit))
 		if w0<<1 == 0 || w1<<1 == 0 {
-			// Zero in the rate-1 pair: replay it through the reference
-			// (see rate1's guard).
+			// Zero in the rate-1 pair: replay it through scDecode (see
+			// rate1's guard).
 			lv := s.levels[depth][:2]
 			lv[0] = math.Float64frombits(w0)
 			lv[1] = math.Float64frombits(w1)
