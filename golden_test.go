@@ -32,8 +32,10 @@ type goldenRun struct {
 }
 
 // goldenSingleCell is the single-cell scenario: the Amarisoft preset at
-// seed 1 with 16 default UEs, as `cmd/nrscope -seed 1 -ues 16` runs it,
-// for 6000 slots (3 s of air time).
+// seed 1, for 6000 slots (3 s of air time), with 16 UEs whose channels
+// cycle through static, pedestrian, vehicle and urban. The faded UEs get
+// DCIs at higher aggregation levels, so one slot's UE DCIs span several
+// levels and their emission order is exercised.
 func goldenSingleCell(t *testing.T) goldenRun {
 	t.Helper()
 	const slots = 6000
@@ -41,8 +43,9 @@ func goldenSingleCell(t *testing.T) goldenRun {
 	if err != nil {
 		t.Fatal(err)
 	}
+	mobility := []string{"static", "pedestrian", "vehicle", "urban"}
 	for i := 0; i < 16; i++ {
-		tb.AttachUE(UEProfile{})
+		tb.AttachUE(UEProfile{Mobility: mobility[i%len(mobility)]})
 	}
 	jsonl := fnv.New64a()
 	enc := json.NewEncoder(jsonl)
@@ -70,7 +73,7 @@ func goldenSingleCell(t *testing.T) goldenRun {
 	}
 	run.JSONLFNV64 = fmt.Sprintf("%016x", jsonl.Sum64())
 	run.SpareFNV64 = fmt.Sprintf("%016x", spare.Sum64())
-	run.Description = fmt.Sprintf("Amarisoft preset, seed 1, 16 default UEs, %d slots", slots)
+	run.Description = fmt.Sprintf("Amarisoft preset, seed 1, 16 UEs of mixed mobility, %d slots", slots)
 	return run
 }
 
