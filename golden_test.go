@@ -85,9 +85,9 @@ type spareShare struct {
 
 // spareSplit lists a slot's per-UE spare bits, in any order.
 func spareSplit(sp *telemetry.SpareCapacity) []spareShare {
-	out := make([]spareShare, 0, len(sp.PerUE))
-	for rnti, bits := range sp.PerUE {
-		out = append(out, spareShare{rnti, bits})
+	out := make([]spareShare, len(sp.UEs))
+	for i, u := range sp.UEs {
+		out[i] = spareShare{u.RNTI, sp.Bits(i)}
 	}
 	return out
 }

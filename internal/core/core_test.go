@@ -367,7 +367,7 @@ func TestUEActivityAging(t *testing.T) {
 	if active < 500 || active > 1100 {
 		t.Errorf("measured active time %d slots, want ~900", active)
 	}
-	if len(tb.scope.KnownUEs()) != 0 {
+	if len(tb.scope.KnownUEs()) != 0 || len(tb.scope.tracks) != 0 {
 		t.Error("departed UE still tracked")
 	}
 }
@@ -381,7 +381,7 @@ func TestSpareCapacityReported(t *testing.T) {
 		_, res := tb.step()
 		// Keep a slot where the UE was actually scheduled, so both used
 		// and spare REs are meaningful.
-		if res.Spare != nil && len(res.Spare.PerUE) > 0 && res.Spare.UsedREs > 0 {
+		if res.Spare != nil && len(res.Spare.UEs) > 0 && res.Spare.UsedREs > 0 {
 			last = res.Spare
 		}
 	}
@@ -391,9 +391,9 @@ func TestSpareCapacityReported(t *testing.T) {
 	if last.UsedREs <= 0 || last.TotalREs <= last.UsedREs {
 		t.Errorf("implausible spare: %+v", last)
 	}
-	for rnti, bits := range last.PerUE {
-		if bits <= 0 {
-			t.Errorf("UE %#x spare bits %.0f", rnti, bits)
+	for i, u := range last.UEs {
+		if bits := last.Bits(i); bits <= 0 {
+			t.Errorf("UE %#x spare bits %.0f", u.RNTI, bits)
 		}
 	}
 }

@@ -16,7 +16,8 @@ import (
 )
 
 // snapshot is the read-only state a decode pass runs against (the
-// paper's "state copy" handed from the scheduler to a worker).
+// paper's "state copy" handed from the scheduler to a worker). The Scope
+// owns one and rewrites it before every slot (Scope.snapshot).
 type snapshot struct {
 	mib        *rrc.MIB
 	sib1       *rrc.SIB1
@@ -66,7 +67,9 @@ type newUE struct {
 	cand  phy.Candidate
 }
 
-// decodeResult is everything a decode pass found in one slot.
+// decodeResult is everything a decode pass found in one slot. The Scope
+// owns one: decodeSlot resets it, keeping the backing arrays of its find
+// lists, and merge copies what it keeps out of it before the next slot.
 type decodeResult struct {
 	slotIdx int
 	ref     phy.SlotRef
@@ -82,12 +85,19 @@ type decodeResult struct {
 	elapsed time.Duration
 }
 
+// reset readies r for the slot of cap, reusing its find lists' storage.
+func (r *decodeResult) reset(cap *radio.Capture) {
+	*r = decodeResult{
+		slotIdx: cap.SlotIdx, ref: cap.Ref,
+		common: r.common[:0], newUEs: r.newUEs[:0], data: r.data[:0],
+	}
+}
+
 // slotScratch is the reusable working memory of one decodeSlot pass:
 // occupancy/claim masks for both CORESETs, the common-search-space
 // candidate list, the position arena, and the buffers of the UE
 // confirmation step. The Scope owns one, so steady-state slots allocate
-// nothing for any of it. Nothing in a decodeResult may point into it:
-// the next slot's decode overwrites it.
+// nothing for any of it. Nothing in a decodeResult may point into it.
 type slotScratch struct {
 	occupied   []bool
 	claimed    []bool
@@ -97,9 +107,8 @@ type slotScratch struct {
 	cssBlock   []uint8
 	pdschBuf   []byte // SIB1/MSG4 transport-block bytes (pdsch.DecodeInto)
 	arena      posArena
-	hits       []int           // tracked-UE indices named by one level's CRCs
-	cands      []phy.Candidate // one hit UE's hashed candidates
-	found      []ueFind        // confirmed UE DCIs, in confirmation order
+	hits       []int    // tracked-UE indices named by one level's CRCs
+	found      []ueFind // confirmed UE DCIs, in confirmation order
 }
 
 // boolMask resizes buf to n entries, filled with fill.
@@ -121,10 +130,12 @@ const raRNTILookback = 5
 
 // decodeSlot is the pure (state-immutable) per-slot processing: the
 // "SIBs thread", "RACH thread" and "DCI threads" of the paper's Fig. 4
-// all run here against the snapshot.
+// all run here against the snapshot. It returns the Scope's owned
+// result, valid until the next call.
 func (s *Scope) decodeSlot(snap *snapshot, cap *radio.Capture) *decodeResult {
 	start := time.Now()
-	res := &decodeResult{slotIdx: cap.SlotIdx, ref: cap.Ref}
+	res := &s.res
+	res.reset(cap)
 	met.slots.Inc()
 	defer func() {
 		res.elapsed = time.Since(start)
@@ -300,9 +311,8 @@ func (s *Scope) decodeUESpace(snap *snapshot, cap *radio.Capture, res *decodeRes
 	// Emit in tracked-UE order, then candidate order, as a sweep over the
 	// UE list would.
 	slices.SortFunc(sc.found, func(a, b ueFind) int { return cmp.Or(a.ue-b.ue, a.k-b.k) })
-	res.data = make([]foundDCI, len(sc.found))
 	for j := range sc.found {
-		res.data[j] = sc.found[j].f
+		res.data = append(res.data, sc.found[j].f)
 	}
 }
 
@@ -400,6 +410,7 @@ func (s *Scope) decodePositions(snap *snapshot, cap *radio.Capture, sizeClass dc
 			continue
 		}
 		fits := pdcch.PayloadFits(payloadBits, al)
+		off := phy.LevelOffset(snap.ueSS, snap.ueCoreset, al)
 		sc.hits = sc.hits[:0]
 		for cce := 0; cce+al <= nCCE; cce += al {
 			if !spanTrue(occupied, cce, al) || anyTrue(claimed, cce, al) {
@@ -419,7 +430,7 @@ func (s *Scope) decodePositions(snap *snapshot, cap *radio.Capture, sizeClass dc
 		}
 		slices.Sort(sc.hits)
 		for _, ue := range slices.Compact(sc.hits) {
-			confirmUE(snap, cap, ue, al, sizeClass, claimed, sc)
+			confirmUE(snap, cap, ue, al, off, sizeClass, claimed, sc)
 		}
 	}
 }
@@ -440,25 +451,27 @@ func (s *Scope) decodePosition(snap *snapshot, cap *radio.Capture, payloadBits i
 	}
 }
 
-// confirmUE walks tracked UE ue's hashed candidates at aggregation level
-// al, in candidate order, over the positions whose CRC named it, and
-// claims the CCEs of each DCI it confirms. A UE can legitimately receive
-// several DCIs in one TTI (a retransmission plus new data, or a downlink
-// assignment plus an uplink grant), so every one is kept. The claim mask
-// also applies the same-UE overlap rule: a candidate over CCEs an
-// earlier hit already explained is skipped. A position naming the UE
-// that is none of its candidates is a chance CRC pass on someone else's
-// (or no one's) block; it is dropped and claims nothing.
-func confirmUE(snap *snapshot, cap *radio.Capture, ue, al int, sizeClass dci.SizeClass, claimed []bool, sc *slotScratch) {
+// confirmUE walks tracked UE ue's M_L hashed candidates at aggregation
+// level al, in candidate order, over the positions whose CRC named it,
+// and claims the CCEs of each DCI it confirms. Candidate m's emission key
+// is off+m, its index in phy.AppendSlotCandidates order (off is
+// phy.LevelOffset of al). A UE can legitimately receive several DCIs in
+// one TTI (a retransmission plus new data, or a downlink assignment plus
+// an uplink grant), so every one is kept. The claim mask also applies
+// the same-UE overlap rule: a candidate over CCEs an earlier hit already
+// explained is skipped. A position naming the UE that is none of its
+// candidates is a chance CRC pass on someone else's (or no one's) block;
+// it is dropped and claims nothing.
+func confirmUE(snap *snapshot, cap *radio.Capture, ue, al, off int, sizeClass dci.SizeClass, claimed []bool, sc *slotScratch) {
 	ar := &sc.arena
 	rnti := snap.ues.rntis[ue]
-	sc.cands = phy.AppendSlotCandidates(sc.cands[:0], snap.ueSS, snap.ueCoreset, rnti, cap.Ref.Slot)
-	for k, cand := range sc.cands {
-		if cand.AggLevel != al {
+	for m := range snap.ueSS.Candidates[al] {
+		cce, ok := phy.CandidateCCE(snap.ueSS, snap.ueCoreset, rnti, cap.Ref.Slot, al, m)
+		if !ok {
 			continue
 		}
-		idx := ar.find(al, cand.StartCCE)
-		if idx < 0 || ar.rnti[idx] != int32(rnti) || anyTrue(claimed, cand.StartCCE, al) {
+		idx := ar.find(al, cce)
+		if idx < 0 || ar.rnti[idx] != int32(rnti) || anyTrue(claimed, cce, al) {
 			continue
 		}
 		d, err := dci.Unpack(ar.writeBlock(idx)[:ar.blockLen-24], sizeClass, snap.dataCfg)
@@ -472,8 +485,9 @@ func confirmUE(snap *snapshot, cap *radio.Capture, ue, al int, sizeClass dci.Siz
 			continue
 		}
 		met.candMatched.Inc()
-		markTrue(claimed, cand.StartCCE, al)
-		sc.found = append(sc.found, ueFind{ue: ue, k: k, f: foundDCI{rnti: rnti, d: d, grant: grant, cand: cand}})
+		markTrue(claimed, cce, al)
+		cand := phy.Candidate{AggLevel: al, Index: m, StartCCE: cce}
+		sc.found = append(sc.found, ueFind{ue: ue, k: off + m, f: foundDCI{rnti: rnti, d: d, grant: grant, cand: cand}})
 	}
 }
 

@@ -168,15 +168,19 @@ type Scope struct {
 	link      dci.LinkConfig
 
 	ues       map[uint16]*UETrack
-	tracked   *ueIndex                         // the keys of ues in discovery order; replaced, never mutated
-	active    map[uint16]telemetry.UELinkState // spareCapacity's per-slot input, reused
+	tracked   *ueIndex   // the keys of ues in discovery order; replaced, never mutated
+	tracks    []*UETrack // the values of ues in the same order, rebuilt with tracked
 	estimator *telemetry.WindowEstimator
 	departed  []UEActivity
 	lastPurge int
 
-	// Per-slot decode working memory (masks, the position arena), owned
-	// because a Scope decodes one slot at a time.
+	// Per-slot state, owned because a Scope decodes one slot at a time:
+	// the snapshot and result of the slot in flight, the decode working
+	// memory (masks, the position arena), and spareCapacity's UE list.
+	snap    snapshot
+	res     decodeResult
 	scratch slotScratch
+	spare   []telemetry.SpareUE
 
 	bus *bus.Bus // optional telemetry distribution bus
 }
@@ -194,7 +198,6 @@ func New(cellID uint16, opts ...Option) *Scope {
 		window:          100 * time.Millisecond,
 		ues:             make(map[uint16]*UETrack),
 		tracked:         newUEIndex(nil),
-		active:          make(map[uint16]telemetry.UELinkState),
 	}
 	for _, o := range opts {
 		o(s)
@@ -262,9 +265,9 @@ func (s *Scope) ProcessSlot(cap *radio.Capture) *SlotResult {
 
 // snapshot captures the read-only state a decode pass needs, as the
 // paper's scheduler copies its state (known UE list, cell configuration)
-// to a worker.
+// to a worker. It rewrites and returns the Scope's owned snapshot.
 func (s *Scope) snapshot() *snapshot {
-	return &snapshot{
+	s.snap = snapshot{
 		mib:        s.mib,
 		sib1:       s.sib1,
 		setup:      s.setup,
@@ -279,6 +282,7 @@ func (s *Scope) snapshot() *snapshot {
 		verifyMSG4: s.verifyMSG4,
 		dmrsGate:   s.dmrsGate,
 	}
+	return &s.snap
 }
 
 // merge applies a decode result to the scope state, in slot order.
@@ -317,11 +321,13 @@ func (s *Scope) merge(res *decodeResult) *SlotResult {
 		if _, known := s.ues[nu.rnti]; known {
 			continue
 		}
-		s.ues[nu.rnti] = &UETrack{
+		track := &UETrack{
 			RNTI: nu.rnti, FirstSeen: res.slotIdx, LastSeen: res.slotIdx,
 			DL: harq.NewTracker(), UL: harq.NewTracker(),
 		}
+		s.ues[nu.rnti] = track
 		s.tracked = newUEIndex(append(slices.Clip(s.tracked.rntis), nu.rnti))
+		s.tracks = append(s.tracks, track)
 		out.NewUEs = append(out.NewUEs, nu.rnti)
 		rec := telemetry.FromGrant(res.slotIdx, res.ref, nu.grant, false)
 		rec.NewUE = true
@@ -395,20 +401,27 @@ func (s *Scope) merge(res *decodeResult) *SlotResult {
 	return out
 }
 
-// spareCapacity computes the §5.4.1 fair-share split for this TTI.
+// spareCapacity computes the §5.4.1 fair-share split for this TTI over
+// the UEs with a known MCS seen within the estimator window, in tracked
+// order. The split retains its UE list, so it gets an exact-size copy of
+// the owned buffer the walk fills.
 func (s *Scope) spareCapacity(slotIdx, usedREs int) *telemetry.SpareCapacity {
 	// Data region: symbols 2..13 across the carrier (the control region
 	// and its PDSCH share were accounted as used by their own grants).
 	dataSymbols := phy.DefaultTimeAllocTable[0].NumSymbols
 	total := s.sib1.CarrierPRBs * phy.SubcarriersPerPRB * dataSymbols
-	clear(s.active) // ComputeSpare does not retain it
-	for rnti, track := range s.ues {
-		if !track.haveMCS || slotIdx-track.LastSeen > s.estimatorWindowSlots() {
+	window := s.estimatorWindowSlots()
+	s.spare = s.spare[:0]
+	for _, track := range s.tracks {
+		if !track.haveMCS || slotIdx-track.LastSeen > window {
 			continue
 		}
-		s.active[rnti] = telemetry.UELinkState{Entry: track.lastMCS, Layers: track.lastLayers}
+		s.spare = append(s.spare, telemetry.SpareUE{
+			RNTI:        track.RNTI,
+			UELinkState: telemetry.UELinkState{Entry: track.lastMCS, Layers: track.lastLayers},
+		})
 	}
-	sc := telemetry.ComputeSpare(total, usedREs, s.active)
+	sc := telemetry.ComputeSpare(total, usedREs, slices.Clone(s.spare))
 	return &sc
 }
 
@@ -430,20 +443,23 @@ func (s *Scope) purgeInactive(slotIdx int) {
 	}
 	s.lastPurge = slotIdx
 	kept := make([]uint16, 0, len(s.tracked.rntis))
-	for _, rnti := range s.tracked.rntis {
-		track := s.ues[rnti]
+	tracks := s.tracks[:0]
+	for _, track := range s.tracks {
 		if slotIdx-track.LastSeen > s.inactivitySlots {
-			s.departed = append(s.departed, UEActivity{RNTI: rnti, FirstSeen: track.FirstSeen, LastSeen: track.LastSeen})
-			delete(s.ues, rnti)
+			s.departed = append(s.departed, UEActivity{RNTI: track.RNTI, FirstSeen: track.FirstSeen, LastSeen: track.LastSeen})
+			delete(s.ues, track.RNTI)
 			if s.estimator != nil {
 				// The C-RNTI may be reassigned; its flow windows must
 				// not survive the session (unbounded growth otherwise).
-				s.estimator.Remove(rnti)
+				s.estimator.Remove(track.RNTI)
 			}
 			continue
 		}
-		kept = append(kept, rnti)
+		kept = append(kept, track.RNTI)
+		tracks = append(tracks, track)
 	}
+	clear(s.tracks[len(tracks):]) // release the departed tracks
+	s.tracks = tracks
 	if len(kept) != len(s.tracked.rntis) {
 		s.tracked = newUEIndex(kept)
 	}

@@ -167,7 +167,7 @@ func runCongestion(kind string, slots int, seed int64) (Series, float64, float64
 				tel.OnRecord(rec)
 			}
 			if res.Spare != nil {
-				tel.OnSpare(res.Spare.PerUE[target] / tti.Seconds() * dutyCycle)
+				tel.OnSpare(spareBits(res.Spare, target) / tti.Seconds() * dutyCycle)
 			}
 			tel.OnIdle(out.SlotIdx)
 			sender.SetRate(tel.Rate())

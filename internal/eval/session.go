@@ -110,7 +110,6 @@ type SpareSample struct {
 	SlotIdx  int
 	UsedREs  int
 	TotalREs int
-	PerUE    map[uint16]float64
 }
 
 // SessionResult aggregates everything a figure needs.
@@ -203,8 +202,7 @@ func Run(sc SessionConfig) (*SessionResult, error) {
 		}
 		if sr.Spare != nil {
 			res.Spares = append(res.Spares, SpareSample{
-				SlotIdx: sr.SlotIdx, UsedREs: sr.Spare.UsedREs,
-				TotalREs: sr.Spare.TotalREs, PerUE: sr.Spare.PerUE,
+				SlotIdx: sr.SlotIdx, UsedREs: sr.Spare.UsedREs, TotalREs: sr.Spare.TotalREs,
 			})
 		}
 		if out.SlotIdx%sampleEvery == 0 && out.SlotIdx > 0 {
@@ -232,8 +230,19 @@ func (r *SessionResult) sampleBitrates(slotIdx int, sr *core.SlotResult) {
 		s := BitrateSample{SlotIdx: slotIdx, RNTI: rnti, EstBps: est, GTBps: gt}
 		if sr.Spare != nil {
 			tti := r.Config.Cell.TTI().Seconds()
-			s.SpareBps = sr.Spare.PerUE[rnti] / tti
+			s.SpareBps = spareBits(sr.Spare, rnti) / tti
 		}
 		r.Bitrates = append(r.Bitrates, s)
 	}
+}
+
+// spareBits returns rnti's spare bits in a TTI's split, 0 when the UE
+// was not active in it.
+func spareBits(sp *telemetry.SpareCapacity, rnti uint16) float64 {
+	for i, u := range sp.UEs {
+		if u.RNTI == rnti {
+			return sp.Bits(i)
+		}
+	}
+	return 0
 }

@@ -243,13 +243,13 @@ func (st *Store) IngestSpare(cellID uint16, slotIdx int, sp *telemetry.SpareCapa
 		cb.UsedREs += int64(sp.UsedREs)
 		cb.TotalREs += int64(sp.TotalREs)
 	}
-	for rnti, bits := range sp.PerUE {
-		u := st.ues[ueKey{cellID, rnti}]
+	for i, su := range sp.UEs {
+		u := st.ues[ueKey{cellID, su.RNTI}]
 		if u == nil {
 			continue
 		}
 		if ub := u.series.advance(idx, u.close, u.evict); ub != nil {
-			ub.SpareBits += bits
+			ub.SpareBits += sp.Bits(i)
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"nrscope/internal/bus"
+	"nrscope/internal/mcs"
 	"nrscope/internal/obs"
 	"nrscope/internal/telemetry"
 )
@@ -219,14 +220,16 @@ func TestTopK(t *testing.T) {
 func TestSpareIngest(t *testing.T) {
 	st := newTestStore(t, Config{BinWidth: 100 * time.Millisecond, Depth: 8})
 	st.Ingest(1, msRec(10, 0xA, true, 1000, 4, false))
-	sp := &telemetry.SpareCapacity{
-		TotalREs: 5000, UsedREs: 2000,
-		PerUE: map[uint16]float64{0xA: 1234, 0xB: 999}, // 0xB untracked
-	}
+	e, _ := mcs.TableQAM64.Lookup(10)
+	sp := new(telemetry.SpareCapacity)
+	*sp = telemetry.ComputeSpare(5000, 2000, []telemetry.SpareUE{
+		{RNTI: 0xA, UELinkState: telemetry.UELinkState{Entry: e, Layers: 2}},
+		{RNTI: 0xB, UELinkState: telemetry.UELinkState{Entry: e, Layers: 1}}, // untracked
+	})
 	st.IngestSpare(1, 50, sp) // slot 50 at 1 ms TTI -> bin 0
 	bins, _ := st.Query(1, 0xA, 0, 0, 1)
-	if len(bins) != 1 || bins[0].SpareBits != 1234 {
-		t.Errorf("UE spare bins = %+v", bins)
+	if want := sp.Bits(0); len(bins) != 1 || want <= 0 || bins[0].SpareBits != want {
+		t.Errorf("UE spare bins = %+v, want SpareBits %v", bins, want)
 	}
 	if st.TrackedUEs() != 1 {
 		t.Error("spare data created a UE series")

@@ -200,44 +200,47 @@ type SpareCapacity struct {
 	TotalREs int
 	// UsedREs is the sum of allocated effective REs.
 	UsedREs int
-	// PerUE maps each active UE to its fair share of spare bits in the
-	// TTI (already scaled by its MCS).
-	PerUE map[uint16]float64
+	// UEs are the active UEs the spare was split across, in the scope's
+	// tracked-UE order; Bits(i) is UE i's share in bits.
+	UEs []SpareUE
 	// ShareREs is the spare REs each UE was assigned, rounded down (the
 	// integer view of ShareREsExact, kept for display).
 	ShareREs int
-	// ShareREsExact is the exact fractional per-UE share. PerUE is
-	// rated from this, so a spare smaller than the UE count still
-	// yields nonzero per-UE capacity instead of rounding to nothing.
+	// ShareREsExact is the exact fractional per-UE share. Bits rates
+	// this, so a spare smaller than the UE count still yields nonzero
+	// per-UE capacity instead of rounding to nothing.
 	ShareREsExact float64
 }
 
-// ComputeSpare runs the fair-share split for one TTI. entries maps each
-// active UE to its current MCS entry and layer count.
+// UELinkState is the link a UE's spare share is rated at: its current
+// MCS entry and layer count.
 type UELinkState struct {
 	Entry  mcs.Entry
 	Layers int
 }
 
-// ComputeSpare splits (totalREs - usedREs) evenly and rates each share.
-func ComputeSpare(totalREs, usedREs int, ues map[uint16]UELinkState) SpareCapacity {
-	sc := SpareCapacity{TotalREs: totalREs, UsedREs: usedREs, PerUE: make(map[uint16]float64, len(ues))}
-	spare := totalREs - usedREs
-	if spare < 0 {
-		spare = 0
-	}
+// SpareUE is one active UE of a spare split.
+type SpareUE struct {
+	RNTI uint16
+	UELinkState
+}
+
+// Bits returns UE i's fair share of spare bits in the TTI: the share,
+// rated at the UE's MCS and layer count (at least one).
+func (sc *SpareCapacity) Bits(i int) float64 {
+	u := sc.UEs[i]
+	return mcs.SpareCapacityBitsExact(sc.ShareREsExact, u.Entry, max(u.Layers, 1))
+}
+
+// ComputeSpare splits (totalREs - usedREs) evenly across ues. The split
+// keeps ues as its UEs.
+func ComputeSpare(totalREs, usedREs int, ues []SpareUE) SpareCapacity {
+	sc := SpareCapacity{TotalREs: totalREs, UsedREs: usedREs, UEs: ues}
 	if len(ues) == 0 {
 		return sc
 	}
-	share := float64(spare) / float64(len(ues))
+	spare := max(totalREs-usedREs, 0)
 	sc.ShareREs = spare / len(ues)
-	sc.ShareREsExact = share
-	for rnti, st := range ues {
-		layers := st.Layers
-		if layers < 1 {
-			layers = 1
-		}
-		sc.PerUE[rnti] = mcs.SpareCapacityBitsExact(share, st.Entry, layers)
-	}
+	sc.ShareREsExact = float64(spare) / float64(len(ues))
 	return sc
 }

@@ -106,17 +106,23 @@ func TestWindowEstimatorAcceptsLateInWindow(t *testing.T) {
 func TestComputeSpare(t *testing.T) {
 	hi, _ := mcs.TableQAM256.Lookup(27)
 	lo, _ := mcs.TableQAM256.Lookup(5)
-	ues := map[uint16]UELinkState{
-		1: {Entry: hi, Layers: 1},
-		2: {Entry: lo, Layers: 1},
+	ues := []SpareUE{
+		{RNTI: 1, UELinkState: UELinkState{Entry: hi, Layers: 1}},
+		{RNTI: 2, UELinkState: UELinkState{Entry: lo, Layers: 1}},
 	}
 	sc := ComputeSpare(1000, 400, ues)
 	if sc.ShareREs != 300 {
 		t.Errorf("ShareREs = %d, want 300", sc.ShareREs)
 	}
 	// Same spare REs, different bitrates (paper Fig. 14a).
-	if sc.PerUE[1] <= sc.PerUE[2] {
-		t.Errorf("high-MCS UE spare %.0f not above low-MCS %.0f", sc.PerUE[1], sc.PerUE[2])
+	if sc.Bits(0) <= sc.Bits(1) {
+		t.Errorf("high-MCS UE spare %.0f not above low-MCS %.0f", sc.Bits(0), sc.Bits(1))
+	}
+	// Bits rates the share exactly as the split always has, with layers
+	// floored at one.
+	sc.UEs[1].Layers = 0
+	if got, want := sc.Bits(1), mcs.SpareCapacityBitsExact(300, lo, 1); got != want {
+		t.Errorf("Bits(1) = %v, want %v", got, want)
 	}
 }
 
@@ -125,26 +131,24 @@ func TestComputeSpare(t *testing.T) {
 // the share is fractional now and the remainder is never discarded.
 func TestComputeSpareSmallSpare(t *testing.T) {
 	e, _ := mcs.TableQAM64.Lookup(10)
-	ues := map[uint16]UELinkState{
-		1: {Entry: e, Layers: 1},
-		2: {Entry: e, Layers: 1},
-		3: {Entry: e, Layers: 1},
-		4: {Entry: e, Layers: 1},
+	ues := make([]SpareUE, 4)
+	for i := range ues {
+		ues[i] = SpareUE{RNTI: uint16(i + 1), UELinkState: UELinkState{Entry: e, Layers: 1}}
 	}
 	sc := ComputeSpare(103, 100, ues) // spare 3 REs across 4 UEs
 	if sc.ShareREsExact != 0.75 {
 		t.Errorf("ShareREsExact = %v, want 0.75", sc.ShareREsExact)
 	}
-	for rnti, bits := range sc.PerUE {
-		if bits <= 0 {
-			t.Errorf("ue %d spare = %v, want > 0 for a 0.75-RE share", rnti, bits)
+	for i, u := range sc.UEs {
+		if bits := sc.Bits(i); bits <= 0 {
+			t.Errorf("ue %d spare = %v, want > 0 for a 0.75-RE share", u.RNTI, bits)
 		}
 	}
 	// The shares must re-assemble the whole spare: nothing discarded.
 	want := mcs.SpareCapacityBits(3, e, 1)
 	var got float64
-	for _, bits := range sc.PerUE {
-		got += bits
+	for i := range sc.UEs {
+		got += sc.Bits(i)
 	}
 	if math.Abs(got-want) > 1e-9 {
 		t.Errorf("summed spare %v, want %v (remainder discarded)", got, want)
@@ -152,13 +156,13 @@ func TestComputeSpareSmallSpare(t *testing.T) {
 }
 
 func TestComputeSpareEdgeCases(t *testing.T) {
-	sc := ComputeSpare(100, 150, map[uint16]UELinkState{})
-	if len(sc.PerUE) != 0 || sc.ShareREs != 0 {
+	sc := ComputeSpare(100, 150, nil)
+	if len(sc.UEs) != 0 || sc.ShareREs != 0 {
 		t.Error("empty-UE spare not empty")
 	}
 	e, _ := mcs.TableQAM64.Lookup(10)
-	sc = ComputeSpare(100, 150, map[uint16]UELinkState{1: {Entry: e, Layers: 1}})
-	if sc.PerUE[1] != 0 {
+	sc = ComputeSpare(100, 150, []SpareUE{{RNTI: 1, UELinkState: UELinkState{Entry: e, Layers: 1}}})
+	if sc.Bits(0) != 0 {
 		t.Error("overallocated TTI produced positive spare")
 	}
 }
