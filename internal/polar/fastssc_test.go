@@ -3,7 +3,9 @@ package polar
 import (
 	"fmt"
 	"math"
+	mathbits "math/bits"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"nrscope/internal/bits"
@@ -176,12 +178,139 @@ func TestFastSSCRoundTrip(t *testing.T) {
 	}
 }
 
+// nearCodeword returns the BPSK image of a random codeword of c,
+// perturbed the ways a codeword check could be fooled: magnitudes all
+// tied or drawn at random, then 0–3 sign flips, a ±0, and ±MaxLLR
+// spikes, each independently present or not.
+func nearCodeword(rng *rand.Rand, c *Code) []float64 {
+	llr := bpskLLR(c.Encode(randomBits(rng, c.K)), 1)
+	tied := rng.Intn(2) == 0
+	for i := range llr {
+		if !tied {
+			llr[i] *= 0.25 + 8*rng.Float64()
+		}
+	}
+	for f := rng.Intn(4); f > 0; f-- {
+		llr[rng.Intn(len(llr))] *= -1
+	}
+	if rng.Intn(2) == 0 {
+		llr[rng.Intn(len(llr))] = math.Copysign(0, float64(rng.Intn(2))-0.5)
+	}
+	for f := rng.Intn(3); f > 0; f-- {
+		i := rng.Intn(len(llr))
+		llr[i] = math.Copysign(modulation.MaxLLR, llr[i])
+	}
+	return llr
+}
+
+// TestFastSSCMatchesReferenceNearCodewords holds the codeword checks to
+// the oracle where they decide: on codewords and on inputs a few sign
+// flips, a zero or a tie away from one, over every codec shape and
+// over random masks, whose unpunctured roots are checked whole.
+func TestFastSSCMatchesReferenceNearCodewords(t *testing.T) {
+	rng := rand.New(rand.NewSource(2024))
+	var codes []*Code
+	for _, ke := range codecShapes() {
+		c, err := NewCode(ke[0], ke[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		codes = append(codes, c)
+	}
+	for _, n := range []int{32, 64, 128, 256, 512} {
+		for _, density := range []float64{0.3, 0.6, 0.9} {
+			frozen := make([]bool, n)
+			for i := range frozen {
+				frozen[i] = rng.Float64() < density
+			}
+			frozen[n-1] = false
+			codes = append(codes, newMaskCode(t, frozen))
+		}
+	}
+	for _, c := range codes {
+		for trial := 0; trial < 40; trial++ {
+			requireOracle(t, c, nearCodeword(rng, c), fmt.Sprintf("near-codeword trial %d", trial))
+		}
+	}
+}
+
+// TestCheckPlacement pins the rules that keep a missed check cheap: a
+// check sits only on a branch node of at least minCheck positions whose
+// LLRs cannot hold a punctured zero, never inside another check's
+// subtree, its screens are frozen positions that read few LLRs, and its
+// jump lands just past that subtree. Taint is derived here by running
+// the recursion's arithmetic on magnitudes — 0 for a punctured
+// position, 1 otherwise, f = min, g = sum — so a node LLR is 0 exactly
+// when a punctured zero reaches it.
+func TestCheckPlacement(t *testing.T) {
+	for _, ke := range codecShapes() {
+		c, err := NewCode(ke[0], ke[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		reach := map[[3]int][]float64{} // (base, n, depth) -> node magnitudes
+		var walk func(v []float64, base, depth int)
+		walk = func(v []float64, base, depth int) {
+			reach[[3]int{base, len(v), depth}] = v
+			if len(v) == 1 {
+				return
+			}
+			half := len(v) / 2
+			l, r := make([]float64, half), make([]float64, half)
+			for i := range l {
+				l[i] = math.Min(v[i], v[i+half])
+				r[i] = v[i] + v[i+half]
+			}
+			walk(l, base, depth+1)
+			walk(r, base+half, depth+1)
+		}
+		root := make([]float64, c.N)
+		for i := c.punct; i < c.N; i++ {
+			root[i] = 1
+		}
+		walk(root, 0, 0)
+		for pc, op := range c.schedule {
+			if op.kind != opCheck {
+				continue
+			}
+			base, n, depth := int(op.base), int(op.n), int(op.depth)
+			where := fmt.Sprintf("K=%d E=%d check [%d,%d)", c.K, c.E, base, base+n)
+			if n < minCheck || c.classify(base, n) != opBranch {
+				t.Errorf("%s: not a branch node of at least %d positions", where, minCheck)
+			}
+			if slices.Contains(reach[[3]int{base, n, depth}], 0) {
+				t.Errorf("%s: a punctured zero reaches its LLRs", where)
+			}
+			for _, i := range c.checks[op.aux].screen {
+				if reads := 1 << mathbits.OnesCount(uint((n-1)&^int(i))); !c.isFrozen[base+int(i)] || reads > min(n/4, maxSpan) {
+					t.Errorf("%s: screen %d is not frozen or reads %d LLRs", where, i, reads)
+				}
+			}
+			end := c.checks[op.aux].end
+			for _, in := range c.schedule[pc+1 : end] {
+				if int(in.base) < base || int(in.base+in.n) > base+n {
+					t.Errorf("%s: op over [%d,%d) inside its jump", where, in.base, in.base+in.n)
+				}
+				if in.kind == opCheck {
+					t.Errorf("%s: nested check at [%d,%d)", where, in.base, in.base+in.n)
+				}
+			}
+			if end < len(c.schedule) {
+				if next := c.schedule[end]; int(next.base) >= base && int(next.base+next.n) <= base+n {
+					t.Errorf("%s: jump lands inside its subtree", where)
+				}
+			}
+		}
+	}
+}
+
 // TestScheduleCoversAllKinds: the DCI-shaped codes must actually
-// contain specialized nodes — if classification regressed to emitting
-// only generic branches, the speedup claim would silently evaporate.
+// contain specialized nodes and codeword checks — if classification
+// regressed to emitting only generic branches, the speedup claim would
+// silently evaporate.
 func TestScheduleCoversAllKinds(t *testing.T) {
 	counts := map[uint8]int{}
-	for _, ke := range [][2]int{{64, 432}, {104, 864}, {54, 108}} {
+	for _, ke := range [][2]int{{64, 432}, {104, 864}, {54, 108}, {69, 108}, {62, 432}} {
 		c, err := NewCode(ke[0], ke[1])
 		if err != nil {
 			t.Fatal(err)
@@ -190,7 +319,7 @@ func TestScheduleCoversAllKinds(t *testing.T) {
 			counts[op.kind]++
 		}
 	}
-	for kind, name := range map[uint8]string{opRate0: "rate-0", opRate1: "rate-1", opRep: "repetition", opSPC: "SPC"} {
+	for kind, name := range map[uint8]string{opRate0: "rate-0", opRate1: "rate-1", opRep: "repetition", opSPC: "SPC", opCheck: "codeword check"} {
 		if counts[kind] == 0 {
 			t.Errorf("no %s nodes scheduled across the DCI shapes", name)
 		}
@@ -218,22 +347,60 @@ func TestDecodeSingleAlloc(t *testing.T) {
 	}
 }
 
-// BenchmarkPolarSC is the CI-gated SC-pass comparison: the fast-SSC
-// schedule sweep must beat recursive SC (scDecode) by >= 2x at
-// 0 allocs/op (cmd/benchgate over BENCH_polar.json). Rate recovery runs
-// once outside the timer (neither decoder mutates the channel LLRs), so
-// the ratio measures the SC pass in isolation.
-func BenchmarkPolarSC(b *testing.B) {
-	rng := rand.New(rand.NewSource(11))
-	for _, ke := range [][2]int{{64, 432}, {104, 864}, {54, 108}} {
-		c, err := NewCode(ke[0], ke[1])
-		if err != nil {
-			b.Fatal(err)
-		}
-		llr := bpskLLR(c.Encode(randomBits(rng, c.K)), 8)
+// benchInput is one benchmark arm's code and channel LLRs.
+type benchInput struct {
+	name string
+	c    *Code
+	llr  []float64
+}
+
+// benchInputs are the channel LLRs the polar benchmarks decode. The
+// gate shapes (64,432), (104,864) and (54,108) keep their single
+// input, a codeword plus N(0,1) at amplitude 8, under their original
+// names. The live shapes (69,108), the UE-specific DCI over one CCE,
+// and (62,432), the fallback DCI at AL 4, each get three: llr=clean
+// (the same codeword + noise, which every codeword check accepts),
+// llr=noisy (amplitude 2, about 2 % sign errors) and llr=noise
+// (Gaussian LLRs, no codeword: every check misses).
+func benchInputs(rng *rand.Rand) []benchInput {
+	noisy := func(c *Code, amp float64) []float64 {
+		llr := bpskLLR(c.Encode(randomBits(rng, c.K)), amp)
 		for i := range llr {
 			llr[i] += rng.NormFloat64()
 		}
+		return llr
+	}
+	var out []benchInput
+	for _, ke := range [][2]int{{64, 432}, {104, 864}, {54, 108}, {69, 108}, {62, 432}} {
+		c, err := NewCode(ke[0], ke[1])
+		if err != nil {
+			panic(err)
+		}
+		name := fmt.Sprintf("k=%d/e=%d", c.K, c.E)
+		if ke[0] != 69 && ke[0] != 62 {
+			out = append(out, benchInput{name, c, noisy(c, 8)})
+			continue
+		}
+		noise := make([]float64, c.E)
+		for i := range noise {
+			noise[i] = rng.NormFloat64() * 4
+		}
+		out = append(out,
+			benchInput{name + "/llr=clean", c, noisy(c, 8)},
+			benchInput{name + "/llr=noisy", c, noisy(c, 2)},
+			benchInput{name + "/llr=noise", c, noise})
+	}
+	return out
+}
+
+// BenchmarkPolarSC is the CI-gated SC-pass comparison: the fast-SSC
+// schedule sweep must beat recursive SC (scDecode) by >= 2x at
+// 0 allocs/op on k=64/e=432 (cmd/benchgate over BENCH_polar.json). Rate
+// recovery runs once outside the timer (neither decoder mutates the
+// channel LLRs), so the ratio measures the SC pass in isolation.
+func BenchmarkPolarSC(b *testing.B) {
+	for _, in := range benchInputs(rand.New(rand.NewSource(11))) {
+		c := in.c
 		arms := []struct {
 			name string
 			pass func(s *scScratch)
@@ -242,10 +409,10 @@ func BenchmarkPolarSC(b *testing.B) {
 			{"fastssc", func(s *scScratch) { c.runSchedule(s) }},
 		}
 		for _, arm := range arms {
-			b.Run(fmt.Sprintf("k=%d/e=%d/impl=%s", ke[0], ke[1], arm.name), func(b *testing.B) {
+			b.Run(in.name+"/impl="+arm.name, func(b *testing.B) {
 				s := c.getScratch()
 				defer c.scratch.Put(s)
-				c.prepare(s, llr)
+				c.prepare(s, in.llr)
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
@@ -260,16 +427,8 @@ func BenchmarkPolarSC(b *testing.B) {
 // recovery + SC pass + bit extraction — the number the slot loop
 // actually pays per candidate, against the test oracle doing the same.
 func BenchmarkPolarDecodeInto(b *testing.B) {
-	rng := rand.New(rand.NewSource(12))
-	for _, ke := range [][2]int{{64, 432}, {104, 864}} {
-		c, err := NewCode(ke[0], ke[1])
-		if err != nil {
-			b.Fatal(err)
-		}
-		llr := bpskLLR(c.Encode(randomBits(rng, c.K)), 8)
-		for i := range llr {
-			llr[i] += rng.NormFloat64()
-		}
+	for _, in := range benchInputs(rand.New(rand.NewSource(12))) {
+		c := in.c
 		arms := []struct {
 			name string
 			fn   func(dst []uint8, llr []float64) []uint8
@@ -278,12 +437,12 @@ func BenchmarkPolarDecodeInto(b *testing.B) {
 			{"fastssc", c.DecodeInto},
 		}
 		for _, arm := range arms {
-			b.Run(fmt.Sprintf("k=%d/e=%d/impl=%s", ke[0], ke[1], arm.name), func(b *testing.B) {
+			b.Run(in.name+"/impl="+arm.name, func(b *testing.B) {
 				dst := make([]uint8, c.K)
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					dst = arm.fn(dst, llr)
+					dst = arm.fn(dst, in.llr)
 				}
 			})
 		}

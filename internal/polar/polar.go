@@ -46,8 +46,9 @@ type Code struct {
 
 	// schedule is the precomputed fast-SSC operation list (schedule.go):
 	// the decode hot path is an iterative sweep over it instead of a
-	// recursive tree walk.
+	// recursive tree walk. checks holds its codeword checks' data.
 	schedule []nodeOp
+	checks   []check
 
 	scratch sync.Pool // *scScratch, reused across Decode calls
 }

@@ -3,6 +3,7 @@ package polar
 import (
 	"encoding/binary"
 	"math"
+	"math/bits"
 	"unsafe"
 )
 
@@ -23,25 +24,38 @@ import (
 //
 // Everything else becomes explicit f/g/combine ops over the pooled
 // scScratch buffers, executed iteratively — no call overhead, and the
-// inner loops are flat slices the compiler can keep in registers.
+// inner loops are flat slices the compiler can keep in registers. A
+// codeword check may precede such a branch and skip it: see below.
 //
 // The executor's hard decisions are bit-identical to recursive float
 // min-sum SC (scDecode over the whole tree, the test oracle) on every
 // input within DecodeInto's contract, enforced by property and fuzz
-// tests over random frozen masks and adversarial LLRs. Two
-// specializations are guarded because plain shortcuts diverge from
-// float min-sum SC on exact ties:
+// tests over random frozen masks and adversarial LLRs.
 //
-//   - rate-1 hard decisions equal the SC result only when every node
-//     LLR is nonzero (an exact zero can flip sign under the f/g
-//     recursion: f(0,-5) = -0 decodes to 0, while the hard decision of
-//     the later g output may differ). The executor scans for zeros and
-//     falls back to scDecode for just that subtree.
-//   - SPC is not decoded with the textbook min-|LLR| parity flip (whose
-//     tie-breaking and rounding differ from chained f/g floats); it
-//     replays the recursion's exact arithmetic level by level, so each
-//     intermediate equals scDecode's value operation for operation.
+// Rate-1 nodes and checks rest on one induction. Let a node's LLRs v
+// be nonzero with hard decisions x (x_i = 1 iff v_i < 0), and let
+// u = x·G, the polar transform of x, be zero on the node's frozen
+// positions. Write x = (a⊕b, b), a and b encoding u's halves. f of
+// v_i and v_{i+n/2} is nonzero with sign a_i, and a is a codeword of
+// the left subcode, so the left child returns a; g adds v_i, flipped
+// by a_i, to v_{i+n/2}: two nonzero terms of sign b_i, so the right
+// child returns b and the combine yields x. A leaf decides its sign, a
+// frozen one 0, which the frozen test guarantees. So SC returns x and
+// u. A zero voids the proof (a -0 leaf decides 0): a rate-1 node falls
+// back to scDecode for that subtree, and a failed check runs its ops.
 //
+// Checks go where a miss stays cheap: on branch nodes of at least
+// minCheck positions whose LLRs cannot hold a punctured zero (a static
+// taint; the runtime zero test stays for demapped NaNs and exact g
+// cancellations), never below another check, so an LLR is scanned at
+// most once per decode. A check first tests a few frozen parities (u_i
+// reads only the x_j with j ⊇ i, few for high i), then packs the signs
+// into words, transforms them and ANDs in the packed frozen mask.
+//
+// SPC is not decoded with the textbook min-|LLR| parity flip (whose
+// tie-breaking and rounding differ from chained f/g floats); it
+// replays the recursion's exact arithmetic level by level, so each
+// intermediate equals scDecode's value operation for operation.
 // Repetition nodes need no guard: the in-place butterfly sum performs
 // the identical additions in the identical order as the g-with-zero
 // cascade of scDecode.
@@ -52,8 +66,9 @@ import (
 // what lets the g step use a sign-flip add and the rate-1/repetition
 // shortcuts skip NaN ordering concerns.
 
-// nodeOp kinds. opF/opG/opG0/opCombine are the generic tree ops; the
-// rest decode a whole constituent node.
+// nodeOp kinds. opF/opG/opG0/opCombine are the generic tree ops;
+// opCheck guards a branch subtree; the rest decode a whole constituent
+// node.
 const (
 	opF       uint8 = iota // f into levels[depth] (left-child LLRs)
 	opG                    // g into levels[depth] (right-child LLRs, reads left sums)
@@ -63,8 +78,20 @@ const (
 	opRate1                // hard-decide each LLR (guarded)
 	opRep                  // repetition: sign of butterfly LLR sum, broadcast
 	opSPC                  // single-parity-check: staged f-cascade + unwind
+	opCheck                // codeword check: on a hit, skip the subtree
 	opBranch               // internal classify result, never scheduled
 )
+
+// A check guards branch nodes of at least minCheck positions and first
+// tests up to maxScreens frozen parities of at most min(n/4, maxSpan) LLRs.
+const minCheck, maxScreens, maxSpan = 8, 4, 16
+
+// check is the construction-time data of one opCheck.
+type check struct {
+	end    int      // schedule index just past the checked subtree
+	frozen []uint64 // node frozen mask: bit i%64 of word i/64 is position base+i
+	screen []int16  // frozen positions tested first, node-local
+}
 
 // nodeOp is one step of the flat decode schedule. base/n locate the
 // subtree's positions; depth selects the scratch level holding its LLRs
@@ -74,11 +101,12 @@ type nodeOp struct {
 	depth uint8
 	base  int16
 	n     int16
+	aux   int16 // opCheck: its index in Code.checks
 }
 
 // finish derives everything computed from the frozen mask: the prefix
-// sums behind allFrozen and the fast-SSC schedule. construct calls it;
-// tests call it directly on hand-built masks.
+// sums behind allFrozen, the fast-SSC schedule and its checks.
+// construct calls it; tests call it directly on hand-built masks.
 func (c *Code) finish() {
 	c.frozenUpTo = make([]int32, c.N+1)
 	for i, f := range c.isFrozen {
@@ -88,7 +116,8 @@ func (c *Code) finish() {
 		}
 	}
 	c.schedule = c.schedule[:0]
-	c.emit(0, c.N, 0)
+	c.checks = c.checks[:0]
+	c.emit(0, c.N, 0, c.punct, false)
 }
 
 // classify maps a subtree to its constituent-node kind, or opBranch
@@ -108,34 +137,67 @@ func (c *Code) classify(base, n int) uint8 {
 	return opBranch
 }
 
+func (c *Code) push(kind uint8, depth, base, n int) {
+	c.schedule = append(c.schedule, nodeOp{kind: kind, depth: uint8(depth), base: int16(base), n: int16(n)})
+}
+
 // emit appends the schedule for the subtree [base, base+n) at depth,
 // mirroring scDecode's control flow exactly — including the rate-0
-// pruning that skips the f step, and the early return (no combine) when
-// the right half is entirely frozen.
-func (c *Code) emit(base, n, depth int) {
+// pruning that skips the f step, and the omitted combine when the right
+// half is entirely frozen. The node's first taint LLRs can be punctured
+// zeros (f ORs the halves' taint, g ANDs it); checked marks a subtree
+// under a check.
+func (c *Code) emit(base, n, depth, taint int, checked bool) {
 	if k := c.classify(base, n); k != opBranch {
-		c.schedule = append(c.schedule, nodeOp{kind: k, depth: uint8(depth), base: int16(base), n: int16(n)})
+		c.push(k, depth, base, n)
 		return
+	}
+	at, check := len(c.schedule), !checked && n >= minCheck && taint == 0
+	if check {
+		c.push(opCheck, depth, base, n)
 	}
 	half := n / 2
 	leftZero := c.allFrozen(base, half)
 	if leftZero {
-		c.schedule = append(c.schedule, nodeOp{kind: opRate0, depth: uint8(depth + 1), base: int16(base), n: int16(half)})
+		c.push(opRate0, depth+1, base, half)
 	} else {
-		c.schedule = append(c.schedule, nodeOp{kind: opF, depth: uint8(depth), base: int16(base), n: int16(n)})
-		c.emit(base, half, depth+1)
+		c.push(opF, depth, base, n)
+		c.emit(base, half, depth+1, min(taint, half), checked || check)
 	}
 	if c.allFrozen(base+half, half) {
-		c.schedule = append(c.schedule, nodeOp{kind: opRate0, depth: uint8(depth + 1), base: int16(base + half), n: int16(half)})
-		return
+		c.push(opRate0, depth+1, base+half, half)
+	} else {
+		g := opG
+		if leftZero {
+			g = opG0
+		}
+		c.push(g, depth, base, n)
+		c.emit(base+half, half, depth+1, max(taint-half, 0), checked || check)
+		c.push(opCombine, 0, base, n)
 	}
-	g := opG
-	if leftZero {
-		g = opG0
+	if check {
+		c.schedule[at].aux = int16(len(c.checks))
+		c.checks = append(c.checks, c.newCheck(base, n, len(c.schedule)))
 	}
-	c.schedule = append(c.schedule, nodeOp{kind: g, depth: uint8(depth), base: int16(base), n: int16(n)})
-	c.emit(base+half, half, depth+1)
-	c.schedule = append(c.schedule, nodeOp{kind: opCombine, base: int16(base), n: int16(n)})
+}
+
+// newCheck builds the check of node [base, base+n) whose subtree ends
+// at schedule index end. Its screens are the frozen positions i whose
+// transform bit reads the fewest LLRs: 2^(zero bits of i).
+func (c *Code) newCheck(base, n, end int) check {
+	ck := check{end: end, frozen: make([]uint64, (n+63)/64)}
+	for span := 1; span <= n; span *= 2 {
+		for i := n - 1; i >= 0; i-- {
+			if !c.isFrozen[base+i] || 1<<bits.OnesCount(uint((n-1)&^i)) != span {
+				continue
+			}
+			ck.frozen[i/64] |= 1 << (i % 64)
+			if span <= min(n/4, maxSpan) && len(ck.screen) < maxScreens {
+				ck.screen = append(ck.screen, int16(i))
+			}
+		}
+	}
+	return ck
 }
 
 // asBits reinterprets an LLR slice as its raw IEEE-754 words. The f
@@ -251,16 +313,22 @@ func (c *Code) nodeLLR(s *scScratch, depth, n int) []float64 {
 // runSchedule executes the fast-SSC schedule over the scratch buffers,
 // leaving the decoded codeword in s.sums and the information bits in
 // s.u. Every information position belongs to exactly one terminal node
-// (rate-1, repetition, SPC, or an info leaf under a generic branch), so
-// each terminal writes its own slice of s.u: repetition nodes place
-// their single bit directly, while rate-1 and SPC nodes invert their
-// local partial sums with a size-n polar transform (the transform is an
-// involution over GF(2)). Frozen positions are never read back by
-// extract, so rate-0 nodes skip u entirely.
+// (rate-1, repetition, SPC, or an info leaf under a generic branch), or
+// to a check that hit, so each writes its own slice of s.u: repetition
+// nodes place their single bit directly, while rate-1 and SPC nodes and
+// checks invert their local partial sums with a size-n polar transform
+// (the transform is an involution over GF(2)). Frozen positions are
+// never read back by extract, so rate-0 nodes skip u entirely.
 func (c *Code) runSchedule(s *scScratch) {
-	for _, op := range c.schedule {
+	sched := c.schedule
+	for pc := 0; pc < len(sched); pc++ {
+		op := sched[pc]
 		base, n, depth := int(op.base), int(op.n), int(op.depth)
 		switch op.kind {
+		case opCheck:
+			if end := c.check(s, op); end > 0 {
+				pc = end - 1
+			}
 		case opF:
 			llr := c.nodeLLR(s, depth, n)
 			half := n / 2
@@ -325,13 +393,10 @@ func (c *Code) runSchedule(s *scScratch) {
 	}
 }
 
-// rate1 hard-decides the rate-1 node [base, base+n) whose LLRs are v.
-// For nonzero LLRs the hard decisions equal the recursive SC result
-// (induction: f and g of same-sign operands preserve the product sign
-// structure, so every leaf decision reduces to the sign of its own
-// channel LLR); an exact zero anywhere voids that proof, so the node
-// falls back to scDecode. NaNs would void it too, but DecodeInto's
-// contract keeps them out of every buffer rate1 can see.
+// rate1 hard-decides the rate-1 node [base, base+n) whose LLRs are v,
+// exact by the induction above, and falls back to scDecode when one is
+// ±0. NaNs would void it too, but DecodeInto's contract keeps them out
+// of every buffer rate1 can see.
 func (c *Code) rate1(s *scScratch, v []float64, base, n, depth int) {
 	if n == 1 {
 		// The leaf rule verbatim: bit = 1 iff llr < 0 (so -0 and NaN
@@ -375,25 +440,109 @@ func (c *Code) rate1(s *scScratch, v []float64, base, n, depth int) {
 		out[0], out[1], out[2], out[3] = b0, b1, b2, b3
 		s.u[base], s.u[base+1], s.u[base+2], s.u[base+3] = b0^b1^b2^b3, b1^b3, b2^b3, b3
 	default:
-		zero := false
-		for i, x := range v {
-			w := math.Float64bits(x)
-			if w<<1 == 0 {
-				zero = true
-			}
-			out[i] = uint8(w >> 63)
-		}
-		if zero {
-			// scDecode recomputes the node from its LLRs (the partial
-			// decisions above are fully overwritten) and writes the leaf
-			// u bits itself.
+		if !hardDecide(v, nil, out, s.u[base:][:n]) {
 			c.scDecode(s, v, out, base, depth)
-			return
 		}
-		// Local involution: the node's input bits from its partial sums.
-		u := s.u[base : base+n]
-		copy(u, out)
-		transform(u)
+	}
+}
+
+// check runs the codeword check op: its screens, then the full test.
+// On a hit it writes the node's partial sums and input bits and
+// returns the schedule index past the subtree; otherwise 0.
+func (c *Code) check(s *scScratch, op nodeOp) int {
+	ck := &c.checks[op.aux]
+	base, n := int(op.base), int(op.n)
+	v := c.nodeLLR(s, int(op.depth), n)[:n]
+	b := asBits(v)
+	for _, i := range ck.screen {
+		free := (n - 1) &^ int(i)
+		p := b[i]
+		for sub := free; sub != 0; sub = (sub - 1) & free {
+			p ^= b[int(i)|sub]
+		}
+		if p>>63 != 0 {
+			return 0
+		}
+	}
+	if !hardDecide(v, ck.frozen, s.sums[base:][:n], s.u[base:][:n]) {
+		return 0
+	}
+	return ck.end
+}
+
+// hardDecide is the kernel of rate-1 nodes (nil frozen) and checks
+// over len(v) ≥ 8 LLRs: unless an LLR is ±0 or the transform of the
+// signs meets the frozen mask, it writes the signs to sums and their
+// transform to u and reports true; only then does it unpack bytes.
+// Word k of the transform reads only the words k' ⊇ k, so the words
+// run from the top down and a violation returns at the first word.
+func hardDecide(v []float64, frozen []uint64, sums, u []uint8) bool {
+	var x, t [MaxN / 64]uint64
+	b := asBits(v)
+	nw := (len(b) + 63) / 64
+	for k := nw - 1; k >= 0; k-- {
+		w, nz := signWord(b[k*64 : min(len(b), k*64+64)])
+		x[k] = w
+		for j := k + 1; j < nw; j++ {
+			if j&k == k {
+				w ^= x[j]
+			}
+		}
+		if t[k] = transformWord(w); nz>>63 == 0 || k < len(frozen) && t[k]&frozen[k] != 0 {
+			return false
+		}
+	}
+	unpack(sums, x[:nw])
+	unpack(u, t[:nw])
+	return true
+}
+
+// signWord packs the sign bits of up to 64 raw LLR words, a multiple
+// of 8, LSB first. The top bit of nz is clear iff one of them is ±0.
+func signWord(b []uint64) (w, nz uint64) {
+	nz = ^uint64(0)
+	for i := 0; i+8 <= len(b); i += 8 {
+		g := b[i : i+8 : i+8]
+		by := g[0]>>63 | g[1]>>63<<1 | g[2]>>63<<2 | g[3]>>63<<3 |
+			g[4]>>63<<4 | g[5]>>63<<5 | g[6]>>63<<6 | g[7]>>63<<7
+		w |= by << (i & 63)
+		nz &= nonzero(g[0]) & nonzero(g[1]) & nonzero(g[2]) & nonzero(g[3]) &
+			nonzero(g[4]) & nonzero(g[5]) & nonzero(g[6]) & nonzero(g[7])
+	}
+	return w, nz
+}
+
+// nonzero's top bit is set unless w encodes ±0 (y | -y has it iff y ≠ 0).
+func nonzero(w uint64) uint64 {
+	y := w << 1
+	return y | -y
+}
+
+// transformWord is transform over bits packed LSB first. Bits above a
+// node shorter than 64 are zero and stay so.
+func transformWord(x uint64) uint64 {
+	x ^= (x >> 1) & 0x5555555555555555
+	x ^= (x >> 2) & 0x3333333333333333
+	x ^= (x >> 4) & 0x0f0f0f0f0f0f0f0f
+	x ^= (x >> 8) & 0x00ff00ff00ff00ff
+	x ^= (x >> 16) & 0x0000ffff0000ffff
+	return x ^ x>>32
+}
+
+// spread maps a byte to eight bytes holding its bits, LSB first.
+var spread = func() (t [256]uint64) {
+	for b := range t {
+		for k := 0; k < 8; k++ {
+			t[b] |= uint64(b>>k&1) << (8 * k)
+		}
+	}
+	return t
+}()
+
+// unpack writes the bits of w into dst, one byte each; len(dst) % 8 == 0.
+func unpack(dst []uint8, w []uint64) {
+	for i := 0; i+8 <= len(dst); i += 8 {
+		binary.LittleEndian.PutUint64(dst[i:], spread[uint8(w[i/64]>>(i%64))])
 	}
 }
 
