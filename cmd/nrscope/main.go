@@ -43,9 +43,10 @@
 // With -shards N the cells (the -cell preset plus every -fuse-cell) are
 // partitioned across N supervised shards (internal/shard): each shard
 // owns its own history partition, bus publisher, and — in multi-cell
-// runs — its own fusion aggregator, and is restarted on stall or panic
-// with its partition intact. The cross-shard rollup is served under
-// /shards on the -metrics mux and summarized at exit.
+// runs — its own fusion aggregator; a record whose fold panics is
+// dropped and the shard goes on with its partition intact. The
+// cross-shard rollup is served under /shards on the -metrics mux and
+// summarized at exit.
 //
 // Whatever the flags, a run is one path (see deployment): every cell's
 // captures, simulated or replayed, go through one core.DecodePool.
@@ -393,8 +394,8 @@ func (d *deployment) wireFusion(cfg config) error {
 // in multi-cell runs, its own fusion aggregator) and publishes them to
 // the bus. Decode stays on the pool; the shards consume records. The
 // queues are Block so that, behind the pool's blocking Submit, a run
-// loses nothing from capture to partition; a restart window still
-// degrades to counted drops rather than stalling the decode.
+// loses nothing from capture to partition: a slow shard or a hung Block
+// sink back-pressures the decode, as it does unsharded.
 func (d *deployment) wireShards(cfg config) error {
 	if cfg.shards > len(d.cells) {
 		fmt.Fprintf(os.Stderr, "nrscope: %d shards for %d cells; %d shards will idle\n",
@@ -450,8 +451,8 @@ func (d *deployment) wireShards(cfg config) error {
 	}
 	d.report = func() {
 		for _, ps := range sup.Health().PerShard {
-			fmt.Fprintf(os.Stderr, "nrscope: shard %d (up=%t dead=%t): %d cells, %d ingested, %d applied, %d dropped, %d restarts, %d UEs\n",
-				ps.Shard, ps.Up, ps.Dead, ps.Cells, ps.Ingested, ps.Applied, ps.Dropped, ps.Restarts, ps.TrackedUEs)
+			fmt.Fprintf(os.Stderr, "nrscope: shard %d (stalled=%t restarts=%d): %d cells, %d ingested, %d applied, %d dropped, %d UEs\n",
+				ps.Shard, ps.Stalled, ps.Restarts, ps.Cells, ps.Ingested, ps.Applied, ps.Dropped, ps.TrackedUEs)
 		}
 		if len(d.cells) > 1 {
 			printFusion(sup.Handovers(), sup.CarrierAggregation(0.7))

@@ -13,6 +13,9 @@ import (
 	"slices"
 	"testing"
 
+	"nrscope/internal/bus"
+	"nrscope/internal/history"
+	"nrscope/internal/shard"
 	"nrscope/internal/telemetry"
 )
 
@@ -21,14 +24,21 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/golden.json from
 const goldenPath = "testdata/golden.json"
 
 // goldenRun pins one seeded scenario's output: the JSONL record stream
-// (count and FNV-64a of the bytes a jsonl sink would write) and every
-// downlink slot's §5.4.1 spare split.
+// (count and FNV-64a of the bytes a jsonl sink would write, or the sum of
+// each line's FNV-64a where several goroutines publish), every downlink
+// slot's §5.4.1 spare split, and for the sharded scenarios the merged
+// history snapshot and the fusion candidates.
 type goldenRun struct {
-	Records     int    `json:"records"`
-	JSONLFNV64  string `json:"jsonl_fnv64"`
-	SpareSlots  int    `json:"spare_slots"`
-	SpareFNV64  string `json:"spare_fnv64"`
-	Description string `json:"description"`
+	Records       int    `json:"records"`
+	JSONLFNV64    string `json:"jsonl_fnv64,omitempty"`
+	JSONLSum64    string `json:"jsonl_sum64,omitempty"`
+	SpareSlots    int    `json:"spare_slots,omitempty"`
+	SpareFNV64    string `json:"spare_fnv64,omitempty"`
+	SnapshotFNV64 string `json:"snapshot_fnv64,omitempty"`
+	Handovers     int    `json:"handovers,omitempty"`
+	CACandidates  int    `json:"ca_candidates,omitempty"`
+	FusionSum64   string `json:"fusion_sum64,omitempty"`
+	Description   string `json:"description"`
 }
 
 // goldenSingleCell is the single-cell scenario: the Amarisoft preset at
@@ -77,6 +87,150 @@ func goldenSingleCell(t *testing.T) goldenRun {
 	return run
 }
 
+// goldenSharded is the sharded scenario: the srsRAN, Mosolab and
+// Amarisoft presets at seeds 1..3, stepped in lockstep for 2000 slots and
+// fed to a 2-shard supervisor with per-shard fusion that publishes every
+// applied record on a bus. srsRAN and Amarisoft share shard 0: two of the
+// four srsRAN UEs leave after 0.4 s and two UEs attach to Amarisoft then,
+// so shard 0's aggregator has handovers to find, and the CBR UEs on both
+// carriers give it carrier-aggregation candidates. The shard workers
+// publish concurrently, so the record digest is order-insensitive.
+// It returns the "sharded" run (records, snapshot) and the "fused" run
+// (handovers and carrier-aggregation candidates at overlap 0.7).
+func goldenSharded(t *testing.T) (sharded, fused goldenRun) {
+	t.Helper()
+	const slots = 2000
+	b := bus.New()
+	// Only the subscription's runner writes these, and b.Close waits for
+	// it before they are read.
+	var (
+		sum  uint64
+		recs int
+	)
+	_, err := b.Subscribe("golden", bus.Block, bus.SinkFunc(func(batch []telemetry.Record) error {
+		for _, rec := range batch {
+			sum += recordHash(t, rec)
+		}
+		recs += len(batch)
+		return nil
+	}), bus.WithQueueSize(4096))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sup := shard.New(shard.Config{
+		Shards: 2, Policy: shard.Block, Fusion: true, Bus: b,
+		History: history.Config{Depth: 64},
+	})
+	presets := []Preset{SrsRANPreset, MosolabPreset, AmarisoftPreset}
+	tbs := make([]*Testbed, len(presets))
+	for i, p := range presets {
+		tb, err := NewTestbed(p, int64(i+1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for u := 0; u < 4; u++ {
+			prof := UEProfile{DownlinkMbps: 2}
+			if i == 0 && u < 2 {
+				prof.SessionSeconds = 0.4
+			}
+			tb.AttachUE(prof)
+		}
+		gc := tb.GNB.Config()
+		if _, err := sup.AddCell(gc.CellID, gc.Mu); err != nil {
+			t.Fatal(err)
+		}
+		tbs[i] = tb
+	}
+	if err := sup.Start(); err != nil {
+		t.Fatal(err)
+	}
+	spare := 0
+	for slot := 0; slot < slots; slot++ {
+		if slot == 800 {
+			tbs[2].AttachUE(UEProfile{DownlinkMbps: 2})
+			tbs[2].AttachUE(UEProfile{DownlinkMbps: 2})
+		}
+		for _, tb := range tbs {
+			res := tb.Step()
+			id := tb.GNB.Config().CellID
+			for _, rec := range res.Records {
+				if err := sup.Ingest(id, rec); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if res.Spare != nil {
+				spare++
+				if err := sup.IngestSpare(id, res.SlotIdx, res.Spare); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	if err := sup.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Close(); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := json.Marshal(sup.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	snapHash := fnv.New64a()
+	snapHash.Write(snap)
+	desc := fmt.Sprintf("srsRAN, Mosolab, Amarisoft at seeds 1..3, 4 CBR UEs each with 2 moving from srsRAN to Amarisoft, %d slots, 2 shards with fusion", slots)
+	sharded = goldenRun{
+		Records:       recs,
+		JSONLSum64:    fmt.Sprintf("%016x", sum),
+		SpareSlots:    spare,
+		SnapshotFNV64: fmt.Sprintf("%016x", snapHash.Sum64()),
+		Description:   desc,
+	}
+	hos, cas := sup.Handovers(), sup.CarrierAggregation(0.7)
+	var fsum uint64
+	for _, h := range hos {
+		fsum += jsonHash(t, h)
+	}
+	for _, c := range cas {
+		// The aggregator walks its cells in map order, so a pair may come
+		// out either way round: hash it lower cell first.
+		if c.CellB < c.CellA {
+			c.CellA, c.CellB, c.RNTIA, c.RNTIB = c.CellB, c.CellA, c.RNTIB, c.RNTIA
+		}
+		fsum += jsonHash(t, c)
+	}
+	fused = goldenRun{
+		Records:      recs,
+		Handovers:    len(hos),
+		CACandidates: len(cas),
+		FusionSum64:  fmt.Sprintf("%016x", fsum),
+		Description:  desc,
+	}
+	return sharded, fused
+}
+
+// recordHash is the FNV-64a of one record's JSONL line.
+func recordHash(t *testing.T, rec telemetry.Record) uint64 {
+	data, err := json.Marshal(rec)
+	if err != nil {
+		t.Error(err)
+	}
+	h := fnv.New64a()
+	h.Write(append(data, '\n'))
+	return h.Sum64()
+}
+
+// jsonHash is the FNV-64a of a value's JSON encoding.
+func jsonHash(t *testing.T, v any) uint64 {
+	data, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	h.Write(data)
+	return h.Sum64()
+}
+
 // spareShare is one UE's spare bits in a slot's split.
 type spareShare struct {
 	rnti uint16
@@ -107,7 +261,8 @@ func writeU64(h hash.Hash64, vs ...uint64) {
 // and s390x, so the digests are checked on amd64 only; other
 // architectures check the counts.
 func TestGoldenOutputs(t *testing.T) {
-	got := map[string]goldenRun{"single_cell": goldenSingleCell(t)}
+	sharded, fused := goldenSharded(t)
+	got := map[string]goldenRun{"single_cell": goldenSingleCell(t), "sharded": sharded, "fused": fused}
 	if *updateGolden {
 		data, err := json.MarshalIndent(got, "", "  ")
 		if err != nil {
@@ -132,17 +287,25 @@ func TestGoldenOutputs(t *testing.T) {
 			t.Errorf("%s: no golden entry", name)
 			continue
 		}
-		if g.Records != w.Records || g.SpareSlots != w.SpareSlots {
-			t.Errorf("%s: %d records, %d spare slots; golden %d, %d", name, g.Records, g.SpareSlots, w.Records, w.SpareSlots)
+		if g.Records != w.Records || g.SpareSlots != w.SpareSlots ||
+			g.Handovers != w.Handovers || g.CACandidates != w.CACandidates {
+			t.Errorf("%s: %d records, %d spare slots, %d handovers, %d CA candidates; golden %d, %d, %d, %d",
+				name, g.Records, g.SpareSlots, g.Handovers, g.CACandidates,
+				w.Records, w.SpareSlots, w.Handovers, w.CACandidates)
 		}
 		if runtime.GOARCH != "amd64" {
 			continue
 		}
-		if g.JSONLFNV64 != w.JSONLFNV64 {
-			t.Errorf("%s: JSONL digest %s, golden %s", name, g.JSONLFNV64, w.JSONLFNV64)
-		}
-		if g.SpareFNV64 != w.SpareFNV64 {
-			t.Errorf("%s: spare-split digest %s, golden %s", name, g.SpareFNV64, w.SpareFNV64)
+		for _, d := range []struct{ what, got, want string }{
+			{"JSONL digest", g.JSONLFNV64, w.JSONLFNV64},
+			{"JSONL sum digest", g.JSONLSum64, w.JSONLSum64},
+			{"spare-split digest", g.SpareFNV64, w.SpareFNV64},
+			{"snapshot digest", g.SnapshotFNV64, w.SnapshotFNV64},
+			{"fusion digest", g.FusionSum64, w.FusionSum64},
+		} {
+			if d.got != d.want {
+				t.Errorf("%s: %s %s, golden %s", name, d.what, d.got, d.want)
+			}
 		}
 	}
 }

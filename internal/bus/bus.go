@@ -14,7 +14,9 @@
 // by default; the live TCP and SSE subscribers do not linger) — and
 // delivers them to the Sink with retry (exponential backoff + jitter)
 // and failure quarantine, so a flapping sink degrades to counted drops
-// instead of stalling its siblings. Close drains: every record already
+// instead of stalling its siblings. A sink that panics in WriteBatch
+// loses that batch as a failed delivery, not retried, and the runner
+// goes on with the next one. Close drains: every record already
 // queued to a Block subscriber is delivered before Close returns.
 package bus
 
@@ -55,7 +57,8 @@ var ErrClosed = errors.New("bus: closed")
 // Sink consumes delivered record batches. WriteBatch is called from the
 // subscription's runner goroutine only (no concurrent calls for one
 // subscription); an error triggers the runner's retry/quarantine
-// machinery. Close is called exactly once, after the final batch.
+// machinery, and a panic fails the batch without a retry. Close is
+// called exactly once, after the final batch.
 type Sink interface {
 	WriteBatch(recs []telemetry.Record) error
 	Close() error
@@ -204,17 +207,14 @@ func (b *Bus) Subscribe(name string, policy Policy, sink Sink, opts ...SubOption
 		cfg.maxRetries = 0
 	}
 	s := &Subscription{
-		name:   name,
-		policy: policy,
-		sink:   sink,
-		cfg:    cfg,
-		buf:    make([]telemetry.Record, cfg.queueSize),
-		wake:   make(chan struct{}, 1),
-		done:   make(chan struct{}),
-		met:    metricsFor(name),
-		bus:    b,
+		name: name,
+		sink: sink,
+		cfg:  cfg,
+		done: make(chan struct{}),
+		met:  metricsFor(name),
+		bus:  b,
 	}
-	s.notFull = sync.NewCond(&s.mu)
+	s.q = NewRing[telemetry.Record](cfg.queueSize, policy, s.met.depth)
 	h := fnv.New64a()
 	h.Write([]byte(name))
 	s.rng = rand.New(rand.NewSource(int64(h.Sum64()) ^ time.Now().UnixNano()))
@@ -308,20 +308,12 @@ func (b *Bus) Close() error {
 // Subscription is one consumer's end of the bus: a bounded ring queue
 // plus the runner goroutine delivering batches to the Sink.
 type Subscription struct {
-	name   string
-	policy Policy
-	sink   Sink
-	cfg    subConfig
-	bus    *Bus
-	met    *sinkMetrics
-
-	mu      sync.Mutex
-	notFull *sync.Cond // Block-policy publishers wait here
-	buf     []telemetry.Record
-	head, n int
-	closed  bool
-
-	wake chan struct{} // runner wake signal (buffered 1)
+	name string
+	sink Sink
+	cfg  subConfig
+	bus  *Bus
+	met  *sinkMetrics
+	q    *Ring[telemetry.Record]
 	done chan struct{} // closed when the runner exits
 
 	// Runner-local state (no locking: only the runner touches these).
@@ -353,81 +345,30 @@ func (s *Subscription) Close() {
 // drains what is queued and exits.
 func (s *Subscription) beginClose() {
 	s.closeOnce.Do(func() {
-		s.mu.Lock()
-		s.closed = true
-		s.notFull.Broadcast()
-		s.mu.Unlock()
-		s.signal()
+		s.q.Close()
 		met.subscribers.Dec()
 	})
-}
-
-func (s *Subscription) signal() {
-	select {
-	case s.wake <- struct{}{}:
-	default:
-	}
 }
 
 // push enqueues one record per the backpressure policy. Returns false
 // if the subscription is closing (the record is counted as rejected).
 func (s *Subscription) push(rec telemetry.Record) bool {
-	evicted := 0
-	s.mu.Lock()
-	for s.n == len(s.buf) {
-		if s.closed {
-			s.mu.Unlock()
-			s.met.rejected.Inc()
-			return false
-		}
-		if s.policy == DropOldest {
-			s.buf[s.head] = telemetry.Record{}
-			s.head = (s.head + 1) % len(s.buf)
-			s.n--
-			s.met.dropped.Inc()
-			evicted++
-			break
-		}
-		s.notFull.Wait()
-	}
-	if s.closed {
-		s.mu.Unlock()
-		s.met.rejected.Inc()
+	evicted, ok := s.q.Push(rec)
+	if evicted > 0 {
+		s.met.dropped.Add(int64(evicted))
 		s.notifyDrop(evicted)
-		return false
 	}
-	s.buf[(s.head+s.n)%len(s.buf)] = rec
-	s.n++
-	s.met.depth.Set(int64(s.n))
-	s.mu.Unlock()
-	s.notifyDrop(evicted)
-	s.signal()
-	return true
+	if !ok {
+		s.met.rejected.Inc()
+	}
+	return ok
 }
 
-// notifyDrop forwards a drop count to the WithDropNotify hook. Callers
-// must not hold s.mu.
+// notifyDrop forwards a drop count to the WithDropNotify hook.
 func (s *Subscription) notifyDrop(n int) {
 	if n > 0 && s.cfg.onDrop != nil {
 		s.cfg.onDrop(n)
 	}
-}
-
-// takeLocked moves queued records into batch, up to maxBatch total.
-func (s *Subscription) takeLocked(batch []telemetry.Record) []telemetry.Record {
-	freed := false
-	for s.n > 0 && len(batch) < s.cfg.maxBatch {
-		batch = append(batch, s.buf[s.head])
-		s.buf[s.head] = telemetry.Record{}
-		s.head = (s.head + 1) % len(s.buf)
-		s.n--
-		freed = true
-	}
-	if freed {
-		s.met.depth.Set(int64(s.n))
-		s.notFull.Broadcast()
-	}
-	return batch
 }
 
 // collect blocks until at least one record is queued, then gathers a
@@ -436,34 +377,24 @@ func (s *Subscription) takeLocked(batch []telemetry.Record) []telemetry.Record {
 // batch only when the subscription is closed and the queue fully
 // drained.
 func (s *Subscription) collect(batch []telemetry.Record) []telemetry.Record {
-	s.mu.Lock()
-	for s.n == 0 {
-		if s.closed {
-			s.mu.Unlock()
+	batch, closing := s.q.Take(batch, s.cfg.maxBatch)
+	for len(batch) == 0 {
+		if closing {
 			return batch
 		}
-		s.mu.Unlock()
-		<-s.wake
-		s.mu.Lock()
+		<-s.q.Ready()
+		batch, closing = s.q.Take(batch, s.cfg.maxBatch)
 	}
-	batch = s.takeLocked(batch)
-	full := len(batch) >= s.cfg.maxBatch
-	closing := s.closed
-	s.mu.Unlock()
-	if full || closing || s.cfg.maxDelay == 0 {
+	if len(batch) >= s.cfg.maxBatch || closing || s.cfg.maxDelay == 0 {
 		return batch
 	}
 	timer := time.NewTimer(s.cfg.maxDelay)
 	defer timer.Stop()
 	for {
 		select {
-		case <-s.wake:
-			s.mu.Lock()
-			batch = s.takeLocked(batch)
-			full = len(batch) >= s.cfg.maxBatch
-			closing = s.closed
-			s.mu.Unlock()
-			if full || closing {
+		case <-s.q.Ready():
+			batch, closing = s.q.Take(batch, s.cfg.maxBatch)
+			if len(batch) >= s.cfg.maxBatch || closing {
 				return batch
 			}
 		case <-timer.C:
@@ -510,13 +441,13 @@ func (s *Subscription) deliver(batch []telemetry.Record) bool {
 		s.quarantineUntil = time.Time{} // cooldown over: probe again
 	}
 	start := time.Now()
-	var err error
+	var (
+		err      error
+		panicked bool
+	)
 	for attempt := 0; ; attempt++ {
-		err = s.sink.WriteBatch(batch)
-		if err == nil {
-			break
-		}
-		if attempt >= s.cfg.maxRetries {
+		panicked, err = s.write(batch)
+		if err == nil || panicked || attempt >= s.cfg.maxRetries {
 			break
 		}
 		s.met.retried.Inc()
@@ -543,6 +474,17 @@ func (s *Subscription) deliver(batch []telemetry.Record) bool {
 	return true
 }
 
+// write hands one batch to the sink. A panic in WriteBatch comes back
+// as an error with panicked set: a failed delivery that is not retried.
+func (s *Subscription) write(batch []telemetry.Record) (panicked bool, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			panicked, err = true, fmt.Errorf("bus: sink %s panicked: %v", s.name, r)
+		}
+	}()
+	return false, s.sink.WriteBatch(batch)
+}
+
 // backoff returns base*2^attempt capped, with ±50% jitter so flapping
 // sinks across subscriptions do not retry in lockstep.
 func (s *Subscription) backoff(attempt int) time.Duration {
@@ -561,16 +503,8 @@ func (s *Subscription) abort() {
 	s.closeOnce.Do(func() {
 		met.subscribers.Dec()
 	})
-	s.mu.Lock()
-	s.closed = true
-	aborted := s.n
-	if s.n > 0 {
-		s.met.dropped.Add(int64(s.n))
-		s.n = 0
-		s.head = 0
-	}
-	s.notFull.Broadcast()
-	s.mu.Unlock()
+	aborted := s.q.Discard()
+	s.met.dropped.Add(int64(aborted))
 	s.notifyDrop(aborted)
 }
 

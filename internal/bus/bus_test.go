@@ -27,11 +27,14 @@ type collectSink struct {
 	calls   atomic.Int64
 	gate    chan struct{} // non-nil: WriteBatch blocks until a receive
 	failing atomic.Bool   // WriteBatch errors while set
+	panicAt int64         // non-zero: the WriteBatch call that panics
 	closed  atomic.Bool
 }
 
 func (c *collectSink) WriteBatch(recs []telemetry.Record) error {
-	c.calls.Add(1)
+	if c.calls.Add(1) == c.panicAt {
+		panic("injected sink fault")
+	}
 	if c.gate != nil {
 		<-c.gate
 	}
@@ -637,5 +640,83 @@ func TestDropNotify(t *testing.T) {
 	}
 	if got := len(sink.records()); got != 2 {
 		t.Fatalf("delivered %d records, want 2 (r0 and the survivor r3)", got)
+	}
+}
+
+// TestSinkPanicIsAFailedDelivery: a Block sink that panics on its 2nd
+// batch loses exactly that batch, counted as a failure and a drop, and
+// is not retried; the process survives, later batches are delivered and
+// Close returns.
+func TestSinkPanicIsAFailedDelivery(t *testing.T) {
+	const published = 10
+	b := New()
+	sink := &collectSink{panicAt: 2}
+	var notified atomic.Int64
+	sub, err := b.Subscribe("edge_panic", Block, sink,
+		WithBatch(1, 0), WithDropNotify(func(n int) { notified.Add(int64(n)) }))
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := sub.Stats()
+	for i := 0; i < published; i++ {
+		if err := b.Publish(rec(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := b.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st := sub.Stats()
+	failures, dropped, delivered := st.Failures-base.Failures, st.Dropped-base.Dropped, st.Delivered-base.Delivered
+	if failures != 1 || dropped != 1 || notified.Load() != 1 {
+		t.Fatalf("failures %d, dropped %d, drop notifications %d; want 1 each", failures, dropped, notified.Load())
+	}
+	if delivered+dropped != published {
+		t.Fatalf("delivered %d + dropped %d != published %d", delivered, dropped, published)
+	}
+	if got := sink.calls.Load(); got != published {
+		t.Fatalf("WriteBatch called %d times, want %d: a panicked batch is not retried", got, published)
+	}
+	got := sink.records()
+	if len(got) != published-1 || got[0].SlotIdx != 0 || got[1].SlotIdx != 2 {
+		t.Fatalf("delivered %d records starting %v; want every record but slot 1", len(got), got[:min(len(got), 2)])
+	}
+	if !sink.closed.Load() {
+		t.Fatal("sink not closed")
+	}
+}
+
+// TestSinkPanicFailFastDetaches: under WithFailFast a panic in
+// WriteBatch is terminal: the subscription detaches and WithOnClose
+// fires.
+func TestSinkPanicFailFastDetaches(t *testing.T) {
+	b := New()
+	defer b.Close()
+	sink := &collectSink{panicAt: 2}
+	closed := make(chan struct{})
+	sub, err := b.Subscribe("edge_panic_failfast", Block, sink,
+		WithBatch(1, 0), WithFailFast(), WithOnClose(func() { close(closed) }))
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := sub.Stats()
+	for i := 0; i < 2; i++ {
+		if err := b.Publish(rec(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("fail-fast subscription did not close after its sink panicked")
+	}
+	if n := b.Subscribers(); n != 0 {
+		t.Fatalf("%d subscribers after the fail-fast abort, want 0", n)
+	}
+	if st := sub.Stats(); st.Failures-base.Failures != 1 || st.Delivered-base.Delivered != 1 {
+		t.Fatalf("failures %d, delivered %d; want 1, 1", st.Failures-base.Failures, st.Delivered-base.Delivered)
+	}
+	if !sink.closed.Load() {
+		t.Fatal("sink not closed")
 	}
 }

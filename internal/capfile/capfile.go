@@ -28,6 +28,9 @@ import (
 const (
 	magic   = "NRSC"
 	version = 1
+	// maxPRB is the widest carrier a stream may declare (TS 38.101: 275
+	// PRBs), which bounds what one Next allocates.
+	maxPRB = 275
 )
 
 // Header identifies a capture stream.
@@ -50,7 +53,7 @@ func NewWriter(w io.Writer, hdr Header) (*Writer, error) {
 	if !hdr.Mu.Valid() {
 		return nil, fmt.Errorf("capfile: invalid numerology")
 	}
-	if hdr.NumPRB < 1 || hdr.NumPRB > 275 {
+	if hdr.NumPRB < 1 || hdr.NumPRB > maxPRB {
 		return nil, fmt.Errorf("capfile: numPRB %d", hdr.NumPRB)
 	}
 	bw := bufio.NewWriterSize(w, 1<<16)
@@ -138,7 +141,7 @@ func NewReader(r io.Reader) (*Reader, error) {
 		Mu:     phy.Numerology(head[8]),
 		NumPRB: int(binary.LittleEndian.Uint16(head[9:])),
 	}
-	if !hdr.Mu.Valid() || hdr.NumPRB < 1 {
+	if !hdr.Mu.Valid() || hdr.NumPRB < 1 || hdr.NumPRB > maxPRB {
 		return nil, fmt.Errorf("capfile: corrupt header %+v", hdr)
 	}
 	return &Reader{br: br, hdr: hdr}, nil

@@ -83,6 +83,59 @@ func TestHeaderValidation(t *testing.T) {
 	if _, err := NewReader(bytes.NewReader([]byte("NR"))); err == nil {
 		t.Error("truncated header accepted")
 	}
+	// The reader holds a header to the writer's 1..275 PRB bound: a
+	// 65535-PRB header would make one Next allocate ~264 MB.
+	for _, prbs := range []uint16{276, 65535} {
+		head := []byte{'N', 'R', 'S', 'C', version, 0, 1, 0, byte(phy.Mu1), byte(prbs), byte(prbs >> 8)}
+		if _, err := NewReader(bytes.NewReader(head)); err == nil {
+			t.Errorf("%d-PRB header accepted", prbs)
+		}
+	}
+}
+
+// FuzzReader feeds arbitrary bytes to the reader, seeded with a
+// two-slot stream (one downlink grid, one uplink slot without a grid).
+// Whatever the input, NewReader and Next return a capture or an error,
+// without a panic and without allocating past one 275-PRB grid.
+func FuzzReader(f *testing.F) {
+	var buf bytes.Buffer
+	w, err := NewWriter(&buf, Header{CellID: 7, Mu: phy.Mu1, NumPRB: 24})
+	if err != nil {
+		f.Fatal(err)
+	}
+	g := phy.NewGrid(24)
+	g.Set(2, 40, complex(0.5, -0.25))
+	for _, c := range []*radio.Capture{
+		{SlotIdx: 0, Ref: phy.SlotRef{SFN: 0, Slot: 0}, N0: 0.01, SNRdB: 20, Grid: g},
+		{SlotIdx: 1, Ref: phy.SlotRef{SFN: 0, Slot: 1}, N0: 0.02, SNRdB: 17},
+	} {
+		if err := w.Append(c); err != nil {
+			f.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	f.Add(buf.Bytes()[:11])
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r, err := NewReader(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if hdr := r.Header(); hdr.NumPRB < 1 || hdr.NumPRB > maxPRB || !hdr.Mu.Valid() {
+			t.Fatalf("reader accepted header %+v", hdr)
+		}
+		for i := 0; i < 16; i++ {
+			c, err := r.Next()
+			if err != nil {
+				return
+			}
+			if c.Grid != nil && c.Grid.NumPRB != r.Header().NumPRB {
+				t.Fatalf("grid of %d PRBs in a %d-PRB stream", c.Grid.NumPRB, r.Header().NumPRB)
+			}
+		}
+	})
 }
 
 func TestWriterRejectsMismatchedGrid(t *testing.T) {

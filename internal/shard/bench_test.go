@@ -81,7 +81,6 @@ func newMetroSupervisor(tb testing.TB, shards, cells, ues int) (*Supervisor, *Me
 	sup := New(Config{
 		Shards:    shards,
 		QueueSize: 8192,
-		MaxBatch:  256,
 		Policy:    Block, // no silent drops: throughput numbers mean "records applied"
 		History: history.Config{
 			// Small rings keep the 102,400-series scenario ~100 MB;

@@ -2,10 +2,13 @@ package shard
 
 import (
 	"fmt"
+	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"nrscope/internal/bus"
 	"nrscope/internal/obs"
 	"nrscope/internal/phy"
 	"nrscope/internal/telemetry"
@@ -24,28 +27,34 @@ func waitFor(t *testing.T, d time.Duration, cond func() bool, what string) {
 	t.Fatalf("timed out waiting for %s", what)
 }
 
-// TestFailoverPanicRestartResumesPartition is the ISSUE's failover
-// scenario: kill one shard's worker mid-ingest (injected panic), assert
-// the in-flight records become counted drops in the shard's
-// nrscope_shard_* accounting, the supervisor restarts the worker, and
-// the restarted worker resumes folding into the SAME history partition —
-// pre-crash series survive.
+// TestFailoverPanicRestartResumesPartition: a poison record whose fold
+// panics in the middle of a batch costs exactly that record, counted as
+// dropped and as one recovered panic in the shard's nrscope_shard_*
+// accounting. The fold goes on with the next record into the SAME
+// history partition (pre-crash series survive), and the peer shard is
+// untouched.
 func TestFailoverPanicRestartResumesPartition(t *testing.T) {
 	before := obs.Snapshot()
-	var bomb atomic.Bool
+	gate := make(chan struct{})
 	sup := newTestSupervisor(t, Config{
 		Shards:    2,
 		QueueSize: 64,
 		Policy:    DropOldest,
-		MaxBatch:  1, // one record per batch: the panic drops exactly the poison record
 		ApplyHook: func(shard int, cell uint16, rec *telemetry.Record) {
-			if bomb.Load() && rec.RNTI == 0xDEAD {
+			if rec.SlotIdx == 21 && rec.RNTI == 0x4601 {
+				<-gate // hold the worker so the rest queues as one batch
+			}
+			if rec.RNTI == 0xDEAD {
 				panic("injected shard fault")
 			}
 		},
-	}, 4)
+	}, 2)
 
 	victim, _ := sup.Partition(1)
+	peer, _ := sup.Partition(2)
+	if victim == peer {
+		t.Fatal("cells 1 and 2 share a shard; want distinct partitions")
+	}
 	// Phase 1: healthy ingest builds partition state that must survive.
 	for i := 0; i < 20; i++ {
 		if err := sup.Ingest(1, trec(i, 0x4601, 4096, float64(i))); err != nil {
@@ -56,57 +65,57 @@ func TestFailoverPanicRestartResumesPartition(t *testing.T) {
 	if got := sup.Store(victim).TrackedUEs(); got != 1 {
 		t.Fatalf("pre-crash partition tracks %d UEs, want 1", got)
 	}
-	preCrash := sup.Health().PerShard[victim]
 
-	// Phase 2: the kill. A poison record panics the victim's worker.
-	bomb.Store(true)
-	if err := sup.Ingest(1, trec(20, 0xDEAD, 128, 20)); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, 2*time.Second, func() bool {
-		return sup.Health().PerShard[victim].Restarts >= 1
-	}, "supervisor to restart the crashed shard")
-	bomb.Store(false)
-
-	// Phase 3: the restarted worker resumes on the intact partition.
+	// Phase 2: the poison record sits mid-batch between healthy ones.
 	for i := 21; i < 41; i++ {
 		if err := sup.Ingest(1, trec(i, 0x4601, 4096, float64(i))); err != nil {
 			t.Fatal(err)
 		}
+		if i == 30 {
+			if err := sup.Ingest(1, trec(i, 0xDEAD, 128, float64(i))); err != nil {
+				t.Fatal(err)
+			}
+		}
 		if err := sup.Ingest(1, trec(i, 0x4777, 2048, float64(i))); err != nil {
 			t.Fatal(err)
 		}
+		if err := sup.Ingest(2, trec(i, 0x4602, 1024, float64(i))); err != nil {
+			t.Fatal(err)
+		}
 	}
+	close(gate)
 	sup.Flush()
 
 	h := sup.Health().PerShard[victim]
-	if !h.Up || h.Dead {
-		t.Fatalf("victim shard not back up: %+v", h)
+	if h.Dropped != 1 || h.Restarts != 1 {
+		t.Fatalf("poison record cost %d drops, %d recovered panics; want exactly 1 each: %+v", h.Dropped, h.Restarts, h)
 	}
-	if h.Dropped < 1 {
-		t.Fatalf("poison record not counted dropped: %+v", h)
-	}
-	if got := h.Applied + h.Dropped; got != h.Ingested {
-		t.Fatalf("accounting open after failover: applied %d + dropped %d != ingested %d",
+	if h.Ingested != 61 || h.Applied+h.Dropped != h.Ingested {
+		t.Fatalf("accounting open: applied %d + dropped %d != ingested %d (want 61)",
 			h.Applied, h.Dropped, h.Ingested)
 	}
-	// The partition retained the pre-crash series AND grew post-crash.
+	// The partition retained the pre-crash series AND grew past the crash.
 	if got := sup.Store(victim).TrackedUEs(); got != 2 {
-		t.Fatalf("post-restart partition tracks %d UEs, want 2 (0x4601 survived + 0x4777 new)", got)
+		t.Fatalf("post-crash partition tracks %d UEs, want 2 (0x4601 survived + 0x4777 new)", got)
 	}
-	samples, _ := sup.Store(victim).Query(1, 0x4601, 0, 0, 1)
-	var grants int64
-	for _, s := range samples {
-		grants += s.Grants
+	for _, want := range []struct {
+		rnti   uint16
+		grants int64
+	}{{0x4601, 40}, {0x4777, 20}} {
+		samples, _ := sup.Store(victim).Query(1, want.rnti, 0, 0, 1)
+		var grants int64
+		for _, s := range samples {
+			grants += s.Grants
+		}
+		if grants != want.grants {
+			t.Fatalf("0x%04x shows %d grants across the crash, want %d", want.rnti, grants, want.grants)
+		}
 	}
-	if grants != 40 {
-		t.Fatalf("0x4601 shows %d grants across crash, want 40 (20 pre + 20 post)", grants)
-	}
-	if h.Applied <= preCrash.Applied {
-		t.Fatalf("restarted worker applied nothing: %d -> %d", preCrash.Applied, h.Applied)
+	if ps := sup.Health().PerShard[peer]; ps.Dropped != 0 || ps.Restarts != 0 || ps.Applied != 20 {
+		t.Fatalf("peer shard disturbed by the victim's panic: %+v", ps)
 	}
 
-	// The nrscope_shard_* instruments observed the failover too.
+	// The nrscope_shard_* instruments observed the recovered panic too.
 	delta := obs.Delta(before, obs.Snapshot())
 	prefix := fmt.Sprintf("nrscope_shard_%d_", victim)
 	if delta[prefix+"restarts_total"] < 1 {
@@ -117,27 +126,67 @@ func TestFailoverPanicRestartResumesPartition(t *testing.T) {
 	}
 }
 
-// TestFailoverQueuesDuringOutage: while a shard's worker is down, its
-// cells' records keep landing in the bounded queue (DropOldest once
-// full — counted, never blocking, even under Block policy), and the
-// healthy shard is unaffected.
-func TestFailoverQueuesDuringOutage(t *testing.T) {
-	var bomb atomic.Bool
-	sup := New(Config{
-		Shards:    2,
-		QueueSize: 8,
-		Policy:    Block,
-		MaxBatch:  1,
-		// Long check interval: the worker stays down for the whole
-		// middle of the test, so the queue-while-down path is observable.
-		CheckInterval: 500 * time.Millisecond,
-		StallTimeout:  -1,
+// TestStalledWhileFoldBlocks: a fold wedged in a blocking hook with
+// records queued behind it makes Health report the shard stalled; the
+// flag clears once the hook is released and the queue drains.
+func TestStalledWhileFoldBlocks(t *testing.T) {
+	gate, entered := make(chan struct{}), make(chan struct{})
+	var wedge atomic.Bool
+	sup := newTestSupervisor(t, Config{
+		Shards:       1,
+		QueueSize:    64,
+		StallTimeout: 30 * time.Millisecond,
 		ApplyHook: func(shard int, cell uint16, rec *telemetry.Record) {
-			if bomb.Load() && rec.RNTI == 0xDEAD {
-				panic("injected shard fault")
+			if wedge.CompareAndSwap(true, false) {
+				close(entered)
+				<-gate // wedge exactly one fold
 			}
 		},
-	})
+	}, 1)
+	var once sync.Once
+	release := func() { once.Do(func() { close(gate) }) }
+	t.Cleanup(release) // runs before the supervisor's Close
+
+	wedge.Store(true)
+	for i := 0; i < 10; i++ {
+		if err := sup.Ingest(1, trec(i, 0x4601, 1024, float64(i))); err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			<-entered // the rest queues behind the wedged fold
+		}
+	}
+	waitFor(t, 2*time.Second, func() bool {
+		return sup.Health().PerShard[0].Stalled
+	}, "the stalled flag")
+	release()
+	sup.Flush()
+	ps := sup.Health().PerShard[0]
+	if ps.Stalled || ps.Applied != 10 || ps.Dropped != 0 || ps.Restarts != 0 {
+		t.Fatalf("after release: %+v, want not stalled, 10 applied, nothing dropped", ps)
+	}
+}
+
+// TestHeldBlockSinkBackpressures: a downstream Block sink that is held
+// back-pressures Ingest through the shard queues instead of costing
+// records or goroutines; once it is released every record is applied
+// and published, and Close leaves no goroutine behind.
+func TestHeldBlockSinkBackpressures(t *testing.T) {
+	const records = 200
+	release := make(chan struct{})
+	var delivered atomic.Int64
+	b := bus.New()
+	defer b.Close()
+	_, err := b.Subscribe("shard_held", bus.Block, bus.SinkFunc(func(recs []telemetry.Record) error {
+		<-release
+		delivered.Add(int64(len(recs)))
+		return nil
+	}), bus.WithQueueSize(4), bus.WithBatch(1, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := runtime.NumGoroutine()
+	sup := New(Config{Shards: 2, QueueSize: 8, Policy: Block, Bus: b, StallTimeout: -1})
 	for c := 1; c <= 2; c++ {
 		if _, err := sup.AddCell(uint16(c), phy.Mu1); err != nil {
 			t.Fatal(err)
@@ -146,170 +195,41 @@ func TestFailoverQueuesDuringOutage(t *testing.T) {
 	if err := sup.Start(); err != nil {
 		t.Fatal(err)
 	}
-	defer sup.Close()
 
-	victim, _ := sup.Partition(1)
-	peer, _ := sup.Partition(2)
-	if victim == peer {
-		t.Fatal("cells 1 and 2 share a shard; want distinct partitions")
+	produced := make(chan struct{})
+	go func() {
+		defer close(produced)
+		for i := 0; i < records; i++ {
+			_ = sup.Ingest(uint16(1+i%2), trec(i, 0x4601+uint16(i%2), 1024, float64(i)))
+		}
+	}()
+	time.Sleep(50 * time.Millisecond)
+	select {
+	case <-produced:
+		t.Fatal("Ingest never blocked behind a held Block sink")
+	default:
+	}
+	if h := sup.Health(); h.Ingested >= records || h.Dropped != 0 {
+		t.Fatalf("while held: ingested %d dropped %d; want < %d and 0", h.Ingested, h.Dropped, records)
 	}
 
-	bomb.Store(true)
-	if err := sup.Ingest(1, trec(0, 0xDEAD, 128, 0)); err != nil {
+	close(release)
+	<-produced
+	sup.Flush()
+	if err := sup.Close(); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, 2*time.Second, func() bool {
-		return !sup.Health().PerShard[victim].Up
-	}, "victim worker to go down")
-
-	// Worker down: pushes must not block despite Block policy, the
-	// 8-deep queue holds the freshest 8, the overflow is counted drops.
-	start := time.Now()
-	for i := 1; i <= 24; i++ {
-		if err := sup.Ingest(1, trec(i, 0x4601, 1024, float64(i))); err != nil {
-			t.Fatal(err)
-		}
+	h := sup.Health()
+	if h.Ingested != records || h.Applied != records || h.Dropped != 0 || h.Restarts != 0 {
+		t.Fatalf("after release: ingested %d applied %d dropped %d restarts %d; want %d/%d/0/0",
+			h.Ingested, h.Applied, h.Dropped, h.Restarts, records, records)
 	}
-	if took := time.Since(start); took > time.Second {
-		t.Fatalf("pushes into a down shard took %v; Block must degrade to DropOldest", took)
+	waitFor(t, 2*time.Second, func() bool { return runtime.NumGoroutine() <= base },
+		fmt.Sprintf("goroutines to settle back to %d", base))
+	if err := b.Close(); err != nil {
+		t.Fatal(err)
 	}
-	h := sup.Health().PerShard[victim]
-	if h.QueueDepth != 8 {
-		t.Fatalf("down shard queue depth %d, want full at 8", h.QueueDepth)
-	}
-	if h.Dropped < 16 {
-		t.Fatalf("down shard dropped %d, want >= 16 of 24 overflow pushes", h.Dropped)
-	}
-
-	// The healthy peer shard ingests normally throughout the outage.
-	for i := 0; i < 10; i++ {
-		if err := sup.Ingest(2, trec(i, 0x4602, 1024, float64(i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	waitFor(t, 2*time.Second, func() bool {
-		ps := sup.Health().PerShard[peer]
-		return ps.Applied == ps.Ingested
-	}, "peer shard to drain during the outage")
-
-	// Restart: the queued records (the retained freshest 8) drain into
-	// the intact partition.
-	bomb.Store(false)
-	waitFor(t, 2*time.Second, func() bool {
-		return sup.Health().PerShard[victim].Up
-	}, "supervisor to restart the victim")
-	sup.Flush()
-	h = sup.Health().PerShard[victim]
-	if got := h.Applied + h.Dropped; got != h.Ingested {
-		t.Fatalf("accounting open after outage: applied %d + dropped %d != ingested %d",
-			h.Applied, h.Dropped, h.Ingested)
-	}
-	samples, _ := sup.Store(victim).Query(1, 0x4601, 0, 0, 1)
-	var grants int64
-	for _, s := range samples {
-		grants += s.Grants
-	}
-	if grants != 8 {
-		t.Fatalf("queued-through-outage records applied %d grants, want the retained 8", grants)
-	}
-}
-
-// TestStallDetectionSupersedesWorker: a worker wedged inside a fold
-// (blocking hook) with work queued is declared stalled and superseded by
-// a fresh generation; the stall is counted.
-func TestStallDetectionSupersedesWorker(t *testing.T) {
-	gate := make(chan struct{})
-	var wedge atomic.Bool
-	sup := newTestSupervisor(t, Config{
-		Shards:        1,
-		QueueSize:     64,
-		MaxBatch:      1,
-		StallTimeout:  30 * time.Millisecond,
-		CheckInterval: 5 * time.Millisecond,
-		ApplyHook: func(shard int, cell uint16, rec *telemetry.Record) {
-			if wedge.CompareAndSwap(true, false) {
-				<-gate // wedge exactly one fold
-			}
-		},
-	}, 1)
-	defer close(gate)
-
-	wedge.Store(true)
-	for i := 0; i < 10; i++ {
-		if err := sup.Ingest(1, trec(i, 0x4601, 1024, float64(i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	waitFor(t, 2*time.Second, func() bool {
-		return sup.Health().PerShard[0].Stalls >= 1
-	}, "stall detection to fire")
-	waitFor(t, 2*time.Second, func() bool {
-		ps := sup.Health().PerShard[0]
-		return ps.Up && ps.Applied+ps.Dropped >= 9
-	}, "takeover worker to drain the queue")
-	// The wedged predecessor still holds one record; the takeover owns
-	// the rest. Release the predecessor: it must exit (superseded) and
-	// its one in-flight record is accounted (applied or dropped).
-}
-
-// TestDeadShardAfterRestartBudget: a shard that keeps crashing exhausts
-// MaxRestarts, is declared dead, and its records become counted drops
-// while the rest of the deployment stays live.
-func TestDeadShardAfterRestartBudget(t *testing.T) {
-	sup := newTestSupervisor(t, Config{
-		Shards:      2,
-		QueueSize:   4,
-		MaxBatch:    1,
-		MaxRestarts: 2,
-		ApplyHook: func(shard int, cell uint16, rec *telemetry.Record) {
-			if rec.RNTI == 0xDEAD {
-				panic("injected persistent fault")
-			}
-		},
-	}, 2)
-
-	victim, _ := sup.Partition(1)
-	peer, _ := sup.Partition(2)
-
-	// Every worker generation dies on the next poison record.
-	for i := 0; i < 8; i++ {
-		if err := sup.Ingest(1, trec(i, 0xDEAD, 128, float64(i))); err != nil {
-			t.Fatal(err)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	waitFor(t, 4*time.Second, func() bool {
-		return sup.Health().PerShard[victim].Dead
-	}, "victim to exhaust its restart budget")
-	h := sup.Health().PerShard[victim]
-	if h.Restarts != 2 {
-		t.Fatalf("victim restarted %d times, want exactly MaxRestarts=2", h.Restarts)
-	}
-
-	// Pushes to the dead shard never block and become drops once the
-	// 4-deep queue is full.
-	preDrops := sup.Health().PerShard[victim].Dropped
-	for i := 0; i < 12; i++ {
-		if err := sup.Ingest(1, trec(100+i, 0x4601, 1024, float64(100+i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if h := sup.Health().PerShard[victim]; h.Dropped <= preDrops {
-		t.Fatalf("dead shard counted no drops: %d -> %d", preDrops, h.Dropped)
-	}
-
-	// The peer shard still works; Flush skips the dead shard.
-	for i := 0; i < 10; i++ {
-		if err := sup.Ingest(2, trec(i, 0x4602, 1024, float64(i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	sup.Flush()
-	// The tiny 4-deep DropOldest queue may legitimately evict under the
-	// burst; what matters is the peer stayed live, applied work, and its
-	// accounting closed.
-	if ps := sup.Health().PerShard[peer]; ps.Dead || !ps.Up || ps.Applied == 0 ||
-		ps.Applied+ps.Dropped != ps.Ingested {
-		t.Fatalf("peer shard degraded alongside the dead one: %+v", ps)
+	if n := delivered.Load(); n != records {
+		t.Fatalf("sink received %d records, want %d", n, records)
 	}
 }

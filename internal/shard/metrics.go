@@ -38,7 +38,6 @@ type shardMetrics struct {
 	depth    *obs.Gauge
 	capacity *obs.Gauge
 	restarts *obs.Counter
-	stalls   *obs.Counter
 	ues      *obs.Gauge
 }
 
@@ -62,7 +61,7 @@ func metricsFor(idx int) *shardMetrics {
 		applied: obs.Default.Counter(p+"applied_total",
 			"records folded into shard "+i+"'s history partition"),
 		dropped: obs.Default.Counter(p+"dropped_total",
-			"records dropped towards shard "+i+" (queue eviction during overload or restart)"),
+			"records dropped towards shard "+i+" (queue eviction under drop-oldest, or a fold that panicked)"),
 		rejected: obs.Default.Counter(p+"rejected_total",
 			"records refused by shard "+i+"'s closed queue"),
 		depth: obs.Default.Gauge(p+"queue_depth",
@@ -70,9 +69,7 @@ func metricsFor(idx int) *shardMetrics {
 		capacity: obs.Default.Gauge(p+"queue_capacity",
 			"ingest ring queue capacity of shard "+i),
 		restarts: obs.Default.Counter(p+"restarts_total",
-			"times shard "+i+"'s worker was restarted by the supervisor"),
-		stalls: obs.Default.Counter(p+"stalls_total",
-			"times shard "+i+"'s worker was declared stalled and superseded"),
+			"folds in shard "+i+" that panicked and were recovered, each costing its record"),
 		ues: obs.Default.Gauge(p+"ues_tracked",
 			"UE series tracked by shard "+i+"'s history partition"),
 	}

@@ -21,7 +21,10 @@ import (
 //	GET /shards/snapshot                 merged history snapshot
 //	GET /shards/handovers                merged handover candidates
 //
-// ShardHealth is one shard's health and backpressure report.
+// ShardHealth is one shard's health and backpressure report. Restarts
+// counts the folds that panicked and were recovered; Stalled is worked
+// out on read: records are queued and the worker has been on one batch
+// for at least Config.StallTimeout.
 type ShardHealth struct {
 	Shard         int      `json:"shard"`
 	Cells         int      `json:"cells"`
@@ -32,10 +35,8 @@ type ShardHealth struct {
 	Dropped       int64    `json:"dropped_total"`
 	Rejected      int64    `json:"rejected_total"`
 	Restarts      int64    `json:"restarts_total"`
-	Stalls        int64    `json:"stalls_total"`
+	Stalled       bool     `json:"stalled"`
 	TrackedUEs    int      `json:"tracked_ues"`
-	Up            bool     `json:"up"`
-	Dead          bool     `json:"dead"`
 	CellIDs       []uint16 `json:"cell_ids,omitempty"`
 }
 
@@ -56,25 +57,24 @@ type Rollup struct {
 // process-global obs instruments, which aggregate across supervisors).
 func (s *Supervisor) Health() Rollup {
 	r := Rollup{Shards: len(s.shards), Cells: len(s.route)}
+	now := time.Now().UnixNano()
 	for _, sh := range s.shards {
-		sh.mu.Lock()
-		depth := sh.n
-		sh.mu.Unlock()
+		depth := sh.q.Len()
+		busy := sh.busySince.Load()
 		h := ShardHealth{
 			Shard:         sh.idx,
 			Cells:         sh.cells,
 			QueueDepth:    depth,
-			QueueCapacity: len(sh.buf),
+			QueueCapacity: s.cfg.QueueSize,
 			Ingested:      sh.ingested.Load(),
 			Applied:       sh.applied.Load(),
 			Dropped:       sh.dropped.Load(),
 			Rejected:      sh.rejected.Load(),
 			Restarts:      sh.restarts.Load(),
-			Stalls:        sh.stalls.Load(),
-			TrackedUEs:    sh.store.TrackedUEs(),
-			Up:            sh.workerUp.Load(),
-			Dead:          sh.dead.Load(),
-			CellIDs:       append([]uint16(nil), sh.cellIDs...),
+			Stalled: s.cfg.StallTimeout > 0 && depth > 0 && busy != 0 &&
+				time.Duration(now-busy) >= s.cfg.StallTimeout,
+			TrackedUEs: sh.store.TrackedUEs(),
+			CellIDs:    append([]uint16(nil), sh.cellIDs...),
 		}
 		r.TrackedUEs += h.TrackedUEs
 		r.Ingested += h.Ingested

@@ -5,15 +5,17 @@
 // the always-on-watcher posture OWL argued control-channel measurement
 // needs, grown from NR-Scope's one-cell pipeline to a deployment.
 //
-// Failure containment is the point of the partitioning: a shard whose
-// worker panics or stalls is restarted by the supervisor with its store
-// partition intact — the partition object survives the worker, so the
-// restarted worker resumes folding into the same retained rings.
-// Records arriving for a restarting shard's cells are queued in the
-// shard's bounded ring under DropOldest (freshness over completeness
-// while the worker is down: drops are counted, never blocking), and the
-// steady-state backpressure policy is configurable (Block for lossless
-// benchmark/eval ingest).
+// Failure containment is the point of the partitioning, and it follows
+// one rule, the decode pool's: a fold that panics costs exactly its
+// record, counted as dropped (and in restarts_total), and the worker
+// goes on with the next record into the same partition, so the
+// partition's retained rings and its peer shards are untouched. The
+// ingest queue is a bus.Ring under the configured policy: DropOldest
+// (the default) evicts as a counted drop, and Block back-pressures the
+// producer, so a worker held up by a hung Block sink downstream holds
+// up Ingest too, exactly as an unsharded bus does. A shard whose queue
+// is non-empty while one batch has been in flight for StallTimeout is
+// reported stalled by Health; nothing is restarted.
 //
 // Cross-shard queries go through the rollup layer (rollup.go): fused
 // TopK over every partition, merged deployment snapshots, per-shard
@@ -37,13 +39,11 @@ import (
 	"nrscope/internal/telemetry"
 )
 
-// Policy is a shard queue's steady-state backpressure policy (the bus
-// policies, reused: the semantics are identical).
+// Policy is a shard queue's backpressure policy (the bus policies,
+// reused: the queue is a bus.Ring).
 type Policy = bus.Policy
 
-// Backpressure policies. During a restart window the effective policy
-// is always DropOldest regardless of configuration: a dead worker must
-// not block its producers.
+// Backpressure policies.
 const (
 	DropOldest = bus.DropOldest
 	Block      = bus.Block
@@ -51,6 +51,9 @@ const (
 
 // ErrClosed is returned by Ingest and IngestSpare after Close.
 var ErrClosed = errors.New("shard: supervisor closed")
+
+// maxBatch is how many queued records a shard worker takes per pass.
+const maxBatch = 256
 
 // Config tunes a Supervisor. The zero value is usable: every field
 // defaults sensibly in New.
@@ -60,12 +63,9 @@ type Config struct {
 	// QueueSize bounds each shard's ingest ring queue, in records
 	// (default 8192).
 	QueueSize int
-	// MaxBatch is how many queued records a shard worker drains per
-	// apply pass (default 256).
-	MaxBatch int
-	// Policy is the steady-state backpressure policy of the shard
-	// queues (default DropOldest — live deployments prefer fresh
-	// telemetry; use Block for lossless benchmark or eval ingest).
+	// Policy is the backpressure policy of the shard queues (default
+	// DropOldest — live deployments prefer fresh telemetry; use Block
+	// for lossless benchmark or eval ingest).
 	Policy Policy
 	// History configures each shard's history.Store partition. MaxUEs
 	// is per partition.
@@ -80,22 +80,14 @@ type Config struct {
 	// its own publisher goroutine into the (thread-safe) bus, so -sink
 	// fan-out composes with sharding.
 	Bus *bus.Bus
-	// StallTimeout declares a worker stalled when its queue is
-	// non-empty but nothing has been applied for this long; the
-	// supervisor then supersedes it with a fresh worker (default 2s;
-	// negative disables stall detection).
+	// StallTimeout is how long a worker may spend on one batch while
+	// records wait behind it before Health reports the shard stalled
+	// (default 2s; negative disables the flag).
 	StallTimeout time.Duration
-	// CheckInterval is the supervisor monitor's health-check cadence
-	// (default 100ms).
-	CheckInterval time.Duration
-	// MaxRestarts bounds per-shard restarts; beyond it the shard is
-	// declared dead and its records become counted drops (default 16;
-	// negative = unlimited).
-	MaxRestarts int
 	// ApplyHook, if set, is invoked for every record just before it is
 	// applied, outside the shard's apply lock. It exists for fault
 	// injection in tests (a panicking or blocking hook exercises the
-	// restart and stall paths); leave nil in production.
+	// recover and stall paths); leave nil in production.
 	ApplyHook func(shard int, cell uint16, rec *telemetry.Record)
 }
 
@@ -106,17 +98,8 @@ func (c Config) withDefaults() Config {
 	if c.QueueSize <= 0 {
 		c.QueueSize = 8192
 	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 256
-	}
 	if c.StallTimeout == 0 {
 		c.StallTimeout = 2 * time.Second
-	}
-	if c.CheckInterval <= 0 {
-		c.CheckInterval = 100 * time.Millisecond
-	}
-	if c.MaxRestarts == 0 {
-		c.MaxRestarts = 16
 	}
 	return c
 }
@@ -130,10 +113,10 @@ type item struct {
 	spare   *telemetry.SpareCapacity
 }
 
-// Supervisor partitions cells across shards and supervises the shard
-// workers. AddCell calls must precede Start; Ingest routes to the
-// owning shard through an immutable map afterwards, so the hot path
-// takes no supervisor-level lock.
+// Supervisor partitions cells across shards and runs one worker per
+// shard. AddCell calls must precede Start; Ingest routes to the owning
+// shard through an immutable map afterwards, so the hot path takes no
+// supervisor-level lock.
 type Supervisor struct {
 	cfg    Config
 	shards []*shardState
@@ -141,38 +124,29 @@ type Supervisor struct {
 
 	started bool
 	closed  atomic.Bool
-
-	monitorStop chan struct{}
-	monitorDone chan struct{}
 }
 
 // New creates a supervisor with cfg.Shards empty shards. Register cells
 // with AddCell, then call Start.
 func New(cfg Config) *Supervisor {
 	cfg = cfg.withDefaults()
-	s := &Supervisor{
-		cfg:         cfg,
-		route:       make(map[uint16]*shardState),
-		monitorStop: make(chan struct{}),
-		monitorDone: make(chan struct{}),
-	}
+	s := &Supervisor{cfg: cfg, route: make(map[uint16]*shardState)}
 	for i := 0; i < cfg.Shards; i++ {
 		st := history.New(cfg.History)
 		sh := &shardState{
 			sup:   s,
 			idx:   i,
 			store: st,
-			buf:   make([]item, cfg.QueueSize),
-			wake:  make(chan struct{}, 1),
 			met:   metricsFor(i),
+			done:  make(chan struct{}),
 		}
+		sh.q = bus.NewRing[item](cfg.QueueSize, cfg.Policy, sh.met.depth)
 		if cfg.Fusion {
 			sh.agg = fusion.NewWithStore(st)
 			if cfg.History.IdleHorizon > 0 {
 				sh.agg.IdleHorizon = cfg.History.IdleHorizon
 			}
 		}
-		sh.notFull = sync.NewCond(&sh.mu)
 		sh.met.capacity.Set(int64(cfg.QueueSize))
 		s.shards = append(s.shards, sh)
 	}
@@ -250,33 +224,23 @@ func (s *Supervisor) AddCell(cellID uint16, mu phy.Numerology) (int, error) {
 	return sh.idx, nil
 }
 
-// Start launches one worker per shard and the health monitor.
+// Start launches one worker per shard.
 func (s *Supervisor) Start() error {
 	if s.started {
 		return errors.New("shard: already started")
 	}
 	s.started = true
 	for _, sh := range s.shards {
-		sh.startWorker(sh.gen.Load())
+		go sh.run()
 	}
-	go s.monitor()
 	return nil
 }
 
 // Ingest routes one record to the shard owning its cell. Safe for
-// concurrent use. Under DropOldest (or while the owning shard's worker
-// is down) a full queue evicts its oldest record as a counted drop;
-// under Block it waits for space.
+// concurrent use. Under DropOldest a full queue evicts its oldest record
+// as a counted drop; under Block it waits for space.
 func (s *Supervisor) Ingest(cellID uint16, rec telemetry.Record) error {
-	if s.closed.Load() {
-		return ErrClosed
-	}
-	sh, ok := s.route[cellID]
-	if !ok {
-		return fmt.Errorf("shard: unknown cell %d", cellID)
-	}
-	sh.push(item{cell: cellID, rec: rec})
-	return nil
+	return s.enqueue(item{cell: cellID, rec: rec})
 }
 
 // IngestSpare routes one TTI's spare-capacity split to the shard owning
@@ -285,358 +249,178 @@ func (s *Supervisor) IngestSpare(cellID uint16, slotIdx int, sp *telemetry.Spare
 	if sp == nil {
 		return nil
 	}
+	return s.enqueue(item{cell: cellID, slotIdx: slotIdx, spare: sp})
+}
+
+func (s *Supervisor) enqueue(it item) error {
 	if s.closed.Load() {
 		return ErrClosed
 	}
-	sh, ok := s.route[cellID]
+	sh, ok := s.route[it.cell]
 	if !ok {
-		return fmt.Errorf("shard: unknown cell %d", cellID)
+		return fmt.Errorf("shard: unknown cell %d", it.cell)
 	}
-	sh.push(item{cell: cellID, slotIdx: slotIdx, spare: sp})
+	evicted, ok := sh.q.Push(it)
+	if evicted > 0 {
+		sh.drop(evicted)
+	}
+	if !ok {
+		sh.rejected.Add(1)
+		sh.met.rejected.Inc()
+		return nil
+	}
+	sh.ingested.Add(1)
+	sh.met.ingested.Inc()
 	return nil
 }
 
-// Flush blocks until every live shard's queue has been fully applied
-// (or counted dropped) — the barrier benchmarks and tests use between
-// an ingest burst and a query. Dead shards (restart budget exhausted)
-// are skipped. Must not be called after Close.
+// Flush blocks until every shard's queue has been fully applied (or
+// counted dropped) — the barrier benchmarks and tests use between an
+// ingest burst and a query. Must not be called after Close.
 func (s *Supervisor) Flush() {
 	for _, sh := range s.shards {
-		for !sh.dead.Load() {
-			sh.mu.Lock()
-			empty := sh.n == 0
-			sh.mu.Unlock()
-			if empty && sh.ingested.Load() == sh.applied.Load()+sh.dropped.Load() {
-				break
-			}
+		for sh.q.Len() > 0 || sh.ingested.Load() != sh.applied.Load()+sh.dropped.Load() {
 			time.Sleep(50 * time.Microsecond)
 		}
 	}
 }
 
-// Close stops the supervisor: Ingest starts returning ErrClosed, the
-// monitor exits, every live worker drains its queue in full, and shard
-// state (store partitions, aggregators) remains readable for end-of-run
-// rollups. Idempotent.
+// Close stops the supervisor: Ingest starts returning ErrClosed, every
+// worker drains its queue in full, and shard state (store partitions,
+// aggregators) remains readable for end-of-run rollups. Idempotent.
 func (s *Supervisor) Close() error {
 	if !s.closed.CompareAndSwap(false, true) {
 		return nil
 	}
-	close(s.monitorStop)
-	if s.started {
-		<-s.monitorDone
+	for _, sh := range s.shards {
+		sh.q.Close()
 	}
 	for _, sh := range s.shards {
-		sh.beginClose()
-	}
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		done := sh.workerDone
-		up := sh.workerUp.Load()
-		// A worker that died after the monitor stopped leaves its queue
-		// behind: count it as dropped so the accounting closes.
-		if !up && sh.n > 0 {
-			sh.countDropsLocked(sh.n)
-			sh.n, sh.head = 0, 0
-			sh.met.depth.Set(0)
-		}
-		sh.mu.Unlock()
-		if done != nil && up {
-			<-done
+		if s.started {
+			<-sh.done
+		} else {
+			sh.drop(sh.q.Discard())
 		}
 	}
 	return nil
 }
 
-// monitor is the supervisor's health loop: it restarts dead workers,
-// supersedes stalled ones, and refreshes the tracked-UE gauges.
-func (s *Supervisor) monitor() {
-	defer close(s.monitorDone)
-	ticker := time.NewTicker(s.cfg.CheckInterval)
-	defer ticker.Stop()
-	type stallTrack struct {
-		applied int64
-		since   time.Time
-	}
-	tracks := make([]stallTrack, len(s.shards))
-	for {
-		select {
-		case <-s.monitorStop:
-			return
-		case <-ticker.C:
-		}
-		var ues int64
-		for i, sh := range s.shards {
-			tracked := int64(sh.store.TrackedUEs())
-			sh.met.ues.Set(tracked)
-			ues += tracked
-			if sh.dead.Load() {
-				continue
-			}
-			if !sh.workerUp.Load() {
-				s.restart(sh)
-				tracks[i] = stallTrack{}
-				continue
-			}
-			if s.cfg.StallTimeout <= 0 {
-				continue
-			}
-			sh.mu.Lock()
-			depth := sh.n
-			sh.mu.Unlock()
-			applied := sh.applied.Load() + sh.dropped.Load()
-			if depth == 0 || applied != tracks[i].applied {
-				tracks[i] = stallTrack{applied: applied}
-				continue
-			}
-			if tracks[i].since.IsZero() {
-				tracks[i].since = time.Now()
-				continue
-			}
-			if time.Since(tracks[i].since) >= s.cfg.StallTimeout {
-				sh.stalls.Add(1)
-				sh.met.stalls.Inc()
-				s.restart(sh)
-				tracks[i] = stallTrack{}
-			}
-		}
-		met.ues.Set(ues)
-	}
-}
-
-// restart brings up a fresh worker on the shard's existing queue and
-// store partition. A stalled predecessor is superseded by the
-// generation bump: it exits at its next collect, and the apply lock
-// keeps the two from folding into the partition concurrently.
-func (s *Supervisor) restart(sh *shardState) {
-	if s.cfg.MaxRestarts >= 0 && int(sh.restarts.Load()) >= s.cfg.MaxRestarts {
-		if sh.dead.CompareAndSwap(false, true) {
-			// Beyond the budget the shard stays down; wake any Block
-			// publishers so they fall through to DropOldest eviction.
-			sh.mu.Lock()
-			sh.notFull.Broadcast()
-			sh.mu.Unlock()
-		}
-		return
-	}
-	sh.restarts.Add(1)
-	sh.met.restarts.Inc()
-	sh.startWorker(sh.gen.Add(1))
-}
-
-// shardState is one shard: its bounded ingest ring, its worker, its
-// history partition and optional fusion aggregator, and its health
-// accounting.
+// shardState is one shard: its bounded ingest ring, its history
+// partition and optional fusion aggregator, and its health accounting.
 type shardState struct {
 	sup   *Supervisor
 	idx   int
 	store *history.Store
 	agg   *fusion.Aggregator
 	met   *shardMetrics
+	q     *bus.Ring[item]
+	done  chan struct{} // closed when the worker exits
 
 	cells   int
 	cellIDs []uint16
 
-	mu      sync.Mutex
-	notFull *sync.Cond
-	buf     []item
-	head, n int
-	closed  bool
-	wake    chan struct{}
-
-	// workerDone is replaced (under mu) each time a worker generation
-	// starts; Close waits on the current one.
-	workerDone chan struct{}
-
-	// applyMu serializes partition mutation (store + aggregator folds)
-	// between a worker, a superseding worker, and rollup queries that
-	// read the (unlocked) fusion aggregator.
+	// applyMu serializes the worker's aggregator folds with the rollup
+	// queries that read the (unlocked) fusion aggregator.
 	applyMu sync.Mutex
 
-	gen      atomic.Int64
-	workerUp atomic.Bool
-	dead     atomic.Bool
+	// busySince is the UnixNano at which the worker took the batch it
+	// is applying, 0 between batches.
+	busySince atomic.Int64
+	tracked   atomic.Int64 // the partition's tracked UEs after the last batch
 
 	ingested atomic.Int64 // records accepted into the queue
 	applied  atomic.Int64 // records folded into the partition
-	dropped  atomic.Int64 // queue evictions + close-time discards
+	dropped  atomic.Int64 // queue evictions + panicked folds
 	rejected atomic.Int64 // pushes refused by a closed queue
-	restarts atomic.Int64
-	stalls   atomic.Int64
+	restarts atomic.Int64 // panicked folds recovered
 }
 
-// countDropsLocked accounts n dropped records. Caller holds sh.mu.
-func (sh *shardState) countDropsLocked(n int) {
+// drop accounts n dropped records.
+func (sh *shardState) drop(n int) {
 	sh.dropped.Add(int64(n))
 	sh.met.dropped.Add(int64(n))
 }
 
-// push enqueues one item. Under Block policy it waits for space while
-// the worker is up; a down (or dead) worker degrades to DropOldest so a
-// restart window never blocks producers.
-func (sh *shardState) push(it item) {
-	sh.mu.Lock()
-	for sh.n == len(sh.buf) {
-		if sh.closed {
-			sh.mu.Unlock()
-			sh.rejected.Add(1)
-			sh.met.rejected.Inc()
-			return
-		}
-		if sh.sup.cfg.Policy == DropOldest || !sh.workerUp.Load() || sh.dead.Load() {
-			sh.buf[sh.head] = item{}
-			sh.head = (sh.head + 1) % len(sh.buf)
-			sh.n--
-			sh.countDropsLocked(1)
-			break
-		}
-		sh.notFull.Wait()
-	}
-	if sh.closed {
-		sh.mu.Unlock()
-		sh.rejected.Add(1)
-		sh.met.rejected.Inc()
-		return
-	}
-	sh.buf[(sh.head+sh.n)%len(sh.buf)] = it
-	sh.n++
-	sh.met.depth.Set(int64(sh.n))
-	sh.mu.Unlock()
-	sh.ingested.Add(1)
-	sh.met.ingested.Inc()
-	select {
-	case sh.wake <- struct{}{}:
-	default:
-	}
-}
-
-// beginClose marks the queue closed and wakes the worker and any
-// blocked publishers; the worker drains what is queued and exits.
-func (sh *shardState) beginClose() {
-	sh.mu.Lock()
-	sh.closed = true
-	sh.notFull.Broadcast()
-	sh.mu.Unlock()
-	select {
-	case sh.wake <- struct{}{}:
-	default:
-	}
-}
-
-// startWorker launches worker generation gen on the shard.
-func (sh *shardState) startWorker(gen int64) {
-	done := make(chan struct{})
-	sh.mu.Lock()
-	sh.workerDone = done
-	sh.mu.Unlock()
-	sh.workerUp.Store(true)
-	go sh.runWorker(gen, done)
-}
-
-// runWorker is the shard's ingest worker: drain a batch, apply it to
-// the partition, publish, repeat. A panic (from a record fold or an
-// injected fault) marks the worker down for the monitor to restart —
-// the store partition survives untouched.
-func (sh *shardState) runWorker(gen int64, done chan struct{}) {
-	defer close(done)
-	batch := make([]item, 0, sh.sup.cfg.MaxBatch)
-	defer func() {
-		if r := recover(); r != nil {
-			// The in-flight batch was already dequeued; count it as
-			// dropped so ingested == applied + dropped keeps holding.
-			sh.mu.Lock()
-			sh.countDropsLocked(len(batch))
-			sh.mu.Unlock()
-			if sh.gen.Load() == gen {
-				sh.workerUp.Store(false)
-			}
-			sh.mu.Lock()
-			sh.notFull.Broadcast()
-			sh.mu.Unlock()
-		}
-	}()
+// run is the shard's ingest worker: take a batch, apply it to the
+// partition, publish, repeat, until the queue is closed and drained.
+func (sh *shardState) run() {
+	defer close(sh.done)
+	batch := make([]item, 0, maxBatch)
 	for {
-		batch = sh.collect(batch[:0], gen)
+		var closed bool
+		batch, closed = sh.q.Take(batch[:0], maxBatch)
 		if len(batch) == 0 {
-			return // closed and drained, or superseded
-		}
-		sh.apply(batch)
-		batch = batch[:0] // applied: a later panic must not re-count it
-	}
-}
-
-// collect blocks until work is queued, then drains up to MaxBatch
-// items. It returns an empty batch when the shard is closed and fully
-// drained, or when this worker generation has been superseded.
-func (sh *shardState) collect(batch []item, gen int64) []item {
-	for {
-		if sh.gen.Load() != gen {
-			return batch[:0]
-		}
-		sh.mu.Lock()
-		if sh.n > 0 {
-			for sh.n > 0 && len(batch) < cap(batch) {
-				batch = append(batch, sh.buf[sh.head])
-				sh.buf[sh.head] = item{}
-				sh.head = (sh.head + 1) % len(sh.buf)
-				sh.n--
+			if closed {
+				return
 			}
-			sh.met.depth.Set(int64(sh.n))
-			sh.notFull.Broadcast()
-			sh.mu.Unlock()
-			return batch
-		}
-		if sh.closed {
-			sh.mu.Unlock()
-			return batch[:0]
-		}
-		sh.mu.Unlock()
-		<-sh.wake
-	}
-}
-
-// apply folds one batch into the shard's partition. The hook (fault
-// injection) runs outside applyMu so a blocked hook can be superseded
-// by a takeover worker; the partition folds run under applyMu so a
-// superseded worker's in-flight batch cannot interleave with its
-// successor's.
-func (sh *shardState) apply(batch []item) {
-	if hook := sh.sup.cfg.ApplyHook; hook != nil {
-		for i := range batch {
-			if batch[i].spare == nil {
-				hook(sh.idx, batch[i].cell, &batch[i].rec)
-			}
-		}
-	}
-	sh.applyBatch(batch)
-	if b := sh.sup.cfg.Bus; b != nil {
-		for i := range batch {
-			if batch[i].spare == nil {
-				_ = b.Publish(batch[i].rec)
-			}
-		}
-	}
-	sh.applied.Add(int64(len(batch)))
-	sh.met.applied.Add(int64(len(batch)))
-}
-
-// applyBatch holds applyMu across the batch fold; the deferred unlock
-// keeps the lock released even when a fold panics (the worker's recover
-// then reports the crash with the partition lock free).
-func (sh *shardState) applyBatch(batch []item) {
-	sh.applyMu.Lock()
-	defer sh.applyMu.Unlock()
-	for i := range batch {
-		it := &batch[i]
-		if it.spare != nil {
-			sh.store.IngestSpare(it.cell, it.slotIdx, it.spare)
+			<-sh.q.Ready()
 			continue
 		}
-		if sh.agg != nil {
-			// The aggregator folds into the partition store itself.
-			_ = sh.agg.Ingest(it.cell, it.rec)
-		} else {
-			sh.store.Ingest(it.cell, it.rec)
+		sh.busySince.Store(time.Now().UnixNano())
+		lost := 0
+		for i := 0; i < len(batch); {
+			n, ok := sh.applyFrom(batch[i:])
+			i += n
+			if !ok {
+				lost++
+			}
 		}
+		sh.busySince.Store(0)
+		sh.applied.Add(int64(len(batch) - lost))
+		sh.met.applied.Add(int64(len(batch) - lost))
+		tracked := int64(sh.store.TrackedUEs())
+		sh.tracked.Store(tracked)
+		sh.met.ues.Set(tracked)
+		var ues int64
+		for _, peer := range sh.sup.shards {
+			ues += peer.tracked.Load()
+		}
+		met.ues.Set(ues)
 	}
+}
+
+// applyFrom applies batch in order and returns how many records it got
+// through. If one panics it stops there: the panicking record is
+// counted dropped and included in n, and ok is false.
+func (sh *shardState) applyFrom(batch []item) (n int, ok bool) {
+	defer func() {
+		if recover() != nil {
+			n, ok = n+1, false
+			sh.drop(1)
+			sh.restarts.Add(1)
+			sh.met.restarts.Inc()
+		}
+	}()
+	for ; n < len(batch); n++ {
+		sh.apply(&batch[n])
+	}
+	return n, true
+}
+
+// apply folds one item into the partition and publishes a record to
+// the bus.
+func (sh *shardState) apply(it *item) {
+	if it.spare != nil {
+		sh.store.IngestSpare(it.cell, it.slotIdx, it.spare)
+		return
+	}
+	if hook := sh.sup.cfg.ApplyHook; hook != nil {
+		hook(sh.idx, it.cell, &it.rec)
+	}
+	sh.fold(it)
+	if b := sh.sup.cfg.Bus; b != nil {
+		_ = b.Publish(it.rec)
+	}
+}
+
+// fold folds one record into the partition: through the aggregator,
+// which folds into the partition store itself, when fusion is on.
+func (sh *shardState) fold(it *item) {
+	if sh.agg == nil {
+		sh.store.Ingest(it.cell, it.rec)
+		return
+	}
+	sh.applyMu.Lock()
+	defer sh.applyMu.Unlock()
+	_ = sh.agg.Ingest(it.cell, it.rec)
 }

@@ -33,13 +33,9 @@ func trec(slot int, rnti uint16, tbs int, tms float64) telemetry.Record {
 }
 
 // newTestSupervisor builds a started supervisor with cells 1..cells
-// registered, fast monitor cadence, and stall detection off unless the
-// caller overrides.
+// registered and the stall flag off unless the caller overrides.
 func newTestSupervisor(t *testing.T, cfg Config, cells int) *Supervisor {
 	t.Helper()
-	if cfg.CheckInterval == 0 {
-		cfg.CheckInterval = 5 * time.Millisecond
-	}
 	if cfg.StallTimeout == 0 {
 		cfg.StallTimeout = -1
 	}
@@ -285,7 +281,7 @@ func TestRollupSnapshotAndHealth(t *testing.T) {
 	}
 	var perShardUEs int
 	for _, ps := range h.PerShard {
-		if !ps.Up || ps.Dead {
+		if ps.Stalled || ps.Restarts != 0 {
 			t.Fatalf("shard %d not healthy: %+v", ps.Shard, ps)
 		}
 		if ps.QueueCapacity == 0 {
