@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cmp"
 	"slices"
 	"time"
 
@@ -29,6 +28,7 @@ type snapshot struct {
 	commonCfg  dci.Config
 	dataCfg    dci.Config
 	link       dci.LinkConfig
+	ueML       [len(phy.AggregationLevels)]int // ueSS's M_L per AL index
 	ues        *ueIndex
 	verifyMSG4 bool
 	dmrsGate   bool
@@ -94,11 +94,17 @@ func (r *decodeResult) reset(cap *radio.Capture) {
 }
 
 // slotScratch is the reusable working memory of one decodeSlot pass:
-// occupancy/claim masks for both CORESETs, the common-search-space
+// the decode plans and DCI field tables of both passes and their TBS
+// memo, occupancy/claim masks for both CORESETs, the common-search-space
 // candidate list, the position arena, and the buffers of the UE
 // confirmation step. The Scope owns one, so steady-state slots allocate
-// nothing for any of it. Nothing in a decodeResult may point into it.
+// nothing for any of it and resolve every cache once per pass, not once
+// per candidate. Nothing in a decodeResult may point into it.
 type slotScratch struct {
+	css, uss             pdcch.Plan     // resolved per (CORESET, slot, payload size)
+	cssFields, ussFields dci.FieldTable // resolved per (size class, Config)
+	tbs                  mcs.Memo
+
 	occupied   []bool
 	claimed    []bool
 	ueOccupied []bool
@@ -107,8 +113,17 @@ type slotScratch struct {
 	cssBlock   []uint8
 	pdschBuf   []byte // SIB1/MSG4 transport-block bytes (pdsch.DecodeInto)
 	arena      posArena
-	hits       []int    // tracked-UE indices named by one level's CRCs
-	found      []ueFind // confirmed UE DCIs, in confirmation order
+	hits       []int      // tracked-UE indices named by one level's CRCs
+	found      []foundDCI // confirmed UE DCIs, in confirmation order
+	keys       []uint64   // their emission keys (findKey), sorted to emit
+}
+
+// fieldTable resolves t to the field layout of size class sc under c.
+func fieldTable(t *dci.FieldTable, sc dci.SizeClass, c dci.Config) *dci.FieldTable {
+	if !t.Matches(sc, c) {
+		*t = dci.NewFieldTable(sc, c)
+	}
+	return t
 }
 
 // boolMask resizes buf to n entries, filled with fill.
@@ -163,7 +178,8 @@ func (s *Scope) decodeSlot(snap *snapshot, cap *radio.Capture) *decodeResult {
 	// paper's O(n log n + m) cost model. With the gate ablated, every
 	// CCE is treated as potentially occupied.
 	if snap.dmrsGate {
-		sc.occupied = s.codec.OccupiedCCEsInto(sc.occupied, cap.Grid, snap.coreset, cap.Ref.Slot)
+		sc.css.Resolve(s.codec, snap.coreset, cap.Ref.Slot, dci.ClassSize(dci.Fallback, snap.commonCfg))
+		sc.occupied = sc.css.OccupiedCCEsInto(sc.occupied, cap.Grid)
 	} else {
 		sc.occupied = boolMask(sc.occupied, snap.coreset.NumCCE(), true)
 	}
@@ -191,14 +207,15 @@ func (s *Scope) decodeSlot(snap *snapshot, cap *radio.Capture) *decodeResult {
 // claim their CCEs for the CSS candidates after them.
 func (s *Scope) decodeCommon(snap *snapshot, cap *radio.Capture, res *decodeResult, sc *slotScratch) {
 	occupied, claimed := sc.occupied, sc.claimed
-	fallbackSize := dci.ClassSize(dci.Fallback, snap.commonCfg)
+	sc.css.Resolve(s.codec, snap.coreset, cap.Ref.Slot, dci.ClassSize(dci.Fallback, snap.commonCfg))
+	fields := fieldTable(&sc.cssFields, dci.Fallback, snap.commonCfg)
 
 	sc.cssCands = phy.AppendSlotCandidates(sc.cssCands[:0], snap.commonSS, snap.coreset, 0, cap.Ref.Slot)
 	for _, cand := range sc.cssCands {
 		if !spanTrue(occupied, cand.StartCCE, cand.AggLevel) || anyTrue(claimed, cand.StartCCE, cand.AggLevel) {
 			continue
 		}
-		block, err := s.codec.DecodeCandidateInto(sc.cssBlock, cap.Grid, snap.coreset, cand, cap.Ref.Slot, fallbackSize, cap.N0)
+		block, err := sc.css.DecodeInto(sc.cssBlock, cap.Grid, cand, cap.N0)
 		if err != nil {
 			met.decodeFailed.Inc()
 			continue
@@ -211,12 +228,12 @@ func (s *Scope) decodeCommon(snap *snapshot, cap *radio.Capture, res *decodeResu
 			continue
 		}
 		met.crntiRecovers.Inc()
-		d, err := dci.Unpack(payload, dci.Fallback, snap.commonCfg)
+		d, err := fields.Unpack(payload)
 		if err != nil {
 			met.decodeFailed.Inc()
 			continue
 		}
-		grant, err := dci.ToGrant(d, rnti, snap.commonCfg, controlLink())
+		grant, err := dci.ToGrantWith(d, rnti, snap.commonCfg, controlLink(), &sc.tbs)
 		if err != nil {
 			met.decodeFailed.Inc()
 			continue
@@ -293,10 +310,12 @@ func (s *Scope) decodeUESpace(snap *snapshot, cap *radio.Capture, res *decodeRes
 	// region. A dedicated UE CORESET elsewhere gets its own sweep and its
 	// own claim mask, which the CSS pass (addressing CORESET-0 CCEs)
 	// never sees.
+	payloadBits := dci.ClassSize(sizeClass, snap.dataCfg)
 	ueOccupied, ueClaimed := sc.occupied, sc.claimed
 	if !snap.ueCoreset.SameRegion(snap.coreset) {
 		if snap.dmrsGate {
-			sc.ueOccupied = s.codec.OccupiedCCEsInto(sc.ueOccupied, cap.Grid, snap.ueCoreset, cap.Ref.Slot)
+			sc.uss.Resolve(s.codec, snap.ueCoreset, cap.Ref.Slot, payloadBits)
+			sc.ueOccupied = sc.uss.OccupiedCCEsInto(sc.ueOccupied, cap.Grid)
 		} else {
 			sc.ueOccupied = boolMask(sc.ueOccupied, snap.ueCoreset.NumCCE(), true)
 		}
@@ -304,25 +323,25 @@ func (s *Scope) decodeUESpace(snap *snapshot, cap *radio.Capture, res *decodeRes
 		ueOccupied, ueClaimed = sc.ueOccupied, sc.ueClaimed
 	}
 
-	s.decodePositions(snap, cap, sizeClass, dci.ClassSize(sizeClass, snap.dataCfg), ueOccupied, ueClaimed, sc)
-	if len(sc.found) == 0 {
-		return
-	}
+	s.decodePositions(snap, cap, sizeClass, payloadBits, ueOccupied, ueClaimed, sc)
 	// Emit in tracked-UE order, then candidate order, as a sweep over the
-	// UE list would.
-	slices.SortFunc(sc.found, func(a, b ueFind) int { return cmp.Or(a.ue-b.ue, a.k-b.k) })
-	for j := range sc.found {
-		res.data = append(res.data, sc.found[j].f)
+	// UE list would: sort the keys, not the finds.
+	slices.Sort(sc.keys)
+	for _, key := range sc.keys {
+		res.data = append(res.data, sc.found[key&findMask])
 	}
 }
 
-// ueFind is a confirmed UE DCI with its emission key: the UE's index in
-// the tracked set and the candidate's index in phy.AppendSlotCandidates
-// order.
-type ueFind struct {
-	ue, k int
-	f     foundDCI
+// findKey packs a confirmed UE DCI's emission key — the UE's index in
+// the tracked set, then the candidate's index in
+// phy.AppendSlotCandidates order — above its index j in
+// slotScratch.found, so sorting the keys orders the finds.
+func findKey(ue, k, j int) uint64 {
+	return uint64(ue)<<40 | uint64(k)<<20 | uint64(j)
 }
+
+// findMask extracts a find's index from its findKey.
+const findMask = 1<<20 - 1
 
 // posArena is the flat, indexed store of the per-slot position cache:
 // one fixed-size block slot per AL-aligned candidate position of the UE
@@ -401,10 +420,13 @@ func (a *posArena) find(al, cce int) int {
 // aggregation level cannot carry the payload at all are counted as
 // empty (nothing can be transmitted there), not as decode failures.
 func (s *Scope) decodePositions(snap *snapshot, cap *radio.Capture, sizeClass dci.SizeClass, payloadBits int, occupied, claimed []bool, sc *slotScratch) {
+	sc.uss.Resolve(s.codec, snap.ueCoreset, cap.Ref.Slot, payloadBits)
+	fields := fieldTable(&sc.ussFields, sizeClass, snap.dataCfg)
 	nCCE := snap.ueCoreset.NumCCE()
 	ar := &sc.arena
 	ar.reset(snap.ueSS, nCCE, payloadBits+24)
-	sc.found = sc.found[:0]
+	// Confirmed DCIs claim disjoint CCEs, so nCCE bounds the finds.
+	sc.found, sc.keys = slices.Grow(sc.found[:0], nCCE), slices.Grow(sc.keys[:0], nCCE)
 	for i, al := range phy.AggregationLevels {
 		if ar.counts[i] == 0 {
 			continue
@@ -421,7 +443,7 @@ func (s *Scope) decodePositions(snap *snapshot, cap *radio.Capture, sizeClass dc
 				continue
 			}
 			idx := ar.base[i] + cce/al
-			s.decodePosition(snap, cap, payloadBits, ar, idx, phy.Candidate{AggLevel: al, StartCCE: cce})
+			decodePosition(cap, &sc.uss, ar, idx, phy.Candidate{AggLevel: al, StartCCE: cce})
 			if r := ar.rnti[idx]; r >= 0 {
 				if ue, tracked := snap.ues.order[uint16(r)]; tracked {
 					sc.hits = append(sc.hits, ue)
@@ -430,7 +452,7 @@ func (s *Scope) decodePositions(snap *snapshot, cap *radio.Capture, sizeClass dc
 		}
 		slices.Sort(sc.hits)
 		for _, ue := range slices.Compact(sc.hits) {
-			confirmUE(snap, cap, ue, al, off, sizeClass, claimed, sc)
+			confirmUE(snap, cap, ue, al, snap.ueML[i], off, fields, claimed, sc)
 		}
 	}
 }
@@ -438,9 +460,9 @@ func (s *Scope) decodePositions(snap *snapshot, cap *radio.Capture, sizeClass dc
 // decodePosition decodes one candidate position into its arena entry idx
 // and evaluates its CRC — the only CRC run over that block, whatever the
 // UE count.
-func (s *Scope) decodePosition(snap *snapshot, cap *radio.Capture, payloadBits int, ar *posArena, idx int, cand phy.Candidate) {
+func decodePosition(cap *radio.Capture, plan *pdcch.Plan, ar *posArena, idx int, cand phy.Candidate) {
 	met.positions.Inc()
-	block, err := s.codec.DecodeCandidateInto(ar.writeBlock(idx), cap.Grid, snap.ueCoreset, cand, cap.Ref.Slot, payloadBits, cap.N0)
+	block, err := plan.DecodeInto(ar.writeBlock(idx), cap.Grid, cand, cap.N0)
 	if err != nil {
 		met.decodeFailed.Inc()
 		return
@@ -451,22 +473,28 @@ func (s *Scope) decodePosition(snap *snapshot, cap *radio.Capture, payloadBits i
 	}
 }
 
-// confirmUE walks tracked UE ue's M_L hashed candidates at aggregation
+// confirmUE walks tracked UE ue's mL hashed candidates at aggregation
 // level al, in candidate order, over the positions whose CRC named it,
-// and claims the CCEs of each DCI it confirms. Candidate m's emission key
-// is off+m, its index in phy.AppendSlotCandidates order (off is
-// phy.LevelOffset of al). A UE can legitimately receive several DCIs in
-// one TTI (a retransmission plus new data, or a downlink assignment plus
-// an uplink grant), so every one is kept. The claim mask also applies
+// and claims the CCEs of each DCI it confirms. The hash's Y is computed
+// once for the level. Candidate m's emission key is off+m, its index in
+// phy.AppendSlotCandidates order (off is phy.LevelOffset of al). A UE
+// can legitimately receive several DCIs in one TTI (a retransmission
+// plus new data, or a downlink assignment plus an uplink grant), so
+// every one is kept. The claim mask also applies
 // the same-UE overlap rule: a candidate over CCEs an earlier hit already
 // explained is skipped. A position naming the UE that is none of its
 // candidates is a chance CRC pass on someone else's (or no one's) block;
 // it is dropped and claims nothing.
-func confirmUE(snap *snapshot, cap *radio.Capture, ue, al, off int, sizeClass dci.SizeClass, claimed []bool, sc *slotScratch) {
+func confirmUE(snap *snapshot, cap *radio.Capture, ue, al, mL, off int, fields *dci.FieldTable, claimed []bool, sc *slotScratch) {
 	ar := &sc.arena
 	rnti := snap.ues.rntis[ue]
-	for m := range snap.ueSS.Candidates[al] {
-		cce, ok := phy.CandidateCCE(snap.ueSS, snap.ueCoreset, rnti, cap.Ref.Slot, al, m)
+	y, ok := phy.SearchSpaceY(snap.ueSS, snap.ueCoreset, rnti, cap.Ref.Slot)
+	if !ok {
+		return
+	}
+	nCCE := snap.ueCoreset.NumCCE()
+	for m := 0; m < mL; m++ {
+		cce, ok := phy.HashCCE(y, nCCE, al, m, mL)
 		if !ok {
 			continue
 		}
@@ -474,12 +502,12 @@ func confirmUE(snap *snapshot, cap *radio.Capture, ue, al, off int, sizeClass dc
 		if idx < 0 || ar.rnti[idx] != int32(rnti) || anyTrue(claimed, cce, al) {
 			continue
 		}
-		d, err := dci.Unpack(ar.writeBlock(idx)[:ar.blockLen-24], sizeClass, snap.dataCfg)
+		d, err := fields.Unpack(ar.writeBlock(idx)[:ar.blockLen-24])
 		if err != nil {
 			met.decodeFailed.Inc()
 			continue
 		}
-		grant, err := dci.ToGrant(d, rnti, snap.dataCfg, snap.link)
+		grant, err := dci.ToGrantWith(d, rnti, snap.dataCfg, snap.link, &sc.tbs)
 		if err != nil {
 			met.decodeFailed.Inc()
 			continue
@@ -487,7 +515,8 @@ func confirmUE(snap *snapshot, cap *radio.Capture, ue, al, off int, sizeClass dc
 		met.candMatched.Inc()
 		markTrue(claimed, cce, al)
 		cand := phy.Candidate{AggLevel: al, Index: m, StartCCE: cce}
-		sc.found = append(sc.found, ueFind{ue: ue, k: off + m, f: foundDCI{rnti: rnti, d: d, grant: grant, cand: cand}})
+		sc.keys = append(sc.keys, findKey(ue, off+m, len(sc.found)))
+		sc.found = append(sc.found, foundDCI{rnti: rnti, d: d, grant: grant, cand: cand})
 	}
 }
 

@@ -363,6 +363,44 @@ func TestProcessSlotSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestDecodeSlotZeroAllocWarm pins the plan path: with the codec caches
+// warm, a decodeSlot that resolves both decode plans for a new slot,
+// sweeps occupancy, decodes and confirms eight packed AL-1 DCIs (field
+// table unpack, TBS memo, emission-key sort) and runs the CSS pass
+// allocates nothing — in a same-region UE CORESET and in a dedicated
+// one with its own sweep.
+func TestDecodeSlotZeroAllocWarm(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("race instrumentation allocates")
+	}
+	cfg := amari()
+	rntis := trackedRNTIs(64)
+	for _, dedicated := range []bool{false, true} {
+		s := handScope(cfg, cfg.Setup.CORESET, rntis...)
+		packed := packedAL1Slot(t, s, rntis, 8)
+		want := 8
+		if dedicated {
+			s, _ = mismatchScope(t, cfg, rntis...)
+			want = 0 // the DCIs sit on CORESET 0's CCEs, not the UE CORESET's
+		}
+		caps := []*radio.Capture{packed, {SlotIdx: 42, Ref: phy.SlotRef{SFN: 0, Slot: 2}, Grid: phy.NewGrid(cfg.CarrierPRBs), N0: 1e-4}}
+		next := 0
+		step := func() {
+			res := s.decodeSlot(s.snapshot(), caps[next%2])
+			if next%2 == 0 && len(res.data) != want {
+				t.Fatalf("dedicated=%v: %d UE DCIs, want %d", dedicated, len(res.data), want)
+			}
+			next++
+		}
+		for i := 0; i < 4; i++ {
+			step()
+		}
+		if n := testing.AllocsPerRun(50, step); n != 0 {
+			t.Errorf("dedicated=%v: decodeSlot allocates %.1f times per warm slot, want 0", dedicated, n)
+		}
+	}
+}
+
 // BenchmarkDecodePositions measures the RNTI-independent half of the
 // blind decode on a slot packed with eight AL-1 DCIs of tracked UEs: the
 // AL-1 level decodes and confirms them, and their claims leave nothing

@@ -282,6 +282,9 @@ func (s *Scope) snapshot() *snapshot {
 		verifyMSG4: s.verifyMSG4,
 		dmrsGate:   s.dmrsGate,
 	}
+	for i, al := range phy.AggregationLevels {
+		s.snap.ueML[i] = s.ueSS.Candidates[al]
+	}
 	return &s.snap
 }
 
@@ -317,7 +320,9 @@ func (s *Scope) merge(res *decodeResult) *SlotResult {
 		s.link = res.setup.LinkConfig()
 	}
 
-	for _, nu := range res.newUEs {
+	// The find lists are ranged by index: their entries are large.
+	for i := range res.newUEs {
+		nu := &res.newUEs[i]
 		if _, known := s.ues[nu.rnti]; known {
 			continue
 		}
@@ -337,7 +342,8 @@ func (s *Scope) merge(res *decodeResult) *SlotResult {
 		out.Records = append(out.Records, rec)
 	}
 
-	for _, f := range res.common {
+	for i := range res.common {
+		f := &res.common[i]
 		rec := telemetry.FromGrant(res.slotIdx, res.ref, f.grant, false)
 		rec.Common = true
 		rec.AggLevel = f.cand.AggLevel
@@ -346,13 +352,14 @@ func (s *Scope) merge(res *decodeResult) *SlotResult {
 	}
 
 	usedREs := 0
-	for _, f := range res.common {
-		usedREs += f.grant.NRE
+	for i := range res.common {
+		usedREs += res.common[i].grant.NRE
 	}
-	for _, nu := range res.newUEs {
-		usedREs += nu.grant.NRE
+	for i := range res.newUEs {
+		usedREs += res.newUEs[i].grant.NRE
 	}
-	for _, f := range res.data {
+	for i := range res.data {
+		f := &res.data[i]
 		// Tracked: the decode ran against this state, and only purge,
 		// below, removes UEs.
 		track := s.ues[f.rnti]

@@ -72,6 +72,12 @@ func (g Grant) String() string {
 // config. The fallback formats always use the 64QAM table and a single
 // layer, as the standard prescribes for DCI 1_0.
 func ToGrant(d DCI, rnti uint16, cfg Config, link LinkConfig) (Grant, error) {
+	return ToGrantWith(d, rnti, cfg, link, nil)
+}
+
+// ToGrantWith is ToGrant computing the transport block size through
+// memo (mcs.Compute when memo is nil).
+func ToGrantWith(d DCI, rnti uint16, cfg Config, link LinkConfig, memo *mcs.Memo) (Grant, error) {
 	start, length, err := phy.DecodeRIV(cfg.BWPPRBs, d.FreqAlloc)
 	if err != nil {
 		return Grant{}, fmt.Errorf("dci: grant translation: %w", err)
@@ -87,7 +93,7 @@ func ToGrant(d DCI, rnti uint16, cfg Config, link LinkConfig) (Grant, error) {
 		table = mcs.TableQAM64
 		layers = 1
 	}
-	res, err := mcs.Compute(mcs.TBSParams{
+	res, err := memo.Compute(mcs.TBSParams{
 		NPRB:       length,
 		NSymbols:   ta.NumSymbols,
 		DMRSPerPRB: link.DMRSPerPRB,

@@ -1,6 +1,7 @@
 package dci
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"nrscope/internal/bits"
@@ -161,76 +162,176 @@ func ClassSize(sc SizeClass, c Config) int {
 	return rawSize11(c)
 }
 
+// field identifies one DCI field in a FieldTable.
+type field int
+
+// DCI fields, in the order Unpack stores them.
+const (
+	fRIV field = iota
+	fTimeAlloc
+	fVRBToPRB
+	fFreqHopping
+	fMCS
+	fNDI
+	fRV
+	fHARQID
+	fDAI
+	fTPC
+	fPUCCHRes
+	fHARQTiming
+	fPorts
+	fSRSRequest
+	fDMRSSeqInit
+	numFields
+)
+
+// span is one field's position in the payload: width bits from bit off,
+// MSB first. A field the format does not carry has width 0.
+type span struct{ off, width uint8 }
+
+// FieldTable is the field layout of one size class under one Config
+// (TS 38.212 §7.3.1): for the uplink and the downlink reading of the
+// payload, each field's (offset, width). Unpack reads every field by
+// shift and mask from the payload packed into words. The zero
+// FieldTable matches nothing; NewFieldTable builds one.
+type FieldTable struct {
+	class SizeClass
+	cfg   Config
+	built bool
+	err   error // invalid Config: Unpack reports it
+	size  int
+	ul    [numFields]span
+	dl    [numFields]span
+}
+
+// NewFieldTable lays out the fields of size class sc under c.
+func NewFieldTable(sc SizeClass, c Config) FieldTable {
+	t := FieldTable{class: sc, cfg: c, built: true}
+	if t.err = c.Validate(); t.err != nil {
+		return t
+	}
+	t.size = ClassSize(sc, c)
+	off := 1 // the format identifier
+	next := func(width int) span {
+		f := span{uint8(off), uint8(width)}
+		off += width
+		return f
+	}
+	// The common prefix: both directions of both classes.
+	riv, ta, hop := next(phy.RIVBits(c.BWPPRBs)), next(c.timeAllocBits()), next(1)
+	mcs, ndi, rv, harq := next(5), next(1), next(2), next(c.harqBits())
+	for _, tab := range []*[numFields]span{&t.ul, &t.dl} {
+		tab[fRIV], tab[fTimeAlloc], tab[fMCS], tab[fNDI], tab[fRV], tab[fHARQID] = riv, ta, mcs, ndi, rv, harq
+	}
+	t.dl[fVRBToPRB], t.ul[fFreqHopping] = hop, hop
+	rest := off
+	if sc == Fallback {
+		t.ul[fTPC] = next(2) // 0_0 ends with TPC
+		off = rest
+	}
+	// 1_0, 1_1 and 0_1 continue alike; only the non-fallback pair
+	// carries the last three fields.
+	dai, tpc, pucch, timing := next(2), next(2), next(3), next(3)
+	t.dl[fDAI], t.dl[fTPC], t.dl[fPUCCHRes], t.dl[fHARQTiming] = dai, tpc, pucch, timing
+	if sc == NonFallback {
+		t.ul[fDAI], t.ul[fTPC], t.ul[fPUCCHRes], t.ul[fHARQTiming] = dai, tpc, pucch, timing
+		ports, srs, dmrs := next(4), next(2), next(1)
+		for _, tab := range []*[numFields]span{&t.ul, &t.dl} {
+			tab[fPorts], tab[fSRSRequest], tab[fDMRSSeqInit] = ports, srs, dmrs
+		}
+	}
+	return t
+}
+
+// Matches reports whether t is the table of size class sc under c.
+func (t *FieldTable) Matches(sc SizeClass, c Config) bool {
+	return t.built && t.class == sc && t.cfg == c
+}
+
 // Unpack parses a DCI payload of the given size class. The format
-// identifier bit selects uplink vs downlink layout. The payload length
-// must equal ClassSize(sc, c).
+// identifier bit selects uplink vs downlink layout. The payload holds
+// one bit (0 or 1) per element and its length must equal ClassSize(sc,
+// c).
 func Unpack(payload []uint8, sc SizeClass, c Config) (DCI, error) {
-	if err := c.Validate(); err != nil {
-		return DCI{}, err
+	t := NewFieldTable(sc, c)
+	return t.Unpack(payload)
+}
+
+// Unpack is the package-level Unpack for the table's class and Config.
+func (t *FieldTable) Unpack(payload []uint8) (DCI, error) {
+	if t.err != nil {
+		return DCI{}, t.err
 	}
-	want := ClassSize(sc, c)
-	if len(payload) != want {
-		return DCI{}, fmt.Errorf("dci: payload %d bits, class needs %d", len(payload), want)
+	if len(payload) != t.size {
+		return DCI{}, fmt.Errorf("dci: payload %d bits, class needs %d", len(payload), t.size)
 	}
-	r := bits.NewReader(payload)
-	dl := r.ReadBool()
-	rivBits := phy.RIVBits(c.BWPPRBs)
+	if len(payload) > maxPayload {
+		return DCI{}, fmt.Errorf("dci: payload %d bits exceeds %d", len(payload), maxPayload)
+	}
+	var w [maxPayload / 64]uint64 // bit i is bit 63-i%64 of w[i/64]
+	for i := 0; i < len(payload); {
+		if len(payload)-i >= 8 {
+			// Byte j of the little-endian word holds bit i+j; the
+			// multiplier gathers the eight into one byte, MSB first.
+			b := (binary.LittleEndian.Uint64(payload[i:]) & 0x0101010101010101) * 0x8040201008040201 >> 56
+			w[i/64] |= b << (56 - i%64)
+			i += 8
+			continue
+		}
+		w[i/64] |= uint64(payload[i]&1) << (63 - i%64)
+		i++
+	}
+	dl := w[0]>>63 == 1
+	tab := &t.ul
 	var d DCI
 	switch {
-	case sc == Fallback && dl:
-		d.Format = Format10
-		d.FreqAlloc = uint32(r.ReadUint(rivBits))
-		d.TimeAlloc = int(r.ReadUint(c.timeAllocBits()))
-		d.VRBToPRB = int(r.ReadUint(1))
-		d.MCS = int(r.ReadUint(5))
-		d.NDI = uint8(r.ReadUint(1))
-		d.RV = int(r.ReadUint(2))
-		d.HARQID = int(r.ReadUint(c.harqBits()))
-		d.DAI = int(r.ReadUint(2))
-		d.TPC = int(r.ReadUint(2))
-		d.PUCCHRes = int(r.ReadUint(3))
-		d.HARQTiming = int(r.ReadUint(3))
-	case sc == Fallback:
+	case t.class == Fallback && dl:
+		d.Format, tab = Format10, &t.dl
+	case t.class == Fallback:
 		d.Format = Format00
-		d.FreqAlloc = uint32(r.ReadUint(rivBits))
-		d.TimeAlloc = int(r.ReadUint(c.timeAllocBits()))
-		d.FreqHopping = int(r.ReadUint(1))
-		d.MCS = int(r.ReadUint(5))
-		d.NDI = uint8(r.ReadUint(1))
-		d.RV = int(r.ReadUint(2))
-		d.HARQID = int(r.ReadUint(c.harqBits()))
-		d.TPC = int(r.ReadUint(2))
+	case dl:
+		d.Format, tab = Format11, &t.dl
 	default:
-		if dl {
-			d.Format = Format11
-		} else {
-			d.Format = Format01
-		}
-		d.FreqAlloc = uint32(r.ReadUint(rivBits))
-		d.TimeAlloc = int(r.ReadUint(c.timeAllocBits()))
-		hop := int(r.ReadUint(1))
-		if dl {
-			d.VRBToPRB = hop
-		} else {
-			d.FreqHopping = hop
-		}
-		d.MCS = int(r.ReadUint(5))
-		d.NDI = uint8(r.ReadUint(1))
-		d.RV = int(r.ReadUint(2))
-		d.HARQID = int(r.ReadUint(c.harqBits()))
-		d.DAI = int(r.ReadUint(2))
-		d.TPC = int(r.ReadUint(2))
-		d.PUCCHRes = int(r.ReadUint(3))
-		d.HARQTiming = int(r.ReadUint(3))
-		d.Ports = int(r.ReadUint(4))
-		d.SRSRequest = int(r.ReadUint(2))
-		d.DMRSSeqInit = int(r.ReadUint(1))
+		d.Format = Format01
 	}
-	if err := r.Err(); err != nil {
-		return DCI{}, err
+	var v [numFields]uint64
+	for f, sp := range tab {
+		v[f] = read(&w, sp)
 	}
-	if err := d.Validate(c); err != nil {
+	d.FreqAlloc = uint32(v[fRIV])
+	d.TimeAlloc = int(v[fTimeAlloc])
+	d.VRBToPRB = int(v[fVRBToPRB])
+	d.FreqHopping = int(v[fFreqHopping])
+	d.MCS = int(v[fMCS])
+	d.NDI = uint8(v[fNDI])
+	d.RV = int(v[fRV])
+	d.HARQID = int(v[fHARQID])
+	d.DAI = int(v[fDAI])
+	d.TPC = int(v[fTPC])
+	d.PUCCHRes = int(v[fPUCCHRes])
+	d.HARQTiming = int(v[fHARQTiming])
+	d.Ports = int(v[fPorts])
+	d.SRSRequest = int(v[fSRSRequest])
+	d.DMRSSeqInit = int(v[fDMRSSeqInit])
+	if err := d.Validate(t.cfg); err != nil {
 		return DCI{}, fmt.Errorf("dci: unpacked invalid DCI: %w", err)
 	}
 	return d, nil
+}
+
+// maxPayload bounds the payload Unpack packs: every Config whose RIV
+// field fits 64 bits stays under it.
+const maxPayload = 128
+
+// read extracts field sp from the packed payload w.
+func read(w *[maxPayload / 64]uint64, sp span) uint64 {
+	if sp.width == 0 {
+		return 0
+	}
+	i, s := sp.off/64, sp.off%64
+	v := w[i] << s
+	if s != 0 && i+1 < uint8(len(w)) {
+		v |= w[i+1] >> (64 - s)
+	}
+	return v >> (64 - sp.width)
 }

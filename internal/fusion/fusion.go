@@ -22,7 +22,9 @@
 package fusion
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -257,7 +259,8 @@ func (c *cellState) evictIdle(cutoff time.Duration) {
 
 // matchHandover looks for the best recently-departed session elsewhere,
 // freezing both sessions' identities into the retained record so later
-// RNTI reuse cannot rescore it.
+// RNTI reuse cannot rescore it. Equal confidence goes to the lowest
+// (source cell, source RNTI), so the match does not depend on map order.
 func (a *Aggregator) matchHandover(to *cellState, arrival *ueActivity, at time.Duration) {
 	var best *handoverRec
 	for _, from := range a.cells {
@@ -282,7 +285,10 @@ func (a *Aggregator) matchHandover(to *cellState, arrival *ueActivity, at time.D
 				fromRate: u.meanRate(),
 				to:       arrival,
 			}
-			if best == nil || hr.h.Confidence > best.h.Confidence {
+			if best == nil || hr.h.Confidence > best.h.Confidence ||
+				hr.h.Confidence == best.h.Confidence && cmp.Or(
+					cmp.Compare(hr.h.FromCell, best.h.FromCell),
+					cmp.Compare(hr.h.FromRNTI, best.h.FromRNTI)) < 0 {
 				best = &hr
 			}
 		}
@@ -323,8 +329,17 @@ func (a *Aggregator) Handovers() []Handover {
 		h.Confidence = 0.5*h.Confidence + 0.5*sim
 		out = append(out, h)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].At < out[j].At })
+	slices.SortFunc(out, CompareHandovers)
 	return out
+}
+
+// CompareHandovers is the total order Handovers returns: by arrival
+// time, then by every identity field.
+func CompareHandovers(a, b Handover) int {
+	return cmp.Or(
+		cmp.Compare(a.At, b.At),
+		cmp.Compare(a.ToCell, b.ToCell), cmp.Compare(a.ToRNTI, b.ToRNTI),
+		cmp.Compare(a.FromCell, b.FromCell), cmp.Compare(a.FromRNTI, b.FromRNTI))
 }
 
 // CACandidate is a carrier-aggregation hypothesis: two cell-local
@@ -350,10 +365,15 @@ func (c CACandidate) String() string {
 // meets minOverlap (e.g. 0.7). Sessions active in fewer than ten bins
 // are ignored: tiny sessions correlate by chance.
 func (a *Aggregator) CarrierAggregation(minOverlap float64) []CACandidate {
+	ids := make([]uint16, 0, len(a.cells))
+	for id := range a.cells {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids) // every pair comes out lower cell first
 	var all []history.SeriesMask
-	for _, c := range a.cells {
-		for _, s := range a.store.UEs(c.id) {
-			m, ok := a.store.ActivityMask(c.id, s.RNTI)
+	for _, id := range ids {
+		for _, s := range a.store.UEs(id) {
+			m, ok := a.store.ActivityMask(id, s.RNTI)
 			if ok && m.Active >= minCABins {
 				all = append(all, m)
 			}
@@ -375,8 +395,17 @@ func (a *Aggregator) CarrierAggregation(minOverlap float64) []CACandidate {
 			}
 		}
 	}
-	sort.Slice(out, func(x, y int) bool { return out[x].Overlap > out[y].Overlap })
+	slices.SortFunc(out, CompareCA)
 	return out
+}
+
+// CompareCA is the total order CarrierAggregation returns: by overlap,
+// highest first, then by every identity field.
+func CompareCA(a, b CACandidate) int {
+	return cmp.Or(
+		cmp.Compare(b.Overlap, a.Overlap),
+		cmp.Compare(a.CellA, b.CellA), cmp.Compare(a.RNTIA, b.RNTIA),
+		cmp.Compare(a.CellB, b.CellB), cmp.Compare(a.RNTIB, b.RNTIB))
 }
 
 // MergedBin is one cell's history bin in the fused windowed stream.

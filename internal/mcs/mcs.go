@@ -253,3 +253,52 @@ func (t Table) IndexForEfficiency(eff float64) int {
 	}
 	return best
 }
+
+// memoBits sets the number of entries of a Memo, 1 << memoBits.
+const memoBits = 9
+
+const memoSlots = 1 << memoBits
+
+// Memo is a bounded, direct-mapped memo of Compute: each TBSParams hashes
+// to one entry, which holds the last result computed there, keyed by the
+// full parameter tuple. A hit returns exactly what Compute returned; a
+// colliding key evicts the entry. Errors are never memoised. The zero
+// Memo is empty and ready to use; a nil *Memo computes every call. A
+// Memo is not safe for concurrent use.
+type Memo struct {
+	entries [memoSlots]memoEntry
+}
+
+type memoEntry struct {
+	key TBSParams
+	ok  bool
+	res Result
+}
+
+// Compute is Compute(p), from the memo when p was the last key computed
+// in its entry.
+func (m *Memo) Compute(p TBSParams) (Result, error) {
+	if m == nil {
+		return Compute(p)
+	}
+	e := &m.entries[memoSlot(p)]
+	if e.ok && e.key == p {
+		return e.res, nil
+	}
+	res, err := Compute(p)
+	if err != nil {
+		return res, err
+	}
+	*e = memoEntry{key: p, ok: true, res: res}
+	return res, nil
+}
+
+// memoSlot hashes a parameter tuple to its Memo entry (Fibonacci
+// hashing of the fields folded into one word).
+func memoSlot(p TBSParams) uint64 {
+	h := uint64(p.NPRB)
+	for _, v := range [...]int{p.NSymbols, p.DMRSPerPRB, p.Overhead, p.Layers, p.MCSIndex, int(p.Table)} {
+		h = h*0x100000001b3 ^ uint64(v)
+	}
+	return h * 0x9e3779b97f4a7c15 >> (64 - memoBits)
+}

@@ -12,12 +12,16 @@
 // blind decoding cheap.
 //
 // Everything a candidate decode needs that does not depend on the
-// received grid is cached on the Codec: candidate RE layouts per
-// (CORESET, aggregation level, start CCE), DMRS reference symbols per
+// received grid is cached on the Codec: one RE table per CORESET (every
+// candidate position is a slice of it), DMRS reference symbols per
 // (CORESET, slot), Gold sequence prefixes per cinit, and polar code
-// constructions per (K, E). Together with pooled demap scratch and the
-// buffer-reusing DecodeCandidateInto / polar.DecodeInto variants, the
-// steady-state per-candidate decode path performs no heap allocation.
+// constructions per (K, E). A blind decoder resolves a caller-owned Plan
+// from those caches once per (CORESET, slot, payload size) and then
+// decodes every candidate of the slot in the Plan's own demap and polar
+// scratch, without a lock, a map lookup or a pool. The Codec's own
+// decode entry points are thin wrappers over the same kernels that look
+// the caches up per call and take their scratch from a pool; both paths
+// perform no heap allocation at steady state.
 package pdcch
 
 import (
@@ -36,22 +40,19 @@ import (
 // immutable once published, so readers share them without copying.
 type Codec struct {
 	cellID uint16
+	scr    []uint8 // PDCCH scrambling sequence, maxE bits (immutable)
 
-	mu      sync.RWMutex
-	codes   map[[2]int]*polar.Code   // (K, E) -> construction
-	gold    map[uint32][]uint8       // cinit -> sequence prefix
-	layouts map[layoutKey]*layout    // candidate position -> RE geometry
-	dmrs    map[dmrsKey][]complex128 // (CORESET, slot) -> DMRS reference
+	mu     sync.RWMutex
+	codes  map[[2]int]*polar.Code   // (K, E) -> construction
+	gold   map[uint32][]uint8       // cinit -> sequence prefix
+	tables map[phy.CORESET]*table   // CORESET -> RE geometry
+	dmrs   map[dmrsKey][]complex128 // (CORESET, slot) -> DMRS reference
 
-	scratch sync.Pool // *decodeScratch, reused across DecodeCandidate calls
+	scratch sync.Pool // *scratch for the Codec's own decode entry points
 }
 
-// layoutKey identifies one candidate position within a CORESET.
-type layoutKey struct {
-	cs  phy.CORESET
-	al  int
-	cce int
-}
+// maxE is the rate-matched length of the largest aggregation level.
+const maxE = 16 * phy.BitsPerCCE
 
 // dmrsKey identifies one (CORESET, slot-in-frame) DMRS reference table.
 type dmrsKey struct {
@@ -59,37 +60,100 @@ type dmrsKey struct {
 	slot int
 }
 
-// layout is the immutable RE geometry of one candidate position: its
-// data REs in mapping order, its DMRS REs, and for each DMRS RE the
-// index into the per-(CORESET, slot) reference table.
-type layout struct {
+// Data and DMRS REs per CCE (non-interleaved mapping).
+const (
+	dataPerCCE = phy.REGsPerCCE * phy.DataREsPerREG
+	dmrsPerCCE = phy.REGsPerCCE * len(phy.REGDMRSOffsets)
+)
+
+// span is the RE geometry of one candidate position: its data REs in
+// mapping order, its DMRS REs, and for each DMRS RE the index into the
+// per-(CORESET, slot) reference table.
+type span struct {
 	data   []phy.RE
 	dmrs   []phy.RE
 	refIdx []int32
 }
 
-// decodeScratch is the pooled working memory of one candidate decode.
-type decodeScratch struct {
+// newSpan builds the geometry of n CCEs of cs from CCE start.
+func newSpan(cs phy.CORESET, start, n int) span {
+	sp := span{
+		data: cs.CandidateDataREs(start, n),
+		dmrs: cs.CandidateDMRSREs(start, n),
+	}
+	perSym := cs.NumPRB * len(phy.REGDMRSOffsets)
+	sp.refIdx = make([]int32, len(sp.dmrs))
+	for i, re := range sp.dmrs {
+		// DMRS rides every 4th subcarrier; index the reference table by
+		// the RE's subcarrier so encoder and decoder agree regardless of
+		// enumeration order.
+		k := re.Subcarrier % (cs.NumPRB * phy.SubcarriersPerPRB) / 4
+		sp.refIdx[i] = int32((re.Symbol-cs.StartSym)*perSym + k)
+	}
+	return sp
+}
+
+// table is the immutable RE geometry of a whole CORESET, CCE by CCE.
+// Under non-interleaved mapping a candidate of L CCEs from CCE i owns
+// exactly CCEs i..i+L-1, so its geometry is the slice [i, i+L) of each
+// array, scaled by the per-CCE RE count: every (aggregation level,
+// start CCE) position is indexed arithmetically, with no per-position
+// entry to build or look up.
+type table struct {
+	nCCE int
+	all  span
+}
+
+func newTable(cs phy.CORESET) *table {
+	return &table{nCCE: cs.NumCCE(), all: newSpan(cs, 0, cs.NumCCE())}
+}
+
+// span returns the geometry of the al CCEs from cce. A position outside
+// the CORESET (which no search space produces) is built per call.
+func (t *table) span(cs phy.CORESET, al, cce int) span {
+	if al < 1 || cce < 0 || cce+al > t.nCCE {
+		return newSpan(cs, cce, al)
+	}
+	return span{
+		data:   t.all.data[cce*dataPerCCE : (cce+al)*dataPerCCE],
+		dmrs:   t.all.dmrs[cce*dmrsPerCCE : (cce+al)*dmrsPerCCE],
+		refIdx: t.all.refIdx[cce*dmrsPerCCE : (cce+al)*dmrsPerCCE],
+	}
+}
+
+// scratch is the working memory of one candidate decode.
+type scratch struct {
 	syms []complex128
 	llr  []float64
+	ws   polar.Workspace
 }
 
 // New returns a codec for the given physical cell id.
 func New(cellID uint16) *Codec {
 	return &Codec{
-		cellID:  cellID,
-		codes:   make(map[[2]int]*polar.Code),
-		gold:    make(map[uint32][]uint8),
-		layouts: make(map[layoutKey]*layout),
-		dmrs:    make(map[dmrsKey][]complex128),
+		cellID: cellID,
+		scr:    bits.GoldSequence(bits.PDCCHScramblingInit(0, cellID), maxE),
+		codes:  make(map[[2]int]*polar.Code),
+		gold:   make(map[uint32][]uint8),
+		tables: make(map[phy.CORESET]*table),
+		dmrs:   make(map[dmrsKey][]complex128),
 	}
+}
+
+// scrambling returns the first n bits of the cell's PDCCH scrambling
+// sequence.
+func (c *Codec) scrambling(n int) []uint8 {
+	if n <= len(c.scr) {
+		return c.scr[:n]
+	}
+	return c.goldSeq(bits.PDCCHScramblingInit(0, c.cellID), n)
 }
 
 // goldSeq returns (a prefix of) the Gold sequence for cinit, at least n
 // bits long, from the cache. Gold sequences have the prefix property, so
 // one entry per cinit suffices; the PDCCH needs only a handful of cinit
-// values per cell (one scrambling init plus one DMRS init per
-// slot/symbol pair), keeping the cache small and hot.
+// values per cell (one DMRS init per slot/symbol pair), keeping the
+// cache small and hot.
 func (c *Codec) goldSeq(cinit uint32, n int) []uint8 {
 	c.mu.RLock()
 	seq := c.gold[cinit]
@@ -123,7 +187,7 @@ func (c *Codec) code(k, e int) (*polar.Code, error) {
 	}
 	pc, err := polar.NewCode(k, e)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("pdcch: %w", err)
 	}
 	c.mu.Lock()
 	c.codes[key] = pc
@@ -131,39 +195,24 @@ func (c *Codec) code(k, e int) (*polar.Code, error) {
 	return pc, nil
 }
 
-// layout returns the cached RE geometry of a candidate position,
-// building it on first use. The cache is bounded by the candidate
-// position space: sum over aggregation levels of NumCCE/L entries per
-// CORESET.
-func (c *Codec) layout(cs phy.CORESET, cand phy.Candidate) *layout {
-	key := layoutKey{cs: cs, al: cand.AggLevel, cce: cand.StartCCE}
+// table returns the cached RE table of a CORESET, building it on first
+// use.
+func (c *Codec) table(cs phy.CORESET) *table {
 	c.mu.RLock()
-	lay := c.layouts[key]
+	t := c.tables[cs]
 	c.mu.RUnlock()
-	if lay != nil {
-		return lay
+	if t != nil {
+		return t
 	}
-	lay = &layout{
-		data: cs.CandidateDataREs(cand.StartCCE, cand.AggLevel),
-		dmrs: cs.CandidateDMRSREs(cand.StartCCE, cand.AggLevel),
-	}
-	perSym := cs.NumPRB * len(phy.REGDMRSOffsets)
-	lay.refIdx = make([]int32, len(lay.dmrs))
-	for i, re := range lay.dmrs {
-		// DMRS rides every 4th subcarrier; index the reference table by
-		// the RE's subcarrier so encoder and decoder agree regardless of
-		// enumeration order.
-		k := re.Subcarrier % (cs.NumPRB * phy.SubcarriersPerPRB) / 4
-		lay.refIdx[i] = int32((re.Symbol-cs.StartSym)*perSym + k)
-	}
+	t = newTable(cs)
 	c.mu.Lock()
-	if prev := c.layouts[key]; prev != nil {
-		lay = prev
+	if prev := c.tables[cs]; prev != nil {
+		t = prev
 	} else {
-		c.layouts[key] = lay
+		c.tables[cs] = t
 	}
 	c.mu.Unlock()
-	return lay
+	return t
 }
 
 // dmrsRef returns the cached DMRS reference symbols of a CORESET for a
@@ -199,6 +248,69 @@ func (c *Codec) dmrsRef(cs phy.CORESET, slot int) []complex128 {
 	return ref
 }
 
+// Plan is a caller-owned decode context for one (CORESET, slot, payload
+// size): the CORESET's RE table, the slot's DMRS reference and the polar
+// code of each aggregation level (each looked up on first use), the
+// scrambling sequence, and its own demap and polar scratch. Resolve
+// compares its key and re-resolves only what changed, so a blind decoder
+// resolves at the top of each pass and then decodes every candidate
+// without touching a lock, a map or a pool. The zero Plan is ready for
+// Resolve. A Plan is not safe for concurrent use.
+type Plan struct {
+	c           *Codec
+	cs          phy.CORESET
+	slot        int
+	payloadBits int
+
+	tab   *table
+	ref   []complex128
+	codes [len(phy.AggregationLevels)]*polar.Code
+	errs  [len(phy.AggregationLevels)]error
+	sc    scratch
+}
+
+// Resolve points p at codec c's caches for CORESET cs in slot (the
+// slot-in-frame index the DMRS depends on) with payloadBits-bit DCIs.
+func (p *Plan) Resolve(c *Codec, cs phy.CORESET, slot, payloadBits int) {
+	if p.c != c || p.payloadBits != payloadBits {
+		p.codes, p.errs = [len(p.codes)]*polar.Code{}, [len(p.errs)]error{}
+	}
+	if p.c != c || p.cs != cs {
+		p.tab = c.table(cs)
+	}
+	if p.c != c || p.cs != cs || p.slot != slot {
+		p.ref = nil // looked up by the first occupancy sweep
+	}
+	p.c, p.cs, p.slot, p.payloadBits = c, cs, slot, payloadBits
+}
+
+// DecodeInto is Codec.DecodeCandidateInto for the plan's CORESET, slot
+// and payload size.
+func (p *Plan) DecodeInto(dst []uint8, g *phy.Grid, cand phy.Candidate, n0 float64) ([]uint8, error) {
+	i := phy.ALIndex(cand.AggLevel)
+	if i < 0 {
+		return nil, fmt.Errorf("pdcch: aggregation level %d", cand.AggLevel)
+	}
+	if p.codes[i] == nil && p.errs[i] == nil {
+		p.codes[i], p.errs[i] = p.c.code(p.payloadBits+24, cand.AggLevel*phy.BitsPerCCE)
+	}
+	pc := p.codes[i]
+	if pc == nil {
+		return nil, p.errs[i]
+	}
+	sp := p.tab.span(p.cs, cand.AggLevel, cand.StartCCE)
+	return p.sc.decode(dst, g, sp.data, p.c.scrambling(pc.E), pc, n0), nil
+}
+
+// OccupiedCCEsInto is Codec.OccupiedCCEsInto for the plan's CORESET and
+// slot.
+func (p *Plan) OccupiedCCEsInto(dst []bool, g *phy.Grid) []bool {
+	if p.ref == nil {
+		p.ref = p.c.dmrsRef(p.cs, p.slot)
+	}
+	return occupancy(dst, g, p.cs, p.tab, p.ref)
+}
+
 // Encode writes one DCI transmission onto the grid: payload bits are
 // CRC24C-protected with the RNTI scrambled in, polar encoded and rate
 // matched to cand.AggLevel CCEs, scrambled, QPSK mapped onto the
@@ -208,24 +320,24 @@ func (c *Codec) Encode(g *phy.Grid, cs phy.CORESET, cand phy.Candidate, slot int
 	e := cand.AggLevel * phy.BitsPerCCE
 	pc, err := c.code(len(block), e)
 	if err != nil {
-		return fmt.Errorf("pdcch: %w", err)
+		return err
 	}
 	coded := pc.Encode(block)
-	scr := c.goldSeq(bits.PDCCHScramblingInit(0, c.cellID), len(coded))
+	scr := c.scrambling(len(coded))
 	for i := range coded {
 		coded[i] ^= scr[i]
 	}
 	syms := modulation.Map(modulation.QPSK, coded)
-	lay := c.layout(cs, cand)
-	if len(syms) != len(lay.data) {
-		return fmt.Errorf("pdcch: %d symbols for %d REs", len(syms), len(lay.data))
+	sp := c.table(cs).span(cs, cand.AggLevel, cand.StartCCE)
+	if len(syms) != len(sp.data) {
+		return fmt.Errorf("pdcch: %d symbols for %d REs", len(syms), len(sp.data))
 	}
-	for i, re := range lay.data {
+	for i, re := range sp.data {
 		g.Set(re.Symbol, re.Subcarrier, syms[i])
 	}
 	ref := c.dmrsRef(cs, slot)
-	for i, re := range lay.dmrs {
-		g.Set(re.Symbol, re.Subcarrier, ref[lay.refIdx[i]])
+	for i, re := range sp.dmrs {
+		g.Set(re.Symbol, re.Subcarrier, ref[sp.refIdx[i]])
 	}
 	return nil
 }
@@ -233,20 +345,24 @@ func (c *Codec) Encode(g *phy.Grid, cs phy.CORESET, cand phy.Candidate, slot int
 // DMRSMetric correlates the candidate's pilot REs against the expected
 // DMRS. It returns a normalised metric in [-1, 1]; values near 1 mean a
 // PDCCH transmission is present on the candidate. Empty or noise-only
-// candidates score near zero. The layout and reference symbols come from
-// the codec caches, so the steady-state call is allocation free.
+// candidates score near zero. The geometry and reference symbols come
+// from the codec caches, so the steady-state call is allocation free.
 func (c *Codec) DMRSMetric(g *phy.Grid, cs phy.CORESET, cand phy.Candidate, slot int) float64 {
-	lay := c.layout(cs, cand)
-	ref := c.dmrsRef(cs, slot)
+	return dmrsMetric(g, c.table(cs).span(cs, cand.AggLevel, cand.StartCCE), c.dmrsRef(cs, slot))
+}
+
+// dmrsMetric is the DMRS correlation kernel of DMRSMetric and the
+// occupancy sweep.
+func dmrsMetric(g *phy.Grid, sp span, ref []complex128) float64 {
 	var corr complex128
 	var energy float64
-	for i, re := range lay.dmrs {
+	for i, re := range sp.dmrs {
 		rx := g.At(re.Symbol, re.Subcarrier)
-		r := ref[lay.refIdx[i]]
+		r := ref[sp.refIdx[i]]
 		corr += rx * complex(real(r), -imag(r))
 		energy += real(rx)*real(rx) + imag(rx)*imag(rx)
 	}
-	n := float64(len(lay.dmrs))
+	n := float64(len(sp.dmrs))
 	if energy == 0 {
 		return 0
 	}
@@ -277,13 +393,19 @@ func (c *Codec) OccupiedCCEs(g *phy.Grid, cs phy.CORESET, slot int) []bool {
 // capacity covers the CORESET), so the per-slot occupancy sweep does not
 // allocate at steady state.
 func (c *Codec) OccupiedCCEsInto(dst []bool, g *phy.Grid, cs phy.CORESET, slot int) []bool {
+	return occupancy(dst, g, cs, c.table(cs), c.dmrsRef(cs, slot))
+}
+
+// occupancy is the per-CCE occupancy sweep of OccupiedCCEsInto and
+// Plan.OccupiedCCEsInto.
+func occupancy(dst []bool, g *phy.Grid, cs phy.CORESET, t *table, ref []complex128) []bool {
 	n := cs.NumCCE()
 	if cap(dst) < n {
 		dst = make([]bool, n)
 	}
 	dst = dst[:n]
 	for i := range dst {
-		dst[i] = c.CCEMetric(g, cs, i, slot) >= DMRSThreshold
+		dst[i] = dmrsMetric(g, t.span(cs, 1, i), ref) >= DMRSThreshold
 	}
 	return dst
 }
@@ -306,34 +428,39 @@ func (c *Codec) DecodeCandidate(g *phy.Grid, cs phy.CORESET, cand phy.Candidate,
 
 // DecodeCandidateInto is DecodeCandidate writing the hard-decision block
 // into dst (reused when its capacity covers payloadBits+24 bits). With a
-// warm cache the call performs no heap allocation: RE layout, scrambling
-// sequence and polar construction come from the codec caches, and the
-// demap/descramble working buffers from a pool.
+// warm cache the call performs no heap allocation: RE geometry,
+// scrambling sequence and polar construction come from the codec caches,
+// and the demap and polar working memory from a pool.
 func (c *Codec) DecodeCandidateInto(dst []uint8, g *phy.Grid, cs phy.CORESET, cand phy.Candidate, slot int, payloadBits int, n0 float64) ([]uint8, error) {
-	k := payloadBits + 24
-	e := cand.AggLevel * phy.BitsPerCCE
-	pc, err := c.code(k, e)
+	pc, err := c.code(payloadBits+24, cand.AggLevel*phy.BitsPerCCE)
 	if err != nil {
-		return nil, fmt.Errorf("pdcch: %w", err)
+		return nil, err
 	}
-	lay := c.layout(cs, cand)
-	sc, _ := c.scratch.Get().(*decodeScratch)
+	sp := c.table(cs).span(cs, cand.AggLevel, cand.StartCCE)
+	sc, _ := c.scratch.Get().(*scratch)
 	if sc == nil {
-		sc = &decodeScratch{}
+		sc = &scratch{}
 	}
-	if cap(sc.syms) < len(lay.data) {
-		sc.syms = make([]complex128, len(lay.data))
+	defer c.scratch.Put(sc)
+	return sc.decode(dst, g, sp.data, c.scrambling(pc.E), pc, n0), nil
+}
+
+// decode is the candidate decode kernel behind every entry point: it
+// gathers the candidate's data REs, demaps them to QPSK LLRs,
+// descrambles in the LLR domain (a scrambling bit of 1 flips the sign)
+// and polar decodes the hard-decision block into dst.
+func (sc *scratch) decode(dst []uint8, g *phy.Grid, data []phy.RE, scr []uint8, pc *polar.Code, n0 float64) []uint8 {
+	if cap(sc.syms) < len(data) {
+		// Sized once for the largest candidate, as is the LLR buffer.
+		sc.syms = make([]complex128, max(len(data), maxE/2))
+		sc.llr = make([]float64, 0, max(2*len(data), maxE))
 	}
-	syms := sc.syms[:len(lay.data)]
-	for i, re := range lay.data {
+	syms := sc.syms[:len(data)]
+	for i, re := range data {
 		syms[i] = g.At(re.Symbol, re.Subcarrier)
 	}
 	llr := modulation.DemapInto(sc.llr, modulation.QPSK, syms, n0)
 	sc.llr = llr
-	// Descramble in the LLR domain: a scrambling bit of 1 flips the sign.
-	seq := c.goldSeq(bits.PDCCHScramblingInit(0, c.cellID), len(llr))
-	bits.DescrambleLLRInPlace(seq, llr)
-	out := pc.DecodeInto(dst, llr)
-	c.scratch.Put(sc)
-	return out, nil
+	bits.DescrambleLLRInPlace(scr[:len(llr)], llr)
+	return pc.DecodeWith(&sc.ws, dst, llr)
 }

@@ -199,10 +199,23 @@ var hashPow = func() (t [len(hashA)][hashSlots]uint64) {
 // hashPow). coresetID selects the multiplier family. A slot outside the
 // frame of the largest numerology has no candidates.
 func CandidateCCE(ss SearchSpace, cs CORESET, rnti uint16, slot int, aggLevel, m int) (int, bool) {
+	y, ok := SearchSpaceY(ss, cs, rnti, slot)
+	if !ok {
+		return 0, false
+	}
+	return HashCCE(y, cs.NumCCE(), aggLevel, m, ss.Candidates[aggLevel])
+}
+
+// SearchSpaceY is the hashing function's Y for rnti in slot (0 in a
+// common search space); ok is false for a slot outside the frame of the
+// largest numerology. CandidateCCE(ss, cs, rnti, slot, L, m) is
+// HashCCE(y, cs.NumCCE(), L, m, ss.Candidates[L]), so a caller walking
+// a level's candidates computes Y, and looks M_L up, once.
+func SearchSpaceY(ss SearchSpace, cs CORESET, rnti uint16, slot int) (uint32, bool) {
 	if slot < 0 || slot >= hashSlots {
 		return 0, false
 	}
-	return hashCCE(hashY(ss, cs, rnti, slot), cs.NumCCE(), aggLevel, m, ss.Candidates[aggLevel])
+	return hashY(ss, cs, rnti, slot), true
 }
 
 // hashY is Y_{p,n} for slot n in [0, hashSlots): 0 in a common search
@@ -214,12 +227,12 @@ func hashY(ss SearchSpace, cs CORESET, rnti uint16, slot int) uint32 {
 	return uint32(hashPow[cs.ID%3][slot] * uint64(max(rnti, 1)) % hashD)
 }
 
-// hashCCE is the hashing function's first CCE of candidate m of mL at
+// HashCCE is the hashing function's first CCE of candidate m of mL at
 // aggregation level l in an nCCE-CCE CORESET, given Y. Every operand
 // fits 32 bits (Y ≤ D, m < M_L, L ≤ N_CCE), and 32-bit division makes a
 // whole search space hash in about 0.6 of the time 64-bit division
 // takes (BenchmarkAppendSlotCandidates).
-func hashCCE(y uint32, nCCE, l, m, mL int) (int, bool) {
+func HashCCE(y uint32, nCCE, l, m, mL int) (int, bool) {
 	if l < 1 || l > nCCE || m < 0 || m >= mL {
 		return 0, false
 	}
@@ -269,7 +282,7 @@ func AppendSlotCandidates(dst []Candidate, ss SearchSpace, cs CORESET, rnti uint
 		l := AggregationLevels[i]
 		mL := ss.Candidates[l]
 		for m := 0; m < mL; m++ {
-			if cce, ok := hashCCE(y, nCCE, l, m, mL); ok {
+			if cce, ok := HashCCE(y, nCCE, l, m, mL); ok {
 				dst = append(dst, Candidate{AggLevel: l, Index: m, StartCCE: cce})
 			}
 		}

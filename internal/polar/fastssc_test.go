@@ -403,10 +403,10 @@ func BenchmarkPolarSC(b *testing.B) {
 		c := in.c
 		arms := []struct {
 			name string
-			pass func(s *scScratch)
+			pass func(s *Workspace)
 		}{
-			{"reference", func(s *scScratch) { c.scDecode(s, s.chLLR, s.sums, 0, 0) }},
-			{"fastssc", func(s *scScratch) { c.runSchedule(s) }},
+			{"reference", func(s *Workspace) { c.scDecode(s, s.chLLR, s.sums, 0, 0) }},
+			{"fastssc", func(s *Workspace) { c.runSchedule(s) }},
 		}
 		for _, arm := range arms {
 			b.Run(in.name+"/impl="+arm.name, func(b *testing.B) {

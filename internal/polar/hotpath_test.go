@@ -67,3 +67,49 @@ func TestFeasibleMatchesNewCode(t *testing.T) {
 		t.Error("Feasible(10, 0) = true")
 	}
 }
+
+// TestDecodeWithSharedWorkspace: one Workspace decoding codes of every
+// mother length in turn — sized for MaxN, so serving the shorter ones
+// with room to spare — must return what Decode returns in an exactly
+// sized pooled Workspace. The small-integer LLRs make exact
+// zeros and g cancellations common, so the rate-1 scDecode fallback
+// runs over the grown buffers too.
+func TestDecodeWithSharedWorkspace(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	var ws Workspace
+	var got []uint8
+	shapes := [][2]int{{62, 432}, {69, 108}, {54, 216}, {30, 54}, {64, 1728}, {43, 108}}
+	for trial := 0; trial < 300; trial++ {
+		ke := shapes[trial%len(shapes)]
+		c, err := NewCode(ke[0], ke[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		llr := bpskLLR(c.Encode(randomBits(rng, c.K)), 2)
+		for i := range llr {
+			if rng.Intn(3) == 0 {
+				llr[i] = float64(rng.Intn(5) - 2)
+			}
+		}
+		want := c.Decode(llr)
+		got = c.DecodeWith(&ws, got, llr)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("trial %d (%d,%d): bit %d differs from Decode", trial, ke[0], ke[1], i)
+			}
+		}
+	}
+	if raceflag.Enabled {
+		return // allocation counts differ under the race detector
+	}
+	c, err := NewCode(69, 108)
+	if err != nil {
+		t.Fatal(err)
+	}
+	llr := bpskLLR(c.Encode(randomBits(rng, c.K)), 8)
+	if n := testing.AllocsPerRun(100, func() {
+		got = c.DecodeWith(&ws, got, llr)
+	}); n != 0 {
+		t.Errorf("DecodeWith in a grown Workspace: %.1f allocs/op, want 0", n)
+	}
+}

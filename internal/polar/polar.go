@@ -32,8 +32,9 @@ const MaxN = 512
 // Code is a polar code instance for a fixed (K, E) pair: K information
 // bits (including any CRC the caller attached) rate-matched to E channel
 // bits. A Code is immutable after construction and safe for concurrent
-// use: Encode allocates its buffers per call, and Decode/DecodeInto take
-// their working memory from a per-Code pool.
+// use: Encode allocates its buffers per call, and a decode runs in a
+// caller-owned Workspace (DecodeWith). The per-Code pool backs only the
+// convenience entry points Decode and DecodeInto.
 type Code struct {
 	K int // information bits in
 	E int // rate-matched bits out
@@ -50,7 +51,7 @@ type Code struct {
 	schedule []nodeOp
 	checks   []check
 
-	scratch sync.Pool // *scScratch, reused across Decode calls
+	scratch sync.Pool // *Workspace for Decode/DecodeInto
 }
 
 // NewCode constructs the polar code for K information bits rate-matched
@@ -208,41 +209,60 @@ func transform(u []uint8) {
 	}
 }
 
-// scScratch is the preallocated working memory of one SC decoding pass:
-// one LLR buffer per recursion depth plus the channel-LLR, partial-sum
-// and decision arrays. Pooled per Code, so steady-state decoding does
-// not allocate.
-type scScratch struct {
-	chLLR  []float64   // length N
-	levels [][]float64 // levels[d] has length N >> (d+1)
-	sums   []uint8     // length N (partial sums, becomes the codeword)
-	u      []uint8     // length N (decided input bits)
+// Workspace is the working memory of one decode: the channel-LLR, the
+// per-depth LLR levels (levels[d] holds at least N >> (d+1) entries),
+// the partial sums (the codeword) and the decided input bits. The zero
+// Workspace is ready to use: the first DecodeWith sizes it for the
+// longest mother code, MaxN, so one Workspace serves codes of every
+// length without growing again. A Workspace is not safe for concurrent
+// use.
+type Workspace struct {
+	chLLR  []float64
+	levels [][]float64
+	sums   []uint8
+	u      []uint8
 }
 
-func (c *Code) newScratch() *scScratch {
-	s := &scScratch{
-		chLLR: make([]float64, c.N),
-		sums:  make([]uint8, c.N),
-		u:     make([]uint8, c.N),
+// fit grows w to hold the working memory of a length-n mother code.
+func (w *Workspace) fit(n int) {
+	if len(w.chLLR) >= n {
+		return
 	}
-	for m := c.N / 2; m >= 1; m /= 2 {
-		s.levels = append(s.levels, make([]float64, m))
+	w.chLLR = make([]float64, n)
+	w.sums = make([]uint8, n)
+	w.u = make([]uint8, n)
+	w.levels = w.levels[:0]
+	for m := n / 2; m >= 1; m /= 2 {
+		w.levels = append(w.levels, make([]float64, m))
 	}
+}
+
+func (c *Code) newScratch() *Workspace {
+	s := &Workspace{}
+	s.fit(c.N)
 	return s
 }
 
 // Decode runs successive-cancellation decoding over E channel LLRs
 // (positive LLR means bit 0 more likely) and returns the K decoded
 // information bits. It panics if len(llr) != E. It delegates to
-// DecodeInto with the pooled scratch, so its only allocation is the
-// K-bit result slice itself. The input contract is DecodeInto's.
+// DecodeInto, so its only allocation is the K-bit result slice itself. The input contract is DecodeInto's.
 func (c *Code) Decode(llr []float64) []uint8 {
 	return c.DecodeInto(nil, llr)
 }
 
 // DecodeInto is Decode writing the K information bits into dst (reused
 // when its capacity suffices, so steady-state decoding is allocation
-// free). It returns the K-bit result slice.
+// free). It returns the K-bit result slice. It is DecodeWith in a
+// Workspace taken from the Code's pool.
+func (c *Code) DecodeInto(dst []uint8, llr []float64) []uint8 {
+	s := c.getScratch()
+	defer c.scratch.Put(s)
+	return c.DecodeWith(s, dst, llr)
+}
+
+// DecodeWith is DecodeInto in the caller's Workspace ws; a caller that
+// decodes one block at a time keeps one Workspace and touches no pool.
 //
 // The decode is the iterative fast-SSC sweep (schedule.go): terminal
 // nodes write their partial sums and recover their own input bits with
@@ -256,18 +276,19 @@ func (c *Code) Decode(llr []float64) []uint8 {
 // recovered LLR sums ⌈E/N⌉ inputs (at most 4 for PDCCH, E ≤ 1728) and a
 // g cascade at most N of those, so every intermediate stays below
 // ~2·10⁹, and the hard decisions are exactly those of float min-sum SC.
-// Outside it DecodeInto still returns K bits, but which ones is
+// Outside it DecodeWith still returns K bits, but which ones is
 // unspecified.
-func (c *Code) DecodeInto(dst []uint8, llr []float64) []uint8 {
-	s := c.getScratch()
-	defer c.scratch.Put(s)
-	c.prepare(s, llr)
-	c.runSchedule(s)
-	return c.extract(dst, s)
+func (c *Code) DecodeWith(ws *Workspace, dst []uint8, llr []float64) []uint8 {
+	if len(ws.chLLR) < c.N {
+		ws.fit(MaxN)
+	}
+	c.prepare(ws, llr)
+	c.runSchedule(ws)
+	return c.extract(dst, ws)
 }
 
-func (c *Code) getScratch() *scScratch {
-	s, _ := c.scratch.Get().(*scScratch)
+func (c *Code) getScratch() *Workspace {
+	s, _ := c.scratch.Get().(*Workspace)
 	if s == nil {
 		s = c.newScratch()
 	}
@@ -278,7 +299,7 @@ func (c *Code) getScratch() *scScratch {
 // positions get LLR 0 (erasure); repeated positions accumulate. The
 // first wrap assigns and later wraps add in whole runs, so the hot loop
 // carries no per-bit modulo.
-func (c *Code) prepare(s *scScratch, llr []float64) {
+func (c *Code) prepare(s *Workspace, llr []float64) {
 	if len(llr) != c.E {
 		panic(fmt.Sprintf("polar: Decode got %d LLRs, code has E = %d", len(llr), c.E))
 	}
@@ -308,7 +329,7 @@ func (c *Code) prepare(s *scScratch, llr []float64) {
 }
 
 // extract copies the decided information bits out of s.u into dst.
-func (c *Code) extract(dst []uint8, s *scScratch) []uint8 {
+func (c *Code) extract(dst []uint8, s *Workspace) []uint8 {
 	if cap(dst) < c.K {
 		dst = make([]uint8, c.K)
 	}
@@ -327,7 +348,7 @@ func (c *Code) extract(dst []uint8, s *scScratch) []uint8 {
 // produce those: a NaN symbol demaps to 0, a punctured position
 // recovers to 0, and g computes b − a = 0 whenever b = a. The test
 // oracle runs it over the whole tree.
-func (c *Code) scDecode(s *scScratch, llr []float64, out []uint8, base, depth int) {
+func (c *Code) scDecode(s *Workspace, llr []float64, out []uint8, base, depth int) {
 	n := len(llr)
 	if n == 1 {
 		var bit uint8
@@ -339,7 +360,7 @@ func (c *Code) scDecode(s *scScratch, llr []float64, out []uint8, base, depth in
 		return
 	}
 	half := n / 2
-	tmp := s.levels[depth] // length half
+	tmp := s.levels[depth][:half] // a grown Workspace holds more
 	if c.allFrozen(base, half) {
 		// Rate-0 left subtree: its bits and partial sums are all zero by
 		// definition, so skip the f step and the recursion entirely. The

@@ -22,8 +22,8 @@ import (
 //	            the bottom repetition pair and unwinding g / hard-
 //	            decision / combine per level.
 //
-// Everything else becomes explicit f/g/combine ops over the pooled
-// scScratch buffers, executed iteratively — no call overhead, and the
+// Everything else becomes explicit f/g/combine ops over the
+// Workspace buffers, executed iteratively — no call overhead, and the
 // inner loops are flat slices the compiler can keep in registers. A
 // codeword check may precede such a branch and skip it: see below.
 //
@@ -303,7 +303,7 @@ func gPass(dst, a, bh []float64, us []uint8) {
 // nodeLLR returns the scratch buffer holding the LLRs of a node at the
 // given depth: the channel LLRs at the root, else the parent's f/g
 // output level.
-func (c *Code) nodeLLR(s *scScratch, depth, n int) []float64 {
+func (c *Code) nodeLLR(s *Workspace, depth, n int) []float64 {
 	if depth == 0 {
 		return s.chLLR
 	}
@@ -319,7 +319,7 @@ func (c *Code) nodeLLR(s *scScratch, depth, n int) []float64 {
 // checks invert their local partial sums with a size-n polar transform
 // (the transform is an involution over GF(2)). Frozen positions are
 // never read back by extract, so rate-0 nodes skip u entirely.
-func (c *Code) runSchedule(s *scScratch) {
+func (c *Code) runSchedule(s *Workspace) {
 	sched := c.schedule
 	for pc := 0; pc < len(sched); pc++ {
 		op := sched[pc]
@@ -397,7 +397,7 @@ func (c *Code) runSchedule(s *scScratch) {
 // exact by the induction above, and falls back to scDecode when one is
 // ±0. NaNs would void it too, but DecodeInto's contract keeps them out
 // of every buffer rate1 can see.
-func (c *Code) rate1(s *scScratch, v []float64, base, n, depth int) {
+func (c *Code) rate1(s *Workspace, v []float64, base, n, depth int) {
 	if n == 1 {
 		// The leaf rule verbatim: bit = 1 iff llr < 0 (so -0 and NaN
 		// decode to 0, exactly like scDecode's leaf).
@@ -449,7 +449,7 @@ func (c *Code) rate1(s *scScratch, v []float64, base, n, depth int) {
 // check runs the codeword check op: its screens, then the full test.
 // On a hit it writes the node's partial sums and input bits and
 // returns the schedule index past the subtree; otherwise 0.
-func (c *Code) check(s *scScratch, op nodeOp) int {
+func (c *Code) check(s *Workspace, op nodeOp) int {
 	ck := &c.checks[op.aux]
 	base, n := int(op.base), int(op.n)
 	v := c.nodeLLR(s, int(op.depth), n)[:n]
@@ -553,7 +553,7 @@ func unpack(dst []uint8, w []uint64) {
 // recursion's op on the same operands in the same buffers, so the
 // result is bit-identical — including the rounding and tie cases a
 // direct Wagner (min-|LLR| parity flip) decode would get wrong.
-func (c *Code) spc(s *scScratch, buf []float64, base, n, depth int) {
+func (c *Code) spc(s *Workspace, buf []float64, base, n, depth int) {
 	out := s.sums[base : base+n]
 	if n == 4 {
 		// The most common SPC size, fully unrolled: f pair, bottom

@@ -3,6 +3,7 @@ package shard
 import (
 	"encoding/json"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"time"
@@ -158,7 +159,7 @@ func (s *Supervisor) Handovers() []fusion.Handover {
 		sh.applyMu.Unlock()
 		out = append(out, hos...)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].At < out[j].At })
+	slices.SortFunc(out, fusion.CompareHandovers)
 	return out
 }
 
@@ -175,7 +176,7 @@ func (s *Supervisor) CarrierAggregation(minOverlap float64) []fusion.CACandidate
 		sh.applyMu.Unlock()
 		out = append(out, cas...)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Overlap > out[j].Overlap })
+	slices.SortFunc(out, fusion.CompareCA)
 	return out
 }
 

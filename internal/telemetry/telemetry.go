@@ -96,10 +96,31 @@ type flowKey struct {
 	downlink bool
 }
 
+// flowWindow is one flow's window: the bits of its accepted records
+// summed per slot, for the slots in (last-n, last] that carried any, as
+// k bins in ascending slot order in a ring of n from head. The bins'
+// slots are distinct and inside the window, so the ring never
+// overflows. Moving the window drops bins from the front, so its cost
+// follows the records, not the slots elapsed.
 type flowWindow struct {
-	slots []int64 // ring buffer of bits per slot
-	last  int     // last slot index written
-	total int64
+	bins    []slotBits
+	head, k int
+	last    int // the window's last slot
+	total   int64
+}
+
+type slotBits struct {
+	slot int
+	bits int64
+}
+
+// bin returns the i-th live bin, i < n.
+func (f *flowWindow) bin(i int) *slotBits {
+	i += f.head
+	if i >= len(f.bins) {
+		i -= len(f.bins)
+	}
+	return &f.bins[i]
 }
 
 // NewWindowEstimator creates an estimator with the given window length.
@@ -116,9 +137,8 @@ func (w *WindowEstimator) WindowSlots() int { return w.windowSlots }
 
 // Add feeds one record. Retransmissions do not add throughput (the
 // same bits were counted at their first transmission). Records older
-// than the window are dropped: their ring slot has already been
-// drained, so crediting them to the position they alias would inflate
-// the window with out-of-window bits.
+// than the window are dropped: the window has already moved past their
+// slot, so crediting them would inflate it with out-of-window bits.
 func (w *WindowEstimator) Add(rec Record) {
 	if rec.IsRetx {
 		return
@@ -126,32 +146,46 @@ func (w *WindowEstimator) Add(rec Record) {
 	k := flowKey{rec.RNTI, rec.Downlink}
 	f := w.flows[k]
 	if f == nil {
-		f = &flowWindow{slots: make([]int64, w.windowSlots)}
+		f = &flowWindow{bins: make([]slotBits, w.windowSlots)}
 		w.flows[k] = f
 	}
 	f.advance(rec.SlotIdx, w.windowSlots)
 	if rec.SlotIdx <= f.last-w.windowSlots {
 		return // stale: the window has moved past this slot
 	}
-	f.slots[rec.SlotIdx%w.windowSlots] += int64(rec.TBS)
-	f.total += int64(rec.TBS)
+	f.add(rec.SlotIdx, int64(rec.TBS))
 }
 
-// advance zeroes ring entries between the last write and now.
+// add credits bits to slot, which lies in the window: the last bin in
+// order, or a late record's bin found by a walk back from it.
+func (f *flowWindow) add(slot int, bits int64) {
+	f.total += bits
+	i := f.k
+	for i > 0 && f.bin(i-1).slot > slot {
+		i--
+	}
+	if i > 0 && f.bin(i-1).slot == slot {
+		f.bin(i - 1).bits += bits
+		return
+	}
+	for j := f.k; j > i; j-- {
+		*f.bin(j) = *f.bin(j - 1)
+	}
+	*f.bin(i) = slotBits{slot, bits}
+	f.k++
+}
+
+// advance moves the window to end at slotIdx (never backwards),
+// dropping the bins that leave it.
 func (f *flowWindow) advance(slotIdx, n int) {
 	if slotIdx <= f.last {
 		return
 	}
-	steps := slotIdx - f.last
-	if steps > n {
-		steps = n
-	}
-	for i := 1; i <= steps; i++ {
-		pos := (f.last + i) % n
-		f.total -= f.slots[pos]
-		f.slots[pos] = 0
-	}
 	f.last = slotIdx
+	for f.k > 0 && f.bin(0).slot <= slotIdx-n {
+		f.total -= f.bin(0).bits
+		f.head, f.k = (f.head+1)%len(f.bins), f.k-1
+	}
 }
 
 // Remove forgets a UE's flows in both directions — called when the UE
