@@ -14,7 +14,9 @@ import (
 	"testing"
 
 	"nrscope/internal/bus"
+	"nrscope/internal/channel"
 	"nrscope/internal/history"
+	"nrscope/internal/radio"
 	"nrscope/internal/shard"
 	"nrscope/internal/telemetry"
 )
@@ -26,10 +28,13 @@ const goldenPath = "testdata/golden.json"
 // goldenRun pins one seeded scenario's output: the JSONL record stream
 // (count and FNV-64a of the bytes a jsonl sink would write, or the sum of
 // each line's FNV-64a where several goroutines publish), every downlink
-// slot's §5.4.1 spare split, and for the sharded scenarios the merged
-// history snapshot and the fusion candidates.
+// slot's §5.4.1 spare split, for the sharded scenarios the merged
+// history snapshot and the fusion candidates, and for the uplink
+// scenario the decoded UCI reports of each receiver leg.
 type goldenRun struct {
 	Records       int    `json:"records"`
+	UCIReports    []int  `json:"uci_reports,omitempty"`
+	UCIFNV64      string `json:"uci_fnv64,omitempty"`
 	JSONLFNV64    string `json:"jsonl_fnv64,omitempty"`
 	JSONLSum64    string `json:"jsonl_sum64,omitempty"`
 	SpareSlots    int    `json:"spare_slots,omitempty"`
@@ -85,6 +90,65 @@ func goldenSingleCell(t *testing.T) goldenRun {
 	run.SpareFNV64 = fmt.Sprintf("%016x", spare.Sum64())
 	run.Description = fmt.Sprintf("Amarisoft preset, seed 1, 16 UEs of mixed mobility, %d slots", slots)
 	return run
+}
+
+// goldenUplinkSNRs are the uplink scenario's receiver legs: the
+// benchmark's bench-top SNR, where nearly every PUCCH block arrives with
+// every hard decision right; 8 dB, where some blocks arrive with
+// hard-decision errors the Viterbi trellis corrects; and 0 dB, where
+// most do, some reports are lost, and noise-only resources pass the
+// energy gate and fail the CRC.
+var goldenUplinkSNRs = []float64{22, 8, 0}
+
+// goldenUplink is the uplink scenario: the Amarisoft preset at seed 1,
+// for 4000 slots, with 16 UEs of mixed mobility. The scope tracks the UEs
+// from the downlink; each uplink carrier capture is then received once
+// per leg of goldenUplinkSNRs, each leg with its own seeded receiver, and
+// every UCI report the scope decodes is folded into one digest in leg
+// order.
+func goldenUplink(t *testing.T) goldenRun {
+	t.Helper()
+	const slots = 4000
+	tb, err := NewTestbed(AmarisoftPreset, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mobility := []string{"static", "pedestrian", "vehicle", "urban"}
+	for i := 0; i < 16; i++ {
+		tb.AttachUE(UEProfile{Mobility: mobility[i%len(mobility)]})
+	}
+	rxs := make([]*radio.Receiver, len(goldenUplinkSNRs))
+	for i, snr := range goldenUplinkSNRs {
+		rxs[i] = radio.NewReceiver(channel.Normal, snr, 0x1301+int64(i)).Reuse(true)
+	}
+	h := fnv.New64a()
+	run := goldenRun{UCIReports: make([]int, len(rxs))}
+	for i := 0; i < slots; i++ {
+		out := tb.GNB.Step()
+		tb.Scope.ProcessSlot(tb.RX.Capture(out.SlotIdx, out.Ref, out.Grid))
+		for leg, rx := range rxs {
+			ul := tb.Scope.ProcessUplinkSlot(rx.Capture(out.SlotIdx, out.Ref, out.ULGrid))
+			run.UCIReports[leg] += len(ul.Reports)
+			for _, r := range ul.Reports {
+				u := r.UCI
+				writeU64(h, uint64(leg), uint64(r.SlotIdx), uint64(r.RNTI), b2u(u.SR), uint64(u.CQI),
+					b2u(u.HasAck), b2u(u.Ack), uint64(u.AckID))
+			}
+		}
+	}
+	for _, n := range run.UCIReports {
+		run.Records += n
+	}
+	run.UCIFNV64 = fmt.Sprintf("%016x", h.Sum64())
+	run.Description = fmt.Sprintf("Amarisoft preset, seed 1, 16 UEs of mixed mobility, %d slots, UCI received at %v dB", slots, goldenUplinkSNRs)
+	return run
+}
+
+func b2u(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // goldenSharded is the sharded scenario: the srsRAN, Mosolab and
@@ -262,7 +326,9 @@ func writeU64(h hash.Hash64, vs ...uint64) {
 // architectures check the counts.
 func TestGoldenOutputs(t *testing.T) {
 	sharded, fused := goldenSharded(t)
-	got := map[string]goldenRun{"single_cell": goldenSingleCell(t), "sharded": sharded, "fused": fused}
+	got := map[string]goldenRun{
+		"single_cell": goldenSingleCell(t), "sharded": sharded, "fused": fused, "uplink": goldenUplink(t),
+	}
 	if *updateGolden {
 		data, err := json.MarshalIndent(got, "", "  ")
 		if err != nil {
@@ -293,6 +359,9 @@ func TestGoldenOutputs(t *testing.T) {
 				name, g.Records, g.SpareSlots, g.Handovers, g.CACandidates,
 				w.Records, w.SpareSlots, w.Handovers, w.CACandidates)
 		}
+		if !slices.Equal(g.UCIReports, w.UCIReports) {
+			t.Errorf("%s: UCI reports per leg %v, golden %v", name, g.UCIReports, w.UCIReports)
+		}
 		if runtime.GOARCH != "amd64" {
 			continue
 		}
@@ -302,6 +371,7 @@ func TestGoldenOutputs(t *testing.T) {
 			{"spare-split digest", g.SpareFNV64, w.SpareFNV64},
 			{"snapshot digest", g.SnapshotFNV64, w.SnapshotFNV64},
 			{"fusion digest", g.FusionSum64, w.FusionSum64},
+			{"UCI digest", g.UCIFNV64, w.UCIFNV64},
 		} {
 			if d.got != d.want {
 				t.Errorf("%s: %s %s, golden %s", name, d.what, d.got, d.want)
