@@ -13,7 +13,10 @@
 // with erased positions receiving zero LLR at the decoder.
 package convcode
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 const (
 	constraintLen = 7
@@ -30,6 +33,9 @@ var outputTable [numStates][2]uint8
 
 // nextState[state][input] is the successor trellis state.
 var nextState [numStates][2]uint8
+
+// parity6 holds the parity of x in bit x, for every 6-bit x.
+var parity6 uint64
 
 // butterflyOut[j] is the output of the transition 2j --0--> j. Every
 // generator taps both ends of the register, so flipping the input bit or
@@ -52,6 +58,9 @@ func init() {
 	}
 	for j := range butterflyOut {
 		butterflyOut[j] = outputTable[2*j][0]
+	}
+	for x := uint32(0); x < numStates; x++ {
+		parity6 |= uint64(parity32(x)) << x
 	}
 }
 
@@ -167,6 +176,10 @@ type Workspace struct {
 // the states that can still reach the zero tail. That is 37 % fewer adds
 // and compares for a 22-bit UCI block and 4 % for a 256-bit one.
 //
+// Before the trellis, a block whose hard decisions already form a
+// codeword with a clear margin is returned as decoded by inverting the
+// encoder (see codeword); the trellis would return the same bits.
+//
 // The LLRs must be finite and vanish next to the 1e300 start sentinel
 // (unreachable states then keep exactly -1e300); every production LLR
 // is saturated into ±modulation.MaxLLR with NaN mapped to 0. Within that
@@ -177,9 +190,15 @@ func (w *Workspace) Decode(llr []float64, k int) []uint8 {
 	if len(llr) != steps*rateInv {
 		panic(fmt.Sprintf("convcode: got %d LLRs for k = %d (want %d)", len(llr), k, steps*rateInv))
 	}
+	if cap(w.out) < steps {
+		w.out = make([]uint8, steps)
+	}
+	out := w.out[:steps]
+	if codeword(llr, k, out) {
+		return out[:k]
+	}
 	if cap(w.dec) < steps {
 		w.dec = make([]uint64, steps)
-		w.out = make([]uint8, steps)
 	}
 	// Bit s of dec[t] is set when state s at step t was entered from its
 	// odd predecessor.
@@ -252,13 +271,67 @@ func (w *Workspace) Decode(llr []float64, k int) []uint8 {
 
 	// Trace back from state 0 (zero-tailed): the input bit is the new
 	// state's top bit, the predecessor its low bits plus the decision.
-	out := w.out[:steps]
 	state := uint64(0)
 	for t := steps - 1; t >= 0; t-- {
 		out[t] = uint8(state >> (memory - 1))
 		state = state<<1&(numStates-1) | dec[t]>>state&1
 	}
 	return out[:k]
+}
+
+// codeword is the check in front of the trellis. It takes the hard
+// decision of each LLR (its sign bit) and inverts the encoder step by
+// step: g0 = 133 taps the input bit, so the input is c0 ⊕ parity(state &
+// 0o33), and the other two output bits must then be the ones the encoder
+// emits from that state. The six flush inputs must be 0, which also ends
+// the walk in state 0. It writes the inputs to out (length k + memory)
+// and reports true only when, besides, every |LLR| is nonzero and
+// min|l| > n·2⁻⁵¹·Σ|l| for the n = len(llr) LLRs. Then the Viterbi
+// decoder is certain to return the same bits:
+//
+//   - Float addition is monotone, so at every step the hard path's
+//     branch metric, the float sum of |l0|, |l1|, |l2|, is ≥ that of
+//     every other output pattern, a sum of the same terms with some
+//     negated.
+//   - Any path metric is a float sum of ±|l| terms over a prefix of the
+//     block, whatever the summation tree; its error is at most γₙ·Σ|l|,
+//     with γₙ = n·u/(1−n·u) ≤ n·2⁻⁵² (u = 2⁻⁵³). The float Σ|l| computed
+//     here is at least half the exact one, and a computed threshold
+//     below min|l| means the exact one is too, so the margin test gives
+//     min|l| > γₙ·Σ|l|.
+//   - A competitor merging into a state of the hard path differs from it
+//     in at least one coded bit, so its exact metric is lower by at least
+//     2·min|l|, and its float metric stays strictly lower. The hard path
+//     is therefore the strict float survivor at every merge, and
+//     tie-breaking never decides. A competitor still carrying the -1e300
+//     sentinel (a block shorter than the memory) is lower anyway.
+//   - The hard path starts and ends in state 0, which both the trimmed
+//     start-up and the trimmed tail keep, so traceback follows it.
+//
+// Zero, NaN or overflowing LLRs fail the margin test, and those blocks
+// take the trellis.
+func codeword(llr []float64, k int, out []uint8) bool {
+	const sign = 1 << 63
+	state := uint64(0)
+	lo, sum := uint64(math.MaxUint64), 0.0
+	for t := range out {
+		l := llr[t*rateInv : t*rateInv+rateInv]
+		b0, b1, b2 := math.Float64bits(l[0]), math.Float64bits(l[1]), math.Float64bits(l[2])
+		// The input that explains c0, then the c1 and c2 it would emit:
+		// each generator's state taps, parity-looked-up in one word.
+		u := b0>>63 ^ parity6>>(state&0o33)&1
+		if b1>>63 != u^parity6>>(state&0o71)&1 || b2>>63 != u^parity6>>(state&0o65)&1 || t >= k && u != 0 {
+			return false
+		}
+		out[t] = uint8(u)
+		state = u<<(memory-1) | state>>1
+		// |l| as bits: for non-negative floats the integer order is the
+		// float order (and a NaN sorts above +Inf, and poisons sum).
+		b0, b1, b2 = b0&^sign, b1&^sign, b2&^sign
+		lo = min(lo, b0, b1, b2)
+		sum += math.Float64frombits(b0) + math.Float64frombits(b1) + math.Float64frombits(b2)
+	}
+	return math.Float64frombits(lo) > float64(len(llr))*0x1p-51*sum
 }
 
 // greater is x > y as 0 or 1, compiled to a flag set rather than a branch.

@@ -185,29 +185,41 @@ func TestTrellisTables(t *testing.T) {
 
 // BenchmarkViterbi times a reused Workspace at the two block shapes the
 // scope decodes — a UCI report and a control-PDSCH transport block, the
-// bench probe's convcode.decode_short / decode_long — on noisy LLRs, so
-// the add-compare-select sees data-dependent decisions.
+// bench probe's convcode.decode_short / decode_long — at amplitude 4
+// with unit noise, so the add-compare-select sees data-dependent
+// decisions. The UCI shape has two more arms: clean blocks, which the
+// codeword check returns without the trellis, and noisy ones (amplitude
+// 1), whose hard decisions are wrong and fall back to the trellis.
 func BenchmarkViterbi(b *testing.B) {
-	for _, sh := range []struct{ k, e int }{{22, 96}, {256, 1920}} {
-		b.Run(fmt.Sprintf("k=%d/e=%d", sh.k, sh.e), func(b *testing.B) {
-			rng := rand.New(rand.NewSource(int64(sh.k)<<20 | int64(sh.e)))
+	for _, arm := range []struct {
+		name       string
+		k, e       int
+		amp, sigma float64
+	}{
+		{"", 22, 96, 4, 1},
+		{"/clean", 22, 96, 4, 0},
+		{"/noisy", 22, 96, 1, 1},
+		{"", 256, 1920, 4, 1},
+	} {
+		b.Run(fmt.Sprintf("k=%d/e=%d%s", arm.k, arm.e, arm.name), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(int64(arm.k)<<20 | int64(arm.e)))
 			llrs := make([][]float64, 16)
 			for i := range llrs {
-				ch, err := EncodeAndMatch(randomBits(rng, sh.k), sh.e)
+				ch, err := EncodeAndMatch(randomBits(rng, arm.k), arm.e)
 				if err != nil {
 					b.Fatal(err)
 				}
-				llrs[i] = make([]float64, sh.e)
+				llrs[i] = make([]float64, arm.e)
 				for j, bit := range ch {
-					llrs[i][j] = 4*(1-2*float64(bit)) + rng.NormFloat64()
+					llrs[i][j] = arm.amp*(1-2*float64(bit)) + arm.sigma*rng.NormFloat64()
 				}
 			}
 			var w Workspace
-			w.RecoverAndDecode(llrs[0], sh.k)
+			w.RecoverAndDecode(llrs[0], arm.k)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				w.RecoverAndDecode(llrs[i%len(llrs)], sh.k)
+				w.RecoverAndDecode(llrs[i%len(llrs)], arm.k)
 			}
 		})
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"nrscope/internal/modulation"
@@ -84,6 +85,14 @@ func FuzzDecodeMatchesOracle(f *testing.F) {
 	f.Add([]byte{21, 0, 0, 0, 7})                                   // e=0: no LLRs at all
 	f.Add([]byte{4, 33, 0, 1, 200, 7, 90, 255, 3})                  // k=5 e=33: start-up meets the flush
 	f.Add([]byte{5, 54, 0, 0, 9, 247, 1, 128, 60})                  // k=6 e=54: start-up abuts the flush
+	// Codeword class (bit 2 of the selector): clean blocks, some LLRs
+	// moved onto, next to, below and past the check's margin.
+	f.Add([]byte{21, 96, 0, 4, 0})                         // k=22 e=n: clean
+	f.Add([]byte{21, 96, 0, 4, 3, 17, 3, 40, 2, 80, 4})    // three LLRs at the margin
+	f.Add([]byte{21, 96, 0, 12, 2, 5, 0, 61, 1})           // e=96: a zero and a denormal
+	f.Add([]byte{255, 128, 7, 6, 3, 200, 5, 7, 6, 90, 7})  // k=256 at 1e4: past, and a flip
+	f.Add([]byte{2, 0, 0, 7, 1, 9, 4})                     // k=3 at 1e-3: nudged above
+	f.Add([]byte{99, 0, 1, 13, 2, 33, 1, 210, 2, 250, 77}) // k=100, repeated
 	var w Workspace
 	var o oracleWorkspace
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -97,6 +106,15 @@ func FuzzDecodeMatchesOracle(f *testing.F) {
 		e := int(binary.LittleEndian.Uint16(data[1:3])) % (3*n + 1)
 		scale := [4]float64{1, 0.37, 1e4, 1e-3}[data[3]&3]
 		src := data[4:]
+		if data[3]&4 != 0 {
+			if data[3]&8 == 0 {
+				e = n // recovery is the identity: the margin lands exactly
+			} else {
+				e = n + e%(2*n+1)
+			}
+			requireOracle(t, &w, &o, codewordLLRs(k, e, scale, src), k, "fuzz codeword")
+			return
+		}
 		llr := make([]float64, e)
 		for i := range llr {
 			if len(src) > 0 {
@@ -105,6 +123,178 @@ func FuzzDecodeMatchesOracle(f *testing.F) {
 		}
 		requireOracle(t, &w, &o, llr, k, "fuzz")
 	})
+}
+
+// marginFactors scale the codeword check's threshold T for the LLRs the
+// fuzzer's codeword class moves: an exact zero, a denormal, below T, onto
+// it, the next float above it, past it, far past it, and a flipped sign
+// at T/2 (a wrong hard decision of small weight).
+var marginFactors = [8]float64{0, 0, 0.5, 1, 1, 4, 1e3, -0.5}
+
+// codewordLLRs builds e channel LLRs (e >= CodedLen(k)) of a clean
+// codeword whose info bits and per-LLR amplitudes (scale·[1, 17)) come
+// from src; then src[0]%4 LLRs, at positions and factors read from the
+// following byte pairs, are set to a factor of the check's threshold.
+func codewordLLRs(k, e int, scale float64, src []byte) []float64 {
+	if len(src) == 0 {
+		src = []byte{0}
+	}
+	info := make([]uint8, k)
+	for i := range info {
+		info[i] = src[i%len(src)] >> (i % 8) & 1
+	}
+	ch, err := RateMatch(Encode(info), e)
+	if err != nil {
+		panic(err)
+	}
+	llr := make([]float64, e)
+	for i, b := range ch {
+		amp := clampLLR(scale * (1 + float64(src[(7*i+3)%len(src)])/16))
+		llr[i] = amp * (1 - 2*float64(b))
+	}
+	for p := 0; p < int(src[0]%4) && 2*p+2 < len(src); p++ {
+		j := int(src[2*p+1]) * 7919 % e
+		kind := src[2*p+2] % 8
+		sign := math.Copysign(1, llr[j])
+		switch kind {
+		case 0:
+			llr[j] = 0 * sign // ±0
+		case 1:
+			llr[j] = math.SmallestNonzeroFloat64 * sign
+		default:
+			// The threshold depends on the LLR being placed: iterate to
+			// its fixed point (Σ|l| barely moves).
+			for range 3 {
+				v := marginFactors[kind] * checkThreshold(RateRecover(llr, CodedLen(k)))
+				if kind == 4 {
+					v = math.Nextafter(v, math.Inf(1))
+				}
+				llr[j] = v * sign
+			}
+		}
+	}
+	return llr
+}
+
+// checkThreshold is codeword's n·2⁻⁵¹·Σ|l| for recovered LLRs, summed in
+// the same order.
+func checkThreshold(rec []float64) float64 {
+	sum := 0.0
+	for t := 0; t+rateInv <= len(rec); t += rateInv {
+		sum += math.Abs(rec[t]) + math.Abs(rec[t+1]) + math.Abs(rec[t+2])
+	}
+	return float64(len(rec)) * 0x1p-51 * sum
+}
+
+// TestCodewordCheckMargin sweeps one LLR of a clean block across the
+// check's bound: the check must accept exactly when that LLR's magnitude
+// exceeds the threshold, and the decode must equal the oracle's either
+// way. It then builds a float tie: LLRs of 1e6 beside 1e-11 on the 15
+// coded bits by which two codewords differ, so their path metrics round
+// to the same float and the trellis picks by its tie rule. There the
+// check must decline and the decode must equal the oracle's, which for
+// one of the two codewords is not the hard decision.
+func TestCodewordCheckMargin(t *testing.T) {
+	const k = 22
+	n := CodedLen(k)
+	rng := rand.New(rand.NewSource(37))
+	info := randomBits(rng, k)
+	coded := Encode(info)
+	llr := make([]float64, n)
+	for i, b := range coded {
+		llr[i] = (1 + rng.Float64()) * (1 - 2*float64(b))
+	}
+	var w Workspace
+	var o oracleWorkspace
+	out := make([]uint8, k+memory)
+	for _, j := range []int{0, 2, 40, n - 1} {
+		sign, keep := math.Copysign(1, llr[j]), llr[j]
+		at := 0.0 // the fixed point m = T(m)
+		for range 4 {
+			llr[j] = at * sign
+			at = checkThreshold(llr)
+		}
+		for _, m := range []float64{
+			0, math.SmallestNonzeroFloat64, at / 2, math.Nextafter(at, 0), at,
+			math.Nextafter(at, 1), 2 * at, 1e-3, 1,
+		} {
+			llr[j] = m * sign
+			want := m > checkThreshold(llr)
+			if got := codeword(llr, k, out); got != want {
+				t.Fatalf("LLR %d at %g (threshold %g): check %v, want %v", j, m, checkThreshold(llr), got, want)
+			}
+			if want && !slices.Equal(out[:k], info) {
+				t.Fatalf("LLR %d at %g: accepted bits differ from the info bits", j, m)
+			}
+			requireOracle(t, &w, &o, llr, k, fmt.Sprintf("LLR %d at %g", j, m))
+		}
+		llr[j] = keep
+	}
+
+	// The tie: info and info with bit p flipped differ in the coded bits
+	// of steps p..p+6 only.
+	const p = 8
+	other := slices.Clone(info)
+	other[p] ^= 1
+	alt := Encode(other)
+	differ := 0
+	hardWins := 0
+	for _, pair := range [2][2][]uint8{{coded, alt}, {alt, coded}} {
+		hard, rival := pair[0], pair[1]
+		for i, b := range hard {
+			mag := 1e6
+			if b != rival[i] {
+				mag = 1e-11
+			}
+			llr[i] = mag * (1 - 2*float64(b))
+		}
+		if codeword(llr, k, out) {
+			t.Fatal("tie: the check accepted a block whose margin is below the float resolution")
+		}
+		requireOracle(t, &w, &o, llr, k, "tie")
+		got := w.Decode(llr, k)
+		if slices.Equal(got, hardInfo(hard, k)) {
+			hardWins++
+		}
+	}
+	for i := range coded {
+		if coded[i] != alt[i] {
+			differ++
+		}
+	}
+	if differ != 15 || hardWins != 1 {
+		t.Fatalf("tie: codewords differ in %d bits (want 15), the hard decision won %d of 2 (want 1)", differ, hardWins)
+	}
+}
+
+// hardInfo inverts the encoder on a codeword's bits.
+func hardInfo(coded []uint8, k int) []uint8 {
+	llr := make([]float64, len(coded))
+	for i, b := range coded {
+		llr[i] = 1 - 2*float64(b)
+	}
+	out := make([]uint8, k+memory)
+	if !codeword(llr, k, out) {
+		panic("not a codeword")
+	}
+	return out[:k]
+}
+
+// TestCleanBlockSkipsTrellis: a clean block decodes on a fresh Workspace
+// without the trellis ever being sized.
+func TestCleanBlockSkipsTrellis(t *testing.T) {
+	rng := rand.New(rand.NewSource(38))
+	for _, k := range []int{1, 22, 300} {
+		info := randomBits(rng, k)
+		var w Workspace
+		got := w.Decode(noiselessLLR(Encode(info)), k)
+		if !slices.Equal(got, info) {
+			t.Fatalf("k=%d: decoded bits differ from the info bits", k)
+		}
+		if w.dec != nil {
+			t.Fatalf("k=%d: a clean block allocated the trellis decisions", k)
+		}
+	}
 }
 
 // clampLLR applies the saturation every production LLR arrives with.

@@ -25,6 +25,7 @@ import (
 	"nrscope/internal/mcs"
 	"nrscope/internal/pdcch"
 	"nrscope/internal/phy"
+	"nrscope/internal/pucch"
 	"nrscope/internal/radio"
 	"nrscope/internal/rrc"
 	"nrscope/internal/telemetry"
@@ -115,6 +116,8 @@ type UETrack struct {
 	lastMCS    mcs.Entry
 	haveMCS    bool
 	lastLayers int
+
+	uplink pucch.Resource // the UE's PUCCH resource, fixed for its session
 }
 
 // UEActivity summarises a UE session after it aged out (Fig. 10 data).
@@ -181,6 +184,7 @@ type Scope struct {
 	res     decodeResult
 	scratch slotScratch
 	spare   []telemetry.SpareUE
+	uplink  pucch.Workspace // ProcessUplinkSlot's UCI decode scratch
 
 	bus *bus.Bus // optional telemetry distribution bus
 }
@@ -329,6 +333,7 @@ func (s *Scope) merge(res *decodeResult) *SlotResult {
 		track := &UETrack{
 			RNTI: nu.rnti, FirstSeen: res.slotIdx, LastSeen: res.slotIdx,
 			DL: harq.NewTracker(), UL: harq.NewTracker(),
+			uplink: pucch.NewResource(nu.rnti, s.cellID),
 		}
 		s.ues[nu.rnti] = track
 		s.tracked = newUEIndex(append(slices.Clip(s.tracked.rntis), nu.rnti))

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"nrscope/internal/channel"
+	"nrscope/internal/raceflag"
 	"nrscope/internal/radio"
 	"nrscope/internal/ran"
 	"nrscope/internal/traffic"
@@ -122,5 +123,51 @@ func TestProcessUplinkSlotNoUEs(t *testing.T) {
 	res := s.ProcessUplinkSlot(&radio.Capture{SlotIdx: 5})
 	if len(res.Reports) != 0 || res.SlotIdx != 5 {
 		t.Errorf("unexpected result: %+v", res)
+	}
+}
+
+// TestUplinkZeroAllocWarm: once the scope tracks its UEs, the per-UE
+// decode loop allocates nothing, and ProcessUplinkSlot allocates only
+// its result and the report list, sized once to the tracked count.
+func TestUplinkZeroAllocWarm(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	cfg := amari()
+	tb := newTestbed(t, cfg, 25)
+	ulRX := radio.NewReceiver(channel.Normal, 25, cfg.Seed^0xBEE)
+	factory := func(rnti uint16, seed int64) (traffic.Generator, traffic.Generator, *channel.Channel) {
+		return traffic.NewVideo(30, 15000, 0.2, cfg.TTI(), seed),
+			traffic.NewCBR(300e3, cfg.TTI()),
+			channel.New(channel.Normal, cfg.BaseSNRdB, seed)
+	}
+	const ues = 4
+	for i := 0; i < ues; i++ {
+		tb.gnb.AddUE(factory, -1)
+	}
+	var cap *radio.Capture
+	for i := 0; i < 4000 && cap == nil; i++ {
+		out := tb.gnb.Step()
+		tb.scope.ProcessSlot(tb.rx.Capture(out.SlotIdx, out.Ref, out.Grid))
+		if len(tb.scope.tracks) == ues && len(out.UCIGT) >= 2 {
+			cap = ulRX.Capture(out.SlotIdx, out.Ref, out.ULGrid)
+		}
+	}
+	if cap == nil {
+		t.Fatal("no uplink slot with reports after every UE was tracked")
+	}
+	dst := tb.scope.decodeUplink(make([]UCIReport, 0, ues), cap)
+	if len(dst) < 2 {
+		t.Fatalf("decoded %d reports, want >= 2", len(dst))
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		dst = tb.scope.decodeUplink(dst[:0], cap)
+	}); n != 0 {
+		t.Errorf("decodeUplink: %.1f allocs/op, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		tb.scope.ProcessUplinkSlot(cap)
+	}); n > 2 {
+		t.Errorf("ProcessUplinkSlot: %.1f allocs/op, want <= 2", n)
 	}
 }

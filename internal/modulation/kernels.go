@@ -24,12 +24,20 @@ const MinN0 = 1e-6
 // unreadable symbol carries no information either way.
 const MaxLLR = 1e6
 
-// saturate clamps an LLR into [-MaxLLR, MaxLLR], mapping NaN to 0.
+// saturate clamps an LLR into [-MaxLLR, MaxLLR], mapping NaN to 0. Past
+// the NaN test two plain comparisons do what the builtin min and max
+// would, without their NaN and signed-zero handling: ±0 passes through.
 func saturate(v float64) float64 {
 	if v != v { // NaN: no information
 		return 0
 	}
-	return min(MaxLLR, max(-MaxLLR, v))
+	if v > MaxLLR {
+		return MaxLLR
+	}
+	if v < -MaxLLR {
+		return -MaxLLR
+	}
+	return v
 }
 
 // Positive per-axis PAM amplitudes in ascending order: lv16 = {d, 3d},

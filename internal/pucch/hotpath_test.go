@@ -44,4 +44,14 @@ func TestDecodeZeroAlloc(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("Decode (empty resource): %.1f allocs/op, want 0", n)
 	}
+	var w Workspace
+	r := NewResource(rnti, cellID)
+	if got, ok := w.Decode(g, &r, n0); !ok || got != u {
+		t.Fatalf("workspace decode: got %+v ok=%v, want %+v", got, ok, u)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		w.Decode(g, &r, n0)
+	}); n != 0 {
+		t.Errorf("Workspace.Decode: %.1f allocs/op, want 0", n)
+	}
 }

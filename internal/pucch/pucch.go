@@ -48,29 +48,38 @@ func (u UCI) Validate() error {
 	return nil
 }
 
-// payloadBits is the UCI field width (SR + CQI + HasAck + Ack + AckID).
-const payloadBits = 1 + 4 + 1 + 1 + 4
+// payloadBits is the UCI field width (SR + CQI + HasAck + Ack + AckID);
+// blockBits adds the CRC-11.
+const (
+	payloadBits = 1 + 4 + 1 + 1 + 4
+	blockBits   = payloadBits + 11
+)
 
-// pack serialises the UCI fields.
+// pack serialises the UCI fields MSB first: SR, CQI (4 bits), HasAck,
+// Ack, AckID (4 bits).
 func (u UCI) pack() []uint8 {
-	w := bits.NewWriter(payloadBits)
-	w.WriteBool(u.SR)
-	w.WriteUint(uint64(u.CQI), 4)
-	w.WriteBool(u.HasAck)
-	w.WriteBool(u.Ack)
-	w.WriteUint(uint64(u.AckID), 4)
-	return w.Bits()
+	v := b2u(u.SR)<<10 | uint(u.CQI&15)<<6 | b2u(u.HasAck)<<5 | b2u(u.Ack)<<4 | uint(u.AckID&15)
+	out := make([]uint8, payloadBits)
+	for i := range out {
+		out[i] = uint8(v >> (payloadBits - 1 - i) & 1)
+	}
+	return out
 }
 
+// unpack reads the fields pack wrote from the first payloadBits bits of b.
 func unpack(b []uint8) UCI {
-	r := bits.NewReader(b)
-	var u UCI
-	u.SR = r.ReadBool()
-	u.CQI = int(r.ReadUint(4))
-	u.HasAck = r.ReadBool()
-	u.Ack = r.ReadBool()
-	u.AckID = int(r.ReadUint(4))
-	return u
+	var v uint
+	for _, x := range b[:payloadBits] {
+		v = v<<1 | uint(x&1)
+	}
+	return UCI{SR: v>>10 != 0, CQI: int(v >> 6 & 15), HasAck: v>>5&1 != 0, Ack: v>>4&1 != 0, AckID: int(v & 15)}
+}
+
+func b2u(b bool) uint {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // ResourcePRB returns the UE's PUCCH resource block. Real cells assign
@@ -120,9 +129,9 @@ func Encode(g *phy.Grid, u UCI, rnti, cellID uint16) error {
 // skipped without spending a Viterbi pass.
 const EnergyThreshold = 0.5
 
-// ResourceEnergy measures the mean RE energy of a UE's resource. It runs
-// once per tracked RNTI per uplink slot, so the RE walk is inlined
-// rather than materialised.
+// ResourceEnergy measures the mean RE energy of a UE's resource: the
+// value the decoders gate on, which they compute in the walk that
+// gathers the resource's symbols.
 func ResourceEnergy(g *phy.Grid, rnti uint16) float64 {
 	base := ResourcePRB(rnti, g.NumPRB) * phy.SubcarriersPerPRB
 	var e float64
@@ -135,47 +144,92 @@ func ResourceEnergy(g *phy.Grid, rnti uint16) float64 {
 	return e / resourceREs
 }
 
-// decodeScratch holds one Decode's fixed-size buffers plus the Viterbi
-// trellis, pooled so per-slot UCI decoding across tracked RNTIs is
-// allocation free.
-type decodeScratch struct {
+// Resource is what decoding one UE's UCI needs that is fixed for the UE:
+// its C-RNTI, which places the resource block, and the scrambling
+// sequence of its (C-RNTI, cell). A tracker computes it once per UE.
+type Resource struct {
+	RNTI uint16
+	seq  [resourceBits]uint8
+}
+
+// NewResource computes a UE's resource in cell cellID.
+func NewResource(rnti, cellID uint16) Resource {
+	r := Resource{RNTI: rnti}
+	bits.GoldSequenceInto(cinit(rnti, cellID), r.seq[:])
+	return r
+}
+
+// Workspace is the scratch of UCI decoding: the resource's symbols, their
+// LLRs and the Viterbi decoder's workspace. The zero value is ready to
+// use; a Workspace is not safe for concurrent use.
+type Workspace struct {
 	syms [resourceREs]complex128
 	llr  [resourceBits]float64
-	seq  [resourceBits]uint8
 	vit  convcode.Workspace
+}
+
+// Decode reads the UCI of the UE whose resource is r from the uplink
+// grid; see the package-level Decode. It allocates nothing once the
+// Viterbi workspace has grown.
+func (w *Workspace) Decode(g *phy.Grid, r *Resource, n0 float64) (UCI, bool) {
+	if !w.gather(g, r.RNTI) {
+		return UCI{}, false
+	}
+	return w.decode(&r.seq, n0)
+}
+
+// gather copies the UE's resource off the grid, summing the RE energy in
+// the same walk, and reports whether the mean energy passes
+// EnergyThreshold (the same float ResourceEnergy computes).
+func (w *Workspace) gather(g *phy.Grid, rnti uint16) bool {
+	width := g.NumPRB * phy.SubcarriersPerPRB
+	base := ResourcePRB(rnti, g.NumPRB) * phy.SubcarriersPerPRB
+	re := g.Samples()
+	var e float64
+	for sym := 0; sym < ResourceSymbols; sym++ {
+		row := re[sym*width+base : sym*width+base+phy.SubcarriersPerPRB]
+		dst := w.syms[sym*phy.SubcarriersPerPRB : (sym+1)*phy.SubcarriersPerPRB]
+		for i, v := range row {
+			dst[i] = v
+			e += real(v)*real(v) + imag(v)*imag(v)
+		}
+	}
+	return e/resourceREs >= EnergyThreshold
+}
+
+// decode demaps, descrambles and decodes the gathered symbols.
+func (w *Workspace) decode(seq *[resourceBits]uint8, n0 float64) (UCI, bool) {
+	llr := modulation.DemapInto(w.llr[:0], modulation.QPSK, w.syms[:], n0)
+	bits.DescrambleLLRInPlace(seq[:], llr)
+	payload, ok := bits.CheckCRC(bits.CRC11, w.vit.RecoverAndDecode(llr, blockBits))
+	if !ok {
+		return UCI{}, false
+	}
+	// Both 4-bit fields are in range by construction.
+	return unpack(payload), true
+}
+
+// decodeScratch is one package-level Decode's workspace and the
+// scrambling sequence it computes, pooled so the call allocates nothing
+// at steady state.
+type decodeScratch struct {
+	ws  Workspace
+	seq [resourceBits]uint8
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(decodeScratch) }}
 
 // Decode attempts to read a UE's UCI from the uplink grid. ok is false
 // when the resource is empty or the CRC fails. It allocates nothing at
-// steady state.
+// steady state. It is Workspace.Decode with pooled scratch and the
+// scrambling sequence computed per call; trackers that decode the same
+// UEs slot after slot hold a Workspace and a Resource per UE instead.
 func Decode(g *phy.Grid, rnti, cellID uint16, n0 float64) (UCI, bool) {
-	if ResourceEnergy(g, rnti) < EnergyThreshold {
-		return UCI{}, false
-	}
-	base := ResourcePRB(rnti, g.NumPRB) * phy.SubcarriersPerPRB
 	sc := scratchPool.Get().(*decodeScratch)
 	defer scratchPool.Put(sc)
-	i := 0
-	for sym := 0; sym < ResourceSymbols; sym++ {
-		for off := 0; off < phy.SubcarriersPerPRB; off++ {
-			sc.syms[i] = g.At(sym, base+off)
-			i++
-		}
-	}
-	llr := modulation.DemapInto(sc.llr[:0], modulation.QPSK, sc.syms[:], n0)
-	seq := sc.seq[:len(llr)]
-	bits.GoldSequenceInto(cinit(rnti, cellID), seq)
-	bits.DescrambleLLRInPlace(seq, llr)
-	decoded := sc.vit.RecoverAndDecode(llr, payloadBits+11)
-	payload, ok := bits.CheckCRC(bits.CRC11, decoded)
-	if !ok {
+	if !sc.ws.gather(g, rnti) {
 		return UCI{}, false
 	}
-	u := unpack(payload)
-	if u.Validate() != nil {
-		return UCI{}, false
-	}
-	return u, true
+	bits.GoldSequenceInto(cinit(rnti, cellID), sc.seq[:])
+	return sc.ws.decode(&sc.seq, n0)
 }

@@ -3,9 +3,11 @@ package pucch
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
+	"nrscope/internal/bits"
 	"nrscope/internal/channel"
 	"nrscope/internal/phy"
 )
@@ -117,6 +119,80 @@ func TestValidation(t *testing.T) {
 	}
 	if err := Encode(g, UCI{AckID: -1}, 1, cellID); err == nil {
 		t.Error("negative ack id accepted")
+	}
+}
+
+// oracleUnpack is the bits.Reader parse unpack replaced, kept as the
+// reference TestPackUnpackExhaustive holds unpack to.
+func oracleUnpack(b []uint8) UCI {
+	r := bits.NewReader(b)
+	var u UCI
+	u.SR = r.ReadBool()
+	u.CQI = int(r.ReadUint(4))
+	u.HasAck = r.ReadBool()
+	u.Ack = r.ReadBool()
+	u.AckID = int(r.ReadUint(4))
+	return u
+}
+
+// TestPackUnpackExhaustive: for every one of the 2¹¹ payloads, unpack
+// equals the reader oracle and pack writes the payload back.
+func TestPackUnpackExhaustive(t *testing.T) {
+	b := make([]uint8, payloadBits)
+	for v := 0; v < 1<<payloadBits; v++ {
+		for i := range b {
+			b[i] = uint8(v >> (payloadBits - 1 - i) & 1)
+		}
+		u := unpack(b)
+		if want := oracleUnpack(b); u != want {
+			t.Fatalf("payload %011b: unpack %+v, oracle %+v", v, u, want)
+		}
+		if got := u.pack(); !slices.Equal(got, b) {
+			t.Fatalf("payload %011b: pack(unpack) = %v", v, got)
+		}
+	}
+}
+
+// TestWorkspaceMatchesDecode: a Workspace reused across UEs with each
+// UE's Resource decodes exactly what the package-level Decode does, on
+// carrying and empty resources from clean to hopeless SNRs, and its
+// energy gate agrees with ResourceEnergy.
+func TestWorkspaceMatchesDecode(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	rntis := []uint16{0x4601, 0x4602, 0x4633, 0x4700}
+	res := make([]Resource, len(rntis))
+	for i, rnti := range rntis {
+		res[i] = NewResource(rnti, cellID)
+	}
+	var w Workspace
+	decoded := 0
+	for _, snr := range []float64{30, 8, 2, -2, -8} {
+		for trial := 0; trial < 20; trial++ {
+			g := phy.NewGrid(51)
+			for _, rnti := range rntis[:trial%len(rntis)] {
+				u := UCI{SR: rng.Intn(2) == 1, CQI: rng.Intn(16), HasAck: rng.Intn(2) == 1, Ack: rng.Intn(2) == 1, AckID: rng.Intn(16)}
+				if err := Encode(g, u, rnti, cellID); err != nil {
+					t.Fatal(err)
+				}
+			}
+			n0 := addNoise(g, snr, rng)
+			for i, rnti := range rntis {
+				want, wantOK := Decode(g, rnti, cellID, n0)
+				got, ok := w.Decode(g, &res[i], n0)
+				if got != want || ok != wantOK {
+					t.Fatalf("snr %g rnti %#x: workspace %+v %v, Decode %+v %v", snr, rnti, got, ok, want, wantOK)
+				}
+				if ok {
+					decoded++
+				}
+				if pass := ResourceEnergy(g, rnti) >= EnergyThreshold; w.gather(g, rnti) != pass {
+					t.Fatalf("snr %g rnti %#x: gather's energy gate disagrees with ResourceEnergy (%v)", snr, rnti, pass)
+				}
+			}
+		}
+	}
+	if decoded == 0 {
+		t.Fatal("nothing decoded")
 	}
 }
 
