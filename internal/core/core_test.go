@@ -1,11 +1,15 @@
 package core
 
 import (
+	"slices"
 	"testing"
 	"time"
 
 	"nrscope/internal/channel"
+	"nrscope/internal/dci"
 	"nrscope/internal/obs"
+	"nrscope/internal/pdcch"
+	"nrscope/internal/phy"
 	"nrscope/internal/radio"
 	"nrscope/internal/ran"
 	"nrscope/internal/rrc"
@@ -369,6 +373,79 @@ func TestUEActivityAging(t *testing.T) {
 	}
 	if len(tb.scope.KnownUEs()) != 0 || len(tb.scope.tracks) != 0 {
 		t.Error("departed UE still tracked")
+	}
+}
+
+// TestTrackedIndexAfterPurge: purgeInactive re-indexes the survivors as
+// it filters, so the C-RNTI map that recovered RNTIs are looked up in
+// stays in step with the tracked list when a purge leaves gaps and a
+// departed C-RNTI is discovered again.
+func TestTrackedIndexAfterPurge(t *testing.T) {
+	cfg := amari()
+	s := handScope(cfg, cfg.Setup.CORESET)
+	s.inactivitySlots = 300
+	ues := trackedRNTIs(4)
+	discover := func(slot int, rntis ...uint16) {
+		res := &decodeResult{slotIdx: slot}
+		for _, rnti := range rntis {
+			res.newUEs = append(res.newUEs, newUE{rnti: rnti})
+		}
+		s.merge(res)
+	}
+	discover(0, ues...)
+	// The 1st and 3rd stay active; the purge at slot 400 ages out the
+	// 2nd and 4th.
+	s.merge(&decodeResult{slotIdx: 400, data: []foundDCI{{rnti: ues[0]}, {rnti: ues[2]}}})
+	if got, want := s.KnownUEs(), []uint16{ues[0], ues[2]}; !slices.Equal(got, want) {
+		t.Fatalf("tracked after the purge: %#x, want %#x", got, want)
+	}
+	discover(401, ues[3])
+	want := []uint16{ues[0], ues[2], ues[3]}
+	if got := s.KnownUEs(); !slices.Equal(got, want) {
+		t.Fatalf("tracked after re-discovery: %#x, want %#x", got, want)
+	}
+	for _, rnti := range want {
+		if track := s.Track(rnti); track == nil || track.RNTI != rnti {
+			t.Fatalf("Track(%#x) does not return that UE's track", rnti)
+		}
+	}
+	if s.Track(ues[1]) != nil {
+		t.Fatalf("departed %#x still tracked", ues[1])
+	}
+
+	// One slot carrying a DCI for each of the 3rd and 4th.
+	ref := phy.SlotRef{SFN: 41, Slot: 1}
+	g := phy.NewGrid(cfg.CarrierPRBs)
+	size := dci.ClassSize(dci.NonFallback, s.dataCfg)
+	var placed []phy.Candidate
+	for _, rnti := range want[1:] {
+		cands := phy.SlotCandidates(s.ueSS, s.ueCoreset, rnti, ref.Slot)
+		for i := len(cands) - 1; i >= 0; i-- { // lowest aggregation level first
+			if cand := cands[i]; !overlapsAny(placed, cand) && pdcch.PayloadFits(size, cand.AggLevel) {
+				placeUEDCI(t, s, g, ref, cand, rnti, 1)
+				placed = append(placed, cand)
+				break
+			}
+		}
+	}
+	if len(placed) != 2 {
+		t.Fatalf("placed %d DCIs, want 2", len(placed))
+	}
+	const slot = 410
+	res := s.ProcessSlot(&radio.Capture{SlotIdx: slot, Ref: ref, Grid: g, N0: 1e-4})
+	var got []uint16
+	for _, rec := range res.Records {
+		if !rec.Common {
+			got = append(got, rec.RNTI)
+		}
+	}
+	if !slices.Equal(got, want[1:]) {
+		t.Fatalf("UE DCIs emitted for %#x, want %#x", got, want[1:])
+	}
+	for _, rnti := range want[1:] {
+		if last := s.Track(rnti).LastSeen; last != slot {
+			t.Errorf("%#x last seen at slot %d, want %d", rnti, last, slot)
+		}
 	}
 }
 

@@ -14,44 +14,6 @@ import (
 	"nrscope/internal/rrc"
 )
 
-// snapshot is the read-only state a decode pass runs against (the
-// paper's "state copy" handed from the scheduler to a worker). The Scope
-// owns one and rewrites it before every slot (Scope.snapshot).
-type snapshot struct {
-	mib        *rrc.MIB
-	sib1       *rrc.SIB1
-	setup      *rrc.Setup
-	coreset    phy.CORESET
-	ueCoreset  phy.CORESET
-	commonSS   phy.SearchSpace
-	ueSS       phy.SearchSpace
-	commonCfg  dci.Config
-	dataCfg    dci.Config
-	link       dci.LinkConfig
-	ueML       [len(phy.AggregationLevels)]int // ueSS's M_L per AL index
-	ues        *ueIndex
-	verifyMSG4 bool
-	dmrsGate   bool
-}
-
-// ueIndex is the tracked-UE set as a decode pass sees it: the C-RNTIs in
-// discovery order (the order a slot's records are emitted in) and the
-// reverse map recovered RNTIs are looked up in. It is immutable — merge
-// builds a new one when a UE is added or purged — so every snapshot
-// shares the current one instead of copying the list.
-type ueIndex struct {
-	rntis []uint16
-	order map[uint16]int // C-RNTI -> index into rntis
-}
-
-func newUEIndex(rntis []uint16) *ueIndex {
-	ix := &ueIndex{rntis: rntis, order: make(map[uint16]int, len(rntis))}
-	for i, rnti := range rntis {
-		ix.order[rnti] = i
-	}
-	return ix
-}
-
 // foundDCI is one successfully decoded and translated DCI.
 type foundDCI struct {
 	rnti  uint16
@@ -143,11 +105,11 @@ func boolMask(buf []bool, n int, fill bool) []bool {
 // slot; the window absorbs scheduling jitter).
 const raRNTILookback = 5
 
-// decodeSlot is the pure (state-immutable) per-slot processing: the
-// "SIBs thread", "RACH thread" and "DCI threads" of the paper's Fig. 4
-// all run here against the snapshot. It returns the Scope's owned
-// result, valid until the next call.
-func (s *Scope) decodeSlot(snap *snapshot, cap *radio.Capture) *decodeResult {
+// decodeSlot is the state-immutable per-slot processing: the "SIBs
+// thread", "RACH thread" and "DCI threads" of the paper's Fig. 4 all run
+// here, reading the Scope's acquired state, which only merge writes. It
+// returns the Scope's owned result, valid until the next call.
+func (s *Scope) decodeSlot(cap *radio.Capture) *decodeResult {
 	start := time.Now()
 	res := &s.res
 	res.reset(cap)
@@ -162,7 +124,7 @@ func (s *Scope) decodeSlot(snap *snapshot, cap *radio.Capture) *decodeResult {
 	res.hadGrid = true
 
 	// Cell search: until the MIB is in hand nothing else can run.
-	if snap.mib == nil {
+	if s.mib == nil {
 		if data, ok := pdsch.DecodePBCH(cap.Grid, s.cellID, cap.N0); ok {
 			if mib, err := rrc.DecodeMIB(data); err == nil && !mib.CellBarred {
 				res.mib = &mib
@@ -177,26 +139,26 @@ func (s *Scope) decodeSlot(snap *snapshot, cap *radio.Capture) *decodeResult {
 	// this plus the demapping is the "signal processing" term of the
 	// paper's O(n log n + m) cost model. With the gate ablated, every
 	// CCE is treated as potentially occupied.
-	if snap.dmrsGate {
-		sc.css.Resolve(s.codec, snap.coreset, cap.Ref.Slot, dci.ClassSize(dci.Fallback, snap.commonCfg))
+	if s.dmrsGate {
+		sc.css.Resolve(s.codec, s.coreset, cap.Ref.Slot, dci.ClassSize(dci.Fallback, s.commonCfg))
 		sc.occupied = sc.css.OccupiedCCEsInto(sc.occupied, cap.Grid)
 	} else {
-		sc.occupied = boolMask(sc.occupied, snap.coreset.NumCCE(), true)
+		sc.occupied = boolMask(sc.occupied, s.coreset.NumCCE(), true)
 	}
 	sc.claimed = boolMask(sc.claimed, len(sc.occupied), false)
 
 	// USS pass: DCI extraction for every known UE. It needs both SIB1
 	// (the active-BWP DCI sizes) and an RRC Setup (the UE search space) —
 	// the paper's step 1 before step 2, which orders merged state, not
-	// the passes within a slot. The USS pass reads only the snapshot,
+	// the passes within a slot. The USS pass reads only merged state,
 	// never this slot's CSS result, so it runs first: its confirmed DCIs
 	// claim their CCEs, and the CSS pass skips them.
-	if snap.sib1 != nil && snap.setup != nil && len(snap.ues.rntis) > 0 {
-		s.decodeUESpace(snap, cap, res, sc)
+	if s.sib1 != nil && s.setup != nil && len(s.tracks) > 0 {
+		s.decodeUESpace(cap, res, sc)
 	}
 
 	// CSS pass: SIB decoding and RACH/new-UE tracking.
-	s.decodeCommon(snap, cap, res, sc)
+	s.decodeCommon(cap, res, sc)
 	return res
 }
 
@@ -205,12 +167,12 @@ func (s *Scope) decodeSlot(snap *snapshot, cap *radio.Capture) *decodeResult {
 // both share one control region (a CCE carries one PDCCH, so a CSS
 // candidate over them could only pass its CRC by chance); its own finds
 // claim their CCEs for the CSS candidates after them.
-func (s *Scope) decodeCommon(snap *snapshot, cap *radio.Capture, res *decodeResult, sc *slotScratch) {
+func (s *Scope) decodeCommon(cap *radio.Capture, res *decodeResult, sc *slotScratch) {
 	occupied, claimed := sc.occupied, sc.claimed
-	sc.css.Resolve(s.codec, snap.coreset, cap.Ref.Slot, dci.ClassSize(dci.Fallback, snap.commonCfg))
-	fields := fieldTable(&sc.cssFields, dci.Fallback, snap.commonCfg)
+	sc.css.Resolve(s.codec, s.coreset, cap.Ref.Slot, dci.ClassSize(dci.Fallback, s.commonCfg))
+	fields := fieldTable(&sc.cssFields, dci.Fallback, s.commonCfg)
 
-	sc.cssCands = phy.AppendSlotCandidates(sc.cssCands[:0], snap.commonSS, snap.coreset, 0, cap.Ref.Slot)
+	sc.cssCands = phy.AppendSlotCandidates(sc.cssCands[:0], s.commonSS, s.coreset, 0, cap.Ref.Slot)
 	for _, cand := range sc.cssCands {
 		if !spanTrue(occupied, cand.StartCCE, cand.AggLevel) || anyTrue(claimed, cand.StartCCE, cand.AggLevel) {
 			continue
@@ -233,7 +195,7 @@ func (s *Scope) decodeCommon(snap *snapshot, cap *radio.Capture, res *decodeResu
 			met.decodeFailed.Inc()
 			continue
 		}
-		grant, err := dci.ToGrantWith(d, rnti, snap.commonCfg, controlLink(), &sc.tbs)
+		grant, err := dci.ToGrantWith(d, rnti, s.commonCfg, controlLink(), &sc.tbs)
 		if err != nil {
 			met.decodeFailed.Inc()
 			continue
@@ -245,7 +207,7 @@ func (s *Scope) decodeCommon(snap *snapshot, cap *radio.Capture, res *decodeResu
 		switch {
 		case rnti == dci.SIRNTI:
 			met.candMatched.Inc()
-			if snap.sib1 == nil && res.sib1 == nil {
+			if s.sib1 == nil && res.sib1 == nil {
 				data, ok := pdsch.DecodeInto(sc.pdschBuf, cap.Grid, grant, s.cellID, cap.N0)
 				sc.pdschBuf = data
 				if ok {
@@ -264,7 +226,7 @@ func (s *Scope) decodeCommon(snap *snapshot, cap *radio.Capture, res *decodeResu
 			// Candidate MSG 4: the recovered RNTI is a would-be C-RNTI
 			// (paper §3.1.2). Verify via the RRC Setup PDSCH CRC unless
 			// the shortcut is on and the Setup is already known.
-			if snap.setup == nil || snap.verifyMSG4 {
+			if s.setup == nil || s.verifyMSG4 {
 				data, ok := pdsch.DecodeInto(sc.pdschBuf, cap.Grid, grant, s.cellID, cap.N0)
 				sc.pdschBuf = data
 				if !ok {
@@ -274,7 +236,7 @@ func (s *Scope) decodeCommon(snap *snapshot, cap *radio.Capture, res *decodeResu
 				if err != nil {
 					continue
 				}
-				if snap.setup == nil && res.setup == nil {
+				if s.setup == nil && res.setup == nil {
 					res.setup = &setup
 				}
 			}
@@ -299,9 +261,9 @@ func (s *Scope) decodeCommon(snap *snapshot, cap *radio.Capture, res *decodeResu
 // first, and each level's confirmed DCIs claim their CCEs before the
 // next (decodePositions). The pass runs before the CSS pass, whose
 // candidates then skip those CCEs too.
-func (s *Scope) decodeUESpace(snap *snapshot, cap *radio.Capture, res *decodeResult, sc *slotScratch) {
+func (s *Scope) decodeUESpace(cap *radio.Capture, res *decodeResult, sc *slotScratch) {
 	sizeClass := dci.Fallback
-	if snap.setup.NonFallback {
+	if s.setup.NonFallback {
 		sizeClass = dci.NonFallback
 	}
 
@@ -310,20 +272,20 @@ func (s *Scope) decodeUESpace(snap *snapshot, cap *radio.Capture, res *decodeRes
 	// region. A dedicated UE CORESET elsewhere gets its own sweep and its
 	// own claim mask, which the CSS pass (addressing CORESET-0 CCEs)
 	// never sees.
-	payloadBits := dci.ClassSize(sizeClass, snap.dataCfg)
+	payloadBits := dci.ClassSize(sizeClass, s.dataCfg)
 	ueOccupied, ueClaimed := sc.occupied, sc.claimed
-	if !snap.ueCoreset.SameRegion(snap.coreset) {
-		if snap.dmrsGate {
-			sc.uss.Resolve(s.codec, snap.ueCoreset, cap.Ref.Slot, payloadBits)
+	if !s.ueCoreset.SameRegion(s.coreset) {
+		if s.dmrsGate {
+			sc.uss.Resolve(s.codec, s.ueCoreset, cap.Ref.Slot, payloadBits)
 			sc.ueOccupied = sc.uss.OccupiedCCEsInto(sc.ueOccupied, cap.Grid)
 		} else {
-			sc.ueOccupied = boolMask(sc.ueOccupied, snap.ueCoreset.NumCCE(), true)
+			sc.ueOccupied = boolMask(sc.ueOccupied, s.ueCoreset.NumCCE(), true)
 		}
 		sc.ueClaimed = boolMask(sc.ueClaimed, len(sc.ueOccupied), false)
 		ueOccupied, ueClaimed = sc.ueOccupied, sc.ueClaimed
 	}
 
-	s.decodePositions(snap, cap, sizeClass, payloadBits, ueOccupied, ueClaimed, sc)
+	s.decodePositions(cap, sizeClass, payloadBits, ueOccupied, ueClaimed, sc)
 	// Emit in tracked-UE order, then candidate order, as a sweep over the
 	// UE list would: sort the keys, not the finds.
 	slices.Sort(sc.keys)
@@ -419,12 +381,12 @@ func (a *posArena) find(al, cce int) int {
 // never decode a block laid over a DCI already found. Positions whose
 // aggregation level cannot carry the payload at all are counted as
 // empty (nothing can be transmitted there), not as decode failures.
-func (s *Scope) decodePositions(snap *snapshot, cap *radio.Capture, sizeClass dci.SizeClass, payloadBits int, occupied, claimed []bool, sc *slotScratch) {
-	sc.uss.Resolve(s.codec, snap.ueCoreset, cap.Ref.Slot, payloadBits)
-	fields := fieldTable(&sc.ussFields, sizeClass, snap.dataCfg)
-	nCCE := snap.ueCoreset.NumCCE()
+func (s *Scope) decodePositions(cap *radio.Capture, sizeClass dci.SizeClass, payloadBits int, occupied, claimed []bool, sc *slotScratch) {
+	sc.uss.Resolve(s.codec, s.ueCoreset, cap.Ref.Slot, payloadBits)
+	fields := fieldTable(&sc.ussFields, sizeClass, s.dataCfg)
+	nCCE := s.ueCoreset.NumCCE()
 	ar := &sc.arena
-	ar.reset(snap.ueSS, nCCE, payloadBits+24)
+	ar.reset(s.ueSS, nCCE, payloadBits+24)
 	// Confirmed DCIs claim disjoint CCEs, so nCCE bounds the finds.
 	sc.found, sc.keys = slices.Grow(sc.found[:0], nCCE), slices.Grow(sc.keys[:0], nCCE)
 	for i, al := range phy.AggregationLevels {
@@ -432,7 +394,7 @@ func (s *Scope) decodePositions(snap *snapshot, cap *radio.Capture, sizeClass dc
 			continue
 		}
 		fits := pdcch.PayloadFits(payloadBits, al)
-		off := phy.LevelOffset(snap.ueSS, snap.ueCoreset, al)
+		mL, off := s.ueSS.Candidates[al], phy.LevelOffset(s.ueSS, s.ueCoreset, al)
 		sc.hits = sc.hits[:0]
 		for cce := 0; cce+al <= nCCE; cce += al {
 			if !spanTrue(occupied, cce, al) || anyTrue(claimed, cce, al) {
@@ -445,14 +407,14 @@ func (s *Scope) decodePositions(snap *snapshot, cap *radio.Capture, sizeClass dc
 			idx := ar.base[i] + cce/al
 			decodePosition(cap, &sc.uss, ar, idx, phy.Candidate{AggLevel: al, StartCCE: cce})
 			if r := ar.rnti[idx]; r >= 0 {
-				if ue, tracked := snap.ues.order[uint16(r)]; tracked {
+				if ue, tracked := s.byRNTI[uint16(r)]; tracked {
 					sc.hits = append(sc.hits, ue)
 				}
 			}
 		}
 		slices.Sort(sc.hits)
 		for _, ue := range slices.Compact(sc.hits) {
-			confirmUE(snap, cap, ue, al, snap.ueML[i], off, fields, claimed, sc)
+			s.confirmUE(cap, ue, al, mL, off, fields, claimed, sc)
 		}
 	}
 }
@@ -485,14 +447,14 @@ func decodePosition(cap *radio.Capture, plan *pdcch.Plan, ar *posArena, idx int,
 // explained is skipped. A position naming the UE that is none of its
 // candidates is a chance CRC pass on someone else's (or no one's) block;
 // it is dropped and claims nothing.
-func confirmUE(snap *snapshot, cap *radio.Capture, ue, al, mL, off int, fields *dci.FieldTable, claimed []bool, sc *slotScratch) {
+func (s *Scope) confirmUE(cap *radio.Capture, ue, al, mL, off int, fields *dci.FieldTable, claimed []bool, sc *slotScratch) {
 	ar := &sc.arena
-	rnti := snap.ues.rntis[ue]
-	y, ok := phy.SearchSpaceY(snap.ueSS, snap.ueCoreset, rnti, cap.Ref.Slot)
+	rnti := s.tracks[ue].RNTI
+	y, ok := phy.SearchSpaceY(s.ueSS, s.ueCoreset, rnti, cap.Ref.Slot)
 	if !ok {
 		return
 	}
-	nCCE := snap.ueCoreset.NumCCE()
+	nCCE := s.ueCoreset.NumCCE()
 	for m := 0; m < mL; m++ {
 		cce, ok := phy.HashCCE(y, nCCE, al, m, mL)
 		if !ok {
@@ -507,7 +469,7 @@ func confirmUE(snap *snapshot, cap *radio.Capture, ue, al, mL, off int, fields *
 			met.decodeFailed.Inc()
 			continue
 		}
-		grant, err := dci.ToGrantWith(d, rnti, snap.dataCfg, snap.link, &sc.tbs)
+		grant, err := dci.ToGrantWith(d, rnti, s.dataCfg, s.link, &sc.tbs)
 		if err != nil {
 			met.decodeFailed.Inc()
 			continue

@@ -46,9 +46,8 @@ func handScope(cfg ran.CellConfig, ueCS phy.CORESET, rntis ...uint16) *Scope {
 	s.ueSS = phy.SearchSpace{ID: ueCS.ID, Type: phy.UESearchSpace, Candidates: setup.UECandidates}
 	s.link = setup.LinkConfig()
 	for _, rnti := range rntis {
-		s.ues[rnti] = &UETrack{RNTI: rnti, DL: harq.NewTracker(), UL: harq.NewTracker()}
+		s.addTrack(&UETrack{RNTI: rnti, DL: harq.NewTracker(), UL: harq.NewTracker()})
 	}
-	s.tracked = newUEIndex(rntis)
 	return s
 }
 
@@ -177,11 +176,8 @@ func TestUECoresetDistinctRegionDecodes(t *testing.T) {
 func TestInfeasiblePositionsCountEmptyNotFailed(t *testing.T) {
 	s := New(500)
 	cs := phy.CORESET{ID: 1, StartPRB: 0, NumPRB: 48, Duration: 1, StartSym: 0}
-	snap := &snapshot{
-		ueCoreset: cs,
-		ueSS:      phy.SearchSpace{ID: 1, Type: phy.UESearchSpace, Candidates: phy.DefaultUECandidates()},
-		ues:       newUEIndex(nil),
-	}
+	s.ueCoreset = cs
+	s.ueSS = phy.SearchSpace{ID: 1, Type: phy.UESearchSpace, Candidates: phy.DefaultUECandidates()}
 	capt := &radio.Capture{Ref: phy.SlotRef{}, Grid: phy.NewGrid(51), N0: 1e-2}
 	occupied := boolMask(nil, cs.NumCCE(), true)
 	claimed := boolMask(nil, cs.NumCCE(), false)
@@ -195,7 +191,7 @@ func TestInfeasiblePositionsCountEmptyNotFailed(t *testing.T) {
 	decodedBefore := met.positions.Value()
 
 	var sc slotScratch
-	s.decodePositions(snap, capt, dci.Fallback, 100, occupied, claimed, &sc)
+	s.decodePositions(capt, dci.Fallback, 100, occupied, claimed, &sc)
 
 	// 8 CCEs: 8 AL1 positions are infeasible; 4 AL2 + 2 AL4 + 1 AL8
 	// decode (a silent grid still polar-decodes, to garbage).
@@ -276,7 +272,7 @@ func TestConfirmedDCIsClaimTheirCCEs(t *testing.T) {
 		s := handScope(cfg, cfg.Setup.CORESET, rntis...)
 		capt := packedAL1Slot(t, s, rntis, k)
 		posBefore, attBefore, matchBefore := met.positions.Value(), met.candAttempted.Value(), met.candMatched.Value()
-		res := s.decodeSlot(s.snapshot(), capt)
+		res := s.decodeSlot(capt)
 		if len(res.data) != k || len(res.common) != 0 || len(res.newUEs) != 0 {
 			t.Fatalf("k=%d: %d UE DCIs, %d common, %d new UEs; want %d, 0, 0", k, len(res.data), len(res.common), len(res.newUEs), k)
 		}
@@ -310,7 +306,7 @@ func TestConfirmedDCIsClaimTheirCCEs(t *testing.T) {
 		t.Fatal("no AL-8 candidate")
 	}
 	d := placeUEDCI(t, s, g, ref, cand, rntis[0], 5)
-	res := s.decodeSlot(s.snapshot(), &radio.Capture{SlotIdx: 41, Ref: ref, Grid: g, N0: 1e-4})
+	res := s.decodeSlot(&radio.Capture{SlotIdx: 41, Ref: ref, Grid: g, N0: 1e-4})
 	if len(res.data) != 1 || res.data[0].rnti != rntis[0] || res.data[0].cand != cand || res.data[0].d != d {
 		t.Fatalf("AL-8 DCI: found %+v, want %#x at %+v", res.data, rntis[0], cand)
 	}
@@ -318,9 +314,9 @@ func TestConfirmedDCIsClaimTheirCCEs(t *testing.T) {
 
 // TestProcessSlotSteadyStateAllocs pins the allocations of a steady-state
 // slot to what it returns: the SlotResult, its pre-sized records, the
-// spare-capacity report and its UE list. The snapshot, the decode result
-// and its find lists, the masks, the arena and the spare walk's buffer
-// are owned by the Scope and reused. The bound is the same at 16 and at
+// spare-capacity report and its UE list. The decode result and its find
+// lists, the masks, the arena and the spare walk's buffer are owned by
+// the Scope and reused. The bound is the same at 16 and at
 // 128 UEs, so nothing may scale with the tracked-UE count either.
 func TestProcessSlotSteadyStateAllocs(t *testing.T) {
 	if raceflag.Enabled {
@@ -386,7 +382,7 @@ func TestDecodeSlotZeroAllocWarm(t *testing.T) {
 		caps := []*radio.Capture{packed, {SlotIdx: 42, Ref: phy.SlotRef{SFN: 0, Slot: 2}, Grid: phy.NewGrid(cfg.CarrierPRBs), N0: 1e-4}}
 		next := 0
 		step := func() {
-			res := s.decodeSlot(s.snapshot(), caps[next%2])
+			res := s.decodeSlot(caps[next%2])
 			if next%2 == 0 && len(res.data) != want {
 				t.Fatalf("dedicated=%v: %d UE DCIs, want %d", dedicated, len(res.data), want)
 			}
@@ -410,9 +406,8 @@ func BenchmarkDecodePositions(b *testing.B) {
 	rntis := trackedRNTIs(64)
 	s := handScope(cfg, cfg.Setup.CORESET, rntis...)
 	capt := packedAL1Slot(b, s, rntis, 8)
-	snap := s.snapshot()
-	payloadBits := dci.ClassSize(dci.NonFallback, snap.dataCfg)
-	occupied := s.codec.OccupiedCCEs(capt.Grid, snap.ueCoreset, capt.Ref.Slot)
+	payloadBits := dci.ClassSize(dci.NonFallback, s.dataCfg)
+	occupied := s.codec.OccupiedCCEs(capt.Grid, s.ueCoreset, capt.Ref.Slot)
 	claimed := make([]bool, len(occupied))
 	var sc slotScratch
 	before := met.positions.Value()
@@ -420,7 +415,7 @@ func BenchmarkDecodePositions(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		clear(claimed)
-		s.decodePositions(snap, capt, dci.NonFallback, payloadBits, occupied, claimed, &sc)
+		s.decodePositions(capt, dci.NonFallback, payloadBits, occupied, claimed, &sc)
 	}
 	b.ReportMetric(float64(met.positions.Value()-before)/float64(b.N), "positions/op")
 }

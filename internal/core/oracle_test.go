@@ -26,23 +26,23 @@ import (
 // pass is held to. The common-search-space pass is production's own, run
 // after the UE pass against the UE claims when both share one control
 // region; its result is returned for comparison too.
-func naiveUESpace(s *Scope, snap *snapshot, rntis []uint16, capt *radio.Capture) (ue []foundDCI, css *decodeResult) {
+func naiveUESpace(s *Scope, rntis []uint16, capt *radio.Capture) (ue []foundDCI, css *decodeResult) {
 	css = &decodeResult{}
-	if capt.Grid == nil || snap.mib == nil {
+	if capt.Grid == nil || s.mib == nil {
 		return nil, css
 	}
 	slot := capt.Ref.Slot
-	sc := &slotScratch{occupied: s.codec.OccupiedCCEs(capt.Grid, snap.coreset, slot)}
+	sc := &slotScratch{occupied: s.codec.OccupiedCCEs(capt.Grid, s.coreset, slot)}
 	sc.claimed = make([]bool, len(sc.occupied))
 	occupied, claimed := sc.occupied, sc.claimed
-	if !snap.ueCoreset.SameRegion(snap.coreset) {
-		occupied = s.codec.OccupiedCCEs(capt.Grid, snap.ueCoreset, slot)
+	if !s.ueCoreset.SameRegion(s.coreset) {
+		occupied = s.codec.OccupiedCCEs(capt.Grid, s.ueCoreset, slot)
 		claimed = make([]bool, len(occupied))
 	}
-	if snap.sib1 != nil && snap.setup != nil {
-		ue = naiveTiers(s, snap, rntis, capt, occupied, claimed)
+	if s.sib1 != nil && s.setup != nil {
+		ue = naiveTiers(s, rntis, capt, occupied, claimed)
 	}
-	s.decodeCommon(snap, capt, css, sc)
+	s.decodeCommon(capt, css, sc)
 	return ue, css
 }
 
@@ -50,23 +50,23 @@ func naiveUESpace(s *Scope, snap *snapshot, rntis []uint16, capt *radio.Capture)
 // per-candidate sweep, one aggregation level at a time from the lowest,
 // each level's finds claiming their CCEs before the next. Finds are
 // returned in tracked-UE order, then candidate order.
-func naiveTiers(s *Scope, snap *snapshot, rntis []uint16, capt *radio.Capture, occupied, claimed []bool) []foundDCI {
+func naiveTiers(s *Scope, rntis []uint16, capt *radio.Capture, occupied, claimed []bool) []foundDCI {
 	slot := capt.Ref.Slot
 	class := dci.Fallback
-	if snap.setup.NonFallback {
+	if s.setup.NonFallback {
 		class = dci.NonFallback
 	}
-	size := dci.ClassSize(class, snap.dataCfg)
+	size := dci.ClassSize(class, s.dataCfg)
 
 	found := make([][]foundDCI, len(rntis)) // per UE, in candidate order
 	for _, al := range phy.AggregationLevels {
 		var tier []phy.Candidate
 		for u, rnti := range rntis {
-			for _, cand := range phy.SlotCandidates(snap.ueSS, snap.ueCoreset, rnti, slot) {
+			for _, cand := range phy.SlotCandidates(s.ueSS, s.ueCoreset, rnti, slot) {
 				if cand.AggLevel != al || !spanTrue(occupied, cand.StartCCE, al) || anyTrue(claimed, cand.StartCCE, al) || mineAt(found[u], cand) {
 					continue
 				}
-				block, err := s.codec.DecodeCandidate(capt.Grid, snap.ueCoreset, cand, slot, size, capt.N0)
+				block, err := s.codec.DecodeCandidate(capt.Grid, s.ueCoreset, cand, slot, size, capt.N0)
 				if err != nil {
 					continue
 				}
@@ -74,11 +74,11 @@ func naiveTiers(s *Scope, snap *snapshot, rntis []uint16, capt *radio.Capture, o
 				if !ok {
 					continue
 				}
-				d, err := dci.Unpack(payload, class, snap.dataCfg)
+				d, err := dci.Unpack(payload, class, s.dataCfg)
 				if err != nil {
 					continue
 				}
-				grant, err := dci.ToGrant(d, rnti, snap.dataCfg, snap.link)
+				grant, err := dci.ToGrant(d, rnti, s.dataCfg, s.link)
 				if err != nil {
 					continue
 				}
@@ -125,15 +125,14 @@ func overlapsAny(prev []phy.Candidate, cand phy.Candidate) bool {
 }
 
 // stepAgainstOracle runs one capture through decodeSlot and the naive
-// scope on the same snapshot, requires the same UE DCIs (RNTI,
+// scope on the same state, requires the same UE DCIs (RNTI,
 // aggregation level, start CCE, unpacked payload, grant) in the same
 // order and the same common-search-space finds, merges, and returns the
 // UE DCIs found.
 func stepAgainstOracle(t *testing.T, s *Scope, capt *radio.Capture) []foundDCI {
 	t.Helper()
-	snap := s.snapshot()
-	want, wantCSS := naiveUESpace(s, snap, s.KnownUEs(), capt)
-	res := s.decodeSlot(snap, capt)
+	want, wantCSS := naiveUESpace(s, s.KnownUEs(), capt)
+	res := s.decodeSlot(capt)
 	if len(res.data) != len(want) {
 		t.Fatalf("slot %d: decodeSlot found %d UE DCIs, naive scope %d\n got %+v\nwant %+v",
 			capt.SlotIdx, len(res.data), len(want), res.data, want)

@@ -7,6 +7,8 @@ import (
 	"sync/atomic"
 	"time"
 
+	"nrscope/internal/bus"
+	"nrscope/internal/obs"
 	"nrscope/internal/radio"
 )
 
@@ -15,17 +17,17 @@ import (
 // besides calling ProcessSlot inline. It keeps each cell's ProcessSlot
 // strictly serial (slot n+1's blind decode depends on state merged from
 // slot n: MIB, SIB1, MSG4 one-shots) and gets its parallelism across
-// cells: each registered cell owns a bounded capture FIFO, and every
+// cells: each registered cell owns a bounded capture ring, and every
 // worker scans the cell list from its own offset, claiming whole cells
 // with a CAS. A worker whose home cells are idle steals from any other
 // cell with queued work, so a burst on one cell is absorbed by the
 // whole pool.
 //
-// Submit blocks when the cell's queue is full (radio back-pressure),
-// keeping the steady state allocation-free: the ring buffers are fixed
-// at Start and captures are handed over by pointer. Results are
-// delivered to the cell's handler on the worker goroutine, serialized
-// per cell by the claim but concurrent across cells. A panic while
+// Submit blocks when the cell's ring is full (radio back-pressure: a
+// bus.Ring under Block), keeping the steady state allocation-free: the
+// rings are fixed at AddCell and captures are handed over by pointer.
+// Results are delivered to the cell's handler on the worker goroutine,
+// serialized per cell by the claim but concurrent across cells. A panic while
 // decoding or handling a slot costs that slot only (see process).
 type DecodePool struct {
 	workers int
@@ -46,17 +48,15 @@ type DecodePool struct {
 // so one deep queue cannot starve the other cells a worker serves.
 const poolMaxClaim = 32
 
-// poolCell is one registered cell: its scope, its result handler, and
-// its bounded capture ring.
+// poolCell is one registered cell: its scope, its result handler, its
+// bounded capture ring, and the batch a claiming worker takes off it.
 type poolCell struct {
 	id      uint16
 	scope   *Scope
 	handler func(*SlotResult)
 
-	mu      sync.Mutex
-	notFull *sync.Cond
-	buf     []*radio.Capture
-	head, n int
+	ring  *bus.Ring[*radio.Capture]
+	batch []*radio.Capture // used only under the claim
 
 	// busy is the cell claim: exactly one worker decodes a cell at a
 	// time, which is what keeps per-cell slot order strict while cells
@@ -96,8 +96,11 @@ func (p *DecodePool) AddCell(id uint16, scope *Scope, handler func(*SlotResult))
 	if _, dup := p.byID[id]; dup {
 		return fmt.Errorf("core: cell %d already registered", id)
 	}
-	c := &poolCell{id: id, scope: scope, handler: handler, buf: make([]*radio.Capture, p.queue)}
-	c.notFull = sync.NewCond(&c.mu)
+	c := &poolCell{
+		id: id, scope: scope, handler: handler,
+		ring:  bus.NewRing[*radio.Capture](p.queue, bus.Block, new(obs.Gauge)),
+		batch: make([]*radio.Capture, 0, poolMaxClaim),
+	}
 	p.byID[id] = c
 	p.cells = append(p.cells, c)
 	return nil
@@ -135,17 +138,9 @@ func (p *DecodePool) Submit(id uint16, cap *radio.Capture) bool {
 	if !ok {
 		return false
 	}
-	c.mu.Lock()
-	for c.n == len(c.buf) {
-		if p.closed.Load() {
-			c.mu.Unlock()
-			return false
-		}
-		c.notFull.Wait()
+	if _, ok := c.ring.Push(cap); !ok {
+		return false
 	}
-	c.buf[(c.head+c.n)%len(c.buf)] = cap
-	c.n++
-	c.mu.Unlock()
 	p.pending.Add(1)
 	met.poolSubmitted.Inc()
 	select {
@@ -171,11 +166,8 @@ func (p *DecodePool) Close() {
 	}
 	close(p.quit)
 	p.wg.Wait()
-	// Unblock any Submit that was waiting on a full ring when Close hit.
 	for _, c := range p.cells {
-		c.mu.Lock()
-		c.notFull.Broadcast()
-		c.mu.Unlock()
+		c.ring.Close()
 	}
 	met.poolWorkers.Set(0)
 }
@@ -218,25 +210,15 @@ func (p *DecodePool) drain(c *poolCell, stolen bool) bool {
 		return false
 	}
 	defer c.busy.Store(false)
-	worked := false
-	for decoded := 0; decoded < poolMaxClaim; decoded++ {
-		c.mu.Lock()
-		if c.n == 0 {
-			c.mu.Unlock()
-			break
-		}
-		cap := c.buf[c.head]
-		c.buf[c.head] = nil
-		c.head = (c.head + 1) % len(c.buf)
-		c.n--
-		c.notFull.Signal()
-		c.mu.Unlock()
+	c.batch, _ = c.ring.Take(c.batch[:0], poolMaxClaim)
+	for _, cap := range c.batch {
 		p.process(c, cap)
-		if stolen && !worked {
-			met.poolSteals.Inc()
-		}
-		worked = true
 	}
+	worked := len(c.batch) > 0
+	if stolen && worked {
+		met.poolSteals.Inc()
+	}
+	clear(c.batch) // release the captures
 	return worked
 }
 

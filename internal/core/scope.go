@@ -6,12 +6,15 @@
 // known UE in every TTI, translating DCIs into grants, transport block
 // sizes, throughput, HARQ retransmissions and spare-capacity telemetry.
 //
-// A Scope decodes exactly one slot at a time: ProcessSlot runs the
-// paper's Fig. 4 SIB, RACH and DCI tasks against a snapshot of the state
-// and merges the findings in slot order. One cell's slots are serial by
-// design (slot n+1's decode depends on the MIB, SIB1 and MSG4 state
-// merged from slot n); DecodePool (pool.go) is the worker pool, running
-// many cells' scopes concurrently.
+// A Scope decodes exactly one slot at a time, on one goroutine:
+// ProcessSlot runs the paper's Fig. 4 SIB, RACH and DCI tasks, reading
+// the acquired state in place, then merges the findings. The decode
+// never writes the state and merge is its only writer, so the paper's
+// state copy for worker threads is not needed. One cell's slots are
+// serial by design (slot n+1's decode depends on the MIB, SIB1 and MSG4
+// state merged from slot n); DecodePool (pool.go) is the worker pool,
+// running many cells' scopes concurrently, each owned by one worker at
+// a time.
 package core
 
 import (
@@ -170,17 +173,17 @@ type Scope struct {
 	dataCfg   dci.Config
 	link      dci.LinkConfig
 
-	ues       map[uint16]*UETrack
-	tracked   *ueIndex   // the keys of ues in discovery order; replaced, never mutated
-	tracks    []*UETrack // the values of ues in the same order, rebuilt with tracked
+	// The tracked UEs in discovery order (the order a slot's records are
+	// emitted in), and each one's position in tracks by C-RNTI.
+	tracks    []*UETrack
+	byRNTI    map[uint16]int
 	estimator *telemetry.WindowEstimator
 	departed  []UEActivity
 	lastPurge int
 
 	// Per-slot state, owned because a Scope decodes one slot at a time:
-	// the snapshot and result of the slot in flight, the decode working
-	// memory (masks, the position arena), and spareCapacity's UE list.
-	snap    snapshot
+	// the result of the slot in flight, the decode working memory
+	// (plans, masks, the position arena), and spareCapacity's UE list.
 	res     decodeResult
 	scratch slotScratch
 	spare   []telemetry.SpareUE
@@ -200,8 +203,7 @@ func New(cellID uint16, opts ...Option) *Scope {
 		dmrsGate:        true,
 		inactivitySlots: 20000,
 		window:          100 * time.Millisecond,
-		ues:             make(map[uint16]*UETrack),
-		tracked:         newUEIndex(nil),
+		byRNTI:          make(map[uint16]int),
 	}
 	for _, o := range opts {
 		o(s)
@@ -237,11 +239,26 @@ func (s *Scope) SIB1() *rrc.SIB1 { return s.sib1 }
 
 // KnownUEs returns the currently tracked C-RNTIs.
 func (s *Scope) KnownUEs() []uint16 {
-	return slices.Clone(s.tracked.rntis)
+	out := make([]uint16, len(s.tracks))
+	for i, track := range s.tracks {
+		out[i] = track.RNTI
+	}
+	return out
 }
 
 // Track returns a UE's tracking state (nil if unknown).
-func (s *Scope) Track(rnti uint16) *UETrack { return s.ues[rnti] }
+func (s *Scope) Track(rnti uint16) *UETrack {
+	if i, ok := s.byRNTI[rnti]; ok {
+		return s.tracks[i]
+	}
+	return nil
+}
+
+// addTrack appends a newly discovered UE to the tracked set.
+func (s *Scope) addTrack(track *UETrack) {
+	s.byRNTI[track.RNTI] = len(s.tracks)
+	s.tracks = append(s.tracks, track)
+}
 
 // DepartedUEs returns the sessions that aged out so far (plus, for
 // convenience, nothing else — live sessions are in KnownUEs).
@@ -263,33 +280,7 @@ func (s *Scope) Bitrate(rnti uint16, downlink bool, nowSlot int) float64 {
 // ProcessSlot runs the full per-TTI processing synchronously: decode
 // against the current state, then merge the findings into the state.
 func (s *Scope) ProcessSlot(cap *radio.Capture) *SlotResult {
-	res := s.decodeSlot(s.snapshot(), cap)
-	return s.merge(res)
-}
-
-// snapshot captures the read-only state a decode pass needs, as the
-// paper's scheduler copies its state (known UE list, cell configuration)
-// to a worker. It rewrites and returns the Scope's owned snapshot.
-func (s *Scope) snapshot() *snapshot {
-	s.snap = snapshot{
-		mib:        s.mib,
-		sib1:       s.sib1,
-		setup:      s.setup,
-		coreset:    s.coreset,
-		ueCoreset:  s.ueCoreset,
-		commonSS:   s.commonSS,
-		ueSS:       s.ueSS,
-		commonCfg:  s.commonCfg,
-		dataCfg:    s.dataCfg,
-		link:       s.link,
-		ues:        s.tracked,
-		verifyMSG4: s.verifyMSG4,
-		dmrsGate:   s.dmrsGate,
-	}
-	for i, al := range phy.AggregationLevels {
-		s.snap.ueML[i] = s.ueSS.Candidates[al]
-	}
-	return &s.snap
+	return s.merge(s.decodeSlot(cap))
 }
 
 // merge applies a decode result to the scope state, in slot order.
@@ -327,17 +318,14 @@ func (s *Scope) merge(res *decodeResult) *SlotResult {
 	// The find lists are ranged by index: their entries are large.
 	for i := range res.newUEs {
 		nu := &res.newUEs[i]
-		if _, known := s.ues[nu.rnti]; known {
+		if _, known := s.byRNTI[nu.rnti]; known {
 			continue
 		}
-		track := &UETrack{
+		s.addTrack(&UETrack{
 			RNTI: nu.rnti, FirstSeen: res.slotIdx, LastSeen: res.slotIdx,
 			DL: harq.NewTracker(), UL: harq.NewTracker(),
 			uplink: pucch.NewResource(nu.rnti, s.cellID),
-		}
-		s.ues[nu.rnti] = track
-		s.tracked = newUEIndex(append(slices.Clip(s.tracked.rntis), nu.rnti))
-		s.tracks = append(s.tracks, track)
+		})
 		out.NewUEs = append(out.NewUEs, nu.rnti)
 		rec := telemetry.FromGrant(res.slotIdx, res.ref, nu.grant, false)
 		rec.NewUE = true
@@ -367,7 +355,7 @@ func (s *Scope) merge(res *decodeResult) *SlotResult {
 		f := &res.data[i]
 		// Tracked: the decode ran against this state, and only purge,
 		// below, removes UEs.
-		track := s.ues[f.rnti]
+		track := s.tracks[s.byRNTI[f.rnti]]
 		track.LastSeen = res.slotIdx
 		tracker := track.UL
 		if f.grant.Downlink {
@@ -404,7 +392,7 @@ func (s *Scope) merge(res *decodeResult) *SlotResult {
 		}
 	}
 	s.purgeInactive(res.slotIdx)
-	met.uesTracked.Set(int64(len(s.ues)))
+	met.uesTracked.Set(int64(len(s.tracks)))
 	if s.bus != nil {
 		for _, rec := range out.Records {
 			_ = s.bus.Publish(rec) // closed bus: records still in out
@@ -448,18 +436,18 @@ func (s *Scope) estimatorWindowSlots() int {
 func (s *Scope) WindowSlots() int { return s.estimatorWindowSlots() }
 
 // purgeInactive ages out silent UEs (they left the RAN; Fig. 10 measures
-// exactly these session lengths).
+// exactly these session lengths), keeping the survivors in discovery
+// order and re-indexing them as it filters.
 func (s *Scope) purgeInactive(slotIdx int) {
 	if slotIdx-s.lastPurge < 200 {
 		return
 	}
 	s.lastPurge = slotIdx
-	kept := make([]uint16, 0, len(s.tracked.rntis))
 	tracks := s.tracks[:0]
 	for _, track := range s.tracks {
 		if slotIdx-track.LastSeen > s.inactivitySlots {
 			s.departed = append(s.departed, UEActivity{RNTI: track.RNTI, FirstSeen: track.FirstSeen, LastSeen: track.LastSeen})
-			delete(s.ues, track.RNTI)
+			delete(s.byRNTI, track.RNTI)
 			if s.estimator != nil {
 				// The C-RNTI may be reassigned; its flow windows must
 				// not survive the session (unbounded growth otherwise).
@@ -467,18 +455,15 @@ func (s *Scope) purgeInactive(slotIdx int) {
 			}
 			continue
 		}
-		kept = append(kept, track.RNTI)
+		s.byRNTI[track.RNTI] = len(tracks)
 		tracks = append(tracks, track)
 	}
 	clear(s.tracks[len(tracks):]) // release the departed tracks
 	s.tracks = tracks
-	if len(kept) != len(s.tracked.rntis) {
-		s.tracked = newUEIndex(kept)
-	}
 }
 
 // String summarises scope state.
 func (s *Scope) String() string {
 	return fmt.Sprintf("scope{cell=%d mib=%v sib1=%v setup=%v ues=%d}",
-		s.cellID, s.mib != nil, s.sib1 != nil, s.setup != nil, len(s.ues))
+		s.cellID, s.mib != nil, s.sib1 != nil, s.setup != nil, len(s.tracks))
 }

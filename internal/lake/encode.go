@@ -207,9 +207,13 @@ func parseBlockPayload(p []byte) (blockHeader, error) {
 		if lens[i], err = rd(); err != nil {
 			return h, err
 		}
+		if lens[i] > uint64(len(p)) {
+			return h, fmt.Errorf("lake: block columns overflow payload")
+		}
 		total += lens[i]
 	}
-	if total > uint64(len(p)) {
+	// Every row takes at least one byte of every column.
+	if total > uint64(len(p)) || count > total {
 		return h, fmt.Errorf("lake: block columns overflow payload")
 	}
 	h.cols = make([][]byte, ncols)

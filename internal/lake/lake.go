@@ -174,10 +174,7 @@ func Open(dir string, cfg Config) (*Lake, error) {
 	live := make(map[string]bool, len(names))
 	for _, name := range names {
 		live[name] = true
-		cell, seq, perr := parseSegName(name)
-		if perr != nil {
-			continue
-		}
+		cell, seq, _ := parseSegName(name) // openManifest returns only names that parse
 		path := filepath.Join(dir, filepath.FromSlash(name))
 		seg, refs, recovered, oerr := openSegment(path, name, seq, cell)
 		if oerr != nil {
@@ -209,13 +206,16 @@ func segName(cell uint16, seq uint64) string {
 	return fmt.Sprintf("cell-%05d/seg-%08d.seg", cell, seq)
 }
 
+// parseSegName inverts segName. A name is accepted only if segName
+// reproduces it exactly, so a manifest line can name nothing but a
+// segment file inside the lake: no out-of-range cell, no trailing path.
 func parseSegName(name string) (uint16, uint64, error) {
-	var cell uint32
+	var cell uint16
 	var seq uint64
-	if _, err := fmt.Sscanf(name, "cell-%d/seg-%d.seg", &cell, &seq); err != nil {
+	if _, err := fmt.Sscanf(name, "cell-%d/seg-%d.seg", &cell, &seq); err != nil || segName(cell, seq) != name {
 		return 0, 0, fmt.Errorf("lake: bad segment name %q", name)
 	}
-	return uint16(cell), seq, nil
+	return cell, seq, nil
 }
 
 // removeOrphans deletes *.seg files on disk that the manifest does not

@@ -282,6 +282,7 @@ func TestLakeOrphanRemoval(t *testing.T) {
 // mid-append) must be ignored — the victims stay live.
 func TestManifestTornSwap(t *testing.T) {
 	dir := t.TempDir()
+	a, b, merged := segName(1, 1), segName(1, 2), segName(1, 3)
 	m, names, err := openManifest(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -289,15 +290,15 @@ func TestManifestTornSwap(t *testing.T) {
 	if len(names) != 0 {
 		t.Fatalf("fresh manifest lists %v", names)
 	}
-	m.add("a.seg")
-	m.add("b.seg")
+	m.add(a)
+	m.add(b)
 	m.close()
 	// Torn swap: no sentinel.
 	f, err := os.OpenFile(filepath.Join(dir, manifestName), os.O_APPEND|os.O_WRONLY, 0o644)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.WriteString("swap merged.seg a.seg b.seg"); err != nil {
+	if _, err := f.WriteString("swap " + merged + " " + a + " " + b); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
@@ -305,11 +306,11 @@ func TestManifestTornSwap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(names) != 2 || names[0] != "a.seg" || names[1] != "b.seg" {
+	if len(names) != 2 || names[0] != a || names[1] != b {
 		t.Fatalf("torn swap changed liveness: %v", names)
 	}
 	// Committed swap replaces the victims.
-	if err := m2.swap("merged.seg", []string{"a.seg", "b.seg"}); err != nil {
+	if err := m2.swap(merged, []string{a, b}); err != nil {
 		t.Fatal(err)
 	}
 	m2.close()
@@ -318,7 +319,7 @@ func TestManifestTornSwap(t *testing.T) {
 		t.Fatal(err)
 	}
 	m3.close()
-	if len(names) != 1 || names[0] != "merged.seg" {
+	if len(names) != 1 || names[0] != merged {
 		t.Fatalf("committed swap result: %v", names)
 	}
 }

@@ -31,7 +31,9 @@ type manifest struct {
 }
 
 // openManifest opens (creating if needed) the manifest and returns the
-// live segment names in add order.
+// live segment names in add order. A name that is not a segment name
+// (parseSegName) is never registered: the manifest is read back from
+// disk, and a name is joined onto the lake directory to open its file.
 func openManifest(dir string) (*manifest, []string, error) {
 	path := filepath.Join(dir, manifestName)
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
@@ -49,6 +51,9 @@ func openManifest(dir string) (*manifest, []string, error) {
 	live := make(map[string]int)
 	var order []string
 	add := func(name string) {
+		if _, _, err := parseSegName(name); err != nil {
+			return
+		}
 		if _, dup := live[name]; !dup {
 			live[name] = len(order)
 			order = append(order, name)

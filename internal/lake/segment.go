@@ -142,7 +142,8 @@ func appendFooter(buf []byte, refs []blockRef) []byte {
 // parseFooter decodes a footer payload into refs bound to seg.
 func parseFooter(seg *segment, p []byte) ([]blockRef, error) {
 	n, w := binary.Uvarint(p)
-	if w <= 0 || n > 1<<24 {
+	// A ref takes at least 8 bytes: seven varints and the kind byte.
+	if w <= 0 || n > uint64(len(p)-w)/8 {
 		return nil, fmt.Errorf("lake: bad footer count in %s", seg.name)
 	}
 	p = p[w:]

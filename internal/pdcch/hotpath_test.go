@@ -2,10 +2,8 @@ package pdcch
 
 import (
 	"math/rand"
-	"sync"
 	"testing"
 
-	"nrscope/internal/bits"
 	"nrscope/internal/phy"
 	"nrscope/internal/polar"
 	"nrscope/internal/raceflag"
@@ -88,63 +86,6 @@ func TestDecodeHotPathZeroAlloc(t *testing.T) {
 		occ = c.OccupiedCCEsInto(occ, g, cs, 3)
 	}); n != 0 {
 		t.Errorf("OccupiedCCEsInto: %.1f allocs/op, want 0", n)
-	}
-}
-
-// TestCodecConcurrentDecode hammers one codec from many goroutines with
-// cold caches: the lazily built layout/DMRS/gold/polar caches must be
-// race-free (run under -race in CI) and every decode must still be
-// correct.
-func TestCodecConcurrentDecode(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	c := New(cellID)
-	cs := coreset()
-	type tx struct {
-		g    *phy.Grid
-		cand phy.Candidate
-		slot int
-		rnti uint16
-	}
-	var txs []tx
-	for i, al := range []int{1, 2, 4, 8, 1, 2, 4, 8} {
-		cand := phy.Candidate{AggLevel: al, StartCCE: (i % 2) * al}
-		g := phy.NewGrid(51)
-		rnti := uint16(0x4600 + i)
-		if err := c.Encode(g, cs, cand, i%20, randomBits(rng, 43), rnti); err != nil {
-			t.Fatal(err)
-		}
-		txs = append(txs, tx{g: g, cand: cand, slot: i % 20, rnti: rnti})
-	}
-	var wg sync.WaitGroup
-	errs := make(chan string, 64)
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			var buf []uint8
-			for rep := 0; rep < 20; rep++ {
-				x := txs[(w+rep)%len(txs)]
-				blk, err := c.DecodeCandidateInto(buf, x.g, cs, x.cand, x.slot, 43, 1e-4)
-				if err != nil {
-					errs <- err.Error()
-					return
-				}
-				buf = blk[:0]
-				if !bits.MatchDCICRC(blk, x.rnti) {
-					errs <- "CRC failed on noiseless concurrent decode"
-					return
-				}
-				if m := c.DMRSMetric(x.g, cs, x.cand, x.slot); m < DMRSThreshold {
-					errs <- "DMRS metric below threshold on occupied candidate"
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	close(errs)
-	for e := range errs {
-		t.Fatal(e)
 	}
 }
 

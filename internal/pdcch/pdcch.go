@@ -15,19 +15,18 @@
 // received grid is cached on the Codec: one RE table per CORESET (every
 // candidate position is a slice of it), DMRS reference symbols per
 // (CORESET, slot), Gold sequence prefixes per cinit, and polar code
-// constructions per (K, E). A blind decoder resolves a caller-owned Plan
-// from those caches once per (CORESET, slot, payload size) and then
-// decodes every candidate of the slot in the Plan's own demap and polar
-// scratch, without a lock, a map lookup or a pool. The Codec's own
-// decode entry points are thin wrappers over the same kernels that look
-// the caches up per call and take their scratch from a pool; both paths
-// perform no heap allocation at steady state.
+// constructions per (K, E). A Plan resolves those caches once per
+// (CORESET, slot, payload size) and then decodes every candidate of the
+// slot in its own demap and polar scratch, without a map lookup. A Plan
+// is the only decode path: the Codec's own decode entry points run
+// through a Plan the Codec owns. Nothing on it takes a lock or a pool,
+// or allocates at steady state. A Codec, and every Plan resolved
+// against it, belongs to one goroutine at a time.
 package pdcch
 
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"nrscope/internal/bits"
 	"nrscope/internal/modulation"
@@ -36,19 +35,19 @@ import (
 )
 
 // Codec carries the cell-specific scrambling context and the candidate
-// decode caches. It is safe for concurrent use; cache entries are
-// immutable once published, so readers share them without copying.
+// decode caches. It is not safe for concurrent use: one goroutine owns
+// it at a time (a Scope owns its cell's Codec, the gNB simulator its
+// own), so the caches fill in place, without a lock.
 type Codec struct {
 	cellID uint16
-	scr    []uint8 // PDCCH scrambling sequence, maxE bits (immutable)
+	scr    []uint8 // PDCCH scrambling sequence, maxE bits
 
-	mu     sync.RWMutex
 	codes  map[[2]int]*polar.Code   // (K, E) -> construction
 	gold   map[uint32][]uint8       // cinit -> sequence prefix
 	tables map[phy.CORESET]*table   // CORESET -> RE geometry
 	dmrs   map[dmrsKey][]complex128 // (CORESET, slot) -> DMRS reference
 
-	scratch sync.Pool // *scratch for the Codec's own decode entry points
+	plan Plan // the decode context of the Codec's own entry points
 }
 
 // maxE is the rate-matched length of the largest aggregation level.
@@ -121,13 +120,6 @@ func (t *table) span(cs phy.CORESET, al, cce int) span {
 	}
 }
 
-// scratch is the working memory of one candidate decode.
-type scratch struct {
-	syms []complex128
-	llr  []float64
-	ws   polar.Workspace
-}
-
 // New returns a codec for the given physical cell id.
 func New(cellID uint16) *Codec {
 	return &Codec{
@@ -155,63 +147,36 @@ func (c *Codec) scrambling(n int) []uint8 {
 // values per cell (one DMRS init per slot/symbol pair), keeping the
 // cache small and hot.
 func (c *Codec) goldSeq(cinit uint32, n int) []uint8 {
-	c.mu.RLock()
 	seq := c.gold[cinit]
-	c.mu.RUnlock()
-	if len(seq) >= n {
-		return seq[:n]
-	}
-	grown := n * 2
-	if grown < 2048 {
-		grown = 2048
-	}
-	seq = bits.GoldSequence(cinit, grown)
-	c.mu.Lock()
-	if prev := c.gold[cinit]; len(prev) < len(seq) {
+	if len(seq) < n {
+		seq = bits.GoldSequence(cinit, max(2*n, 2048))
 		c.gold[cinit] = seq
-	} else {
-		seq = prev
 	}
-	c.mu.Unlock()
 	return seq[:n]
 }
 
 // code returns the cached polar construction for (k, e).
 func (c *Codec) code(k, e int) (*polar.Code, error) {
 	key := [2]int{k, e}
-	c.mu.RLock()
-	pc := c.codes[key]
-	c.mu.RUnlock()
-	if pc != nil {
+	if pc := c.codes[key]; pc != nil {
 		return pc, nil
 	}
 	pc, err := polar.NewCode(k, e)
 	if err != nil {
 		return nil, fmt.Errorf("pdcch: %w", err)
 	}
-	c.mu.Lock()
 	c.codes[key] = pc
-	c.mu.Unlock()
 	return pc, nil
 }
 
 // table returns the cached RE table of a CORESET, building it on first
 // use.
 func (c *Codec) table(cs phy.CORESET) *table {
-	c.mu.RLock()
 	t := c.tables[cs]
-	c.mu.RUnlock()
-	if t != nil {
-		return t
-	}
-	t = newTable(cs)
-	c.mu.Lock()
-	if prev := c.tables[cs]; prev != nil {
-		t = prev
-	} else {
+	if t == nil {
+		t = newTable(cs)
 		c.tables[cs] = t
 	}
-	c.mu.Unlock()
 	return t
 }
 
@@ -223,14 +188,11 @@ func (c *Codec) table(cs phy.CORESET) *table {
 // bounded at slots-per-frame entries per CORESET.
 func (c *Codec) dmrsRef(cs phy.CORESET, slot int) []complex128 {
 	key := dmrsKey{cs: cs, slot: slot}
-	c.mu.RLock()
-	ref := c.dmrs[key]
-	c.mu.RUnlock()
-	if ref != nil {
+	if ref := c.dmrs[key]; ref != nil {
 		return ref
 	}
 	perSym := cs.NumPRB * len(phy.REGDMRSOffsets)
-	ref = make([]complex128, cs.Duration*perSym)
+	ref := make([]complex128, cs.Duration*perSym)
 	for d := 0; d < cs.Duration; d++ {
 		seq := c.goldSeq(bits.PDCCHDMRSInit(slot, cs.StartSym+d, c.cellID), 2*perSym)
 		for k := 0; k < perSym; k++ {
@@ -238,24 +200,17 @@ func (c *Codec) dmrsRef(cs phy.CORESET, slot int) []complex128 {
 			ref[d*perSym+k] = complex((1-2*float64(b0))/math.Sqrt2, (1-2*float64(b1))/math.Sqrt2)
 		}
 	}
-	c.mu.Lock()
-	if prev := c.dmrs[key]; prev != nil {
-		ref = prev
-	} else {
-		c.dmrs[key] = ref
-	}
-	c.mu.Unlock()
+	c.dmrs[key] = ref
 	return ref
 }
 
-// Plan is a caller-owned decode context for one (CORESET, slot, payload
-// size): the CORESET's RE table, the slot's DMRS reference and the polar
-// code of each aggregation level (each looked up on first use), the
-// scrambling sequence, and its own demap and polar scratch. Resolve
-// compares its key and re-resolves only what changed, so a blind decoder
-// resolves at the top of each pass and then decodes every candidate
-// without touching a lock, a map or a pool. The zero Plan is ready for
-// Resolve. A Plan is not safe for concurrent use.
+// Plan is the decode context of one (CORESET, slot, payload size): the
+// CORESET's RE table, the slot's DMRS reference and the polar code of
+// each aggregation level (each looked up on first use), and its own
+// demap and polar scratch. Resolve compares its key and re-resolves only
+// what changed, so a blind decoder resolves at the top of each pass and
+// then decodes every candidate without a map lookup. The zero Plan is
+// ready for Resolve. A Plan belongs to the goroutine that owns its Codec.
 type Plan struct {
 	c           *Codec
 	cs          phy.CORESET
@@ -266,7 +221,10 @@ type Plan struct {
 	ref   []complex128
 	codes [len(phy.AggregationLevels)]*polar.Code
 	errs  [len(phy.AggregationLevels)]error
-	sc    scratch
+
+	syms []complex128
+	llr  []float64
+	ws   polar.Workspace
 }
 
 // Resolve points p at codec c's caches for CORESET cs in slot (the
@@ -279,13 +237,16 @@ func (p *Plan) Resolve(c *Codec, cs phy.CORESET, slot, payloadBits int) {
 		p.tab = c.table(cs)
 	}
 	if p.c != c || p.cs != cs || p.slot != slot {
-		p.ref = nil // looked up by the first occupancy sweep
+		p.ref = nil // looked up by the first DMRS correlation
 	}
 	p.c, p.cs, p.slot, p.payloadBits = c, cs, slot, payloadBits
 }
 
-// DecodeInto is Codec.DecodeCandidateInto for the plan's CORESET, slot
-// and payload size.
+// DecodeInto runs the inverse chain on one candidate and writes the
+// hard-decision block (payload || CRC24) into dst, reused when its
+// capacity covers payloadBits+24 bits: it gathers the candidate's data
+// REs, demaps them to QPSK LLRs, descrambles in the LLR domain (a
+// scrambling bit of 1 flips the sign) and polar decodes.
 func (p *Plan) DecodeInto(dst []uint8, g *phy.Grid, cand phy.Candidate, n0 float64) ([]uint8, error) {
 	i := phy.ALIndex(cand.AggLevel)
 	if i < 0 {
@@ -298,17 +259,58 @@ func (p *Plan) DecodeInto(dst []uint8, g *phy.Grid, cand phy.Candidate, n0 float
 	if pc == nil {
 		return nil, p.errs[i]
 	}
-	sp := p.tab.span(p.cs, cand.AggLevel, cand.StartCCE)
-	return p.sc.decode(dst, g, sp.data, p.c.scrambling(pc.E), pc, n0), nil
+	data := p.tab.span(p.cs, cand.AggLevel, cand.StartCCE).data
+	if cap(p.syms) < len(data) {
+		// Sized once for the largest candidate, as is the LLR buffer.
+		p.syms = make([]complex128, max(len(data), maxE/2))
+		p.llr = make([]float64, 0, max(2*len(data), maxE))
+	}
+	syms := p.syms[:len(data)]
+	for k, re := range data {
+		syms[k] = g.At(re.Symbol, re.Subcarrier)
+	}
+	p.llr = modulation.DemapInto(p.llr, modulation.QPSK, syms, n0)
+	bits.DescrambleLLRInPlace(p.c.scrambling(pc.E)[:len(p.llr)], p.llr)
+	return pc.DecodeWith(&p.ws, dst, p.llr), nil
 }
 
-// OccupiedCCEsInto is Codec.OccupiedCCEsInto for the plan's CORESET and
-// slot.
+// OccupiedCCEsInto sweeps the plan's CORESET and writes, per CCE, whether
+// its DMRS correlation clears DMRSThreshold into dst (reused when its
+// capacity covers the CORESET).
 func (p *Plan) OccupiedCCEsInto(dst []bool, g *phy.Grid) []bool {
+	n := p.cs.NumCCE()
+	if cap(dst) < n {
+		dst = make([]bool, n)
+	}
+	dst = dst[:n]
+	for i := range dst {
+		dst[i] = p.dmrsMetric(g, 1, i) >= DMRSThreshold
+	}
+	return dst
+}
+
+// dmrsMetric correlates the pilot REs of the al CCEs from cce against
+// the slot's DMRS reference.
+func (p *Plan) dmrsMetric(g *phy.Grid, al, cce int) float64 {
 	if p.ref == nil {
 		p.ref = p.c.dmrsRef(p.cs, p.slot)
 	}
-	return occupancy(dst, g, p.cs, p.tab, p.ref)
+	sp := p.tab.span(p.cs, al, cce)
+	var corr complex128
+	var energy float64
+	for i, re := range sp.dmrs {
+		rx := g.At(re.Symbol, re.Subcarrier)
+		r := p.ref[sp.refIdx[i]]
+		corr += rx * complex(real(r), -imag(r))
+		energy += real(rx)*real(rx) + imag(rx)*imag(rx)
+	}
+	n := float64(len(sp.dmrs))
+	if energy == 0 {
+		return 0
+	}
+	// Normalise by sqrt(total energy * reference energy): |rho| <= 1.
+	mag := math.Sqrt(real(corr)*real(corr) + imag(corr)*imag(corr))
+	return mag / math.Sqrt(energy*n)
 }
 
 // Encode writes one DCI transmission onto the grid: payload bits are
@@ -348,40 +350,14 @@ func (c *Codec) Encode(g *phy.Grid, cs phy.CORESET, cand phy.Candidate, slot int
 // candidates score near zero. The geometry and reference symbols come
 // from the codec caches, so the steady-state call is allocation free.
 func (c *Codec) DMRSMetric(g *phy.Grid, cs phy.CORESET, cand phy.Candidate, slot int) float64 {
-	return dmrsMetric(g, c.table(cs).span(cs, cand.AggLevel, cand.StartCCE), c.dmrsRef(cs, slot))
-}
-
-// dmrsMetric is the DMRS correlation kernel of DMRSMetric and the
-// occupancy sweep.
-func dmrsMetric(g *phy.Grid, sp span, ref []complex128) float64 {
-	var corr complex128
-	var energy float64
-	for i, re := range sp.dmrs {
-		rx := g.At(re.Symbol, re.Subcarrier)
-		r := ref[sp.refIdx[i]]
-		corr += rx * complex(real(r), -imag(r))
-		energy += real(rx)*real(rx) + imag(rx)*imag(rx)
-	}
-	n := float64(len(sp.dmrs))
-	if energy == 0 {
-		return 0
-	}
-	// Normalise by sqrt(total energy * reference energy): |rho| <= 1.
-	mag := math.Sqrt(real(corr)*real(corr) + imag(corr)*imag(corr))
-	return mag / math.Sqrt(energy*n)
+	c.plan.Resolve(c, cs, slot, c.plan.payloadBits)
+	return c.plan.dmrsMetric(g, cand.AggLevel, cand.StartCCE)
 }
 
 // DMRSThreshold is the detection threshold for DMRSMetric above which a
 // candidate is worth a polar decode. Chosen so noise-only candidates are
 // rejected with high probability while transmissions at usable SNRs pass.
 const DMRSThreshold = 0.5
-
-// CCEMetric is DMRSMetric restricted to a single CCE (18 pilot REs).
-// The blind decoder computes it once per CCE per slot and only spends
-// polar decodes on candidates whose CCEs all look occupied.
-func (c *Codec) CCEMetric(g *phy.Grid, cs phy.CORESET, cce, slot int) float64 {
-	return c.DMRSMetric(g, cs, phy.Candidate{AggLevel: 1, StartCCE: cce}, slot)
-}
 
 // OccupiedCCEs scans the CORESET and returns, per CCE, whether its DMRS
 // correlation clears the detection threshold.
@@ -391,23 +367,11 @@ func (c *Codec) OccupiedCCEs(g *phy.Grid, cs phy.CORESET, slot int) []bool {
 
 // OccupiedCCEsInto is OccupiedCCEs writing into dst (reused when its
 // capacity covers the CORESET), so the per-slot occupancy sweep does not
-// allocate at steady state.
+// allocate at steady state. It is Plan.OccupiedCCEsInto in the Codec's
+// own Plan.
 func (c *Codec) OccupiedCCEsInto(dst []bool, g *phy.Grid, cs phy.CORESET, slot int) []bool {
-	return occupancy(dst, g, cs, c.table(cs), c.dmrsRef(cs, slot))
-}
-
-// occupancy is the per-CCE occupancy sweep of OccupiedCCEsInto and
-// Plan.OccupiedCCEsInto.
-func occupancy(dst []bool, g *phy.Grid, cs phy.CORESET, t *table, ref []complex128) []bool {
-	n := cs.NumCCE()
-	if cap(dst) < n {
-		dst = make([]bool, n)
-	}
-	dst = dst[:n]
-	for i := range dst {
-		dst[i] = dmrsMetric(g, t.span(cs, 1, i), ref) >= DMRSThreshold
-	}
-	return dst
+	c.plan.Resolve(c, cs, slot, c.plan.payloadBits)
+	return c.plan.OccupiedCCEsInto(dst, g)
 }
 
 // PayloadFits reports whether a payload of the given size can be carried
@@ -427,40 +391,10 @@ func (c *Codec) DecodeCandidate(g *phy.Grid, cs phy.CORESET, cand phy.Candidate,
 }
 
 // DecodeCandidateInto is DecodeCandidate writing the hard-decision block
-// into dst (reused when its capacity covers payloadBits+24 bits). With a
-// warm cache the call performs no heap allocation: RE geometry,
-// scrambling sequence and polar construction come from the codec caches,
-// and the demap and polar working memory from a pool.
+// into dst (reused when its capacity covers payloadBits+24 bits). It is
+// Plan.DecodeInto in the Codec's own Plan, so with a warm cache the call
+// performs no heap allocation.
 func (c *Codec) DecodeCandidateInto(dst []uint8, g *phy.Grid, cs phy.CORESET, cand phy.Candidate, slot int, payloadBits int, n0 float64) ([]uint8, error) {
-	pc, err := c.code(payloadBits+24, cand.AggLevel*phy.BitsPerCCE)
-	if err != nil {
-		return nil, err
-	}
-	sp := c.table(cs).span(cs, cand.AggLevel, cand.StartCCE)
-	sc, _ := c.scratch.Get().(*scratch)
-	if sc == nil {
-		sc = &scratch{}
-	}
-	defer c.scratch.Put(sc)
-	return sc.decode(dst, g, sp.data, c.scrambling(pc.E), pc, n0), nil
-}
-
-// decode is the candidate decode kernel behind every entry point: it
-// gathers the candidate's data REs, demaps them to QPSK LLRs,
-// descrambles in the LLR domain (a scrambling bit of 1 flips the sign)
-// and polar decodes the hard-decision block into dst.
-func (sc *scratch) decode(dst []uint8, g *phy.Grid, data []phy.RE, scr []uint8, pc *polar.Code, n0 float64) []uint8 {
-	if cap(sc.syms) < len(data) {
-		// Sized once for the largest candidate, as is the LLR buffer.
-		sc.syms = make([]complex128, max(len(data), maxE/2))
-		sc.llr = make([]float64, 0, max(2*len(data), maxE))
-	}
-	syms := sc.syms[:len(data)]
-	for i, re := range data {
-		syms[i] = g.At(re.Symbol, re.Subcarrier)
-	}
-	llr := modulation.DemapInto(sc.llr, modulation.QPSK, syms, n0)
-	sc.llr = llr
-	bits.DescrambleLLRInPlace(scr[:len(llr)], llr)
-	return pc.DecodeWith(&sc.ws, dst, llr)
+	c.plan.Resolve(c, cs, slot, payloadBits)
+	return c.plan.DecodeInto(dst, g, cand, n0)
 }

@@ -405,13 +405,13 @@ func BenchmarkPolarSC(b *testing.B) {
 			name string
 			pass func(s *Workspace)
 		}{
-			{"reference", func(s *Workspace) { c.scDecode(s, s.chLLR, s.sums, 0, 0) }},
+			{"reference", func(s *Workspace) { c.scDecode(s, s.chLLR[:c.N], s.sums[:c.N], 0, 0) }},
 			{"fastssc", func(s *Workspace) { c.runSchedule(s) }},
 		}
 		for _, arm := range arms {
 			b.Run(in.name+"/impl="+arm.name, func(b *testing.B) {
-				s := c.getScratch()
-				defer c.scratch.Put(s)
+				s := &c.ws
+				s.fit(MaxN)
 				c.prepare(s, in.llr)
 				b.ReportAllocs()
 				b.ResetTimer()

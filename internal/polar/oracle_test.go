@@ -20,8 +20,8 @@ func (c *Code) decodeReferenceInto(dst []uint8, llr []float64) []uint8 {
 	if len(llr) != c.E {
 		panic(fmt.Sprintf("polar: oracle got %d LLRs, code has E = %d", len(llr), c.E))
 	}
-	s := c.getScratch()
-	defer c.scratch.Put(s)
+	s := &c.ws
+	s.fit(MaxN)
 	for i := 0; i < c.punct; i++ {
 		s.chLLR[i] = 0
 	}
@@ -34,7 +34,7 @@ func (c *Code) decodeReferenceInto(dst []uint8, llr []float64) []uint8 {
 			s.chLLR[j] += v
 		}
 	}
-	c.scDecode(s, s.chLLR, s.sums, 0, 0)
+	c.scDecode(s, s.chLLR[:c.N], s.sums[:c.N], 0, 0)
 	return c.extract(dst, s)
 }
 

@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 )
 
 // MaxN is the maximum mother code length for downlink polar codes
@@ -31,10 +30,10 @@ const MaxN = 512
 
 // Code is a polar code instance for a fixed (K, E) pair: K information
 // bits (including any CRC the caller attached) rate-matched to E channel
-// bits. A Code is immutable after construction and safe for concurrent
-// use: Encode allocates its buffers per call, and a decode runs in a
-// caller-owned Workspace (DecodeWith). The per-Code pool backs only the
-// convenience entry points Decode and DecodeInto.
+// bits. Its construction is immutable: Encode allocates its buffers per
+// call and DecodeWith runs in the caller's Workspace, so both may run on
+// several goroutines at once. Decode and DecodeInto run in the Code's own
+// Workspace, so they belong to one goroutine at a time.
 type Code struct {
 	K int // information bits in
 	E int // rate-matched bits out
@@ -51,7 +50,7 @@ type Code struct {
 	schedule []nodeOp
 	checks   []check
 
-	scratch sync.Pool // *Workspace for Decode/DecodeInto
+	ws Workspace // Decode and DecodeInto's, sized on first use
 }
 
 // NewCode constructs the polar code for K information bits rate-matched
@@ -237,12 +236,6 @@ func (w *Workspace) fit(n int) {
 	}
 }
 
-func (c *Code) newScratch() *Workspace {
-	s := &Workspace{}
-	s.fit(c.N)
-	return s
-}
-
 // Decode runs successive-cancellation decoding over E channel LLRs
 // (positive LLR means bit 0 more likely) and returns the K decoded
 // information bits. It panics if len(llr) != E. It delegates to
@@ -253,16 +246,14 @@ func (c *Code) Decode(llr []float64) []uint8 {
 
 // DecodeInto is Decode writing the K information bits into dst (reused
 // when its capacity suffices, so steady-state decoding is allocation
-// free). It returns the K-bit result slice. It is DecodeWith in a
-// Workspace taken from the Code's pool.
+// free). It returns the K-bit result slice. It is DecodeWith in the
+// Code's own Workspace.
 func (c *Code) DecodeInto(dst []uint8, llr []float64) []uint8 {
-	s := c.getScratch()
-	defer c.scratch.Put(s)
-	return c.DecodeWith(s, dst, llr)
+	return c.DecodeWith(&c.ws, dst, llr)
 }
 
-// DecodeWith is DecodeInto in the caller's Workspace ws; a caller that
-// decodes one block at a time keeps one Workspace and touches no pool.
+// DecodeWith is DecodeInto in the caller's Workspace ws, so callers that
+// share a Code (the PDCCH decode plans of one cell) each keep their own.
 //
 // The decode is the iterative fast-SSC sweep (schedule.go): terminal
 // nodes write their partial sums and recover their own input bits with
@@ -285,14 +276,6 @@ func (c *Code) DecodeWith(ws *Workspace, dst []uint8, llr []float64) []uint8 {
 	c.prepare(ws, llr)
 	c.runSchedule(ws)
 	return c.extract(dst, ws)
-}
-
-func (c *Code) getScratch() *Workspace {
-	s, _ := c.scratch.Get().(*Workspace)
-	if s == nil {
-		s = c.newScratch()
-	}
-	return s
 }
 
 // prepare rate-recovers E channel LLRs into s.chLLR: punctured
