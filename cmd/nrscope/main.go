@@ -40,16 +40,18 @@
 // remote store. At exit every bus subscription prints a delivery
 // summary (delivered / dropped / retries / quarantines).
 //
-// With -shards N the cells (the -cell preset plus every -fuse-cell) are
-// partitioned across N supervised shards (internal/shard): each shard
-// owns its own history partition, bus publisher, and — in multi-cell
-// runs — its own fusion aggregator; a record whose fold panics is
-// dropped and the shard goes on with its partition intact. The
-// cross-shard rollup is served under /shards on the -metrics mux and
-// summarized at exit.
-//
 // Whatever the flags, a run is one path (see deployment): every cell's
-// captures, simulated or replayed, go through one core.DecodePool.
+// captures, simulated or replayed, go through one core.DecodePool, and
+// every decoded slot goes to one shard.Supervisor (internal/shard),
+// whose workers fold the records into their history partitions — and,
+// in multi-cell runs, their fusion aggregators — and are the only
+// publishers on the sink bus. -shards N partitions the cells (the -cell
+// preset plus every -fuse-cell) across N such shards; a record whose
+// fold panics is dropped and the shard goes on with its partition
+// intact. The cross-shard rollup is served under /shards on the -metrics
+// mux and summarized at exit. Without -shards the run has one partition,
+// whose lake lives at the -lake root and whose /history API is mounted
+// under -history.
 package main
 
 import (
@@ -62,13 +64,11 @@ import (
 	"path/filepath"
 	"runtime"
 	"strings"
-	"sync"
 	"time"
 
 	"nrscope"
 	"nrscope/internal/bus"
 	"nrscope/internal/capfile"
-	"nrscope/internal/fusion"
 	"nrscope/internal/history"
 	"nrscope/internal/lake"
 	"nrscope/internal/obs"
@@ -99,8 +99,8 @@ type config struct {
 	rotateMB int64
 	metrics  string
 	shards   int
-	history  bool           // keep the shared store: -history, or implied by -lake
-	histCfg  history.Config // the shared store's; each shard partition's but for MaxUEs
+	history  bool           // serve and summarise the history: -history, or implied by -lake
+	histCfg  history.Config // each shard partition's, but for MaxUEs
 	lakeDir  string
 	lakeCfg  lake.Config
 }
@@ -161,32 +161,18 @@ type cell struct {
 	elapsed                      time.Duration
 }
 
-// historyView is what the end-of-run history summary reads: the shared
-// store, or the supervisor's cross-shard rollup.
-type historyView interface {
-	Snapshot() history.Snapshot
-	TopK(metric string, window time.Duration, k int) ([]history.UERank, error)
-	Anomalies() []history.Anomaly
-}
-
 // deployment is one run of the tool. Every mode — one cell, -fuse-cell,
 // -shards, -replay — is the same steps: build, decode, close (which
-// summarises). The modes differ only in what build wires behind consume.
+// summarises), and the same route for a decoded slot: the pool handler
+// ingests it into the supervisor, whose shard workers fold it and
+// publish it on the sink bus.
 type deployment struct {
+	cfg   config
 	cells []*cell
-	// consume routes one decoded slot: to the shared store (a lone scope
-	// publishes its records on the bus itself), to the fusion aggregator,
-	// or to the shard supervisor. It runs on pool workers, concurrently
-	// across cells.
-	consume func(c *cell, res *nrscope.SlotResult)
-	history historyView // nil without -history in an unsharded run
-	report  func()      // the mode's own summary lines, if any
+	sup   *shard.Supervisor
 
 	metricsSrv *obs.Server
-	bus        *bus.Bus
 	closeBus   func()
-	store      *history.Store // the unsharded store; shards own partitions
-	sup        *shard.Supervisor
 	lakes      []*lake.Lake
 	recorder   *capfile.Writer
 	recordFile *os.File
@@ -199,7 +185,7 @@ type deployment struct {
 func (d *deployment) run(cfg config) error {
 	err := d.build(cfg)
 	if err == nil {
-		err = d.decode()
+		err = d.decode(d.handle)
 	}
 	if cerr := d.close(err == nil); err == nil {
 		err = cerr
@@ -208,6 +194,7 @@ func (d *deployment) run(cfg config) error {
 }
 
 func (d *deployment) build(cfg config) (err error) {
+	d.cfg = cfg
 	if (cfg.record != "" || cfg.replay != "") && len(cfg.cells) > 1 {
 		return errors.New("nrscope: -record and -replay take a single cell; they cannot be combined with -fuse-cell")
 	}
@@ -218,79 +205,89 @@ func (d *deployment) build(cfg config) (err error) {
 		}
 		fmt.Fprintf(os.Stderr, "nrscope: observability on http://%s/metrics\n", d.metricsSrv.Addr())
 	}
-	if d.bus, d.closeBus, err = setupSinks(cfg.sinks, cfg.rotateMB, d.metricsSrv); err != nil {
+	b, closeBus, err := setupSinks(cfg.sinks, cfg.rotateMB, d.metricsSrv)
+	d.closeBus = closeBus
+	if err != nil {
 		return err
 	}
-	sharded := cfg.shards > 0
-	fused := !sharded && len(cfg.cells) > 1
-
-	// Sharded runs replace the shared store with per-shard partitions
-	// owned by the supervisor. Otherwise the store is a Block (lossless)
-	// bus subscriber, so turning it on creates a bus even when no -sink
-	// asked for one.
-	if cfg.history && !sharded {
-		if d.bus == nil {
-			d.bus = bus.New()
-			d.closeBus = func() {
-				if err := d.bus.Close(); err != nil {
-					fmt.Fprintf(os.Stderr, "nrscope: history drain: %v\n", err)
-				}
-			}
-		}
-		d.store = history.New(cfg.histCfg)
-		d.history = d.store
-		if cfg.lakeDir != "" {
-			lk, err := lake.Open(cfg.lakeDir, cfg.lakeCfg)
-			if err != nil {
-				return err
-			}
-			d.lakes = append(d.lakes, lk)
-			d.store.AttachLake(lk)
-			fmt.Fprintf(os.Stderr, "nrscope: telemetry lake at %s\n", cfg.lakeDir)
-		}
-		if d.metricsSrv != nil {
-			d.store.Mount(d.metricsSrv)
-			fmt.Fprintf(os.Stderr, "nrscope: history API on http://%s/history/ues\n", d.metricsSrv.Addr())
-		}
-	}
-
-	opts := []nrscope.Option{
+	if err := d.openCells(cfg, []nrscope.Option{
 		nrscope.WithVerifyMSG4(!cfg.noVerify),
 		nrscope.WithIdleHorizon(cfg.histCfg.IdleHorizon), // 0 keeps the slot-count default
+	}); err != nil {
+		return err
 	}
-	// A lone unsharded scope publishes its records on the bus itself;
-	// under fusion or sharding the aggregator / the shard workers publish
-	// the stream they have folded.
-	if !sharded && !fused {
-		opts = append(opts, nrscope.WithBus(d.bus)) // nil without sinks or -history
+	return d.supervise(cfg, b)
+}
+
+// supervise partitions the cells across the supervisor's shards — one
+// without -shards: each shard folds its cells' records into its own
+// history partition (and, in multi-cell runs, its own fusion aggregator)
+// and publishes them to b (nil without -sink). Decode stays on the pool;
+// the shards consume records. The queues are Block so that, behind the
+// pool's blocking Submit, a run loses nothing from capture to partition:
+// a slow shard or a hung Block sink back-pressures the decode.
+func (d *deployment) supervise(cfg config, b *bus.Bus) error {
+	shards := max(cfg.shards, 1)
+	if shards > len(d.cells) {
+		fmt.Fprintf(os.Stderr, "nrscope: %d shards for %d cells; %d shards will idle\n",
+			shards, len(d.cells), shards-len(d.cells))
 	}
-	if err := d.openCells(cfg, opts); err != nil {
+	histCfg := cfg.histCfg
+	// Each partition enforces its own LRU cap: divide the global one.
+	histCfg.MaxUEs = max(histCfg.MaxUEs/shards, 1)
+	d.sup = shard.New(shard.Config{
+		Shards:  shards,
+		Policy:  shard.Block,
+		History: histCfg,
+		Fusion:  len(d.cells) > 1,
+		Bus:     b,
+	})
+	// One lake partition per shard: a shard's evicted bins spill under
+	// its own subdirectory (the -lake root itself without -shards), and
+	// the rollup layer's fan-in sees RAM + disk through each partition's
+	// queries.
+	if cfg.lakeDir != "" {
+		if err := d.sup.AttachLakes(func(i int) (history.Lake, error) {
+			dir := cfg.lakeDir
+			if cfg.shards > 0 {
+				dir = filepath.Join(dir, fmt.Sprintf("shard-%d", i))
+			}
+			l, err := lake.Open(dir, cfg.lakeCfg)
+			if err == nil {
+				d.lakes = append(d.lakes, l)
+			}
+			return l, err
+		}); err != nil {
+			return err
+		}
+		if cfg.shards > 0 {
+			fmt.Fprintf(os.Stderr, "nrscope: telemetry lake at %s (%d shard partitions)\n", cfg.lakeDir, shards)
+		} else {
+			fmt.Fprintf(os.Stderr, "nrscope: telemetry lake at %s\n", cfg.lakeDir)
+		}
+	}
+	for _, c := range d.cells {
+		idx, err := d.sup.AddCell(c.hdr.CellID, c.hdr.Mu)
+		if err != nil {
+			return fmt.Errorf("nrscope: cell %d: %w", c.hdr.CellID, err)
+		}
+		if cfg.shards > 0 {
+			fmt.Fprintf(os.Stderr, "nrscope: cell %d on shard %d\n", c.hdr.CellID, idx)
+		}
+	}
+	if err := d.sup.Start(); err != nil {
 		return err
 	}
 	switch {
-	case sharded:
-		return d.wireShards(cfg)
-	case fused:
-		return d.wireFusion(cfg)
+	case d.metricsSrv == nil:
+	case cfg.shards > 0:
+		d.sup.Mount(d.metricsSrv)
+		fmt.Fprintf(os.Stderr, "nrscope: shard rollup API on http://%s/shards\n", d.metricsSrv.Addr())
+	case cfg.history:
+		d.sup.Store(0).Mount(d.metricsSrv)
+		fmt.Fprintf(os.Stderr, "nrscope: history API on http://%s/history/ues\n", d.metricsSrv.Addr())
 	}
-	d.consume = d.ingestSpare
-	if d.store == nil {
-		return nil
-	}
-	c := d.cells[0]
-	if err := d.store.AddCell(c.hdr.CellID, c.hdr.Mu.SlotDuration()); err != nil {
-		return err
-	}
-	_, err = d.store.SubscribeTo(d.bus, c.hdr.CellID)
-	return err
-}
-
-// ingestSpare hands a slot's spare-capacity split to the shared store:
-// it is per TTI, not per record, so it does not ride the bus.
-func (d *deployment) ingestSpare(c *cell, res *nrscope.SlotResult) {
-	if d.store != nil && res.Spare != nil {
-		d.store.IngestSpare(c.hdr.CellID, res.SlotIdx, res.Spare)
-	}
+	return nil
 }
 
 // openCells creates the capture sources and their scopes: the recorded
@@ -347,132 +344,6 @@ func (d *deployment) openCells(cfg config, opts []nrscope.Option) (err error) {
 	return err
 }
 
-// wireFusion routes every cell's records through the §7 aggregator.
-// With -history the aggregator folds into the store already serving the
-// query API (one bounded copy of the bins backs both); without it the
-// aggregator owns a private store at the 10 ms correlation bin. Either
-// way memory stays flat for arbitrarily long runs. The scopes do not
-// publish to the bus themselves — the aggregator mirrors the fused
-// stream onto it.
-func (d *deployment) wireFusion(cfg config) error {
-	agg := fusion.NewWithStore(d.store)
-	if cfg.histCfg.IdleHorizon > 0 {
-		agg.IdleHorizon = cfg.histCfg.IdleHorizon
-	}
-	if d.bus != nil {
-		agg.PublishTo(d.bus)
-	}
-	for _, c := range d.cells {
-		if err := agg.AddCell(c.hdr.CellID, c.hdr.Mu); err != nil {
-			return fmt.Errorf("nrscope: fusing cell %d: %w", c.hdr.CellID, err)
-		}
-	}
-	var mu sync.Mutex // one aggregator, many pool workers
-	d.consume = func(c *cell, res *nrscope.SlotResult) {
-		mu.Lock()
-		defer mu.Unlock()
-		for _, rec := range res.Records {
-			_ = agg.Ingest(c.hdr.CellID, rec) // fails only for a cell not added above
-		}
-		d.ingestSpare(c, res)
-	}
-	d.report = func() {
-		fmt.Fprintf(os.Stderr, "nrscope: fused %d cells; merged view holds %d bins\n", len(d.cells), len(agg.Merged()))
-		for _, c := range d.cells {
-			load, _ := agg.CellLoad(c.hdr.CellID)
-			total, recent, _ := agg.ActiveUEs(c.hdr.CellID, cfg.duration, time.Second)
-			fmt.Fprintf(os.Stderr, "nrscope: cell %d: mean load %.2f Mbps, %d UE sessions retained (%d recent)\n",
-				c.hdr.CellID, load/1e6, total, recent)
-		}
-		printFusion(agg.Handovers(), agg.CarrierAggregation(0.7))
-	}
-	return nil
-}
-
-// wireShards partitions the cells across the supervisor's shards: each
-// shard folds its cells' records into its own history partition (and,
-// in multi-cell runs, its own fusion aggregator) and publishes them to
-// the bus. Decode stays on the pool; the shards consume records. The
-// queues are Block so that, behind the pool's blocking Submit, a run
-// loses nothing from capture to partition: a slow shard or a hung Block
-// sink back-pressures the decode, as it does unsharded.
-func (d *deployment) wireShards(cfg config) error {
-	if cfg.shards > len(d.cells) {
-		fmt.Fprintf(os.Stderr, "nrscope: %d shards for %d cells; %d shards will idle\n",
-			cfg.shards, len(d.cells), cfg.shards-len(d.cells))
-	}
-	histCfg := cfg.histCfg
-	// Each partition enforces its own LRU cap: divide the global one.
-	histCfg.MaxUEs = max(histCfg.MaxUEs/cfg.shards, 1)
-	sup := shard.New(shard.Config{
-		Shards:  cfg.shards,
-		Policy:  shard.Block,
-		History: histCfg,
-		Fusion:  len(d.cells) > 1,
-		Bus:     d.bus,
-	})
-	d.sup, d.history = sup, sup
-	// One lake partition per shard: a shard's evicted bins spill under
-	// its own subdirectory, and the rollup layer's fan-in sees RAM +
-	// disk through each partition's queries.
-	if cfg.lakeDir != "" {
-		if err := sup.AttachLakes(func(i int) (history.Lake, error) {
-			l, err := lake.Open(filepath.Join(cfg.lakeDir, fmt.Sprintf("shard-%d", i)), cfg.lakeCfg)
-			if err == nil {
-				d.lakes = append(d.lakes, l)
-			}
-			return l, err
-		}); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "nrscope: telemetry lake at %s (%d shard partitions)\n", cfg.lakeDir, cfg.shards)
-	}
-	for _, c := range d.cells {
-		idx, err := sup.AddCell(c.hdr.CellID, c.hdr.Mu)
-		if err != nil {
-			return fmt.Errorf("nrscope: sharding cell %d: %w", c.hdr.CellID, err)
-		}
-		fmt.Fprintf(os.Stderr, "nrscope: cell %d on shard %d\n", c.hdr.CellID, idx)
-	}
-	if err := sup.Start(); err != nil {
-		return err
-	}
-	if d.metricsSrv != nil {
-		sup.Mount(d.metricsSrv)
-		fmt.Fprintf(os.Stderr, "nrscope: shard rollup API on http://%s/shards\n", d.metricsSrv.Addr())
-	}
-	d.consume = func(c *cell, res *nrscope.SlotResult) {
-		// Ingest refuses only an unknown cell or a closed supervisor:
-		// every cell was added above, and close stops the pool first.
-		for _, rec := range res.Records {
-			_ = sup.Ingest(c.hdr.CellID, rec)
-		}
-		_ = sup.IngestSpare(c.hdr.CellID, res.SlotIdx, res.Spare)
-	}
-	d.report = func() {
-		for _, ps := range sup.Health().PerShard {
-			fmt.Fprintf(os.Stderr, "nrscope: shard %d (stalled=%t restarts=%d): %d cells, %d ingested, %d applied, %d dropped, %d UEs\n",
-				ps.Shard, ps.Stalled, ps.Restarts, ps.Cells, ps.Ingested, ps.Applied, ps.Dropped, ps.TrackedUEs)
-		}
-		if len(d.cells) > 1 {
-			printFusion(sup.Handovers(), sup.CarrierAggregation(0.7))
-		}
-	}
-	return nil
-}
-
-func printFusion(hos []fusion.Handover, cas []fusion.CACandidate) {
-	for _, ho := range hos {
-		fmt.Fprintf(os.Stderr, "nrscope: %s\n", ho)
-	}
-	if len(hos) == 0 {
-		fmt.Fprintln(os.Stderr, "nrscope: no handover candidates detected")
-	}
-	for _, ca := range cas {
-		fmt.Fprintf(os.Stderr, "nrscope: %s\n", ca)
-	}
-}
-
 // decode is the run loop: every cell's captures go through one
 // DecodePool, cells decoding concurrently, each cell's slots strictly in
 // order, capture synthesis (or file reading) overlapping the decode. The
@@ -481,11 +352,12 @@ func printFusion(hos []fusion.Handover, cas []fusion.CACandidate) {
 // Captures are pulled round-robin in 50 ms steps of cell time, so the
 // cells' clocks advance together, until every source is exhausted.
 // Submit blocks on a full cell queue: the sources are paced by the
-// decode, so nothing is shed.
-func (d *deployment) decode() error {
+// decode, so nothing is shed. handle is every cell's pool handler (run
+// passes d.handle).
+func (d *deployment) decode(handle func(*cell, *nrscope.SlotResult)) error {
 	pool := nrscope.NewDecodePool(min(len(d.cells), runtime.GOMAXPROCS(0)), 256)
 	for _, c := range d.cells {
-		if err := pool.AddCell(c.hdr.CellID, c.scope, func(res *nrscope.SlotResult) { d.handle(c, res) }); err != nil {
+		if err := pool.AddCell(c.hdr.CellID, c.scope, func(res *nrscope.SlotResult) { handle(c, res) }); err != nil {
 			return err
 		}
 	}
@@ -523,7 +395,8 @@ func (d *deployment) decode() error {
 	return nil
 }
 
-// handle is every cell's pool handler.
+// handle counts and reports a decoded slot and hands its records and
+// spare split to the supervisor.
 func (d *deployment) handle(c *cell, res *nrscope.SlotResult) {
 	id := c.hdr.CellID
 	c.decoded++
@@ -540,12 +413,17 @@ func (d *deployment) handle(c *cell, res *nrscope.SlotResult) {
 	for _, rnti := range res.NewUEs {
 		fmt.Fprintf(os.Stderr, "nrscope: cell %d: new UE c-rnti=0x%04x at slot %d\n", id, rnti, res.SlotIdx)
 	}
-	d.consume(c, res)
+	// Ingest refuses only an unknown cell or a closed supervisor: every
+	// cell was added in supervise, and close stops the pool first.
+	for _, rec := range res.Records {
+		_ = d.sup.Ingest(id, rec)
+	}
+	_ = d.sup.IngestSpare(id, res.SlotIdx, res.Spare)
 }
 
 // close stops the producers before the consumers — the shard workers
-// drain into the bus, the bus drains its Block sinks (the history store
-// among them) — then, everything decoded having reached its store,
+// drain into their partitions and the bus, the bus drains its Block
+// sinks — then, everything decoded having reached its store,
 // summarises a run that succeeded, and releases the rest. The error is
 // the one that loses data: the recording not reaching the disk.
 func (d *deployment) close(ok bool) (err error) {
@@ -598,26 +476,46 @@ func (d *deployment) summarise() {
 				c.scope.Bitrate(rnti, true, c.lastSlot)/1e6, c.scope.Bitrate(rnti, false, c.lastSlot)/1e6)
 		}
 	}
-	if d.report != nil {
-		d.report()
+	if d.cfg.shards > 0 {
+		for _, ps := range d.sup.Health().PerShard {
+			fmt.Fprintf(os.Stderr, "nrscope: shard %d (stalled=%t restarts=%d): %d cells, %d ingested, %d applied, %d dropped, %d UEs\n",
+				ps.Shard, ps.Stalled, ps.Restarts, ps.Cells, ps.Ingested, ps.Applied, ps.Dropped, ps.TrackedUEs)
+		}
 	}
-	if d.history == nil {
+	if len(d.cells) > 1 {
+		for _, c := range d.cells {
+			load, total, recent, _ := d.sup.CellLoad(c.hdr.CellID, d.cfg.duration, time.Second)
+			fmt.Fprintf(os.Stderr, "nrscope: cell %d: mean load %.2f Mbps, %d UE sessions retained (%d recent)\n",
+				c.hdr.CellID, load/1e6, total, recent)
+		}
+		hos := d.sup.Handovers()
+		for _, ho := range hos {
+			fmt.Fprintf(os.Stderr, "nrscope: %s\n", ho)
+		}
+		if len(hos) == 0 {
+			fmt.Fprintln(os.Stderr, "nrscope: no handover candidates detected")
+		}
+		for _, ca := range d.sup.CarrierAggregation(0.7) {
+			fmt.Fprintf(os.Stderr, "nrscope: %s\n", ca)
+		}
+	}
+	if !d.cfg.history && d.cfg.shards == 0 {
 		return
 	}
 	// The retained per-cell totals, the busiest UEs, and any anomalies.
-	snap := d.history.Snapshot()
+	snap := d.sup.Snapshot()
 	for _, c := range snap.Cells {
 		fmt.Fprintf(os.Stderr, "nrscope: history cell %d: %d UEs, DL %d bits, UL %d bits, %d grants, %d retx in the last %d bins\n",
 			c.Cell, c.UEs, c.DLBits, c.ULBits, c.Grants, c.Retx, snap.Depth)
 	}
 	window := time.Duration(snap.BinMs*float64(snap.Depth)) * time.Millisecond
-	if ranks, err := d.history.TopK("bits", window, 5); err == nil && len(ranks) > 0 {
+	if ranks, err := d.sup.TopK("bits", window, 5); err == nil && len(ranks) > 0 {
 		fmt.Fprintf(os.Stderr, "nrscope: history top UEs by bits:\n")
 		for _, r := range ranks {
 			fmt.Fprintf(os.Stderr, "  cell %d ue 0x%04x: %.0f bits\n", r.Cell, r.RNTI, r.Value)
 		}
 	}
-	if anoms := d.history.Anomalies(); len(anoms) > 0 {
+	if anoms := d.sup.Anomalies(); len(anoms) > 0 {
 		fmt.Fprintf(os.Stderr, "nrscope: history flagged %d anomalies (last: %s)\n",
 			len(anoms), anoms[len(anoms)-1].String())
 	}

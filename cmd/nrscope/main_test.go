@@ -109,18 +109,16 @@ func serialRecords(t *testing.T, cfg config) (slots, records []int) {
 	return slots, records
 }
 
-// runProbed is deployment.run with a probe spliced into the consume
-// seam, so a test sees every slot result in delivery order.
+// runProbed is deployment.run with a probe wrapped around the pool
+// handler, so a test sees every slot result in delivery order.
 func runProbed(cfg config, probe func(cell uint16, res *nrscope.SlotResult)) (*deployment, error) {
 	d := new(deployment)
 	err := d.build(cfg)
 	if err == nil {
-		inner := d.consume
-		d.consume = func(c *cell, res *nrscope.SlotResult) {
+		err = d.decode(func(c *cell, res *nrscope.SlotResult) {
 			probe(c.hdr.CellID, res)
-			inner(c, res)
-		}
-		err = d.decode()
+			d.handle(c, res)
+		})
 	}
 	if cerr := d.close(err == nil); err == nil {
 		err = cerr
@@ -133,12 +131,11 @@ func runProbed(cfg config, probe func(cell uint16, res *nrscope.SlotResult)) (*d
 // submitted slot decoded, each cell's results in strictly ascending
 // slot order, the record counts of an inline Scope.ProcessSlot loop
 // over the same seeds, a closed and loss-free shard ledger, and a JSONL
-// file holding exactly the published records.
+// file holding exactly the published records. Every mode runs a
+// supervisor, so every mode is held to the ledger and the file.
 func TestRunModes(t *testing.T) {
-	jsonl := filepath.Join(t.TempDir(), "t.jsonl")
 	sharded := testConfig("amarisoft", "mosolab")
 	sharded.shards = 2
-	sharded.sinks = stringList{"jsonl:" + jsonl}
 	for _, tc := range []struct {
 		name string
 		cfg  config
@@ -148,6 +145,8 @@ func TestRunModes(t *testing.T) {
 		{"shards=2+jsonl", sharded},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			jsonl := filepath.Join(t.TempDir(), "t.jsonl")
+			tc.cfg.sinks = stringList{"jsonl:" + jsonl}
 			wantSlots, wantRecords := serialRecords(t, tc.cfg)
 
 			var mu sync.Mutex
@@ -176,9 +175,6 @@ func TestRunModes(t *testing.T) {
 					t.Errorf("cell %d decoded no records: the run is too short to test anything", c.hdr.CellID)
 				}
 				total += c.records
-			}
-			if tc.cfg.shards == 0 {
-				return
 			}
 			h := d.sup.Health()
 			if h.Dropped != 0 || h.Ingested != h.Applied+h.Dropped {

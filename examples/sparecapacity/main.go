@@ -4,9 +4,10 @@
 // coding rate, yielding a per-UE spare bitrate an application server
 // could exploit without touching the RAN.
 //
-// The telemetry flows scope -> bus -> internal/history, and the report
-// below is produced entirely from the history query API — the same
-// windowed aggregates GET /history/ue serves over HTTP.
+// The example's slot loop folds every record and every spare split into
+// an internal/history store, and the report below is produced entirely
+// from the history query API — the same windowed aggregates GET
+// /history/ue serves over HTTP.
 package main
 
 import (
@@ -18,8 +19,7 @@ import (
 )
 
 func main() {
-	b := nrscope.NewBus()
-	tb, err := nrscope.NewTestbed(nrscope.MosolabPreset, 7, nrscope.WithBus(b))
+	tb, err := nrscope.NewTestbed(nrscope.MosolabPreset, 7)
 	if err != nil {
 		panic(err)
 	}
@@ -32,22 +32,16 @@ func main() {
 	if err := st.AddCell(cellID, tb.TTI()); err != nil {
 		panic(err)
 	}
-	if _, err := st.SubscribeTo(b, cellID); err != nil {
-		panic(err)
-	}
 
-	// DCI records reach the store through the bus; spare-capacity
-	// estimates ride the direct path (they are per-slot derivations,
-	// not bus records).
 	tti := tb.TTI()
 	tb.RunFor(3*time.Second, func(res *nrscope.SlotResult) {
+		for _, rec := range res.Records {
+			st.Ingest(cellID, rec)
+		}
 		if res.Spare != nil {
 			st.IngestSpare(cellID, res.SlotIdx, res.Spare)
 		}
 	})
-	if err := b.Close(); err != nil { // lossless drain into the store
-		panic(err)
-	}
 
 	fmt.Println("time(s)  UE        used(Mbps)  spare(Mbps)  usedREs  spareREs")
 	slotsPerBin := float64(250*time.Millisecond) / float64(tti)

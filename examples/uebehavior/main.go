@@ -5,8 +5,8 @@
 //
 // The scheduled-per-second series (Fig. 11) is computed from the
 // internal/history store's 1-second bins rather than hand-rolled maps:
-// the scope publishes onto the bus, the store folds the stream into
-// windowed aggregates, and the example just queries them.
+// the slot loop folds every record into the store's windowed
+// aggregates, and the example just queries them.
 package main
 
 import (
@@ -14,7 +14,6 @@ import (
 	"sort"
 	"time"
 
-	"nrscope/internal/bus"
 	"nrscope/internal/channel"
 	"nrscope/internal/core"
 	"nrscope/internal/history"
@@ -34,27 +33,21 @@ func main() {
 	gnb.SetPopulation(pop)
 
 	duration := 30 * time.Second
-	b := bus.New()
 	st := history.New(history.Config{BinWidth: time.Second, Depth: 64})
 	if err := st.AddCell(cfg.CellID, cfg.TTI()); err != nil {
-		panic(err)
-	}
-	if _, err := st.SubscribeTo(b, cfg.CellID); err != nil {
 		panic(err)
 	}
 
 	rx := radio.NewReceiver(channel.Normal, 16, 99).Reuse(true)
 	scope := core.New(cfg.CellID,
-		core.WithBus(b),
 		core.WithInactivityTimeout(int(2*time.Second/cfg.TTI())))
 
 	slots := int(duration / cfg.TTI())
 	for i := 0; i < slots; i++ {
 		out := gnb.Step()
-		scope.ProcessSlot(rx.Capture(out.SlotIdx, out.Ref, out.Grid))
-	}
-	if err := b.Close(); err != nil { // lossless drain into the store
-		panic(err)
+		for _, rec := range scope.ProcessSlot(rx.Capture(out.SlotIdx, out.Ref, out.Grid)).Records {
+			st.Ingest(cfg.CellID, rec)
+		}
 	}
 
 	// Session lengths (Fig. 10), from the scope's association tracking.

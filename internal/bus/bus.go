@@ -1,10 +1,11 @@
 // Package bus is the telemetry distribution layer between the scope
 // engine and its consumers: an in-process pub/sub fanout that producers
-// (core.Scope, fusion.Aggregator, replay) publish telemetry.Records
-// into, and sinks (JSONL log, TCP stream, SSE feed, custom) consume
-// from — the paper's §6 always-on service posture, where per-TTI
-// capacity telemetry must reach application servers faster than half an
-// RTT without a slow consumer stalling the decode hot path.
+// (the shard supervisor's workers, an example's own loop) publish
+// telemetry.Records into, and sinks (JSONL log, TCP stream, SSE feed,
+// custom) consume from — the paper's §6 always-on service posture,
+// where per-TTI capacity telemetry must reach application servers
+// faster than half an RTT without a slow consumer stalling the decode
+// hot path.
 //
 // Each subscriber owns a bounded ring queue and a backpressure policy:
 // DropOldest for live feedback consumers (freshness over completeness)

@@ -84,7 +84,7 @@ func NewDecodePool(workers, queueDepth int) *DecodePool {
 
 // AddCell registers a cell's scope and result handler. The handler is
 // invoked on a worker goroutine, serialized per cell; it may be nil
-// when only the scope's side effects (bus publication, state) matter.
+// when only the scope's state matters.
 // Must be called before Start.
 func (p *DecodePool) AddCell(id uint16, scope *Scope, handler func(*SlotResult)) error {
 	if p.started {

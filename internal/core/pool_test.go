@@ -290,8 +290,9 @@ func TestDecodePoolSteadyStateAllocs(t *testing.T) {
 		pool.Flush()
 	})
 
-	// The decode itself allocates (snapshot, result); the pool must not
-	// add to it. Allow one alloc of slack for goroutine wakeup noise.
+	// The decode itself allocates (the SlotResult, its records and its
+	// spare split); the pool must not add to it. Allow one alloc of slack
+	// for goroutine wakeup noise.
 	if pooled > serial+1 {
 		t.Fatalf("pool path allocates %.1f/slot vs %.1f/slot serial — pool overhead must be allocation-free",
 			pooled, serial)

@@ -22,7 +22,6 @@ import (
 	"slices"
 	"time"
 
-	"nrscope/internal/bus"
 	"nrscope/internal/dci"
 	"nrscope/internal/harq"
 	"nrscope/internal/mcs"
@@ -79,14 +78,6 @@ func WithThroughputWindow(d time.Duration) Option {
 // brute-force baseline the gate is measured against).
 func WithDMRSGate(on bool) Option {
 	return func(s *Scope) { s.dmrsGate = on }
-}
-
-// WithBus attaches a telemetry distribution bus: every record the scope
-// emits (inline or on a DecodePool worker, both through ProcessSlot) is
-// also published onto b, fanning out to the bus's sinks under their own
-// queues and backpressure policies.
-func WithBus(b *bus.Bus) Option {
-	return func(s *Scope) { s.bus = b }
 }
 
 // WithManualCellInfo preloads the cell configuration instead of decoding
@@ -188,8 +179,6 @@ type Scope struct {
 	scratch slotScratch
 	spare   []telemetry.SpareUE
 	uplink  pucch.Workspace // ProcessUplinkSlot's UCI decode scratch
-
-	bus *bus.Bus // optional telemetry distribution bus
 }
 
 // New creates a scope tuned to the physical cell id (obtained from the
@@ -393,11 +382,6 @@ func (s *Scope) merge(res *decodeResult) *SlotResult {
 	}
 	s.purgeInactive(res.slotIdx)
 	met.uesTracked.Set(int64(len(s.tracks)))
-	if s.bus != nil {
-		for _, rec := range out.Records {
-			_ = s.bus.Publish(rec) // closed bus: records still in out
-		}
-	}
 	return out
 }
 

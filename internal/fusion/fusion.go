@@ -28,7 +28,6 @@ import (
 	"sort"
 	"time"
 
-	"nrscope/internal/bus"
 	"nrscope/internal/history"
 	"nrscope/internal/phy"
 	"nrscope/internal/telemetry"
@@ -144,17 +143,15 @@ type Aggregator struct {
 	ownStore bool
 
 	handovers []handoverRec
-
-	bus *bus.Bus // optional: mirror the fused stream onto a bus
 }
 
 // New creates an aggregator backed by its own history store at the
 // 10 ms activity-bin width.
 func New() *Aggregator { return NewWithStore(nil) }
 
-// NewWithStore creates an aggregator publishing into st — typically the
-// store already serving the -history query API, so one copy of the bins
-// backs both. The store's bin width becomes the correlation bin. A nil
+// NewWithStore creates an aggregator publishing into st — typically a
+// shard's history partition, which also answers the history queries, so
+// one copy of the bins backs both. The store's bin width becomes the correlation bin. A nil
 // st allocates a private store at the 10 ms activity bin.
 func NewWithStore(st *history.Store) *Aggregator {
 	a := &Aggregator{
@@ -196,12 +193,6 @@ func (a *Aggregator) AddCell(cellID uint16, mu phy.Numerology) error {
 	return nil
 }
 
-// PublishTo mirrors every record Ingest accepts onto a telemetry bus,
-// making the aggregator a bus producer: downstream sinks see the fused
-// multi-cell stream through the same distribution layer as a single
-// scope's feed. Pass nil to stop mirroring.
-func (a *Aggregator) PublishTo(b *bus.Bus) { a.bus = b }
-
 // Ingest feeds one record from a cell's scope into the aggregate: the
 // history store gets the bin-level data, the cell gets its compact
 // session accounting.
@@ -215,9 +206,6 @@ func (a *Aggregator) Ingest(cellID uint16, rec telemetry.Record) error {
 	c.records++
 	if a.IdleHorizon > 0 && c.records%512 == 0 {
 		c.evictIdle(at - a.IdleHorizon)
-	}
-	if a.bus != nil {
-		_ = a.bus.Publish(rec) // closed bus: the aggregate still holds the record
 	}
 	if rec.Common {
 		return nil

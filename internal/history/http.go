@@ -2,7 +2,9 @@ package history
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -118,12 +120,12 @@ func (st *Store) rangeParams(r *http.Request) (fromMs, toMs float64, downsample 
 		}
 	}
 	if s := q.Get("from_ms"); s != "" {
-		if fromMs, err = strconv.ParseFloat(s, 64); err != nil {
+		if fromMs, err = parseMs(s); err != nil {
 			return 0, 0, 0, fmt.Errorf("bad from_ms %q", s)
 		}
 	}
 	if s := q.Get("to_ms"); s != "" {
-		if toMs, err = strconv.ParseFloat(s, 64); err != nil {
+		if toMs, err = parseMs(s); err != nil {
 			return 0, 0, 0, fmt.Errorf("bad to_ms %q", s)
 		}
 	}
@@ -134,6 +136,16 @@ func (st *Store) rangeParams(r *http.Request) (fromMs, toMs float64, downsample 
 		}
 	}
 	return fromMs, toMs, downsample, nil
+}
+
+// parseMs parses a from_ms/to_ms bound. NaN and ±Inf are refused: a NaN
+// bound compares false against every bin and would read as "absent".
+func parseMs(s string) (float64, error) {
+	v, err := strconv.ParseFloat(s, 64)
+	if err == nil && (math.IsNaN(v) || math.IsInf(v, 0)) {
+		err = errors.New("not finite")
+	}
+	return v, err
 }
 
 func (st *Store) serveUEs(w http.ResponseWriter, r *http.Request) {

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"nrscope"
-	"nrscope/internal/bus"
 	"nrscope/internal/capfile"
 	"nrscope/internal/core"
 	"nrscope/internal/history"
@@ -32,8 +31,8 @@ type binSums struct {
 }
 
 // TestReplayedCaptureWindowedAggregates is the acceptance-criteria
-// test: record a capture, replay it through a scope publishing into the
-// history store, and check /history/ue returns exactly the windowed
+// test: record a capture, replay it through a scope whose records the
+// test folds into the history store, and check /history/ue returns exactly the windowed
 // aggregates the test computes independently from the replayed records.
 func TestReplayedCaptureWindowedAggregates(t *testing.T) {
 	// Record ~1.5 s of a two-UE cell.
@@ -60,7 +59,7 @@ func TestReplayedCaptureWindowedAggregates(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Replay through a fresh scope wired to the store via the bus.
+	// Replay through a fresh scope, folding its records into the store.
 	r, err := capfile.NewReader(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
@@ -71,11 +70,7 @@ func TestReplayedCaptureWindowedAggregates(t *testing.T) {
 	if err := st.AddCell(hdr.CellID, hdr.Mu.SlotDuration()); err != nil {
 		t.Fatal(err)
 	}
-	b := bus.New()
-	if _, err := st.SubscribeTo(b, hdr.CellID); err != nil {
-		t.Fatal(err)
-	}
-	scope := core.New(hdr.CellID, core.WithBus(b))
+	scope := core.New(hdr.CellID)
 	// Independent aggregation, straight from the replayed records.
 	want := map[uint16]map[int64]*binSums{}
 	for {
@@ -88,6 +83,7 @@ func TestReplayedCaptureWindowedAggregates(t *testing.T) {
 		}
 		res := scope.ProcessSlot(cap)
 		for _, rec := range res.Records {
+			st.Ingest(hdr.CellID, rec)
 			if rec.Common {
 				continue
 			}
@@ -114,9 +110,6 @@ func TestReplayedCaptureWindowedAggregates(t *testing.T) {
 				s.ul += int64(rec.TBS)
 			}
 		}
-	}
-	if err := b.Close(); err != nil { // lossless drain into the store
-		t.Fatal(err)
 	}
 	if len(want) < 2 {
 		t.Fatalf("replay discovered %d UEs, want >= 2", len(want))
@@ -166,11 +159,19 @@ func TestReplayedCaptureWindowedAggregates(t *testing.T) {
 	}
 }
 
-func liveStore(t *testing.T) *history.Store {
-	t.Helper()
+func liveStore(tb testing.TB) *history.Store {
+	tb.Helper()
 	st := history.New(history.Config{BinWidth: 100 * time.Millisecond, Depth: 32})
+	fillStore(tb, st)
+	return st
+}
+
+// fillStore registers cell 1 on st and folds 1.5 s of four UEs'
+// traffic into it.
+func fillStore(tb testing.TB, st *history.Store) {
+	tb.Helper()
 	if err := st.AddCell(1, time.Millisecond); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	for i := 0; i < 300; i++ {
 		st.Ingest(1, telemetry.Record{
@@ -178,7 +179,6 @@ func liveStore(t *testing.T) *history.Store {
 			TBS: 1000, MCS: 10, NumPRB: 4, IsRetx: i%10 == 0,
 		})
 	}
-	return st
 }
 
 func TestHTTPEndpoints(t *testing.T) {
@@ -287,6 +287,10 @@ func TestHTTPErrors(t *testing.T) {
 		{"/history/topk?window=nope", http.StatusBadRequest},
 		{"/history/cell?from_ms=abc", http.StatusBadRequest},
 		{"/history/cell?to_ms=1e", http.StatusBadRequest},
+		{"/history/cell?from_ms=NaN", http.StatusBadRequest},
+		{"/history/ue?rnti=0x0100&to_ms=NaN", http.StatusBadRequest},
+		{"/history/cell?from_ms=-Inf", http.StatusBadRequest},
+		{"/history/cell?to_ms=%2BInf", http.StatusBadRequest},
 	} {
 		resp, err := http.Get(ts.URL + tc.path)
 		if err != nil {

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"slices"
 	"sort"
@@ -161,6 +162,25 @@ func (s *Supervisor) Handovers() []fusion.Handover {
 	}
 	slices.SortFunc(out, fusion.CompareHandovers)
 	return out
+}
+
+// CellLoad reports a cell's fused session accounting from the
+// aggregator of the shard that owns it: the mean downlink load in bits/s
+// (fusion.Aggregator.CellLoad) and the retained and recently active UE
+// sessions (fusion.Aggregator.ActiveUEs). It fails for an unknown cell
+// or without Fusion.
+func (s *Supervisor) CellLoad(cellID uint16, now, window time.Duration) (bps float64, sessions, recent int, err error) {
+	sh, ok := s.route[cellID]
+	if !ok || sh.agg == nil {
+		return 0, 0, 0, fmt.Errorf("shard: no fusion aggregator for cell %d", cellID)
+	}
+	sh.applyMu.Lock()
+	defer sh.applyMu.Unlock()
+	if bps, err = sh.agg.CellLoad(cellID); err != nil {
+		return 0, 0, 0, err
+	}
+	sessions, recent, err = sh.agg.ActiveUEs(cellID, now, window)
+	return bps, sessions, recent, err
 }
 
 // CarrierAggregation merges every shard's carrier-aggregation

@@ -74,13 +74,11 @@ var (
 	WithThroughputWindow = core.WithThroughputWindow
 	// WithDMRSGate toggles the candidate occupancy pre-filter.
 	WithDMRSGate = core.WithDMRSGate
-	// WithBus publishes every emitted record onto a telemetry bus.
-	WithBus = core.WithBus
 )
 
-// NewBus creates an empty telemetry distribution bus; attach it to a
-// scope with WithBus and add sinks via bus.Subscribe / bus.NewTCPServer
-// / bus sink constructors (see internal/bus).
+// NewBus creates an empty telemetry distribution bus; publish records
+// onto it with Bus.Publish and add sinks via bus.Subscribe /
+// bus.NewTCPServer / bus sink constructors (see internal/bus).
 func NewBus() *Bus { return bus.New() }
 
 // New creates a telemetry engine for the cell with the given physical
