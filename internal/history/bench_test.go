@@ -1,9 +1,11 @@
-package history
+package history_test
 
 import (
 	"testing"
 	"time"
 
+	"nrscope/internal/history"
+	"nrscope/internal/lake"
 	"nrscope/internal/telemetry"
 )
 
@@ -11,7 +13,7 @@ import (
 // tracked UEs — the CI bench artifact's records/s + allocs/record
 // number for the store's hot path.
 func BenchmarkHistoryIngest(b *testing.B) {
-	st := New(Config{BinWidth: 100 * time.Millisecond, Depth: 64, MaxUEs: 10000})
+	st := history.New(history.Config{BinWidth: 100 * time.Millisecond, Depth: 64, MaxUEs: 10000})
 	if err := st.AddCell(1, 500*time.Microsecond); err != nil {
 		b.Fatal(err)
 	}
@@ -33,7 +35,7 @@ func BenchmarkHistoryIngest(b *testing.B) {
 // BenchmarkHistoryQuery measures a windowed UE query against a busy
 // store (read path under the ingest write lock's contention profile).
 func BenchmarkHistoryQuery(b *testing.B) {
-	st := New(Config{BinWidth: 100 * time.Millisecond, Depth: 64, MaxUEs: 10000})
+	st := history.New(history.Config{BinWidth: 100 * time.Millisecond, Depth: 64, MaxUEs: 10000})
 	if err := st.AddCell(1, 500*time.Microsecond); err != nil {
 		b.Fatal(err)
 	}
@@ -46,5 +48,43 @@ func BenchmarkHistoryQuery(b *testing.B) {
 		if bins, _ := st.QueryWindow(1, uint16(i%1000), time.Second, 1); len(bins) == 0 {
 			b.Fatal("empty query")
 		}
+	}
+}
+
+// BenchmarkHistoryTopK ranks 4096 UEs whose 8-bin rings spill into a
+// lake, over a window the rings hold and over one that reaches 1.2 s
+// into the lake.
+func BenchmarkHistoryTopK(b *testing.B) {
+	const ues = 4096
+	lk, err := lake.Open(b.TempDir(), lake.Config{BinWidth: 100 * time.Millisecond, QueueDepth: 1 << 18})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { _ = lk.Close() })
+	st := history.New(history.Config{BinWidth: 100 * time.Millisecond, Depth: 8, MaxUEs: ues})
+	if err := st.AddCell(1, 500*time.Microsecond); err != nil {
+		b.Fatal(err)
+	}
+	st.AttachLake(lk)
+	for bin := 0; bin < 50; bin++ {
+		for u := 0; u < ues; u++ {
+			st.Ingest(1, telemetry.Record{TMs: float64(bin)*100 + float64(u)*0.02, RNTI: uint16(u), Downlink: true, TBS: 1000 + u, MCS: 10, NumPRB: 4})
+		}
+	}
+	if err := lk.Sync(); err != nil {
+		b.Fatal(err)
+	}
+	for _, bc := range []struct {
+		name   string
+		window time.Duration
+	}{{"ram", 500 * time.Millisecond}, {"lake", 2 * time.Second}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if ranks, err := st.TopK("dl_bits", bc.window, 10); err != nil || len(ranks) != 10 {
+					b.Fatalf("TopK = %v, %v", ranks, err)
+				}
+			}
+		})
 	}
 }

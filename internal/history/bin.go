@@ -24,6 +24,47 @@ type Bin struct {
 	TotalREs int64
 }
 
+// Fields is a set of Bin fields. Bit i stands for the i-th field in the
+// lake's column order: DLBits, ULBits, Grants, Retx, PRBs, MCSSum,
+// MCSCount, MCSMin, MCSMax, UsedREs, TotalREs, SpareBits.
+type Fields uint16
+
+// The fields a ranking metric sums.
+const (
+	DLBitsField Fields = 1 << iota
+	ULBitsField
+	GrantsField
+	RetxField
+	PRBsField
+	SpareBitsField Fields = 1 << 11
+)
+
+// Sum adds up the fields of the bin that fs names. It tests each field
+// on its own rather than looping over them: a ranking calls it for
+// every bin in its window, and only the named fields are loaded.
+func (b *Bin) Sum(fs Fields) float64 {
+	var v int64
+	if fs&DLBitsField != 0 {
+		v += b.DLBits
+	}
+	if fs&ULBitsField != 0 {
+		v += b.ULBits
+	}
+	if fs&GrantsField != 0 {
+		v += b.Grants
+	}
+	if fs&RetxField != 0 {
+		v += b.Retx
+	}
+	if fs&PRBsField != 0 {
+		v += b.PRBs
+	}
+	if fs&SpareBitsField != 0 {
+		return float64(v) + b.SpareBits
+	}
+	return float64(v)
+}
+
 // addRecord folds one telemetry record into the bin.
 func (b *Bin) addRecord(rec telemetry.Record) {
 	b.Grants++
@@ -76,10 +117,6 @@ type series struct {
 	curIdx int64
 }
 
-func newSeries(depth int) series {
-	return series{bins: make([]Bin, depth)}
-}
-
 // advance positions the ring at bin index idx and returns the bin to
 // write into. Moving forward closes intervening bins (invoking onClose
 // for each, newest-gap walk capped at the ring depth) and hands every
@@ -119,11 +156,7 @@ func (s *series) advance(idx int64, onClose func(b Bin, binIdx int64), onEvict f
 			onClose(s.bins[s.head], s.curIdx)
 		}
 		if onEvict != nil {
-			for i := s.oldestIdx(); i <= s.curIdx; i++ {
-				if p := s.atPtr(i); *p != (Bin{}) {
-					onEvict(i, p)
-				}
-			}
+			s.spillAll(onEvict)
 		}
 		for i := range s.bins {
 			s.bins[i] = Bin{}
@@ -161,17 +194,20 @@ func (s *series) advance(idx int64, onClose func(b Bin, binIdx int64), onEvict f
 	return &s.bins[s.head]
 }
 
+// spillAll hands every non-empty retained bin to onEvict, oldest first.
+func (s *series) spillAll(onEvict func(binIdx int64, b *Bin)) {
+	for i := s.oldestIdx(); i <= s.curIdx; i++ {
+		if p := s.atPtr(i); *p != (Bin{}) {
+			onEvict(i, p)
+		}
+	}
+}
+
 // oldestIdx returns the bin index of the oldest retained bin.
 func (s *series) oldestIdx() int64 { return s.curIdx - int64(s.n) + 1 }
 
-// at returns the retained bin for binIdx (valid only for indices in
-// [oldestIdx, curIdx]).
-func (s *series) at(binIdx int64) Bin {
-	return *s.atPtr(binIdx)
-}
-
-// atPtr returns a pointer into the ring for binIdx — valid under the
-// same index bounds as at, and only until the ring advances.
+// atPtr returns a pointer into the ring for binIdx — valid only for
+// indices in [oldestIdx, curIdx], and only until the ring advances.
 func (s *series) atPtr(binIdx int64) *Bin {
 	back := s.curIdx - binIdx
 	pos := s.head - int(back)

@@ -136,9 +136,6 @@ func New(cfg Config) *Store {
 	}
 }
 
-// BinWidth returns the store's bin width.
-func (st *Store) BinWidth() time.Duration { return st.cfg.BinWidth }
-
 // AddCell registers a monitored cell. tti is the cell's slot duration,
 // used to derive bin time for records without a t_ms stamp.
 func (st *Store) AddCell(cellID uint16, tti time.Duration) error {
@@ -150,7 +147,7 @@ func (st *Store) AddCell(cellID uint16, tti time.Duration) error {
 	c := &cellHistory{
 		id:     cellID,
 		ttiMS:  float64(tti) / float64(time.Millisecond),
-		series: newSeries(st.cfg.Depth),
+		series: series{bins: make([]Bin, st.cfg.Depth)},
 	}
 	c.evict = func(binIdx int64, b *Bin) {
 		if st.lake != nil {
@@ -235,9 +232,7 @@ func (st *Store) IngestSpare(cellID uint16, slotIdx int, sp *telemetry.SpareCapa
 		return
 	}
 	tms := float64(slotIdx) * c.ttiMS
-	if tms > st.lastTMs {
-		st.lastTMs = tms
-	}
+	st.lastTMs = max(st.lastTMs, tms)
 	idx := int64(tms / st.binMS)
 	if cb := c.series.advance(idx, nil, c.evict); cb != nil {
 		cb.UsedREs += int64(sp.UsedREs)
@@ -262,7 +257,7 @@ func (st *Store) addUE(k ueKey) *ueSeries {
 			st.evictLocked(back.Value.(*ueSeries))
 		}
 	}
-	u := &ueSeries{key: k, series: newSeries(st.cfg.Depth)}
+	u := &ueSeries{key: k, series: series{bins: make([]Bin, st.cfg.Depth)}}
 	u.close = func(b Bin, binIdx int64) { st.binClosed(u, b, binIdx) }
 	u.evict = func(binIdx int64, b *Bin) {
 		if st.lake != nil {
@@ -295,7 +290,9 @@ func (st *Store) evictLocked(u *ueSeries) {
 	// A whole-series eviction spills every retained bin: the UE may
 	// come back under the same C-RNTI, and a later query must still see
 	// the full session.
-	st.spillSeriesLocked(u.key.cell, u.key.rnti, false, &u.series)
+	if st.lake != nil {
+		u.series.spillAll(u.evict)
+	}
 	st.lru.Remove(u.elem)
 	delete(st.ues, u.key)
 	met.evicted.Inc()

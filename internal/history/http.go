@@ -114,10 +114,7 @@ func (st *Store) rangeParams(r *http.Request) (fromMs, toMs float64, downsample 
 		if perr != nil || d <= 0 {
 			return 0, 0, 0, fmt.Errorf("bad window %q", s)
 		}
-		fromMs = st.LastMs() - float64(d)/float64(time.Millisecond)
-		if fromMs < 0 {
-			fromMs = 0
-		}
+		fromMs = max(st.LastMs()-float64(d)/float64(time.Millisecond), 0)
 	}
 	if s := q.Get("from_ms"); s != "" {
 		if fromMs, err = parseMs(s); err != nil {

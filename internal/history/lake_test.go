@@ -1,7 +1,6 @@
 package history
 
 import (
-	"fmt"
 	"testing"
 	"time"
 )
@@ -9,16 +8,24 @@ import (
 // fakeLake is an in-memory history.Lake used to test the store's spill
 // hooks and RAM+disk query merge without touching disk.
 type fakeLake struct {
-	bins  map[string]map[int64]Bin
+	bins  map[fakeKey]map[int64]Bin
 	anoms []Anomaly
 }
 
-func newFakeLake() *fakeLake {
-	return &fakeLake{bins: make(map[string]map[int64]Bin)}
+type fakeKey struct {
+	cell, rnti uint16
+	cellSeries bool
 }
 
-func fkey(cell, rnti uint16, cellSeries bool) string {
-	return fmt.Sprintf("%d/%d/%v", cell, rnti, cellSeries)
+// NewFakeLake gives the package's external tests a fakeLake.
+func NewFakeLake() Lake { return newFakeLake() }
+
+func newFakeLake() *fakeLake {
+	return &fakeLake{bins: make(map[fakeKey]map[int64]Bin)}
+}
+
+func fkey(cell, rnti uint16, cellSeries bool) fakeKey {
+	return fakeKey{cell, rnti, cellSeries}
 }
 
 func (f *fakeLake) SpillBin(cell, rnti uint16, cellSeries bool, binIdx int64, b *Bin) {
@@ -63,15 +70,15 @@ func (f *fakeLake) SeriesBounds(cell, rnti uint16, cellSeries bool) (int64, int6
 	return minIdx, maxIdx, true
 }
 
-func (f *fakeLake) SpilledUEs(cell uint16) []uint16 {
-	var out []uint16
-	for k, m := range f.bins {
-		var c uint16
-		var r uint16
-		var cs bool
-		fmt.Sscanf(k, "%d/%d/%t", &c, &r, &cs)
-		if c == cell && !cs && len(m) > 0 {
-			out = append(out, r)
+// ScanUEs returns each in-window UE bin on its own, as if every bin
+// were a block.
+func (f *fakeLake) ScanUEs(fromIdx, toIdx int64, m Metric) []UEPartial {
+	var out []UEPartial
+	for k, bins := range f.bins {
+		for idx, b := range bins {
+			if !k.cellSeries && idx >= fromIdx && idx <= toIdx {
+				out = append(out, UEPartial{Cell: k.cell, RNTI: k.rnti, Num: b.Sum(m.Num), Den: b.Sum(m.Den)})
+			}
 		}
 	}
 	return out
@@ -174,6 +181,29 @@ func TestUEEvictionSpillsWholeSeries(t *testing.T) {
 	}
 	if len(ranks) != 3 || ranks[0].RNTI != 0xA || ranks[0].Value != 1000 {
 		t.Fatalf("TopK with disk-only UE = %+v", ranks)
+	}
+}
+
+// TestTopKCountsRecreatedSeries: a UE evicted and re-created within one
+// bin leaves its first partial bin on disk beside its live one. TopK
+// must count both, as Query does.
+func TestTopKCountsRecreatedSeries(t *testing.T) {
+	st := newTestStore(t, Config{BinWidth: 100 * time.Millisecond, Depth: 8, MaxUEs: 1})
+	st.AttachLake(newFakeLake())
+	st.Ingest(1, msRec(10, 0xA, true, 1000, 4, false))
+	st.Ingest(1, msRec(20, 0xB, true, 500, 4, false)) // evicts A
+	st.Ingest(1, msRec(30, 0xA, true, 700, 4, false)) // evicts B, re-creates A
+
+	if bins, _ := st.Query(1, 0xA, 0, 0, 1); len(bins) != 1 || bins[0].DLBits != 1700 {
+		t.Fatalf("Query(A) = %+v, want one bin of 1700 bits", bins)
+	}
+	ranks, err := st.TopK("dl_bits", time.Minute, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []UERank{{Cell: 1, RNTI: 0xA, Value: 1700}, {Cell: 1, RNTI: 0xB, Value: 500}}
+	if len(ranks) != len(want) || ranks[0] != want[0] || ranks[1] != want[1] {
+		t.Fatalf("TopK = %+v, want %+v", ranks, want)
 	}
 }
 

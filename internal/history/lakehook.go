@@ -13,10 +13,10 @@ package history
 // Spill methods are invoked on the ingest path with the store lock held
 // and must not block or allocate: implementations enqueue into a
 // bounded ring and do the encoding on their own goroutine. Read methods
-// are invoked on the query path — usually under the store read lock,
-// but TopK issues its disk reads after releasing it so slow scans
-// cannot stall ingest, so implementations must be internally
-// synchronized against concurrent spills. Reads must observe every
+// are invoked on the query path under the store read lock — TopK's scan
+// included, so RAM plus lake is one consistent snapshot and the scan's
+// duration is an ingest stall — and must be internally synchronized
+// against their own background writer. Reads must observe every
 // spilled bin exactly once, including bins still queued behind the
 // writer — a bin leaves the RAM ring and becomes the lake's
 // responsibility at the moment Spill returns.
@@ -42,12 +42,20 @@ type Lake interface {
 	// or ok=false when the lake holds nothing for it.
 	SeriesBounds(cell, rnti uint16, cellSeries bool) (minIdx, maxIdx int64, ok bool)
 
-	// SpilledUEs lists the RNTIs with spilled bins on a cell (used to
-	// rank UEs that were evicted from RAM entirely).
-	SpilledUEs(cell uint16) []uint16
+	// ScanUEs returns partial sums of every UE series' spilled bins in
+	// [fromIdx, toIdx], one per stored block or queued bin holding any:
+	// Num sums m.Num and Den m.Den over those bins. A series can appear
+	// many times; callers sum.
+	ScanUEs(fromIdx, toIdx int64, m Metric) []UEPartial
 
 	// Anomalies returns the spilled anomaly events, oldest first.
 	Anomalies() []Anomaly
+}
+
+// UEPartial is one partial sum a lake's ScanUEs returns.
+type UEPartial struct {
+	Cell, RNTI uint16
+	Num, Den   float64
 }
 
 // AttachLake connects a spill target to the store. Bins evicted from
@@ -65,27 +73,9 @@ func (st *Store) AttachLake(l Lake) {
 func (st *Store) ueKnown(cell, rnti uint16) bool {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
-	if _, live := st.ues[ueKey{cell, rnti}]; live {
-		return true
+	if _, live := st.ues[ueKey{cell, rnti}]; live || st.lake == nil {
+		return live
 	}
-	if st.lake != nil {
-		if _, _, ok := st.lake.SeriesBounds(cell, rnti, false); ok {
-			return true
-		}
-	}
-	return false
-}
-
-// spillSeriesLocked spills every non-empty retained bin of a series —
-// the whole-series eviction path (UE LRU / idle eviction). Caller holds
-// st.mu.
-func (st *Store) spillSeriesLocked(cell, rnti uint16, cellSeries bool, s *series) {
-	if st.lake == nil || s.n == 0 {
-		return
-	}
-	for idx := s.oldestIdx(); idx <= s.curIdx; idx++ {
-		if p := s.atPtr(idx); *p != (Bin{}) {
-			st.lake.SpillBin(cell, rnti, cellSeries, idx, p)
-		}
-	}
+	_, _, ok := st.lake.SeriesBounds(cell, rnti, false)
+	return ok
 }

@@ -30,25 +30,14 @@ func (m SeriesMask) Overlap(o SeriesMask) float64 {
 	if m.Active == 0 || o.Active == 0 {
 		return 0
 	}
-	lo := m.FirstIdx
-	if o.FirstIdx > lo {
-		lo = o.FirstIdx
-	}
-	hi := m.FirstIdx + int64(len(m.Mask)) - 1
-	if h := o.FirstIdx + int64(len(o.Mask)) - 1; h < hi {
-		hi = h
-	}
+	hi := min(m.FirstIdx+int64(len(m.Mask)), o.FirstIdx+int64(len(o.Mask))) - 1
 	n := 0
-	for idx := lo; idx <= hi; idx++ {
+	for idx := max(m.FirstIdx, o.FirstIdx); idx <= hi; idx++ {
 		if m.Mask[idx-m.FirstIdx] && o.Mask[idx-o.FirstIdx] {
 			n++
 		}
 	}
-	denom := m.Active
-	if o.Active < denom {
-		denom = o.Active
-	}
-	return float64(n) / float64(denom)
+	return float64(n) / float64(min(m.Active, o.Active))
 }
 
 // maskLocked builds a UE's activity mask. Caller holds st.mu.
@@ -62,7 +51,7 @@ func (st *Store) maskLocked(u *ueSeries) SeriesMask {
 	}
 	m.Mask = make([]bool, u.series.n)
 	for i := range m.Mask {
-		if u.series.at(m.FirstIdx+int64(i)).Grants > 0 {
+		if u.series.atPtr(m.FirstIdx+int64(i)).Grants > 0 {
 			m.Mask[i] = true
 			m.Active++
 		}

@@ -1,7 +1,9 @@
 package history
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 )
@@ -69,9 +71,7 @@ func (e *TooWideError) Error() string {
 // RAM (plus any disk bins a re-created series left behind, which merge
 // by summing). Caller holds st.mu.
 func (st *Store) querySeries(cell, rnti uint16, cellSeries bool, s *series, fromMs, toMs float64, downsample int) ([]BinSample, error) {
-	if downsample < 1 {
-		downsample = 1
-	}
+	downsample = max(downsample, 1)
 	var diskMin, diskMax int64
 	var haveDisk bool
 	if st.lake != nil {
@@ -81,24 +81,17 @@ func (st *Store) querySeries(cell, rnti uint16, cellSeries bool, s *series, from
 	if !haveRAM && !haveDisk {
 		return nil, nil
 	}
-	var first, last int64
-	switch {
-	case haveRAM && haveDisk:
-		first, last = min(diskMin, s.oldestIdx()), max(diskMax, s.curIdx)
-	case haveRAM:
+	first, last := diskMin, diskMax
+	if !haveDisk {
 		first, last = s.oldestIdx(), s.curIdx
-	default:
-		first, last = diskMin, diskMax
+	} else if haveRAM {
+		first, last = min(first, s.oldestIdx()), max(last, s.curIdx)
 	}
 	if fromMs > 0 {
-		if i := int64(fromMs / st.binMS); i > first {
-			first = i
-		}
+		first = max(first, int64(fromMs/st.binMS))
 	}
 	if toMs > 0 {
-		if i := int64((toMs - 1e-9) / st.binMS); i < last {
-			last = i
-		}
+		last = min(last, int64((toMs-1e-9)/st.binMS))
 	}
 	if first > last {
 		return nil, nil
@@ -119,7 +112,7 @@ func (st *Store) querySeries(cell, rnti uint16, cellSeries bool, s *series, from
 	if haveRAM {
 		rFirst, rLast := max(s.oldestIdx(), first), min(s.curIdx, last)
 		for idx := rFirst; idx <= rLast; idx++ {
-			acc[(idx-first)/ds].Merge(s.at(idx))
+			acc[(idx-first)/ds].Merge(*s.atPtr(idx))
 		}
 	}
 	out := make([]BinSample, 0, len(acc))
@@ -153,10 +146,7 @@ func (st *Store) Query(cellID, rnti uint16, fromMs, toMs float64, downsample int
 // QueryWindow is Query over the trailing window ending at the newest
 // record the store has seen.
 func (st *Store) QueryWindow(cellID, rnti uint16, window time.Duration, downsample int) ([]BinSample, error) {
-	from := st.LastMs() - float64(window)/float64(time.Millisecond)
-	if from < 0 {
-		from = 0
-	}
+	from := max(st.LastMs()-float64(window)/float64(time.Millisecond), 0)
 	return st.Query(cellID, rnti, from, 0, downsample)
 }
 
@@ -180,131 +170,108 @@ type UERank struct {
 	Value float64 `json:"value"`
 }
 
-// TopK ranks tracked UEs (across all cells) by a metric summed over the
-// trailing window: "dl_bits", "ul_bits", "bits", "grants", "retx",
-// "retx_rate", "prbs", "spare_bits". With a lake attached, windows
-// reaching below a UE's RAM ring pull the spilled remainder from disk,
-// and UEs evicted from RAM entirely re-enter the ranking from their
-// spilled bins alone.
-func (st *Store) TopK(metric string, window time.Duration, k int) ([]UERank, error) {
-	extract, err := metricFunc(metric)
-	if err != nil {
-		return nil, err
-	}
-	// Phase 1, under the store lock: sum the RAM rings and snapshot
-	// which series need a disk remainder. The lake reads themselves run
-	// after the lock is released — a cold-cache TopK over a large lake
-	// must not stall Ingest for the scan's duration (the lake is
-	// internally synchronized).
-	type ueAcc struct {
-		key    ueKey
-		acc    Bin
-		diskTo int64 // >= fromIdx: read [fromIdx, diskTo] from the lake
-	}
-	st.mu.RLock()
-	met.queries.Inc()
-	lake := st.lake
-	fromIdx := int64((st.lastTMs - float64(window)/float64(time.Millisecond)) / st.binMS)
-	lastIdx := int64(st.lastTMs / st.binMS)
-	accs := make([]ueAcc, 0, len(st.ues))
-	for key, u := range st.ues {
-		a := ueAcc{key: key, diskTo: fromIdx - 1}
-		first := u.series.oldestIdx()
-		if fromIdx > first {
-			first = fromIdx
-		}
-		for idx := first; idx <= u.series.curIdx && u.series.n > 0; idx++ {
-			a.acc.Merge(u.series.at(idx))
-		}
-		if lake != nil && u.series.n > 0 && fromIdx < u.series.oldestIdx() {
-			a.diskTo = u.series.oldestIdx() - 1
-		}
-		accs = append(accs, a)
-	}
-	var cellIDs []uint16
-	if lake != nil {
-		cellIDs = make([]uint16, 0, len(st.cells))
-		for cellID := range st.cells {
-			cellIDs = append(cellIDs, cellID)
-		}
-	}
-	st.mu.RUnlock()
+// Metric is a ranking metric projected onto Bin fields: the window sum
+// of the Num fields, divided by the window sum of the Den fields when
+// Den is set (0 when that sum is 0).
+type Metric struct{ Num, Den Fields }
 
-	ranks := make([]UERank, 0, len(accs))
-	for i := range accs {
-		a := &accs[i]
-		if lake != nil && a.diskTo >= fromIdx {
-			if _, _, ok := lake.SeriesBounds(a.key.cell, a.key.rnti, false); ok {
-				_ = lake.ReadSeries(a.key.cell, a.key.rnti, false, fromIdx, a.diskTo,
-					func(_ int64, b Bin) { a.acc.Merge(b) })
-			}
-		}
-		ranks = append(ranks, UERank{Cell: a.key.cell, RNTI: a.key.rnti, Value: extract(a.acc)})
-	}
-	if lake != nil {
-		// UEs that only survive on disk (evicted from RAM). "Live" is
-		// the set snapshotted above: a UE evicted after the unlock was
-		// already ranked from its RAM bins.
-		live := make(map[ueKey]bool, len(accs))
-		for i := range accs {
-			live[accs[i].key] = true
-		}
-		for _, cellID := range cellIDs {
-			for _, rnti := range lake.SpilledUEs(cellID) {
-				if live[ueKey{cellID, rnti}] {
-					continue
-				}
-				var acc Bin
-				_ = lake.ReadSeries(cellID, rnti, false, fromIdx, lastIdx,
-					func(_ int64, b Bin) { acc.Merge(b) })
-				if acc == (Bin{}) {
-					continue
-				}
-				ranks = append(ranks, UERank{Cell: cellID, RNTI: rnti, Value: extract(acc)})
-			}
-		}
-	}
-	sort.Slice(ranks, func(i, j int) bool {
-		if ranks[i].Value != ranks[j].Value {
-			return ranks[i].Value > ranks[j].Value
-		}
-		if ranks[i].Cell != ranks[j].Cell {
-			return ranks[i].Cell < ranks[j].Cell
-		}
-		return ranks[i].RNTI < ranks[j].RNTI
-	})
-	if k > 0 && len(ranks) > k {
-		ranks = ranks[:k]
-	}
-	return ranks, nil
+var metrics = map[string]Metric{
+	"dl_bits":    {Num: DLBitsField},
+	"ul_bits":    {Num: ULBitsField},
+	"bits":       {Num: DLBitsField | ULBitsField},
+	"grants":     {Num: GrantsField},
+	"retx":       {Num: RetxField},
+	"retx_rate":  {Num: RetxField, Den: GrantsField},
+	"prbs":       {Num: PRBsField},
+	"spare_bits": {Num: SpareBitsField},
 }
 
-func metricFunc(metric string) (func(Bin) float64, error) {
-	switch metric {
-	case "dl_bits":
-		return func(b Bin) float64 { return float64(b.DLBits) }, nil
-	case "ul_bits":
-		return func(b Bin) float64 { return float64(b.ULBits) }, nil
-	case "bits":
-		return func(b Bin) float64 { return float64(b.DLBits + b.ULBits) }, nil
-	case "grants":
-		return func(b Bin) float64 { return float64(b.Grants) }, nil
-	case "retx":
-		return func(b Bin) float64 { return float64(b.Retx) }, nil
-	case "retx_rate":
-		return func(b Bin) float64 {
-			if b.Grants == 0 {
-				return 0
-			}
-			return float64(b.Retx) / float64(b.Grants)
-		}, nil
-	case "prbs":
-		return func(b Bin) float64 { return float64(b.PRBs) }, nil
-	case "spare_bits":
-		return func(b Bin) float64 { return b.SpareBits }, nil
-	default:
+// value is the metric over window sums s: {numerator, denominator}.
+func (m Metric) value(s [2]float64) float64 {
+	if m.Den == 0 {
+		return s[0]
+	}
+	if s[1] == 0 {
+		return 0
+	}
+	return s[0] / s[1]
+}
+
+// TopK ranks UEs (across all cells) by a metric summed over the trailing
+// window: "dl_bits", "ul_bits", "bits", "grants", "retx", "retx_rate",
+// "prbs", "spare_bits". Every tracked UE is ranked; with a lake attached
+// each UE also counts every spilled bin in the window, as Query does, and
+// UEs evicted from RAM re-enter the ranking from their spilled bins. The
+// lake scan runs under the store read lock: it stalls ingest meanwhile.
+func (st *Store) TopK(metric string, window time.Duration, k int) ([]UERank, error) {
+	m, ok := metrics[metric]
+	if !ok {
 		return nil, fmt.Errorf("history: unknown metric %q", metric)
 	}
+	st.mu.RLock()
+	defer st.mu.RUnlock()
+	met.queries.Inc()
+	fromIdx := int64((st.lastTMs - float64(window)/float64(time.Millisecond)) / st.binMS)
+	disk := make(map[ueKey][2]float64) // spilled in-window sums, by UE
+	if st.lake != nil {
+		for _, p := range st.lake.ScanUEs(fromIdx, int64(st.lastTMs/st.binMS), m) {
+			s := disk[ueKey{p.Cell, p.RNTI}]
+			disk[ueKey{p.Cell, p.RNTI}] = [2]float64{s[0] + p.Num, s[1] + p.Den}
+		}
+	}
+	top := []UERank{} // an empty ranking encodes as [], not null
+	for key, u := range st.ues {
+		s := disk[key]
+		delete(disk, key)
+		for idx := max(fromIdx, u.series.oldestIdx()); idx <= u.series.curIdx; idx++ {
+			b := u.series.atPtr(idx)
+			s[0] += b.Sum(m.Num)
+			s[1] += b.Sum(m.Den)
+		}
+		top = keepBest(top, k, UERank{Cell: key.cell, RNTI: key.rnti, Value: m.value(s)})
+	}
+	for key, s := range disk {
+		top = keepBest(top, k, UERank{Cell: key.cell, RNTI: key.rnti, Value: m.value(s)})
+	}
+	slices.SortFunc(top, CompareRanks)
+	return top, nil
+}
+
+// CompareRanks is the ranking's total order: value descending, then
+// cell, then RNTI.
+func CompareRanks(a, b UERank) int {
+	return cmp.Or(cmp.Compare(b.Value, a.Value), cmp.Compare(a.Cell, b.Cell), cmp.Compare(a.RNTI, b.RNTI))
+}
+
+// keepBest offers r to h, the k best ranks so far (all of them when
+// k <= 0). Once full, h is a heap whose root is the worst rank kept, so
+// a rank that cannot enter costs one compare.
+func keepBest(h []UERank, k int, r UERank) []UERank {
+	i := len(h)
+	switch {
+	case k <= 0:
+		return append(h, r)
+	case i < k: // sift up from the new leaf
+		h = append(h, r)
+		for ; i > 0 && CompareRanks(h[(i-1)/2], r) < 0; i = (i - 1) / 2 {
+			h[i] = h[(i-1)/2]
+		}
+	case CompareRanks(r, h[0]) < 0: // sift down from the root
+		for i = 0; 2*i+1 < k; {
+			c := 2*i + 1
+			if c+1 < k && CompareRanks(h[c], h[c+1]) < 0 {
+				c++
+			}
+			if CompareRanks(h[c], r) <= 0 {
+				break
+			}
+			h[i], i = h[c], c
+		}
+	default:
+		return h
+	}
+	h[i] = r
+	return h
 }
 
 // UESummary is one tracked UE's rolled-up retained history.
@@ -332,7 +299,7 @@ func (st *Store) UEs(cellID uint16) []UESummary {
 		}
 		var acc Bin
 		for idx := u.series.oldestIdx(); idx <= u.series.curIdx && u.series.n > 0; idx++ {
-			acc.Merge(u.series.at(idx))
+			acc.Merge(*u.series.atPtr(idx))
 		}
 		out = append(out, UESummary{
 			Cell: key.cell, RNTI: key.rnti, LastMs: u.lastTMs, Bins: u.series.n,
@@ -388,7 +355,7 @@ func (st *Store) Snapshot() Snapshot {
 		c := st.cells[id]
 		var acc Bin
 		for idx := c.series.oldestIdx(); idx <= c.series.curIdx && c.series.n > 0; idx++ {
-			acc.Merge(c.series.at(idx))
+			acc.Merge(*c.series.atPtr(idx))
 		}
 		snap.Cells = append(snap.Cells, CellSummary{
 			Cell: id, UEs: perCell[id],

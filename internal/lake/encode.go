@@ -13,6 +13,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"nrscope/internal/history"
 )
@@ -23,6 +24,13 @@ const (
 	kindUE      = 1 // one C-RNTI's series
 	kindAnomaly = 2 // spilled anomaly events
 )
+
+func kindOf(cellSeries bool) uint8 {
+	if cellSeries {
+		return kindCell
+	}
+	return kindUE
+}
 
 // entry is one spilled bin in flight between the history store and a
 // segment file.
@@ -165,8 +173,8 @@ type blockHeader struct {
 }
 
 // parseBlockPayload splits a verified payload into its header and
-// column slices.
-func parseBlockPayload(p []byte) (blockHeader, error) {
+// column slices, reusing cols' backing array for the slices.
+func parseBlockPayload(p []byte, cols [][]byte) (blockHeader, error) {
 	var h blockHeader
 	if len(p) < 1 {
 		return h, fmt.Errorf("lake: empty block payload")
@@ -201,9 +209,9 @@ func parseBlockPayload(p []byte) (blockHeader, error) {
 		return h, fmt.Errorf("lake: implausible block header")
 	}
 	h.cell, h.rnti, h.count = uint16(cell), uint16(rnti), int(count)
-	lens := make([]uint64, ncols)
+	var lens [64]uint64
 	var total uint64
-	for i := range lens {
+	for i := range lens[:ncols] {
 		if lens[i], err = rd(); err != nil {
 			return h, err
 		}
@@ -216,9 +224,9 @@ func parseBlockPayload(p []byte) (blockHeader, error) {
 	if total > uint64(len(p)) || count > total {
 		return h, fmt.Errorf("lake: block columns overflow payload")
 	}
-	h.cols = make([][]byte, ncols)
-	for i, l := range lens {
-		h.cols[i] = p[:l]
+	h.cols = cols[:0]
+	for _, l := range lens[:ncols] {
+		h.cols = append(h.cols, p[:l])
 		p = p[l:]
 	}
 	return h, nil
@@ -249,52 +257,63 @@ func decodeBinIdx(col []byte, count int, out []int64) ([]int64, error) {
 	return out, nil
 }
 
-// decodeSeriesBlock reconstructs a series block's (binIdx, Bin) rows
-// and hands each to visit. Rows outside [fromIdx, toIdx] are skipped.
-func decodeSeriesBlock(h blockHeader, fromIdx, toIdx int64, visit func(binIdx int64, b history.Bin)) error {
+// allCols selects every column of a series block; spareCol is the
+// spare-bits column, stored as Float64bits uvarints.
+const (
+	allCols  = 1<<binColumns - 1
+	spareCol = binColumns - 1
+)
+
+// blockRows is one series block decoded into buffers reused from block
+// to block: row i holds bin index idx[i], and bins[i] carries the fields
+// of the decoded columns (the others stay zero).
+type blockRows struct {
+	idx  []int64
+	bins []history.Bin
+}
+
+// setField stores a value decoded from column c into its Bin field.
+var setField = [binColumns]func(b *history.Bin, v int64){
+	1:        func(b *history.Bin, v int64) { b.DLBits = v },
+	2:        func(b *history.Bin, v int64) { b.ULBits = v },
+	3:        func(b *history.Bin, v int64) { b.Grants = v },
+	4:        func(b *history.Bin, v int64) { b.Retx = v },
+	5:        func(b *history.Bin, v int64) { b.PRBs = v },
+	6:        func(b *history.Bin, v int64) { b.MCSSum = v },
+	7:        func(b *history.Bin, v int64) { b.MCSCount = v },
+	8:        func(b *history.Bin, v int64) { b.MCSMin = int(v) },
+	9:        func(b *history.Bin, v int64) { b.MCSMax = int(v) },
+	10:       func(b *history.Bin, v int64) { b.UsedREs = v },
+	11:       func(b *history.Bin, v int64) { b.TotalREs = v },
+	spareCol: func(b *history.Bin, v int64) { b.SpareBits = math.Float64frombits(uint64(v)) },
+}
+
+// decodeSeriesBlock decodes a series block's bin-index column and the
+// value columns that cols selects (bit c for column c) into r.
+func decodeSeriesBlock(h blockHeader, cols uint16, r *blockRows) error {
 	if len(h.cols) != binColumns {
 		return fmt.Errorf("lake: series block has %d columns, want %d", len(h.cols), binColumns)
 	}
-	idxs, err := decodeBinIdx(h.cols[0], h.count, make([]int64, 0, h.count))
-	if err != nil {
+	var err error
+	if r.idx, err = decodeBinIdx(h.cols[0], h.count, r.idx); err != nil {
 		return err
 	}
-	ints := make([][]int64, 11)
-	for c := 1; c <= 11; c++ {
-		col := h.cols[c]
-		vals := make([]int64, h.count)
-		for i := range vals {
-			v, n := binary.Varint(col)
+	r.bins = slices.Grow(r.bins[:0], h.count)[:h.count]
+	clear(r.bins)
+	for c := 1; c < binColumns; c++ {
+		p, set := h.cols[c], setField[c]
+		for i := 0; cols&(1<<c) != 0 && i < h.count; i++ {
+			u, n := binary.Uvarint(p)
+			v := int64(u>>1) ^ -int64(u&1) // zigzag, as binary.Varint
+			if c == spareCol {
+				v = int64(u)
+			}
 			if n <= 0 {
 				return fmt.Errorf("lake: truncated value column %d", c)
 			}
-			col = col[n:]
-			vals[i] = v
+			p = p[n:]
+			set(&r.bins[i], v)
 		}
-		ints[c-1] = vals
-	}
-	spare := make([]float64, h.count)
-	col := h.cols[12]
-	for i := range spare {
-		v, n := binary.Uvarint(col)
-		if n <= 0 {
-			return fmt.Errorf("lake: truncated spare-bits column")
-		}
-		col = col[n:]
-		spare[i] = math.Float64frombits(v)
-	}
-	for i, idx := range idxs {
-		if idx < fromIdx || idx > toIdx {
-			continue
-		}
-		visit(idx, history.Bin{
-			DLBits: ints[0][i], ULBits: ints[1][i],
-			Grants: ints[2][i], Retx: ints[3][i], PRBs: ints[4][i],
-			MCSSum: ints[5][i], MCSCount: ints[6][i],
-			MCSMin: int(ints[7][i]), MCSMax: int(ints[8][i]),
-			UsedREs: ints[9][i], TotalREs: ints[10][i],
-			SpareBits: spare[i],
-		})
 	}
 	return nil
 }

@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"nrscope/internal/history"
@@ -170,7 +171,7 @@ func FuzzParseBlockPayload(f *testing.F) {
 	f.Add(binary.AppendUvarint(binary.AppendUvarint(append(hdr[:4:4], 2), 1<<63), 1<<63))
 	f.Add(append(hdr[:4:4], 0, 0))
 	f.Fuzz(func(t *testing.T, p []byte) {
-		h, err := parseBlockPayload(p)
+		h, err := parseBlockPayload(p, nil)
 		if err != nil {
 			return
 		}
@@ -178,9 +179,66 @@ func FuzzParseBlockPayload(f *testing.F) {
 		if h.kind == kindAnomaly {
 			decodeAnomalyBlock(h, func(history.Anomaly) {})
 		} else {
-			decodeSeriesBlock(h, math.MinInt64, math.MaxInt64, func(int64, history.Bin) {})
+			decodeSeriesBlock(h, allCols, &blockRows{})
 		}
 	})
+}
+
+// FuzzDecodeSeriesBlockColumns: for any payload parseBlockPayload
+// accepts, decoding a subset of a series block's columns gives the same
+// fields in those columns as decoding them all, and zero elsewhere.
+func FuzzDecodeSeriesBlockColumns(f *testing.F) {
+	_, segs := writtenLake(f, f.TempDir())
+	for _, seg := range segs {
+		blocks, _ := framePayloads(seg)
+		for i, b := range blocks {
+			f.Add(b, uint16(1<<(1+i%(binColumns-1))|1<<spareCol))
+			f.Add(b[:len(b)/2], uint16(allCols))
+		}
+	}
+	f.Fuzz(func(t *testing.T, p []byte, cols uint16) {
+		h, err := parseBlockPayload(p, nil)
+		if err != nil || h.kind == kindAnomaly {
+			return
+		}
+		var full, sub blockRows
+		if decodeSeriesBlock(h, allCols, &full) != nil {
+			return
+		}
+		if err := decodeSeriesBlock(h, cols, &sub); err != nil {
+			t.Fatalf("columns %#x fail where all columns decode: %v", cols, err)
+		}
+		if !slices.Equal(sub.idx, full.idx) {
+			t.Fatalf("bin indices %v decoding columns %#x, %v decoding all", sub.idx, cols, full.idx)
+		}
+		for i := range full.bins {
+			got, want := sub.bins[i], keepCols(full.bins[i], cols)
+			if math.Float64bits(got.SpareBits) != math.Float64bits(want.SpareBits) {
+				t.Fatalf("row %d spare bits: %v decoding columns %#x, want %v", i, got.SpareBits, cols, want.SpareBits)
+			}
+			got.SpareBits, want.SpareBits = 0, 0
+			if got != want {
+				t.Fatalf("row %d: %+v decoding columns %#x, want %+v", i, got, cols, want)
+			}
+		}
+	})
+}
+
+// keepCols zeroes the fields of b whose columns cols does not select.
+func keepCols(b history.Bin, cols uint16) history.Bin {
+	keep := func(c int, v int64) int64 {
+		if cols&(1<<c) == 0 {
+			return 0
+		}
+		return v
+	}
+	return history.Bin{
+		DLBits: keep(1, b.DLBits), ULBits: keep(2, b.ULBits), Grants: keep(3, b.Grants),
+		Retx: keep(4, b.Retx), PRBs: keep(5, b.PRBs), MCSSum: keep(6, b.MCSSum), MCSCount: keep(7, b.MCSCount),
+		MCSMin: int(keep(8, int64(b.MCSMin))), MCSMax: int(keep(9, int64(b.MCSMax))),
+		UsedREs: keep(10, b.UsedREs), TotalREs: keep(11, b.TotalREs),
+		SpareBits: math.Float64frombits(uint64(keep(spareCol, int64(math.Float64bits(b.SpareBits))))),
+	}
 }
 
 // FuzzParseFooter decodes arbitrary footer payloads, as loading a

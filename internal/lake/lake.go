@@ -62,6 +62,35 @@ type seriesKey struct {
 	kind       uint8
 }
 
+// seriesIndex is one series' published blocks and the bin-index bounds
+// across them, so a series wholly outside a window costs one compare.
+type seriesIndex struct {
+	minIdx, maxIdx int64
+	refs           []blockRef
+}
+
+func (si *seriesIndex) add(r blockRef) {
+	if len(si.refs) == 0 {
+		si.minIdx, si.maxIdx = r.minIdx, r.maxIdx
+	}
+	si.minIdx, si.maxIdx = min(si.minIdx, r.minIdx), max(si.maxIdx, r.maxIdx)
+	si.refs = append(si.refs, r)
+}
+
+// appendOverlapping appends to dst the refs holding bins in [fromIdx,
+// toIdx]; a nil index holds none.
+func (si *seriesIndex) appendOverlapping(dst []blockRef, fromIdx, toIdx int64) []blockRef {
+	if si == nil || si.maxIdx < fromIdx || si.minIdx > toIdx {
+		return dst
+	}
+	for _, r := range si.refs {
+		if r.maxIdx >= fromIdx && r.minIdx <= toIdx {
+			dst = append(dst, r)
+		}
+	}
+	return dst
+}
+
 // active is a cell's unsealed segment plus the refs its footer will
 // index when sealed.
 type active struct {
@@ -93,7 +122,7 @@ type Lake struct {
 	// mu guards the published index (series, anomRefs) and the
 	// aggregate gauges. Lock order: history store lock → mu → qmu.
 	mu       sync.RWMutex
-	series   map[seriesKey][]blockRef
+	series   map[seriesKey]*seriesIndex
 	anomRefs []blockRef
 	maxIdx   int64 // newest spilled bin index (retention anchor)
 
@@ -161,7 +190,7 @@ func Open(dir string, cfg Config) (*Lake, error) {
 	l := &Lake{
 		dir:     dir,
 		cfg:     cfg,
-		series:  make(map[seriesKey][]blockRef),
+		series:  make(map[seriesKey]*seriesIndex),
 		segs:    make(map[string]*segment),
 		actives: make(map[uint16]*active),
 		buckets: make(map[seriesKey]int),
@@ -190,9 +219,7 @@ func Open(dir string, cfg Config) (*Lake, error) {
 		}
 		l.segs[name] = seg
 		l.publishRefs(refs)
-		if seq >= l.nextSeq {
-			l.nextSeq = seq + 1
-		}
+		l.nextSeq = max(l.nextSeq, seq+1)
 	}
 	l.removeOrphans(live)
 	l.updateTotals()
@@ -245,10 +272,7 @@ func (l *Lake) SpillBin(cell, rnti uint16, cellSeries bool, binIdx int64, b *his
 		return
 	}
 	slot.cell, slot.rnti = cell, rnti
-	slot.kind = kindUE
-	if cellSeries {
-		slot.kind = kindCell
-	}
+	slot.kind = kindOf(cellSeries)
 	slot.binIdx = binIdx
 	slot.bin = *b
 	l.commit(push)
@@ -315,36 +339,21 @@ func (l *Lake) commit(push uint64) {
 	}
 }
 
-// queuedLocked visits every entry currently in the ring. Caller holds
-// qmu (so the consumer cannot advance popIdx underneath) and the
-// history store's lock (so the producer cannot push concurrently).
-func (l *Lake) queuedLocked(visit func(*entry)) {
-	pop := l.popIdx.Load()
-	push := l.pushIdx.Load()
-	for i := pop; i < push; i++ {
-		visit(&l.pending[i%uint64(len(l.pending))])
-	}
-}
-
 // --- history.Lake: the read side (query path, store lock held) ---
 
-// collectQueued copies queue entries matching k into a fresh slice.
-// Caller must hold l.mu (either mode); takes and releases qmu.
-func (l *Lake) collectQueued(match func(*entry) bool) []entry {
-	var out []entry
+// queued visits every entry the writer has not yet indexed: the ring,
+// then the inflight batch. Caller holds l.mu (either mode) and the
+// history store's lock, so the producer cannot push concurrently;
+// holding qmu keeps the consumer from advancing popIdx underneath.
+func (l *Lake) queued(visit func(*entry)) {
 	l.qmu.Lock()
-	l.queuedLocked(func(e *entry) {
-		if match(e) {
-			out = append(out, *e)
-		}
-	})
-	for i := range l.inflight {
-		if match(&l.inflight[i]) {
-			out = append(out, l.inflight[i])
-		}
+	defer l.qmu.Unlock()
+	for i := l.popIdx.Load(); i < l.pushIdx.Load(); i++ {
+		visit(&l.pending[i%uint64(len(l.pending))])
 	}
-	l.qmu.Unlock()
-	return out
+	for i := range l.inflight {
+		visit(&l.inflight[i])
+	}
 }
 
 // ReadSeries visits every spilled bin of one series in [fromIdx,
@@ -352,35 +361,24 @@ func (l *Lake) collectQueued(match func(*entry) bool) []entry {
 // counted), then entries still queued behind the writer.
 func (l *Lake) ReadSeries(cell, rnti uint16, cellSeries bool, fromIdx, toIdx int64, visit func(binIdx int64, b history.Bin)) error {
 	start := time.Now()
-	k := seriesKey{cell: cell, rnti: rnti, kind: kindUE}
-	if cellSeries {
-		k.kind = kindCell
-	}
+	k := seriesKey{cell: cell, rnti: rnti, kind: kindOf(cellSeries)}
 	l.mu.RLock()
 	defer l.mu.RUnlock()
-	queued := l.collectQueued(func(e *entry) bool {
-		return e.kind == k.kind && e.cell == cell && e.rnti == rnti &&
-			e.binIdx >= fromIdx && e.binIdx <= toIdx
+	refs := l.series[k].appendOverlapping(nil, fromIdx, toIdx)
+	var br blockReader
+	br.read(refs, allCols, func(*blockRef) {
+		for i, idx := range br.idx {
+			if idx >= fromIdx && idx <= toIdx {
+				visit(idx, br.bins[i])
+			}
+		}
 	})
-	for _, r := range l.series[k] {
-		if r.count == 0 || r.maxIdx < fromIdx || r.minIdx > toIdx {
-			continue
+	var queued []entry // visited after qmu is released
+	l.queued(func(e *entry) {
+		if e.kind == k.kind && e.cell == cell && e.rnti == rnti && e.binIdx >= fromIdx && e.binIdx <= toIdx {
+			queued = append(queued, *e)
 		}
-		payload, err := r.seg.readBlock(r.off, r.plen)
-		if err != nil {
-			met.crcErrors.Inc()
-			continue
-		}
-		h, err := parseBlockPayload(payload)
-		if err != nil {
-			met.crcErrors.Inc()
-			continue
-		}
-		if err := decodeSeriesBlock(h, fromIdx, toIdx, visit); err != nil {
-			met.crcErrors.Inc()
-			continue
-		}
-	}
+	})
 	for _, e := range queued {
 		visit(e.binIdx, e.bin)
 	}
@@ -391,64 +389,62 @@ func (l *Lake) ReadSeries(cell, rnti uint16, cellSeries bool, fromIdx, toIdx int
 // SeriesBounds reports the min/max spilled bin index of a series
 // across indexed blocks and the queue.
 func (l *Lake) SeriesBounds(cell, rnti uint16, cellSeries bool) (minIdx, maxIdx int64, ok bool) {
-	k := seriesKey{cell: cell, rnti: rnti, kind: kindUE}
-	if cellSeries {
-		k.kind = kindCell
-	}
+	k := seriesKey{cell: cell, rnti: rnti, kind: kindOf(cellSeries)}
 	l.mu.RLock()
 	defer l.mu.RUnlock()
-	for _, r := range l.series[k] {
-		if r.count == 0 {
-			continue
-		}
-		if !ok || r.minIdx < minIdx {
-			minIdx = r.minIdx
-		}
-		if !ok || r.maxIdx > maxIdx {
-			maxIdx = r.maxIdx
-		}
-		ok = true
+	if si := l.series[k]; si != nil {
+		minIdx, maxIdx, ok = si.minIdx, si.maxIdx, true
 	}
-	note := func(e *entry) {
+	l.queued(func(e *entry) {
 		if e.kind == k.kind && e.cell == cell && e.rnti == rnti {
-			if !ok || e.binIdx < minIdx {
-				minIdx = e.binIdx
+			if !ok {
+				minIdx, maxIdx, ok = e.binIdx, e.binIdx, true
 			}
-			if !ok || e.binIdx > maxIdx {
-				maxIdx = e.binIdx
-			}
-			ok = true
+			minIdx, maxIdx = min(minIdx, e.binIdx), max(maxIdx, e.binIdx)
 		}
-	}
-	l.qmu.Lock()
-	l.queuedLocked(note)
-	for i := range l.inflight {
-		note(&l.inflight[i])
-	}
-	l.qmu.Unlock()
+	})
 	return minIdx, maxIdx, ok
 }
 
-// SpilledUEs lists the RNTIs with spilled bins on a cell.
-func (l *Lake) SpilledUEs(cell uint16) []uint16 {
+// ScanUEs returns partial sums of every UE series' spilled bins in
+// [fromIdx, toIdx], for TopK: one walk of the index that skips series
+// whose bounds miss the window, one coalesced read of the overlapping
+// blocks decoding only the bin-index column and m's columns, then the
+// queue.
+func (l *Lake) ScanUEs(fromIdx, toIdx int64, m history.Metric) []history.UEPartial {
+	start := time.Now()
 	l.mu.RLock()
 	defer l.mu.RUnlock()
-	seen := make(map[uint16]bool)
-	for k := range l.series {
-		if k.kind == kindUE && k.cell == cell {
-			seen[k.rnti] = true
+	var refs []blockRef
+	if fromIdx <= l.maxIdx {
+		for k, si := range l.series {
+			if k.kind == kindUE {
+				refs = si.appendOverlapping(refs, fromIdx, toIdx)
+			}
 		}
 	}
-	for _, e := range l.collectQueued(func(e *entry) bool {
-		return e.kind == kindUE && e.cell == cell && !seen[e.rnti]
-	}) {
-		seen[e.rnti] = true
-	}
-	out := make([]uint16, 0, len(seen))
-	for rnti := range seen {
-		out = append(out, rnti)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	var out []history.UEPartial
+	var br blockReader
+	br.read(refs, 1|uint16(m.Num|m.Den)<<1, func(r *blockRef) {
+		p := history.UEPartial{Cell: r.cell, RNTI: r.rnti}
+		in := false
+		for i, idx := range br.idx {
+			if idx >= fromIdx && idx <= toIdx {
+				in = true
+				p.Num += br.bins[i].Sum(m.Num)
+				p.Den += br.bins[i].Sum(m.Den)
+			}
+		}
+		if in {
+			out = append(out, p)
+		}
+	})
+	l.queued(func(e *entry) {
+		if e.kind == kindUE && e.binIdx >= fromIdx && e.binIdx <= toIdx {
+			out = append(out, history.UEPartial{Cell: e.cell, RNTI: e.rnti, Num: e.bin.Sum(m.Num), Den: e.bin.Sum(m.Den)})
+		}
+	})
+	met.readSeconds.Observe(time.Since(start).Seconds())
 	return out
 }
 
@@ -457,24 +453,35 @@ func (l *Lake) Anomalies() []history.Anomaly {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
 	var out []history.Anomaly
-	for _, r := range l.anomRefs {
-		payload, err := r.seg.readBlock(r.off, r.plen)
-		if err != nil {
-			met.crcErrors.Inc()
-			continue
+	readAnomalies(l.anomRefs, nil, func(a history.Anomaly) { out = append(out, a) })
+	l.queued(func(e *entry) {
+		if e.kind == kindAnomaly {
+			out = append(out, e.anom)
 		}
-		h, err := parseBlockPayload(payload)
-		if err != nil {
-			met.crcErrors.Inc()
-			continue
-		}
-		_ = decodeAnomalyBlock(h, func(a history.Anomaly) { out = append(out, a) })
-	}
-	for _, e := range l.collectQueued(func(e *entry) bool { return e.kind == kindAnomaly }) {
-		out = append(out, e.anom)
-	}
+	})
 	sort.SliceStable(out, func(i, j int) bool { return out[i].AtMs < out[j].AtMs })
 	return out
+}
+
+// readAnomalies decodes, in order, the anomaly blocks refs point at:
+// all of them, or when only is set just those in its segments. Bad
+// blocks are counted and skipped.
+func readAnomalies(refs []blockRef, only map[*segment]bool, visit func(history.Anomaly)) {
+	for _, r := range refs {
+		if only != nil && !only[r.seg] {
+			continue
+		}
+		payload, err := r.seg.readBlock(r.off, r.plen)
+		if err == nil {
+			var h blockHeader
+			if h, err = parseBlockPayload(payload, nil); err == nil {
+				err = decodeAnomalyBlock(h, visit)
+			}
+		}
+		if err != nil {
+			met.crcErrors.Inc()
+		}
+	}
 }
 
 // --- lifecycle ---
@@ -555,6 +562,3 @@ func (l *Lake) Stats() Stats {
 		RecoveredSegments: l.stRecover.Load(),
 	}
 }
-
-// Dir returns the lake's root directory.
-func (l *Lake) Dir() string { return l.dir }

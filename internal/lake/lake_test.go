@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"nrscope/internal/history"
+	"nrscope/internal/telemetry"
 )
 
 // idleCfg keeps the background writer asleep except when poked by a
@@ -40,6 +41,18 @@ func readAll(t *testing.T, l *Lake, cell, rnti uint16, cellSeries bool) map[int6
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	return out
+}
+
+type ueKey struct{ cell, rnti uint16 }
+
+// scanUEs sums ScanUEs' partials per UE.
+func scanUEs(t *testing.T, l *Lake, fromIdx, toIdx int64, m history.Metric) map[ueKey]float64 {
+	t.Helper()
+	out := make(map[ueKey]float64)
+	for _, p := range l.ScanUEs(fromIdx, toIdx, m) {
+		out[ueKey{p.Cell, p.RNTI}] += p.Num
 	}
 	return out
 }
@@ -103,8 +116,9 @@ func TestLakeRoundtrip(t *testing.T) {
 		if _, _, ok := l.SeriesBounds(9, 0x4601, false); ok {
 			t.Errorf("%s: bounds for unknown cell reported ok", when)
 		}
-		if ues := l.SpilledUEs(3); len(ues) != 2 || ues[0] != 0x4601 || ues[1] != 0x4602 {
-			t.Errorf("%s: spilled UEs = %v", when, ues)
+		if ues := scanUEs(t, l, 0, 1<<40, history.Metric{Num: history.DLBitsField}); len(ues) != 2 ||
+			ues[ueKey{3, 0x4601}] != float64(n*1000+n*(n-1)/2) || ues[ueKey{3, 0x4602}] != float64(n*1000+n*(n-1)) {
+			t.Errorf("%s: scanned UEs = %v", when, ues)
 		}
 		anoms := l.Anomalies()
 		if len(anoms) != 2 || anoms[0].AtMs != 300 || anoms[1].Kind != "retx_spike" {
@@ -149,8 +163,106 @@ func TestLakeQueueVisibility(t *testing.T) {
 	if _, maxIdx, ok := l.SeriesBounds(1, 0x10, false); !ok || maxIdx != 42 {
 		t.Fatalf("pre-flush bounds maxIdx=%d ok=%v", maxIdx, ok)
 	}
-	if ues := l.SpilledUEs(1); len(ues) != 1 || ues[0] != 0x10 {
-		t.Fatalf("pre-flush SpilledUEs = %v", ues)
+	if ues := scanUEs(t, l, 42, 42, history.Metric{Num: history.GrantsField}); len(ues) != 1 || ues[ueKey{1, 0x10}] != 11 {
+		t.Fatalf("pre-flush ScanUEs = %v", ues)
+	}
+}
+
+// TestCorruptBlockSkipped flips one payload byte of one block in a
+// sealed segment. ReadSeries, TopK and Query skip that block alone —
+// its neighbours in the same coalesced read included — and each read
+// that touches it counts one CRC error.
+func TestCorruptBlockSkipped(t *testing.T) {
+	cfg := idleCfg()
+	cfg.SegmentBytes = 1 // seal the segment after every flush
+	l, err := Open(t.TempDir(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	st := history.New(history.Config{BinWidth: 100 * time.Millisecond, Depth: 2})
+	if err := st.AddCell(1, time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	st.AttachLake(l)
+	ues := []uint16{0xA, 0xB, 0xC}
+	feed := func(from, to int) {
+		for bin := from; bin < to; bin++ {
+			for i, rnti := range ues {
+				st.Ingest(1, telemetry.Record{TMs: float64(bin*100 + i), RNTI: rnti, Downlink: true, TBS: 100 * (bin + 1)})
+			}
+		}
+		if err := l.Sync(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	feed(0, 6)  // spills bins 0..3 of each series into one segment
+	feed(6, 10) // spills bins 4..7 into a second one
+
+	// The writer is idle, so the index can be read from here.
+	first := func(rnti uint16) blockRef {
+		for _, r := range l.series[seriesKey{cell: 1, rnti: rnti, kind: kindUE}].refs {
+			if r.minIdx == 0 {
+				return r
+			}
+		}
+		t.Fatalf("no block of %#x starts at bin 0", rnti)
+		return blockRef{}
+	}
+	a, b, c := first(0xA), first(0xB), first(0xC)
+	if !a.seg.sealed || a.seg != b.seg || b.seg != c.seg || a.off+frameHdr+int64(a.plen) != b.off || b.off+frameHdr+int64(b.plen) != c.off {
+		t.Fatalf("blocks of A, B, C are not back to back in one sealed segment: %+v %+v %+v", a, b, c)
+	}
+	f, err := os.OpenFile(b.seg.path, os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := b.off + frameHdr + int64(b.plen) - 1
+	var one [1]byte
+	if _, err := f.ReadAt(one[:], at); err != nil {
+		t.Fatal(err)
+	}
+	one[0] ^= 0xFF
+	if _, err := f.WriteAt(one[:], at); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	crc := met.crcErrors.Value()
+	touched := func(what string, want int64) {
+		t.Helper()
+		if got := met.crcErrors.Value() - crc; got != want {
+			t.Errorf("%s: %d CRC errors counted, want %d", what, got, want)
+		}
+		crc = met.crcErrors.Value()
+	}
+	gotB := readAll(t, l, 1, 0xB, false)
+	touched("ReadSeries(B)", 1)
+	if len(gotB) != 4 || gotB[4].DLBits != 500 || gotB[7].DLBits != 800 {
+		t.Errorf("ReadSeries(B) = %v, want bins 4..7", gotB)
+	}
+	if gotA := readAll(t, l, 1, 0xA, false); len(gotA) != 8 || gotA[0].DLBits != 100 {
+		t.Errorf("ReadSeries(A) = %v, want bins 0..7", gotA)
+	}
+	touched("ReadSeries(A)", 0)
+
+	ranks, err := st.TopK("dl_bits", time.Hour, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	touched("TopK", 1)
+	want := []history.UERank{{Cell: 1, RNTI: 0xA, Value: 5500}, {Cell: 1, RNTI: 0xC, Value: 5500}, {Cell: 1, RNTI: 0xB, Value: 4500}}
+	if len(ranks) != 3 || ranks[0] != want[0] || ranks[1] != want[1] || ranks[2] != want[2] {
+		t.Errorf("TopK = %+v, want %+v", ranks, want)
+	}
+	var sum int64
+	bins, _ := st.Query(1, 0xB, 0, 0, 1)
+	for _, s := range bins {
+		sum += s.DLBits
+	}
+	touched("Query(B)", 1)
+	if sum != 4500 {
+		t.Errorf("Query(B) sums %d bits, want 4500", sum)
 	}
 }
 

@@ -1,11 +1,14 @@
 package lake
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"math"
 	"os"
+	"slices"
+
+	"nrscope/internal/history"
 )
 
 // On-disk segment layout:
@@ -51,6 +54,10 @@ type segment struct {
 	f      *os.File
 	size   int64
 	sealed bool
+	// The newest bin index and anomaly time (ms) the published index
+	// holds in this segment, for retention; indexed once it holds any.
+	maxIdx, maxMs int64
+	indexed       bool
 }
 
 // appendBlock frames and writes one encoded payload, returning its
@@ -78,10 +85,16 @@ func (s *segment) readBlock(off int64, plen int) ([]byte, error) {
 	if _, err := s.f.ReadAt(buf, off); err != nil {
 		return nil, err
 	}
+	return s.checkFrame(buf, off)
+}
+
+// checkFrame verifies the framing and CRC of the block read from off
+// into buf, returning its payload.
+func (s *segment) checkFrame(buf []byte, off int64) ([]byte, error) {
 	if m := binary.LittleEndian.Uint32(buf[0:]); m != blockMagic && m != footerMagic {
 		return nil, fmt.Errorf("lake: bad block magic %#x at %s+%d", m, s.name, off)
 	}
-	if got := binary.LittleEndian.Uint32(buf[4:]); int(got) != plen {
+	if got := binary.LittleEndian.Uint32(buf[4:]); int(got) != len(buf)-frameHdr {
 		return nil, fmt.Errorf("lake: block length mismatch at %s+%d", s.name, off)
 	}
 	payload := buf[frameHdr:]
@@ -89,6 +102,64 @@ func (s *segment) readBlock(off int64, plen int) ([]byte, error) {
 		return nil, fmt.Errorf("lake: block CRC mismatch at %s+%d", s.name, off)
 	}
 	return payload, nil
+}
+
+// maxRun caps the bytes one coalesced read covers.
+const maxRun = 1 << 20
+
+// blockReader reads series blocks for one query, reusing its buffers
+// from block to block.
+type blockReader struct {
+	buf  []byte
+	cols [][]byte
+	blockRows
+}
+
+// read decodes the columns cols selects of every series block refs
+// point at, and calls visit after each. Blocks that sit back to back in
+// a segment are read with one ReadAt per run, but every block's frame,
+// CRC and header are checked on their own: a bad block is counted and
+// skipped, and its neighbours in the run are not. refs is sorted in
+// place.
+func (br *blockReader) read(refs []blockRef, cols uint16, visit func(r *blockRef)) {
+	slices.SortFunc(refs, func(a, b blockRef) int {
+		if a.seg != b.seg {
+			return cmp.Compare(a.seg.seq, b.seg.seq)
+		}
+		return cmp.Compare(a.off, b.off)
+	})
+	for i := 0; i < len(refs); {
+		first := &refs[i]
+		end := first.off + frameHdr + int64(first.plen)
+		j := i + 1
+		for ; j < len(refs) && refs[j].seg == first.seg && refs[j].off == end && end-first.off < maxRun; j++ {
+			end += frameHdr + int64(refs[j].plen)
+		}
+		br.buf = slices.Grow(br.buf[:0], int(end-first.off))[:end-first.off]
+		n, _ := first.seg.f.ReadAt(br.buf, first.off)
+		for ; i < j; i++ {
+			r := &refs[i]
+			at, to := r.off-first.off, r.off-first.off+frameHdr+int64(r.plen)
+			if int64(n) < to || br.decode(r, br.buf[at:to], cols) != nil {
+				met.crcErrors.Inc()
+				continue
+			}
+			visit(r)
+		}
+	}
+}
+
+func (br *blockReader) decode(r *blockRef, frame []byte, cols uint16) error {
+	payload, err := r.seg.checkFrame(frame, r.off)
+	if err != nil {
+		return err
+	}
+	h, err := parseBlockPayload(payload, br.cols)
+	if err != nil {
+		return err
+	}
+	br.cols = h.cols
+	return decodeSeriesBlock(h, cols, &br.blockRows)
 }
 
 // seal writes the footer index + trailer and fsyncs. The segment stays
@@ -290,7 +361,7 @@ func (s *segment) scan() ([]blockRef, int64) {
 // refFromPayload builds a blockRef by decoding just enough of a
 // payload: the header and the bin-index bounds.
 func refFromPayload(s *segment, off int64, payload []byte) (blockRef, error) {
-	h, err := parseBlockPayload(payload)
+	h, err := parseBlockPayload(payload, nil)
 	if err != nil {
 		return blockRef{}, err
 	}
@@ -298,39 +369,23 @@ func refFromPayload(s *segment, off int64, payload []byte) (blockRef, error) {
 		seg: s, off: off, plen: len(payload),
 		kind: h.kind, cell: h.cell, rnti: h.rnti, count: h.count,
 	}
+	var ts []int64 // the block's bin indices, or its anomaly times in ms
 	switch {
-	case h.kind == kindAnomaly && h.count > 0:
+	case h.kind == kindAnomaly:
 		// Anomaly ref bounds are in ms (the AtMs column), mirroring the
 		// writer: leaving them zero would make retention read a
 		// recovered segment as infinitely old and delete it.
-		if len(h.cols) != anomColumns {
-			return blockRef{}, fmt.Errorf("lake: anomaly block has %d columns, want %d", len(h.cols), anomColumns)
-		}
-		col := h.cols[3]
-		for i := 0; i < h.count; i++ {
-			v, n := binary.Uvarint(col)
-			if n <= 0 {
-				return blockRef{}, fmt.Errorf("lake: truncated anomaly t_ms column")
-			}
-			col = col[n:]
-			ms := int64(math.Float64frombits(v))
-			if i == 0 {
-				r.minIdx, r.maxIdx = ms, ms
-			} else {
-				r.minIdx, r.maxIdx = min(r.minIdx, ms), max(r.maxIdx, ms)
-			}
-		}
-	case h.kind != kindAnomaly && h.count > 0:
-		idxs, err := decodeBinIdx(h.cols[0], h.count, nil)
-		if err != nil {
-			return blockRef{}, err
-		}
-		r.minIdx, r.maxIdx = idxs[0], idxs[0]
-		for _, idx := range idxs[1:] {
-			r.minIdx, r.maxIdx = min(r.minIdx, idx), max(r.maxIdx, idx)
-		}
+		err = decodeAnomalyBlock(h, func(a history.Anomaly) { ts = append(ts, int64(a.AtMs)) })
+	case h.count > 0:
+		ts, err = decodeBinIdx(h.cols[0], h.count, nil)
 	}
-	return r, nil
+	for i, v := range ts {
+		if i == 0 {
+			r.minIdx, r.maxIdx = v, v
+		}
+		r.minIdx, r.maxIdx = min(r.minIdx, v), max(r.maxIdx, v)
+	}
+	return r, err
 }
 
 // createSegment creates a fresh segment file (O_EXCL: names are

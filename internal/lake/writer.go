@@ -1,8 +1,10 @@
 package lake
 
 import (
+	"cmp"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"time"
 
@@ -113,15 +115,24 @@ func (l *Lake) flushOnce() {
 // l.mu (or run single-threaded during Open).
 func (l *Lake) publishRefs(refs []blockRef) {
 	for _, r := range refs {
+		r.seg.indexed = true
 		if r.kind == kindAnomaly {
+			r.seg.maxMs = max(r.seg.maxMs, r.maxIdx) // anomaly ref bounds are in ms
 			l.anomRefs = append(l.anomRefs, r)
 			continue
 		}
-		k := seriesKey{cell: r.cell, rnti: r.rnti, kind: r.kind}
-		l.series[k] = append(l.series[k], r)
-		if r.maxIdx > l.maxIdx {
-			l.maxIdx = r.maxIdx
+		r.seg.maxIdx = max(r.seg.maxIdx, r.maxIdx)
+		if r.count == 0 {
+			continue // holds nothing to find
 		}
+		k := seriesKey{cell: r.cell, rnti: r.rnti, kind: r.kind}
+		si := l.series[k]
+		if si == nil {
+			si = &seriesIndex{}
+			l.series[k] = si
+		}
+		si.add(r)
+		l.maxIdx = max(l.maxIdx, r.maxIdx)
 	}
 }
 
@@ -175,18 +186,15 @@ func (l *Lake) writeBatch(batch []entry) []blockRef {
 			kind: k.kind, cell: k.cell, rnti: k.rnti,
 			count: len(run),
 		}
-		if k.kind == kindAnomaly {
-			r.minIdx, r.maxIdx = int64(batch[run[0]].anom.AtMs), int64(batch[run[0]].anom.AtMs)
-			for i := 1; i < len(run); i++ {
-				ms := int64(batch[run[i]].anom.AtMs)
-				r.minIdx, r.maxIdx = min(r.minIdx, ms), max(r.maxIdx, ms)
+		for i, bi := range run {
+			v := batch[bi].binIdx
+			if k.kind == kindAnomaly {
+				v = int64(batch[bi].anom.AtMs) // anomaly ref bounds are in ms
 			}
-		} else {
-			r.minIdx, r.maxIdx = batch[run[0]].binIdx, batch[run[0]].binIdx
-			for i := 1; i < len(run); i++ {
-				idx := batch[run[i]].binIdx
-				r.minIdx, r.maxIdx = min(r.minIdx, idx), max(r.maxIdx, idx)
+			if i == 0 {
+				r.minIdx, r.maxIdx = v, v
 			}
+			r.minIdx, r.maxIdx = min(r.minIdx, v), max(r.maxIdx, v)
 		}
 		a.refs = append(a.refs, r)
 		refs = append(refs, r)
@@ -280,47 +288,31 @@ func (l *Lake) compactCell(cell uint16, victims []*segment) {
 	// path allocates freely.
 	merged := make(map[seriesKey]map[int64]history.Bin)
 	var anoms []history.Anomaly
-	decode := func(r blockRef) {
-		payload, err := r.seg.readBlock(r.off, r.plen)
-		if err != nil {
-			met.crcErrors.Inc()
-			return
+	// The writer is the index's only mutator, so reading it lock-free
+	// from the writer goroutine is safe.
+	var refs []blockRef
+	for _, si := range l.series {
+		for _, r := range si.refs {
+			if inSet[r.seg] {
+				refs = append(refs, r)
+			}
 		}
-		h, err := parseBlockPayload(payload)
-		if err != nil {
-			met.crcErrors.Inc()
-			return
-		}
-		if r.kind == kindAnomaly {
-			_ = decodeAnomalyBlock(h, func(a history.Anomaly) { anoms = append(anoms, a) })
-			return
-		}
+	}
+	var br blockReader
+	br.read(refs, allCols, func(r *blockRef) {
 		k := seriesKey{cell: r.cell, rnti: r.rnti, kind: r.kind}
 		m := merged[k]
 		if m == nil {
 			m = make(map[int64]history.Bin)
 			merged[k] = m
 		}
-		_ = decodeSeriesBlock(h, r.minIdx, r.maxIdx, func(idx int64, b history.Bin) {
+		for i, idx := range br.idx {
 			old := m[idx]
-			old.Merge(b)
+			old.Merge(br.bins[i])
 			m[idx] = old
-		})
-	}
-	// The writer is the index's only mutator, so reading it lock-free
-	// from the writer goroutine is safe.
-	for _, refs := range l.series {
-		for _, r := range refs {
-			if inSet[r.seg] {
-				decode(r)
-			}
 		}
-	}
-	for _, r := range l.anomRefs {
-		if inSet[r.seg] {
-			decode(r)
-		}
-	}
+	})
+	readAnomalies(l.anomRefs, inSet, func(a history.Anomaly) { anoms = append(anoms, a) })
 
 	seq := l.nextSeq
 	l.nextSeq++
@@ -341,12 +333,8 @@ func (l *Lake) compactCell(cell uint16, victims []*segment) {
 	for k := range merged {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.kind != b.kind {
-			return a.kind < b.kind
-		}
-		return a.rnti < b.rnti
+	slices.SortFunc(keys, func(a, b seriesKey) int {
+		return cmp.Or(cmp.Compare(a.kind, b.kind), cmp.Compare(a.rnti, b.rnti))
 	})
 	for _, k := range keys {
 		rows := merged[k]
@@ -419,26 +407,19 @@ func (l *Lake) compactCell(cell uint16, victims []*segment) {
 // dropSegRefsLocked removes every index ref pointing into the given
 // segments. Caller holds l.mu.
 func (l *Lake) dropSegRefsLocked(victims map[*segment]bool) {
-	for k, refs := range l.series {
-		kept := refs[:0]
+	for k, si := range l.series {
+		refs := si.refs
+		*si = seriesIndex{refs: refs[:0]}
 		for _, r := range refs {
 			if !victims[r.seg] {
-				kept = append(kept, r)
+				si.add(r)
 			}
 		}
-		if len(kept) == 0 {
+		if len(si.refs) == 0 {
 			delete(l.series, k)
-		} else {
-			l.series[k] = kept
 		}
 	}
-	kept := l.anomRefs[:0]
-	for _, r := range l.anomRefs {
-		if !victims[r.seg] {
-			kept = append(kept, r)
-		}
-	}
-	l.anomRefs = kept
+	l.anomRefs = slices.DeleteFunc(l.anomRefs, func(r blockRef) bool { return victims[r.seg] })
 }
 
 // retention deletes sealed segments wholly behind the horizon.
@@ -455,44 +436,8 @@ func (l *Lake) retention() {
 	}
 	cutoffMs := float64(cutoff) * float64(l.cfg.BinWidth) / float64(time.Millisecond)
 
-	type bound struct {
-		maxIdx int64
-		maxMs  int64
-		has    bool
-	}
-	bounds := make(map[*segment]*bound)
-	note := func(seg *segment, idx, ms int64) {
-		b := bounds[seg]
-		if b == nil {
-			b = &bound{}
-			bounds[seg] = b
-		}
-		if !b.has || idx > b.maxIdx {
-			b.maxIdx = idx
-		}
-		if !b.has || ms > b.maxMs {
-			b.maxMs = ms
-		}
-		b.has = true
-	}
-	for _, refs := range l.series {
-		for _, r := range refs {
-			note(r.seg, r.maxIdx, 0)
-		}
-	}
-	for _, r := range l.anomRefs {
-		note(r.seg, 0, r.maxIdx) // anomaly ref bounds are in ms
-	}
-
 	for name, seg := range l.segs {
-		if !seg.sealed {
-			continue
-		}
-		b := bounds[seg]
-		if b == nil || !b.has {
-			continue
-		}
-		if b.maxIdx >= cutoff || float64(b.maxMs) >= cutoffMs {
+		if !seg.sealed || !seg.indexed || seg.maxIdx >= cutoff || float64(seg.maxMs) >= cutoffMs {
 			continue
 		}
 		victims := map[*segment]bool{seg: true}

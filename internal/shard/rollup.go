@@ -100,15 +100,7 @@ func (s *Supervisor) TopK(metric string, window time.Duration, k int) ([]history
 		}
 		all = append(all, ranks...)
 	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].Value != all[j].Value {
-			return all[i].Value > all[j].Value
-		}
-		if all[i].Cell != all[j].Cell {
-			return all[i].Cell < all[j].Cell
-		}
-		return all[i].RNTI < all[j].RNTI
-	})
+	slices.SortFunc(all, history.CompareRanks)
 	if k > 0 && len(all) > k {
 		all = all[:k]
 	}
