@@ -63,15 +63,17 @@ func goldenSingleCell(t *testing.T) goldenRun {
 		tb.AttachUE(UEProfile{Mobility: mobility[i%len(mobility)]})
 	}
 	jsonl := fnv.New64a()
-	enc := json.NewEncoder(jsonl)
+	var line []byte
 	spare := fnv.New64a()
 	var run goldenRun
 	for i := 0; i < slots; i++ {
 		res := tb.Step()
-		for _, rec := range res.Records {
-			if err := enc.Encode(rec); err != nil {
+		for j := range res.Records {
+			line, err = telemetry.AppendJSON(line[:0], &res.Records[j])
+			if err != nil {
 				t.Fatal(err)
 			}
+			jsonl.Write(append(line, '\n'))
 		}
 		run.Records += len(res.Records)
 		if res.Spare == nil {
@@ -276,7 +278,7 @@ func goldenSharded(t *testing.T, reversed bool) (sharded, fused goldenRun) {
 
 // recordHash is the FNV-64a of one record's JSONL line.
 func recordHash(t *testing.T, rec telemetry.Record) uint64 {
-	data, err := json.Marshal(rec)
+	data, err := telemetry.AppendJSON(nil, &rec)
 	if err != nil {
 		t.Error(err)
 	}

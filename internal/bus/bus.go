@@ -55,6 +55,11 @@ func (p Policy) String() string {
 // ErrClosed is returned by Publish and Subscribe after Close.
 var ErrClosed = errors.New("bus: closed")
 
+// ErrUnencodable is returned by Publish for a record whose code_rate or
+// t_ms is NaN or infinite: JSON has no form for it, so no line sink
+// could write it.
+var ErrUnencodable = errors.New("bus: record has a non-finite code_rate or t_ms")
+
 // Sink consumes delivered record batches. WriteBatch is called from the
 // subscription's runner goroutine only (no concurrent calls for one
 // subscription); an error triggers the runner's retry/quarantine
@@ -129,9 +134,9 @@ func WithBatch(maxBatch int, maxDelay time.Duration) SubOption {
 	}
 }
 
-// WithRetry sets the per-batch delivery retry budget and the
+// withRetry sets the per-batch delivery retry budget and the
 // exponential-backoff base and cap (default 3 retries, 5 ms..250 ms).
-func WithRetry(maxRetries int, base, cap time.Duration) SubOption {
+func withRetry(maxRetries int, base, cap time.Duration) SubOption {
 	return func(c *subConfig) {
 		if maxRetries >= 0 {
 			c.maxRetries = maxRetries
@@ -145,10 +150,10 @@ func WithRetry(maxRetries int, base, cap time.Duration) SubOption {
 	}
 }
 
-// WithQuarantine sets how many consecutive failed deliveries quarantine
+// withQuarantine sets how many consecutive failed deliveries quarantine
 // the sink and for how long; while quarantined, batches become counted
 // drops instead of delivery attempts (default 3 failures, 2 s).
-func WithQuarantine(after int, cooldown time.Duration) SubOption {
+func withQuarantine(after int, cooldown time.Duration) SubOption {
 	return func(c *subConfig) {
 		if after > 0 {
 			c.quarantineAfter = after
@@ -239,8 +244,14 @@ func (b *Bus) Subscribe(name string, policy Policy, sink Sink, opts ...SubOption
 
 // Publish fans one record out to every subscription, honouring each
 // subscription's backpressure policy. Safe for concurrent use. After
-// Close it returns ErrClosed instead of panicking.
+// Close it returns ErrClosed instead of panicking. A record with a
+// non-finite code_rate or t_ms is refused with ErrUnencodable before
+// any subscription sees it.
 func (b *Bus) Publish(rec telemetry.Record) error {
+	if !rec.Encodable() {
+		met.publishRejected.Inc()
+		return ErrUnencodable
+	}
 	b.mu.Lock()
 	if b.closed {
 		b.mu.Unlock()

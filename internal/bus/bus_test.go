@@ -245,8 +245,8 @@ func TestRetryThenQuarantine(t *testing.T) {
 	sink.failing.Store(true)
 	sub, err := b.Subscribe("edge_quarantine", Block, sink,
 		WithBatch(1, time.Millisecond),
-		WithRetry(2, time.Millisecond, 4*time.Millisecond),
-		WithQuarantine(1, 300*time.Millisecond))
+		withRetry(2, time.Millisecond, 4*time.Millisecond),
+		withQuarantine(1, 300*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,8 +348,8 @@ func TestDrainZeroLossWithConcurrentSlowTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv, err := NewTCPServer(b, "127.0.0.1:0",
-		WithWriteTimeout(200*time.Millisecond),
-		WithConnOptions(WithQueueSize(16), WithBatch(8, time.Millisecond)))
+		withWriteTimeout(200*time.Millisecond),
+		withConnOptions(WithQueueSize(16), WithBatch(8, time.Millisecond)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -498,8 +498,8 @@ func TestQuarantineCooldownResume(t *testing.T) {
 	sink.failing.Store(true)
 	sub, err := b.Subscribe("edge_cooldown", Block, sink,
 		WithBatch(1, time.Millisecond),
-		WithRetry(0, time.Millisecond, time.Millisecond),
-		WithQuarantine(2, 120*time.Millisecond))
+		withRetry(0, time.Millisecond, time.Millisecond),
+		withQuarantine(2, 120*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -560,8 +560,8 @@ func TestDeliverySuccessResetsFailureCounter(t *testing.T) {
 	sink := &collectSink{}
 	sub, err := b.Subscribe("edge_failreset", Block, sink,
 		WithBatch(1, time.Millisecond),
-		WithRetry(0, time.Millisecond, time.Millisecond),
-		WithQuarantine(3, 10*time.Second))
+		withRetry(0, time.Millisecond, time.Millisecond),
+		withQuarantine(3, 10*time.Second))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -95,7 +95,7 @@ func TestNoLingerBatchesGrowWhileSinkBusy(t *testing.T) {
 }
 
 // TestLiveSubscriberBatchDefaults: a TCP connection and an SSE client
-// subscribe without linger, an explicit WithConnOptions batch rule
+// subscribe without linger, an explicit withConnOptions batch rule
 // still wins, and a negative maxDelay keeps the 5 ms default.
 func TestLiveSubscriberBatchDefaults(t *testing.T) {
 	tcpCfg := func(opts ...TCPOption) subConfig {
@@ -127,7 +127,7 @@ func TestLiveSubscriberBatchDefaults(t *testing.T) {
 	if cfg := tcpCfg(); cfg.maxBatch != 64 || cfg.maxDelay != 0 {
 		t.Errorf("TCP connection batches %d / %v, want 64 / 0", cfg.maxBatch, cfg.maxDelay)
 	}
-	if cfg := tcpCfg(WithConnOptions(WithBatch(16, time.Millisecond))); cfg.maxBatch != 16 || cfg.maxDelay != time.Millisecond {
+	if cfg := tcpCfg(withConnOptions(WithBatch(16, time.Millisecond))); cfg.maxBatch != 16 || cfg.maxDelay != time.Millisecond {
 		t.Errorf("overridden TCP connection batches %d / %v, want 16 / 1ms", cfg.maxBatch, cfg.maxDelay)
 	}
 

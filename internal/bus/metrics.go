@@ -16,7 +16,7 @@ var met = struct {
 	published: obs.Default.Counter("nrscope_bus_published_total",
 		"records published into the telemetry bus"),
 	publishRejected: obs.Default.Counter("nrscope_bus_publish_rejected_total",
-		"publishes rejected because the bus or a subscription was closed"),
+		"publishes rejected because the bus or a subscription was closed, or the record had a non-finite code_rate or t_ms"),
 	subscribers: obs.Default.Gauge("nrscope_bus_subscribers",
 		"live bus subscriptions"),
 }

@@ -1,8 +1,6 @@
 package bus
 
 import (
-	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -14,14 +12,14 @@ import (
 // JSONLSink writes record batches as JSON lines — the bus-managed form
 // of the paper's Fig. 4 log file. Backed by a file (NewJSONLFileSink)
 // it rotates on size: when the current file exceeds maxBytes after a
-// flush, it is renamed to <path>.1, <path>.2, ... and a fresh <path> is
+// batch, it is renamed to <path>.1, <path>.2, ... and a fresh <path> is
 // opened, so a long-lived service never grows one unbounded log.
 type JSONLSink struct {
 	mu      sync.Mutex
-	bw      *bufio.Writer
-	cw      *countingWriter
-	enc     *json.Encoder
+	w       io.Writer
+	buf     []byte   // the batch being written, reused
 	file    *os.File // nil when wrapping a plain io.Writer
+	size    int64    // bytes written to the current file
 	path    string
 	maxSize int64
 	seq     int
@@ -29,23 +27,9 @@ type JSONLSink struct {
 	closed  bool
 }
 
-// countingWriter tracks bytes flushed to the underlying writer.
-type countingWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
-}
-
 // NewJSONLSink wraps an io.Writer in a JSONL batch sink (no rotation).
 func NewJSONLSink(w io.Writer) *JSONLSink {
-	cw := &countingWriter{w: w}
-	bw := bufio.NewWriter(cw)
-	return &JSONLSink{bw: bw, cw: cw, enc: json.NewEncoder(bw)}
+	return &JSONLSink{w: w}
 }
 
 // NewJSONLFileSink creates (truncating) path and rotates it whenever it
@@ -62,28 +46,46 @@ func NewJSONLFileSink(path string, maxBytes int64) (*JSONLSink, error) {
 	return s, nil
 }
 
-// WriteBatch implements Sink: encode, flush, maybe rotate.
+// WriteBatch implements Sink: encode the whole batch, write it in one
+// call, maybe rotate. A record that does not encode fails the batch
+// before any of it is written, so a retry cannot duplicate lines.
 func (s *JSONLSink) WriteBatch(recs []telemetry.Record) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return fmt.Errorf("bus: jsonl sink closed")
 	}
-	for _, rec := range recs {
-		if err := s.enc.Encode(rec); err != nil {
-			return fmt.Errorf("bus: jsonl sink: %w", err)
-		}
+	buf, err := appendLines(s.buf[:0], recs, "", "\n")
+	s.buf = buf
+	if err != nil {
+		return fmt.Errorf("bus: jsonl sink: %w", err)
 	}
-	if err := s.bw.Flush(); err != nil {
+	n, err := s.w.Write(buf)
+	s.size += int64(n)
+	if err != nil {
 		return fmt.Errorf("bus: jsonl sink: %w", err)
 	}
 	s.count += int64(len(recs))
-	if s.file != nil && s.maxSize > 0 && s.cw.n >= s.maxSize {
+	if s.file != nil && s.maxSize > 0 && s.size >= s.maxSize {
 		if err := s.rotateLocked(); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// appendLines appends each record's JSON encoding to dst between
+// prefix and suffix.
+func appendLines(dst []byte, recs []telemetry.Record, prefix, suffix string) ([]byte, error) {
+	var err error
+	for i := range recs {
+		dst = append(dst, prefix...)
+		if dst, err = telemetry.AppendJSON(dst, &recs[i]); err != nil {
+			return dst, err
+		}
+		dst = append(dst, suffix...)
+	}
+	return dst, nil
 }
 
 // rotateLocked closes the current file, shelves it as <path>.<seq>, and
@@ -100,10 +102,7 @@ func (s *JSONLSink) rotateLocked() error {
 	if err != nil {
 		return fmt.Errorf("bus: jsonl rotate: %w", err)
 	}
-	s.file = f
-	s.cw = &countingWriter{w: f}
-	s.bw = bufio.NewWriter(s.cw)
-	s.enc = json.NewEncoder(s.bw)
+	s.file, s.w, s.size = f, f, 0
 	return nil
 }
 
@@ -121,7 +120,8 @@ func (s *JSONLSink) Rotations() int {
 	return s.seq
 }
 
-// Close flushes and, for file-backed sinks, closes the file.
+// Close closes the file of a file-backed sink. Each batch was written
+// whole, so there is nothing to flush.
 func (s *JSONLSink) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -129,11 +129,8 @@ func (s *JSONLSink) Close() error {
 		return nil
 	}
 	s.closed = true
-	err := s.bw.Flush()
 	if s.file != nil {
-		if cerr := s.file.Close(); err == nil {
-			err = cerr
-		}
+		return s.file.Close()
 	}
-	return err
+	return nil
 }

@@ -97,7 +97,7 @@ func TestTCPServerWireCompatible(t *testing.T) {
 	b := New()
 	defer b.Close()
 	srv, err := NewTCPServer(b, "127.0.0.1:0",
-		WithConnOptions(WithBatch(4, time.Millisecond)))
+		withConnOptions(WithBatch(4, time.Millisecond)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,8 +133,8 @@ func TestTCPServerDropsDeadSubscriber(t *testing.T) {
 	b := New()
 	defer b.Close()
 	srv, err := NewTCPServer(b, "127.0.0.1:0",
-		WithWriteTimeout(200*time.Millisecond),
-		WithConnOptions(WithBatch(1, time.Millisecond)))
+		withWriteTimeout(200*time.Millisecond),
+		withConnOptions(WithBatch(1, time.Millisecond)))
 	if err != nil {
 		t.Fatal(err)
 	}

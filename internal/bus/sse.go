@@ -1,8 +1,6 @@
 package bus
 
 import (
-	"bytes"
-	"encoding/json"
 	"net/http"
 
 	"nrscope/internal/telemetry"
@@ -47,25 +45,18 @@ func SSEHandler(b *Bus) http.Handler {
 type sseSink struct {
 	w   http.ResponseWriter
 	fl  http.Flusher
-	buf bytes.Buffer
-	enc *json.Encoder
+	buf []byte
 }
 
 // WriteBatch implements Sink, one write per batch encoded into a reused
 // buffer.
 func (s *sseSink) WriteBatch(recs []telemetry.Record) error {
-	if s.enc == nil {
-		s.enc = json.NewEncoder(&s.buf)
+	buf, err := appendLines(s.buf[:0], recs, "data: ", "\n\n")
+	s.buf = buf
+	if err != nil {
+		return err
 	}
-	s.buf.Reset()
-	for i := range recs {
-		s.buf.WriteString("data: ")
-		if err := s.enc.Encode(&recs[i]); err != nil {
-			return err
-		}
-		s.buf.WriteByte('\n')
-	}
-	if _, err := s.w.Write(s.buf.Bytes()); err != nil {
+	if _, err := s.w.Write(buf); err != nil {
 		return err
 	}
 	s.fl.Flush()

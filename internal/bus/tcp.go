@@ -1,8 +1,6 @@
 package bus
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"net"
 	"sync"
@@ -34,10 +32,10 @@ type TCPServer struct {
 // TCPOption tunes the TCP server.
 type TCPOption func(*TCPServer)
 
-// WithWriteTimeout bounds each connection write (default 5 s); a
+// withWriteTimeout bounds each connection write (default 5 s); a
 // subscriber that stops reading is disconnected after at most this
 // long, it can never stall drain.
-func WithWriteTimeout(d time.Duration) TCPOption {
+func withWriteTimeout(d time.Duration) TCPOption {
 	return func(s *TCPServer) {
 		if d > 0 {
 			s.writeTimeout = d
@@ -45,9 +43,9 @@ func WithWriteTimeout(d time.Duration) TCPOption {
 	}
 }
 
-// WithConnOptions forwards subscription options (queue size, batch
+// withConnOptions forwards subscription options (queue size, batch
 // rule) to every accepted connection, over the no-linger default.
-func WithConnOptions(opts ...SubOption) TCPOption {
+func withConnOptions(opts ...SubOption) TCPOption {
 	return func(s *TCPServer) { s.subOpts = append(s.subOpts, opts...) }
 }
 
@@ -139,29 +137,24 @@ func (s *TCPServer) Close() error {
 type connSink struct {
 	conn    net.Conn
 	timeout time.Duration
-	buf     bytes.Buffer
-	enc     *json.Encoder
+	buf     []byte
 }
 
 // WriteBatch implements Sink, one socket write per batch encoded into a
 // reused buffer. Any error (including a write deadline hit) is terminal
 // for the connection via the fail-fast policy.
 func (c *connSink) WriteBatch(recs []telemetry.Record) error {
-	if c.enc == nil {
-		c.enc = json.NewEncoder(&c.buf)
-	}
-	c.buf.Reset()
-	for i := range recs {
-		if err := c.enc.Encode(&recs[i]); err != nil {
-			return err
-		}
+	buf, err := appendLines(c.buf[:0], recs, "", "\n")
+	c.buf = buf
+	if err != nil {
+		return err
 	}
 	if c.timeout > 0 {
 		if err := c.conn.SetWriteDeadline(time.Now().Add(c.timeout)); err != nil {
 			return err
 		}
 	}
-	_, err := c.conn.Write(c.buf.Bytes())
+	_, err = c.conn.Write(buf)
 	return err
 }
 

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"io"
 	"net"
+	"net/http"
 	"net/http/httptest"
 	"testing"
 	"time"
@@ -123,6 +124,60 @@ func TestConnSinkWriteBatchAllocFree(t *testing.T) {
 	recs := wireRecs()
 	write := func() {
 		conn.buf.Reset()
+		if err := sink.WriteBatch(recs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write() // warm the buffers
+	if allocs := testing.AllocsPerRun(100, write); allocs != 0 {
+		t.Errorf("%v allocs per %d-record batch, want 0", allocs, len(recs))
+	}
+}
+
+// TestJSONLSinkWriteBatchAllocFree: once warm, encoding and writing a
+// JSONL batch allocates nothing.
+func TestJSONLSinkWriteBatchAllocFree(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("race instrumentation allocates; alloc assertions are meaningless")
+	}
+	var out bytes.Buffer
+	sink := NewJSONLSink(&out)
+	recs := wireRecs()
+	write := func() {
+		out.Reset()
+		if err := sink.WriteBatch(recs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write() // warm the buffers
+	if allocs := testing.AllocsPerRun(100, write); allocs != 0 {
+		t.Errorf("%v allocs per %d-record batch, want 0", allocs, len(recs))
+	}
+}
+
+// flushRecorder is an http.ResponseWriter and Flusher that keeps the
+// last write; the embedded nil ResponseWriter stands in for methods
+// sseSink never calls.
+type flushRecorder struct {
+	http.ResponseWriter
+	buf     bytes.Buffer
+	flushes int
+}
+
+func (f *flushRecorder) Write(p []byte) (int, error) { return f.buf.Write(p) }
+func (f *flushRecorder) Flush()                      { f.flushes++ }
+
+// TestSSESinkWriteBatchAllocFree: once warm, framing and writing an SSE
+// batch allocates nothing.
+func TestSSESinkWriteBatchAllocFree(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("race instrumentation allocates; alloc assertions are meaningless")
+	}
+	w := &flushRecorder{}
+	sink := &sseSink{w: w, fl: w}
+	recs := wireRecs()
+	write := func() {
+		w.buf.Reset()
 		if err := sink.WriteBatch(recs); err != nil {
 			t.Fatal(err)
 		}

@@ -318,7 +318,9 @@ func TestE2EOTLP(t *testing.T) {
 
 // TestE2EFlakyBackend drives the full failure lifecycle — healthy →
 // erroring (retry, then quarantine) → recovered — and closes the
-// accounting: every published record is either Sent or Dropped.
+// accounting: every published record is either Sent or Dropped. The
+// subscription runs the bus defaults a pump gets in production: 3
+// retries per batch, quarantine after 3 failed batches, 2 s cooldown.
 func TestE2EFlakyBackend(t *testing.T) {
 	var failing atomic.Bool
 	var calls, errors atomic.Int64
@@ -340,10 +342,7 @@ func TestE2EFlakyBackend(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := bus.New()
-	sub := subscribePump(t, b, snk, tun,
-		bus.WithRetry(1, time.Millisecond, 2*time.Millisecond),
-		bus.WithQuarantine(2, 150*time.Millisecond),
-	)
+	sub := subscribePump(t, b, snk, tun)
 
 	published := 0
 	publish := func(i int) {
@@ -358,26 +357,28 @@ func TestE2EFlakyBackend(t *testing.T) {
 	publish(0)
 	waitFor(t, "first delivery", func() bool { return snk.Sent() == 1 })
 
-	// Backend dies: two consecutive batch failures (each retried once)
+	// Backend dies: three consecutive batch failures (each retried)
 	// trip the quarantine.
 	failing.Store(true)
 	publish(1)
 	waitFor(t, "first failure drop", func() bool { return snk.Dropped() == 1 })
 	publish(2)
+	waitFor(t, "second failure drop", func() bool { return snk.Dropped() == 2 })
+	publish(3)
 	waitFor(t, "quarantine", func() bool { return sub.Stats().Quarantines == 1 })
 
 	// In quarantine: dropped without touching the backend.
 	before := calls.Load()
-	publish(3)
-	waitFor(t, "quarantine drop", func() bool { return snk.Dropped() == 3 })
+	publish(4)
+	waitFor(t, "quarantine drop", func() bool { return snk.Dropped() == 4 })
 	if calls.Load() != before {
 		t.Errorf("quarantined batch hit the backend (%d calls)", calls.Load()-before)
 	}
 
 	// Cooldown passes, backend recovers: deliveries resume.
 	failing.Store(false)
-	time.Sleep(160 * time.Millisecond)
-	publish(4)
+	time.Sleep(2*time.Second + 10*time.Millisecond)
+	publish(5)
 	waitFor(t, "recovery delivery", func() bool { return snk.Sent() == 2 })
 
 	if err := b.Close(); err != nil {
@@ -396,7 +397,7 @@ func TestE2EFlakyBackend(t *testing.T) {
 		t.Errorf("Stats.Retries = %d, want >= 2", st.Retries)
 	}
 	// The recovered record decoded correctly through the same backend.
-	r4 := testRecord(4)
+	r5 := testRecord(5)
 	series, _, _ := backend.snapshot()
 	found := false
 	for _, ts := range series {
@@ -404,7 +405,7 @@ func TestE2EFlakyBackend(t *testing.T) {
 			continue
 		}
 		for _, s := range ts.samples {
-			if s.ms == recordMs(0, &r4) {
+			if s.ms == recordMs(0, &r5) {
 				found = true
 			}
 		}

@@ -1,9 +1,9 @@
 // Package telemetry defines NR-Scope's output: per-DCI records, the
 // sliding-window throughput estimator of §3.2.2, the fair-share spare
-// capacity computation of §5.4.1, and the consumer side of the JSONL
-// wire format (ReadAll for log files, Dial/Client for the TCP feed of
-// the §6 congestion-control use case). The sinks that produce that
-// format live in internal/bus.
+// capacity computation of §5.4.1, and the JSONL wire codec: AppendJSON,
+// which every line sink encodes with, and the readers (ReadAll for log
+// files, Dial/Client for the TCP feed of the §6 congestion-control use
+// case). The sinks that produce that format live in internal/bus.
 package telemetry
 
 import (
