@@ -12,16 +12,16 @@
 //	nrscope -metrics 127.0.0.1:9090 -sink sse ...   # SSE feed on /events
 //	nrscope -record capture.nrsc -duration 10s      # save the air capture
 //	nrscope -replay capture.nrsc -sink jsonl:t.jsonl  # post-process offline
-//	nrscope -history -metrics 127.0.0.1:9090 ...    # /history query API
+//	nrscope -metrics 127.0.0.1:9090 ...             # /history and /shards query API
 //	nrscope -lake ./lake -lake-retention 1h ...     # spill history to disk
-//	nrscope -cell amarisoft -fuse-cell mosolab -history ...  # multi-cell fusion
-//	nrscope -shards 4 -cell amarisoft -fuse-cell mosolab ... # sharded supervisor
+//	nrscope -cell amarisoft -fuse-cell mosolab ...  # multi-cell fusion
+//	nrscope -shards 4 -cell amarisoft -fuse-cell mosolab ... # four shards
 //
 // Repeating -fuse-cell monitors additional cells and fuses every cell's
 // stream through the §7 aggregator: per-cell load, cross-cell handover
-// and carrier-aggregation candidates are reported at exit. With
-// -history, the fusion aggregator and the /history query API share one
-// bounded store — one copy of the bins backs both.
+// and carrier-aggregation candidates are reported at exit. The fusion
+// aggregator and the /history query API share one bounded store per
+// shard — one copy of the bins backs both.
 //
 // The -sink flag is repeatable; its grammar is
 //
@@ -45,13 +45,13 @@
 // every decoded slot goes to one shard.Supervisor (internal/shard),
 // whose workers fold the records into their history partitions — and,
 // in multi-cell runs, their fusion aggregators — and are the only
-// publishers on the sink bus. -shards N partitions the cells (the -cell
-// preset plus every -fuse-cell) across N such shards; a record whose
-// fold panics is dropped and the shard goes on with its partition
-// intact. The cross-shard rollup is served under /shards on the -metrics
-// mux and summarized at exit. Without -shards the run has one partition,
-// whose lake lives at the -lake root and whose /history API is mounted
-// under -history.
+// publishers on the sink bus. -shards N (default 1) partitions the cells
+// (the -cell preset plus every -fuse-cell) across N such shards; a
+// record whose fold panics is dropped and the shard goes on with its
+// partition intact. The supervisor serves the one query API — /history
+// and /shards — on the -metrics mux, and its health and history are
+// summarised at exit, whatever N is. One shard's lake lives at the -lake
+// root, N > 1 shards' under shard-<i>.
 package main
 
 import (
@@ -99,7 +99,6 @@ type config struct {
 	rotateMB int64
 	metrics  string
 	shards   int
-	history  bool           // serve and summarise the history: -history, or implied by -lake
 	histCfg  history.Config // each shard partition's, but for MaxUEs
 	lakeDir  string
 	lakeCfg  lake.Config
@@ -120,20 +119,18 @@ func parseFlags() config {
 	flag.Int64Var(&c.rotateMB, "sink-rotate-mb", 0, "rotate jsonl sinks after this many MiB (0 = never)")
 	flag.StringVar(&c.metrics, "metrics", "", "serve Prometheus /metrics, /debug/vars, /debug/pprof and the /events SSE feed on this address (e.g. 127.0.0.1:9090)")
 
-	flag.IntVar(&c.shards, "shards", 0, "partition the monitored cells across N supervised shards (0 = unsharded); composes with -fuse-cell, -history and -sink")
-	flag.BoolVar(&c.history, "history", false, "keep a queryable session-history store (served under /history on the -metrics mux)")
+	flag.IntVar(&c.shards, "shards", 1, "partition the monitored cells across N supervised shards, each keeping a queryable history partition (served under /history and /shards on the -metrics mux)")
 	flag.DurationVar(&c.histCfg.BinWidth, "history-bin", 100*time.Millisecond, "history aggregation bin width")
 	flag.IntVar(&c.histCfg.Depth, "history-depth", 600, "bins of history retained per UE and per cell")
 	flag.IntVar(&c.histCfg.MaxUEs, "history-max-ues", 10000, "UE series cap in the history store (LRU eviction beyond it)")
 	flag.DurationVar(&c.histCfg.IdleHorizon, "idle-horizon", 0, "evict UEs idle longer than this from the scope and the history store (0 = slot-count default)")
 
-	flag.StringVar(&c.lakeDir, "lake", "", "spill history bins evicted from RAM into columnar segments under this directory (implies -history; queries answer across RAM + disk)")
+	flag.StringVar(&c.lakeDir, "lake", "", "spill history bins evicted from RAM into columnar segments under this directory (queries answer across RAM + disk)")
 	lakeSegMB := flag.Int64("lake-segment-mb", 8, "seal lake segments at this many MiB")
 	flag.DurationVar(&c.lakeCfg.Retention, "lake-retention", 0, "drop lake segments wholly older than this horizon (0 = keep everything)")
 	flag.Parse()
 
 	c.cells = append([]string{*cell}, fuse...)
-	c.history = c.history || c.lakeDir != ""
 	c.lakeCfg.SegmentBytes = *lakeSegMB << 20
 	c.lakeCfg.BinWidth = c.histCfg.BinWidth
 	return c
@@ -195,6 +192,9 @@ func (d *deployment) run(cfg config) error {
 
 func (d *deployment) build(cfg config) (err error) {
 	d.cfg = cfg
+	if cfg.shards < 1 {
+		return fmt.Errorf("nrscope: -shards %d: want at least 1", cfg.shards)
+	}
 	if (cfg.record != "" || cfg.replay != "") && len(cfg.cells) > 1 {
 		return errors.New("nrscope: -record and -replay take a single cell; they cannot be combined with -fuse-cell")
 	}
@@ -219,37 +219,36 @@ func (d *deployment) build(cfg config) (err error) {
 	return d.supervise(cfg, b)
 }
 
-// supervise partitions the cells across the supervisor's shards — one
-// without -shards: each shard folds its cells' records into its own
-// history partition (and, in multi-cell runs, its own fusion aggregator)
-// and publishes them to b (nil without -sink). Decode stays on the pool;
-// the shards consume records. The queues are Block so that, behind the
-// pool's blocking Submit, a run loses nothing from capture to partition:
-// a slow shard or a hung Block sink back-pressures the decode.
+// supervise partitions the cells across the supervisor's shards: each
+// shard folds its cells' records into its own history partition (and,
+// in multi-cell runs, its own fusion aggregator) and publishes them to
+// b (nil without -sink). Decode stays on the pool; the shards consume
+// records. The queues are Block so that, behind the pool's blocking
+// Submit, a run loses nothing from capture to partition: a slow shard
+// or a hung Block sink back-pressures the decode.
 func (d *deployment) supervise(cfg config, b *bus.Bus) error {
-	shards := max(cfg.shards, 1)
-	if shards > len(d.cells) {
+	if cfg.shards > len(d.cells) {
 		fmt.Fprintf(os.Stderr, "nrscope: %d shards for %d cells; %d shards will idle\n",
-			shards, len(d.cells), shards-len(d.cells))
+			cfg.shards, len(d.cells), cfg.shards-len(d.cells))
 	}
 	histCfg := cfg.histCfg
 	// Each partition enforces its own LRU cap: divide the global one.
-	histCfg.MaxUEs = max(histCfg.MaxUEs/shards, 1)
+	histCfg.MaxUEs = max(histCfg.MaxUEs/cfg.shards, 1)
 	d.sup = shard.New(shard.Config{
-		Shards:  shards,
+		Shards:  cfg.shards,
 		Policy:  shard.Block,
 		History: histCfg,
 		Fusion:  len(d.cells) > 1,
 		Bus:     b,
 	})
 	// One lake partition per shard: a shard's evicted bins spill under
-	// its own subdirectory (the -lake root itself without -shards), and
+	// its own subdirectory (the -lake root itself for one shard), and
 	// the rollup layer's fan-in sees RAM + disk through each partition's
 	// queries.
 	if cfg.lakeDir != "" {
 		if err := d.sup.AttachLakes(func(i int) (history.Lake, error) {
 			dir := cfg.lakeDir
-			if cfg.shards > 0 {
+			if cfg.shards > 1 {
 				dir = filepath.Join(dir, fmt.Sprintf("shard-%d", i))
 			}
 			l, err := lake.Open(dir, cfg.lakeCfg)
@@ -260,32 +259,21 @@ func (d *deployment) supervise(cfg config, b *bus.Bus) error {
 		}); err != nil {
 			return err
 		}
-		if cfg.shards > 0 {
-			fmt.Fprintf(os.Stderr, "nrscope: telemetry lake at %s (%d shard partitions)\n", cfg.lakeDir, shards)
-		} else {
-			fmt.Fprintf(os.Stderr, "nrscope: telemetry lake at %s\n", cfg.lakeDir)
-		}
+		fmt.Fprintf(os.Stderr, "nrscope: telemetry lake at %s, one partition per shard\n", cfg.lakeDir)
 	}
 	for _, c := range d.cells {
 		idx, err := d.sup.AddCell(c.hdr.CellID, c.hdr.Mu)
 		if err != nil {
 			return fmt.Errorf("nrscope: cell %d: %w", c.hdr.CellID, err)
 		}
-		if cfg.shards > 0 {
-			fmt.Fprintf(os.Stderr, "nrscope: cell %d on shard %d\n", c.hdr.CellID, idx)
-		}
+		fmt.Fprintf(os.Stderr, "nrscope: cell %d on shard %d\n", c.hdr.CellID, idx)
 	}
 	if err := d.sup.Start(); err != nil {
 		return err
 	}
-	switch {
-	case d.metricsSrv == nil:
-	case cfg.shards > 0:
+	if d.metricsSrv != nil {
 		d.sup.Mount(d.metricsSrv)
-		fmt.Fprintf(os.Stderr, "nrscope: shard rollup API on http://%s/shards\n", d.metricsSrv.Addr())
-	case cfg.history:
-		d.sup.Store(0).Mount(d.metricsSrv)
-		fmt.Fprintf(os.Stderr, "nrscope: history API on http://%s/history/ues\n", d.metricsSrv.Addr())
+		fmt.Fprintf(os.Stderr, "nrscope: query API on http://%s/history/ues and /shards\n", d.metricsSrv.Addr())
 	}
 	return nil
 }
@@ -476,11 +464,9 @@ func (d *deployment) summarise() {
 				c.scope.Bitrate(rnti, true, c.lastSlot)/1e6, c.scope.Bitrate(rnti, false, c.lastSlot)/1e6)
 		}
 	}
-	if d.cfg.shards > 0 {
-		for _, ps := range d.sup.Health().PerShard {
-			fmt.Fprintf(os.Stderr, "nrscope: shard %d (stalled=%t restarts=%d): %d cells, %d ingested, %d applied, %d dropped, %d UEs\n",
-				ps.Shard, ps.Stalled, ps.Restarts, ps.Cells, ps.Ingested, ps.Applied, ps.Dropped, ps.TrackedUEs)
-		}
+	for _, ps := range d.sup.Health().PerShard {
+		fmt.Fprintf(os.Stderr, "nrscope: shard %d (stalled=%t restarts=%d): %d cells, %d ingested, %d applied, %d dropped, %d UEs\n",
+			ps.Shard, ps.Stalled, ps.Restarts, ps.Cells, ps.Ingested, ps.Applied, ps.Dropped, ps.TrackedUEs)
 	}
 	if len(d.cells) > 1 {
 		for _, c := range d.cells {
@@ -498,9 +484,6 @@ func (d *deployment) summarise() {
 		for _, ca := range d.sup.CarrierAggregation(0.7) {
 			fmt.Fprintf(os.Stderr, "nrscope: %s\n", ca)
 		}
-	}
-	if !d.cfg.history && d.cfg.shards == 0 {
-		return
 	}
 	// The retained per-cell totals, the busiest UEs, and any anomalies.
 	snap := d.sup.Snapshot()
@@ -605,16 +588,15 @@ func setupSinks(specs []string, rotateMB int64, metricsSrv *obs.Server) (*bus.Bu
 			// Live pumps default to DropOldest (freshness over
 			// completeness towards a remote store); ?block=true opts
 			// into lossless. Retry/backoff/quarantine ride on the bus
-			// runner defaults; the pump counts its bus-side drops so
-			// sent + dropped closes against the published total.
+			// runner defaults, and the subscription's delivered and
+			// dropped counters are the pump's ledger.
 			policy := bus.DropOldest
 			if tun.Block {
 				policy = bus.Block
 			}
 			sub, err := b.Subscribe(snk.Name(), policy, snk,
 				bus.WithQueueSize(tun.Queue),
-				bus.WithBatch(tun.Batch, tun.Flush),
-				bus.WithDropNotify(snk.CountDrops))
+				bus.WithBatch(tun.Batch, tun.Flush))
 			if err != nil {
 				_ = snk.Close()
 				return fail(err)

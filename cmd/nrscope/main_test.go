@@ -79,7 +79,24 @@ func TestSetupSinksErrors(t *testing.T) {
 
 // testConfig is the flag defaults a test run needs, on a short capture.
 func testConfig(cells ...string) config {
-	return config{cells: cells, ues: 2, duration: 400 * time.Millisecond, seed: 5}
+	return config{cells: cells, ues: 2, duration: 400 * time.Millisecond, seed: 5, shards: 1}
+}
+
+// TestShardsBelowOneRefused: a shard count below 1 is a flag error,
+// refused before a cell, a sink or the supervisor is built.
+func TestShardsBelowOneRefused(t *testing.T) {
+	for _, n := range []int{0, -1} {
+		cfg := testConfig("amarisoft")
+		cfg.shards = n
+		d := new(deployment)
+		err := d.run(cfg)
+		if err == nil || !strings.Contains(err.Error(), "-shards") {
+			t.Errorf("-shards %d: run returned %v, want a -shards error", n, err)
+		}
+		if d.cells != nil || d.sup != nil {
+			t.Errorf("-shards %d: built %d cells and supervisor %v before refusing", n, len(d.cells), d.sup)
+		}
+	}
 }
 
 // serialRecords is the reference the one run path is held to: the same
@@ -214,7 +231,7 @@ func TestRunRecordReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	replay := new(deployment)
-	if err := replay.run(config{replay: cfg.record, cells: []string{"ignored"}}); err != nil {
+	if err := replay.run(config{replay: cfg.record, cells: []string{"ignored"}, shards: 1}); err != nil {
 		t.Fatal(err)
 	}
 	for _, d := range []*deployment{live, replay} {
@@ -249,7 +266,7 @@ func TestRunFailureStillDrainsSinks(t *testing.T) {
 	}
 	jsonl := filepath.Join(dir, "t.jsonl")
 	d := new(deployment)
-	err = d.run(config{replay: cfg.record, cells: []string{"ignored"}, sinks: stringList{"jsonl:" + jsonl}})
+	err = d.run(config{replay: cfg.record, cells: []string{"ignored"}, shards: 1, sinks: stringList{"jsonl:" + jsonl}})
 	if err == nil || !strings.Contains(err.Error(), "truncated") {
 		t.Fatalf("run on a truncated capture returned %v, want a truncation error", err)
 	}

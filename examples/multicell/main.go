@@ -8,8 +8,8 @@
 // bounded history.Store of fixed-depth bin rings, and the fused views
 // (merged stream, carrier-aggregation correlation) are reconstructed
 // from those bins. Here the store is created explicitly and shared with
-// the aggregator — the same wiring cmd/nrscope uses for
-// -fuse-cell + -history, where one copy of the bins backs both the
+// the aggregator — the same wiring each cmd/nrscope shard partition
+// uses under -fuse-cell, where one copy of the bins backs both the
 // fusion views and the /history query API.
 package main
 

@@ -49,11 +49,6 @@ func (w *Writer) WriteBool(b bool) {
 	}
 }
 
-// WriteBits appends a bit slice verbatim.
-func (w *Writer) WriteBits(b []uint8) {
-	w.bits = append(w.bits, b...)
-}
-
 // Len reports the number of bits written so far.
 func (w *Writer) Len() int { return len(w.bits) }
 
@@ -106,15 +101,6 @@ func (r *Reader) ReadUint(n int) uint64 {
 
 // ReadBool consumes one bit and returns whether it is set.
 func (r *Reader) ReadBool() bool { return r.ReadBit() == 1 }
-
-// ReadBits consumes n bits and returns them as a fresh slice.
-func (r *Reader) ReadBits(n int) []uint8 {
-	out := make([]uint8, n)
-	for i := range out {
-		out[i] = r.ReadBit()
-	}
-	return out
-}
 
 // Remaining reports how many unread bits are left.
 func (r *Reader) Remaining() int {

@@ -91,7 +91,6 @@ type subConfig struct {
 	cooldown        time.Duration
 	failFast        bool
 	onClose         func()
-	onDrop          func(n int)
 }
 
 func defaultSubConfig() subConfig {
@@ -177,18 +176,6 @@ func WithFailFast() SubOption {
 // subscription's runner exits (drain complete or fail-fast abort).
 func WithOnClose(fn func()) SubOption {
 	return func(c *subConfig) { c.onClose = fn }
-}
-
-// WithDropNotify registers a callback invoked with the number of
-// records just dropped towards the sink — queue evictions (DropOldest),
-// quarantine drops, failed deliveries after retries, and fail-fast
-// aborts. It lets a sink keep its own drop accounting (the pump SDK's
-// nrscope_pump_<name>_records_dropped_total) in lockstep with the
-// runner's, so sent + dropped == published holds per sink. Called from
-// publisher and runner goroutines without the queue lock held; fn must
-// be cheap and safe for concurrent use.
-func WithDropNotify(fn func(n int)) SubOption {
-	return func(c *subConfig) { c.onDrop = fn }
 }
 
 // Bus fans published records out to its subscriptions.
@@ -368,19 +355,11 @@ func (s *Subscription) push(rec telemetry.Record) bool {
 	evicted, ok := s.q.Push(rec)
 	if evicted > 0 {
 		s.met.dropped.Add(int64(evicted))
-		s.notifyDrop(evicted)
 	}
 	if !ok {
 		s.met.rejected.Inc()
 	}
 	return ok
-}
-
-// notifyDrop forwards a drop count to the WithDropNotify hook.
-func (s *Subscription) notifyDrop(n int) {
-	if n > 0 && s.cfg.onDrop != nil {
-		s.cfg.onDrop(n)
-	}
 }
 
 // collect blocks until at least one record is queued, then gathers a
@@ -447,7 +426,6 @@ func (s *Subscription) deliver(batch []telemetry.Record) bool {
 			// Quarantined: the flapping sink degrades to counted drops
 			// instead of stalling its siblings' share of publisher time.
 			s.met.dropped.Add(int64(len(batch)))
-			s.notifyDrop(len(batch))
 			return true
 		}
 		s.quarantineUntil = time.Time{} // cooldown over: probe again
@@ -468,7 +446,6 @@ func (s *Subscription) deliver(batch []telemetry.Record) bool {
 	if err != nil {
 		s.met.failures.Inc()
 		s.met.dropped.Add(int64(len(batch)))
-		s.notifyDrop(len(batch))
 		if s.cfg.failFast {
 			return false
 		}
@@ -517,7 +494,6 @@ func (s *Subscription) abort() {
 	})
 	aborted := s.q.Discard()
 	s.met.dropped.Add(int64(aborted))
-	s.notifyDrop(aborted)
 }
 
 // Dropped reports the subscription's drop counter (DropOldest

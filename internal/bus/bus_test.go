@@ -347,12 +347,7 @@ func TestDrainZeroLossWithConcurrentSlowTCP(t *testing.T) {
 	if _, err := b.Subscribe("jsonl", Block, jsonl, WithQueueSize(64), WithBatch(16, time.Millisecond)); err != nil {
 		t.Fatal(err)
 	}
-	srv, err := NewTCPServer(b, "127.0.0.1:0",
-		withWriteTimeout(200*time.Millisecond),
-		withConnOptions(WithQueueSize(16), WithBatch(8, time.Millisecond)))
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := newTCPServer(t, b, 200*time.Millisecond, WithQueueSize(16), WithBatch(8, time.Millisecond))
 	// A TCP subscriber that never reads: its queue fills, DropOldest
 	// recycles it, and its socket writes eventually hit the deadline.
 	conn, err := net.Dial("tcp", srv.Addr())
@@ -476,9 +471,13 @@ func TestSanitizeMetricName(t *testing.T) {
 		"Sink.9":    "sink_9",
 		"über-sink": "_ber_sink",
 	} {
-		if got := sanitizeMetricName(in); got != want {
+		if got := obs.MetricName(in, "sink"); got != want {
 			t.Errorf("sanitize(%q) = %q, want %q", in, got, want)
 		}
+	}
+	// A pump's empty name falls back to its own key.
+	if got := obs.MetricName("", "pump"); got != "pump" {
+		t.Errorf(`sanitize("") for a pump = %q, want "pump"`, got)
 	}
 }
 
@@ -601,20 +600,19 @@ func TestDeliverySuccessResetsFailureCounter(t *testing.T) {
 	wait(func() bool { return sub.Stats().Quarantines-base.Quarantines >= 1 }, "quarantine after 3 consecutive failures")
 }
 
-// TestDropNotify: the WithDropNotify hook sees every DropOldest
-// eviction, synchronously with the push that caused it, and its total
-// matches the subscription's dropped counter.
+// TestDropNotify: the subscription's dropped counter (Stats, and
+// nrscope_bus_<name>_dropped_total behind it) counts every DropOldest
+// eviction synchronously with the push that caused it, and delivered +
+// dropped closes against the published total.
 func TestDropNotify(t *testing.T) {
 	b := New()
-	var notified atomic.Int64
 	sink := &collectSink{gate: make(chan struct{})}
 	sub, err := b.Subscribe("edge_dropnotify", DropOldest, sink,
-		WithQueueSize(1), WithBatch(1, time.Millisecond),
-		WithDropNotify(func(n int) { notified.Add(int64(n)) }))
+		WithQueueSize(1), WithBatch(1, time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := sub.Dropped()
+	base := sub.Stats()
 	// r0 occupies the (gated) sink; r1 queues; r2 and r3 each evict.
 	if err := b.Publish(rec(0)); err != nil {
 		t.Fatal(err)
@@ -628,15 +626,16 @@ func TestDropNotify(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := notified.Load(); got != 2 {
-		t.Fatalf("notified %d drops, want 2 (evictions are reported synchronously)", got)
+	if got := sub.Stats().Dropped - base.Dropped; got != 2 {
+		t.Fatalf("counted %d drops, want 2 (evictions are counted synchronously)", got)
 	}
 	close(sink.gate)
 	if err := b.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := notified.Load(), sub.Dropped()-base; got != want {
-		t.Fatalf("notified %d, dropped counter says %d", got, want)
+	st := sub.Stats()
+	if sent, dropped := st.Delivered-base.Delivered, st.Dropped-base.Dropped; sent+dropped != 4 || dropped != 2 {
+		t.Fatalf("delivered %d + dropped %d, want 2 + 2 of 4 published", sent, dropped)
 	}
 	if got := len(sink.records()); got != 2 {
 		t.Fatalf("delivered %d records, want 2 (r0 and the survivor r3)", got)
@@ -651,9 +650,7 @@ func TestSinkPanicIsAFailedDelivery(t *testing.T) {
 	const published = 10
 	b := New()
 	sink := &collectSink{panicAt: 2}
-	var notified atomic.Int64
-	sub, err := b.Subscribe("edge_panic", Block, sink,
-		WithBatch(1, 0), WithDropNotify(func(n int) { notified.Add(int64(n)) }))
+	sub, err := b.Subscribe("edge_panic", Block, sink, WithBatch(1, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -668,8 +665,8 @@ func TestSinkPanicIsAFailedDelivery(t *testing.T) {
 	}
 	st := sub.Stats()
 	failures, dropped, delivered := st.Failures-base.Failures, st.Dropped-base.Dropped, st.Delivered-base.Delivered
-	if failures != 1 || dropped != 1 || notified.Load() != 1 {
-		t.Fatalf("failures %d, dropped %d, drop notifications %d; want 1 each", failures, dropped, notified.Load())
+	if failures != 1 || dropped != 1 {
+		t.Fatalf("failures %d, dropped %d; want 1 each", failures, dropped)
 	}
 	if delivered+dropped != published {
 		t.Fatalf("delivered %d + dropped %d != published %d", delivered, dropped, published)

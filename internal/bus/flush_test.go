@@ -95,17 +95,14 @@ func TestNoLingerBatchesGrowWhileSinkBusy(t *testing.T) {
 }
 
 // TestLiveSubscriberBatchDefaults: a TCP connection and an SSE client
-// subscribe without linger, an explicit withConnOptions batch rule
-// still wins, and a negative maxDelay keeps the 5 ms default.
+// subscribe without linger, an explicit connection batch rule still
+// wins, and a negative maxDelay keeps the 5 ms default.
 func TestLiveSubscriberBatchDefaults(t *testing.T) {
-	tcpCfg := func(opts ...TCPOption) subConfig {
+	tcpCfg := func(opts ...SubOption) subConfig {
 		t.Helper()
 		b := New()
 		defer b.Close()
-		srv, err := NewTCPServer(b, "127.0.0.1:0", opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
+		srv := newTCPServer(t, b, 0, opts...)
 		defer srv.Close()
 		conn, err := net.Dial("tcp", srv.Addr())
 		if err != nil {
@@ -127,7 +124,7 @@ func TestLiveSubscriberBatchDefaults(t *testing.T) {
 	if cfg := tcpCfg(); cfg.maxBatch != 64 || cfg.maxDelay != 0 {
 		t.Errorf("TCP connection batches %d / %v, want 64 / 0", cfg.maxBatch, cfg.maxDelay)
 	}
-	if cfg := tcpCfg(withConnOptions(WithBatch(16, time.Millisecond))); cfg.maxBatch != 16 || cfg.maxDelay != time.Millisecond {
+	if cfg := tcpCfg(WithBatch(16, time.Millisecond)); cfg.maxBatch != 16 || cfg.maxDelay != time.Millisecond {
 		t.Errorf("overridden TCP connection batches %d / %v, want 16 / 1ms", cfg.maxBatch, cfg.maxDelay)
 	}
 

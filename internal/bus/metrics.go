@@ -1,7 +1,6 @@
 package bus
 
 import (
-	"strings"
 	"sync"
 
 	"nrscope/internal/obs"
@@ -43,7 +42,7 @@ var (
 
 // metricsFor resolves (or creates) the instrument set for a sink name.
 func metricsFor(name string) *sinkMetrics {
-	key := sanitizeMetricName(name)
+	key := obs.MetricName(name, "sink")
 	sinkMetricsMu.Lock()
 	defer sinkMetricsMu.Unlock()
 	if m, ok := sinkMetricsCache[key]; ok {
@@ -63,24 +62,4 @@ func metricsFor(name string) *sinkMetrics {
 	}
 	sinkMetricsCache[key] = m
 	return m
-}
-
-// sanitizeMetricName maps an arbitrary sink name into the Prometheus
-// metric-name alphabet.
-func sanitizeMetricName(name string) string {
-	if name == "" {
-		return "sink"
-	}
-	var b strings.Builder
-	for _, r := range name {
-		switch {
-		case r >= 'a' && r <= 'z', r >= '0' && r <= '9', r == '_':
-			b.WriteRune(r)
-		case r >= 'A' && r <= 'Z':
-			b.WriteRune(r + ('a' - 'A'))
-		default:
-			b.WriteRune('_')
-		}
-	}
-	return b.String()
 }

@@ -91,16 +91,30 @@ func readJSONL(t *testing.T, path string) []telemetry.Record {
 	return recs
 }
 
+// newTCPServer is NewTCPServer on a loopback port with a write timeout
+// (0 keeps the 5 s default) and extra connection subscription options,
+// set before any peer connects.
+func newTCPServer(t *testing.T, b *Bus, writeTimeout time.Duration, opts ...SubOption) *TCPServer {
+	t.Helper()
+	srv, err := NewTCPServer(b, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.mu.Lock()
+	defer srv.mu.Unlock()
+	if writeTimeout > 0 {
+		srv.writeTimeout = writeTimeout
+	}
+	srv.subOpts = opts
+	return srv
+}
+
 // TestTCPServerWireCompatible: the bus TCP sink speaks the one-record-
 // per-line JSONL protocol telemetry.Dial clients decode.
 func TestTCPServerWireCompatible(t *testing.T) {
 	b := New()
 	defer b.Close()
-	srv, err := NewTCPServer(b, "127.0.0.1:0",
-		withConnOptions(WithBatch(4, time.Millisecond)))
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := newTCPServer(t, b, 0, WithBatch(4, time.Millisecond))
 	defer srv.Close()
 	c, err := telemetry.Dial(srv.Addr())
 	if err != nil {
@@ -132,12 +146,7 @@ func TestTCPServerWireCompatible(t *testing.T) {
 func TestTCPServerDropsDeadSubscriber(t *testing.T) {
 	b := New()
 	defer b.Close()
-	srv, err := NewTCPServer(b, "127.0.0.1:0",
-		withWriteTimeout(200*time.Millisecond),
-		withConnOptions(WithBatch(1, time.Millisecond)))
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := newTCPServer(t, b, 200*time.Millisecond, WithBatch(1, time.Millisecond))
 	defer srv.Close()
 	c, err := telemetry.Dial(srv.Addr())
 	if err != nil {

@@ -18,39 +18,26 @@ import (
 // connection whose write fails or times out is dropped fail-fast. No
 // linger: each write carries what queued during the previous one.
 type TCPServer struct {
-	bus          *Bus
-	ln           net.Listener
+	bus *Bus
+	ln  net.Listener
+
+	mu sync.Mutex
+	// writeTimeout and subOpts (extra subscription options, over the
+	// no-linger default) shape every accepted connection. Read under mu,
+	// so the package's tests can change them before a peer connects.
 	writeTimeout time.Duration
 	subOpts      []SubOption
 
-	mu     sync.Mutex
 	conns  map[net.Conn]*Subscription
 	closed bool
 	wg     sync.WaitGroup
 }
 
-// TCPOption tunes the TCP server.
-type TCPOption func(*TCPServer)
-
-// withWriteTimeout bounds each connection write (default 5 s); a
-// subscriber that stops reading is disconnected after at most this
-// long, it can never stall drain.
-func withWriteTimeout(d time.Duration) TCPOption {
-	return func(s *TCPServer) {
-		if d > 0 {
-			s.writeTimeout = d
-		}
-	}
-}
-
-// withConnOptions forwards subscription options (queue size, batch
-// rule) to every accepted connection, over the no-linger default.
-func withConnOptions(opts ...SubOption) TCPOption {
-	return func(s *TCPServer) { s.subOpts = append(s.subOpts, opts...) }
-}
-
 // NewTCPServer listens on addr and streams the bus to every subscriber.
-func NewTCPServer(b *Bus, addr string, opts ...TCPOption) (*TCPServer, error) {
+// Each connection write is bounded by a 5 s deadline: a subscriber that
+// stops reading is disconnected after at most that long, so it can
+// never stall drain.
+func NewTCPServer(b *Bus, addr string) (*TCPServer, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("bus: tcp sink: %w", err)
@@ -60,9 +47,6 @@ func NewTCPServer(b *Bus, addr string, opts ...TCPOption) (*TCPServer, error) {
 		ln:           ln,
 		writeTimeout: 5 * time.Second,
 		conns:        make(map[net.Conn]*Subscription),
-	}
-	for _, o := range opts {
-		o(s)
 	}
 	s.wg.Add(1)
 	go s.accept()

@@ -106,9 +106,6 @@ func (p *DecodePool) AddCell(id uint16, scope *Scope, handler func(*SlotResult))
 	return nil
 }
 
-// Workers reports the pool's worker count.
-func (p *DecodePool) Workers() int { return p.workers }
-
 // Start launches the workers. AddCell calls must precede it.
 func (p *DecodePool) Start() error {
 	if p.started {

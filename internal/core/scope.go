@@ -33,6 +33,9 @@ import (
 	"nrscope/internal/telemetry"
 )
 
+// throughputWindow is the sliding window of the bitrate estimator.
+const throughputWindow = 100 * time.Millisecond
+
 // Option configures a Scope.
 type Option func(*Scope)
 
@@ -66,12 +69,6 @@ func WithIdleHorizon(d time.Duration) Option {
 	}
 }
 
-// WithThroughputWindow sets the sliding window of the bitrate estimator.
-// Default 100 ms.
-func WithThroughputWindow(d time.Duration) Option {
-	return func(s *Scope) { s.window = d }
-}
-
 // WithDMRSGate toggles the DMRS-correlation occupancy gate that lets the
 // blind decoder skip candidates with no transmission. On by default;
 // turning it off decodes every candidate of every UE in every slot (the
@@ -94,7 +91,7 @@ func WithManualCellInfo(mib rrc.MIB, sib1 rrc.SIB1) Option {
 		s.commonCfg = dci.Config{BWPPRBs: s.coreset.NumPRB, TimeAllocRows: len(phy.DefaultTimeAllocTable), MaxHARQ: 16}
 		s.sib1 = &s1
 		s.dataCfg = dci.Config{BWPPRBs: s1.CarrierPRBs, TimeAllocRows: s1.TimeAllocRows, MaxHARQ: 16}
-		s.estimator = telemetry.NewWindowEstimator(s.window, m.Mu.SlotDuration())
+		s.estimator = telemetry.NewWindowEstimator(throughputWindow, m.Mu.SlotDuration())
 	}
 }
 
@@ -150,7 +147,6 @@ type Scope struct {
 	dmrsGate        bool
 	inactivitySlots int
 	idleHorizon     time.Duration // optional wall-clock form of the above
-	window          time.Duration
 
 	// Acquired cell state.
 	mib       *rrc.MIB
@@ -191,7 +187,6 @@ func New(cellID uint16, opts ...Option) *Scope {
 		verifyMSG4:      true,
 		dmrsGate:        true,
 		inactivitySlots: 20000,
-		window:          100 * time.Millisecond,
 		byRNTI:          make(map[uint16]int),
 	}
 	for _, o := range opts {
@@ -291,7 +286,7 @@ func (s *Scope) merge(res *decodeResult) *SlotResult {
 	if res.sib1 != nil && s.sib1 == nil {
 		s.sib1 = res.sib1
 		s.dataCfg = dci.Config{BWPPRBs: res.sib1.CarrierPRBs, TimeAllocRows: res.sib1.TimeAllocRows, MaxHARQ: 16}
-		s.estimator = telemetry.NewWindowEstimator(s.window, s.mib.Mu.SlotDuration())
+		s.estimator = telemetry.NewWindowEstimator(throughputWindow, s.mib.Mu.SlotDuration())
 		out.SIB1Acquired = true
 		met.sib1Acquired.Inc()
 	}

@@ -20,8 +20,6 @@ import (
 const (
 	// SIRNTI addresses system information (SIB1) DCIs.
 	SIRNTI uint16 = 0xFFFF
-	// PagingRNTI addresses paging DCIs.
-	PagingRNTI uint16 = 0xFFFE
 	// MinCRNTI and MaxCRNTI bound the C-RNTI/TC-RNTI space a gNB assigns.
 	MinCRNTI uint16 = 0x0001
 	MaxCRNTI uint16 = 0xFFEF

@@ -281,17 +281,3 @@ func Fig16d(o Options) Figure {
 	run("With Competition", 9)
 	return fig
 }
-
-// AllFigures runs the complete evaluation and returns every reproduced
-// figure in paper order.
-func AllFigures(o Options) []Figure {
-	return []Figure{
-		Fig7a(o), Fig7b(o),
-		Fig8a(o), Fig8b(o),
-		Fig9a(o), Fig9b(o), Fig9c(o),
-		Fig10(o), Fig11(o),
-		Fig12(o), Fig13(o),
-		Fig14(o), Fig15(o),
-		Fig16abc(o), Fig16d(o),
-	}
-}

@@ -13,7 +13,7 @@ import (
 // history-store fold plus session accounting — under steady two-cell
 // traffic with a realistic population of live C-RNTIs.
 func BenchmarkFusionIngest(b *testing.B) {
-	a := New()
+	a := newAgg()
 	if err := a.AddCell(1, phy.Mu1); err != nil {
 		b.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func BenchmarkFusionIngest(b *testing.B) {
 // fresh one-shot C-RNTI, exercising session creation, handover matching
 // and the idle sweep together.
 func BenchmarkFusionIngestChurn(b *testing.B) {
-	a := New()
+	a := newAgg()
 	a.IdleHorizon = time.Second
 	if err := a.AddCell(1, phy.Mu0); err != nil {
 		b.Fatal(err)

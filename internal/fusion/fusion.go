@@ -11,8 +11,8 @@
 // than a claim.
 //
 // The aggregator is strictly memory-bounded: every ingested record is
-// folded into a history.Store (either its own, or one shared with the
-// -history query API), and the windowed views — Merged, carrier
+// folded into a history.Store (a shard's history partition, which also
+// answers the /history query API), and the windowed views — Merged, carrier
 // aggregation — are reconstructed from the store's fixed-depth bin
 // rings. Per-UE session accounting is a compact fixed-size struct per
 // retained C-RNTI, swept by the idle horizon; detected handovers live in
@@ -53,14 +53,6 @@ type cellState struct {
 	seen            bool
 	firstAt, lastAt time.Duration
 }
-
-// activityBin is the correlation bin width an aggregator-owned history
-// store uses; a shared store correlates at its own bin width.
-const activityBin = 10 * time.Millisecond
-
-// ownStoreDepth is the bin depth of an aggregator-owned store: ~10 s of
-// correlation window at the 10 ms activity bin.
-const ownStoreDepth = 1024
 
 // minCABins is the minimum active bins a session needs to enter
 // carrier-aggregation matching: tiny sessions correlate by chance.
@@ -139,34 +131,24 @@ type Aggregator struct {
 	// the oldest is dropped.
 	MaxHandovers int
 
-	store    *history.Store
-	ownStore bool
+	store *history.Store
 
 	handovers []handoverRec
 }
 
-// New creates an aggregator backed by its own history store at the
-// 10 ms activity-bin width.
-func New() *Aggregator { return NewWithStore(nil) }
-
 // NewWithStore creates an aggregator publishing into st — typically a
 // shard's history partition, which also answers the history queries, so
-// one copy of the bins backs both. The store's bin width becomes the correlation bin. A nil
-// st allocates a private store at the 10 ms activity bin.
+// one copy of the bins backs both. The store's bin width becomes the
+// correlation bin.
 func NewWithStore(st *history.Store) *Aggregator {
-	a := &Aggregator{
+	return &Aggregator{
 		cells:          make(map[uint16]*cellState),
 		HandoverWindow: 500 * time.Millisecond,
 		MinSessionBits: 10000,
 		IdleHorizon:    5 * time.Minute,
 		MaxHandovers:   4096,
+		store:          st,
 	}
-	if st == nil {
-		st = history.New(history.Config{BinWidth: activityBin, Depth: ownStoreDepth})
-		a.ownStore = true
-	}
-	a.store = st
-	return a
 }
 
 // Store returns the history store the aggregator publishes into.

@@ -14,9 +14,15 @@ func rec(slot int, rnti uint16, tbs int) telemetry.Record {
 	return telemetry.Record{SlotIdx: slot, RNTI: rnti, Downlink: true, TBS: tbs}
 }
 
+// newAgg is an aggregator over its own 10 ms × 1024-bin store: ~10 s
+// of correlation window at a 10 ms activity bin.
+func newAgg() *Aggregator {
+	return NewWithStore(history.New(history.Config{BinWidth: 10 * time.Millisecond, Depth: 1024}))
+}
+
 func twoCells(t *testing.T) *Aggregator {
 	t.Helper()
-	a := New()
+	a := newAgg()
 	if err := a.AddCell(1, phy.Mu1); err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +33,7 @@ func twoCells(t *testing.T) *Aggregator {
 }
 
 func TestAddCellValidation(t *testing.T) {
-	a := New()
+	a := newAgg()
 	if err := a.AddCell(1, phy.Mu1); err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +49,8 @@ func TestAddCellValidation(t *testing.T) {
 }
 
 // TestAddCellSharedStore: handing the aggregator a store that already
-// has a cell registered (the -history wiring) must not fail AddCell.
+// has a cell registered (a shard partition's wiring) must not fail
+// AddCell.
 func TestAddCellSharedStore(t *testing.T) {
 	st := history.New(history.Config{BinWidth: 10 * time.Millisecond, Depth: 64})
 	if err := st.AddCell(1, phy.Mu1.SlotDuration()); err != nil {
@@ -239,7 +246,7 @@ func TestCellLoadAndActiveUEs(t *testing.T) {
 // the retained UEs' lastSeen), reporting zero load on a busy cell. The
 // span now lives on the cell itself.
 func TestCellLoadSurvivesEviction(t *testing.T) {
-	a := New()
+	a := newAgg()
 	if err := a.AddCell(1, phy.Mu0); err != nil { // 1 ms slots
 		t.Fatal(err)
 	}
@@ -322,7 +329,7 @@ func TestHandoverStringer(t *testing.T) {
 // distinct C-RNTIs must not grow the per-cell activity map without
 // bound — sessions idle past the horizon are swept out.
 func TestUEMapBoundedUnderChurn(t *testing.T) {
-	a := New()
+	a := newAgg()
 	if err := a.AddCell(1, phy.Mu0); err != nil { // 1 ms slots
 		t.Fatal(err)
 	}
@@ -350,7 +357,7 @@ func TestUEMapBoundedUnderChurn(t *testing.T) {
 // TestIdleHorizonDisabled: IdleHorizon <= 0 keeps every session (the
 // pre-eviction behaviour, for offline multi-cell analyses).
 func TestIdleHorizonDisabled(t *testing.T) {
-	a := New()
+	a := newAgg()
 	if err := a.AddCell(1, phy.Mu0); err != nil {
 		t.Fatal(err)
 	}

@@ -15,8 +15,8 @@
 // ROADMAP's "millions of users" churn without growing without bound.
 //
 // On top of the store sit a Go query API (Query, TopK, Snapshot, UEs,
-// Anomalies), an HTTP JSON API (http.go) mounted next to /metrics, and
-// a first anomaly layer (anomaly.go) flagging per-UE retx-rate spikes
+// Anomalies), which the shard supervisor serves over HTTP, and a first
+// anomaly layer (anomaly.go) flagging per-UE retx-rate spikes
 // and throughput collapse against a trailing EWMA baseline.
 package history
 

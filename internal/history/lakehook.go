@@ -68,9 +68,9 @@ func (st *Store) AttachLake(l Lake) {
 	st.lake = l
 }
 
-// ueKnown reports whether a UE is live in RAM or has spilled history in
+// KnowsUE reports whether a UE is live in RAM or has spilled history in
 // the lake — the 404-vs-empty distinction for /history/ue.
-func (st *Store) ueKnown(cell, rnti uint16) bool {
+func (st *Store) KnowsUE(cell, rnti uint16) bool {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
 	if _, live := st.ues[ueKey{cell, rnti}]; live || st.lake == nil {

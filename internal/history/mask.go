@@ -99,3 +99,6 @@ func (st *Store) HasCell(cellID uint16) bool {
 
 // Depth returns how many bins each series retains.
 func (st *Store) Depth() int { return st.cfg.Depth }
+
+// BinMs returns the bin width in milliseconds.
+func (st *Store) BinMs() float64 { return st.binMS }

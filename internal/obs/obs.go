@@ -15,9 +15,31 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
+
+// MetricName maps an arbitrary instance name (a sink's, a pump's) into
+// the Prometheus metric-name alphabet: lower-case letters, digits and
+// '_', every other rune becoming '_'. An empty name becomes fallback.
+func MetricName(name, fallback string) string {
+	if name == "" {
+		return fallback
+	}
+	var b strings.Builder
+	for _, r := range name {
+		switch {
+		case r >= 'a' && r <= 'z', r >= '0' && r <= '9', r == '_':
+			b.WriteRune(r)
+		case r >= 'A' && r <= 'Z':
+			b.WriteRune(r + ('a' - 'A'))
+		default:
+			b.WriteRune('_')
+		}
+	}
+	return b.String()
+}
 
 // Counter is a monotonically increasing atomic counter.
 type Counter struct {
@@ -74,9 +96,6 @@ var LatencyBuckets = []float64{
 	25e-6, 50e-6, 100e-6, 250e-6, 500e-6,
 	1e-3, 2.5e-3, 5e-3, 10e-3, 25e-3, 50e-3, 100e-3,
 }
-
-// DepthBuckets is the fixed layout for queue-depth style observations.
-var DepthBuckets = []float64{0, 1, 2, 4, 8, 16, 32, 64, 128, 256}
 
 func newHistogram(buckets []float64) *Histogram {
 	bs := append([]float64(nil), buckets...)

@@ -161,22 +161,6 @@ func DecodeInto(dst []byte, g *phy.Grid, grant dci.Grant, cellID uint16, n0 floa
 	return bits.AppendPacked(dst, payload), true
 }
 
-// FillRandom occupies a grant's REs with pseudo-random unit-energy QPSK
-// symbols — user-plane PDSCH whose content the scope never reads. The
-// seed keeps the fill deterministic per (slot, rnti).
-func FillRandom(g *phy.Grid, grant dci.Grant, cellID uint16, slot int) {
-	nSyms := grant.NBits / grant.Qm
-	if nSyms < 1 {
-		return
-	}
-	cinit := bits.PDSCHScramblingInit(grant.RNTI, cellID) ^ uint32(slot)<<8
-	seq := bits.GoldSequence(cinit&0x7FFFFFFF, 2*nSyms)
-	syms := modulation.Map(modulation.QPSK, seq)
-	for i, re := range allocationREs(grant, nSyms) {
-		g.Set(re.Symbol, re.Subcarrier, syms[i])
-	}
-}
-
 // PBCH geometry: the synchronisation signal block occupies a fixed
 // region the UE can find before knowing anything about the cell. We
 // place it at symbols 4..7 in the SSB slot, 20 PRBs wide, starting at

@@ -117,32 +117,6 @@ func TestWrongRNTIScramblingFails(t *testing.T) {
 	}
 }
 
-func TestFillRandomOccupiesAllocation(t *testing.T) {
-	g := phy.NewGrid(51)
-	grant := controlGrant(t, 0x4601, 8, 5)
-	FillRandom(g, grant, cellID, 12)
-	nSyms := grant.NBits / grant.Qm
-	res := allocationREs(grant, nSyms)
-	nonZero := 0
-	for _, re := range res {
-		if g.At(re.Symbol, re.Subcarrier) != 0 {
-			nonZero++
-		}
-	}
-	if nonZero != len(res) {
-		t.Errorf("FillRandom left %d/%d REs empty", len(res)-nonZero, len(res))
-	}
-	// Unit energy on average.
-	var e float64
-	for _, re := range res {
-		v := g.At(re.Symbol, re.Subcarrier)
-		e += real(v)*real(v) + imag(v)*imag(v)
-	}
-	if avg := e / float64(len(res)); math.Abs(avg-1) > 0.05 {
-		t.Errorf("fill average energy %.3f, want ~1", avg)
-	}
-}
-
 func TestPBCHRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	g := phy.NewGrid(51)

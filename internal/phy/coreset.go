@@ -50,12 +50,11 @@ func ALIndex(l int) int {
 // CORESET describes a control resource set: a block of PRBs over one or
 // two leading OFDM symbols of the slot.
 type CORESET struct {
-	ID        int
-	StartPRB  int // first PRB of the CORESET within the grid
-	NumPRB    int // width in PRBs; NumPRB*Duration must be a multiple of 6
-	Duration  int // OFDM symbols, 1 or 2
-	StartSym  int // first OFDM symbol (usually 0)
-	Interleav bool
+	ID       int
+	StartPRB int // first PRB of the CORESET within the grid
+	NumPRB   int // width in PRBs; NumPRB*Duration must be a multiple of 6
+	Duration int // OFDM symbols, 1 or 2
+	StartSym int // first OFDM symbol (usually 0)
 }
 
 // Validate checks the CORESET geometry.

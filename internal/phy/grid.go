@@ -59,13 +59,3 @@ type RE struct {
 	Symbol     int
 	Subcarrier int
 }
-
-// PRBSymbolREs enumerates the 12 REs of one PRB in one OFDM symbol
-// (i.e. one REG), in ascending subcarrier order.
-func PRBSymbolREs(prb, symbol int) []RE {
-	out := make([]RE, SubcarriersPerPRB)
-	for i := range out {
-		out[i] = RE{Symbol: symbol, Subcarrier: prb*SubcarriersPerPRB + i}
-	}
-	return out
-}

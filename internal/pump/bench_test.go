@@ -79,7 +79,7 @@ func BenchmarkPumpFanout(b *testing.B) {
 	for _, pumps := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("%dpumps", pumps), func(b *testing.B) {
 			bb := bus.New()
-			sinks := make([]*Sink, pumps)
+			subs := make([]*bus.Subscription, pumps)
 			for i := 0; i < pumps; i++ {
 				arg := fmt.Sprintf("http://bench.invalid?name=bench_fanout_%d&epoch_ms=0", i)
 				if kinds[i] == "influx" {
@@ -90,11 +90,9 @@ func BenchmarkPumpFanout(b *testing.B) {
 					b.Fatal(err)
 				}
 				snk.client = &http.Client{Transport: discardTransport{}}
-				sinks[i] = snk
-				if _, err := bb.Subscribe(snk.Name(), bus.Block, snk,
+				if subs[i], err = bb.Subscribe(snk.Name(), bus.Block, snk,
 					bus.WithQueueSize(tun.Queue),
-					bus.WithBatch(tun.Batch, time.Millisecond),
-					bus.WithDropNotify(snk.CountDrops)); err != nil {
+					bus.WithBatch(tun.Batch, time.Millisecond)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -102,9 +100,10 @@ func BenchmarkPumpFanout(b *testing.B) {
 			// Metrics are cached per pump name and accumulate across
 			// the framework's repeated runs: account in deltas.
 			var sent0, dropped0 int64
-			for _, snk := range sinks {
-				sent0 += snk.Sent()
-				dropped0 += snk.Dropped()
+			for _, sub := range subs {
+				st := sub.Stats()
+				sent0 += st.Delivered
+				dropped0 += st.Dropped
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -120,9 +119,10 @@ func BenchmarkPumpFanout(b *testing.B) {
 				b.Fatal(err)
 			}
 			var sent, dropped int64
-			for _, snk := range sinks {
-				sent += snk.Sent()
-				dropped += snk.Dropped()
+			for _, sub := range subs {
+				st := sub.Stats()
+				sent += st.Delivered
+				dropped += st.Dropped
 			}
 			sent -= sent0
 			dropped -= dropped0

@@ -69,8 +69,9 @@ func (pb *promBackend) handler(t *testing.T) http.HandlerFunc {
 	}
 }
 
-// subscribePump wires a pump sink into a bus with its spec tuning plus
-// drop accounting, the way cmd/nrscope does.
+// subscribePump wires a pump sink into a bus with its spec tuning, the
+// way cmd/nrscope does. The subscription's Stats are the pump's
+// delivery ledger.
 func subscribePump(t *testing.T, b *bus.Bus, snk *Sink, tun Tuning, extra ...bus.SubOption) *bus.Subscription {
 	t.Helper()
 	policy := bus.DropOldest
@@ -80,7 +81,6 @@ func subscribePump(t *testing.T, b *bus.Bus, snk *Sink, tun Tuning, extra ...bus
 	opts := append([]bus.SubOption{
 		bus.WithQueueSize(tun.Queue),
 		bus.WithBatch(tun.Batch, tun.Flush),
-		bus.WithDropNotify(snk.CountDrops),
 	}, extra...)
 	sub, err := b.Subscribe(snk.Name(), policy, snk, opts...)
 	if err != nil {
@@ -111,7 +111,8 @@ func TestE2EPromRW(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := bus.New()
-	subscribePump(t, b, snk, tun)
+	sub := subscribePump(t, b, snk, tun)
+	base := sub.Stats()
 
 	recs := testRecords(25)
 	for _, r := range recs {
@@ -136,11 +137,12 @@ func TestE2EPromRW(t *testing.T) {
 			t.Errorf("%s = %q, want %q", header, got, want)
 		}
 	}
-	if got, want := snk.Sent(), int64(len(recs)); got != want {
-		t.Errorf("Sent = %d, want %d", got, want)
+	st := sub.Stats()
+	if got, want := st.Delivered-base.Delivered, int64(len(recs)); got != want {
+		t.Errorf("Delivered = %d, want %d", got, want)
 	}
-	if snk.Dropped() != 0 {
-		t.Errorf("Dropped = %d, want 0", snk.Dropped())
+	if got := st.Dropped - base.Dropped; got != 0 {
+		t.Errorf("Dropped = %d, want 0", got)
 	}
 }
 
@@ -156,7 +158,8 @@ func TestE2EPromRWFrameSplit(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := bus.New()
-	subscribePump(t, b, snk, tun)
+	sub := subscribePump(t, b, snk, tun)
+	base := sub.Stats()
 
 	recs := testRecords(120)
 	for _, r := range recs {
@@ -173,8 +176,8 @@ func TestE2EPromRWFrameSplit(t *testing.T) {
 		t.Fatalf("frame_kb=1 produced %d requests, want a split (>= 2)", requests)
 	}
 	checkPromSeries(t, series, expectedSamples(recs, 0))
-	if got, want := snk.Sent(), int64(len(recs)); got != want {
-		t.Errorf("Sent = %d, want %d", got, want)
+	if got, want := sub.Stats().Delivered-base.Delivered, int64(len(recs)); got != want {
+		t.Errorf("Delivered = %d, want %d", got, want)
 	}
 }
 
@@ -343,6 +346,9 @@ func TestE2EFlakyBackend(t *testing.T) {
 	}
 	b := bus.New()
 	sub := subscribePump(t, b, snk, tun)
+	base := sub.Stats()
+	sent := func() int64 { return sub.Stats().Delivered - base.Delivered }
+	dropped := func() int64 { return sub.Stats().Dropped - base.Dropped }
 
 	published := 0
 	publish := func(i int) {
@@ -355,22 +361,22 @@ func TestE2EFlakyBackend(t *testing.T) {
 
 	// Healthy: first record lands.
 	publish(0)
-	waitFor(t, "first delivery", func() bool { return snk.Sent() == 1 })
+	waitFor(t, "first delivery", func() bool { return sent() == 1 })
 
 	// Backend dies: three consecutive batch failures (each retried)
 	// trip the quarantine.
 	failing.Store(true)
 	publish(1)
-	waitFor(t, "first failure drop", func() bool { return snk.Dropped() == 1 })
+	waitFor(t, "first failure drop", func() bool { return dropped() == 1 })
 	publish(2)
-	waitFor(t, "second failure drop", func() bool { return snk.Dropped() == 2 })
+	waitFor(t, "second failure drop", func() bool { return dropped() == 2 })
 	publish(3)
-	waitFor(t, "quarantine", func() bool { return sub.Stats().Quarantines == 1 })
+	waitFor(t, "quarantine", func() bool { return sub.Stats().Quarantines-base.Quarantines == 1 })
 
 	// In quarantine: dropped without touching the backend.
 	before := calls.Load()
 	publish(4)
-	waitFor(t, "quarantine drop", func() bool { return snk.Dropped() == 4 })
+	waitFor(t, "quarantine drop", func() bool { return dropped() == 4 })
 	if calls.Load() != before {
 		t.Errorf("quarantined batch hit the backend (%d calls)", calls.Load()-before)
 	}
@@ -379,22 +385,21 @@ func TestE2EFlakyBackend(t *testing.T) {
 	failing.Store(false)
 	time.Sleep(2*time.Second + 10*time.Millisecond)
 	publish(5)
-	waitFor(t, "recovery delivery", func() bool { return snk.Sent() == 2 })
+	waitFor(t, "recovery delivery", func() bool { return sent() == 2 })
 
 	if err := b.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	if got := snk.Sent() + snk.Dropped(); got != int64(published) {
+	if got := sent() + dropped(); got != int64(published) {
 		t.Errorf("sent(%d) + dropped(%d) = %d, want published %d",
-			snk.Sent(), snk.Dropped(), got, published)
+			sent(), dropped(), got, published)
 	}
 	if errors.Load() < 2 {
 		t.Errorf("backend saw %d errors, want >= 2 (one per failed attempt)", errors.Load())
 	}
-	st := sub.Stats()
-	if st.Retries < 2 {
-		t.Errorf("Stats.Retries = %d, want >= 2", st.Retries)
+	if retries := sub.Stats().Retries - base.Retries; retries < 2 {
+		t.Errorf("Stats.Retries = %d, want >= 2", retries)
 	}
 	// The recovered record decoded correctly through the same backend.
 	r5 := testRecord(5)
@@ -429,7 +434,7 @@ func TestE2EMetroAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := bus.New()
-	subscribePump(t, b, snk, tun)
+	sub := subscribePump(t, b, snk, tun)
 
 	sup := shard.New(shard.Config{Shards: 4, Bus: b})
 	load, err := shard.NewMetroLoad(12, 6, phy.Mu1, 42)
@@ -444,7 +449,7 @@ func TestE2EMetroAccounting(t *testing.T) {
 	}
 
 	published0 := obs.Default.Snapshot()["nrscope_bus_published_total"]
-	sent0, dropped0 := snk.Sent(), snk.Dropped()
+	base := sub.Stats()
 	for slot := 0; slot < 200; slot++ {
 		load.Slot(slot, func(cell uint16, rec telemetry.Record) {
 			if err := sup.Ingest(cell, rec); err != nil {
@@ -460,8 +465,9 @@ func TestE2EMetroAccounting(t *testing.T) {
 	}
 
 	published := int64(obs.Default.Snapshot()["nrscope_bus_published_total"] - published0)
-	sent := snk.Sent() - sent0
-	dropped := snk.Dropped() - dropped0
+	st := sub.Stats()
+	sent := st.Delivered - base.Delivered
+	dropped := st.Dropped - base.Dropped
 	if published == 0 {
 		t.Fatal("metro load published nothing")
 	}

@@ -1,7 +1,6 @@
 package pump
 
 import (
-	"strings"
 	"sync"
 
 	"nrscope/internal/obs"
@@ -19,8 +18,6 @@ var sendBuckets = []float64{
 // share a set, mirroring the bus's per-sink convention.
 type pumpMetrics struct {
 	frames    *obs.Counter
-	records   *obs.Counter
-	dropped   *obs.Counter
 	bytes     *obs.Counter
 	err4xx    *obs.Counter
 	err5xx    *obs.Counter
@@ -35,7 +32,7 @@ var (
 
 // metricsFor resolves (or creates) the instrument set for a pump name.
 func metricsFor(name string) *pumpMetrics {
-	key := sanitizeMetricName(name)
+	key := obs.MetricName(name, "pump")
 	pumpMetricsMu.Lock()
 	defer pumpMetricsMu.Unlock()
 	if m, ok := pumpMetricsCache[key]; ok {
@@ -44,8 +41,6 @@ func metricsFor(name string) *pumpMetrics {
 	p := "nrscope_pump_" + key + "_"
 	m := &pumpMetrics{
 		frames:    obs.Default.Counter(p+"frames_sent_total", "HTTP frames delivered by the "+name+" pump (includes batch retries)"),
-		records:   obs.Default.Counter(p+"records_sent_total", "records exported by the "+name+" pump (exactly once per delivered record)"),
-		dropped:   obs.Default.Counter(p+"records_dropped_total", "records dropped towards the "+name+" pump (queue eviction, quarantine, failed delivery)"),
 		bytes:     obs.Default.Counter(p+"sent_bytes_total", "encoded body bytes delivered by the "+name+" pump"),
 		err4xx:    obs.Default.Counter(p+"http_4xx_total", "4xx responses from the "+name+" pump's backend"),
 		err5xx:    obs.Default.Counter(p+"http_5xx_total", "5xx responses from the "+name+" pump's backend"),
@@ -54,24 +49,4 @@ func metricsFor(name string) *pumpMetrics {
 	}
 	pumpMetricsCache[key] = m
 	return m
-}
-
-// sanitizeMetricName maps an arbitrary pump name into the Prometheus
-// metric-name alphabet (same rule as the bus's sink names).
-func sanitizeMetricName(name string) string {
-	if name == "" {
-		return "pump"
-	}
-	var b strings.Builder
-	for _, r := range name {
-		switch {
-		case r >= 'a' && r <= 'z', r >= '0' && r <= '9', r == '_':
-			b.WriteRune(r)
-		case r >= 'A' && r <= 'Z':
-			b.WriteRune(r + ('a' - 'A'))
-		default:
-			b.WriteRune('_')
-		}
-	}
-	return b.String()
 }

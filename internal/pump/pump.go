@@ -21,14 +21,11 @@ type Config struct {
 	Encoder Encoder
 	// Header holds extra request headers (auth, remote-write version).
 	Header http.Header
-	// Timeout bounds each HTTP request (default 10 s). Ignored when
-	// Client is provided.
+	// Timeout bounds each HTTP request (default 10 s).
 	Timeout time.Duration
 	// MaxFrameBytes splits a batch into multiple frames once the
 	// pending body reaches this size (default 4 MiB).
 	MaxFrameBytes int
-	// Client overrides the HTTP client (tests, shared pools).
-	Client *http.Client
 }
 
 // Sink is a batching HTTP exporter implementing the bus Sink contract:
@@ -36,19 +33,19 @@ type Config struct {
 // more frames; any HTTP failure is returned to the bus runner, whose
 // retry/backoff/quarantine machinery owns the recovery policy.
 //
-// Accounting: records_sent counts each record exactly once, committed
-// only when its whole WriteBatch succeeded — a mid-batch frame failure
-// makes the runner retry the batch, re-sending earlier frames (frames/
-// bytes count that wire activity) without double-counting records.
-// With CountDrops wired to bus.WithDropNotify, sent + dropped equals
-// the records published to the subscription once the bus has drained.
+// Accounting: the pump's records are the bus subscription's —
+// nrscope_bus_<name>_delivered_total counts a record once its whole
+// WriteBatch succeeded, and _dropped_total every record lost towards
+// the pump, so delivered + dropped equals the records published to the
+// subscription once the bus has drained. A mid-batch frame failure makes
+// the runner retry the batch, re-sending earlier frames; the pump's
+// frames/bytes counters count that wire activity.
 type Sink struct {
 	name     string
 	url      string
 	enc      Encoder
 	header   http.Header
 	client   *http.Client
-	owned    bool // we built the client: close its idle conns on Close
 	maxFrame int
 	met      *pumpMetrics
 }
@@ -71,21 +68,17 @@ func New(cfg Config) (*Sink, error) {
 		url:      cfg.URL,
 		enc:      cfg.Encoder,
 		header:   cfg.Header,
-		client:   cfg.Client,
 		maxFrame: cfg.MaxFrameBytes,
 		met:      metricsFor(name),
 	}
 	if s.maxFrame <= 0 {
 		s.maxFrame = 4 << 20
 	}
-	if s.client == nil {
-		timeout := cfg.Timeout
-		if timeout <= 0 {
-			timeout = 10 * time.Second
-		}
-		s.client = &http.Client{Timeout: timeout}
-		s.owned = true
+	timeout := cfg.Timeout
+	if timeout <= 0 {
+		timeout = 10 * time.Second
 	}
+	s.client = &http.Client{Timeout: timeout}
 	return s, nil
 }
 
@@ -101,26 +94,18 @@ func (s *Sink) URL() string { return s.url }
 func (s *Sink) WriteBatch(recs []telemetry.Record) error {
 	enc := s.enc
 	enc.Reset()
-	sent := 0
 	for i := range recs {
 		enc.Append(&recs[i])
 		if enc.Len() >= s.maxFrame {
-			n := enc.Records()
 			if err := s.send(enc); err != nil {
 				return err
 			}
-			sent += n
 			enc.Reset()
 		}
 	}
 	if enc.Records() > 0 {
-		n := enc.Records()
-		if err := s.send(enc); err != nil {
-			return err
-		}
-		sent += n
+		return s.send(enc)
 	}
-	s.met.records.Add(int64(sent))
 	return nil
 }
 
@@ -163,23 +148,8 @@ func (s *Sink) send(enc Encoder) error {
 	return nil
 }
 
-// CountDrops records n dropped records against the pump; wire it to the
-// subscription via bus.WithDropNotify(sink.CountDrops) so the pump's
-// sent + dropped accounting closes against the bus's published count.
-func (s *Sink) CountDrops(n int) {
-	s.met.dropped.Add(int64(n))
-}
-
-// Sent reports records successfully exported (exactly-once per record).
-func (s *Sink) Sent() int64 { return s.met.records.Value() }
-
-// Dropped reports records dropped towards this pump (via CountDrops).
-func (s *Sink) Dropped() int64 { return s.met.dropped.Value() }
-
 // Close implements the bus Sink contract.
 func (s *Sink) Close() error {
-	if s.owned {
-		s.client.CloseIdleConnections()
-	}
+	s.client.CloseIdleConnections()
 	return nil
 }

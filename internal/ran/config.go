@@ -53,11 +53,6 @@ type CellConfig struct {
 	// MaxHARQRetx caps HARQ attempts per TB (first tx + retx).
 	MaxHARQRetx int
 
-	// FillUserPDSCH populates user-plane PDSCH allocations with filler
-	// symbols. NR-Scope never demodulates user data (only its DCIs), so
-	// the fill is cosmetic; leave it off except when inspecting grids.
-	FillUserPDSCH bool
-
 	Seed int64
 }
 

@@ -148,7 +148,6 @@ func (g *GNB) AddUE(factory UEFactory, sessionSlots int) uint16 {
 		retxDue:    make(map[int][]sched.RetxRequest),
 		Ledger:     traffic.NewLedger(g.maxSlots, g.cfg.TTI()),
 		state:      stateWaitPRACH,
-		arriveSlot: g.slotIdx,
 		departSlot: depart,
 	}
 	g.ues[rnti] = u
@@ -312,8 +311,7 @@ func (g *GNB) stepPopulation() {
 	n := g.pop.arrivalsThisSlot(g.popRNG, g.cfg.TTI())
 	for i := 0; i < n && connected < g.pop.MaxUEs; i++ {
 		session := g.pop.sampleSessionSlots(g.popRNG, g.cfg.TTI())
-		factory := g.pop.Factory
-		rnti := g.AddUE(factory, session)
+		rnti := g.AddUE(nil, session)
 		connected++
 		g.out.Events = append(g.out.Events, Event{Kind: EventArrived, RNTI: rnti, Slot: g.out.Ref})
 	}
@@ -399,8 +397,6 @@ func (g *GNB) stepRACHDownlink() {
 			if g.slotIdx >= u.msgDue {
 				if g.sendControlPDSCH(u.RNTI, g.setupByts, true) {
 					u.state = stateConnected
-					u.connectSlot = g.slotIdx
-					u.lastActivity = g.slotIdx
 					g.out.Events = append(g.out.Events, Event{Kind: EventConnected, RNTI: u.RNTI, Slot: g.out.Ref})
 				}
 			}
@@ -728,10 +724,6 @@ func (g *GNB) transmitData(a sched.Allocation, downlink bool) {
 		g.rollback(u, entity, harqID, tb, a, downlink)
 		return
 	}
-	if downlink && g.cfg.FillUserPDSCH {
-		pdsch.FillRandom(g.grid, grant, g.cfg.CellID, g.slotIdx)
-	}
-	u.lastActivity = g.slotIdx
 
 	g.out.GT = append(g.out.GT, GTRecord{
 		Slot: g.out.Ref, SlotIdx: g.slotIdx, RNTI: a.RNTI, Grant: grant,

@@ -61,12 +61,9 @@ type UE struct {
 	// Ledger is the tcpdump substitute recording delivered DL bytes.
 	Ledger *traffic.Ledger
 
-	state        connState
-	arriveSlot   int
-	connectSlot  int
-	departSlot   int // slot at which the UE leaves (-1 = never)
-	msgDue       int // slot of the next RACH step
-	lastActivity int
+	state      connState
+	departSlot int // slot at which the UE leaves (-1 = never)
+	msgDue     int // slot of the next RACH step
 
 	// Pending uplink control (sent on the next UL-capable slot).
 	cqiDue      bool
@@ -83,20 +80,8 @@ type pendingAck struct {
 // Connected reports whether the UE completed RACH.
 func (u *UE) Connected() bool { return u.state == stateConnected }
 
-// Departed reports whether the UE left the cell.
-func (u *UE) Departed() bool { return u.state == stateDeparted }
-
 // CQI returns the UE's latest channel quality report.
 func (u *UE) CQI() int { return u.cqi }
-
-// ArriveSlot returns the slot the UE entered the population.
-func (u *UE) ArriveSlot() int { return u.arriveSlot }
-
-// ConnectSlot returns the slot the UE finished RACH (0 if not yet).
-func (u *UE) ConnectSlot() int { return u.connectSlot }
-
-// LastActivity returns the last slot the gNB scheduled this UE.
-func (u *UE) LastActivity() int { return u.lastActivity }
 
 // DLQueueBits returns the current downlink queue depth.
 func (u *UE) DLQueueBits() int { return u.dlQueueBits }
@@ -158,8 +143,6 @@ type Population struct {
 	SessionSigma         float64
 	// MaxUEs caps concurrent UEs (RAN admission control).
 	MaxUEs int
-	// Factory customises per-UE traffic/channel; nil uses the default.
-	Factory UEFactory
 }
 
 // DefaultPopulation mirrors a busy commercial cell (Fig. 10 cell 1).

@@ -71,9 +71,6 @@ func (m MIB) Encode() ([]byte, error) {
 // mibBits is the encoded MIB length in bits.
 const mibBits = 10 + 2 + 16 + 9 + 9 + 2 + 1
 
-// MIBBits exposes the encoded MIB payload size for PBCH budgeting.
-const MIBBits = mibBits
-
 // DecodeMIB parses an encoded MIB.
 func DecodeMIB(data []byte) (MIB, error) {
 	if len(data)*8 < mibBits {

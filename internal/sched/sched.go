@@ -67,11 +67,6 @@ func maxMCSForCQI(cqi int, table mcs.Table) int {
 	return table.IndexForEfficiency(channel.CQIEfficiency(cqi))
 }
 
-// MCSForCQI exposes the CQI-to-MCS link adaptation used by the
-// schedulers, for callers (the RAN control plane) that size grants
-// outside the data scheduler.
-func MCSForCQI(cqi int, table mcs.Table) int { return maxMCSForCQI(cqi, table) }
-
 // Size finds the smallest PRB count (up to maxPRB) whose TBS covers
 // wantBits at the given MCS and time-allocation row; see sizeAllocation.
 func Size(wantBits, mcsIdx, maxPRB, timeRow int, link dci.LinkConfig) (nprb, tbs int) {

@@ -68,9 +68,6 @@ func NewMetroLoad(cells, uesPerCell int, mu phy.Numerology, seed int64) (*MetroL
 	return m, nil
 }
 
-// NumCells reports the scenario's cell count.
-func (m *MetroLoad) NumCells() int { return len(m.cells) }
-
 // CellID returns the i-th cell's id.
 func (m *MetroLoad) CellID(i int) uint16 { return m.cells[i].id }
 
@@ -96,12 +93,6 @@ func (m *MetroLoad) Slot(slotIdx int, emit func(cell uint16, rec telemetry.Recor
 		n += m.cells[i].slot(slotIdx, m.ttiMS, m.ues, emit)
 	}
 	return n
-}
-
-// CellSlot generates one TTI of records for the i-th cell only — the
-// per-shard form: each shard's driver walks its own cells.
-func (m *MetroLoad) CellSlot(i, slotIdx int, emit func(cell uint16, rec telemetry.Record)) int {
-	return m.cells[i].slot(slotIdx, m.ttiMS, m.ues, emit)
 }
 
 func (c *metroCell) slot(slotIdx int, ttiMS float64, ues int, emit func(cell uint16, rec telemetry.Record)) int {

@@ -1,12 +1,10 @@
 package shard
 
 import (
-	"encoding/json"
+	"cmp"
 	"fmt"
-	"net/http"
 	"slices"
 	"sort"
-	"strconv"
 	"time"
 
 	"nrscope/internal/fusion"
@@ -16,13 +14,8 @@ import (
 // The cross-shard rollup layer: queries that span the whole deployment
 // are answered by fanning out to every shard's partition and merging —
 // cheap, because each partition is already bounded and internally
-// indexed. The HTTP form mounts next to /metrics:
-//
-//	GET /shards                          per-shard health + global totals
-//	GET /shards/topk?metric=&window=&k=  fused TopK across partitions
-//	GET /shards/snapshot                 merged history snapshot
-//	GET /shards/handovers                merged handover candidates
-//
+// indexed. http.go serves them.
+
 // ShardHealth is one shard's health and backpressure report. Restarts
 // counts the folds that panicked and were recovered; Stalled is worked
 // out on read: records are queued and the worker has been on one batch
@@ -128,12 +121,17 @@ func (s *Supervisor) Snapshot() history.Snapshot {
 	return out
 }
 
-// Anomalies concatenates every partition's flagged anomaly events.
+// Anomalies merges every partition's flagged anomaly events in time
+// order (ties by cell, then RNTI), so the list does not depend on how
+// the cells are partitioned.
 func (s *Supervisor) Anomalies() []history.Anomaly {
 	var out []history.Anomaly
 	for _, sh := range s.shards {
 		out = append(out, sh.store.Anomalies()...)
 	}
+	slices.SortStableFunc(out, func(a, b history.Anomaly) int {
+		return cmp.Or(cmp.Compare(a.AtMs, b.AtMs), cmp.Compare(a.Cell, b.Cell), cmp.Compare(a.RNTI, b.RNTI))
+	})
 	return out
 }
 
@@ -190,71 +188,4 @@ func (s *Supervisor) CarrierAggregation(minOverlap float64) []fusion.CACandidate
 	}
 	slices.SortFunc(out, fusion.CompareCA)
 	return out
-}
-
-// Mount registers the /shards/* rollup endpoints on a mux (obs.Server
-// or http.ServeMux via the history.Mux interface).
-func (s *Supervisor) Mount(m history.Mux) {
-	m.Handle("/shards", http.HandlerFunc(s.serveHealth))
-	m.Handle("/shards/topk", http.HandlerFunc(s.serveTopK))
-	m.Handle("/shards/snapshot", http.HandlerFunc(s.serveSnapshot))
-	m.Handle("/shards/handovers", http.HandlerFunc(s.serveHandovers))
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
-
-func (s *Supervisor) serveHealth(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, s.Health())
-}
-
-func (s *Supervisor) serveSnapshot(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, s.Snapshot())
-}
-
-func (s *Supervisor) serveHandovers(w http.ResponseWriter, r *http.Request) {
-	hos := s.Handovers()
-	writeJSON(w, struct {
-		Count     int               `json:"count"`
-		Handovers []fusion.Handover `json:"handovers"`
-	}{len(hos), hos})
-}
-
-func (s *Supervisor) serveTopK(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	metric := q.Get("metric")
-	if metric == "" {
-		metric = "dl_bits"
-	}
-	window := time.Second
-	if v := q.Get("window"); v != "" {
-		d, err := time.ParseDuration(v)
-		if err != nil || d <= 0 {
-			http.Error(w, "bad window "+strconv.Quote(v), http.StatusBadRequest)
-			return
-		}
-		window = d
-	}
-	k := 10
-	if v := q.Get("k"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 1 {
-			http.Error(w, "bad k "+strconv.Quote(v), http.StatusBadRequest)
-			return
-		}
-		k = n
-	}
-	ranks, err := s.TopK(metric, window, k)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	writeJSON(w, struct {
-		Metric string           `json:"metric"`
-		Ranks  []history.UERank `json:"ranks"`
-	}{metric, ranks})
 }

@@ -18,11 +18,14 @@
 // reported stalled by Health; nothing is restarted.
 //
 // Cross-shard queries go through the rollup layer (rollup.go): fused
-// TopK over every partition, merged deployment snapshots, per-shard
-// health with queue depth/drops/restarts, and merged handover /
-// carrier-aggregation candidates when per-shard fusion is on. Per-shard
-// backpressure and health are exported via internal/obs under
-// nrscope_shard_* (metrics.go).
+// TopK over every partition, time-ordered anomalies, merged deployment
+// snapshots, per-shard health with queue depth/drops/restarts, and
+// merged handover / carrier-aggregation candidates when per-shard
+// fusion is on. The supervisor is the one HTTP server of stored
+// telemetry (http.go): /history/* per-cell routes go to the partition
+// that owns the cell, and /history/topk, /history/anomalies and
+// /shards/* to the rollup layer. Per-shard backpressure and health are
+// exported via internal/obs under nrscope_shard_* (metrics.go).
 package shard
 
 import (

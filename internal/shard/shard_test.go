@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -318,6 +319,46 @@ func TestFusionShardsDetectHandovers(t *testing.T) {
 	}
 }
 
+// TestAnomaliesOrderedAcrossShards: the merged anomaly list is in time
+// order whatever the partitioning, so one- and two-shard supervisors fed
+// the same records return the same list, and its last entry is the
+// latest anomaly. Cell 1's retx spike comes after cell 2's, but cell 1
+// is on the first of two shards.
+func TestAnomaliesOrderedAcrossShards(t *testing.T) {
+	spikeBin := map[uint16]int{1: 20, 2: 10}
+	run := func(shards int) []history.Anomaly {
+		sup := newTestSupervisor(t, Config{Shards: shards, Policy: Block}, 2)
+		for bin := 0; bin <= 25; bin++ {
+			for i := 0; i < 10; i++ {
+				for c := uint16(1); c <= 2; c++ {
+					rec := trec(bin*10+i, 0x4600+c, 1000, float64(bin*100+i))
+					rec.IsRetx = bin == spikeBin[c] && i < 6
+					if err := sup.Ingest(c, rec); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}
+		sup.Flush()
+		return sup.Anomalies()
+	}
+	one, two := run(1), run(2)
+	if len(one) < 2 {
+		t.Fatalf("one shard flagged %d anomalies, want both spikes: %+v", len(one), one)
+	}
+	if !reflect.DeepEqual(one, two) {
+		t.Errorf("anomalies depend on the partitioning:\n1 shard:  %+v\n2 shards: %+v", one, two)
+	}
+	for i := 1; i < len(two); i++ {
+		if two[i].AtMs < two[i-1].AtMs {
+			t.Errorf("anomaly %d at %.0f ms listed after one at %.0f ms", i, two[i].AtMs, two[i-1].AtMs)
+		}
+	}
+	if last := two[len(two)-1]; last.Cell != 1 || last.AtMs != 2000 {
+		t.Errorf("last anomaly %s, want cell 1's spike at 2000 ms", last)
+	}
+}
+
 func TestMountServesRollups(t *testing.T) {
 	sup := newTestSupervisor(t, Config{Shards: 2}, 4)
 	for c := 1; c <= 4; c++ {
@@ -350,9 +391,9 @@ func TestMountServesRollups(t *testing.T) {
 		t.Fatalf("/shards rollup: %+v", r)
 	}
 
-	w = get("/shards/topk?metric=dl_bits&window=1s&k=2")
+	w = get("/history/topk?metric=dl_bits&window=1s&k=2")
 	if w.Code != http.StatusOK {
-		t.Fatalf("/shards/topk: %d %s", w.Code, w.Body)
+		t.Fatalf("/history/topk: %d %s", w.Code, w.Body)
 	}
 	var tk struct {
 		Metric string           `json:"metric"`
@@ -362,16 +403,16 @@ func TestMountServesRollups(t *testing.T) {
 		t.Fatal(err)
 	}
 	if tk.Metric != "dl_bits" || len(tk.Ranks) != 2 {
-		t.Fatalf("/shards/topk: %+v", tk)
+		t.Fatalf("/history/topk: %+v", tk)
 	}
 	if tk.Ranks[0].Cell != 4 {
-		t.Fatalf("/shards/topk top cell %d, want 4", tk.Ranks[0].Cell)
+		t.Fatalf("/history/topk top cell %d, want 4", tk.Ranks[0].Cell)
 	}
 
 	for _, bad := range []string{
-		"/shards/topk?window=nope",
-		"/shards/topk?k=0",
-		"/shards/topk?metric=no_such_metric",
+		"/history/topk?window=nope",
+		"/history/topk?k=0",
+		"/history/topk?metric=no_such_metric",
 	} {
 		if w := get(bad); w.Code != http.StatusBadRequest {
 			t.Fatalf("%s: %d, want 400", bad, w.Code)

@@ -70,8 +70,6 @@ var (
 	// WithIdleHorizon ages out silent UEs after a wall-clock duration
 	// (converted to slots once the cell's numerology is known).
 	WithIdleHorizon = core.WithIdleHorizon
-	// WithThroughputWindow sets the bitrate estimator window.
-	WithThroughputWindow = core.WithThroughputWindow
 	// WithDMRSGate toggles the candidate occupancy pre-filter.
 	WithDMRSGate = core.WithDMRSGate
 )
