@@ -170,7 +170,7 @@ type deployment struct {
 
 	metricsSrv *obs.Server
 	closeBus   func()
-	lakes      []*lake.Lake
+	lakes      []shardLake
 	recorder   *capfile.Writer
 	recordFile *os.File
 	replayFile *os.File
@@ -253,7 +253,7 @@ func (d *deployment) supervise(cfg config, b *bus.Bus) error {
 			}
 			l, err := lake.Open(dir, cfg.lakeCfg)
 			if err == nil {
-				d.lakes = append(d.lakes, l)
+				d.lakes = append(d.lakes, shardLake{shard: i, dir: dir, lk: l})
 			}
 			return l, err
 		}); err != nil {
@@ -424,8 +424,8 @@ func (d *deployment) close(ok bool) (err error) {
 	if ok {
 		d.summarise()
 	}
-	for _, lk := range d.lakes {
-		closeLake(lk)
+	for _, sl := range d.lakes {
+		sl.close()
 	}
 	if d.recorder != nil {
 		err = errors.Join(d.recorder.Close(), d.recordFile.Close())
@@ -504,18 +504,26 @@ func (d *deployment) summarise() {
 	}
 }
 
-// closeLake drains the lake's spill queue to disk, reports its totals,
-// and releases it.
-func closeLake(lk *lake.Lake) {
-	_ = lk.Sync()
-	st := lk.Stats()
-	if err := lk.Close(); err != nil {
-		fmt.Fprintf(os.Stderr, "nrscope: lake close: %v\n", err)
+// shardLake is one shard's lake partition and the directory it lives in.
+type shardLake struct {
+	shard int
+	dir   string
+	lk    *lake.Lake
+}
+
+// close drains the partition's spill queue to disk, reports its totals
+// on lines labelled with the shard and directory, and releases it.
+func (sl shardLake) close() {
+	_ = sl.lk.Sync()
+	st := sl.lk.Stats()
+	label := fmt.Sprintf("nrscope: lake shard %d (%s)", sl.shard, sl.dir)
+	if err := sl.lk.Close(); err != nil {
+		fmt.Fprintf(os.Stderr, "%s: close: %v\n", label, err)
 	}
-	fmt.Fprintf(os.Stderr, "nrscope: lake: %d segments, %d KiB, %d bins + %d anomalies spilled, %d compactions\n",
-		st.Segments, st.Bytes>>10, st.SpilledBins, st.SpilledAnomalies, st.Compactions)
+	fmt.Fprintf(os.Stderr, "%s: %d segments, %d KiB, %d bins + %d anomalies spilled, %d compactions\n",
+		label, st.Segments, st.Bytes>>10, st.SpilledBins, st.SpilledAnomalies, st.Compactions)
 	if st.DroppedEntries > 0 {
-		fmt.Fprintf(os.Stderr, "nrscope: lake dropped %d spill entries (queue overflow)\n", st.DroppedEntries)
+		fmt.Fprintf(os.Stderr, "%s: dropped %d spill entries (queue overflow)\n", label, st.DroppedEntries)
 	}
 }
 

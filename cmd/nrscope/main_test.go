@@ -1,6 +1,9 @@
 package main
 
 import (
+	"bytes"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -214,6 +217,56 @@ func TestRunModes(t *testing.T) {
 				t.Errorf("JSONL sink holds %d records, %d were published", len(logged), total)
 			}
 		})
+	}
+}
+
+// TestLakeExitLinesNameTheirShard: a two-shard -lake run prints one
+// lake summary line per shard, each naming its shard and directory, so
+// the lines can be told apart.
+func TestLakeExitLinesNameTheirShard(t *testing.T) {
+	cfg := testConfig("amarisoft", "mosolab")
+	cfg.shards = 2
+	cfg.lakeDir = t.TempDir()
+
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stderr := os.Stderr
+	os.Stderr = w
+	var out bytes.Buffer
+	copied := make(chan struct{})
+	go func() {
+		_, _ = io.Copy(&out, r)
+		close(copied)
+	}()
+	runErr := new(deployment).run(cfg)
+	os.Stderr = stderr
+	w.Close()
+	<-copied
+	r.Close()
+	if runErr != nil {
+		t.Fatal(runErr)
+	}
+
+	lines := map[string]bool{}
+	for _, line := range strings.Split(out.String(), "\n") {
+		if strings.HasPrefix(line, "nrscope: lake ") && strings.Contains(line, " segments, ") {
+			lines[line] = true
+		}
+	}
+	if len(lines) != 2 {
+		t.Fatalf("want 2 distinct lake summary lines, got %d:\n%s", len(lines), out.String())
+	}
+	for i := 0; i < 2; i++ {
+		want := fmt.Sprintf("shard %d (%s)", i, filepath.Join(cfg.lakeDir, fmt.Sprintf("shard-%d", i)))
+		found := false
+		for line := range lines {
+			found = found || strings.Contains(line, want)
+		}
+		if !found {
+			t.Errorf("no lake summary line names %q:\n%s", want, out.String())
+		}
 	}
 }
 

@@ -102,14 +102,6 @@ func (r *Reader) ReadUint(n int) uint64 {
 // ReadBool consumes one bit and returns whether it is set.
 func (r *Reader) ReadBool() bool { return r.ReadBit() == 1 }
 
-// Remaining reports how many unread bits are left.
-func (r *Reader) Remaining() int {
-	if r.err != nil {
-		return 0
-	}
-	return len(r.bits) - r.pos
-}
-
 // Err returns the sticky read error, if any.
 func (r *Reader) Err() error { return r.err }
 
@@ -149,18 +141,6 @@ func Unpack(data []byte, n int) []uint8 {
 	out := make([]uint8, n)
 	for i := 0; i < n; i++ {
 		out[i] = (data[i/8] >> uint(7-i%8)) & 1
-	}
-	return out
-}
-
-// XOR returns a^b element-wise. The slices must have equal length.
-func XOR(a, b []uint8) []uint8 {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("bits: XOR length mismatch %d vs %d", len(a), len(b)))
-	}
-	out := make([]uint8, len(a))
-	for i := range a {
-		out[i] = a[i] ^ b[i]
 	}
 	return out
 }

@@ -29,8 +29,8 @@ func TestWriterReaderRoundTrip(t *testing.T) {
 	if got := r.ReadUint(16); got != 0xDEAD {
 		t.Errorf("ReadUint(16) = %#x, want 0xdead", got)
 	}
-	if r.Remaining() != 0 {
-		t.Errorf("Remaining = %d, want 0", r.Remaining())
+	if left := len(r.bits) - r.pos; left != 0 {
+		t.Errorf("%d bits left unread, want 0", left)
 	}
 	if r.Err() != nil {
 		t.Errorf("Err = %v, want nil", r.Err())
@@ -46,8 +46,8 @@ func TestReaderPastEnd(t *testing.T) {
 	if r.Err() == nil {
 		t.Error("expected sticky error after reading past end")
 	}
-	if r.Remaining() != 0 {
-		t.Errorf("Remaining after error = %d, want 0", r.Remaining())
+	if left := len(r.bits) - r.pos; left != 0 {
+		t.Errorf("%d bits left unread after error, want 0", left)
 	}
 }
 
@@ -93,18 +93,6 @@ func TestToFromUintRoundTrip(t *testing.T) {
 	}
 }
 
-func TestXOR(t *testing.T) {
-	a := []uint8{1, 0, 1, 1}
-	b := []uint8{1, 1, 0, 1}
-	got := XOR(a, b)
-	want := []uint8{0, 1, 1, 0}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("XOR = %v, want %v", got, want)
-		}
-	}
-}
-
 func TestCRCKindString(t *testing.T) {
 	want := map[CRCKind]string{CRC24A: "CRC24A", CRC24C: "CRC24C", CRC16: "CRC16", CRC11: "CRC11"}
 	for k, w := range want {
@@ -139,15 +127,6 @@ func TestToUintPanicsOver64(t *testing.T) {
 		}
 	}()
 	ToUint(make([]uint8, 65))
-}
-
-func TestXORPanicsOnLengthMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("XOR length mismatch did not panic")
-		}
-	}()
-	XOR([]uint8{1}, []uint8{1, 0})
 }
 
 func TestCRCLengths(t *testing.T) {

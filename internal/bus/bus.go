@@ -71,6 +71,7 @@ type Sink interface {
 }
 
 // SinkFunc adapts a function to the Sink interface (Close is a no-op).
+// Kept: history.Store.SubscribeTo and bench/'s probes build sinks with it.
 type SinkFunc func(recs []telemetry.Record) error
 
 // WriteBatch implements Sink.
@@ -163,18 +164,18 @@ func withQuarantine(after int, cooldown time.Duration) SubOption {
 	}
 }
 
-// WithFailFast makes the first failed delivery terminal: the
+// withFailFast makes the first failed delivery terminal: the
 // subscription drops its queue, detaches from the bus, and closes its
 // sink — the right policy for per-connection sinks (a broken TCP peer
 // cannot recover; retrying only delays its siblings' drain). Implies a
 // zero retry budget.
-func WithFailFast() SubOption {
+func withFailFast() SubOption {
 	return func(c *subConfig) { c.failFast = true }
 }
 
-// WithOnClose registers a callback invoked once, after the
+// withOnClose registers a callback invoked once, after the
 // subscription's runner exits (drain complete or fail-fast abort).
-func WithOnClose(fn func()) SubOption {
+func withOnClose(fn func()) SubOption {
 	return func(c *subConfig) { c.onClose = fn }
 }
 
@@ -499,9 +500,6 @@ func (s *Subscription) abort() {
 // Dropped reports the subscription's drop counter (DropOldest
 // evictions, quarantine drops, and failed deliveries).
 func (s *Subscription) Dropped() int64 { return s.met.dropped.Value() }
-
-// Delivered reports how many records reached the sink successfully.
-func (s *Subscription) Delivered() int64 { return s.met.delivered.Value() }
 
 // SubStats is one sink's delivery accounting, as reported by
 // Subscription.Stats — the per-sink end-of-run summary's data shape.

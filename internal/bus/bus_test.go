@@ -683,8 +683,8 @@ func TestSinkPanicIsAFailedDelivery(t *testing.T) {
 	}
 }
 
-// TestSinkPanicFailFastDetaches: under WithFailFast a panic in
-// WriteBatch is terminal: the subscription detaches and WithOnClose
+// TestSinkPanicFailFastDetaches: under withFailFast a panic in
+// WriteBatch is terminal: the subscription detaches and withOnClose
 // fires.
 func TestSinkPanicFailFastDetaches(t *testing.T) {
 	b := New()
@@ -692,7 +692,7 @@ func TestSinkPanicFailFastDetaches(t *testing.T) {
 	sink := &collectSink{panicAt: 2}
 	closed := make(chan struct{})
 	sub, err := b.Subscribe("edge_panic_failfast", Block, sink,
-		WithBatch(1, 0), WithFailFast(), WithOnClose(func() { close(closed) }))
+		WithBatch(1, 0), withFailFast(), withOnClose(func() { close(closed) }))
 	if err != nil {
 		t.Fatal(err)
 	}

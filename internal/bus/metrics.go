@@ -1,10 +1,6 @@
 package bus
 
-import (
-	"sync"
-
-	"nrscope/internal/obs"
-)
+import "nrscope/internal/obs"
 
 // met is the bus-wide instrumentation.
 var met = struct {
@@ -35,21 +31,13 @@ type sinkMetrics struct {
 	flush       *obs.Histogram
 }
 
-var (
-	sinkMetricsMu    sync.Mutex
-	sinkMetricsCache = map[string]*sinkMetrics{}
-)
-
 // metricsFor resolves (or creates) the instrument set for a sink name.
+// obs.Default returns the existing instrument for a name registered
+// twice, so repeated calls for one sink name share one set.
 func metricsFor(name string) *sinkMetrics {
 	key := obs.MetricName(name, "sink")
-	sinkMetricsMu.Lock()
-	defer sinkMetricsMu.Unlock()
-	if m, ok := sinkMetricsCache[key]; ok {
-		return m
-	}
 	p := "nrscope_bus_" + key + "_"
-	m := &sinkMetrics{
+	return &sinkMetrics{
 		depth:       obs.Default.Gauge(p+"queue_depth", "records queued towards the "+name+" sink (last sampled)"),
 		capacity:    obs.Default.Gauge(p+"queue_capacity", "ring queue capacity of the "+name+" sink"),
 		delivered:   obs.Default.Counter(p+"delivered_total", "records delivered to the "+name+" sink"),
@@ -60,6 +48,4 @@ func metricsFor(name string) *sinkMetrics {
 		quarantines: obs.Default.Counter(p+"quarantines_total", "times the "+name+" sink entered failure quarantine"),
 		flush:       obs.Default.Histogram(p+"flush_seconds", "successful batch delivery latency to the "+name+" sink", obs.LatencyBuckets),
 	}
-	sinkMetricsCache[key] = m
-	return m
 }

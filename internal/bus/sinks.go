@@ -113,13 +113,6 @@ func (s *JSONLSink) Count() int64 {
 	return s.count
 }
 
-// Rotations reports how many times the log rotated.
-func (s *JSONLSink) Rotations() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.seq
-}
-
 // Close closes the file of a file-backed sink. Each batch was written
 // whole, so there is nothing to flush.
 func (s *JSONLSink) Close() error {

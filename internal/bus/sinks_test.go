@@ -57,13 +57,13 @@ func TestJSONLFileSinkRotation(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if s.Rotations() < 2 {
-		t.Fatalf("Rotations = %d, want >= 2", s.Rotations())
+	if s.seq < 2 {
+		t.Fatalf("rotations = %d, want >= 2", s.seq)
 	}
 	// Concatenate generations oldest-first plus the live file: every
 	// record present, in order.
 	var all []telemetry.Record
-	for i := 1; i <= s.Rotations(); i++ {
+	for i := 1; i <= s.seq; i++ {
 		all = append(all, readJSONL(t, fmt.Sprintf("%s.%d", path, i))...)
 	}
 	all = append(all, readJSONL(t, path)...)
@@ -286,8 +286,8 @@ func TestJSONLRotateExactBoundary(t *testing.T) {
 	if err := sink.WriteBatch(batch); err != nil {
 		t.Fatal(err)
 	}
-	if got := sink.Rotations(); got != 1 {
-		t.Fatalf("Rotations = %d after an exact-boundary batch, want 1", got)
+	if got := sink.seq; got != 1 {
+		t.Fatalf("rotations = %d after an exact-boundary batch, want 1", got)
 	}
 	// The next batch lands in the fresh file, and nothing was lost.
 	if err := sink.WriteBatch([]telemetry.Record{rec(9)}); err != nil {

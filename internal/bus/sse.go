@@ -27,7 +27,7 @@ func SSEHandler(b *Bus) http.Handler {
 		fl.Flush()
 
 		sink := &sseSink{w: w, fl: fl}
-		sub, err := b.Subscribe("sse", DropOldest, sink, WithFailFast(), WithBatch(64, 0))
+		sub, err := b.Subscribe("sse", DropOldest, sink, withFailFast(), WithBatch(64, 0))
 		if err != nil { // bus already closed
 			return
 		}

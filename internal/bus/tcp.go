@@ -70,7 +70,7 @@ func (s *TCPServer) accept() {
 			return
 		}
 		sink := &connSink{conn: conn, timeout: s.writeTimeout}
-		opts := append([]SubOption{WithFailFast(), WithBatch(64, 0), WithOnClose(func() {
+		opts := append([]SubOption{withFailFast(), WithBatch(64, 0), withOnClose(func() {
 			s.mu.Lock()
 			delete(s.conns, conn)
 			s.mu.Unlock()

@@ -74,7 +74,6 @@ func (m Model) params() (offset, sigma, rho float64) {
 // Channel is a per-link SNR process. It is not safe for concurrent use;
 // create one per UE (and one for the scope's own reception path).
 type Channel struct {
-	model Model
 	mean  float64 // mean SNR in dB after the model offset
 	sigma float64
 	rho   float64
@@ -86,7 +85,6 @@ type Channel struct {
 func New(model Model, baseSNRdB float64, seed int64) *Channel {
 	off, sigma, rho := model.params()
 	c := &Channel{
-		model: model,
 		mean:  baseSNRdB + off,
 		sigma: sigma,
 		rho:   rho,
@@ -97,9 +95,6 @@ func New(model Model, baseSNRdB float64, seed int64) *Channel {
 	}
 	return c
 }
-
-// Model returns the channel profile.
-func (c *Channel) Model() Model { return c.model }
 
 // NextSlot advances the fading process one TTI and returns the slot's
 // SNR in dB.
@@ -191,13 +186,6 @@ type PathLoss struct {
 // DefaultIndoor is a typical indoor office model (n = 3).
 func DefaultIndoor() PathLoss {
 	return PathLoss{PL0: 40, RefDist: 1, Exponent: 3, WalldB: 0}
-}
-
-// DefaultOutdoor is a typical urban macro model (n = 2.9, with a modest
-// clutter/penetration term). Pair it with EIRP-level transmit powers
-// (macro cells radiate ~60-66 dBm EIRP including antenna gain).
-func DefaultOutdoor() PathLoss {
-	return PathLoss{PL0: 40, RefDist: 1, Exponent: 2.9, WalldB: 5}
 }
 
 // DB returns the path loss at distance d metres.

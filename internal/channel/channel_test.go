@@ -200,7 +200,8 @@ func TestCommercialCellDistancesStillDecodable(t *testing.T) {
 	// With macro-cell transmit power the SNR at those ranges must stay
 	// above QPSK-decodable levels (paper §5.3.3 says operational cells
 	// have higher transmit power for better coverage).
-	p := DefaultOutdoor()
+	// Urban macro: n = 2.9 with a modest clutter/penetration term.
+	p := PathLoss{PL0: 40, RefDist: 1, Exponent: 2.9, WalldB: 5}
 	txPower := 66.0     // dBm EIRP, macro cell incl. antenna gain
 	noiseFloor := -96.0 // dBm over 20 MHz
 	near := p.SNRAt(350, txPower, noiseFloor)

@@ -120,14 +120,9 @@ func RateMatch(coded []uint8, e int) ([]uint8, error) {
 	return out, nil
 }
 
-// RateRecover expands e channel LLRs back to the coded length n:
-// repeated positions accumulate, punctured positions stay at zero LLR.
-func RateRecover(llr []float64, n int) []float64 {
-	return rateRecoverInto(make([]float64, n), llr)
-}
-
-// rateRecoverInto is RateRecover into rec, whose length is the coded
-// length; it overwrites and returns rec.
+// rateRecoverInto expands e channel LLRs back to the coded length
+// len(rec): repeated positions accumulate, punctured positions stay at
+// zero LLR. It overwrites and returns rec.
 func rateRecoverInto(rec, llr []float64) []float64 {
 	clear(rec)
 	n := len(rec)

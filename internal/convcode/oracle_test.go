@@ -165,7 +165,7 @@ func codewordLLRs(k, e int, scale float64, src []byte) []float64 {
 			// The threshold depends on the LLR being placed: iterate to
 			// its fixed point (Σ|l| barely moves).
 			for range 3 {
-				v := marginFactors[kind] * checkThreshold(RateRecover(llr, CodedLen(k)))
+				v := marginFactors[kind] * checkThreshold(rateRecoverInto(make([]float64, CodedLen(k)), llr))
 				if kind == 4 {
 					v = math.Nextafter(v, math.Inf(1))
 				}

@@ -419,7 +419,7 @@ func TestTrackedIndexAfterPurge(t *testing.T) {
 	size := dci.ClassSize(dci.NonFallback, s.dataCfg)
 	var placed []phy.Candidate
 	for _, rnti := range want[1:] {
-		cands := phy.SlotCandidates(s.ueSS, s.ueCoreset, rnti, ref.Slot)
+		cands := phy.AppendSlotCandidates(nil, s.ueSS, s.ueCoreset, rnti, ref.Slot)
 		for i := len(cands) - 1; i >= 0; i-- { // lowest aggregation level first
 			if cand := cands[i]; !overlapsAny(placed, cand) && pdcch.PayloadFits(size, cand.AggLevel) {
 				placeUEDCI(t, s, g, ref, cand, rnti, 1)

@@ -96,7 +96,7 @@ func packedAL1Slot(t testing.TB, s *Scope, rntis []uint16, k int) *radio.Capture
 
 // candAt returns rnti's first hashed candidate at (al, cce) in slot.
 func candAt(s *Scope, rnti uint16, slot, al, cce int) (phy.Candidate, bool) {
-	for _, cand := range phy.SlotCandidates(s.ueSS, s.ueCoreset, rnti, slot) {
+	for _, cand := range phy.AppendSlotCandidates(nil, s.ueSS, s.ueCoreset, rnti, slot) {
 		if cand.AggLevel == al && cand.StartCCE == cce {
 			return cand, true
 		}
@@ -140,7 +140,7 @@ func TestUECoresetDistinctRegionDecodes(t *testing.T) {
 	if want := dci.ClassSize(dci.NonFallback, s.dataCfg); len(payload) != want {
 		t.Fatalf("packed payload %d bits, class size %d", len(payload), want)
 	}
-	cands := phy.SlotCandidates(s.ueSS, ueCS, rnti, ref.Slot)
+	cands := phy.AppendSlotCandidates(nil, s.ueSS, ueCS, rnti, ref.Slot)
 	if len(cands) == 0 {
 		t.Fatal("no UE candidates in the dedicated CORESET")
 	}
@@ -152,7 +152,7 @@ func TestUECoresetDistinctRegionDecodes(t *testing.T) {
 
 	// Precondition that makes the regression meaningful: CORESET 0 is
 	// silent, so its occupancy mask would gate out every UE candidate.
-	for i, occ := range s.codec.OccupiedCCEs(g, s.coreset, ref.Slot) {
+	for i, occ := range s.codec.OccupiedCCEsInto(nil, g, s.coreset, ref.Slot) {
 		if occ {
 			t.Fatalf("CORESET 0 CCE %d unexpectedly occupied", i)
 		}
@@ -296,7 +296,7 @@ func TestConfirmedDCIsClaimTheirCCEs(t *testing.T) {
 	ref := phy.SlotRef{SFN: 0, Slot: 1}
 	g := phy.NewGrid(cfg.CarrierPRBs)
 	var cand phy.Candidate
-	for _, c := range phy.SlotCandidates(s.ueSS, s.ueCoreset, rntis[0], ref.Slot) {
+	for _, c := range phy.AppendSlotCandidates(nil, s.ueSS, s.ueCoreset, rntis[0], ref.Slot) {
 		if c.AggLevel == 8 {
 			cand = c // the first in candidate order, if two share CCEs
 			break
@@ -407,7 +407,7 @@ func BenchmarkDecodePositions(b *testing.B) {
 	s := handScope(cfg, cfg.Setup.CORESET, rntis...)
 	capt := packedAL1Slot(b, s, rntis, 8)
 	payloadBits := dci.ClassSize(dci.NonFallback, s.dataCfg)
-	occupied := s.codec.OccupiedCCEs(capt.Grid, s.ueCoreset, capt.Ref.Slot)
+	occupied := s.codec.OccupiedCCEsInto(nil, capt.Grid, s.ueCoreset, capt.Ref.Slot)
 	claimed := make([]bool, len(occupied))
 	var sc slotScratch
 	before := met.positions.Value()

@@ -32,11 +32,11 @@ func naiveUESpace(s *Scope, rntis []uint16, capt *radio.Capture) (ue []foundDCI,
 		return nil, css
 	}
 	slot := capt.Ref.Slot
-	sc := &slotScratch{occupied: s.codec.OccupiedCCEs(capt.Grid, s.coreset, slot)}
+	sc := &slotScratch{occupied: s.codec.OccupiedCCEsInto(nil, capt.Grid, s.coreset, slot)}
 	sc.claimed = make([]bool, len(sc.occupied))
 	occupied, claimed := sc.occupied, sc.claimed
 	if !s.ueCoreset.SameRegion(s.coreset) {
-		occupied = s.codec.OccupiedCCEs(capt.Grid, s.ueCoreset, slot)
+		occupied = s.codec.OccupiedCCEsInto(nil, capt.Grid, s.ueCoreset, slot)
 		claimed = make([]bool, len(occupied))
 	}
 	if s.sib1 != nil && s.setup != nil {
@@ -62,11 +62,11 @@ func naiveTiers(s *Scope, rntis []uint16, capt *radio.Capture, occupied, claimed
 	for _, al := range phy.AggregationLevels {
 		var tier []phy.Candidate
 		for u, rnti := range rntis {
-			for _, cand := range phy.SlotCandidates(s.ueSS, s.ueCoreset, rnti, slot) {
+			for _, cand := range phy.AppendSlotCandidates(nil, s.ueSS, s.ueCoreset, rnti, slot) {
 				if cand.AggLevel != al || !spanTrue(occupied, cand.StartCCE, al) || anyTrue(claimed, cand.StartCCE, al) || mineAt(found[u], cand) {
 					continue
 				}
-				block, err := s.codec.DecodeCandidate(capt.Grid, s.ueCoreset, cand, slot, size, capt.N0)
+				block, err := s.codec.DecodeCandidateInto(nil, capt.Grid, s.ueCoreset, cand, slot, size, capt.N0)
 				if err != nil {
 					continue
 				}
@@ -264,7 +264,7 @@ func TestDecodeSlotMatchesNaiveOracleDisjointCoreset(t *testing.T) {
 			var placed []phy.Candidate
 			for k := 0; k < 4; k++ {
 				rnti := rntis[rng.Intn(len(rntis))]
-				cands := phy.SlotCandidates(s.ueSS, ueCS, rnti, ref.Slot)
+				cands := phy.AppendSlotCandidates(nil, s.ueSS, ueCS, rnti, ref.Slot)
 				cand := cands[rng.Intn(len(cands))]
 				d := dci.DCI{Format: dci.Format11, FreqAlloc: riv, MCS: rng.Intn(28), NDI: uint8(rng.Intn(2)), HARQID: rng.Intn(16), DAI: 1, TPC: 1}
 				payload, err := dci.Pack(d, s.dataCfg)
@@ -335,7 +335,7 @@ func TestDecodeSlotMatchesNaiveOracleMixedLevels(t *testing.T) {
 			}
 			for k := 0; k < 6; k++ {
 				rnti := rntis[rng.Intn(len(rntis))]
-				cands := phy.SlotCandidates(s.ueSS, s.ueCoreset, rnti, ref.Slot)
+				cands := phy.AppendSlotCandidates(nil, s.ueSS, s.ueCoreset, rnti, ref.Slot)
 				place(rnti, cands[rng.Intn(len(cands))])
 			}
 			for _, f := range stepAgainstOracle(t, s, rx.Capture(100+i, ref, g)) {

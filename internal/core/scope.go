@@ -81,7 +81,8 @@ func WithDMRSGate(on bool) Option {
 // it off the air — the paper's §3.1.1 NSA mode, where the 5G cell's
 // system information is delivered encrypted via the LTE anchor and
 // NR-Scope "requires manual input of 5G cell information". The scope
-// skips MIB/SIB1 acquisition and goes straight to UE tracking.
+// skips MIB/SIB1 acquisition and goes straight to UE tracking. Kept:
+// no NSA input exists yet, so only tests that skip acquisition set it.
 func WithManualCellInfo(mib rrc.MIB, sib1 rrc.SIB1) Option {
 	return func(s *Scope) {
 		m, s1 := mib, sib1
@@ -208,6 +209,9 @@ func (s *Scope) applyIdleHorizon() {
 		s.inactivitySlots = slots
 	}
 }
+
+// The four accessors below are kept as the public facade's (nrscope.Scope)
+// view of cell acquisition; inside this module only tests call them.
 
 // CellAcquired reports whether MIB and SIB1 are both decoded.
 func (s *Scope) CellAcquired() bool { return s.mib != nil && s.sib1 != nil }

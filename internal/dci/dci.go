@@ -72,6 +72,7 @@ type Config struct {
 }
 
 // DefaultConfig mirrors the 20 MHz / 30 kHz cells of the evaluation.
+// Kept: it is the shared DCI fixture of several packages' tests.
 func DefaultConfig(bwpPRBs int) Config {
 	return Config{BWPPRBs: bwpPRBs, TimeAllocRows: len(phy.DefaultTimeAllocTable), MaxHARQ: 16}
 }

@@ -21,7 +21,8 @@ type LinkConfig struct {
 
 // DefaultLinkConfig mirrors the evaluation cells: one DMRS symbol per
 // allocation (12 REs with 2 CDM groups), no extra overhead, single layer,
-// 256QAM table.
+// 256QAM table. Kept: it is the shared link fixture of several
+// packages' tests.
 func DefaultLinkConfig() LinkConfig {
 	return LinkConfig{DMRSPerPRB: 12, Overhead: 0, Layers: 1, Table: mcs.TableQAM256}
 }

@@ -114,22 +114,24 @@ type handoverRec struct {
 	to       *ueActivity
 }
 
+// handoverWindow bounds the silence gap considered a handover.
+const handoverWindow = 500 * time.Millisecond
+
 // Aggregator fuses multiple cells' telemetry streams.
 type Aggregator struct {
 	cells map[uint16]*cellState
 
-	// HandoverWindow bounds the silence gap considered a handover.
-	HandoverWindow time.Duration
-	// MinSessionBits filters noise sessions from handover matching.
-	MinSessionBits int64
 	// IdleHorizon evicts per-cell UE activity idle longer than this, so
 	// the ues maps stay bounded under C-RNTI churn (0 disables; keep it
-	// well above HandoverWindow or departures can no longer be matched
+	// well above handoverWindow or departures can no longer be matched
 	// to arrivals on neighbour cells).
 	IdleHorizon time.Duration
-	// MaxHandovers bounds the retained handover candidates: beyond it
+
+	// minSessionBits filters noise sessions from handover matching.
+	minSessionBits int64
+	// maxHandovers bounds the retained handover candidates: beyond it
 	// the oldest is dropped.
-	MaxHandovers int
+	maxHandovers int
 
 	store *history.Store
 
@@ -143,16 +145,12 @@ type Aggregator struct {
 func NewWithStore(st *history.Store) *Aggregator {
 	return &Aggregator{
 		cells:          make(map[uint16]*cellState),
-		HandoverWindow: 500 * time.Millisecond,
-		MinSessionBits: 10000,
 		IdleHorizon:    5 * time.Minute,
-		MaxHandovers:   4096,
+		minSessionBits: 10000,
+		maxHandovers:   4096,
 		store:          st,
 	}
 }
-
-// Store returns the history store the aggregator publishes into.
-func (a *Aggregator) Store() *history.Store { return a.store }
 
 // AddCell registers a monitored cell and its numerology, registering it
 // with the history store too unless a shared store already has it.
@@ -238,14 +236,14 @@ func (a *Aggregator) matchHandover(to *cellState, arrival *ueActivity, at time.D
 			continue
 		}
 		for _, u := range from.ues {
-			if u.bits < a.MinSessionBits {
+			if u.bits < a.minSessionBits {
 				continue
 			}
 			gap := at - u.lastSeen
-			if gap < 0 || gap > a.HandoverWindow {
+			if gap < 0 || gap > handoverWindow {
 				continue
 			}
-			conf := 1 - gap.Seconds()/a.HandoverWindow.Seconds()
+			conf := 1 - gap.Seconds()/handoverWindow.Seconds()
 			hr := handoverRec{
 				h: Handover{
 					FromCell: from.id, ToCell: to.id,
@@ -264,7 +262,7 @@ func (a *Aggregator) matchHandover(to *cellState, arrival *ueActivity, at time.D
 		}
 	}
 	if best != nil {
-		if a.MaxHandovers > 0 && len(a.handovers) >= a.MaxHandovers {
+		if len(a.handovers) >= a.maxHandovers {
 			n := copy(a.handovers, a.handovers[1:])
 			a.handovers = a.handovers[:n]
 		}

@@ -57,7 +57,7 @@ func TestAddCellSharedStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := NewWithStore(st)
-	if a.Store() != st {
+	if a.store != st {
 		t.Fatal("shared store not adopted")
 	}
 	if err := a.AddCell(1, phy.Mu1); err != nil {
@@ -157,7 +157,7 @@ func TestNoHandoverOutsideWindow(t *testing.T) {
 
 func TestNoHandoverForTinySessions(t *testing.T) {
 	a := twoCells(t)
-	_ = a.Ingest(1, rec(100, 0x4601, 100)) // 100 bits: below MinSessionBits
+	_ = a.Ingest(1, rec(100, 0x4601, 100)) // 100 bits: below minSessionBits
 	_ = a.Ingest(2, rec(60, 0x7777, 8000))
 	if hos := a.Handovers(); len(hos) != 0 {
 		t.Errorf("tiny session matched: %+v", hos)
@@ -377,8 +377,8 @@ func TestIdleHorizonDisabled(t *testing.T) {
 // and the newest candidates win.
 func TestHandoverRingBounded(t *testing.T) {
 	a := twoCells(t)
-	a.MaxHandovers = 8
-	a.MinSessionBits = 1000
+	a.maxHandovers = 8
+	a.minSessionBits = 1000
 	cell, other := uint16(1), uint16(2)
 	slotMS := map[uint16]int{1: 2, 2: 1} // slots per ms
 	t0 := 0
@@ -414,7 +414,7 @@ func TestFusionSoakBoundedMemory(t *testing.T) {
 	})
 	a := NewWithStore(st)
 	a.IdleHorizon = time.Second
-	a.MaxHandovers = 256
+	a.maxHandovers = 256
 	if err := a.AddCell(1, phy.Mu1); err != nil {
 		t.Fatal(err)
 	}

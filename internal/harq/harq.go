@@ -12,10 +12,9 @@ const MaxProcesses = 16
 
 // process is one gNB-side HARQ process.
 type process struct {
-	active   bool
-	ndi      uint8
-	tbs      int
-	attempts int
+	active bool
+	ndi    uint8
+	tbs    int
 }
 
 // Entity is the gNB-side HARQ state for one UE and one direction.
@@ -38,7 +37,6 @@ func (e *Entity) Allocate(tbs int) (id int, ndi uint8, ok bool) {
 			e.procs[p].active = true
 			e.procs[p].ndi ^= 1
 			e.procs[p].tbs = tbs
-			e.procs[p].attempts = 1
 			e.rr = (p + 1) % MaxProcesses
 			return p, e.procs[p].ndi, true
 		}
@@ -53,7 +51,6 @@ func (e *Entity) Retransmit(id int) (ndi uint8, tbs int, err error) {
 	if id < 0 || id >= MaxProcesses || !e.procs[id].active {
 		return 0, 0, fmt.Errorf("harq: retransmit on inactive process %d", id)
 	}
-	e.procs[id].attempts++
 	return e.procs[id].ndi, e.procs[id].tbs, nil
 }
 
@@ -76,26 +73,6 @@ func (e *Entity) Ack(id int) error {
 	}
 	e.procs[id].active = false
 	return nil
-}
-
-// Attempts returns the number of transmissions the active TB on process
-// id has had, or zero when inactive.
-func (e *Entity) Attempts(id int) int {
-	if id < 0 || id >= MaxProcesses {
-		return 0
-	}
-	return e.procs[id].attempts
-}
-
-// Busy reports how many processes currently hold an unacknowledged TB.
-func (e *Entity) Busy() int {
-	n := 0
-	for i := range e.procs {
-		if e.procs[i].active {
-			n++
-		}
-	}
-	return n
 }
 
 // Tracker is NR-Scope's passive retransmission detector for one UE and
@@ -133,13 +110,4 @@ func (t *Tracker) Observe(harqID int, ndi uint8) (retx bool) {
 // retransmissions.
 func (t *Tracker) Stats() (total, retransmissions int) {
 	return t.total, t.retx
-}
-
-// RetransmissionRatio returns the fraction of observed DCIs that were
-// retransmissions — the x-axis of the paper's Fig. 15 (right).
-func (t *Tracker) RetransmissionRatio() float64 {
-	if t.total == 0 {
-		return 0
-	}
-	return float64(t.retx) / float64(t.total)
 }

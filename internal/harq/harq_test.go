@@ -44,8 +44,10 @@ func TestAllocateExhaustion(t *testing.T) {
 	if _, _, ok := e.Allocate(1); ok {
 		t.Error("17th allocation succeeded")
 	}
-	if e.Busy() != MaxProcesses {
-		t.Errorf("Busy = %d, want %d", e.Busy(), MaxProcesses)
+	for id := 0; id < MaxProcesses; id++ {
+		if err := e.Ack(id); err != nil {
+			t.Errorf("process %d not busy after exhaustion: %v", id, err)
+		}
 	}
 }
 
@@ -61,9 +63,6 @@ func TestRetransmitKeepsNDI(t *testing.T) {
 	}
 	if tbs != 5000 {
 		t.Errorf("retransmission TBS %d, want 5000", tbs)
-	}
-	if e.Attempts(id) != 2 {
-		t.Errorf("attempts = %d, want 2", e.Attempts(id))
 	}
 }
 
@@ -131,9 +130,6 @@ func TestTrackerDetectsRetransmissions(t *testing.T) {
 	if total != 3 || retx != 1 {
 		t.Errorf("stats = (%d,%d), want (3,1)", total, retx)
 	}
-	if got := tr.RetransmissionRatio(); got != 1.0/3 {
-		t.Errorf("ratio = %f", got)
-	}
 }
 
 func TestTrackerIndependentProcesses(t *testing.T) {
@@ -151,12 +147,6 @@ func TestTrackerIgnoresBadIDs(t *testing.T) {
 	}
 	if total, _ := tr.Stats(); total != 0 {
 		t.Error("out-of-range observations counted")
-	}
-}
-
-func TestTrackerZeroRatioWhenEmpty(t *testing.T) {
-	if NewTracker().RetransmissionRatio() != 0 {
-		t.Error("empty tracker ratio nonzero")
 	}
 }
 

@@ -11,48 +11,25 @@ package history
 
 import "fmt"
 
-// AnomalyConfig tunes the detector. Zero values take defaults.
-type AnomalyConfig struct {
-	// Alpha is the EWMA smoothing factor (default 0.3).
-	Alpha float64
-	// RetxRateMin is the absolute retx-rate floor a bin must exceed to
-	// be a spike candidate (default 0.3).
-	RetxRateMin float64
-	// RetxSpikeFactor is how far above the EWMA baseline the rate must
-	// be (default 3x).
-	RetxSpikeFactor float64
-	// MinGrants is the minimum grants in a bin for its retx rate to be
-	// meaningful (default 4).
-	MinGrants int64
-	// CollapseFraction: throughput below this fraction of baseline is
-	// a collapse (default 0.25).
-	CollapseFraction float64
-	// TputFloorBits: baselines below this many bits/bin never flag a
-	// collapse — an idle UE is not a collapsed UE (default 10000).
-	TputFloorBits float64
-}
-
-func (a AnomalyConfig) withDefaults() AnomalyConfig {
-	if a.Alpha <= 0 || a.Alpha > 1 {
-		a.Alpha = 0.3
-	}
-	if a.RetxRateMin <= 0 {
-		a.RetxRateMin = 0.3
-	}
-	if a.RetxSpikeFactor <= 0 {
-		a.RetxSpikeFactor = 3
-	}
-	if a.MinGrants <= 0 {
-		a.MinGrants = 4
-	}
-	if a.CollapseFraction <= 0 {
-		a.CollapseFraction = 0.25
-	}
-	if a.TputFloorBits <= 0 {
-		a.TputFloorBits = 10000
-	}
-	return a
-}
+// Detector thresholds.
+const (
+	// anomalyAlpha is the EWMA smoothing factor of both baselines.
+	anomalyAlpha = 0.3
+	// retxRateMin is the absolute retx-rate floor a bin must exceed to
+	// be a spike candidate.
+	retxRateMin = 0.3
+	// retxSpikeFactor is how far above the EWMA baseline the rate must be.
+	retxSpikeFactor = 3
+	// minGrants is the minimum grants in a bin for its retx rate to be
+	// meaningful.
+	minGrants = 4
+	// collapseFraction: throughput below this fraction of baseline is a
+	// collapse.
+	collapseFraction = 0.25
+	// tputFloorBits: baselines below this many bits/bin never flag a
+	// collapse — an idle UE is not a collapsed UE.
+	tputFloorBits = 10000
+)
 
 // Anomaly kinds.
 const (
@@ -90,7 +67,6 @@ type anomalyState struct {
 // binClosed runs the detector on a UE's freshly closed bin. Called with
 // the store lock held, from the ingest path's series.advance.
 func (st *Store) binClosed(u *ueSeries, b Bin, binIdx int64) {
-	cfg := st.cfg.Anomaly
 	a := &u.anom
 	rate := 0.0
 	if b.Grants > 0 {
@@ -99,14 +75,14 @@ func (st *Store) binClosed(u *ueSeries, b Bin, binIdx int64) {
 	bits := float64(b.DLBits + b.ULBits)
 
 	if a.init {
-		if b.Grants >= cfg.MinGrants && rate >= cfg.RetxRateMin && rate >= cfg.RetxSpikeFactor*a.ewmaRetx {
+		if b.Grants >= minGrants && rate >= retxRateMin && rate >= retxSpikeFactor*a.ewmaRetx {
 			st.addAnomalyLocked(Anomaly{
 				Cell: u.key.cell, RNTI: u.key.rnti, Kind: KindRetxSpike,
 				AtMs: float64(binIdx) * st.binMS, Value: rate, Baseline: a.ewmaRetx,
 			})
 			met.retxSpikes.Inc()
 		}
-		if a.ewmaTput >= cfg.TputFloorBits && bits <= cfg.CollapseFraction*a.ewmaTput {
+		if a.ewmaTput >= tputFloorBits && bits <= collapseFraction*a.ewmaTput {
 			if !a.collapsed {
 				a.collapsed = true
 				st.addAnomalyLocked(Anomaly{
@@ -127,9 +103,9 @@ func (st *Store) binClosed(u *ueSeries, b Bin, binIdx int64) {
 		return
 	}
 	if b.Grants > 0 {
-		a.ewmaRetx = cfg.Alpha*rate + (1-cfg.Alpha)*a.ewmaRetx
+		a.ewmaRetx = anomalyAlpha*rate + (1-anomalyAlpha)*a.ewmaRetx
 	}
-	a.ewmaTput = cfg.Alpha*bits + (1-cfg.Alpha)*a.ewmaTput
+	a.ewmaTput = anomalyAlpha*bits + (1-anomalyAlpha)*a.ewmaTput
 }
 
 // anomalyRing is a bounded FIFO of flagged anomalies.

@@ -53,8 +53,6 @@ type Config struct {
 	// over-wide requests fail with a *TooWideError instead — narrow the
 	// range or raise the downsample factor.
 	MaxQuerySamples int
-	// Anomaly thresholds; see anomaly.go (zero = defaults).
-	Anomaly AnomalyConfig
 }
 
 func (c Config) withDefaults() Config {
@@ -73,7 +71,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxQuerySamples <= 0 {
 		c.MaxQuerySamples = 100000
 	}
-	c.Anomaly = c.Anomaly.withDefaults()
 	return c
 }
 
@@ -160,7 +157,8 @@ func (st *Store) AddCell(cellID uint16, tti time.Duration) error {
 
 // SubscribeTo attaches the store to a bus as a lossless (Block policy)
 // subscriber feeding Ingest for cellID. The returned subscription is
-// drained in full when the bus closes.
+// drained in full when the bus closes. Kept: bench/'s deliver16
+// workload attaches its store with it.
 func (st *Store) SubscribeTo(b *bus.Bus, cellID uint16) (*bus.Subscription, error) {
 	return b.Subscribe("history", bus.Block, bus.SinkFunc(func(recs []telemetry.Record) error {
 		for _, r := range recs {

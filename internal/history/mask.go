@@ -40,25 +40,6 @@ func (m SeriesMask) Overlap(o SeriesMask) float64 {
 	return float64(n) / float64(min(m.Active, o.Active))
 }
 
-// maskLocked builds a UE's activity mask. Caller holds st.mu.
-func (st *Store) maskLocked(u *ueSeries) SeriesMask {
-	m := SeriesMask{
-		Cell: u.key.cell, RNTI: u.key.rnti,
-		FirstIdx: u.series.oldestIdx(), BinMs: st.binMS,
-	}
-	if u.series.n == 0 {
-		return m
-	}
-	m.Mask = make([]bool, u.series.n)
-	for i := range m.Mask {
-		if u.series.atPtr(m.FirstIdx+int64(i)).Grants > 0 {
-			m.Mask[i] = true
-			m.Active++
-		}
-	}
-	return m
-}
-
 // ActivityMask returns a UE's per-bin activity mask over its retained
 // window, or ok=false when the UE is not tracked.
 func (st *Store) ActivityMask(cellID, rnti uint16) (SeriesMask, bool) {
@@ -69,22 +50,21 @@ func (st *Store) ActivityMask(cellID, rnti uint16) (SeriesMask, bool) {
 	if u == nil {
 		return SeriesMask{}, false
 	}
-	return st.maskLocked(u), true
-}
-
-// PairOverlap correlates two sessions' retained activity in one locked
-// pass: the mask overlap of (cellA, rntiA) against (cellB, rntiB).
-// ok is false when either UE is not tracked.
-func (st *Store) PairOverlap(cellA, rntiA, cellB, rntiB uint16) (overlap float64, ok bool) {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	met.queries.Inc()
-	ua := st.ues[ueKey{cellA, rntiA}]
-	ub := st.ues[ueKey{cellB, rntiB}]
-	if ua == nil || ub == nil {
-		return 0, false
+	m := SeriesMask{
+		Cell: cellID, RNTI: rnti,
+		FirstIdx: u.series.oldestIdx(), BinMs: st.binMS,
 	}
-	return st.maskLocked(ua).Overlap(st.maskLocked(ub)), true
+	if u.series.n == 0 {
+		return m, true
+	}
+	m.Mask = make([]bool, u.series.n)
+	for i := range m.Mask {
+		if u.series.atPtr(m.FirstIdx+int64(i)).Grants > 0 {
+			m.Mask[i] = true
+			m.Active++
+		}
+	}
+	return m, true
 }
 
 // HasCell reports whether the cell is registered, so a component handed

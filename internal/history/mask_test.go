@@ -52,7 +52,7 @@ func TestMaskOverlapAlignsAcrossCells(t *testing.T) {
 		st.Ingest(1, msRec(float64(i*10)+1, 0x11, true, 1000, 5, false))
 		st.Ingest(2, msRec(float64((i+5)*10)+1, 0x22, true, 1000, 5, false))
 	}
-	ov, ok := st.PairOverlap(1, 0x11, 2, 0x22)
+	ov, ok := pairOverlap(st, 1, 0x11, 2, 0x22)
 	if !ok {
 		t.Fatal("tracked pair not correlated")
 	}
@@ -60,11 +60,11 @@ func TestMaskOverlapAlignsAcrossCells(t *testing.T) {
 		t.Errorf("overlap = %v, want 0.5", ov)
 	}
 	// Symmetric.
-	rev, _ := st.PairOverlap(2, 0x22, 1, 0x11)
+	rev, _ := pairOverlap(st, 2, 0x22, 1, 0x11)
 	if rev != ov {
 		t.Errorf("overlap not symmetric: %v vs %v", ov, rev)
 	}
-	if _, ok := st.PairOverlap(1, 0x11, 2, 0xBEEF); ok {
+	if _, ok := pairOverlap(st, 1, 0x11, 2, 0xBEEF); ok {
 		t.Error("unknown UE correlated")
 	}
 }
@@ -74,7 +74,7 @@ func TestMaskOverlapDisjointWindows(t *testing.T) {
 	st.Ingest(1, msRec(5, 0x11, true, 1000, 5, false))
 	// The cell-2 session starts far past cell 1's retained window.
 	st.Ingest(2, msRec(10005, 0x22, true, 1000, 5, false))
-	ov, ok := st.PairOverlap(1, 0x11, 2, 0x22)
+	ov, ok := pairOverlap(st, 1, 0x11, 2, 0x22)
 	if !ok || ov != 0 {
 		t.Errorf("disjoint sessions overlap %v (ok=%v), want 0", ov, ok)
 	}
@@ -109,4 +109,15 @@ func TestHasCell(t *testing.T) {
 	if st.Depth() != 8 {
 		t.Errorf("Depth = %d", st.Depth())
 	}
+}
+
+// pairOverlap correlates two sessions' retained activity through their
+// activity masks; ok is false when either UE is not tracked.
+func pairOverlap(st *Store, cellA, rntiA, cellB, rntiB uint16) (float64, bool) {
+	a, okA := st.ActivityMask(cellA, rntiA)
+	b, okB := st.ActivityMask(cellB, rntiB)
+	if !okA || !okB {
+		return 0, false
+	}
+	return a.Overlap(b), true
 }

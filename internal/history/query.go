@@ -341,6 +341,7 @@ func (st *Store) Snapshot() Snapshot {
 	snap := Snapshot{
 		TrackedUEs: len(st.ues), LastMs: st.lastTMs, BinMs: st.binMS,
 		Depth: st.cfg.Depth, MaxUEs: st.cfg.MaxUEs, Anomalies: st.anoms.n,
+		Cells: make([]CellSummary, 0, len(st.cells)),
 	}
 	perCell := make(map[uint16]int)
 	for key := range st.ues {

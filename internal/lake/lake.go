@@ -524,7 +524,8 @@ func (l *Lake) Close() error {
 
 // Abandon simulates a crash: the writer stops without a final flush,
 // active segments stay unsealed (no footer), and file handles are
-// released without fsync. Reopening the directory must recover.
+// released without fsync. Reopening the directory must recover. Kept:
+// it is the crash hook the recovery tests need.
 func (l *Lake) Abandon() {
 	if l.closed.Swap(true) {
 		return

@@ -224,18 +224,13 @@ func min(a, b int) int {
 	return b
 }
 
-// SpareCapacityBits estimates how many bits nSpareREs resource elements
-// would carry for a UE at the given MCS entry and layer count — the
-// paper's §5.4.1 fair-share spare capacity: the same spare REs translate
-// to different bit rates for different UEs because their modulation and
-// coding rates differ (Fig. 14a).
-func SpareCapacityBits(nSpareREs int, e Entry, layers int) float64 {
-	return SpareCapacityBitsExact(float64(nSpareREs), e, layers)
-}
-
-// SpareCapacityBitsExact is SpareCapacityBits for a fractional RE
-// share — the fair-share split of §5.4.1 rarely divides evenly, and
-// truncating the share to whole REs discards up to one RE per UE.
+// SpareCapacityBitsExact estimates how many bits spareREs resource
+// elements would carry for a UE at the given MCS entry and layer count —
+// the paper's §5.4.1 fair-share spare capacity: the same spare REs
+// translate to different bit rates for different UEs because their
+// modulation and coding rates differ (Fig. 14a). The share is
+// fractional: the fair-share split rarely divides evenly, and
+// truncating it to whole REs discards up to one RE per UE.
 func SpareCapacityBitsExact(spareREs float64, e Entry, layers int) float64 {
 	return spareREs * e.R() * float64(e.Qm) * float64(layers)
 }

@@ -231,13 +231,13 @@ func TestIndexForEfficiency(t *testing.T) {
 func TestSpareCapacityBits(t *testing.T) {
 	e, _ := TableQAM256.Lookup(27)
 	lo, _ := TableQAM64.Lookup(0)
-	high := SpareCapacityBits(100, e, 2)
-	low := SpareCapacityBits(100, lo, 1)
+	high := SpareCapacityBitsExact(100, e, 2)
+	low := SpareCapacityBitsExact(100, lo, 1)
 	if high <= low {
 		t.Errorf("spare bits at high MCS %.1f not greater than low MCS %.1f", high, low)
 	}
 	// Fig. 14a: same spare REs, different bit rates across UEs.
-	if high == SpareCapacityBits(100, lo, 2) {
+	if high == SpareCapacityBitsExact(100, lo, 2) {
 		t.Error("spare capacity insensitive to MCS")
 	}
 }

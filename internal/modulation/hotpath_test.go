@@ -22,7 +22,7 @@ func TestQPSKFastPathMatchesMaxLog(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	syms := noisySymbols(rng, 200)
 	n0 := 0.3
-	got := Demap(QPSK, syms, n0)
+	got := DemapInto(nil, QPSK, syms, n0)
 	levels, labels := pamTable(QPSK)
 	want := make([]float64, len(got))
 	for k, sym := range syms {
@@ -58,14 +58,14 @@ func TestDemapIntoReusesBuffer(t *testing.T) {
 	}
 }
 
-// TestDemapIntoMatchesDemap across all schemes (Demap is the nil-dst
-// special case; pin them together anyway so a fast path added to one
-// cannot drift from the other).
+// TestDemapIntoMatchesDemap across all schemes: a caller-supplied buffer
+// and the nil-dst allocation must give the same LLRs, so a fast path
+// added to one cannot drift from the other.
 func TestDemapIntoMatchesDemap(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	for _, s := range allSchemes {
 		syms := noisySymbols(rng, 48)
-		want := Demap(s, syms, 0.7)
+		want := DemapInto(nil, s, syms, 0.7)
 		buf := make([]float64, 0, len(syms)*s.BitsPerSymbol())
 		got := DemapInto(buf, s, syms, 0.7)
 		for i := range want {

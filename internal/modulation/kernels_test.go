@@ -208,7 +208,7 @@ func TestHardDecisionRoundTripAllPoints(t *testing.T) {
 			}
 		}
 		syms := Map(s, all)
-		got := HardDecision(DemapInto(nil, s, syms, 0.1))
+		got := hardDecision(DemapInto(nil, s, syms, 0.1))
 		for i := range all {
 			if got[i] != all[i] {
 				t.Fatalf("%v: bit %d of exhaustive round trip flipped", s, i)
@@ -236,7 +236,7 @@ func TestDemapN0FloorAndSaturation(t *testing.T) {
 			// point still hard-decides to itself at n0 = 0.
 			bits := make([]uint8, s.BitsPerSymbol())
 			point := Map(s, bits)
-			got := HardDecision(DemapInto(nil, s, point, n0))
+			got := hardDecision(DemapInto(nil, s, point, n0))
 			for i := range bits {
 				if got[i] != bits[i] {
 					t.Fatalf("%v n0=%v: clamped demap flipped bit %d", s, n0, i)

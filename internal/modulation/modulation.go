@@ -123,15 +123,11 @@ func Map(s Scheme, bitstream []uint8) []complex128 {
 	return out
 }
 
-// Demap produces max-log LLRs for each bit of each symbol under AWGN with
-// noise variance n0 (total, both dimensions). Positive LLR favours bit 0.
-func Demap(s Scheme, symbols []complex128, n0 float64) []float64 {
-	return DemapInto(nil, s, symbols, n0)
-}
-
-// DemapInto is Demap writing into dst (reused when its capacity covers
+// DemapInto produces max-log LLRs for each bit of each symbol under AWGN
+// with noise variance n0 (total, both dimensions); positive LLR favours
+// bit 0. It writes into dst (reused when its capacity covers
 // len(symbols)·Qm, so per-candidate demapping on the blind-decode hot
-// path is allocation free). It returns the LLR slice.
+// path is allocation free; nil allocates) and returns the LLR slice.
 //
 // QPSK is the closed form 4·a·y/n0; the QAM schemes run the per-axis
 // closed-form kernels in kernels.go. n0 is clamped to MinN0 (NaN
@@ -182,14 +178,3 @@ func DemapInto(dst []float64, s Scheme, symbols []complex128, n0 float64) []floa
 
 // qpskAmp is the per-axis QPSK amplitude (1/√2 under unit energy).
 var qpskAmp = QPSK.norm()
-
-// HardDecision slices LLRs to bits: negative LLR -> 1.
-func HardDecision(llr []float64) []uint8 {
-	out := make([]uint8, len(llr))
-	for i, v := range llr {
-		if v < 0 {
-			out[i] = 1
-		}
-	}
-	return out
-}

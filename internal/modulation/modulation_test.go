@@ -10,6 +10,18 @@ import (
 
 var allSchemes = []Scheme{QPSK, QAM16, QAM64, QAM256}
 
+// hardDecision slices LLRs to bits (negative LLR -> 1): the oracle the
+// demap tests compare transmitted bits against.
+func hardDecision(llr []float64) []uint8 {
+	out := make([]uint8, len(llr))
+	for i, v := range llr {
+		if v < 0 {
+			out[i] = 1
+		}
+	}
+	return out
+}
+
 func randomBits(rng *rand.Rand, n int) []uint8 {
 	out := make([]uint8, n)
 	for i := range out {
@@ -119,8 +131,8 @@ func TestMapDemapRoundTripNoiseless(t *testing.T) {
 		n := (1 + int(nRaw)%40) * s.BitsPerSymbol()
 		bitstream := randomBits(rng, n)
 		symbols := Map(s, bitstream)
-		llr := Demap(s, symbols, 0.01)
-		got := HardDecision(llr)
+		llr := DemapInto(nil, s, symbols, 0.01)
+		got := hardDecision(llr)
 		for i := range bitstream {
 			if got[i] != bitstream[i] {
 				return false
@@ -145,7 +157,7 @@ func TestDemapUnderNoise(t *testing.T) {
 	for i, sym := range symbols {
 		noisy[i] = sym + complex(rng.NormFloat64()*sigma, rng.NormFloat64()*sigma)
 	}
-	got := HardDecision(Demap(QPSK, noisy, n0))
+	got := hardDecision(DemapInto(nil, QPSK, noisy, n0))
 	errs := 0
 	for i := range bitstream {
 		if got[i] != bitstream[i] {
@@ -163,8 +175,8 @@ func TestDemapLLRMagnitudeOrdering(t *testing.T) {
 	// A symbol far from the decision boundary must give larger-magnitude
 	// LLRs than one close to it.
 	sym := Map(QPSK, []uint8{0, 0})[0]
-	far := Demap(QPSK, []complex128{sym * 2}, 1)
-	near := Demap(QPSK, []complex128{sym * complex(0.1, 0)}, 1)
+	far := DemapInto(nil, QPSK, []complex128{sym * 2}, 1)
+	near := DemapInto(nil, QPSK, []complex128{sym * complex(0.1, 0)}, 1)
 	if math.Abs(far[0]) <= math.Abs(near[0]) {
 		t.Errorf("far LLR %.2f not larger than near LLR %.2f", far[0], near[0])
 	}
@@ -206,7 +218,7 @@ func BenchmarkDemapQPSK(b *testing.B) {
 	symbols := Map(QPSK, randomBits(rng, 864))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		Demap(QPSK, symbols, 0.5)
+		DemapInto(nil, QPSK, symbols, 0.5)
 	}
 }
 
@@ -215,6 +227,6 @@ func BenchmarkDemap256QAM(b *testing.B) {
 	symbols := Map(QAM256, randomBits(rng, 8*1000))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		Demap(QAM256, symbols, 0.1)
+		DemapInto(nil, QAM256, symbols, 0.1)
 	}
 }

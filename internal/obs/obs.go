@@ -142,12 +142,11 @@ func (h *Histogram) Buckets() (bounds []float64, counts []int64) {
 type metric struct {
 	name string
 	help string
-	kind string // "counter" | "gauge" | "histogram" | "gaugefunc"
+	kind string // "counter" | "gauge" | "histogram"
 
 	counter *Counter
 	gauge   *Gauge
 	hist    *Histogram
-	gaugeFn func() float64
 }
 
 // Registry is a named collection of metrics. The zero value is not
@@ -199,14 +198,6 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 	}).gauge
 }
 
-// GaugeFunc registers a gauge whose value is computed at scrape time.
-// Re-registering an existing name keeps the original function.
-func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
-	r.register(name, help, "gaugefunc", func() *metric {
-		return &metric{gaugeFn: fn}
-	})
-}
-
 // Histogram returns the named histogram, creating it with the given
 // bucket upper bounds on first use.
 func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
@@ -230,8 +221,6 @@ func (r *Registry) Snapshot() map[string]float64 {
 			out[name] = float64(m.counter.Value())
 		case "gauge":
 			out[name] = float64(m.gauge.Value())
-		case "gaugefunc":
-			out[name] = m.gaugeFn()
 		case "histogram":
 			out[name+"_count"] = float64(m.hist.Count())
 			out[name+"_sum"] = m.hist.Sum()

@@ -75,7 +75,6 @@ func TestSnapshotAndDelta(t *testing.T) {
 	c := r.Counter("test_total", "")
 	g := r.Gauge("test_gauge", "")
 	h := r.Histogram("test_hist", "", []float64{1})
-	r.GaugeFunc("test_fn", "", func() float64 { return 42 })
 
 	before := r.Snapshot()
 	c.Add(3)
@@ -96,9 +95,6 @@ func TestSnapshotAndDelta(t *testing.T) {
 	}
 	if d["test_hist_sum"] != 2.5 {
 		t.Errorf("hist sum delta = %g, want 2.5", d["test_hist_sum"])
-	}
-	if after["test_fn"] != 42 {
-		t.Errorf("gauge func = %g, want 42", after["test_fn"])
 	}
 }
 

@@ -29,9 +29,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		case "gauge":
 			fmt.Fprintf(bw, "# TYPE %s gauge\n", name)
 			fmt.Fprintf(bw, "%s %d\n", name, m.gauge.Value())
-		case "gaugefunc":
-			fmt.Fprintf(bw, "# TYPE %s gauge\n", name)
-			fmt.Fprintf(bw, "%s %s\n", name, formatFloat(m.gaugeFn()))
 		case "histogram":
 			fmt.Fprintf(bw, "# TYPE %s histogram\n", name)
 			bounds, counts := m.hist.Buckets()
@@ -67,6 +64,3 @@ func (r *Registry) Handler() http.Handler {
 		_ = r.WritePrometheus(w)
 	})
 }
-
-// Handler returns the Default registry's /metrics handler.
-func Handler() http.Handler { return Default.Handler() }

@@ -17,6 +17,8 @@ import (
 )
 
 // Controller is a congestion-control policy producing a send rate.
+// Kept: it names the contract both policies of the extension experiment
+// meet, which their tests pin.
 type Controller interface {
 	// Name identifies the policy.
 	Name() string

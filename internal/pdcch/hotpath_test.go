@@ -23,7 +23,7 @@ func TestDecodeCandidateIntoMatchesDecodeCandidate(t *testing.T) {
 			t.Fatal(err)
 		}
 		n0 := addNoise(g, 12, rng)
-		want, err := c.DecodeCandidate(g, cs, cand, 3, 43, n0)
+		want, err := c.DecodeCandidateInto(nil, g, cs, cand, 3, 43, n0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -61,12 +61,12 @@ func TestDecodeHotPathZeroAlloc(t *testing.T) {
 	n0 := addNoise(g, 15, rng)
 
 	// Warm every cache (layouts for all CCE metrics, gold, polar, pool).
-	blk, err := c.DecodeCandidate(g, cs, cand, 3, 43, n0)
+	blk, err := c.DecodeCandidateInto(nil, g, cs, cand, 3, 43, n0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.DMRSMetric(g, cs, cand, 3)
-	occ := c.OccupiedCCEs(g, cs, 3)
+	candidateDMRS(c, g, cs, cand, 3)
+	occ := c.OccupiedCCEsInto(nil, g, cs, 3)
 
 	if n := testing.AllocsPerRun(100, func() {
 		out, err := c.DecodeCandidateInto(blk, g, cs, cand, 3, 43, n0)
@@ -78,7 +78,7 @@ func TestDecodeHotPathZeroAlloc(t *testing.T) {
 		t.Errorf("DecodeCandidateInto: %.1f allocs/op, want 0", n)
 	}
 	if n := testing.AllocsPerRun(100, func() {
-		c.DMRSMetric(g, cs, cand, 3)
+		candidateDMRS(c, g, cs, cand, 3)
 	}); n != 0 {
 		t.Errorf("DMRSMetric: %.1f allocs/op, want 0", n)
 	}

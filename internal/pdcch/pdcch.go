@@ -344,30 +344,15 @@ func (c *Codec) Encode(g *phy.Grid, cs phy.CORESET, cand phy.Candidate, slot int
 	return nil
 }
 
-// DMRSMetric correlates the candidate's pilot REs against the expected
-// DMRS. It returns a normalised metric in [-1, 1]; values near 1 mean a
-// PDCCH transmission is present on the candidate. Empty or noise-only
-// candidates score near zero. The geometry and reference symbols come
-// from the codec caches, so the steady-state call is allocation free.
-func (c *Codec) DMRSMetric(g *phy.Grid, cs phy.CORESET, cand phy.Candidate, slot int) float64 {
-	c.plan.Resolve(c, cs, slot, c.plan.payloadBits)
-	return c.plan.dmrsMetric(g, cand.AggLevel, cand.StartCCE)
-}
-
-// DMRSThreshold is the detection threshold for DMRSMetric above which a
+// DMRSThreshold is the DMRS correlation (Plan.dmrsMetric) above which a
 // candidate is worth a polar decode. Chosen so noise-only candidates are
 // rejected with high probability while transmissions at usable SNRs pass.
 const DMRSThreshold = 0.5
 
-// OccupiedCCEs scans the CORESET and returns, per CCE, whether its DMRS
-// correlation clears the detection threshold.
-func (c *Codec) OccupiedCCEs(g *phy.Grid, cs phy.CORESET, slot int) []bool {
-	return c.OccupiedCCEsInto(nil, g, cs, slot)
-}
-
-// OccupiedCCEsInto is OccupiedCCEs writing into dst (reused when its
-// capacity covers the CORESET), so the per-slot occupancy sweep does not
-// allocate at steady state. It is Plan.OccupiedCCEsInto in the Codec's
+// OccupiedCCEsInto scans the CORESET and returns, per CCE, whether its
+// DMRS correlation clears the detection threshold. It writes into dst
+// (reused when its capacity covers the CORESET; nil allocates), so the
+// per-slot occupancy sweep does not allocate at steady state. It is Plan.OccupiedCCEsInto in the Codec's
 // own Plan.
 func (c *Codec) OccupiedCCEsInto(dst []bool, g *phy.Grid, cs phy.CORESET, slot int) []bool {
 	c.plan.Resolve(c, cs, slot, c.plan.payloadBits)
@@ -382,16 +367,12 @@ func PayloadFits(payloadBits, aggLevel int) bool {
 	return polar.Feasible(payloadBits+24, aggLevel*phy.BitsPerCCE)
 }
 
-// DecodeCandidate runs the inverse chain on one candidate and returns
-// the hard-decision block (payload || CRC24) of the hypothesised payload
-// size. The caller verifies the CRC (with a known RNTI) or recovers the
-// RNTI from it. n0 is the receiver's noise variance estimate.
-func (c *Codec) DecodeCandidate(g *phy.Grid, cs phy.CORESET, cand phy.Candidate, slot int, payloadBits int, n0 float64) ([]uint8, error) {
-	return c.DecodeCandidateInto(nil, g, cs, cand, slot, payloadBits, n0)
-}
-
-// DecodeCandidateInto is DecodeCandidate writing the hard-decision block
-// into dst (reused when its capacity covers payloadBits+24 bits). It is
+// DecodeCandidateInto runs the inverse chain on one candidate and
+// returns the hard-decision block (payload || CRC24) of the hypothesised
+// payload size. The caller verifies the CRC (with a known RNTI) or
+// recovers the RNTI from it. n0 is the receiver's noise variance
+// estimate. The block is written into dst (reused when its capacity
+// covers payloadBits+24 bits; nil allocates). It is
 // Plan.DecodeInto in the Codec's own Plan, so with a warm cache the call
 // performs no heap allocation.
 func (c *Codec) DecodeCandidateInto(dst []uint8, g *phy.Grid, cs phy.CORESET, cand phy.Candidate, slot int, payloadBits int, n0 float64) ([]uint8, error) {

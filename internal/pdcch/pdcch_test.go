@@ -12,6 +12,15 @@ import (
 
 const cellID = 500
 
+// candidateDMRS correlates the candidate's pilot REs against the
+// expected DMRS in the codec's own Plan: a normalised metric in [-1, 1],
+// near 1 when a PDCCH transmission is present and near zero on empty or
+// noise-only candidates.
+func candidateDMRS(c *Codec, g *phy.Grid, cs phy.CORESET, cand phy.Candidate, slot int) float64 {
+	c.plan.Resolve(c, cs, slot, c.plan.payloadBits)
+	return c.plan.dmrsMetric(g, cand.AggLevel, cand.StartCCE)
+}
+
 func coreset() phy.CORESET {
 	return phy.CORESET{ID: 0, StartPRB: 0, NumPRB: 48, Duration: 1, StartSym: 0}
 }
@@ -46,7 +55,7 @@ func TestEncodeDecodeRoundTripNoiseless(t *testing.T) {
 		if err := c.Encode(g, cs, cand, 3, payload, rnti); err != nil {
 			t.Fatalf("AL%d: %v", al, err)
 		}
-		block, err := c.DecodeCandidate(g, cs, cand, 3, len(payload), 1e-4)
+		block, err := c.DecodeCandidateInto(nil, g, cs, cand, 3, len(payload), 1e-4)
 		if err != nil {
 			t.Fatalf("AL%d: %v", al, err)
 		}
@@ -79,7 +88,7 @@ func TestRNTIRecoveryThroughFullChain(t *testing.T) {
 			t.Fatal(err)
 		}
 		n0 := addNoise(g, 10, rng)
-		block, err := c.DecodeCandidate(g, cs, cand, trial%20, len(payload), n0)
+		block, err := c.DecodeCandidateInto(nil, g, cs, cand, trial%20, len(payload), n0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -106,7 +115,7 @@ func TestDecodeMissRateIncreasesWithNoise(t *testing.T) {
 				t.Fatal(err)
 			}
 			n0 := addNoise(g, snr, rng)
-			block, err := c.DecodeCandidate(g, cs, cand, 5, len(payload), n0)
+			block, err := c.DecodeCandidateInto(nil, g, cs, cand, 5, len(payload), n0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -137,10 +146,10 @@ func TestDMRSMetricDetectsPresence(t *testing.T) {
 		t.Fatal(err)
 	}
 	addNoise(g, 10, rng)
-	if m := c.DMRSMetric(g, cs, used, 7); m < DMRSThreshold {
+	if m := candidateDMRS(c, g, cs, used, 7); m < DMRSThreshold {
 		t.Errorf("occupied candidate metric %.2f below threshold", m)
 	}
-	if m := c.DMRSMetric(g, cs, empty, 7); m > DMRSThreshold {
+	if m := candidateDMRS(c, g, cs, empty, 7); m > DMRSThreshold {
 		t.Errorf("empty candidate metric %.2f above threshold", m)
 	}
 }
@@ -149,7 +158,7 @@ func TestDMRSMetricEmptyGrid(t *testing.T) {
 	c := New(cellID)
 	cs := coreset()
 	g := phy.NewGrid(51)
-	if m := c.DMRSMetric(g, cs, phy.Candidate{AggLevel: 1, StartCCE: 0}, 0); m != 0 {
+	if m := candidateDMRS(c, g, cs, phy.Candidate{AggLevel: 1, StartCCE: 0}, 0); m != 0 {
 		t.Errorf("metric on silent grid = %.3f, want 0", m)
 	}
 }
@@ -165,8 +174,8 @@ func TestDMRSMetricSlotSpecific(t *testing.T) {
 	if err := c.Encode(g, cs, cand, 3, randomBits(rng, 43), 0x4601); err != nil {
 		t.Fatal(err)
 	}
-	same := c.DMRSMetric(g, cs, cand, 3)
-	other := c.DMRSMetric(g, cs, cand, 4)
+	same := candidateDMRS(c, g, cs, cand, 3)
+	other := candidateDMRS(c, g, cs, cand, 4)
 	if other >= same {
 		t.Errorf("stale-slot metric %.2f not below live metric %.2f", other, same)
 	}
@@ -188,7 +197,7 @@ func TestCellScramblingIsolation(t *testing.T) {
 	if err := cA.Encode(g, cs, cand, 1, payload, 0x4601); err != nil {
 		t.Fatal(err)
 	}
-	block, err := cB.DecodeCandidate(g, cs, cand, 1, len(payload), 1e-4)
+	block, err := cB.DecodeCandidateInto(nil, g, cs, cand, 1, len(payload), 1e-4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +219,7 @@ func BenchmarkDecodeCandidateAL4(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.DecodeCandidate(g, cs, cand, 3, 43, n0); err != nil {
+		if _, err := c.DecodeCandidateInto(nil, g, cs, cand, 3, 43, n0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -229,6 +238,6 @@ func BenchmarkDMRSMetric(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.DMRSMetric(g, cs, cand, 3)
+		candidateDMRS(c, g, cs, cand, 3)
 	}
 }

@@ -56,7 +56,7 @@ func TestPlanMatchesCodec(t *testing.T) {
 			}
 			p.Resolve(c, cs, slot, payloadBits)
 			occ = p.OccupiedCCEsInto(occ, g)
-			if wantOcc := c.OccupiedCCEs(g, cs, slot); !slices.Equal(occ, wantOcc) {
+			if wantOcc := c.OccupiedCCEsInto(nil, g, cs, slot); !slices.Equal(occ, wantOcc) {
 				t.Fatalf("slot %d CORESET %d: occupancy %v, codec %v", slot, cs.ID, occ, wantOcc)
 			}
 			for _, al := range phy.AggregationLevels {

@@ -118,7 +118,8 @@ func gatherAllocation(g *phy.Grid, grant dci.Grant, syms []complex128) bool {
 
 // Decode extracts and decodes a transport block addressed by the grant,
 // returning the payload bytes (the TBS payload, CRC-verified) and
-// whether the CRC passed.
+// whether the CRC passed. Kept: bench/'s harvest pass calls it; the
+// Scope decodes through DecodeInto.
 func Decode(g *phy.Grid, grant dci.Grant, cellID uint16, n0 float64) ([]byte, bool) {
 	out, ok := DecodeInto(nil, g, grant, cellID, n0)
 	if !ok {

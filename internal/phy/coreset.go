@@ -247,18 +247,11 @@ type Candidate struct {
 	StartCCE int
 }
 
-// SlotCandidates enumerates every candidate of the search space for a
-// slot, across all aggregation levels, in decreasing-level order (the
-// order real blind decoders use: fewer large candidates first).
-func SlotCandidates(ss SearchSpace, cs CORESET, rnti uint16, slot int) []Candidate {
-	return AppendSlotCandidates(nil, ss, cs, rnti, slot)
-}
-
-// LevelOffset is the index, in SlotCandidates order, of candidate 0 at
-// aggregation level al: the candidates of every higher level that fits
-// the CORESET come first, and within a level every m < M_L hashes to a
-// candidate. Candidate m of level al is SlotCandidates(...)[LevelOffset
-// (ss, cs, al)+m] for any RNTI and any slot that has candidates.
+// LevelOffset is the index, in AppendSlotCandidates order, of candidate
+// 0 at aggregation level al: the candidates of every higher level that
+// fits the CORESET come first, and within a level every m < M_L hashes
+// to a candidate. Candidate m of level al is at index LevelOffset(ss,
+// cs, al)+m for any RNTI and any slot that has candidates.
 func LevelOffset(ss SearchSpace, cs CORESET, al int) int {
 	off := 0
 	for _, l := range AggregationLevels {
@@ -269,8 +262,10 @@ func LevelOffset(ss SearchSpace, cs CORESET, al int) int {
 	return off
 }
 
-// AppendSlotCandidates is SlotCandidates appending into dst, so per-UE
-// candidate enumeration in the per-TTI blind-decode loop can reuse one
+// AppendSlotCandidates appends every candidate of the search space for a
+// slot to dst, across all aggregation levels, in decreasing-level order
+// (the order real blind decoders use: fewer large candidates first).
+// Appending lets per-UE candidate enumeration in the per-TTI blind-decode loop can reuse one
 // buffer per worker instead of allocating per UE per slot.
 func AppendSlotCandidates(dst []Candidate, ss SearchSpace, cs CORESET, rnti uint16, slot int) []Candidate {
 	if slot < 0 || slot >= hashSlots {

@@ -35,8 +35,8 @@ func (g *Grid) Set(symbol, subcarrier int, v complex128) {
 	g.re[symbol*g.Width()+subcarrier] = v
 }
 
-// Clone returns a deep copy; the scheduler copies slot data before
-// handing it to a worker (paper §4).
+// Clone returns a deep copy. Kept: tests snapshot a transmitted grid
+// with it before a receiver or decoder touches the original.
 func (g *Grid) Clone() *Grid {
 	out := &Grid{NumPRB: g.NumPRB, re: make([]complex128, len(g.re))}
 	copy(out.re, g.re)

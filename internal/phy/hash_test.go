@@ -104,7 +104,7 @@ func TestCandidateCCERejectsSlotOutsideFrame(t *testing.T) {
 			if _, ok := CandidateCCE(ss, cs, 0x4601, slot, 4, 0); ok {
 				t.Errorf("%v search space: slot %d accepted", ss.Type, slot)
 			}
-			if got := SlotCandidates(ss, cs, 0x4601, slot); len(got) != 0 {
+			if got := AppendSlotCandidates(nil, ss, cs, 0x4601, slot); len(got) != 0 {
 				t.Errorf("%v search space: slot %d has %d candidates", ss.Type, slot, len(got))
 			}
 		}

@@ -46,7 +46,7 @@ func TestAppendSlotCandidatesMatchesSlotCandidates(t *testing.T) {
 	var buf []Candidate
 	for slot := 0; slot < 20; slot++ {
 		for _, rnti := range []uint16{0x4601, 0x4602, 0xFFF0} {
-			want := SlotCandidates(ss, cs, rnti, slot)
+			want := AppendSlotCandidates(nil, ss, cs, rnti, slot)
 			buf = AppendSlotCandidates(buf[:0], ss, cs, rnti, slot)
 			if len(buf) != len(want) {
 				t.Fatalf("slot %d rnti %#x: %d candidates vs %d", slot, rnti, len(buf), len(want))

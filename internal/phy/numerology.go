@@ -59,12 +59,6 @@ type SlotRef struct {
 	Slot int // slot within the frame, 0..SlotsPerFrame-1
 }
 
-// Index flattens the slot reference to a monotone index within one SFN
-// cycle, for ordering and matching against ground-truth logs.
-func (s SlotRef) Index(mu Numerology) int {
-	return s.SFN*mu.SlotsPerFrame() + s.Slot
-}
-
 // Next returns the slot reference that follows s.
 func (s SlotRef) Next(mu Numerology) SlotRef {
 	s.Slot++

@@ -67,7 +67,8 @@ var DefaultTimeAllocTable = []TimeAlloc{
 	{StartSymbol: 2, NumSymbols: 2},
 }
 
-// Validate checks the time allocation fits a slot.
+// Validate checks the time allocation fits a slot. Kept: it is the
+// reference check the allocation-table tests assert with.
 func (t TimeAlloc) Validate() error {
 	if t.StartSymbol < 0 || t.NumSymbols < 1 || t.StartSymbol+t.NumSymbols > SymbolsPerSlot {
 		return fmt.Errorf("phy: time allocation %+v exceeds slot", t)

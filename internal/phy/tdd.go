@@ -73,12 +73,6 @@ func (t TDDPattern) Direction(i int) SlotDirection {
 	return t.pattern[i%len(t.pattern)]
 }
 
-// HasDownlinkControl reports whether PDCCH can be present in slot i
-// (downlink and special slots carry control).
-func (t TDDPattern) HasDownlinkControl(i int) bool {
-	return t.Direction(i) != SlotUplink
-}
-
 // HasDownlinkData reports whether PDSCH can be scheduled in slot i.
 func (t TDDPattern) HasDownlinkData(i int) bool {
 	return t.Direction(i) == SlotDownlink

@@ -224,6 +224,7 @@ var scratchPool = sync.Pool{New: func() any { return new(decodeScratch) }}
 // steady state. It is Workspace.Decode with pooled scratch and the
 // scrambling sequence computed per call; trackers that decode the same
 // UEs slot after slot hold a Workspace and a Resource per UE instead.
+// Kept: bench/'s ul16 layer probe times it.
 func Decode(g *phy.Grid, rnti, cellID uint16, n0 float64) (UCI, bool) {
 	sc := scratchPool.Get().(*decodeScratch)
 	defer scratchPool.Put(sc)

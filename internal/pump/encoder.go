@@ -23,7 +23,8 @@ import "nrscope/internal/telemetry"
 // of a concrete wire format. Implementations keep their buffers across
 // Reset so steady-state Append/Frame is allocation-free. An Encoder is
 // owned by exactly one Sink and is only touched from that sink's bus
-// runner goroutine — no locking.
+// runner goroutine — no locking. The encoder types are exported so that
+// bench/ can time each wire format alone.
 type Encoder interface {
 	// Kind is the format's -sink spec keyword ("promrw", "influx",
 	// "otlp"); it doubles as the default metric key.

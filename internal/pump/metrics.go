@@ -1,10 +1,6 @@
 package pump
 
-import (
-	"sync"
-
-	"nrscope/internal/obs"
-)
+import "nrscope/internal/obs"
 
 // sendBuckets is the latency layout for pump HTTP deliveries: 1 ms to
 // 2.5 s, roughly exponential — a TSDB hop is orders of magnitude above
@@ -25,21 +21,13 @@ type pumpMetrics struct {
 	send      *obs.Histogram
 }
 
-var (
-	pumpMetricsMu    sync.Mutex
-	pumpMetricsCache = map[string]*pumpMetrics{}
-)
-
 // metricsFor resolves (or creates) the instrument set for a pump name.
+// obs.Default returns the existing instrument for a name registered
+// twice, so repeated calls for one pump name share one set.
 func metricsFor(name string) *pumpMetrics {
 	key := obs.MetricName(name, "pump")
-	pumpMetricsMu.Lock()
-	defer pumpMetricsMu.Unlock()
-	if m, ok := pumpMetricsCache[key]; ok {
-		return m
-	}
 	p := "nrscope_pump_" + key + "_"
-	m := &pumpMetrics{
+	return &pumpMetrics{
 		frames:    obs.Default.Counter(p+"frames_sent_total", "HTTP frames delivered by the "+name+" pump (includes batch retries)"),
 		bytes:     obs.Default.Counter(p+"sent_bytes_total", "encoded body bytes delivered by the "+name+" pump"),
 		err4xx:    obs.Default.Counter(p+"http_4xx_total", "4xx responses from the "+name+" pump's backend"),
@@ -47,6 +35,4 @@ func metricsFor(name string) *pumpMetrics {
 		netErrors: obs.Default.Counter(p+"net_errors_total", "transport errors (dial, timeout, reset) towards the "+name+" pump's backend"),
 		send:      obs.Default.Histogram(p+"send_seconds", "successful frame delivery latency of the "+name+" pump", sendBuckets),
 	}
-	pumpMetricsCache[key] = m
-	return m
 }

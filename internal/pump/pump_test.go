@@ -1,6 +1,7 @@
 package pump
 
 import (
+	"fmt"
 	"strconv"
 	"strings"
 	"testing"
@@ -268,6 +269,14 @@ func TestSpecTuningAndErrors(t *testing.T) {
 	if tun.Batch != 32 || tun.Flush != 5*time.Millisecond || tun.Queue != 64 || !tun.Block {
 		t.Errorf("tuning = %+v", tun)
 	}
+	// Each cap is itself accepted.
+	s, tun, err := FromSpec("promrw", fmt.Sprintf("http://x?queue=%d&batch=%d&frame_kb=%d", maxQueue, maxQueue, maxFrameKB))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tun.Queue != maxQueue || tun.Batch != maxQueue || s.maxFrame != maxFrameKB<<10 {
+		t.Errorf("tuning at the caps = %+v, frame %d", tun, s.maxFrame)
+	}
 	for _, spec := range []struct{ kind, arg string }{
 		{"kafka", "http://x"},
 		{"promrw", "tsdb:9090"},
@@ -275,6 +284,13 @@ func TestSpecTuningAndErrors(t *testing.T) {
 		{"promrw", "http://x?flush=fast"},
 		{"promrw", "http://x?epoch_ms=yesterday"},
 		{"influx", "http://x?bucket=b&queue=zero"},
+		{"promrw", "http://x?queue=1099511627776"}, // a 2^40-record ring
+		{"promrw", fmt.Sprintf("http://x?queue=%d", maxQueue+1)},
+		{"promrw", "http://x?batch=8192"}, // above the default queue
+		{"otlp", "http://x?queue=64&batch=65"},
+		{"otlp", fmt.Sprintf("http://x?frame_kb=%d", maxFrameKB+1)},
+		{"otlp", "http://x?frame_kb=9007199254740993"}, // overflows << 10
+		{"promrw", "http://x?measurement=m"},
 	} {
 		if _, _, err := FromSpec(spec.kind, spec.arg); err == nil {
 			t.Errorf("FromSpec(%q, %q) succeeded, want error", spec.kind, spec.arg)

@@ -15,6 +15,13 @@ import (
 // (e.g. "Bearer xyz" or "Basic ...").
 const AuthEnv = "NRSCOPE_PUMP_AUTH"
 
+// Caps on the sizes a -sink spec may ask for: a ring queue allocates
+// its whole capacity up front, and frame_kb is shifted into bytes.
+const (
+	maxQueue   = 1 << 20 // records
+	maxFrameKB = 1 << 20 // KiB (1 GiB frames)
+)
+
 // Tuning is the bus-subscription shape a -sink spec asked for; the
 // caller applies it via bus.Subscribe options.
 type Tuning struct {
@@ -37,15 +44,18 @@ type Tuning struct {
 //	               backfilling a -replay run to place samples at
 //	               capture time)
 //	timeout=D      per-request timeout (Go duration, default 10s)
-//	frame_kb=N     split frames beyond N KiB of body (default 4096)
-//	batch=N        bus delivery batch size (default 256)
+//	frame_kb=N     split frames beyond N KiB of body (default 4096,
+//	               at most maxFrameKB = 1 Mi)
+//	batch=N        bus delivery batch size (default 256, at most queue)
 //	flush=D        bus max-delay flush (default 100ms)
-//	queue=N        bus ring queue size (default 4096)
+//	queue=N        bus ring queue size (default 4096, at most
+//	               maxQueue = 1 Mi records)
 //	block=true     Block (lossless) backpressure instead of DropOldest
 //
-// influx: requires bucket=B; org=O optional; measurement=M renames the
-// line measurement; the path defaults to /api/v2/write and
-// precision=ms is pinned. otlp: the path defaults to /v1/metrics.
+// A value above its cap is an error. influx: requires bucket=B; org=O
+// optional; measurement=M renames the line measurement (an error for
+// the other kinds); the path defaults to /api/v2/write and precision=ms
+// is pinned. otlp: the path defaults to /v1/metrics.
 func FromSpec(kind, arg string) (*Sink, Tuning, error) {
 	fail := func(err error) (*Sink, Tuning, error) { return nil, Tuning{}, err }
 	u, err := url.Parse(arg)
@@ -63,21 +73,27 @@ func FromSpec(kind, arg string) (*Sink, Tuning, error) {
 	}
 
 	tun := Tuning{Queue: 4096, Batch: 256, Flush: 100 * time.Millisecond}
-	takeInt := func(key string, dst *int) error {
+	takeInt := func(key string, dst *int, limit int) error {
 		if v := take(key); v != "" {
 			n, err := strconv.Atoi(v)
 			if err != nil || n <= 0 {
 				return fmt.Errorf("pump: %s spec: %s=%q is not a positive integer", kind, key, v)
 			}
+			if n > limit {
+				return fmt.Errorf("pump: %s spec: %s=%d is above its cap %d", kind, key, n, limit)
+			}
 			*dst = n
 		}
 		return nil
 	}
-	if err := takeInt("queue", &tun.Queue); err != nil {
+	if err := takeInt("queue", &tun.Queue, maxQueue); err != nil {
 		return fail(err)
 	}
-	if err := takeInt("batch", &tun.Batch); err != nil {
+	if err := takeInt("batch", &tun.Batch, maxQueue); err != nil {
 		return fail(err)
+	}
+	if tun.Batch > tun.Queue {
+		return fail(fmt.Errorf("pump: %s spec: batch=%d is above queue=%d", kind, tun.Batch, tun.Queue))
 	}
 	if v := take("flush"); v != "" {
 		d, err := time.ParseDuration(v)
@@ -103,7 +119,7 @@ func FromSpec(kind, arg string) (*Sink, Tuning, error) {
 		cfg.Timeout = d
 	}
 	frameKB := 0
-	if err := takeInt("frame_kb", &frameKB); err != nil {
+	if err := takeInt("frame_kb", &frameKB, maxFrameKB); err != nil {
 		return fail(err)
 	}
 	cfg.MaxFrameBytes = frameKB << 10
@@ -130,6 +146,10 @@ func FromSpec(kind, arg string) (*Sink, Tuning, error) {
 		}
 	}
 
+	measurement := take("measurement")
+	if measurement != "" && kind != "influx" {
+		return fail(fmt.Errorf("pump: %s spec: measurement= applies to influx only", kind))
+	}
 	switch kind {
 	case "promrw":
 		cfg.Encoder = &PromRW{BaseMs: base}
@@ -147,7 +167,7 @@ func FromSpec(kind, arg string) (*Sink, Tuning, error) {
 			q.Set("org", org)
 		}
 		q.Set("precision", "ms")
-		cfg.Encoder = &Influx{Measurement: take("measurement"), BaseMs: base}
+		cfg.Encoder = &Influx{Measurement: measurement, BaseMs: base}
 	case "otlp":
 		if u.Path == "" || u.Path == "/" {
 			u.Path = "/v1/metrics"

@@ -73,13 +73,6 @@ func NewReceiver(model channel.Model, meanSNRdB float64, seed int64) *Receiver {
 	}
 }
 
-// NewReceiverAt places the receiver d metres from the cell under a
-// path-loss model (Fig. 13 / Fig. 6 geometry).
-func NewReceiverAt(pl channel.PathLoss, d, txPowerDBm, noiseFloorDBm float64, seed int64) *Receiver {
-	snr := pl.SNRAt(d, txPowerDBm, noiseFloorDBm)
-	return NewReceiver(channel.Normal, snr, seed)
-}
-
 // Capture receives one slot: the grid is cloned (the transmitter's
 // buffer is not disturbed) and white noise at this slot's SNR is added
 // to every resource element.

@@ -89,8 +89,8 @@ func TestNoReuseAllocatesFresh(t *testing.T) {
 
 func TestReceiverAtDistanceWeakerWhenFar(t *testing.T) {
 	pl := channel.DefaultIndoor()
-	near := NewReceiverAt(pl, 1, 10, -85, 6)
-	far := NewReceiverAt(pl, 50, 10, -85, 6)
+	near := NewReceiver(channel.Normal, pl.SNRAt(1, 10, -85), 6)
+	far := NewReceiver(channel.Normal, pl.SNRAt(50, 10, -85), 6)
 	tx := txGrid()
 	cn := near.Capture(0, phy.SlotRef{}, tx)
 	cf := far.Capture(0, phy.SlotRef{}, tx)

@@ -182,7 +182,7 @@ func TestDataDCIsDecodableFromGrid(t *testing.T) {
 			cand := phy.Candidate{AggLevel: r.AggLevel, StartCCE: r.StartCCE}
 			sizeClass := dci.NonFallback
 			size := dci.ClassSize(sizeClass, dciCfg)
-			block, err := codec.DecodeCandidate(out.Grid, cfg.Setup.CORESET, cand, out.Ref.Slot, size, 1e-4)
+			block, err := codec.DecodeCandidateInto(nil, out.Grid, cfg.Setup.CORESET, cand, out.Ref.Slot, size, 1e-4)
 			if err != nil {
 				t.Fatal(err)
 			}

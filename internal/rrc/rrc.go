@@ -256,7 +256,8 @@ func (r RAR) Encode() ([]byte, error) {
 	return bits.Pack(w.Bits()), nil
 }
 
-// DecodeRAR parses an encoded RAR.
+// DecodeRAR parses an encoded RAR. Kept: the RAR allowlist (ROADMAP
+// item 4(c)) puts it on the decode path; today only tests call it.
 func DecodeRAR(data []byte) (RAR, error) {
 	if len(data)*8 < 35 {
 		return RAR{}, fmt.Errorf("rrc: RAR too short")

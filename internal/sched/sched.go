@@ -244,8 +244,8 @@ func (p *ProportionalFair) Schedule(slot int, reqs []Request, region Region) (ou
 // Forget drops PF state for a departed UE.
 func (p *ProportionalFair) Forget(rnti uint16) { delete(p.avg, rnti) }
 
-// Validate checks an allocation set for region containment and overlap;
-// the RAN asserts this invariant every slot.
+// Validate checks an allocation set for region containment and overlap.
+// Kept: it is the reference check the scheduler tests assert with.
 func Validate(allocs []Allocation, region Region) error {
 	end := region.StartPRB + region.NumPRB
 	sorted := append([]Allocation(nil), allocs...)

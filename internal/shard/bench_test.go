@@ -80,7 +80,7 @@ func newMetroSupervisor(tb testing.TB, shards, cells, ues int) (*Supervisor, *Me
 	}
 	sup := New(Config{
 		Shards:    shards,
-		QueueSize: 8192,
+		queueSize: 8192,
 		Policy:    Block, // no silent drops: throughput numbers mean "records applied"
 		History: history.Config{
 			// Small rings keep the 102,400-series scenario ~100 MB;
@@ -208,7 +208,7 @@ func BenchmarkMetroDecode(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d/cells=%d", workers, cells), func(b *testing.B) {
 			sup := New(Config{
 				Shards:       4,
-				QueueSize:    4096,
+				queueSize:    4096,
 				Policy:       Block,
 				History:      history.Config{BinWidth: 50 * time.Millisecond, Depth: 8},
 				StallTimeout: -1,

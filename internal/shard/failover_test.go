@@ -38,9 +38,9 @@ func TestFailoverPanicRestartResumesPartition(t *testing.T) {
 	gate := make(chan struct{})
 	sup := newTestSupervisor(t, Config{
 		Shards:    2,
-		QueueSize: 64,
+		queueSize: 64,
 		Policy:    DropOldest,
-		ApplyHook: func(shard int, cell uint16, rec *telemetry.Record) {
+		applyHook: func(shard int, cell uint16, rec *telemetry.Record) {
 			if rec.SlotIdx == 21 && rec.RNTI == 0x4601 {
 				<-gate // hold the worker so the rest queues as one batch
 			}
@@ -134,9 +134,9 @@ func TestStalledWhileFoldBlocks(t *testing.T) {
 	var wedge atomic.Bool
 	sup := newTestSupervisor(t, Config{
 		Shards:       1,
-		QueueSize:    64,
+		queueSize:    64,
 		StallTimeout: 30 * time.Millisecond,
-		ApplyHook: func(shard int, cell uint16, rec *telemetry.Record) {
+		applyHook: func(shard int, cell uint16, rec *telemetry.Record) {
 			if wedge.CompareAndSwap(true, false) {
 				close(entered)
 				<-gate // wedge exactly one fold
@@ -186,7 +186,7 @@ func TestHeldBlockSinkBackpressures(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := runtime.NumGoroutine()
-	sup := New(Config{Shards: 2, QueueSize: 8, Policy: Block, Bus: b, StallTimeout: -1})
+	sup := New(Config{Shards: 2, queueSize: 8, Policy: Block, Bus: b, StallTimeout: -1})
 	for c := 1; c <= 2; c++ {
 		if _, err := sup.AddCell(uint16(c), phy.Mu1); err != nil {
 			t.Fatal(err)

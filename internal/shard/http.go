@@ -72,6 +72,15 @@ func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 	}{fmt.Sprintf(format, args...)})
 }
 
+// nonNil turns an empty query result into [], so a list field never
+// encodes as null.
+func nonNil[T any](s []T) []T {
+	if s == nil {
+		return []T{}
+	}
+	return s
+}
+
 func serveNotFound(w http.ResponseWriter, r *http.Request) {
 	writeError(w, http.StatusNotFound, "no route %s", r.URL.Path)
 }
@@ -201,7 +210,7 @@ func (s *Supervisor) serveUE(w http.ResponseWriter, r *http.Request) {
 		RNTI  uint16              `json:"rnti"`
 		BinMs float64             `json:"bin_ms"`
 		Bins  []history.BinSample `json:"bins"`
-	}{cell, rnti, st.BinMs() * float64(downsample), bins})
+	}{cell, rnti, st.BinMs() * float64(downsample), nonNil(bins)})
 }
 
 func (s *Supervisor) serveCell(w http.ResponseWriter, r *http.Request) {
@@ -225,7 +234,7 @@ func (s *Supervisor) serveCell(w http.ResponseWriter, r *http.Request) {
 		BinMs    float64             `json:"bin_ms"`
 		Snapshot history.Snapshot    `json:"snapshot"`
 		Bins     []history.BinSample `json:"bins"`
-	}{cell, st.BinMs() * float64(downsample), st.Snapshot(), bins})
+	}{cell, st.BinMs() * float64(downsample), st.Snapshot(), nonNil(bins)})
 }
 
 func (s *Supervisor) serveTopK(w http.ResponseWriter, r *http.Request) {

@@ -375,6 +375,50 @@ func TestUnmatchedRoutesAnswerJSON404(t *testing.T) {
 	}
 }
 
+// TestEmptyListsEncodeAsArrays: every list field of the query API
+// encodes as [] when it is empty — on a supervisor with no cells, on
+// one whose cell has seen nothing, and for a range that holds no bins
+// — never as null.
+func TestEmptyListsEncodeAsArrays(t *testing.T) {
+	bare := New(Config{Shards: 2, StallTimeout: -1})
+	if err := bare.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { bare.Close() })
+	servers := map[string]*httptest.Server{
+		"bare": apiServer(t, bare),
+		"idle": apiServer(t, oneShard(t, history.Config{}, nil, 1)),
+		"live": apiServer(t, liveSupervisor(t)),
+	}
+	for _, tc := range []struct {
+		sup, path, field string
+	}{
+		{"bare", "/history/topk", "ranks"},
+		{"bare", "/history/anomalies", "anomalies"},
+		{"bare", "/shards/snapshot", "cells"},
+		{"bare", "/shards/handovers", "handovers"},
+		{"idle", "/history/ues", "ues"},
+		{"idle", "/history/cell", "bins"},
+		{"live", "/history/ue?rnti=0x0100&from_ms=100000&to_ms=200000", "bins"},
+		{"live", "/history/cell?from_ms=100000&to_ms=200000", "bins"},
+	} {
+		resp, err := http.Get(servers[tc.sup].URL + tc.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var body map[string]json.RawMessage
+		err = json.NewDecoder(resp.Body).Decode(&body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || err != nil {
+			t.Errorf("%s %s: status %d, decode error %v", tc.sup, tc.path, resp.StatusCode, err)
+			continue
+		}
+		if got := string(body[tc.field]); got != "[]" {
+			t.Errorf("%s %s: %q = %s, want []", tc.sup, tc.path, tc.field, got)
+		}
+	}
+}
+
 // TestCellParamRequiredWithTwoCells: with more than one cell the cell
 // query parameter stops being inferable.
 func TestCellParamRequiredWithTwoCells(t *testing.T) {

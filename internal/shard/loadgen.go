@@ -17,6 +17,7 @@ import (
 // and scheduled round-robin over the cell's C-RNTIs at a PDCCH-realistic
 // grants-per-slot budget. The stream is deterministic for a seed, so
 // benchmarks comparing shard counts replay identical load.
+// Kept: bench/'s metro workload is its one production caller.
 type MetroLoad struct {
 	mu    phy.Numerology
 	ttiMS float64
@@ -39,7 +40,7 @@ type metroCell struct {
 
 // NewMetroLoad builds a generator for cells × uesPerCell sessions at
 // the numerology's TTI. Cell IDs are 1..cells; C-RNTIs start at 0x4601
-// per cell.
+// per cell. Kept: bench/'s metro workload is its one production caller.
 func NewMetroLoad(cells, uesPerCell int, mu phy.Numerology, seed int64) (*MetroLoad, error) {
 	if cells < 1 || cells > 0xFFFF {
 		return nil, fmt.Errorf("shard: metro load needs 1..65535 cells, got %d", cells)
@@ -70,9 +71,6 @@ func NewMetroLoad(cells, uesPerCell int, mu phy.Numerology, seed int64) (*MetroL
 
 // CellID returns the i-th cell's id.
 func (m *MetroLoad) CellID(i int) uint16 { return m.cells[i].id }
-
-// Numerology returns the scenario's numerology.
-func (m *MetroLoad) Numerology() phy.Numerology { return m.mu }
 
 // Register adds every scenario cell to a supervisor.
 func (m *MetroLoad) Register(sup *Supervisor) error {

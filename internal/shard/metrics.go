@@ -2,7 +2,6 @@ package shard
 
 import (
 	"strconv"
-	"sync"
 
 	"nrscope/internal/obs"
 )
@@ -41,21 +40,13 @@ type shardMetrics struct {
 	ues      *obs.Gauge
 }
 
-var (
-	shardMetricsMu    sync.Mutex
-	shardMetricsCache = map[int]*shardMetrics{}
-)
-
 // metricsFor resolves (or creates) the instrument set for a shard index.
+// obs.Default returns the existing instrument for a name registered
+// twice, so repeated calls for one shard index share one set.
 func metricsFor(idx int) *shardMetrics {
-	shardMetricsMu.Lock()
-	defer shardMetricsMu.Unlock()
-	if m, ok := shardMetricsCache[idx]; ok {
-		return m
-	}
 	i := strconv.Itoa(idx)
 	p := "nrscope_shard_" + i + "_"
-	m := &shardMetrics{
+	return &shardMetrics{
 		ingested: obs.Default.Counter(p+"ingested_total",
 			"records accepted into shard "+i+"'s ingest queue"),
 		applied: obs.Default.Counter(p+"applied_total",
@@ -73,6 +64,4 @@ func metricsFor(idx int) *shardMetrics {
 		ues: obs.Default.Gauge(p+"ues_tracked",
 			"UE series tracked by shard "+i+"'s history partition"),
 	}
-	shardMetricsCache[idx] = m
-	return m
 }

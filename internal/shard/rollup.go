@@ -60,7 +60,7 @@ func (s *Supervisor) Health() Rollup {
 			Shard:         sh.idx,
 			Cells:         sh.cells,
 			QueueDepth:    depth,
-			QueueCapacity: s.cfg.QueueSize,
+			QueueCapacity: s.cfg.queueSize,
 			Ingested:      sh.ingested.Load(),
 			Applied:       sh.applied.Load(),
 			Dropped:       sh.dropped.Load(),
@@ -83,9 +83,11 @@ func (s *Supervisor) Health() Rollup {
 
 // TopK fuses every partition's TopK into one deployment-wide ranking.
 // Each partition returns its own top k (the global top k is a subset of
-// the union); the merge re-sorts and truncates.
+// the union); the merge re-sorts and truncates. An empty ranking is
+// [] (not nil), as is every list the rollup layer returns, so the
+// HTTP API encodes it as [] rather than null.
 func (s *Supervisor) TopK(metric string, window time.Duration, k int) ([]history.UERank, error) {
-	var all []history.UERank
+	all := []history.UERank{}
 	for _, sh := range s.shards {
 		ranks, err := sh.store.TopK(metric, window, k)
 		if err != nil {
@@ -104,7 +106,7 @@ func (s *Supervisor) TopK(metric string, window time.Duration, k int) ([]history
 // disjoint across partitions, so the per-cell summaries concatenate and
 // the totals sum.
 func (s *Supervisor) Snapshot() history.Snapshot {
-	var out history.Snapshot
+	out := history.Snapshot{Cells: []history.CellSummary{}}
 	for i, sh := range s.shards {
 		snap := sh.store.Snapshot()
 		if i == 0 {
@@ -125,7 +127,7 @@ func (s *Supervisor) Snapshot() history.Snapshot {
 // order (ties by cell, then RNTI), so the list does not depend on how
 // the cells are partitioned.
 func (s *Supervisor) Anomalies() []history.Anomaly {
-	var out []history.Anomaly
+	out := []history.Anomaly{}
 	for _, sh := range s.shards {
 		out = append(out, sh.store.Anomalies()...)
 	}
@@ -140,7 +142,7 @@ func (s *Supervisor) Anomalies() []history.Anomaly {
 // cross-shard pairs are not matched — cell partitioning trades that for
 // failure isolation.
 func (s *Supervisor) Handovers() []fusion.Handover {
-	var out []fusion.Handover
+	out := []fusion.Handover{}
 	for _, sh := range s.shards {
 		if sh.agg == nil {
 			continue
@@ -176,7 +178,7 @@ func (s *Supervisor) CellLoad(cellID uint16, now, window time.Duration) (bps flo
 // CarrierAggregation merges every shard's carrier-aggregation
 // candidates above minOverlap (empty without Fusion).
 func (s *Supervisor) CarrierAggregation(minOverlap float64) []fusion.CACandidate {
-	var out []fusion.CACandidate
+	out := []fusion.CACandidate{}
 	for _, sh := range s.shards {
 		if sh.agg == nil {
 			continue

@@ -46,7 +46,8 @@ import (
 // reused: the queue is a bus.Ring).
 type Policy = bus.Policy
 
-// Backpressure policies.
+// Backpressure policies. DropOldest is the zero Policy, the default;
+// it is named for the tests that spell the default out.
 const (
 	DropOldest = bus.DropOldest
 	Block      = bus.Block
@@ -63,9 +64,6 @@ const maxBatch = 256
 type Config struct {
 	// Shards is the number of cell partitions (default 1).
 	Shards int
-	// QueueSize bounds each shard's ingest ring queue, in records
-	// (default 8192).
-	QueueSize int
 	// Policy is the backpressure policy of the shard queues (default
 	// DropOldest — live deployments prefer fresh telemetry; use Block
 	// for lossless benchmark or eval ingest).
@@ -87,19 +85,23 @@ type Config struct {
 	// records wait behind it before Health reports the shard stalled
 	// (default 2s; negative disables the flag).
 	StallTimeout time.Duration
-	// ApplyHook, if set, is invoked for every record just before it is
+
+	// queueSize bounds each shard's ingest ring queue, in records
+	// (default 8192).
+	queueSize int
+	// applyHook, if set, is invoked for every record just before it is
 	// applied, outside the shard's apply lock. It exists for fault
 	// injection in tests (a panicking or blocking hook exercises the
-	// recover and stall paths); leave nil in production.
-	ApplyHook func(shard int, cell uint16, rec *telemetry.Record)
+	// recover and stall paths).
+	applyHook func(shard int, cell uint16, rec *telemetry.Record)
 }
 
 func (c Config) withDefaults() Config {
 	if c.Shards <= 0 {
 		c.Shards = 1
 	}
-	if c.QueueSize <= 0 {
-		c.QueueSize = 8192
+	if c.queueSize <= 0 {
+		c.queueSize = 8192
 	}
 	if c.StallTimeout == 0 {
 		c.StallTimeout = 2 * time.Second
@@ -143,14 +145,14 @@ func New(cfg Config) *Supervisor {
 			met:   metricsFor(i),
 			done:  make(chan struct{}),
 		}
-		sh.q = bus.NewRing[item](cfg.QueueSize, cfg.Policy, sh.met.depth)
+		sh.q = bus.NewRing[item](cfg.queueSize, cfg.Policy, sh.met.depth)
 		if cfg.Fusion {
 			sh.agg = fusion.NewWithStore(st)
 			if cfg.History.IdleHorizon > 0 {
 				sh.agg.IdleHorizon = cfg.History.IdleHorizon
 			}
 		}
-		sh.met.capacity.Set(int64(cfg.QueueSize))
+		sh.met.capacity.Set(int64(cfg.queueSize))
 		s.shards = append(s.shards, sh)
 	}
 	met.shards.Set(int64(cfg.Shards))
@@ -185,7 +187,8 @@ func (s *Supervisor) AttachLakes(open func(shard int) (history.Lake, error)) err
 // local queries; cross-shard queries go through the rollup layer).
 func (s *Supervisor) Store(i int) *history.Store { return s.shards[i].store }
 
-// Partition reports which shard owns a cell.
+// Partition reports which shard owns a cell. Kept: bench/'s metro
+// workload routes its per-cell queries with it.
 func (s *Supervisor) Partition(cellID uint16) (int, bool) {
 	sh, ok := s.route[cellID]
 	if !ok {
@@ -407,7 +410,7 @@ func (sh *shardState) apply(it *item) {
 		sh.store.IngestSpare(it.cell, it.slotIdx, it.spare)
 		return
 	}
-	if hook := sh.sup.cfg.ApplyHook; hook != nil {
+	if hook := sh.sup.cfg.applyHook; hook != nil {
 		hook(sh.idx, it.cell, &it.rec)
 	}
 	sh.fold(it)

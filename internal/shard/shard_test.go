@@ -166,9 +166,9 @@ func TestDropOldestEvictionCounted(t *testing.T) {
 	release := func() { once.Do(func() { close(gate) }) }
 	sup := newTestSupervisor(t, Config{
 		Shards:    1,
-		QueueSize: 4,
+		queueSize: 4,
 		Policy:    DropOldest,
-		ApplyHook: func(shard int, cell uint16, rec *telemetry.Record) {
+		applyHook: func(shard int, cell uint16, rec *telemetry.Record) {
 			<-gate
 		},
 	}, 1)

@@ -124,7 +124,8 @@ func parseLine(line []byte, rec *Record) error {
 	return err
 }
 
-// ReadAll parses a JSONL telemetry stream back into records.
+// ReadAll parses a JSONL telemetry stream back into records. Kept: it is
+// the documented reader of -sink jsonl files, which many packages' tests use.
 func ReadAll(r io.Reader) ([]Record, error) {
 	l := newLineReader(r)
 	var out []Record

@@ -207,24 +207,6 @@ func (w *WindowEstimator) Bitrate(rnti uint16, downlink bool, nowSlot int) float
 	return float64(f.total) / (float64(w.windowSlots) * w.tti.Seconds())
 }
 
-// Flows lists the tracked (rnti, downlink) pairs.
-func (w *WindowEstimator) Flows() []struct {
-	RNTI     uint16
-	Downlink bool
-} {
-	out := make([]struct {
-		RNTI     uint16
-		Downlink bool
-	}, 0, len(w.flows))
-	for k := range w.flows {
-		out = append(out, struct {
-			RNTI     uint16
-			Downlink bool
-		}{k.rnti, k.downlink})
-	}
-	return out
-}
-
 // SpareCapacity implements the paper's §5.4.1 fair-share estimate: the
 // REs the cell left unused in a TTI are split evenly across the active
 // UEs and re-rated at each UE's own modulation and coding rate, giving

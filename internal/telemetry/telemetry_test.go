@@ -63,8 +63,8 @@ func TestWindowEstimatorSeparatesFlows(t *testing.T) {
 	if w.Bitrate(2, true, 1) != 0 {
 		t.Error("unknown UE has nonzero rate")
 	}
-	if len(w.Flows()) != 2 {
-		t.Errorf("Flows = %d, want 2", len(w.Flows()))
+	if len(w.flows) != 2 {
+		t.Errorf("flows = %d, want 2", len(w.flows))
 	}
 }
 
@@ -145,7 +145,7 @@ func TestComputeSpareSmallSpare(t *testing.T) {
 		}
 	}
 	// The shares must re-assemble the whole spare: nothing discarded.
-	want := mcs.SpareCapacityBits(3, e, 1)
+	want := mcs.SpareCapacityBitsExact(3, e, 1)
 	var got float64
 	for i := range sc.UEs {
 		got += sc.Bits(i)

@@ -64,11 +64,6 @@ func (d *Dynamic) SetRate(bps float64) {
 	d.bytesPerSlot = bps / 8 * d.tti.Seconds()
 }
 
-// Rate returns the current sending rate in bits/second.
-func (d *Dynamic) Rate() float64 {
-	return d.bytesPerSlot * 8 / d.tti.Seconds()
-}
-
 // NextSlot implements Generator.
 func (d *Dynamic) NextSlot() int {
 	d.acc += d.bytesPerSlot
@@ -238,11 +233,6 @@ func (l *Ledger) Record(slotIdx int, nBytes int) {
 
 // TotalBytes returns the total delivered bytes.
 func (l *Ledger) TotalBytes() int64 { return l.delivered }
-
-// BytesAt returns the delivered bytes in one slot.
-func (l *Ledger) BytesAt(slotIdx int) int64 {
-	return l.slots[slotIdx]
-}
 
 // WindowBitrate computes the delivered bitrate (bits/s) over the window
 // of slots [from, to).

@@ -37,7 +37,10 @@ import (
 )
 
 // Re-exported engine types. Scope is the paper's telemetry engine;
-// DecodePool its Fig.-4 worker pool, shared by many cells.
+// DecodePool its Fig.-4 worker pool, shared by many cells. The facade is
+// the module's public API, so a name here is kept for importers even
+// where only this module's tests call it (UEActivity, and the options
+// WithDMRSGate and WithInactivityTimeout below).
 type (
 	// Scope is the NR-Scope telemetry engine (one per monitored cell).
 	Scope = core.Scope
