@@ -144,8 +144,14 @@ func DescrambleLLRInPlace(seq []uint8, llr []float64) {
 	}
 	_ = seq[len(llr)-1]
 	for i, v := range llr {
-		llr[i] = math.Float64frombits(math.Float64bits(v) ^ uint64(seq[i]&1)<<63)
+		llr[i] = DescrambleLLR(v, seq[i])
 	}
+}
+
+// DescrambleLLR is DescrambleLLRInPlace for one LLR v and its scrambling
+// bit s, for front ends that descramble as they demap.
+func DescrambleLLR(v float64, s uint8) float64 {
+	return math.Float64frombits(math.Float64bits(v) ^ uint64(s&1)<<63)
 }
 
 // PDCCHScramblingInit computes the cinit for PDCCH bit scrambling

@@ -146,11 +146,9 @@ func DemapInto(dst []float64, s Scheme, symbols []complex128, n0 float64) []floa
 	dst = dst[:len(symbols)*qm]
 	switch s {
 	case QPSK:
-		// One level per sign: the max-log LLR collapses to 4·a·y/n0.
-		scale := 4 * qpskAmp / n0
+		scale := QPSKScale(n0)
 		for k, sym := range symbols {
-			dst[2*k] = saturate(scale * real(sym))
-			dst[2*k+1] = saturate(scale * imag(sym))
+			dst[2*k], dst[2*k+1] = QPSKLLR(sym, scale)
 		}
 	case QAM16:
 		for k, sym := range symbols {
@@ -178,3 +176,22 @@ func DemapInto(dst []float64, s Scheme, symbols []complex128, n0 float64) []floa
 
 // qpskAmp is the per-axis QPSK amplitude (1/√2 under unit energy).
 var qpskAmp = QPSK.norm()
+
+// QPSKScale is the factor QPSKLLR takes for noise variance n0: with one
+// level per sign the max-log LLR collapses to 4·a·y/n0, and n0 is
+// clamped to MinN0 (NaN included) as DemapInto clamps it.
+func QPSKScale(n0 float64) float64 {
+	if !(n0 >= MinN0) {
+		n0 = MinN0
+	}
+	return 4 * qpskAmp / n0
+}
+
+// QPSKLLR returns the LLRs of the two bits of one QPSK symbol, I then Q,
+// under scale = QPSKScale(n0): the values DemapInto writes for it,
+// saturated into [-MaxLLR, MaxLLR] with NaN mapped to 0. Fused front
+// ends (PUCCH, PDCCH) call it per symbol to write each LLR straight to
+// its decoder-input slot.
+func QPSKLLR(sym complex128, scale float64) (i, q float64) {
+	return saturate(scale * real(sym)), saturate(scale * imag(sym))
+}

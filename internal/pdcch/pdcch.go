@@ -17,11 +17,13 @@
 // (CORESET, slot), Gold sequence prefixes per cinit, and polar code
 // constructions per (K, E). A Plan resolves those caches once per
 // (CORESET, slot, payload size) and then decodes every candidate of the
-// slot in its own demap and polar scratch, without a map lookup. A Plan
-// is the only decode path: the Codec's own decode entry points run
-// through a Plan the Codec owns. Nothing on it takes a lock or a pool,
-// or allocates at steady state. A Codec, and every Plan resolved
-// against it, belongs to one goroutine at a time.
+// slot in its own LLR and polar scratch, without a map lookup: one pass
+// reads the candidate's REs off the grid through the RE table and
+// writes their descrambled QPSK LLRs straight into the polar decoder's
+// input. A Plan is the only decode path: the Codec's own decode entry
+// points run through a Plan the Codec owns. Nothing on it takes a lock
+// or a pool, or allocates at steady state. A Codec, and every Plan
+// resolved against it, belongs to one goroutine at a time.
 package pdcch
 
 import (
@@ -207,7 +209,7 @@ func (c *Codec) dmrsRef(cs phy.CORESET, slot int) []complex128 {
 // Plan is the decode context of one (CORESET, slot, payload size): the
 // CORESET's RE table, the slot's DMRS reference and the polar code of
 // each aggregation level (each looked up on first use), and its own
-// demap and polar scratch. Resolve compares its key and re-resolves only
+// LLR and polar scratch. Resolve compares its key and re-resolves only
 // what changed, so a blind decoder resolves at the top of each pass and
 // then decodes every candidate without a map lookup. The zero Plan is
 // ready for Resolve. A Plan belongs to the goroutine that owns its Codec.
@@ -222,9 +224,8 @@ type Plan struct {
 	codes [len(phy.AggregationLevels)]*polar.Code
 	errs  [len(phy.AggregationLevels)]error
 
-	syms []complex128
-	llr  []float64
-	ws   polar.Workspace
+	llr []float64
+	ws  polar.Workspace
 }
 
 // Resolve points p at codec c's caches for CORESET cs in slot (the
@@ -244,9 +245,11 @@ func (p *Plan) Resolve(c *Codec, cs phy.CORESET, slot, payloadBits int) {
 
 // DecodeInto runs the inverse chain on one candidate and writes the
 // hard-decision block (payload || CRC24) into dst, reused when its
-// capacity covers payloadBits+24 bits: it gathers the candidate's data
-// REs, demaps them to QPSK LLRs, descrambles in the LLR domain (a
-// scrambling bit of 1 flips the sign) and polar decodes.
+// capacity covers payloadBits+24 bits. One pass over the candidate's
+// data REs, read off the grid through the CORESET's RE table, demaps
+// each to its two QPSK LLRs and descrambles them in the LLR domain (a
+// scrambling bit of 1 flips the sign) into the polar decoder's input,
+// which the polar decoder then rate-recovers and decodes.
 func (p *Plan) DecodeInto(dst []uint8, g *phy.Grid, cand phy.Candidate, n0 float64) ([]uint8, error) {
 	i := phy.ALIndex(cand.AggLevel)
 	if i < 0 {
@@ -260,18 +263,27 @@ func (p *Plan) DecodeInto(dst []uint8, g *phy.Grid, cand phy.Candidate, n0 float
 		return nil, p.errs[i]
 	}
 	data := p.tab.span(p.cs, cand.AggLevel, cand.StartCCE).data
-	if cap(p.syms) < len(data) {
-		// Sized once for the largest candidate, as is the LLR buffer.
-		p.syms = make([]complex128, max(len(data), maxE/2))
-		p.llr = make([]float64, 0, max(2*len(data), maxE))
+	if cap(p.llr) < 2*len(data) {
+		// Sized once for the largest candidate.
+		p.llr = make([]float64, max(2*len(data), maxE))
 	}
-	syms := p.syms[:len(data)]
+	llr := p.llr[:2*len(data)]
+	frontEnd(llr, g, data, p.c.scrambling(pc.E)[:len(llr)], n0)
+	return pc.DecodeWith(&p.ws, dst, llr), nil
+}
+
+// frontEnd writes the descrambled QPSK LLRs of the data REs into llr
+// (two per RE) in one pass, each RE read once off the grid: the polar
+// decoder's input, which it rate-recovers itself. scr holds the
+// scrambling bits, one per LLR.
+func frontEnd(llr []float64, g *phy.Grid, data []phy.RE, scr []uint8, n0 float64) {
+	samples, width := g.Samples(), g.Width()
+	scale := modulation.QPSKScale(n0)
 	for k, re := range data {
-		syms[k] = g.At(re.Symbol, re.Subcarrier)
+		i, q := modulation.QPSKLLR(samples[re.Symbol*width+re.Subcarrier], scale)
+		llr[2*k] = bits.DescrambleLLR(i, scr[2*k])
+		llr[2*k+1] = bits.DescrambleLLR(q, scr[2*k+1])
 	}
-	p.llr = modulation.DemapInto(p.llr, modulation.QPSK, syms, n0)
-	bits.DescrambleLLRInPlace(p.c.scrambling(pc.E)[:len(p.llr)], p.llr)
-	return pc.DecodeWith(&p.ws, dst, p.llr), nil
 }
 
 // OccupiedCCEsInto sweeps the plan's CORESET and writes, per CCE, whether

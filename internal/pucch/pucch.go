@@ -9,6 +9,11 @@
 // four-symbol resource on the uplink grid, QPSK, convolutionally coded
 // UCI with a CRC-11, scrambled with the UE's RNTI so only trackers that
 // know the C-RNTI (the gNB, or NR-Scope after MSG 4) can read it.
+//
+// The receive side gathers the resource's symbols while summing their
+// energy for the empty-resource gate, then one pass demaps each symbol
+// to its two QPSK LLRs, descrambles them and writes them straight to
+// their rate-recovered slots of the Viterbi decoder's input.
 package pucch
 
 import (
@@ -159,12 +164,17 @@ func NewResource(rnti, cellID uint16) Resource {
 	return r
 }
 
-// Workspace is the scratch of UCI decoding: the resource's symbols, their
-// LLRs and the Viterbi decoder's workspace. The zero value is ready to
+// codedBits is convcode.CodedLen(blockBits), the Viterbi decoder's input
+// length. The resourceBits channel LLRs repeat it cyclically and wrap
+// once: LLRs 0..83 land on coded bits 0..83, LLRs 84..95 add onto 0..11.
+const codedBits = (blockBits + 6) * 3
+
+// Workspace is the scratch of UCI decoding: the resource's symbols, the
+// Viterbi decoder's input and its workspace. The zero value is ready to
 // use; a Workspace is not safe for concurrent use.
 type Workspace struct {
 	syms [resourceREs]complex128
-	llr  [resourceBits]float64
+	rec  [codedBits]float64
 	vit  convcode.Workspace
 }
 
@@ -197,16 +207,35 @@ func (w *Workspace) gather(g *phy.Grid, rnti uint16) bool {
 	return e/resourceREs >= EnergyThreshold
 }
 
-// decode demaps, descrambles and decodes the gathered symbols.
+// decode runs the front end over the gathered symbols and decodes.
 func (w *Workspace) decode(seq *[resourceBits]uint8, n0 float64) (UCI, bool) {
-	llr := modulation.DemapInto(w.llr[:0], modulation.QPSK, w.syms[:], n0)
-	bits.DescrambleLLRInPlace(seq[:], llr)
-	payload, ok := bits.CheckCRC(bits.CRC11, w.vit.RecoverAndDecode(llr, blockBits))
+	w.frontEnd(seq, n0)
+	payload, ok := bits.CheckCRC(bits.CRC11, w.vit.Decode(w.rec[:], blockBits))
 	if !ok {
 		return UCI{}, false
 	}
 	// Both 4-bit fields are in range by construction.
 	return unpack(payload), true
+}
+
+// frontEnd demaps, descrambles and rate-recovers the gathered symbols
+// into the decoder input w.rec in one pass. Each symbol's two LLRs go
+// straight to their coded-bit slots, summed as convcode's rate recovery
+// sums them: a first landing is 0 + v (so −0 becomes +0), a repeat adds
+// on.
+func (w *Workspace) frontEnd(seq *[resourceBits]uint8, n0 float64) {
+	scale := modulation.QPSKScale(n0)
+	rec := &w.rec
+	for k, sym := range w.syms[:codedBits/2] {
+		i, q := modulation.QPSKLLR(sym, scale)
+		rec[2*k] = 0 + bits.DescrambleLLR(i, seq[2*k])
+		rec[2*k+1] = 0 + bits.DescrambleLLR(q, seq[2*k+1])
+	}
+	for k, sym := range w.syms[codedBits/2:] {
+		i, q := modulation.QPSKLLR(sym, scale)
+		rec[2*k] += bits.DescrambleLLR(i, seq[codedBits+2*k])
+		rec[2*k+1] += bits.DescrambleLLR(q, seq[codedBits+2*k+1])
+	}
 }
 
 // decodeScratch is one package-level Decode's workspace and the

@@ -245,7 +245,9 @@ func (p *ProportionalFair) Schedule(slot int, reqs []Request, region Region) (ou
 func (p *ProportionalFair) Forget(rnti uint16) { delete(p.avg, rnti) }
 
 // Validate checks an allocation set for region containment and overlap.
-// Kept: it is the reference check the scheduler tests assert with.
+// Kept: it is the reference check the scheduler tests assert with, and
+// internal/ran's TestSchedulersValidInGNB holds both schedulers to it on
+// every Schedule the gNB makes.
 func Validate(allocs []Allocation, region Region) error {
 	end := region.StartPRB + region.NumPRB
 	sorted := append([]Allocation(nil), allocs...)
