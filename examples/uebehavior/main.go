@@ -39,8 +39,7 @@ func main() {
 	}
 
 	rx := radio.NewReceiver(channel.Normal, 16, 99).Reuse(true)
-	scope := core.New(cfg.CellID,
-		core.WithInactivityTimeout(int(2*time.Second/cfg.TTI())))
+	scope := core.New(cfg.CellID, core.WithIdleHorizon(2*time.Second))
 
 	slots := int(duration / cfg.TTI())
 	for i := 0; i < slots; i++ {

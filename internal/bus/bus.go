@@ -189,9 +189,10 @@ type Bus struct {
 // New creates an empty bus.
 func New() *Bus { return &Bus{} }
 
-// Subscribe registers a sink under a name (the name keys the sink's
-// nrscope_bus_<name>_* metrics; subscriptions may share a name, sharing
-// instruments). The subscription's runner starts immediately.
+// Subscribe registers a sink under a name: the name is the sink label
+// of the sink's nrscope_bus_sink_*{sink="<name>"} series, any string,
+// and subscriptions sharing a name share those instruments. The
+// subscription's runner starts immediately.
 func (b *Bus) Subscribe(name string, policy Policy, sink Sink, opts ...SubOption) (*Subscription, error) {
 	cfg := defaultSubConfig()
 	for _, o := range opts {
@@ -324,9 +325,6 @@ type Subscription struct {
 
 	closeOnce sync.Once
 }
-
-// Name returns the subscription's metric name.
-func (s *Subscription) Name() string { return s.name }
 
 // Done is closed when the subscription's runner has exited (drain
 // complete, fail-fast abort, or Close).

@@ -251,7 +251,7 @@ func TestRetryThenQuarantine(t *testing.T) {
 		t.Fatal(err)
 	}
 	dropsBase := sub.Dropped()
-	quarantinesBase := obs.Snapshot()["nrscope_bus_edge_quarantine_quarantines_total"]
+	quarantinesBase := obs.Snapshot()[`nrscope_bus_sink_quarantines_total{sink="edge_quarantine"}`]
 	if err := b.Publish(rec(0)); err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +263,7 @@ func TestRetryThenQuarantine(t *testing.T) {
 	if got := sink.calls.Load(); got != 3 {
 		t.Fatalf("WriteBatch called %d times, want 3 (1 + 2 retries)", got)
 	}
-	if obs.Snapshot()["nrscope_bus_edge_quarantine_quarantines_total"]-quarantinesBase < 1 {
+	if obs.Snapshot()[`nrscope_bus_sink_quarantines_total{sink="edge_quarantine"}`]-quarantinesBase < 1 {
 		t.Error("quarantine never engaged")
 	}
 	// While quarantined: dropped without a sink call.
@@ -412,14 +412,14 @@ func TestDrainZeroLossWithConcurrentSlowTCP(t *testing.T) {
 		}
 	}
 	delta := obs.Delta(before, obs.Snapshot())
-	if delta["nrscope_bus_tcp_dropped_total"] <= 0 {
+	if delta[`nrscope_bus_sink_dropped_total{sink="tcp"}`] <= 0 {
 		t.Error("slow TCP subscriber reported no drops")
 	}
-	if delta["nrscope_bus_jsonl_dropped_total"] != 0 {
-		t.Errorf("JSONL sink dropped %v records", delta["nrscope_bus_jsonl_dropped_total"])
+	if delta[`nrscope_bus_sink_dropped_total{sink="jsonl"}`] != 0 {
+		t.Errorf("JSONL sink dropped %v records", delta[`nrscope_bus_sink_dropped_total{sink="jsonl"}`])
 	}
-	if delta["nrscope_bus_jsonl_delivered_total"] != n {
-		t.Errorf("JSONL delivered counter = %v, want %d", delta["nrscope_bus_jsonl_delivered_total"], n)
+	if delta[`nrscope_bus_sink_delivered_total{sink="jsonl"}`] != n {
+		t.Errorf("JSONL delivered counter = %v, want %d", delta[`nrscope_bus_sink_delivered_total{sink="jsonl"}`], n)
 	}
 }
 
@@ -459,25 +459,6 @@ func TestBlockPolicyBackpressure(t *testing.T) {
 	}
 	if sub.Dropped() != 0 {
 		t.Errorf("Block subscriber dropped %d records", sub.Dropped())
-	}
-}
-
-func TestSanitizeMetricName(t *testing.T) {
-	for in, want := range map[string]string{
-		"jsonl":     "jsonl",
-		"TCP-conn":  "tcp_conn",
-		"a b/c":     "a_b_c",
-		"":          "sink",
-		"Sink.9":    "sink_9",
-		"über-sink": "_ber_sink",
-	} {
-		if got := obs.MetricName(in, "sink"); got != want {
-			t.Errorf("sanitize(%q) = %q, want %q", in, got, want)
-		}
-	}
-	// A pump's empty name falls back to its own key.
-	if got := obs.MetricName("", "pump"); got != "pump" {
-		t.Errorf(`sanitize("") for a pump = %q, want "pump"`, got)
 	}
 }
 
@@ -601,9 +582,9 @@ func TestDeliverySuccessResetsFailureCounter(t *testing.T) {
 }
 
 // TestDropNotify: the subscription's dropped counter (Stats, and
-// nrscope_bus_<name>_dropped_total behind it) counts every DropOldest
-// eviction synchronously with the push that caused it, and delivered +
-// dropped closes against the published total.
+// nrscope_bus_sink_dropped_total{sink=<name>} behind it) counts every
+// DropOldest eviction synchronously with the push that caused it, and
+// delivered + dropped closes against the published total.
 func TestDropNotify(t *testing.T) {
 	b := New()
 	sink := &collectSink{gate: make(chan struct{})}

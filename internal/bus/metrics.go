@@ -16,8 +16,9 @@ var met = struct {
 		"live bus subscriptions"),
 }
 
-// sinkMetrics is one named sink's instrument set. Subscriptions sharing
-// a name (e.g. every TCP connection under "tcp") share one set: the
+// sinkMetrics is one named sink's instrument set: the sink="<name>"
+// children of the nrscope_bus_sink_* families. Subscriptions sharing a
+// name (e.g. every TCP connection under "tcp") share one set: the
 // counters aggregate, the depth gauge reports the last sampled queue.
 type sinkMetrics struct {
 	depth       *obs.Gauge
@@ -32,20 +33,19 @@ type sinkMetrics struct {
 }
 
 // metricsFor resolves (or creates) the instrument set for a sink name.
-// obs.Default returns the existing instrument for a name registered
-// twice, so repeated calls for one sink name share one set.
+// obs.Default returns the existing child for a repeated label value,
+// so repeated calls for one sink name share one set.
 func metricsFor(name string) *sinkMetrics {
-	key := obs.MetricName(name, "sink")
-	p := "nrscope_bus_" + key + "_"
+	l := obs.Default.With("sink", name)
 	return &sinkMetrics{
-		depth:       obs.Default.Gauge(p+"queue_depth", "records queued towards the "+name+" sink (last sampled)"),
-		capacity:    obs.Default.Gauge(p+"queue_capacity", "ring queue capacity of the "+name+" sink"),
-		delivered:   obs.Default.Counter(p+"delivered_total", "records delivered to the "+name+" sink"),
-		dropped:     obs.Default.Counter(p+"dropped_total", "records dropped towards the "+name+" sink (queue eviction, quarantine, failed delivery)"),
-		rejected:    obs.Default.Counter(p+"rejected_total", "records refused by the "+name+" sink's closing queue"),
-		retried:     obs.Default.Counter(p+"retries_total", "delivery retries towards the "+name+" sink"),
-		failures:    obs.Default.Counter(p+"delivery_failures_total", "batches whose delivery to the "+name+" sink failed after retries"),
-		quarantines: obs.Default.Counter(p+"quarantines_total", "times the "+name+" sink entered failure quarantine"),
-		flush:       obs.Default.Histogram(p+"flush_seconds", "successful batch delivery latency to the "+name+" sink", obs.LatencyBuckets),
+		depth:       l.Gauge("nrscope_bus_sink_queue_depth", "records queued towards the sink (last sampled)"),
+		capacity:    l.Gauge("nrscope_bus_sink_queue_capacity", "ring queue capacity of the sink"),
+		delivered:   l.Counter("nrscope_bus_sink_delivered_total", "records delivered to the sink"),
+		dropped:     l.Counter("nrscope_bus_sink_dropped_total", "records dropped towards the sink (queue eviction, quarantine, failed delivery)"),
+		rejected:    l.Counter("nrscope_bus_sink_rejected_total", "records refused by the sink's closing queue"),
+		retried:     l.Counter("nrscope_bus_sink_retries_total", "delivery retries towards the sink"),
+		failures:    l.Counter("nrscope_bus_sink_delivery_failures_total", "batches whose delivery to the sink failed after retries"),
+		quarantines: l.Counter("nrscope_bus_sink_quarantines_total", "times the sink entered failure quarantine"),
+		flush:       l.Histogram("nrscope_bus_sink_flush_seconds", "successful batch delivery latency to the sink", obs.LatencyBuckets),
 	}
 }

@@ -119,3 +119,44 @@ func TestJSONLSinkFailedBatchWritesNothing(t *testing.T) {
 		t.Fatalf("after a good batch the file holds %q (Count %d), want %q", file.String(), s.Count(), want)
 	}
 }
+
+// TestSinkNameIsALabelValue: a sink's name reaches its instruments as a
+// label value, so no name can alias a bus-wide counter or another
+// sink's. A sink named "publish" once took nrscope_bus_publish_rejected_total
+// as its rejected counter, and "a-b", "a.b" and "A_B" shared one set.
+func TestSinkNameIsALabelValue(t *testing.T) {
+	b := New()
+	defer b.Close()
+	names := []string{"publish", "a-b", "a.b", "A_B"}
+	subs := make([]*Subscription, len(names))
+	for i, name := range names {
+		sub, err := b.Subscribe(name, Block, &collectSink{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		subs[i] = sub
+	}
+	bad := rec(0)
+	bad.R = math.NaN()
+	if err := b.Publish(bad); !errors.Is(err, ErrUnencodable) {
+		t.Fatalf("Publish(NaN code_rate) = %v, want ErrUnencodable", err)
+	}
+	if got := subs[0].Stats().Rejected; got != 0 {
+		t.Errorf(`sink "publish" reports Rejected = %d for a record it never saw, want 0`, got)
+	}
+	// One record pushed to "a.b" alone: its look-alikes deliver nothing.
+	subs[2].push(rec(1))
+	deadline := time.Now().Add(5 * time.Second)
+	for subs[2].Stats().Delivered == 0 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	for i, sub := range subs {
+		want := int64(0)
+		if i == 2 {
+			want = 1
+		}
+		if got := sub.Stats().Delivered; got != want {
+			t.Errorf("sink %q delivered %d, want %d", names[i], got, want)
+		}
+	}
+}

@@ -124,7 +124,7 @@ func TestSSEHandlerSlowReaderDrops(t *testing.T) {
 		}
 	}
 	d := obs.Delta(before, obs.Snapshot())
-	if drops := d["nrscope_bus_sse_dropped_total"]; drops < burst-1100 {
+	if drops := d[`nrscope_bus_sink_dropped_total{sink="sse"}`]; drops < burst-1100 {
 		t.Errorf("sse drops = %v, want >= %d after a %d-record overrun", drops, burst-1100, burst)
 	}
 	// Release the client and disconnect: the handler must come home.

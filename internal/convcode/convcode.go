@@ -348,22 +348,8 @@ func (w *Workspace) RecoverAndDecode(llr []float64, k int) []uint8 {
 	return w.Decode(rateRecoverInto(w.recovered[:n], llr), k)
 }
 
-// Decode runs soft-decision Viterbi decoding over coded-bit LLRs with a
-// throwaway workspace; see Workspace.Decode. Hot paths should hold a
-// Workspace instead.
-func Decode(llr []float64, k int) []uint8 {
-	return new(Workspace).Decode(llr, k)
-}
-
 // EncodeAndMatch is a convenience that encodes info and rate-matches to e
 // channel bits in one step.
 func EncodeAndMatch(info []uint8, e int) ([]uint8, error) {
 	return RateMatch(Encode(info), e)
-}
-
-// RecoverAndDecode is the receive-side convenience: rate-recovers e LLRs
-// for an original info length k and Viterbi-decodes with a throwaway
-// workspace. Hot paths should hold a Workspace instead.
-func RecoverAndDecode(llr []float64, k int) []uint8 {
-	return new(Workspace).RecoverAndDecode(llr, k)
 }

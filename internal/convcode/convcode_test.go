@@ -53,7 +53,7 @@ func TestNoiselessRoundTrip(t *testing.T) {
 		k := 8 + int(kRaw%500)
 		info := randomBits(rng, k)
 		coded := Encode(info)
-		got := Decode(noiselessLLR(coded), k)
+		got := new(Workspace).Decode(noiselessLLR(coded), k)
 		for i := range info {
 			if got[i] != info[i] {
 				return false
@@ -78,7 +78,7 @@ func TestRateMatchRepetitionRoundTrip(t *testing.T) {
 	if len(matched) != e {
 		t.Fatalf("matched length %d, want %d", len(matched), e)
 	}
-	got := RecoverAndDecode(noiselessLLR(matched), len(info))
+	got := new(Workspace).RecoverAndDecode(noiselessLLR(matched), len(info))
 	for i := range info {
 		if got[i] != info[i] {
 			t.Fatalf("bit %d wrong after repetition round trip", i)
@@ -95,7 +95,7 @@ func TestRateMatchPuncturedRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := RecoverAndDecode(noiselessLLR(matched), len(info))
+	got := new(Workspace).RecoverAndDecode(noiselessLLR(matched), len(info))
 	for i := range info {
 		if got[i] != info[i] {
 			t.Fatalf("bit %d wrong after punctured round trip", i)
@@ -126,7 +126,7 @@ func TestDecodeCorrectsNoise(t *testing.T) {
 			}
 			llr[i] = 2 * (x + rng.NormFloat64()*sigma) / (sigma * sigma)
 		}
-		got := Decode(llr, len(info))
+		got := new(Workspace).Decode(llr, len(info))
 		ok := true
 		for i := range info {
 			if got[i] != info[i] {
@@ -149,7 +149,7 @@ func TestDecodePanicsOnLengthMismatch(t *testing.T) {
 			t.Error("Decode with wrong LLR count did not panic")
 		}
 	}()
-	Decode(make([]float64, 10), 100)
+	new(Workspace).Decode(make([]float64, 10), 100)
 }
 
 func TestTrellisTables(t *testing.T) {

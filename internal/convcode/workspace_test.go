@@ -8,8 +8,8 @@ import (
 )
 
 // TestWorkspaceMatchesPackageDecode: a reused Workspace must produce the
-// same bits as the package-level functions across block sizes, including
-// after shrinking (stale survivor history must not leak between calls).
+// same bits as a fresh one across block sizes, including after
+// shrinking (stale survivor history must not leak between calls).
 func TestWorkspaceMatchesPackageDecode(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	var w Workspace
@@ -24,10 +24,10 @@ func TestWorkspaceMatchesPackageDecode(t *testing.T) {
 			llr[i] = (1 - 2*float64(b)) * (2 + rng.Float64()) // clean channel
 		}
 		got := w.Decode(llr, k)
-		want := Decode(llr, k)
+		want := new(Workspace).Decode(llr, k)
 		for i := range want {
 			if got[i] != want[i] {
-				t.Fatalf("k=%d: bit %d workspace %d != package %d", k, i, got[i], want[i])
+				t.Fatalf("k=%d: bit %d reused %d != fresh %d", k, i, got[i], want[i])
 			}
 		}
 		// Rate-matched path, both repetition and puncturing.
@@ -41,10 +41,10 @@ func TestWorkspaceMatchesPackageDecode(t *testing.T) {
 				chLLR[i] = 1 - 2*float64(b)
 			}
 			got := w.RecoverAndDecode(chLLR, k)
-			want := RecoverAndDecode(chLLR, k)
+			want := new(Workspace).RecoverAndDecode(chLLR, k)
 			for i := range want {
 				if got[i] != want[i] {
-					t.Fatalf("k=%d e=%d: bit %d workspace %d != package %d", k, e, i, got[i], want[i])
+					t.Fatalf("k=%d e=%d: bit %d reused %d != fresh %d", k, e, i, got[i], want[i])
 				}
 			}
 			for i := range info {

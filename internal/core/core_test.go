@@ -351,7 +351,7 @@ func TestThroughputTracksLedger(t *testing.T) {
 
 func TestUEActivityAging(t *testing.T) {
 	cfg := amari()
-	tb := newTestbed(t, cfg, 25, WithInactivityTimeout(400))
+	tb := newTestbed(t, cfg, 25, WithIdleHorizon(400*cfg.TTI()))
 	tb.gnb.AddUE(bulk(cfg), 1000) // departs after 1000 slots
 	sawUE := false
 	for i := 0; i < 2500; i++ {
@@ -482,7 +482,7 @@ func TestMSG4ShortcutTradeoff(t *testing.T) {
 	// its tracking state bounded by aging ghosts out.
 	cfg := amari()
 	tb := newTestbed(t, cfg, 8, // noisy capture: aliasing happens
-		WithVerifyMSG4(false), WithInactivityTimeout(500))
+		WithVerifyMSG4(false), WithIdleHorizon(500*cfg.TTI()))
 	rnti := tb.gnb.AddUE(bulk(cfg), -1)
 	found := false
 	maxTracked := 0

@@ -47,20 +47,11 @@ func WithVerifyMSG4(v bool) Option {
 	return func(s *Scope) { s.verifyMSG4 = v }
 }
 
-// WithInactivityTimeout drops UEs unseen for the given number of slots
-// (they left the RAN; their C-RNTI may be reassigned). Default 20000.
-func WithInactivityTimeout(slots int) Option {
-	return func(s *Scope) {
-		if slots > 0 {
-			s.inactivitySlots = slots
-		}
-	}
-}
-
-// WithIdleHorizon expresses UE inactivity eviction as a wall-clock
-// duration instead of slots: once the numerology is known the horizon
-// converts to an inactivity timeout, so live scope, fusion, and history
-// can share one eviction knob. Overrides WithInactivityTimeout.
+// WithIdleHorizon drops UEs unseen for the given wall-clock duration
+// (they left the RAN; their C-RNTI may be reassigned). Once the
+// numerology is known the horizon converts to a slot count, so live
+// scope, fusion, and history share one eviction knob. Default 20000
+// slots.
 func WithIdleHorizon(d time.Duration) Option {
 	return func(s *Scope) {
 		if d > 0 {

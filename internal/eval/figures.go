@@ -234,7 +234,7 @@ func Fig10(o Options) Figure {
 			res := mustRun(SessionConfig{
 				Cell:       cell,
 				ScopeSNRdB: 15,
-				ScopeOpts:  []core.Option{core.WithInactivityTimeout(int(2 * time.Second / tti))},
+				ScopeOpts:  []core.Option{core.WithIdleHorizon(2 * time.Second)},
 				Population: &pop,
 				Slots:      o.slots(60000), // 60 s at 1 ms TTI
 				Seed:       o.seed(600) + int64(cellN),

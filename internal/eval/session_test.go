@@ -67,10 +67,11 @@ func TestSessionWithPopulation(t *testing.T) {
 	pop := ran.DefaultPopulation()
 	pop.ArrivalsPerSecond = 6
 	pop.MedianSessionSeconds = 1
+	cell := ran.AmarisoftCell()
 	res, err := Run(SessionConfig{
-		Cell:       ran.AmarisoftCell(),
+		Cell:       cell,
 		ScopeSNRdB: 25,
-		ScopeOpts:  []core.Option{core.WithInactivityTimeout(800)},
+		ScopeOpts:  []core.Option{core.WithIdleHorizon(800 * cell.TTI())},
 		Population: &pop,
 		Slots:      8000, // 4 s
 		Seed:       1234,

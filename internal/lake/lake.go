@@ -172,6 +172,7 @@ type Lake struct {
 	stDropped  atomic.Int64
 	stCompact  atomic.Int64
 	stRecover  atomic.Int64
+	stQueued   atomic.Int64 // the depth last published to nrscope_lake_queue_depth
 }
 
 // Open creates or reopens a lake rooted at dir. Recovery replays the
@@ -507,6 +508,7 @@ func (l *Lake) Close() error {
 	}
 	close(l.done)
 	l.wg.Wait()
+	l.withdraw()
 	var firstErr error
 	if !l.abandoned.Load() {
 		for cell, a := range l.actives {
@@ -533,6 +535,7 @@ func (l *Lake) Abandon() {
 	l.abandoned.Store(true)
 	close(l.done)
 	l.wg.Wait()
+	l.withdraw()
 	l.closeAll()
 }
 

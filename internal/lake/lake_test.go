@@ -647,3 +647,63 @@ func TestCrashRecoveryAnomalyBounds(t *testing.T) {
 		}
 	}
 }
+
+// TestGaugesSumAcrossLakes: two lakes open in one process (as with
+// -shards 2 -lake) each publish their share of the process-wide
+// segment, byte and queue gauges, so the gauges read the sum of the
+// lakes' Stats; a lake that closes takes its share back out.
+func TestGaugesSumAcrossLakes(t *testing.T) {
+	gauges := func() [3]int64 {
+		return [3]int64{met.segments.Value(), met.bytes.Value(), met.queuedEntries.Value()}
+	}
+	base := gauges()
+	a, err := Open(t.TempDir(), idleCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	b, err := Open(t.TempDir(), idleCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	for i := int64(0); i < 40; i++ {
+		spill(a, 1, 0x4601, false, i, testBin(i))
+		spill(a, 2, 0x4602, false, i, testBin(i))
+		if i < 25 {
+			spill(b, 3, 0x4603, false, i, testBin(i))
+		}
+	}
+	for _, l := range []*Lake{a, b} {
+		if err := l.Sync(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := func(ls ...*Lake) [3]int64 {
+		w := base
+		for _, l := range ls {
+			st := l.Stats()
+			w[0] += int64(st.Segments)
+			w[1] += st.Bytes
+			w[2] += l.stQueued.Load()
+		}
+		return w
+	}
+	sa, sb := a.Stats(), b.Stats()
+	if sa.Segments != 2 || sb.Segments != 1 || sa.Bytes == 0 || sb.Bytes == 0 {
+		t.Fatalf("stats a = %+v, b = %+v: want 2 and 1 non-empty segments", sa, sb)
+	}
+	if got, w := gauges(), want(a, b); got != w {
+		t.Errorf("gauges (segments, bytes, queue) = %v, want the two lakes' sum %v", got, w)
+	}
+	if err := a.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got, w := gauges(), want(b); got != w {
+		t.Errorf("after one lake closed, gauges = %v, want the other lake's %v", got, w)
+	}
+	b.Abandon()
+	if got := gauges(); got != base {
+		t.Errorf("after both lakes closed, gauges = %v, want %v", got, base)
+	}
+}

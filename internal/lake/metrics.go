@@ -3,7 +3,8 @@ package lake
 import "nrscope/internal/obs"
 
 // met is the lake's instrumentation, registered on the Default
-// registry under the nrscope_lake_* prefix.
+// registry under the nrscope_lake_* prefix. Every lake open in the
+// process adds into the same instruments; see share for the gauges.
 var met = struct {
 	segments      *obs.Gauge
 	bytes         *obs.Gauge

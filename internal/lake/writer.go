@@ -6,9 +6,11 @@ import (
 	"path/filepath"
 	"slices"
 	"sort"
+	"sync/atomic"
 	"time"
 
 	"nrscope/internal/history"
+	"nrscope/internal/obs"
 )
 
 // The background writer: drains the spill queue into per-cell
@@ -83,7 +85,7 @@ func (l *Lake) flushOnce() {
 	l.popIdx.Store(push)
 	l.qmu.Unlock()
 	// Sampled at drain time: the depth the queue reached between flushes.
-	met.queuedEntries.Set(int64(n))
+	share(met.queuedEntries, &l.stQueued, int64(n))
 
 	start := time.Now()
 	refs := l.writeBatch(inf)
@@ -246,10 +248,23 @@ func (l *Lake) updateTotals() {
 	for _, s := range l.segs {
 		bytes += s.size
 	}
-	met.segments.Set(int64(len(l.segs)))
-	met.bytes.Set(bytes)
-	l.stSegments.Store(int64(len(l.segs)))
-	l.stBytes.Store(bytes)
+	share(met.segments, &l.stSegments, int64(len(l.segs)))
+	share(met.bytes, &l.stBytes, bytes)
+}
+
+// share moves one lake's share of the process-wide gauge g from last
+// to v, so with several lakes open (one per shard) g reads their sum
+// rather than whichever lake wrote last.
+func share(g *obs.Gauge, last *atomic.Int64, v int64) {
+	g.Add(v - last.Swap(v))
+}
+
+// withdraw takes the lake's shares back out of the process-wide gauges
+// once its writer has exited; Stats keeps reporting the last values.
+func (l *Lake) withdraw() {
+	met.segments.Add(-l.stSegments.Load())
+	met.bytes.Add(-l.stBytes.Load())
+	met.queuedEntries.Add(-l.stQueued.Load())
 }
 
 // maintain runs one compaction + retention pass.

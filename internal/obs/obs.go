@@ -1,14 +1,15 @@
 // Package obs is the process's observability layer: a dependency-free
 // metrics subsystem (atomic counters, gauges, fixed-bucket histograms,
-// and a named registry) with Prometheus-text-format exposition and an
-// opt-in HTTP listener that also wires expvar and pprof.
+// and a registry of metric families, each unlabelled or with one label
+// per instance) with Prometheus-text-format exposition and an opt-in
+// HTTP listener that also wires expvar and pprof.
 //
 // The hot decode path (core.Scope, core.DecodePool) records into
 // package-level metrics resolved from the Default registry at init
 // time, so instrumentation costs one atomic op per event and zero
-// allocations. Snapshot() returns a flat name→value map so tests and
-// internal/eval can assert on counter deltas across a run, making the
-// instrumentation itself testable.
+// allocations. Snapshot() returns a flat series-name→value map so
+// tests and internal/eval can assert on counter deltas across a run,
+// making the instrumentation itself testable.
 package obs
 
 import (
@@ -19,27 +20,6 @@ import (
 	"sync"
 	"sync/atomic"
 )
-
-// MetricName maps an arbitrary instance name (a sink's, a pump's) into
-// the Prometheus metric-name alphabet: lower-case letters, digits and
-// '_', every other rune becoming '_'. An empty name becomes fallback.
-func MetricName(name, fallback string) string {
-	if name == "" {
-		return fallback
-	}
-	var b strings.Builder
-	for _, r := range name {
-		switch {
-		case r >= 'a' && r <= 'z', r >= '0' && r <= '9', r == '_':
-			b.WriteRune(r)
-		case r >= 'A' && r <= 'Z':
-			b.WriteRune(r + ('a' - 'A'))
-		default:
-			b.WriteRune('_')
-		}
-	}
-	return b.String()
-}
 
 // Counter is a monotonically increasing atomic counter.
 type Counter struct {
@@ -138,23 +118,36 @@ func (h *Histogram) Buckets() (bounds []float64, counts []int64) {
 	return bounds, counts
 }
 
-// metric is one registered instrument.
+// metric is one registered series: a family's unlabelled instrument,
+// or one of its labelled children.
 type metric struct {
-	name string
-	help string
-	kind string // "counter" | "gauge" | "histogram"
+	labels string // the rendered label pair, label="value"; "" when unlabelled
 
 	counter *Counter
 	gauge   *Gauge
 	hist    *Histogram
 }
 
-// Registry is a named collection of metrics. The zero value is not
-// usable; use NewRegistry or the package Default.
+// family is every series sharing one metric name: one help string, one
+// kind and one label name, exposed under a single # HELP / # TYPE.
+type family struct {
+	name, help, kind, label string
+	byValue                 map[string]*metric
+	series                  []*metric // in registration order
+}
+
+// Registry is a collection of metric families. The zero value is not
+// usable; use NewRegistry or the package Default, and With for a view
+// that registers labelled children.
 type Registry struct {
-	mu      sync.RWMutex
-	metrics map[string]*metric
-	order   []string
+	*registry
+	label, value string // the child every instrument registers as; "" unlabelled
+}
+
+type registry struct {
+	mu       sync.RWMutex
+	families map[string]*family
+	order    []*family
 }
 
 // Default is the process-wide registry every package-level instrument
@@ -164,27 +157,55 @@ var Default = NewRegistry()
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{metrics: make(map[string]*metric)}
+	return &Registry{registry: &registry{families: make(map[string]*family)}}
 }
+
+// With returns a view of r that registers every instrument as the child
+// label="value" of its family, so one family (one # HELP / # TYPE)
+// carries a series per instance. Every child of a family must use the
+// same label name.
+func (r *Registry) With(label, value string) *Registry {
+	return &Registry{registry: r.registry, label: label, value: value}
+}
+
+// labelEscaper escapes a label value per the text exposition format.
+var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
 
 func (r *Registry) register(name, help, kind string, build func() *metric) *metric {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if m, ok := r.metrics[name]; ok {
-		if m.kind != kind {
-			panic(fmt.Sprintf("obs: metric %q re-registered as %s (was %s)", name, kind, m.kind))
-		}
+	f := r.families[name]
+	if f == nil {
+		f = &family{name: name, help: help, kind: kind, label: r.label, byValue: make(map[string]*metric)}
+		r.families[name] = f
+		r.order = append(r.order, f)
+	} else if f.kind != kind || f.label != r.label {
+		panic(fmt.Sprintf("obs: metric %q re-registered as %s{%s} (was %s{%s})", name, kind, r.label, f.kind, f.label))
+	}
+	if m, ok := f.byValue[r.value]; ok {
 		return m
 	}
 	m := build()
-	m.name, m.help, m.kind = name, help, kind
-	r.metrics[name] = m
-	r.order = append(r.order, name)
+	if r.label != "" {
+		m.labels = r.label + `="` + labelEscaper.Replace(r.value) + `"`
+	}
+	f.byValue[r.value] = m
+	f.series = append(f.series, m)
 	return m
 }
 
+// seriesName is a series' exposition and Snapshot key: name, or
+// name{labels} for a labelled child.
+func seriesName(name, labels string) string {
+	if labels == "" {
+		return name
+	}
+	return name + "{" + labels + "}"
+}
+
 // Counter returns the named counter, creating it on first use.
-// Re-registering an existing name returns the same instrument.
+// Re-registering an existing name (and label value) returns the same
+// instrument.
 func (r *Registry) Counter(name, help string) *Counter {
 	return r.register(name, help, "counter", func() *metric {
 		return &metric{counter: &Counter{}}
@@ -206,24 +227,26 @@ func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
 	}).hist
 }
 
-// Snapshot returns every metric's current value as a flat map:
-// counters and gauges under their own name, histograms as
-// "<name>_count" and "<name>_sum". Tests diff two snapshots to assert
-// on counter deltas across a run.
+// Snapshot returns every series' current value as a flat map keyed by
+// series name (name, or name{label="value"}): counters and gauges under
+// their own, histograms as "<name>_count" and "<name>_sum" with the
+// same labels. Tests diff two snapshots to assert on counter deltas
+// across a run.
 func (r *Registry) Snapshot() map[string]float64 {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	out := make(map[string]float64, len(r.order)+8)
-	for _, name := range r.order {
-		m := r.metrics[name]
-		switch m.kind {
-		case "counter":
-			out[name] = float64(m.counter.Value())
-		case "gauge":
-			out[name] = float64(m.gauge.Value())
-		case "histogram":
-			out[name+"_count"] = float64(m.hist.Count())
-			out[name+"_sum"] = m.hist.Sum()
+	out := make(map[string]float64, 2*len(r.order))
+	for _, f := range r.order {
+		for _, m := range f.series {
+			switch f.kind {
+			case "counter":
+				out[seriesName(f.name, m.labels)] = float64(m.counter.Value())
+			case "gauge":
+				out[seriesName(f.name, m.labels)] = float64(m.gauge.Value())
+			case "histogram":
+				out[seriesName(f.name+"_count", m.labels)] = float64(m.hist.Count())
+				out[seriesName(f.name+"_sum", m.labels)] = m.hist.Sum()
+			}
 		}
 	}
 	return out

@@ -3,6 +3,7 @@ package obs
 import (
 	"io"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -46,6 +47,40 @@ func TestCounterConcurrency(t *testing.T) {
 	wg.Wait()
 	if got := c.Value(); got != 8000 {
 		t.Errorf("counter = %d, want 8000", got)
+	}
+}
+
+// TestRegisterWhileScraped: children register (as a TCP sink does per
+// accepted connection) while the registry is exposed and snapshotted;
+// run under -race.
+func TestRegisterWhileScraped(t *testing.T) {
+	r := NewRegistry()
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < 200; j++ {
+				l := r.With("sink", strconv.Itoa(j%8))
+				l.Counter("test_delivered_total", "delivered").Inc()
+				l.Histogram("test_flush_seconds", "flush", LatencyBuckets).Observe(1e-4)
+			}
+		}()
+	}
+	for i := 0; i < 50; i++ {
+		if err := r.WritePrometheus(io.Discard); err != nil {
+			t.Fatal(err)
+		}
+		r.Snapshot()
+	}
+	wg.Wait()
+	snap := r.Snapshot()
+	var total float64
+	for j := 0; j < 8; j++ {
+		total += snap[`test_delivered_total{sink="`+strconv.Itoa(j)+`"}`]
+	}
+	if total != 800 {
+		t.Errorf("children counted %v, want 800", total)
 	}
 }
 
@@ -129,6 +164,93 @@ func TestPrometheusExposition(t *testing.T) {
 	}
 }
 
+// TestLabelledExposition: instances registered the way the bus, pump
+// and shard instrument sets are (each instance registering every family
+// in turn) come out as one # HELP and one # TYPE per family with all of
+// the family's series contiguous beneath them, le spliced into a
+// histogram child's labels, and label values escaped.
+func TestLabelledExposition(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("test_bus_published_total", "bus-wide").Add(1)
+	for _, sink := range []string{"jsonl", `a"b\c` + "\nd"} {
+		l := r.With("sink", sink)
+		l.Gauge("test_bus_sink_queue_depth", "queued").Set(2)
+		l.Counter("test_bus_sink_delivered_total", "delivered").Add(3)
+		l.Histogram("test_bus_sink_flush_seconds", "flush", []float64{0.001}).Observe(0.0005)
+	}
+	for _, pump := range []string{"promrw", "influx"} {
+		l := r.With("pump", pump)
+		l.Counter("test_pump_frames_sent_total", "frames").Inc()
+		l.Counter("test_pump_net_errors_total", "errors")
+	}
+	for _, shard := range []string{"0", "1"} {
+		l := r.With("shard", shard)
+		l.Counter("test_shard_ingested_total", "ingested").Inc()
+		l.Gauge("test_shard_ues_tracked", "tracked").Set(4)
+	}
+	var sb strings.Builder
+	if err := r.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	out := sb.String()
+	for _, want := range []string{
+		`test_bus_sink_queue_depth{sink="jsonl"} 2`,
+		`test_bus_sink_delivered_total{sink="a\"b\\c\nd"} 3`,
+		`test_bus_sink_flush_seconds_bucket{sink="jsonl",le="0.001"} 1`,
+		`test_bus_sink_flush_seconds_bucket{sink="a\"b\\c\nd",le="+Inf"} 1`,
+		`test_bus_sink_flush_seconds_sum{sink="jsonl"} 0.0005`,
+		`test_bus_sink_flush_seconds_count{sink="jsonl"} 1`,
+		`test_pump_net_errors_total{pump="influx"} 0`,
+		`test_shard_ues_tracked{shard="1"} 4`,
+	} {
+		if !strings.Contains(out, want+"\n") {
+			t.Errorf("exposition missing %q:\n%s", want, out)
+		}
+	}
+
+	help, typ := map[string]int{}, map[string]int{}
+	done := map[string]bool{} // families whose block has ended
+	family := ""
+	series := 0
+	for _, line := range strings.Split(strings.TrimSuffix(out, "\n"), "\n") {
+		if name, ok := strings.CutPrefix(line, "# HELP "); ok {
+			help[strings.Fields(name)[0]]++
+			continue
+		}
+		if name, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			done[family] = true
+			family = strings.Fields(name)[0]
+			if done[family] {
+				t.Errorf("family %s starts a second block", family)
+			}
+			typ[family]++
+			continue
+		}
+		name, _, _ := strings.Cut(strings.Fields(line)[0], "{")
+		if name != family && name != family+"_bucket" && name != family+"_sum" && name != family+"_count" {
+			t.Errorf("series %q outside its family's block (under %s)", line, family)
+		}
+		series++
+	}
+	if len(typ) != 8 {
+		t.Errorf("exposition has %d families, want 8:\n%s", len(typ), out)
+	}
+	for f, n := range typ {
+		if n != 1 || help[f] != 1 {
+			t.Errorf("family %s has %d # HELP and %d # TYPE lines, want one each", f, help[f], n)
+		}
+	}
+	// 1 unlabelled + 2 sinks × (depth, delivered, 2 buckets, sum, count)
+	// + 2 pumps × 2 + 2 shards × 2.
+	if want := 1 + 2*6 + 4 + 4; series != want {
+		t.Errorf("exposition has %d sample lines, want %d", series, want)
+	}
+	snap := r.Snapshot()
+	if snap[`test_shard_ues_tracked{shard="0"}`] != 4 || snap[`test_bus_sink_flush_seconds_count{sink="jsonl"}`] != 1 {
+		t.Errorf("snapshot not keyed by series name: %v", snap)
+	}
+}
+
 func TestHTTPServer(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("test_http_total", "via http").Add(5)
@@ -168,4 +290,15 @@ func TestKindMismatchPanics(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("test_name", "")
 	r.Gauge("test_name", "")
+}
+
+func TestLabelNameMismatchPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("registering a family under a second label name did not panic")
+		}
+	}()
+	r := NewRegistry()
+	r.With("sink", "a").Counter("test_name", "")
+	r.With("pump", "a").Counter("test_name", "")
 }

@@ -10,34 +10,38 @@ import (
 )
 
 // WritePrometheus renders the registry in the Prometheus text
-// exposition format (version 0.0.4): # HELP / # TYPE headers, one
-// sample line per counter/gauge, and the cumulative bucket series plus
-// _sum/_count for histograms.
+// exposition format (version 0.0.4): one # HELP / # TYPE header per
+// family with all its series beneath it, one sample line per
+// counter/gauge series, and the cumulative bucket series (le spliced
+// into the series' labels) plus _sum/_count for histograms.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	bw := bufio.NewWriter(w)
-	for _, name := range r.order {
-		m := r.metrics[name]
-		if m.help != "" {
-			fmt.Fprintf(bw, "# HELP %s %s\n", name, m.help)
+	for _, f := range r.order {
+		if f.help != "" {
+			fmt.Fprintf(bw, "# HELP %s %s\n", f.name, f.help)
 		}
-		switch m.kind {
-		case "counter":
-			fmt.Fprintf(bw, "# TYPE %s counter\n", name)
-			fmt.Fprintf(bw, "%s %d\n", name, m.counter.Value())
-		case "gauge":
-			fmt.Fprintf(bw, "# TYPE %s gauge\n", name)
-			fmt.Fprintf(bw, "%s %d\n", name, m.gauge.Value())
-		case "histogram":
-			fmt.Fprintf(bw, "# TYPE %s histogram\n", name)
-			bounds, counts := m.hist.Buckets()
-			for i, le := range bounds {
-				fmt.Fprintf(bw, "%s_bucket{le=%q} %d\n", name, formatFloat(le), counts[i])
+		fmt.Fprintf(bw, "# TYPE %s %s\n", f.name, f.kind)
+		for _, m := range f.series {
+			switch f.kind {
+			case "counter":
+				fmt.Fprintf(bw, "%s %d\n", seriesName(f.name, m.labels), m.counter.Value())
+			case "gauge":
+				fmt.Fprintf(bw, "%s %d\n", seriesName(f.name, m.labels), m.gauge.Value())
+			case "histogram":
+				le := "le="
+				if m.labels != "" {
+					le = m.labels + ",le="
+				}
+				bounds, counts := m.hist.Buckets()
+				for i, b := range bounds {
+					fmt.Fprintf(bw, "%s_bucket{%s%q} %d\n", f.name, le, formatFloat(b), counts[i])
+				}
+				fmt.Fprintf(bw, "%s_bucket{%s\"+Inf\"} %d\n", f.name, le, m.hist.Count())
+				fmt.Fprintf(bw, "%s %s\n", seriesName(f.name+"_sum", m.labels), formatFloat(m.hist.Sum()))
+				fmt.Fprintf(bw, "%s %d\n", seriesName(f.name+"_count", m.labels), m.hist.Count())
 			}
-			fmt.Fprintf(bw, "%s_bucket{le=\"+Inf\"} %d\n", name, m.hist.Count())
-			fmt.Fprintf(bw, "%s_sum %s\n", name, formatFloat(m.hist.Sum()))
-			fmt.Fprintf(bw, "%s_count %d\n", name, m.hist.Count())
 		}
 	}
 	return bw.Flush()

@@ -60,8 +60,8 @@ func rawSymbols(syms ...complex128) []byte {
 // component (the bytes repeat to fill the resource), an n0 from
 // frontEndN0s and random scrambling bits; the fused front end must write
 // the oracle chain's decoder input bit for bit, and the Viterbi decode
-// of it must equal convcode.RecoverAndDecode of the chain's channel
-// LLRs. The seeds run as part of plain go test.
+// of it must equal a fresh Workspace's RecoverAndDecode of the chain's
+// channel LLRs. The seeds run as part of plain go test.
 func FuzzQPSKFrontEndMatchesChain(f *testing.F) {
 	inf, nan := math.Inf(1), math.NaN()
 	negZero := math.Copysign(0, -1)
@@ -106,7 +106,7 @@ func FuzzQPSKFrontEndMatchesChain(f *testing.F) {
 				t.Fatalf("n0 %v: coded bit %d = %v (%#x), chain %v (%#x)", n0, i, w.rec[i], math.Float64bits(w.rec[i]), v, math.Float64bits(v))
 			}
 		}
-		if got, oracle := w.vit.Decode(w.rec[:], blockBits), convcode.RecoverAndDecode(llr, blockBits); !slices.Equal(got, oracle) {
+		if got, oracle := w.vit.Decode(w.rec[:], blockBits), new(convcode.Workspace).RecoverAndDecode(llr, blockBits); !slices.Equal(got, oracle) {
 			t.Fatalf("n0 %v: decoded %v, chain %v", n0, got, oracle)
 		}
 	})

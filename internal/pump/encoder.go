@@ -11,8 +11,8 @@
 // runner's batching, retry/backoff and failure-quarantine machinery,
 // while owning everything HTTP — request framing (content type and
 // encoding, auth header, timeout), max-frame splitting, and the
-// nrscope_pump_<name>_* instruments. The Encoder seam below is the
-// per-format half: append-only encoding into reusable buffers, so
+// nrscope_pump_*{pump="<name>"} instruments. The Encoder seam below is
+// the per-format half: append-only encoding into reusable buffers, so
 // steady-state export allocates nothing and never pressures the decode
 // hot path's allocator.
 package pump
@@ -27,7 +27,7 @@ import "nrscope/internal/telemetry"
 // bench/ can time each wire format alone.
 type Encoder interface {
 	// Kind is the format's -sink spec keyword ("promrw", "influx",
-	// "otlp"); it doubles as the default metric key.
+	// "otlp"); it doubles as the default pump label value.
 	Kind() string
 	// ContentType is the frame's Content-Type header value.
 	ContentType() string

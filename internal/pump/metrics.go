@@ -10,8 +10,9 @@ var sendBuckets = []float64{
 	250e-3, 500e-3, 1, 2.5,
 }
 
-// pumpMetrics is one named pump's instrument set. Same-named pumps
-// share a set, mirroring the bus's per-sink convention.
+// pumpMetrics is one named pump's instrument set: the pump="<name>"
+// children of the nrscope_pump_* families. Same-named pumps share a
+// set, mirroring the bus's per-sink convention.
 type pumpMetrics struct {
 	frames    *obs.Counter
 	bytes     *obs.Counter
@@ -22,17 +23,16 @@ type pumpMetrics struct {
 }
 
 // metricsFor resolves (or creates) the instrument set for a pump name.
-// obs.Default returns the existing instrument for a name registered
-// twice, so repeated calls for one pump name share one set.
+// obs.Default returns the existing child for a repeated label value,
+// so repeated calls for one pump name share one set.
 func metricsFor(name string) *pumpMetrics {
-	key := obs.MetricName(name, "pump")
-	p := "nrscope_pump_" + key + "_"
+	l := obs.Default.With("pump", name)
 	return &pumpMetrics{
-		frames:    obs.Default.Counter(p+"frames_sent_total", "HTTP frames delivered by the "+name+" pump (includes batch retries)"),
-		bytes:     obs.Default.Counter(p+"sent_bytes_total", "encoded body bytes delivered by the "+name+" pump"),
-		err4xx:    obs.Default.Counter(p+"http_4xx_total", "4xx responses from the "+name+" pump's backend"),
-		err5xx:    obs.Default.Counter(p+"http_5xx_total", "5xx responses from the "+name+" pump's backend"),
-		netErrors: obs.Default.Counter(p+"net_errors_total", "transport errors (dial, timeout, reset) towards the "+name+" pump's backend"),
-		send:      obs.Default.Histogram(p+"send_seconds", "successful frame delivery latency of the "+name+" pump", sendBuckets),
+		frames:    l.Counter("nrscope_pump_frames_sent_total", "HTTP frames delivered by the pump (includes batch retries)"),
+		bytes:     l.Counter("nrscope_pump_sent_bytes_total", "encoded body bytes delivered by the pump"),
+		err4xx:    l.Counter("nrscope_pump_http_4xx_total", "4xx responses from the pump's backend"),
+		err5xx:    l.Counter("nrscope_pump_http_5xx_total", "5xx responses from the pump's backend"),
+		netErrors: l.Counter("nrscope_pump_net_errors_total", "transport errors (dial, timeout, reset) towards the pump's backend"),
+		send:      l.Histogram("nrscope_pump_send_seconds", "successful frame delivery latency of the pump", sendBuckets),
 	}
 }

@@ -12,8 +12,8 @@ import (
 
 // Config shapes one pump sink.
 type Config struct {
-	// Name keys the pump's nrscope_pump_<name>_* instruments (default:
-	// the encoder's Kind). Same-named pumps share instruments.
+	// Name is the pump label of its nrscope_pump_*{pump="<name>"} series
+	// (default: the encoder's Kind). Same-named pumps share instruments.
 	Name string
 	// URL is the POST target.
 	URL string
@@ -33,13 +33,13 @@ type Config struct {
 // more frames; any HTTP failure is returned to the bus runner, whose
 // retry/backoff/quarantine machinery owns the recovery policy.
 //
-// Accounting: the pump's records are the bus subscription's —
-// nrscope_bus_<name>_delivered_total counts a record once its whole
-// WriteBatch succeeded, and _dropped_total every record lost towards
-// the pump, so delivered + dropped equals the records published to the
-// subscription once the bus has drained. A mid-batch frame failure makes
-// the runner retry the batch, re-sending earlier frames; the pump's
-// frames/bytes counters count that wire activity.
+// Accounting: the pump's records are its bus subscription's, so
+// nrscope_bus_sink_delivered_total{sink="<name>"} counts a record once
+// its whole WriteBatch succeeded, and _dropped_total every record lost
+// towards the pump: delivered + dropped equals the records published to
+// the subscription once the bus has drained. A mid-batch frame failure
+// makes the runner retry the batch, re-sending earlier frames; the
+// pump's frames/bytes counters count that wire activity.
 type Sink struct {
 	name     string
 	url      string
@@ -82,7 +82,7 @@ func New(cfg Config) (*Sink, error) {
 	return s, nil
 }
 
-// Name returns the pump's metric key.
+// Name returns the pump's name, its pump label value.
 func (s *Sink) Name() string { return s.name }
 
 // URL returns the POST target.

@@ -38,7 +38,7 @@ type Tuning struct {
 //
 //	token=T        Authorization: Bearer T
 //	token_env=VAR  like token=, reading T from $VAR (must be non-empty)
-//	name=N         metric key under nrscope_pump_<N>_* (default: kind)
+//	name=N         pump label value, nrscope_pump_*{pump="N"} (default: kind)
 //	epoch_ms=E     wall-clock base for sample timestamps
 //	               (default: sink construction time; set it when
 //	               backfilling a -replay run to place samples at

@@ -117,12 +117,11 @@ func TestFailoverPanicRestartResumesPartition(t *testing.T) {
 
 	// The nrscope_shard_* instruments observed the recovered panic too.
 	delta := obs.Delta(before, obs.Snapshot())
-	prefix := fmt.Sprintf("nrscope_shard_%d_", victim)
-	if delta[prefix+"restarts_total"] < 1 {
-		t.Fatalf("%srestarts_total delta = %v, want >= 1", prefix, delta[prefix+"restarts_total"])
-	}
-	if delta[prefix+"dropped_total"] < 1 {
-		t.Fatalf("%sdropped_total delta = %v, want >= 1", prefix, delta[prefix+"dropped_total"])
+	for _, family := range []string{"nrscope_shard_restarts_total", "nrscope_shard_dropped_total"} {
+		series := fmt.Sprintf("%s{shard=\"%d\"}", family, victim)
+		if delta[series] < 1 {
+			t.Fatalf("%s delta = %v, want >= 1", series, delta[series])
+		}
 	}
 }
 

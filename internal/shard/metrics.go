@@ -14,21 +14,18 @@ import (
 var met = struct {
 	shards *obs.Gauge
 	cells  *obs.Gauge
-	ues    *obs.Gauge
 }{
 	shards: obs.Default.Gauge("nrscope_shard_shards",
 		"shards the cell supervisor partitions its cells across"),
 	cells: obs.Default.Gauge("nrscope_shard_cells",
 		"cells registered with the shard supervisor"),
-	ues: obs.Default.Gauge("nrscope_shard_ues_tracked",
-		"UE series tracked across all shard history partitions"),
 }
 
-// shardMetrics is one shard's instrument set, registered under the
-// nrscope_shard_<i>_* prefix. Supervisors in the same process sharing a
-// shard index share instruments (counters aggregate, Prometheus process
-// semantics); per-supervisor truth lives in the shard's local atomics
-// and is what Health() reports.
+// shardMetrics is one shard's instrument set: the shard="<i>" children
+// of the nrscope_shard_* families. Supervisors in the same process
+// sharing a shard index share instruments (counters aggregate,
+// Prometheus process semantics); per-supervisor truth lives in the
+// shard's local atomics and is what Health() reports.
 type shardMetrics struct {
 	ingested *obs.Counter
 	applied  *obs.Counter
@@ -41,27 +38,18 @@ type shardMetrics struct {
 }
 
 // metricsFor resolves (or creates) the instrument set for a shard index.
-// obs.Default returns the existing instrument for a name registered
-// twice, so repeated calls for one shard index share one set.
+// obs.Default returns the existing child for a repeated label value,
+// so repeated calls for one shard index share one set.
 func metricsFor(idx int) *shardMetrics {
-	i := strconv.Itoa(idx)
-	p := "nrscope_shard_" + i + "_"
+	l := obs.Default.With("shard", strconv.Itoa(idx))
 	return &shardMetrics{
-		ingested: obs.Default.Counter(p+"ingested_total",
-			"records accepted into shard "+i+"'s ingest queue"),
-		applied: obs.Default.Counter(p+"applied_total",
-			"records folded into shard "+i+"'s history partition"),
-		dropped: obs.Default.Counter(p+"dropped_total",
-			"records dropped towards shard "+i+" (queue eviction under drop-oldest, or a fold that panicked)"),
-		rejected: obs.Default.Counter(p+"rejected_total",
-			"records refused by shard "+i+"'s closed queue"),
-		depth: obs.Default.Gauge(p+"queue_depth",
-			"records queued towards shard "+i+" (last sampled)"),
-		capacity: obs.Default.Gauge(p+"queue_capacity",
-			"ingest ring queue capacity of shard "+i),
-		restarts: obs.Default.Counter(p+"restarts_total",
-			"folds in shard "+i+" that panicked and were recovered, each costing its record"),
-		ues: obs.Default.Gauge(p+"ues_tracked",
-			"UE series tracked by shard "+i+"'s history partition"),
+		ingested: l.Counter("nrscope_shard_ingested_total", "records accepted into the shard's ingest queue"),
+		applied:  l.Counter("nrscope_shard_applied_total", "records folded into the shard's history partition"),
+		dropped:  l.Counter("nrscope_shard_dropped_total", "records dropped towards the shard (queue eviction under drop-oldest, or a fold that panicked)"),
+		rejected: l.Counter("nrscope_shard_rejected_total", "records refused by the shard's closed queue"),
+		depth:    l.Gauge("nrscope_shard_queue_depth", "records queued towards the shard (last sampled)"),
+		capacity: l.Gauge("nrscope_shard_queue_capacity", "ingest ring queue capacity of the shard"),
+		restarts: l.Counter("nrscope_shard_restarts_total", "folds in the shard that panicked and were recovered, each costing its record"),
+		ues:      l.Gauge("nrscope_shard_ues_tracked", "UE series tracked by the shard's history partition; sum() over shards is the deployment's"),
 	}
 }

@@ -25,7 +25,7 @@
 // telemetry (http.go): /history/* per-cell routes go to the partition
 // that owns the cell, and /history/topk, /history/anomalies and
 // /shards/* to the rollup layer. Per-shard backpressure and health are
-// exported via internal/obs under nrscope_shard_* (metrics.go).
+// exported via internal/obs as nrscope_shard_*{shard="<i>"} (metrics.go).
 package shard
 
 import (
@@ -332,7 +332,6 @@ type shardState struct {
 	// busySince is the UnixNano at which the worker took the batch it
 	// is applying, 0 between batches.
 	busySince atomic.Int64
-	tracked   atomic.Int64 // the partition's tracked UEs after the last batch
 
 	ingested atomic.Int64 // records accepted into the queue
 	applied  atomic.Int64 // records folded into the partition
@@ -374,14 +373,7 @@ func (sh *shardState) run() {
 		sh.busySince.Store(0)
 		sh.applied.Add(int64(len(batch) - lost))
 		sh.met.applied.Add(int64(len(batch) - lost))
-		tracked := int64(sh.store.TrackedUEs())
-		sh.tracked.Store(tracked)
-		sh.met.ues.Set(tracked)
-		var ues int64
-		for _, peer := range sh.sup.shards {
-			ues += peer.tracked.Load()
-		}
-		met.ues.Set(ues)
+		sh.met.ues.Set(int64(sh.store.TrackedUEs()))
 	}
 }
 

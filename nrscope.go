@@ -39,8 +39,8 @@ import (
 // Re-exported engine types. Scope is the paper's telemetry engine;
 // DecodePool its Fig.-4 worker pool, shared by many cells. The facade is
 // the module's public API, so a name here is kept for importers even
-// where only this module's tests call it (UEActivity, and the options
-// WithDMRSGate and WithInactivityTimeout below).
+// where only this module's tests call it (UEActivity, and the option
+// WithDMRSGate below).
 type (
 	// Scope is the NR-Scope telemetry engine (one per monitored cell).
 	Scope = core.Scope
@@ -68,8 +68,6 @@ type (
 var (
 	// WithVerifyMSG4 toggles RRC-Setup PDSCH verification of new UEs.
 	WithVerifyMSG4 = core.WithVerifyMSG4
-	// WithInactivityTimeout ages out silent UEs after n slots.
-	WithInactivityTimeout = core.WithInactivityTimeout
 	// WithIdleHorizon ages out silent UEs after a wall-clock duration
 	// (converted to slots once the cell's numerology is known).
 	WithIdleHorizon = core.WithIdleHorizon

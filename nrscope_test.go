@@ -57,7 +57,11 @@ func TestUEProfileMobilityMapping(t *testing.T) {
 }
 
 func TestSessionBoundedUEDeparts(t *testing.T) {
-	tb, err := NewTestbed(AmarisoftPreset, 11, WithInactivityTimeout(600))
+	cell, err := AmarisoftPreset.cell()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb, err := NewTestbed(AmarisoftPreset, 11, WithIdleHorizon(600*cell.TTI()))
 	if err != nil {
 		t.Fatal(err)
 	}
