@@ -449,6 +449,43 @@ func TestTrackedIndexAfterPurge(t *testing.T) {
 	}
 }
 
+// TestTrackedGaugeSumsScopes: with two scopes in the process, the
+// tracked-UE gauge reads their sum through discoveries and purges, not
+// the count of whichever scope merged a slot last.
+func TestTrackedGaugeSumsScopes(t *testing.T) {
+	cfg := amari()
+	base := met.uesTracked.Value()
+	a := handScope(cfg, cfg.Setup.CORESET)
+	b := handScope(cfg, cfg.Setup.CORESET)
+	a.inactivitySlots, b.inactivitySlots = 300, 300
+	discover := func(s *Scope, slot int, rntis ...uint16) {
+		res := &decodeResult{slotIdx: slot}
+		for _, rnti := range rntis {
+			res.newUEs = append(res.newUEs, newUE{rnti: rnti})
+		}
+		s.merge(res)
+	}
+	check := func(when string) {
+		t.Helper()
+		if got, want := met.uesTracked.Value()-base, int64(len(a.tracks)+len(b.tracks)); got != want {
+			t.Fatalf("%s: gauge moved by %d, the scopes track %d", when, got, want)
+		}
+	}
+	ues := trackedRNTIs(5)
+	discover(a, 0, ues[:3]...)
+	check("after a discovers 3")
+	discover(b, 0, ues...)
+	check("after b discovers 5")
+	discover(a, 10)
+	check("after an empty slot on a")
+	// The purge at slot 400 ages out all of b's UEs but the one active.
+	b.merge(&decodeResult{slotIdx: 400, data: []foundDCI{{rnti: ues[0]}}})
+	if len(b.tracks) != 1 {
+		t.Fatalf("b tracks %d after the purge, want 1", len(b.tracks))
+	}
+	check("after b's purge")
+}
+
 func TestSpareCapacityReported(t *testing.T) {
 	cfg := amari()
 	tb := newTestbed(t, cfg, 25)

@@ -63,5 +63,5 @@ var met = struct {
 	sib1Acquired: obs.Default.Counter("nrscope_scope_sib1_acquired_total",
 		"SIB1 acquisitions merged into scope state"),
 	uesTracked: obs.Default.Gauge("nrscope_scope_ues_tracked",
-		"C-RNTIs currently tracked by the scope"),
+		"C-RNTIs currently tracked, summed over every scope"),
 }

@@ -159,6 +159,9 @@ type Scope struct {
 	estimator *telemetry.WindowEstimator
 	departed  []UEActivity
 	lastPurge int
+	// publishedUEs is len(tracks) as this scope last added it to the
+	// process-wide nrscope_scope_ues_tracked gauge.
+	publishedUEs int
 
 	// Per-slot state, owned because a Scope decodes one slot at a time:
 	// the result of the slot in flight, the decode working memory
@@ -371,7 +374,12 @@ func (s *Scope) merge(res *decodeResult) *SlotResult {
 		}
 	}
 	s.purgeInactive(res.slotIdx)
-	met.uesTracked.Set(int64(len(s.tracks)))
+	// Publish this scope's share of the process-wide gauge, so with
+	// several scopes it reads their sum.
+	if n := len(s.tracks); n != s.publishedUEs {
+		met.uesTracked.Add(int64(n - s.publishedUEs))
+		s.publishedUEs = n
+	}
 	return out
 }
 

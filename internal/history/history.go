@@ -86,6 +86,7 @@ type ueSeries struct {
 	series  series
 	lastTMs float64
 	elem    *list.Element // position in the store's LRU list
+	pos     int           // index in the store's ueList
 
 	// close and evict are allocated once at series creation so the
 	// ingest hot path passes preexisting func values (no per-record
@@ -118,6 +119,13 @@ type Store struct {
 	anoms   anomalyRing
 	lastTMs float64 // newest record time seen (ms)
 	lake    Lake    // optional spill target; nil = evicted bins are lost
+
+	// ueList holds the series of ues densely, mostly in creation order
+	// (an eviction moves the last series into the hole). Whole-store
+	// walks range over it rather than the map: they then read the
+	// series and their rings in allocation order, which the hardware
+	// prefetcher can follow, instead of in hash order.
+	ueList []*ueSeries
 }
 
 // New creates a store with the given configuration.
@@ -263,8 +271,10 @@ func (st *Store) addUE(k ueKey) *ueSeries {
 		}
 	}
 	u.elem = st.lru.PushFront(u)
+	u.pos = len(st.ueList)
+	st.ueList = append(st.ueList, u)
 	st.ues[k] = u
-	met.tracked.Set(int64(len(st.ues)))
+	met.tracked.Inc()
 	return u
 }
 
@@ -293,8 +303,13 @@ func (st *Store) evictLocked(u *ueSeries) {
 	}
 	st.lru.Remove(u.elem)
 	delete(st.ues, u.key)
+	last := len(st.ueList) - 1
+	st.ueList[u.pos] = st.ueList[last]
+	st.ueList[u.pos].pos = u.pos
+	st.ueList[last] = nil
+	st.ueList = st.ueList[:last]
 	met.evicted.Inc()
-	met.tracked.Set(int64(len(st.ues)))
+	met.tracked.Dec()
 }
 
 // TrackedUEs reports how many UE series the store currently holds.

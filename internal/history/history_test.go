@@ -2,6 +2,7 @@ package history
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -157,6 +158,54 @@ func TestMaxUEsBounded(t *testing.T) {
 	if bins, _ := st.Query(1, uint16(0), 0, 0, 1); bins != nil {
 		t.Error("oldest UE survived past the cap")
 	}
+}
+
+// CheckUEList gives the package's external tests the dense-list
+// invariant: every series of the map sits in ueList exactly once, at the
+// position it records, and ueList holds nothing else.
+func CheckUEList(st *Store) error {
+	st.mu.RLock()
+	defer st.mu.RUnlock()
+	if len(st.ueList) != len(st.ues) {
+		return fmt.Errorf("ueList holds %d series, the map %d", len(st.ueList), len(st.ues))
+	}
+	for i, u := range st.ueList {
+		if st.ues[u.key] != u {
+			return fmt.Errorf("ueList[%d] (cell %d rnti 0x%x) is not the map's series", i, u.key.cell, u.key.rnti)
+		}
+		if u.pos != i {
+			return fmt.Errorf("ueList[%d] (cell %d rnti 0x%x) records position %d", i, u.key.cell, u.key.rnti, u.pos)
+		}
+	}
+	return nil
+}
+
+// TestTrackedGaugeSumsStores: with two stores in the process, the
+// tracked-UE gauge reads their sum through adds, LRU evictions and idle
+// evictions, not the count of whichever store changed last.
+func TestTrackedGaugeSumsStores(t *testing.T) {
+	base := met.tracked.Value()
+	a := newTestStore(t, Config{BinWidth: 100 * time.Millisecond, Depth: 4, MaxUEs: 3})
+	b := newTestStore(t, Config{BinWidth: 100 * time.Millisecond, Depth: 4, MaxUEs: 100, IdleHorizon: time.Second})
+	check := func(when string) {
+		t.Helper()
+		if got, want := met.tracked.Value()-base, int64(a.TrackedUEs()+b.TrackedUEs()); got != want {
+			t.Fatalf("%s: gauge moved by %d, the stores track %d", when, got, want)
+		}
+	}
+	for i := 0; i < 5; i++ {
+		b.Ingest(1, msRec(float64(i)*10, uint16(0x200+i), true, 100, 4, false))
+		a.Ingest(1, msRec(float64(i)*10, uint16(0x100+i), true, 100, 4, false))
+		check(fmt.Sprintf("after add %d", i))
+	}
+	if a.TrackedUEs() != 3 || b.TrackedUEs() != 5 {
+		t.Fatalf("tracked %d and %d, want 3 (LRU cap) and 5", a.TrackedUEs(), b.TrackedUEs())
+	}
+	b.Ingest(1, msRec(5000, 0x2FF, true, 100, 4, false)) // the other five idle past the horizon
+	if b.TrackedUEs() != 1 {
+		t.Fatalf("b tracks %d after the idle horizon, want 1", b.TrackedUEs())
+	}
+	check("after idle eviction")
 }
 
 func TestLRUTouchOnActivity(t *testing.T) {

@@ -21,7 +21,7 @@ var met = struct {
 	late: obs.Default.Counter("nrscope_history_late_total",
 		"records older than the retained bin window, not folded in"),
 	tracked: obs.Default.Gauge("nrscope_history_ues_tracked",
-		"UE series currently retained by the history store"),
+		"UE series currently retained, summed over every history store"),
 	evicted: obs.Default.Counter("nrscope_history_ues_evicted_total",
 		"UE series evicted (LRU cap or idle horizon)"),
 	queries: obs.Default.Counter("nrscope_history_queries_total",

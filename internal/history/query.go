@@ -202,7 +202,12 @@ func (m Metric) value(s [2]float64) float64 {
 // "prbs", "spare_bits". Every tracked UE is ranked; with a lake attached
 // each UE also counts every spilled bin in the window, as Query does, and
 // UEs evicted from RAM re-enter the ranking from their spilled bins. The
-// lake scan runs under the store read lock: it stalls ingest meanwhile.
+// tracked UEs are walked in the order their series were created, so
+// their rings are read in allocation order; each UE's sum starts from
+// its spilled partials and adds its RAM bins oldest first, and
+// CompareRanks' total order makes the top k independent of the walk
+// order. The lake scan runs under the store read lock: it stalls ingest
+// meanwhile.
 func (st *Store) TopK(metric string, window time.Duration, k int) ([]UERank, error) {
 	m, ok := metrics[metric]
 	if !ok {
@@ -220,15 +225,18 @@ func (st *Store) TopK(metric string, window time.Duration, k int) ([]UERank, err
 		}
 	}
 	top := []UERank{} // an empty ranking encodes as [], not null
-	for key, u := range st.ues {
-		s := disk[key]
-		delete(disk, key)
+	for _, u := range st.ueList {
+		var s [2]float64
+		if len(disk) > 0 { // skip the lookup when the lake had nothing left
+			s = disk[u.key]
+			delete(disk, u.key)
+		}
 		for idx := max(fromIdx, u.series.oldestIdx()); idx <= u.series.curIdx; idx++ {
 			b := u.series.atPtr(idx)
 			s[0] += b.Sum(m.Num)
 			s[1] += b.Sum(m.Den)
 		}
-		top = keepBest(top, k, UERank{Cell: key.cell, RNTI: key.rnti, Value: m.value(s)})
+		top = keepBest(top, k, UERank{Cell: u.key.cell, RNTI: u.key.rnti, Value: m.value(s)})
 	}
 	for key, s := range disk {
 		top = keepBest(top, k, UERank{Cell: key.cell, RNTI: key.rnti, Value: m.value(s)})
@@ -292,9 +300,9 @@ func (st *Store) UEs(cellID uint16) []UESummary {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
 	met.queries.Inc()
-	out := make([]UESummary, 0, len(st.ues))
-	for key, u := range st.ues {
-		if key.cell != cellID {
+	out := make([]UESummary, 0, len(st.ueList))
+	for _, u := range st.ueList {
+		if u.key.cell != cellID {
 			continue
 		}
 		var acc Bin
@@ -302,7 +310,7 @@ func (st *Store) UEs(cellID uint16) []UESummary {
 			acc.Merge(*u.series.atPtr(idx))
 		}
 		out = append(out, UESummary{
-			Cell: key.cell, RNTI: key.rnti, LastMs: u.lastTMs, Bins: u.series.n,
+			Cell: u.key.cell, RNTI: u.key.rnti, LastMs: u.lastTMs, Bins: u.series.n,
 			DLBits: acc.DLBits, ULBits: acc.ULBits, Grants: acc.Grants, Retx: acc.Retx,
 		})
 	}
@@ -344,8 +352,8 @@ func (st *Store) Snapshot() Snapshot {
 		Cells: make([]CellSummary, 0, len(st.cells)),
 	}
 	perCell := make(map[uint16]int)
-	for key := range st.ues {
-		perCell[key.cell]++
+	for _, u := range st.ueList {
+		perCell[u.key.cell]++
 	}
 	cells := make([]uint16, 0, len(st.cells))
 	for id := range st.cells {

@@ -242,3 +242,35 @@ func TestTopKDuringIngest(t *testing.T) {
 	t.Logf("%d rankings during ingest, %d compactions", rankings, lk.Stats().Compactions)
 	checkTopK(t, st, f.seen)
 }
+
+// TestUEListMatchesMap feeds churning stores, evicting by the LRU cap
+// alone (odd seeds) and by the idle horizon too (even seeds: a second of
+// silence every 300 records idles out all but the next UE), and holds
+// the dense series list to the lookup map after every record.
+func TestUEListMatchesMap(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			st := churnStore(t, seed, history.NewFakeLake())
+			maxUEs := st.Snapshot().MaxUEs
+			f := newChurnFeed(seed)
+			full, shrank := false, false
+			prev := 0
+			for i := 0; i < 2400; i++ {
+				if i%300 == 299 {
+					f.tms += 1000
+				}
+				f.step(st)
+				if err := history.CheckUEList(st); err != nil {
+					t.Fatalf("record %d: %v", i, err)
+				}
+				n := st.TrackedUEs()
+				full = full || n == maxUEs
+				shrank = shrank || n < prev
+				prev = n
+			}
+			if !full || seed%2 == 0 && !shrank {
+				t.Fatalf("the feed never filled the store (%v) or, with an idle horizon, never shrank it (%v)", full, shrank)
+			}
+		})
+	}
+}

@@ -3,6 +3,7 @@ package shard
 import (
 	"flag"
 	"fmt"
+	"math/rand"
 	"runtime"
 	"strconv"
 	"strings"
@@ -376,5 +377,63 @@ func TestMetroSoakFlatHeap(t *testing.T) {
 	}
 	if h.TrackedUEs == 0 {
 		t.Fatal("soak tracked no UE series")
+	}
+}
+
+// BenchmarkSupervisorTopK ranks a two-shard deployment of 32 cells ×
+// 256 UEs (4096 UEs a partition) whose 8-bin rings spill into one lake a
+// shard, over a window the rings hold and over one that reaches 1.2 s
+// into the lakes. Between timed rankings, with the timer stopped, 200
+// disk-window UE queries run, as in the metro workload's query mix:
+// they leave the caches holding lake blocks rather than the rings, so
+// the timed walk starts cold, as a deployment's rankings do.
+func BenchmarkSupervisorTopK(b *testing.B) {
+	const cells, ues, bins = 32, 256, 50
+	sup, lks := rankingSupervisor(b, 2, cells, history.Config{
+		BinWidth: 100 * time.Millisecond, Depth: 8, MaxUEs: cells * ues,
+	}, true)
+	for bin := 0; bin < bins; bin++ {
+		for u := 0; u < cells*ues; u++ {
+			rec := trec(bin*100, uint16(0x4601+u%ues), 1000+u%997, float64(bin)*100+float64(u)*0.01)
+			if err := sup.Ingest(uint16(1+u/ues), rec); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if bin%8 == 7 {
+			syncAll(b, sup, lks) // let the writers keep up with the bin rolls
+		}
+	}
+	syncAll(b, sup, lks)
+	for i, lk := range lks {
+		if s := lk.Stats(); s.DroppedEntries != 0 {
+			b.Fatalf("lake %d shed %d bins", i, s.DroppedEntries)
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	diskQueries := func() {
+		for i := 0; i < 200; i++ {
+			cell := uint16(1 + rng.Intn(cells))
+			idx, _ := sup.Partition(cell)
+			from := float64(rng.Intn(bins-20)) * 100
+			if bs, err := sup.Store(idx).Query(cell, uint16(0x4601+rng.Intn(ues)), from, from+1000, 1); err != nil || len(bs) == 0 {
+				b.Fatalf("disk-window query = %d bins, %v", len(bs), err)
+			}
+		}
+	}
+	for _, bc := range []struct {
+		name   string
+		window time.Duration
+	}{{"ram", 500 * time.Millisecond}, {"lake", 2 * time.Second}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				diskQueries()
+				b.StartTimer()
+				if ranks, err := sup.TopK("dl_bits", bc.window, 10); err != nil || len(ranks) != 10 {
+					b.Fatalf("TopK = %v, %v", ranks, err)
+				}
+			}
+		})
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"sync"
 	"time"
 
 	"nrscope/internal/fusion"
@@ -82,18 +83,32 @@ func (s *Supervisor) Health() Rollup {
 }
 
 // TopK fuses every partition's TopK into one deployment-wide ranking.
+// The partitions rank at once: every shard after the first on its own
+// goroutine, the first on the caller's, so one shard costs no goroutine.
 // Each partition returns its own top k (the global top k is a subset of
-// the union); the merge re-sorts and truncates. An empty ranking is
-// [] (not nil), as is every list the rollup layer returns, so the
-// HTTP API encodes it as [] rather than null.
+// the union); the merge concatenates them in shard order, re-sorts and
+// truncates, and the first error in shard order is returned. An empty
+// ranking is [] (not nil), as is every list the rollup layer returns,
+// so the HTTP API encodes it as [] rather than null.
 func (s *Supervisor) TopK(metric string, window time.Duration, k int) ([]history.UERank, error) {
+	ranks := make([][]history.UERank, len(s.shards))
+	errs := make([]error, len(s.shards))
+	var wg sync.WaitGroup
+	for i := 1; i < len(s.shards); i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ranks[i], errs[i] = s.shards[i].store.TopK(metric, window, k)
+		}()
+	}
+	ranks[0], errs[0] = s.shards[0].store.TopK(metric, window, k)
+	wg.Wait()
 	all := []history.UERank{}
-	for _, sh := range s.shards {
-		ranks, err := sh.store.TopK(metric, window, k)
-		if err != nil {
-			return nil, err
+	for i, r := range ranks {
+		if errs[i] != nil {
+			return nil, errs[i]
 		}
-		all = append(all, ranks...)
+		all = append(all, r...)
 	}
 	slices.SortFunc(all, history.CompareRanks)
 	if k > 0 && len(all) > k {
