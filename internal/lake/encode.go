@@ -272,22 +272,6 @@ type blockRows struct {
 	bins []history.Bin
 }
 
-// setField stores a value decoded from column c into its Bin field.
-var setField = [binColumns]func(b *history.Bin, v int64){
-	1:        func(b *history.Bin, v int64) { b.DLBits = v },
-	2:        func(b *history.Bin, v int64) { b.ULBits = v },
-	3:        func(b *history.Bin, v int64) { b.Grants = v },
-	4:        func(b *history.Bin, v int64) { b.Retx = v },
-	5:        func(b *history.Bin, v int64) { b.PRBs = v },
-	6:        func(b *history.Bin, v int64) { b.MCSSum = v },
-	7:        func(b *history.Bin, v int64) { b.MCSCount = v },
-	8:        func(b *history.Bin, v int64) { b.MCSMin = int(v) },
-	9:        func(b *history.Bin, v int64) { b.MCSMax = int(v) },
-	10:       func(b *history.Bin, v int64) { b.UsedREs = v },
-	11:       func(b *history.Bin, v int64) { b.TotalREs = v },
-	spareCol: func(b *history.Bin, v int64) { b.SpareBits = math.Float64frombits(uint64(v)) },
-}
-
 // decodeSeriesBlock decodes a series block's bin-index column and the
 // value columns that cols selects (bit c for column c) into r.
 func decodeSeriesBlock(h blockHeader, cols uint16, r *blockRows) error {
@@ -301,18 +285,44 @@ func decodeSeriesBlock(h blockHeader, cols uint16, r *blockRows) error {
 	r.bins = slices.Grow(r.bins[:0], h.count)[:h.count]
 	clear(r.bins)
 	for c := 1; c < binColumns; c++ {
-		p, set := h.cols[c], setField[c]
-		for i := 0; cols&(1<<c) != 0 && i < h.count; i++ {
+		if cols&(1<<c) == 0 {
+			continue
+		}
+		p := h.cols[c]
+		for i := range r.bins {
 			u, n := binary.Uvarint(p)
-			v := int64(u>>1) ^ -int64(u&1) // zigzag, as binary.Varint
-			if c == spareCol {
-				v = int64(u)
-			}
 			if n <= 0 {
 				return fmt.Errorf("lake: truncated value column %d", c)
 			}
 			p = p[n:]
-			set(&r.bins[i], v)
+			v := int64(u>>1) ^ -int64(u&1) // zigzag, as binary.Varint
+			b := &r.bins[i]
+			switch c {
+			case 1:
+				b.DLBits = v
+			case 2:
+				b.ULBits = v
+			case 3:
+				b.Grants = v
+			case 4:
+				b.Retx = v
+			case 5:
+				b.PRBs = v
+			case 6:
+				b.MCSSum = v
+			case 7:
+				b.MCSCount = v
+			case 8:
+				b.MCSMin = int(v)
+			case 9:
+				b.MCSMax = int(v)
+			case 10:
+				b.UsedREs = v
+			case 11:
+				b.TotalREs = v
+			case spareCol:
+				b.SpareBits = math.Float64frombits(u)
+			}
 		}
 	}
 	return nil

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime/debug"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -64,28 +66,51 @@ type seriesKey struct {
 
 // seriesIndex is one series' published blocks and the bin-index bounds
 // across them, so a series wholly outside a window costs one compare.
+// refs is sorted by minIdx (ties in publish order) and reach[i] is the
+// largest maxIdx of refs[:i+1], so a window's first candidate is found
+// by binary search and its scan stops at the first ref that starts past
+// the window. That stays exact when blocks overlap or arrive out of
+// order: a compacted block, refs published at reopen, a series
+// re-created after eviction.
 type seriesIndex struct {
 	minIdx, maxIdx int64
 	refs           []blockRef
+	reach          []int64
 }
 
+// add indexes r. A ref that starts no earlier than the last one, the
+// common case, is appended; any other is inserted in place.
 func (si *seriesIndex) add(r blockRef) {
-	if len(si.refs) == 0 {
+	n := len(si.refs)
+	if n == 0 {
 		si.minIdx, si.maxIdx = r.minIdx, r.maxIdx
 	}
 	si.minIdx, si.maxIdx = min(si.minIdx, r.minIdx), max(si.maxIdx, r.maxIdx)
-	si.refs = append(si.refs, r)
+	if n == 0 || r.minIdx >= si.refs[n-1].minIdx {
+		si.refs = append(si.refs, r)
+		si.reach = append(si.reach, max(r.maxIdx, si.maxIdx))
+		return
+	}
+	i := sort.Search(n, func(j int) bool { return si.refs[j].minIdx > r.minIdx })
+	si.refs = slices.Insert(si.refs, i, r)
+	si.reach = slices.Insert(si.reach, i, r.maxIdx)
+	for j := i; j <= n; j++ {
+		si.reach[j] = si.refs[j].maxIdx
+		if j > 0 {
+			si.reach[j] = max(si.reach[j], si.reach[j-1])
+		}
+	}
 }
 
 // appendOverlapping appends to dst the refs holding bins in [fromIdx,
-// toIdx]; a nil index holds none.
+// toIdx], by first bin; a nil index holds none.
 func (si *seriesIndex) appendOverlapping(dst []blockRef, fromIdx, toIdx int64) []blockRef {
 	if si == nil || si.maxIdx < fromIdx || si.minIdx > toIdx {
 		return dst
 	}
-	for _, r := range si.refs {
-		if r.maxIdx >= fromIdx && r.minIdx <= toIdx {
-			dst = append(dst, r)
+	for i := sort.Search(len(si.reach), func(j int) bool { return si.reach[j] >= fromIdx }); i < len(si.refs) && si.refs[i].minIdx <= toIdx; i++ {
+		if si.refs[i].maxIdx >= fromIdx {
+			dst = append(dst, si.refs[i])
 		}
 	}
 	return dst
@@ -358,30 +383,36 @@ func (l *Lake) queued(visit func(*entry)) {
 }
 
 // ReadSeries visits every spilled bin of one series in [fromIdx,
-// toIdx]: indexed blocks first (CRC-failing blocks are skipped and
-// counted), then entries still queued behind the writer.
+// toIdx]: indexed blocks first, in write order, then entries still
+// queued behind the writer. It finds the window's blocks by binary
+// search in the series index and slices them from the segments'
+// mappings; a block that fails its frame or CRC check, or whose mapped
+// bytes fault, is skipped and counted.
 func (l *Lake) ReadSeries(cell, rnti uint16, cellSeries bool, fromIdx, toIdx int64, visit func(binIdx int64, b history.Bin)) error {
 	start := time.Now()
 	k := seriesKey{cell: cell, rnti: rnti, kind: kindOf(cellSeries)}
+	br := readers.Get().(*blockReader)
+	defer readers.Put(br)
 	l.mu.RLock()
 	defer l.mu.RUnlock()
-	refs := l.series[k].appendOverlapping(nil, fromIdx, toIdx)
-	var br blockReader
-	br.read(refs, allCols, func(*blockRef) {
+	var stack [8]blockRef
+	refs := l.series[k].appendOverlapping(stack[:0], fromIdx, toIdx)
+	slices.SortFunc(refs, cmpRefs)
+	br.read(refs, allCols, func(blockRef) {
 		for i, idx := range br.idx {
 			if idx >= fromIdx && idx <= toIdx {
 				visit(idx, br.bins[i])
 			}
 		}
 	})
-	var queued []entry // visited after qmu is released
+	br.queued = br.queued[:0]
 	l.queued(func(e *entry) {
 		if e.kind == k.kind && e.cell == cell && e.rnti == rnti && e.binIdx >= fromIdx && e.binIdx <= toIdx {
-			queued = append(queued, *e)
+			br.queued = append(br.queued, *e)
 		}
 	})
-	for _, e := range queued {
-		visit(e.binIdx, e.bin)
+	for i := range br.queued {
+		visit(br.queued[i].binIdx, br.queued[i].bin)
 	}
 	met.readSeconds.Observe(time.Since(start).Seconds())
 	return nil
@@ -409,37 +440,57 @@ func (l *Lake) SeriesBounds(cell, rnti uint16, cellSeries bool) (minIdx, maxIdx 
 
 // ScanUEs returns partial sums of every UE series' spilled bins in
 // [fromIdx, toIdx], for TopK: one walk of the index that skips series
-// whose bounds miss the window, one coalesced read of the overlapping
-// blocks decoding only the bin-index column and m's columns, then the
-// queue.
+// whose bounds miss the window and binary-searches the others, a read
+// of the window's blocks from the mappings decoding only the bin-index
+// column and m's columns, then the queue. Each series with in-window
+// blocks gives one partial, its blocks' sums added in write order, and
+// each queued entry one more.
 func (l *Lake) ScanUEs(fromIdx, toIdx int64, m history.Metric) []history.UEPartial {
 	start := time.Now()
+	br := readers.Get().(*blockReader)
+	defer readers.Put(br)
 	l.mu.RLock()
 	defer l.mu.RUnlock()
-	var refs []blockRef
+	refs, series := br.refs[:0], 0
 	if fromIdx <= l.maxIdx {
 		for k, si := range l.series {
-			if k.kind == kindUE {
-				refs = si.appendOverlapping(refs, fromIdx, toIdx)
+			if k.kind != kindUE {
+				continue
+			}
+			n := len(refs)
+			if refs = si.appendOverlapping(refs, fromIdx, toIdx); len(refs) > n {
+				slices.SortFunc(refs[n:], cmpRefs)
+				series++
 			}
 		}
 	}
-	var out []history.UEPartial
-	var br blockReader
-	br.read(refs, 1|uint16(m.Num|m.Den)<<1, func(r *blockRef) {
-		p := history.UEPartial{Cell: r.cell, RNTI: r.rnti}
-		in := false
+	br.refs = refs
+	out := make([]history.UEPartial, 0, series)
+	var p history.UEPartial
+	in := false
+	br.read(refs, 1|uint16(m.Num|m.Den)<<1, func(r blockRef) {
+		if r.cell != p.Cell || r.rnti != p.RNTI {
+			if in {
+				out = append(out, p)
+			}
+			p, in = history.UEPartial{Cell: r.cell, RNTI: r.rnti}, false
+		}
+		var num, den float64
+		blockIn := false
 		for i, idx := range br.idx {
 			if idx >= fromIdx && idx <= toIdx {
-				in = true
-				p.Num += br.bins[i].Sum(m.Num)
-				p.Den += br.bins[i].Sum(m.Den)
+				blockIn = true
+				num += br.bins[i].Sum(m.Num)
+				den += br.bins[i].Sum(m.Den)
 			}
 		}
-		if in {
-			out = append(out, p)
+		if blockIn {
+			p.Num, p.Den, in = p.Num+num, p.Den+den, true
 		}
 	})
+	if in {
+		out = append(out, p)
+	}
 	l.queued(func(e *entry) {
 		if e.kind == kindUE && e.binIdx >= fromIdx && e.binIdx <= toIdx {
 			out = append(out, history.UEPartial{Cell: e.cell, RNTI: e.rnti, Num: e.bin.Sum(m.Num), Den: e.bin.Sum(m.Den)})
@@ -466,23 +517,30 @@ func (l *Lake) Anomalies() []history.Anomaly {
 
 // readAnomalies decodes, in order, the anomaly blocks refs point at:
 // all of them, or when only is set just those in its segments. Bad
-// blocks are counted and skipped.
+// blocks, and blocks whose mapped bytes fault, are counted and skipped.
+// The caller holds l.mu (either mode) or is the writer.
 func readAnomalies(refs []blockRef, only map[*segment]bool, visit func(history.Anomaly)) {
-	for _, r := range refs {
-		if only != nil && !only[r.seg] {
-			continue
-		}
-		payload, err := r.seg.readBlock(r.off, r.plen)
-		if err == nil {
-			var h blockHeader
-			if h, err = parseBlockPayload(payload, nil); err == nil {
-				err = decodeAnomalyBlock(h, visit)
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+	for i := range refs {
+		if r := &refs[i]; only == nil || only[r.seg] {
+			if decodeAnomalies(r, visit) != nil {
+				met.crcErrors.Inc()
 			}
 		}
-		if err != nil {
-			met.crcErrors.Inc()
-		}
 	}
+}
+
+func decodeAnomalies(r *blockRef, visit func(history.Anomaly)) (err error) {
+	defer recoverFault(&err)
+	payload, err := r.seg.block(r.off, r.plen)
+	if err != nil {
+		return err
+	}
+	h, err := parseBlockPayload(payload, nil)
+	if err != nil {
+		return err
+	}
+	return decodeAnomalyBlock(h, visit)
 }
 
 // --- lifecycle ---
@@ -539,8 +597,12 @@ func (l *Lake) Abandon() {
 	l.closeAll()
 }
 
+// closeAll unmaps and closes every segment, under l.mu so that no read
+// holds a mapping meanwhile, and then the manifest.
 func (l *Lake) closeAll() error {
 	var firstErr error
+	l.mu.Lock()
+	defer l.mu.Unlock()
 	for _, s := range l.segs {
 		if err := s.close(); err != nil && firstErr == nil {
 			firstErr = err

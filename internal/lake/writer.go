@@ -113,10 +113,16 @@ func (l *Lake) flushOnce() {
 	l.updateTotals()
 }
 
-// publishRefs folds block refs into the queryable index. Callers hold
-// l.mu (or run single-threaded during Open).
+// publishRefs folds block refs into the queryable index, first growing
+// the mapping of a segment whose block lands past it, so a ref is never
+// visible before its bytes are mapped. Callers hold l.mu's write lock
+// (or run single-threaded during Open). A segment that cannot be
+// remapped keeps its refs; reads count those blocks as bad.
 func (l *Lake) publishRefs(refs []blockRef) {
 	for _, r := range refs {
+		if err := r.seg.mapAtLeast(r.off + frameHdr + int64(r.plen)); err != nil {
+			met.writeErrors.Inc()
+		}
 		r.seg.indexed = true
 		if r.kind == kindAnomaly {
 			r.seg.maxMs = max(r.seg.maxMs, r.maxIdx) // anomaly ref bounds are in ms
@@ -231,6 +237,11 @@ func (l *Lake) activeFor(cell uint16) (*active, error) {
 	if err != nil {
 		return nil, err
 	}
+	if err := seg.mapAtLeast(activeReserve(l.cfg.SegmentBytes)); err != nil {
+		seg.close()
+		os.Remove(path)
+		return nil, err
+	}
 	if err := l.man.add(name); err != nil {
 		seg.close()
 		os.Remove(path)
@@ -240,6 +251,13 @@ func (l *Lake) activeFor(cell uint16) (*active, error) {
 	a := &active{seg: seg}
 	l.actives[cell] = a
 	return a, nil
+}
+
+// activeReserve is how much of a new active segment's file is mapped
+// up front: the size it seals at plus room for the batch that crosses
+// it, so publishRefs rarely has to remap.
+func activeReserve(segmentBytes int64) int64 {
+	return segmentBytes + segmentBytes/4
 }
 
 // updateTotals refreshes the segment-count and byte gauges.
@@ -313,8 +331,10 @@ func (l *Lake) compactCell(cell uint16, victims []*segment) {
 			}
 		}
 	}
-	var br blockReader
-	br.read(refs, allCols, func(r *blockRef) {
+	slices.SortFunc(refs, cmpRefs)
+	br := readers.Get().(*blockReader)
+	defer readers.Put(br)
+	br.read(refs, allCols, func(r blockRef) {
 		k := seriesKey{cell: r.cell, rnti: r.rnti, kind: r.kind}
 		m := merged[k]
 		if m == nil {
@@ -393,6 +413,10 @@ func (l *Lake) compactCell(cell uint16, victims []*segment) {
 		abort()
 		return
 	}
+	if err := seg.mapAtLeast(seg.size); err != nil {
+		abort()
+		return
+	}
 	oldNames := make([]string, len(victims))
 	for i, v := range victims {
 		oldNames[i] = v.name
@@ -407,12 +431,14 @@ func (l *Lake) compactCell(cell uint16, victims []*segment) {
 	l.mu.Lock()
 	l.dropSegRefsLocked(inSet)
 	l.publishRefs(newRefs)
+	for _, v := range victims {
+		v.close()
+	}
 	l.mu.Unlock()
 
 	l.segs[name] = seg
 	for _, v := range victims {
 		delete(l.segs, v.name)
-		v.close()
 		os.Remove(v.path)
 	}
 	met.compactions.Inc()
@@ -424,7 +450,7 @@ func (l *Lake) compactCell(cell uint16, victims []*segment) {
 func (l *Lake) dropSegRefsLocked(victims map[*segment]bool) {
 	for k, si := range l.series {
 		refs := si.refs
-		*si = seriesIndex{refs: refs[:0]}
+		*si = seriesIndex{refs: refs[:0], reach: si.reach[:0]}
 		for _, r := range refs {
 			if !victims[r.seg] {
 				si.add(r)
@@ -458,12 +484,12 @@ func (l *Lake) retention() {
 		victims := map[*segment]bool{seg: true}
 		l.mu.Lock()
 		l.dropSegRefsLocked(victims)
+		seg.close()
 		l.mu.Unlock()
 		if err := l.man.del(name); err != nil {
 			met.writeErrors.Inc()
 		}
 		delete(l.segs, name)
-		seg.close()
 		os.Remove(seg.path)
 		met.retired.Inc()
 	}
